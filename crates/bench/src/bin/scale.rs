@@ -6,10 +6,12 @@
 //! Two ladders:
 //!
 //! * **Ranks** — one SPMD microbench (compute, ring traffic, disk charges
-//!   with cooperative yields, allreduce, barrier) run solo at 16 → 1024
+//!   with cooperative yields, allreduce, barrier) run solo at 16 → 4096
 //!   ranks on a 4-worker pool. Rungs up to `--threaded-max` (default 256)
 //!   are re-run on the threaded engine and on a 1-worker pool and must
 //!   match bit for bit; beyond that, the 1-worker cross-check still runs.
+//!   Host µs per rank is printed per rung, and the 4096 / 256 ratio of it
+//!   after the table: 1.0 is a flat per-rank cost.
 //! * **Jobs** — 4 → 100 concurrent gaxpy jobs captured live on the shared
 //!   pool via `ooc_sched::profile_all_on` and scheduled against the disk
 //!   farm. The first job's profile must equal its solo threaded capture.
@@ -59,6 +61,8 @@ struct RankRung {
     ranks: usize,
     wall_s: f64,
     ranks_per_s: f64,
+    /// Host wall time per simulated rank, in microseconds.
+    us_per_rank: f64,
     peak_rss_bytes: Option<u64>,
     parity: &'static str,
 }
@@ -123,6 +127,7 @@ fn run_rank_rung(pool: &WorkerPool, ranks: usize, threaded_max: usize) -> RankRu
         ranks,
         wall_s,
         ranks_per_s: ranks as f64 / wall_s.max(1e-9),
+        us_per_rank: wall_s * 1e6 / ranks as f64,
         peak_rss_bytes: report.peak_rss_bytes(),
         parity,
     }
@@ -226,7 +231,7 @@ fn main() {
     let rank_ladder: &[usize] = if smoke {
         &[16, 64, 256]
     } else {
-        &[16, 64, 256, 1024]
+        &[16, 64, 256, 1024, 2048, 4096]
     };
     let jobs_ladder: &[usize] = if smoke { &[4, 16] } else { &[4, 16, 100] };
 
@@ -242,17 +247,33 @@ fn main() {
         .map(|&p| run_rank_rung(&pool, p, threaded_max))
         .collect();
 
-    let mut table = TextTable::new(&["Ranks", "Wall (s)", "Ranks/s", "Peak RSS (MiB)", "Parity"]);
+    let mut table = TextTable::new(&[
+        "Ranks",
+        "Wall (s)",
+        "Host us/rank",
+        "Peak RSS (MiB)",
+        "Parity",
+    ]);
     for r in &rank_rungs {
         table.row(vec![
             r.ranks.to_string(),
             format!("{:.4}", r.wall_s),
-            format!("{:.0}", r.ranks_per_s),
+            format!("{:.2}", r.us_per_rank),
             fmt_rss(r.peak_rss_bytes),
             r.parity.to_string(),
         ]);
     }
     print!("{}", table.render());
+    let us_at = |ranks: usize| {
+        rank_rungs
+            .iter()
+            .find(|r| r.ranks == ranks)
+            .map(|r| r.us_per_rank)
+    };
+    let cost_ratio = us_at(4096).zip(us_at(256)).map(|(hi, lo)| hi / lo);
+    if let Some(ratio) = cost_ratio {
+        println!("host us/rank at 4096 over 256 ranks: {ratio:.2} (1.0 = flat per-rank cost)");
+    }
     println!();
 
     let jobs_rungs: Vec<JobsRung> = jobs_ladder
@@ -283,14 +304,19 @@ fn main() {
     json.push_str(&format!(
         "  \"workers\": {WORKERS},\n  \"smoke\": {smoke},\n  \"threaded_max\": {threaded_max},\n"
     ));
+    json.push_str(&format!(
+        "  \"rank_cost_ratio_4096_over_256\": {},\n",
+        cost_ratio.map_or("null".to_string(), |r| format!("{r:.3}"))
+    ));
     json.push_str("  \"ranks\": [\n");
     for (i, r) in rank_rungs.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"ranks\": {}, \"wall_s\": {:.6}, \"ranks_per_s\": {:.3}, \
-             \"peak_rss_bytes\": {}, \"parity\": \"{}\"}}{}\n",
+             \"host_us_per_rank\": {:.3}, \"peak_rss_bytes\": {}, \"parity\": \"{}\"}}{}\n",
             r.ranks,
             r.wall_s,
             r.ranks_per_s,
+            r.us_per_rank,
             json_rss(r.peak_rss_bytes),
             r.parity,
             if i + 1 < rank_rungs.len() { "," } else { "" }

@@ -17,13 +17,39 @@
 //! paper's era. The message arrives at the sender's post-send clock; a
 //! receive moves the receiver's clock to `max(own clock, arrival)`.
 //!
-//! Blocking works for both execution engines: an OS-thread rank waits on
-//! the mailbox condvar, a pooled rank registers its task id in the mailbox
-//! and parks its coroutine ([`crate::pool`]). Senders and exiting ranks
-//! wake whichever kind of waiter they find. Registration happens under the
-//! same lock as the queue scan, so wakeups cannot be lost.
+//! Blocking and wake-ups (one protocol for both execution engines). A
+//! receiver that finds no match records, under its mailbox lock and in the
+//! same critical section as the queue scan, *which source it is blocked
+//! on* and how to resume it: a task id for a pooled coroutine
+//! ([`crate::pool`]), the mailbox condvar for an OS thread. Then:
+//!
+//! * **A send wakes only a matching waiter.** The sender pushes the
+//!   message and takes the waiter only if its recorded source is the
+//!   sender. A coroutine is resumed through the pool; the condvar is
+//!   touched only when the waiter is an OS thread, so a pooled run issues
+//!   no `futex` call per message.
+//! * **An exit wakes only who is blocked on the exiting rank.** Every rank
+//!   has a *watcher set*: the receivers that ever blocked on it. A
+//!   receiver files itself there before blocking; the exiting rank stores
+//!   its `exited` flag and drains the set under the set's lock, then
+//!   visits only the drained receivers and wakes those whose recorded
+//!   source is the exiting rank.
+//! * **Lock order.** Receive side: mailbox → watcher set. Exit side:
+//!   watcher set, *released*, then one mailbox at a time. Send side: the
+//!   destination mailbox only. No two locks are ever taken in opposite
+//!   orders.
+//! * **No wake-up is lost.** Against a send: push and waiter registration
+//!   are both under the receiver's mailbox lock, so either the scan sees
+//!   the message or the sender sees the waiter. Against an exit: the
+//!   receiver checks the flag and files itself under the watcher-set lock
+//!   the exiting rank stores the flag under, so it either sees the flag
+//!   (and returns `Disconnected`) or is in the drained set; in the latter
+//!   case its mailbox lock is still held, so the exiting rank's visit
+//!   comes after the waiter is recorded. A wake that reaches a coroutine
+//!   between recording the waiter and finishing the context switch is
+//!   caught by the pool's `wake_pending`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
@@ -195,18 +221,38 @@ impl std::fmt::Display for RecvError {
 impl std::error::Error for RecvError {}
 
 /// How the pooled engine wakes a parked rank task: a parked receiver
-/// registers its task id in its mailbox, and senders hand that id to the
+/// records its task id in its mailbox, and senders hand that id to the
 /// scheduler through this route.
 pub(crate) struct PoolWake {
     pub(crate) shared: Arc<PoolShared>,
 }
 
+/// A blocked receiver: what it waits for and how to resume it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Waiter {
+    /// The source rank the receive is blocked on.
+    src: usize,
+    /// Task id of a pooled coroutine; `None` is an OS thread waiting on
+    /// the mailbox condvar.
+    task: Option<usize>,
+}
+
 struct MailState {
     /// Per-source queues, materialized on the first message from a source.
     queues: HashMap<usize, VecDeque<Msg>>,
-    /// Task id of a pooled rank parked on this mailbox (OS-thread ranks
-    /// wait on the condvar instead and leave this `None`).
-    waiting: Option<usize>,
+    /// Set while the mailbox's owner is blocked (or about to block) in a
+    /// receive; taken by whoever wakes it.
+    waiting: Option<Waiter>,
+}
+
+impl MailState {
+    /// Take the waiter out if it is blocked on `src`.
+    fn take_waiter_on(&mut self, src: usize) -> Option<Waiter> {
+        match self.waiting {
+            Some(w) if w.src == src => self.waiting.take(),
+            _ => None,
+        }
+    }
 }
 
 struct Mailbox {
@@ -214,11 +260,18 @@ struct Mailbox {
     arrived: Condvar,
 }
 
-/// The machine-wide fabric: one mailbox and one exited flag per rank.
+/// The machine-wide fabric: per rank, one mailbox, one exited flag and the
+/// set of receivers that ever blocked on the rank.
 pub(crate) struct Fabric {
     mailboxes: Vec<Mailbox>,
+    /// Stored under the rank's `watchers` lock; read lock-free by senders.
     exited: Vec<AtomicBool>,
+    /// `watchers[s]`: receivers to visit when rank `s` exits.
+    watchers: Vec<Mutex<HashSet<usize>>>,
     wake: OnceLock<PoolWake>,
+    /// Times a blocked receive was resumed (wake-protocol tests).
+    #[cfg(test)]
+    resumes: std::sync::atomic::AtomicUsize,
 }
 
 impl Fabric {
@@ -234,7 +287,10 @@ impl Fabric {
                 })
                 .collect(),
             exited: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            watchers: (0..n).map(|_| Mutex::new(HashSet::new())).collect(),
             wake: OnceLock::new(),
+            #[cfg(test)]
+            resumes: std::sync::atomic::AtomicUsize::new(0),
         })
     }
 
@@ -247,9 +303,15 @@ impl Fabric {
         }
     }
 
-    fn wake_task(&self, tid: usize) {
-        if let Some(w) = self.wake.get() {
-            w.shared.wake(tid);
+    /// Resume a waiter taken out of `mb`.
+    fn resume(&self, mb: &Mailbox, waiter: Waiter) {
+        match waiter.task {
+            Some(tid) => {
+                if let Some(w) = self.wake.get() {
+                    w.shared.wake(tid);
+                }
+            }
+            None => mb.arrived.notify_all(),
         }
     }
 
@@ -264,11 +326,10 @@ impl Fabric {
         let waiter = {
             let mut st = mb.state.lock().unwrap();
             st.queues.entry(src).or_default().push_back(msg);
-            st.waiting.take()
+            st.take_waiter_on(src)
         };
-        mb.arrived.notify_all();
-        if let Some(tid) = waiter {
-            self.wake_task(tid);
+        if let Some(w) = waiter {
+            self.resume(mb, w);
         }
         true
     }
@@ -291,37 +352,58 @@ impl Fabric {
                     return Ok(q.remove(pos).expect("position valid"));
                 }
             }
-            // Checked *after* draining matches and *inside* the lock: an
-            // exiting sender stores the flag before sweeping mailbox locks,
-            // so a receiver that misses the flag here is guaranteed to be
-            // registered (or condvar-waiting) when the sweep reaches it.
-            if self.exited[src].load(Ordering::Acquire) {
-                return Err(RecvError::Disconnected { from: src });
+            // The exit check comes *after* the queue scan, so messages sent
+            // before an exit are still delivered after it. It is made under
+            // the watcher-set lock `src` stores its flag and drains its set
+            // under: missing the flag here means being in the set `src`
+            // will drain, and since this mailbox stays locked until we
+            // block, `src` finds the waiter recorded when it visits.
+            {
+                let mut watchers = self.watchers[src].lock().unwrap();
+                if self.exited[src].load(Ordering::Acquire) {
+                    return Err(RecvError::Disconnected { from: src });
+                }
+                watchers.insert(me);
             }
+            st.waiting = Some(Waiter {
+                src,
+                task: hook.map(CoroHook::tid),
+            });
             match hook {
                 None => st = mb.arrived.wait(st).unwrap(),
                 Some(h) => {
-                    st.waiting = Some(h.tid());
                     drop(st);
                     h.park();
                     st = mb.state.lock().unwrap();
                 }
             }
+            // Whoever woke us took the waiter; a spurious condvar wake-up
+            // did not, and a stale one must not outlive this receive.
+            st.waiting = None;
+            #[cfg(test)]
+            self.resumes.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Mark `rank` exited and wake every waiter in the machine so blocked
-    /// receivers re-check their sources. Spurious wakes re-park; receivers
-    /// actually waiting on `rank` observe the flag and error out.
+    /// Mark `rank` exited and wake the receivers blocked on it, which
+    /// observe the flag and error out. Receivers blocked on other ranks
+    /// are not touched.
     pub(crate) fn mark_exited(&self, rank: usize) {
-        if self.exited[rank].swap(true, Ordering::AcqRel) {
-            return;
-        }
-        for mb in &self.mailboxes {
-            let waiter = { mb.state.lock().unwrap().waiting.take() };
-            mb.arrived.notify_all();
-            if let Some(tid) = waiter {
-                self.wake_task(tid);
+        let blocked_once = {
+            let mut watchers = self.watchers[rank].lock().unwrap();
+            if self.exited[rank].swap(true, Ordering::AcqRel) {
+                return;
+            }
+            std::mem::take(&mut *watchers)
+        };
+        for r in blocked_once {
+            let mb = &self.mailboxes[r];
+            let waiter = {
+                let mut st = mb.state.lock().unwrap();
+                st.take_waiter_on(rank)
+            };
+            if let Some(w) = waiter {
+                self.resume(mb, w);
             }
         }
     }
@@ -455,6 +537,112 @@ mod tests {
         let a = eps.pop().unwrap();
         drop(b);
         assert!(!a.send(1, msg(0, 1)));
+    }
+
+    /// What the last rank does to release the receiver parked on it.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Release {
+        Send,
+        Exit,
+    }
+
+    /// Rank 0 of a 1024-rank fabric blocks on the last rank `s`, every
+    /// rank in between exits, then `s` releases it. Counts, not clocks:
+    /// the receiver must not be resumed at all until `s` acts, and exactly
+    /// once when it does. Returns what the receive returned.
+    fn pooled_receiver_parked_on_last_rank(release: Release) -> Result<Msg, RecvError> {
+        use crate::pool::{RankBody, WorkerPool};
+        let n = 1024;
+        let s = n - 1;
+        let fabric = Fabric::new(n);
+        // One worker runs equal-clock ranks of one run in rank order, so
+        // rank 0 is parked before rank 1 exits and `s` goes last.
+        let pool = WorkerPool::new(1);
+        let run = pool.new_run(n);
+        let got = Arc::new(Mutex::new(None));
+        // What `s` saw before acting (asserted outside the coroutine, where
+        // a failure unwinds normally).
+        let seen = Arc::new(Mutex::new(None));
+        let bodies: Vec<RankBody> = (0..n)
+            .map(|rank| {
+                let fabric = fabric.clone();
+                let got = got.clone();
+                let seen = seen.clone();
+                Box::new(move |y: &crate::coro::Yielder, token| {
+                    let hook = CoroHook::new(y, token);
+                    let ep = Endpoints::on(fabric.clone(), rank);
+                    if rank == 0 {
+                        *got.lock().unwrap() = Some(ep.recv_as(s, Tag(7), Some(&hook)));
+                    } else if rank == s {
+                        let others_exited =
+                            (1..s).all(|r| fabric.exited[r].load(Ordering::Acquire));
+                        let parked_on = fabric.mailboxes[0].state.lock().unwrap().waiting;
+                        let resumes = fabric.resumes.load(Ordering::Relaxed);
+                        *seen.lock().unwrap() = Some((others_exited, parked_on, resumes));
+                        if release == Release::Send {
+                            ep.send(0, msg(7, 99));
+                        }
+                    }
+                    // Dropping `ep` is the rank's exit.
+                }) as RankBody
+            })
+            .collect();
+        let tids = pool.submit(&run, bodies);
+        fabric.set_wake(PoolWake {
+            shared: pool.shared_arc(),
+        });
+        pool.launch(&tids);
+        run.wait();
+        assert!(!run.failed(), "no rank was left parked");
+        let (others_exited, parked_on, resumes) = seen.lock().unwrap().expect("rank s ran");
+        assert!(others_exited, "ranks 1..s exited before s ran");
+        assert_eq!(parked_on.map(|w| w.src), Some(s), "rank 0 parked on s");
+        assert_eq!(resumes, 0, "resumed while ranks other than s exited");
+        assert_eq!(fabric.resumes.load(Ordering::Relaxed), 1);
+        let got = got.lock().unwrap().take();
+        got.expect("rank 0 returned from its receive")
+    }
+
+    #[test]
+    fn pooled_receiver_sleeps_through_unrelated_exits_until_its_source_sends() {
+        let got = pooled_receiver_parked_on_last_rank(Release::Send).unwrap();
+        assert_eq!(got.payload.into_u64(), vec![99]);
+    }
+
+    #[test]
+    fn pooled_receiver_sleeps_through_unrelated_exits_until_its_source_exits() {
+        assert_eq!(
+            pooled_receiver_parked_on_last_rank(Release::Exit),
+            Err(RecvError::Disconnected { from: 1023 })
+        );
+    }
+
+    #[test]
+    fn thread_receiver_sleeps_through_unrelated_exits_and_sends() {
+        let n = 1024;
+        let s = n - 1;
+        let fabric = Fabric::new(n);
+        let got = std::thread::scope(|scope| {
+            let rx = scope.spawn(|| fabric.recv(0, s, Tag(7), None));
+            // The waiter is recorded under the mailbox lock that the
+            // condvar wait releases, so once it is visible the receiver is
+            // asleep.
+            while fabric.mailboxes[0].state.lock().unwrap().waiting.is_none() {
+                std::thread::yield_now();
+            }
+            assert!(
+                fabric.send(1, 0, msg(7, 1)),
+                "a message from another source"
+            );
+            for r in 1..s {
+                fabric.mark_exited(r);
+            }
+            assert_eq!(fabric.resumes.load(Ordering::Relaxed), 0);
+            assert!(fabric.send(s, 0, msg(7, 99)));
+            rx.join().unwrap()
+        });
+        assert_eq!(got.unwrap().payload.into_u64(), vec![99]);
+        assert_eq!(fabric.resumes.load(Ordering::Relaxed), 1);
     }
 
     #[test]

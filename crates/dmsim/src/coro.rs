@@ -14,7 +14,9 @@
 //! path. Stacks are allocated lazily on first resume and sized generously
 //! (default 2 MiB, matching `std::thread`'s default); untouched pages cost
 //! no resident memory, which is what keeps per-rank memory flat at
-//! thousand-rank scale.
+//! thousand-rank scale. A finished coroutine's stack is kept for the next
+//! coroutine its thread starts, which keeps a long-lived pool's resident
+//! set flat across runs.
 //!
 //! Safety model:
 //! * a coroutine is resumed by at most one worker at a time (`&mut self`),
@@ -27,7 +29,7 @@
 //!   on the fatal simulated-deadlock path, where the process is panicking
 //!   with diagnostics anyway.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::OnceLock;
 
 /// Why a coroutine suspended itself.
@@ -183,6 +185,18 @@ pub(crate) fn stack_bytes() -> usize {
     })
 }
 
+/// How many finished coroutines' stacks a thread keeps for the next
+/// coroutines it starts. A recycled stack touches the pages it touched
+/// before; a freshly allocated one lands wherever the allocator's heap has
+/// room and faults in new pages there, which it never gives back — without
+/// recycling, a long-lived pool's resident set grows with every run it
+/// hosts. The bound caps what an idle worker pins after one huge run.
+const SPARE_STACKS_MAX: usize = 4096;
+
+thread_local! {
+    static SPARE_STACKS: RefCell<Vec<StackMem>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Heap memory serving as a coroutine stack.
 struct StackMem {
     base: *mut u8,
@@ -190,6 +204,25 @@ struct StackMem {
 }
 
 impl StackMem {
+    /// A spare stack of this thread if there is one, fresh memory
+    /// otherwise ([`stack_bytes`] is fixed for the process, so every spare
+    /// has the right size).
+    fn acquire() -> StackMem {
+        SPARE_STACKS
+            .with_borrow_mut(Vec::pop)
+            .unwrap_or_else(|| StackMem::new(stack_bytes()))
+    }
+
+    /// Hand back the stack of a finished coroutine. Its sentinel was
+    /// checked intact, so the next coroutine starts from a sound one.
+    fn release(self) {
+        SPARE_STACKS.with_borrow_mut(|spare| {
+            if spare.len() < SPARE_STACKS_MAX {
+                spare.push(self);
+            }
+        });
+    }
+
     fn new(bytes: usize) -> StackMem {
         let layout = std::alloc::Layout::from_size_align(bytes, 16).expect("stack layout");
         // SAFETY: layout has non-zero size.
@@ -342,7 +375,7 @@ impl Coro {
     /// `ooc_coro_bootstrap` with the bootstrap pointer and `coro_main`
     /// planted in the two saved-register slots the trampoline expects.
     fn start(&mut self, bootstrap: Box<Bootstrap>) {
-        let stack = StackMem::new(stack_bytes());
+        let stack = StackMem::acquire();
         let top = stack.top() as usize;
         let data = Box::into_raw(bootstrap) as usize;
         let entry = coro_main as *const () as usize;
@@ -408,6 +441,7 @@ impl Coro {
                 "rank coroutine overflowed its {}-byte stack (set OOC_CORO_STACK_BYTES higher)",
                 stack.layout.size()
             );
+            stack.release();
             CoroStatus::Finished
         } else {
             CoroStatus::Yielded(self.control.reason.get(), self.control.vtime_bits.get())
@@ -480,6 +514,25 @@ mod tests {
         assert!(matches!(c.resume(), CoroStatus::Yielded(..)));
         let done = std::thread::spawn(move || c.resume()).join().unwrap();
         assert_eq!(done, CoroStatus::Finished);
+    }
+
+    #[test]
+    fn a_finished_coroutines_stack_serves_the_next_one_on_the_thread() {
+        // Where a coroutine's first frame lives identifies its stack.
+        fn frame_address() -> usize {
+            let here = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let h = here.clone();
+            let mut c = Coro::new(boxed(move |_| {
+                let local = 0u8;
+                h.store(
+                    std::hint::black_box(&local) as *const u8 as usize,
+                    std::sync::atomic::Ordering::SeqCst,
+                );
+            }));
+            assert_eq!(c.resume(), CoroStatus::Finished);
+            here.load(std::sync::atomic::Ordering::SeqCst)
+        }
+        assert_eq!(frame_address(), frame_address());
     }
 
     #[test]

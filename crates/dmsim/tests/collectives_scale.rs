@@ -1,6 +1,7 @@
 //! Collectives at rank counts far beyond what the threaded engine can
 //! host comfortably: correctness and bit-exact determinism of allreduce
-//! and alltoallv on the pooled engine at 257, 1000 and 1024 ranks.
+//! and alltoallv on the pooled engine at 257, 1000 and 1024 ranks, and of
+//! allreduce + barrier at 4096 ranks on a single worker.
 //!
 //! 257 and 1000 are deliberately awkward sizes — one past a power of two
 //! and a non-power-of-two with a long tail — so the dissemination /
@@ -32,7 +33,9 @@ where
 fn allreduce_at(p: usize, workers: usize) {
     let sums = run_twice_identically(p, workers, |ctx| {
         let me = ctx.rank() as f64;
-        ctx.allreduce_sum_f64(&[me + 1.0, me * 2.0])
+        let sum = ctx.allreduce_sum_f64(&[me + 1.0, me * 2.0]);
+        ctx.barrier();
+        sum
     });
     assert_eq!(sums.len(), p);
     let n = p as f64;
@@ -70,6 +73,13 @@ fn allreduce_at_257_ranks_pooled() {
 #[test]
 fn allreduce_at_1000_ranks_pooled() {
     allreduce_at(1000, 4);
+}
+
+/// The size the rank ladder is held flat to, on the ledger's engine: one
+/// worker multiplexing all 4096 coroutines.
+#[test]
+fn allreduce_and_barrier_at_4096_ranks_on_one_worker() {
+    allreduce_at(4096, 1);
 }
 
 #[test]

@@ -3,6 +3,8 @@
 //! streams, bit for bit — and invariant in the number of pool workers.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use dmsim::{Engine, FaultConfig, Machine, MachineConfig, ProcCtx, TraceConfig, WorkerPool};
 
@@ -110,6 +112,130 @@ proptest! {
             };
             prop_assert_eq!(&obs, &oracle);
         }
+    }
+}
+
+/// One step of a rank's script in the exit-race stress.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Flops(u64),
+    Send { dst: usize, tag: u32, val: u64 },
+    Recv { src: usize, tag: u32 },
+}
+
+/// Seeded scripts for `p` ranks that cannot deadlock: a seeded permutation
+/// ranks the processors, and a processor receives only from those ranked
+/// below it, so by induction every source finishes its script and exits.
+/// Per ordered pair the sender posts up to three messages on tags 1 and 2
+/// and the receiver posts up to three receives on tags 1..=3 — tag 3 is
+/// never sent, and a tag may be asked for more often than it was sent, so
+/// about half the receives can only end when the source exits. Each script is
+/// shuffled, so a rank exits at a seeded point relative to its peers.
+fn exit_race_scripts(p: usize, seed: u64) -> Vec<Vec<Step>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut next = move |below: usize| rng.gen_range(0..below);
+    let mut order: Vec<usize> = (0..p).collect();
+    for i in (1..p).rev() {
+        order.swap(i, next(i + 1));
+    }
+    let mut scripts: Vec<Vec<Step>> = vec![Vec::new(); p];
+    let mut val = 0u64;
+    for hi in 0..p {
+        for lo in 0..hi {
+            let (src, dst) = (order[lo], order[hi]);
+            for _ in 0..next(4) {
+                val += 1;
+                let tag = 1 + next(2) as u32;
+                scripts[src].push(Step::Send { dst, tag, val });
+            }
+            for _ in 0..next(4) {
+                let tag = 1 + next(3) as u32;
+                scripts[dst].push(Step::Recv { src, tag });
+            }
+        }
+    }
+    for script in &mut scripts {
+        for _ in 0..next(3) {
+            script.push(Step::Flops(next(100_000) as u64));
+        }
+        for i in (1..script.len()).rev() {
+            script.swap(i, next(i + 1));
+        }
+    }
+    scripts
+}
+
+/// What every receive of every script must return, worked out serially:
+/// the k-th receive of a (source, tag) pair gets the k-th message the
+/// source's script sends on that pair, `None` (disconnected) if there is
+/// no such message.
+fn exit_race_oracle(scripts: &[Vec<Step>]) -> Vec<Vec<Option<u64>>> {
+    scripts
+        .iter()
+        .enumerate()
+        .map(|(me, script)| {
+            let mut taken = std::collections::HashMap::new();
+            script
+                .iter()
+                .filter_map(|step| match *step {
+                    Step::Recv { src, tag } => Some((src, tag)),
+                    _ => None,
+                })
+                .map(|(src, tag)| {
+                    let k = taken.entry((src, tag)).or_insert(0usize);
+                    *k += 1;
+                    scripts[src]
+                        .iter()
+                        .filter_map(|step| match *step {
+                            Step::Send { dst, tag: t, val } if dst == me && t == tag => Some(val),
+                            _ => None,
+                        })
+                        .nth(*k - 1)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Ranks exit at seeded points while peers are receiving from them, on
+    /// tags that were sent and tags that were not. Every receive ends — in
+    /// the message sent before the exit, or in `Disconnected` — with the
+    /// serially predicted result, and the reports agree bitwise across
+    /// engines. (A lost wake-up shows as a deadlock panic on the pool and a
+    /// hang on threads.)
+    #[test]
+    fn exits_racing_receives_never_hang_or_lose_a_message(
+        p in 2usize..17,
+        seed in 0u64..1_000_000,
+    ) {
+        let scripts = exit_race_scripts(p, seed);
+        let oracle = exit_race_oracle(&scripts);
+        let mut reports = Vec::new();
+        for engine in [Engine::Threads, Engine::Pool(1), Engine::Pool(4)] {
+            let machine = Machine::new(MachineConfig::delta(p).with_engine(engine));
+            let (report, got) = machine.run_with(|ctx| {
+                let mut got = Vec::new();
+                for step in &scripts[ctx.rank()] {
+                    match *step {
+                        Step::Flops(n) => ctx.charge_flops(n),
+                        Step::Send { dst, tag, val } => {
+                            ctx.send(dst, dmsim::Tag(tag), dmsim::Payload::U64(vec![val]))
+                        }
+                        Step::Recv { src, tag } => got.push(
+                            ctx.recv(src, dmsim::Tag(tag)).ok().map(|m| m.into_u64()[0]),
+                        ),
+                    }
+                }
+                got
+            });
+            prop_assert_eq!(&got, &oracle, "{:?} at p={} seed={}", engine, p, seed);
+            reports.push(report.per_proc().to_vec());
+        }
+        prop_assert_eq!(&reports[1], &reports[0], "Pool(1) vs Threads");
+        prop_assert_eq!(&reports[2], &reports[0], "Pool(4) vs Threads");
     }
 }
 

@@ -113,6 +113,9 @@ pub enum RunError {
     Comm(dmsim::CommError),
     /// The configuration is inconsistent with the compiled program.
     Config(String),
+    /// The contents of an input array are malformed (see
+    /// [`OocError::Data`]).
+    Data(String),
     /// The run died on the pool without completing: a simulated deadlock
     /// was detected, or the run was explicitly killed (a workload watchdog
     /// evicting a hung job). Not retried by the recovery loop — the
@@ -126,6 +129,7 @@ impl fmt::Display for RunError {
             RunError::Io(e) => write!(f, "I/O error: {e}"),
             RunError::Comm(e) => write!(f, "communication error: {e}"),
             RunError::Config(m) => write!(f, "configuration error: {m}"),
+            RunError::Data(m) => write!(f, "data error: {m}"),
             RunError::Hung(d) => write!(f, "run died without completing: {d}"),
         }
     }
@@ -144,6 +148,7 @@ impl From<OocError> for RunError {
         match e {
             OocError::Io(e) => RunError::Io(e),
             OocError::Comm(e) => RunError::Comm(e),
+            e @ OocError::Data { .. } => RunError::Data(e.to_string()),
         }
     }
 }

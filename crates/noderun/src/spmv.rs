@@ -37,6 +37,42 @@ fn allgather_block(ctx: &ProcCtx, mine: Vec<f32>) -> Result<Vec<f32>, OocError> 
     Ok(received.into_iter().flatten().collect())
 }
 
+/// Check the allgathered row pointers of array `name` against the CSR
+/// format the accumulation loop indexes by — first entry 0, non-decreasing,
+/// last entry `nnz`, every entry a whole number — and convert them. Every
+/// rank holds the same vector, so every rank returns the same verdict and
+/// none is left waiting in a later collective.
+fn checked_rowptr(name: &str, rowptr: &[f32], n: usize, nnz: usize) -> Result<Vec<u64>, OocError> {
+    let bad = |reason: String| OocError::Data {
+        array: name.to_string(),
+        reason,
+    };
+    debug_assert_eq!(rowptr.len(), n + 1);
+    let whole = |v: f32| v >= 0.0 && v.fract() == 0.0;
+    if let Some(i) = rowptr.iter().position(|v| !whole(*v)) {
+        return Err(bad(format!(
+            "entry {i} = {} is not a nonzero offset",
+            rowptr[i]
+        )));
+    }
+    let rp: Vec<u64> = rowptr.iter().map(|v| *v as u64).collect();
+    if rp[0] != 0 {
+        return Err(bad(format!("entry 0 = {}, expected 0", rp[0])));
+    }
+    if let Some(i) = (1..=n).find(|&i| rp[i] < rp[i - 1]) {
+        return Err(bad(format!(
+            "entry {i} = {} is below entry {} = {}",
+            rp[i],
+            i - 1,
+            rp[i - 1]
+        )));
+    }
+    if rp[n] != nnz as u64 {
+        return Err(bad(format!("entry {n} = {}, expected nnz = {nnz}", rp[n])));
+    }
+    Ok(rp)
+}
+
 /// Re-select the gather method from the *measured* schedule statistics,
 /// allreduced so every rank prices the same machine-global view: per-rank
 /// stats travel as `u64` vectors through one all-to-all and merge in rank
@@ -93,7 +129,7 @@ pub fn execute_cached(
         let _x = ctx.trace_span(ooc_trace::Category::Collective, "allgather rowptr");
         allgather_block(ctx, my_rp)?
     };
-    debug_assert_eq!(rowptr.len(), plan.n + 1);
+    let rp = checked_rowptr(&plan.rowptr.name, &rowptr, plan.n, plan.nnz)?;
 
     // ---- Inspect the indirection, or reuse the cached schedule. ----------
     let reusable = matches!(cache, Some(s) if s.is_valid_for(&plan.x, &plan.colidx, rank, p));
@@ -117,7 +153,6 @@ pub fn execute_cached(
         env.read_section(&plan.vals, &Section::full(&vals_shape), ctx)?
     };
     debug_assert_eq!(vals.len(), xg.len(), "vals and colidx are co-distributed");
-    let rp: Vec<u64> = rowptr.iter().map(|v| *v as u64).collect();
     let nnz_lo = global_section_of_local(&plan.vals.dist, rank)
         .map(|s| s.range(0).lo)
         .unwrap_or(0);
@@ -126,7 +161,8 @@ pub fn execute_cached(
         let _c = ctx.trace_span(ooc_trace::Category::Compute, "spmv accumulate");
         for (t, (&v, &xv)) in vals.iter().zip(xg.iter()).enumerate() {
             let g = (nnz_lo + t) as u64;
-            // Row of global nonzero g: the last r with rowptr[r] <= g.
+            // Row of global nonzero g: the last r with rowptr[r] <= g —
+            // in 0..n because rowptr[0] = 0 <= g < nnz = rowptr[n].
             let row = rp.partition_point(|&x| x <= g) - 1;
             partial[row] += v * xv;
         }
@@ -411,6 +447,55 @@ mod tests {
                     "{method:?} rank {rank} write bytes"
                 );
             });
+        }
+    }
+
+    /// Run the executor on `engine` over the test matrix with its row
+    /// pointers replaced by `rowptr`; every rank's verdict, in rank order.
+    fn run_with_rowptr(engine: dmsim::Engine, rowptr: fn(usize) -> f32) -> Vec<String> {
+        let (n, nnz, p) = (64, 512, 4);
+        let plan = spmv_plan(n, nnz, p, IoMethod::TwoPhase);
+        let machine = Machine::new(MachineConfig::free(p).with_engine(engine));
+        let (_, verdicts) = machine.run_with(move |ctx| {
+            let mut env = OocEnv::in_memory(ctx.rank());
+            load_csr(&mut env, &plan, &Csr { n, nnz });
+            env.load_global(&plan.rowptr, &move |g: &[usize]| rowptr(g[0]))
+                .unwrap();
+            match execute(ctx, &mut env, &plan, None) {
+                Ok(_) => "ok".to_string(),
+                Err(e) => {
+                    assert!(matches!(e, OocError::Data { .. }), "{e:?}");
+                    assert!(!e.is_recoverable());
+                    e.to_string()
+                }
+            }
+        });
+        verdicts
+    }
+
+    #[test]
+    fn malformed_rowptr_is_a_typed_error_on_every_rank_and_engine() {
+        // The test matrix has 8 nonzeros per row: rowptr[i] = 8 i.
+        let zeroed: fn(usize) -> f32 = |_| 0.0;
+        let dips: fn(usize) -> f32 = |i| if i == 32 { 8.0 } else { 8.0 * i as f32 };
+        let starts_late: fn(usize) -> f32 = |i| 8.0 * i as f32 + 8.0;
+        let fractional: fn(usize) -> f32 = |i| if i == 1 { 7.5 } else { 8.0 * i as f32 };
+        for engine in [dmsim::Engine::Threads, dmsim::Engine::Pool(2)] {
+            for (rowptr, complaint) in [
+                (zeroed, "`rowptr`: entry 64 = 0, expected nnz = 512"),
+                (dips, "`rowptr`: entry 32 = 8 is below entry 31 = 248"),
+                (starts_late, "`rowptr`: entry 0 = 8, expected 0"),
+                (
+                    fractional,
+                    "`rowptr`: entry 1 = 7.5 is not a nonzero offset",
+                ),
+            ] {
+                let verdicts = run_with_rowptr(engine, rowptr);
+                assert_eq!(verdicts.len(), 4);
+                for v in &verdicts {
+                    assert!(v.contains(complaint), "{engine:?}: {v}");
+                }
+            }
         }
     }
 

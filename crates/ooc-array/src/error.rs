@@ -7,7 +7,10 @@
 //! failures (a disconnected peer — typically a rank that died on a
 //! permanent fault of its own). Recovery logic matches on the variant to
 //! pick a strategy: checkpoint/restart for permanent I/O faults, a
-//! coordinated re-run for lost peers.
+//! coordinated re-run for lost peers. [`OocError::Data`] is the third
+//! kind: an executor read an input array whose *contents* break the
+//! format it relies on (CSR row pointers that do not ascend) — no retry
+//! helps.
 
 use std::fmt;
 
@@ -21,6 +24,13 @@ pub enum OocError {
     Io(IoError),
     /// A communication operation failed.
     Comm(CommError),
+    /// The contents of an input array are malformed.
+    Data {
+        /// Name of the offending array.
+        array: String,
+        /// What is wrong with it.
+        reason: String,
+    },
 }
 
 impl OocError {
@@ -31,6 +41,7 @@ impl OocError {
         match self {
             OocError::Io(e) => matches!(e, IoError::PermanentFault { .. }),
             OocError::Comm(_) => true,
+            OocError::Data { .. } => false,
         }
     }
 
@@ -48,6 +59,9 @@ impl fmt::Display for OocError {
         match self {
             OocError::Io(e) => write!(f, "I/O error: {e}"),
             OocError::Comm(e) => write!(f, "communication error: {e}"),
+            OocError::Data { array, reason } => {
+                write!(f, "malformed contents of array `{array}`: {reason}")
+            }
         }
     }
 }
@@ -57,6 +71,7 @@ impl std::error::Error for OocError {
         match self {
             OocError::Io(e) => Some(e),
             OocError::Comm(e) => Some(e),
+            OocError::Data { .. } => None,
         }
     }
 }
