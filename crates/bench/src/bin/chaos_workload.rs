@@ -22,118 +22,15 @@
 //! 4 ranks, seed 2026, FILE = BENCH_chaos_workload.json). CI runs the
 //! 16-job / 8-rank variant as the chaos-workload smoke.
 
-use std::sync::Arc;
-
-use dmsim::{FaultConfig, WorkerPool};
-use noderun::RunConfig;
+use ooc_bench::fleet::{self, Opts, Shape};
 use ooc_bench::TextTable;
-use ooc_core::{compile_hir, CompilerOptions};
-use ooc_sched::{
-    profile, profile_all_on, run_workload_guarded, DomainConfig, GuardedReport, JobOutcome,
-    JobProfile, JobSpec, Policy, ProgramJob,
+use ooc_sched::{run_workload_guarded, GuardedReport, JobOutcome, Policy};
+
+const SHAPE: Shape = Shape {
+    long_scale: 40,
+    short_prefix: "urgent-",
+    hang_chance: 0.3,
 };
-
-struct Opts {
-    jobs: usize,
-    ranks: usize,
-    seed: u64,
-    out: String,
-}
-
-fn parse_opts() -> Opts {
-    let mut o = Opts {
-        jobs: 32,
-        ranks: 4,
-        seed: 2026,
-        out: "BENCH_chaos_workload.json".to_string(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut val = || args.next().unwrap_or_else(|| panic!("{a} needs a value"));
-        match a.as_str() {
-            "--jobs" => o.jobs = val().parse().expect("--jobs N"),
-            "--ranks" => o.ranks = val().parse().expect("--ranks R"),
-            "--seed" => o.seed = val().parse().expect("--seed S"),
-            "--out" => o.out = val(),
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    assert!(
-        o.jobs >= 6,
-        "need at least 6 jobs (tenants + urgent stream)"
-    );
-    assert!(o.ranks >= 2, "need >= 2 disks to survive a disk death");
-    o
-}
-
-/// The fleet: `nlong` long tenants submitted at t=0 (they fill the
-/// concurrency cap), then short urgent jobs streaming in behind them.
-/// Every job carries its own machine-level chaos stream (distinct tag).
-fn fleet(opts: &Opts, nlong: usize) -> Vec<ProgramJob> {
-    let copts = CompilerOptions::default();
-    let short =
-        Arc::new(compile_hir(ooc_bench::gaxpy_hir(16 * opts.ranks, opts.ranks), &copts).unwrap());
-    let long =
-        Arc::new(compile_hir(ooc_bench::gaxpy_hir(40 * opts.ranks, opts.ranks), &copts).unwrap());
-    (0..opts.jobs)
-        .map(|i| {
-            let compiled = if i < nlong { &long } else { &short };
-            let cfg = RunConfig {
-                fault: Some(FaultConfig::chaos(opts.seed)),
-                ..RunConfig::default()
-            };
-            let name = if i < nlong {
-                format!("tenant-{i}")
-            } else {
-                format!("urgent-{}", i - nlong)
-            };
-            ProgramJob::new(name, Arc::clone(compiled))
-                .with_cfg(cfg)
-                .with_job_tag(i as u32 + 1)
-        })
-        .collect()
-}
-
-/// Specs for the guarded run: tenants at t=0, urgent jobs staggered by a
-/// fraction of the short solo makespan so they arrive while the cap is
-/// full of long tenants — forcing EDF preemption.
-fn specs_from(jobs: &[ProgramJob], profiles: &[JobProfile], nlong: usize) -> Vec<JobSpec> {
-    let short_ms = profiles[nlong].makespan();
-    jobs.iter()
-        .zip(profiles)
-        .enumerate()
-        .map(|(i, (j, p))| {
-            let submit = if i < nlong {
-                0.0
-            } else {
-                0.4 * short_ms * (i - nlong) as f64
-            };
-            JobSpec::new(j.name.clone(), p.clone()).with_submit(submit)
-        })
-        .collect()
-}
-
-fn domain_cfg(opts: &Opts, profiles: &[JobProfile], nlong: usize) -> DomainConfig {
-    let short_ms = profiles[nlong].makespan();
-    let long_ms = profiles[0].makespan();
-    DomainConfig {
-        policy: Policy::FairShare,
-        disks: opts.ranks,
-        max_concurrent: nlong,
-        seed: opts.seed,
-        hang_chance: 0.3,
-        watchdog_quantum: 0.5 * short_ms,
-        deadline_factor: 8.0,
-        max_retries: 2,
-        backoff_base: 0.25 * short_ms,
-        checkpoint_every: 4,
-        epoch: short_ms / 8.0,
-        // One permanent death mid-workload, on the highest disk; the
-        // farm re-plans the survivors' streams onto the rest.
-        disk_deaths: vec![(1.5 * long_ms.min(short_ms * 6.0), opts.ranks - 1)],
-        ..DomainConfig::default()
-    }
-}
 
 /// Deterministic JSON summary of a guarded run. Byte-identity of this
 /// string across runs and engines is the bench's reproducibility check.
@@ -182,27 +79,15 @@ fn summarize(rep: &GuardedReport, opts: &Opts) -> String {
 }
 
 fn main() {
-    let opts = parse_opts();
-    let nlong = 4.min(opts.jobs / 4).max(2);
-
-    // Capture every job's chaos profile on both engines. `Threads` runs
-    // each job solo with one OS thread per rank; `Pool(4)` runs the whole
-    // fleet as cooperative tasks on four workers. The profiles must match
-    // bitwise — the guarded run is a pure function of them.
-    let jobs = fleet(&opts, nlong);
-    let threaded: Vec<JobProfile> = jobs
-        .iter()
-        .map(|j| profile(&j.compiled, &j.cfg).expect("threaded capture"))
-        .collect();
-    let pool = WorkerPool::new(4);
-    let pooled = profile_all_on(&jobs, &pool).expect("pooled capture");
-    assert_eq!(threaded, pooled, "Threads / Pool(4) capture parity broke");
+    let opts = Opts::parse(32, "BENCH_chaos_workload.json");
+    let nlong = opts.nlong();
+    let (specs, pooled_specs) = fleet::capture(&opts, &SHAPE);
     println!(
         "chaos workload: {} jobs ({} tenants gaxpy {}x{}, {} urgent gaxpy {}x{}) on {} disks, seed {}",
         opts.jobs,
         nlong,
-        40 * opts.ranks,
-        40 * opts.ranks,
+        SHAPE.long_scale * opts.ranks,
+        SHAPE.long_scale * opts.ranks,
         opts.jobs - nlong,
         16 * opts.ranks,
         16 * opts.ranks,
@@ -210,8 +95,7 @@ fn main() {
         opts.seed
     );
 
-    let specs = specs_from(&jobs, &threaded, nlong);
-    let cfg = domain_cfg(&opts, &threaded, nlong);
+    let cfg = fleet::domain_cfg(&opts, &SHAPE, &specs, Policy::FairShare);
     let rep = run_workload_guarded(&specs, &cfg).expect("admissible batch");
     let json = summarize(&rep, &opts);
 
@@ -219,7 +103,6 @@ fn main() {
     // capture, must both summarize byte-identically.
     let again = summarize(&run_workload_guarded(&specs, &cfg).unwrap(), &opts);
     assert_eq!(json, again, "guarded run is not reproducible");
-    let pooled_specs = specs_from(&jobs, &pooled, nlong);
     let via_pool = summarize(&run_workload_guarded(&pooled_specs, &cfg).unwrap(), &opts);
     assert_eq!(json, via_pool, "Threads vs Pool(4) summaries diverged");
 

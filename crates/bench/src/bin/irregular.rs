@@ -27,6 +27,7 @@ use ooc_array::irreg::{gather_with, inspect, inspect_counts, irreg_counts};
 use ooc_array::{ArrayDesc, ArrayId, DimDist, DistKind, Distribution, OocEnv, ProcGrid, Shape};
 use ooc_bench::TextTable;
 use ooc_core::{compile_source, CompilerOptions};
+use ooc_trace::digest::Fnv1a;
 use pario::{ElemKind, IoMethod};
 
 /// Gather iterations per scenario (the amortization horizon).
@@ -67,15 +68,6 @@ fn vec_desc(id: u32, name: &str, n: usize, p: usize) -> ArrayDesc {
     )
 }
 
-fn fnv1a_f32(h: &mut u64, vals: &[f32]) {
-    for v in vals {
-        for b in v.to_bits().to_le_bytes() {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-}
-
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
     /// Re-inspect every iteration: the schedule is built, used once,
@@ -110,7 +102,7 @@ fn scenario(
         env.load_global(&idx, &|g: &[usize]| index_value(g[0]) as f32)
             .unwrap();
 
-        let mut digest = 0xcbf29ce484222325u64;
+        let mut digest = Fnv1a::new();
         let mut inspect_bytes = 0u64;
         let mut gather_reqs = 0u64;
         let mut cached = None;
@@ -123,9 +115,9 @@ fn scenario(
             let s = cached.as_ref().expect("inspected above");
             let out = gather_with(ctx, &mut env, s, method, ctx).unwrap();
             gather_reqs += irreg_counts(s, method).read_requests;
-            fnv1a_f32(&mut digest, &out);
+            digest = digest.f32s(&out);
         }
-        (digest, inspect_bytes, gather_reqs)
+        (digest.finish(), inspect_bytes, gather_reqs)
     });
     (report.elapsed().to_bits(), per_rank)
 }
@@ -175,13 +167,7 @@ fn run_rung(p: usize, method: IoMethod) -> Rung {
         );
         elapsed[slot] = f64::from_bits(bits);
         if mode == Mode::Reused {
-            digest = ranks.iter().fold(0xcbf29ce484222325u64, |mut h, r| {
-                for b in r.0.to_le_bytes() {
-                    h ^= b as u64;
-                    h = h.wrapping_mul(0x100000001b3);
-                }
-                h
-            });
+            digest = Fnv1a::new().u64s(ranks.iter().map(|r| r.0)).finish();
             inspect_bytes = ranks.iter().map(|r| r.1).sum();
             gather_requests = ranks.iter().map(|r| r.2).sum();
         }
@@ -256,12 +242,10 @@ fn run_spmv_e2e() -> SpmvRow {
     );
     let (_, y) = &threaded.collected["y"];
     assert!(y.iter().any(|v| *v != 0.0), "spmv product is non-trivial");
-    let mut fnv = 0xcbf29ce484222325u64;
-    fnv1a_f32(&mut fnv, y);
     SpmvRow {
         ranks: P,
         elapsed_s: threaded.report.elapsed(),
-        y_fnv: fnv,
+        y_fnv: Fnv1a::new().f32s(y).finish(),
     }
 }
 

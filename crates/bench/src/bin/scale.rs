@@ -13,7 +13,7 @@
 //!   Host µs per rank is printed per rung, and the 4096 / 256 ratio of it
 //!   after the table: 1.0 is a flat per-rank cost.
 //! * **Jobs** — 4 → 100 concurrent gaxpy jobs captured live on the shared
-//!   pool via `ooc_sched::profile_all_on` and scheduled against the disk
+//!   pool via `ooc_sched::capture_specs` and scheduled against the disk
 //!   farm. The first job's profile must equal its solo threaded capture.
 //!
 //! Usage: `cargo run --release -p ooc-bench --bin scale [--smoke]
@@ -27,9 +27,7 @@ use std::time::Instant;
 use dmsim::{Engine, Machine, MachineConfig, Payload, ProcCtx, Tag, WorkerPool};
 use ooc_bench::{peak_rss_bytes, TextTable};
 use ooc_core::{compile_hir, CompilerOptions};
-use ooc_sched::{
-    profile, profile_all_on, run_workload, JobSpec, Policy, ProgramJob, WorkloadConfig,
-};
+use ooc_sched::{capture_specs, profile, run_workload, Policy, ProgramJob, WorkloadConfig};
 
 const WORKERS: usize = 4;
 const JOB_N: usize = 32;
@@ -154,22 +152,17 @@ fn run_jobs_rung(pool: &WorkerPool, jobs: usize) -> JobsRung {
         .collect();
 
     let t0 = Instant::now();
-    let profiles = profile_all_on(&fleet, pool).expect("live capture");
+    let specs = capture_specs(&fleet, pool).expect("live capture");
     let wall_s = t0.elapsed().as_secs_f64();
 
     // Parity: concurrency must not perturb any job — check the first
     // against its solo threaded capture.
     let solo = profile(&fleet[0].compiled, &fleet[0].cfg).expect("solo capture");
     assert_eq!(
-        profiles[0], solo,
+        specs[0].profile, solo,
         "live capture of job 0 diverged from its solo threaded capture at {jobs} jobs"
     );
 
-    let specs: Vec<JobSpec> = fleet
-        .iter()
-        .zip(profiles)
-        .map(|(j, p)| JobSpec::new(j.name.clone(), p))
-        .collect();
     let rep = run_workload(
         &specs,
         &WorkloadConfig {

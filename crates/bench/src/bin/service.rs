@@ -24,125 +24,21 @@
 //! [--jobs N] [--ranks R] [--seed S] [--out FILE]` (defaults: 16 jobs,
 //! 4 ranks, seed 2026, FILE = BENCH_service.json).
 
-use std::sync::Arc;
-
-use dmsim::{FaultConfig, WorkerPool};
-use noderun::RunConfig;
+use ooc_bench::fleet::{self, Opts, Shape};
 use ooc_bench::TextTable;
-use ooc_core::{compile_hir, CompilerOptions};
 use ooc_sched::obs::render_event;
 use ooc_sched::{
-    profile, profile_all_on, run_workload_guarded, run_workload_guarded_observed, DomainConfig,
-    EventLog, GuardedReport, JobProfile, JobSpec, ObsKind, Policy, ProgramJob, SloScorecard,
+    run_workload_guarded, run_workload_guarded_observed, DomainConfig, EventLog, GuardedReport,
+    JobSpec, ObsKind, Policy, SloScorecard,
 };
+use ooc_trace::digest::fnv1a;
 use ooc_trace::html::{Lane, Series};
 
-struct Opts {
-    jobs: usize,
-    ranks: usize,
-    seed: u64,
-    out: String,
-}
-
-fn parse_opts() -> Opts {
-    let mut o = Opts {
-        jobs: 16,
-        ranks: 4,
-        seed: 2026,
-        out: "BENCH_service.json".to_string(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut val = || args.next().unwrap_or_else(|| panic!("{a} needs a value"));
-        match a.as_str() {
-            "--jobs" => o.jobs = val().parse().expect("--jobs N"),
-            "--ranks" => o.ranks = val().parse().expect("--ranks R"),
-            "--seed" => o.seed = val().parse().expect("--seed S"),
-            "--out" => o.out = val(),
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    assert!(o.jobs >= 6, "need at least 6 jobs (tenants + short stream)");
-    assert!(o.ranks >= 2, "need >= 2 disks to survive a disk death");
-    o
-}
-
-/// The fleet: a few long tenants at t=0 that fill the concurrency cap,
-/// then short jobs streaming in behind them. Every job carries its own
-/// machine-level chaos stream (distinct tag).
-fn fleet(opts: &Opts, nlong: usize) -> Vec<ProgramJob> {
-    let copts = CompilerOptions::default();
-    let short =
-        Arc::new(compile_hir(ooc_bench::gaxpy_hir(16 * opts.ranks, opts.ranks), &copts).unwrap());
-    let long =
-        Arc::new(compile_hir(ooc_bench::gaxpy_hir(32 * opts.ranks, opts.ranks), &copts).unwrap());
-    (0..opts.jobs)
-        .map(|i| {
-            let compiled = if i < nlong { &long } else { &short };
-            let cfg = RunConfig {
-                fault: Some(FaultConfig::chaos(opts.seed)),
-                ..RunConfig::default()
-            };
-            let name = if i < nlong {
-                format!("tenant-{i}")
-            } else {
-                format!("short-{}", i - nlong)
-            };
-            ProgramJob::new(name, Arc::clone(compiled))
-                .with_cfg(cfg)
-                .with_job_tag(i as u32 + 1)
-        })
-        .collect()
-}
-
-/// Specs: tenants at t=0, short jobs staggered so they arrive while the
-/// cap is full of tenants.
-fn specs_from(jobs: &[ProgramJob], profiles: &[JobProfile], nlong: usize) -> Vec<JobSpec> {
-    let short_ms = profiles[nlong].makespan();
-    jobs.iter()
-        .zip(profiles)
-        .enumerate()
-        .map(|(i, (j, p))| {
-            let submit = if i < nlong {
-                0.0
-            } else {
-                0.4 * short_ms * (i - nlong) as f64
-            };
-            JobSpec::new(j.name.clone(), p.clone()).with_submit(submit)
-        })
-        .collect()
-}
-
-fn domain_cfg(opts: &Opts, profiles: &[JobProfile], nlong: usize, policy: Policy) -> DomainConfig {
-    let short_ms = profiles[nlong].makespan();
-    let long_ms = profiles[0].makespan();
-    DomainConfig {
-        policy,
-        disks: opts.ranks,
-        max_concurrent: nlong,
-        seed: opts.seed,
-        hang_chance: 0.25,
-        watchdog_quantum: 0.5 * short_ms,
-        deadline_factor: 8.0,
-        max_retries: 2,
-        backoff_base: 0.25 * short_ms,
-        checkpoint_every: 4,
-        epoch: short_ms / 8.0,
-        disk_deaths: vec![(1.5 * long_ms.min(short_ms * 6.0), opts.ranks - 1)],
-        ..DomainConfig::default()
-    }
-}
-
-/// FNV-1a digest of the rendered event stream: a stable fingerprint the
-/// JSON summary carries so stream divergence shows up in a one-line diff.
-fn fnv64(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+const SHAPE: Shape = Shape {
+    long_scale: 32,
+    short_prefix: "short-",
+    hang_chance: 0.25,
+};
 
 /// One policy's observed run: the reproducible pieces the artifacts are
 /// built from.
@@ -233,7 +129,7 @@ fn summarize(runs: &[PolicyRun], opts: &Opts, sample_every: f64) -> String {
             r.log.events.len(),
             r.log.samples.len(),
             postmortems,
-            fnv64(&r.stream),
+            fnv1a(r.stream.as_bytes()),
             if i + 1 < runs.len() { "," } else { "" }
         ));
     }
@@ -304,25 +200,19 @@ fn html_report(run: &PolicyRun, opts: &Opts) -> String {
 }
 
 fn main() {
-    let opts = parse_opts();
-    let nlong = 4.min(opts.jobs / 4).max(2);
+    let opts = Opts::parse(16, "BENCH_service.json");
 
     // Capture on both engines; the observed runs are pure functions of
     // the profiles, so engine parity here transfers to every artifact.
-    let jobs = fleet(&opts, nlong);
-    let threaded: Vec<JobProfile> = jobs
-        .iter()
-        .map(|j| profile(&j.compiled, &j.cfg).expect("threaded capture"))
-        .collect();
-    let pool = WorkerPool::new(4);
-    let pooled = profile_all_on(&jobs, &pool).expect("pooled capture");
-    assert_eq!(threaded, pooled, "Threads / Pool(4) capture parity broke");
+    let (specs, pooled_specs) = fleet::capture(&opts, &SHAPE);
     println!(
         "service bench: {} jobs ({} tenants) on {} disks, seed {}",
-        opts.jobs, nlong, opts.ranks, opts.seed
+        opts.jobs,
+        opts.nlong(),
+        opts.ranks,
+        opts.seed
     );
 
-    let specs = specs_from(&jobs, &threaded, nlong);
     let policies = [
         Policy::Fifo,
         Policy::Elevator,
@@ -331,17 +221,16 @@ fn main() {
     ];
     let runs: Vec<PolicyRun> = policies
         .iter()
-        .map(|&p| run_policy(&specs, &domain_cfg(&opts, &threaded, nlong, p)))
+        .map(|&p| run_policy(&specs, &fleet::domain_cfg(&opts, &SHAPE, &specs, p)))
         .collect();
-    let sample_every = domain_cfg(&opts, &threaded, nlong, Policy::Fifo).epoch * 2.0;
+    let sample_every = fleet::domain_cfg(&opts, &SHAPE, &specs, Policy::Fifo).epoch * 2.0;
     let json = summarize(&runs, &opts, sample_every);
 
     // Engine parity: the pooled capture feeds one policy end to end and
     // must reproduce the threaded stream byte for byte.
-    let pooled_specs = specs_from(&jobs, &pooled, nlong);
     let via_pool = run_policy(
         &pooled_specs,
-        &domain_cfg(&opts, &pooled, nlong, Policy::FairShare),
+        &fleet::domain_cfg(&opts, &SHAPE, &pooled_specs, Policy::FairShare),
     );
     assert_eq!(
         runs.last().unwrap().stream,

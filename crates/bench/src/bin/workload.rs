@@ -18,6 +18,7 @@
 use ooc_bench::TextTable;
 use ooc_core::{compile_hir, CompilerOptions};
 use ooc_sched::{profile, run_workload, JobProfile, JobSpec, Policy, WorkloadConfig};
+use ooc_trace::metrics::percentile_sorted;
 
 const NJOBS: usize = 24;
 const SMALL_N: usize = 64;
@@ -34,12 +35,6 @@ struct Line {
     mean_wait: f64,
     max_wait: f64,
     makespan: f64,
-}
-
-/// Nearest-rank percentile of an ascending-sorted sample.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    let idx = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-    sorted[idx]
 }
 
 /// Run the 24-job population at `concurrency` under `policy`; pool the
@@ -81,12 +76,13 @@ fn run_level(small: &JobProfile, heavy: &JobProfile, policy: Policy, concurrency
         makespan = makespan.max(rep.makespan());
         placed += take;
     }
-    turnarounds.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    turnarounds.sort_by(f64::total_cmp);
+    let percentile = |q| percentile_sorted(&turnarounds, q).expect("NJOBS > 0");
     Line {
         policy,
         concurrency,
-        p50: percentile(&turnarounds, 0.50),
-        p95: percentile(&turnarounds, 0.95),
+        p50: percentile(0.50),
+        p95: percentile(0.95),
         mean_wait: if requests > 0 {
             wait_sum / requests as f64
         } else {

@@ -15,6 +15,7 @@
 //! Times are **simulated seconds** under the Touchstone-Delta cost model;
 //! all I/O and message counts are measured from real execution.
 
+pub mod fleet;
 pub mod harness;
 pub mod plot;
 pub mod table;

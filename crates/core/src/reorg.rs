@@ -170,18 +170,6 @@ pub struct IoMethodChoice {
     pub forced: bool,
 }
 
-impl IoMethodChoice {
-    /// The estimate behind the chosen method.
-    pub fn chosen_estimate(&self) -> &CostEstimate {
-        &self
-            .estimates
-            .iter()
-            .find(|(m, _)| *m == self.chosen)
-            .expect("chosen method was scored")
-            .1
-    }
-}
-
 /// Select the access method for one remap-style access: build the candidate
 /// nest for each [`pario::IoMethod`] via `nest_for`, price it under
 /// `model`, and pick the cheapest — or `force`, when set. All estimates are

@@ -21,7 +21,7 @@
 //! receiver that finds no match records, under its mailbox lock and in the
 //! same critical section as the queue scan, *which source it is blocked
 //! on* and how to resume it: a task id for a pooled coroutine
-//! ([`crate::pool`]), the mailbox condvar for an OS thread. Then:
+//! (the `pool` module), the mailbox condvar for an OS thread. Then:
 //!
 //! * **A send wakes only a matching waiter.** The sender pushes the
 //!   message and takes the waiter only if its recorded source is the
@@ -133,11 +133,6 @@ impl Payload {
             Payload::Bytes(v) => Ok(v),
             other => Err(ProtocolError::mismatch("Bytes", &other)),
         }
-    }
-
-    /// Unwrap an `F32` payload; panics with a protocol error otherwise.
-    pub fn into_f32(self) -> Vec<f32> {
-        self.try_into_f32().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Unwrap an `F64` payload; panics with a protocol error otherwise.

@@ -154,18 +154,6 @@ impl FaultConfig {
             ..FaultConfig::default()
         }
     }
-
-    /// True when every fault rate is zero (the injector will never draw).
-    pub fn is_quiet(&self) -> bool {
-        self.read_error <= 0.0
-            && self.write_error <= 0.0
-            && self.torn_write <= 0.0
-            && self.io_delay <= 0.0
-            && self.msg_drop <= 0.0
-            && self.msg_delay <= 0.0
-            && self.hard_read <= 0.0
-            && self.hard_write <= 0.0
-    }
 }
 
 /// Which substrate an injector perturbs. Each (rank, domain) pair gets its

@@ -126,12 +126,6 @@ impl ProcCtx {
         self.nprocs
     }
 
-    /// The machine's cost model.
-    #[inline]
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Current local simulated time.
     #[inline]
     pub fn now(&self) -> SimTime {
@@ -496,17 +490,8 @@ impl ProcCtx {
         Ok(msg.payload)
     }
 
-    /// Receive, panicking on a dead peer — the common case inside collective
-    /// algorithms where a missing peer means the SPMD program itself is
-    /// broken.
-    pub fn recv_expect(&self, src: Rank, tag: Tag) -> Payload {
-        self.recv(src, tag)
-            .unwrap_or_else(|e| panic!("rank {}: {e}", self.rank))
-    }
-
     /// Receive an `F32` payload, surfacing dead peers and payload
-    /// mismatches as [`CommError`] — the recoverable counterpart of
-    /// `recv_expect(..).into_f32()` used by the executors' exchanges.
+    /// mismatches as [`CommError`] — what the executors' exchanges use.
     pub fn try_recv_f32(&self, src: Rank, tag: Tag) -> Result<Vec<f32>, CommError> {
         Ok(self.recv(src, tag)?.try_into_f32()?)
     }

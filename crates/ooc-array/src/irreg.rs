@@ -15,6 +15,7 @@
 //! the inspected schedule just as it does for the affine paths.
 
 use dmsim::{Payload, ProcCtx, Tag};
+use ooc_trace::digest::Fnv1a;
 use pario::{plan_union, ByteRun, IoCharge, IoMethod};
 use serde::{Deserialize, Serialize};
 
@@ -32,24 +33,9 @@ const SCHED_MAGIC: &str = "oochpf-irreg 1";
 /// Fingerprint of the descriptor pair a schedule indexes: any change to
 /// shape, distribution or file layout changes the digest.
 fn desc_digest(data: &ArrayDesc, index: &ArrayDesc) -> u64 {
-    fnv1a(
-        format!("{data:?}|{index:?}")
-            .into_bytes()
-            .into_iter()
-            .map(|b| b as u64),
-    )
-}
-
-/// FNV-1a over a u64 stream — the schedule's cheap content fingerprint.
-fn fnv1a(values: impl Iterator<Item = u64>) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
+    Fnv1a::new()
+        .u64s(format!("{data:?}|{index:?}").bytes().map(u64::from))
+        .finish()
 }
 
 /// What an [`IrregSchedule`] was inspected against. A cached schedule is
@@ -433,7 +419,7 @@ pub fn inspect(
         env.read_section(index, &Section::full(&local_shape), charge)?
     };
     let n = data.global_shape().extent(0);
-    let index_hash = fnv1a(vals.iter().map(|v| *v as u64));
+    let index_hash = Fnv1a::new().u64s(vals.iter().map(|v| *v as u64)).finish();
 
     // Bin every target by owner; collapse duplicates to one wire slot.
     let mut want: Vec<Vec<u64>> = vec![Vec::new(); p];
@@ -881,6 +867,22 @@ mod tests {
             let bytes = sched.to_bytes();
             let back = IrregSchedule::from_bytes(&x, &idx, &bytes).unwrap();
             assert_eq!(back, sched);
+            // Rank 0's serialised form is pinned: schedules cached on disk
+            // by other builds must keep parsing (same hash, same digest).
+            const GOLDEN: &str = "oochpf-irreg 1\n\
+                data=x index=idx rank=0 nprocs=2 hash=16393428719305668808 \
+                digest=8632607547962904211 nout=16\n\
+                out_slot=0:0,0:4,1:2,1:2,1:5,0:3,0:3,1:1,1:4,1:4,0:2,1:0,1:0,1:3,0:1,0:1\n\
+                want[0]=0,2,3,4,5\nwant[1]=0,1,2,5,6,7\n\
+                serve_elems[0]=0,2,3,4,5\nserve_elems[1]=0,1,4,5,6,7\n\
+                serve_runs[0]=0:4,8:16\nserve_runs[1]=0:8,16:16\n";
+            if ctx.rank() == 0 {
+                assert_eq!(String::from_utf8(bytes.clone()).unwrap(), GOLDEN);
+            }
+            let flipped =
+                GOLDEN.replace("digest=8632607547962904211", "digest=8632607547962904210");
+            let err = IrregSchedule::from_bytes(&x, &idx, flipped.as_bytes()).unwrap_err();
+            assert!(err.contains("changed"), "{err}");
             // A distribution change invalidates the cached bytes.
             let moved = ArrayDesc::new(
                 ArrayId(0),

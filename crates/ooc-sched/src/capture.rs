@@ -10,7 +10,7 @@
 //! themselves. Because the solo run is deterministic, so is the profile,
 //! and so is everything derived from it.
 
-use noderun::{run, RunConfig, RunError};
+use noderun::{run, RunConfig, RunError, RunOutcome};
 use ooc_core::CompiledProgram;
 use ooc_trace::{Category, EventKind, Trace, TraceConfig};
 
@@ -161,24 +161,36 @@ impl JobProfile {
 /// given, so the profile reflects exactly the configuration the job would
 /// run with.
 pub fn profile(compiled: &CompiledProgram, cfg: &RunConfig) -> Result<JobProfile, RunError> {
+    Ok(JobProfile::from_run(run(compiled, &capture_cfg(cfg))?))
+}
+
+/// `cfg` with tracing forced to [`TraceConfig::detailed`].
+pub(crate) fn capture_cfg(cfg: &RunConfig) -> RunConfig {
     let mut cfg = cfg.clone();
     match cfg.machine.as_mut() {
         // An explicit machine carries its own trace configuration.
         Some(m) => m.trace = TraceConfig::detailed(),
         None => cfg.trace = Some(TraceConfig::detailed()),
     }
-    let mut out = run(compiled, &cfg)?;
-    let trace = out
-        .report
-        .take_trace()
-        .expect("tracing was enabled for profiling");
-    let rank_finish = out
-        .report
-        .per_proc()
-        .iter()
-        .map(|p| p.finish_time)
-        .collect();
-    Ok(JobProfile::from_trace(&trace, rank_finish).with_counters(&out.report.totals()))
+    cfg
+}
+
+impl JobProfile {
+    /// The profile of a finished capture run (one started under
+    /// [`capture_cfg`]).
+    pub(crate) fn from_run(mut out: RunOutcome) -> JobProfile {
+        let trace = out
+            .report
+            .take_trace()
+            .expect("tracing was enabled for profiling");
+        let rank_finish = out
+            .report
+            .per_proc()
+            .iter()
+            .map(|p| p.finish_time)
+            .collect();
+        JobProfile::from_trace(&trace, rank_finish).with_counters(&out.report.totals())
+    }
 }
 
 #[cfg(test)]

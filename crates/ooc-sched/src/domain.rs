@@ -337,21 +337,7 @@ fn run_guarded(
             .max(1),
         n => n,
     };
-    for &(t, d) in &cfg.disk_deaths {
-        assert!(
-            t.is_finite() && d < ndisks,
-            "disk death ({t}, {d}) outside the farm of {ndisks} disks"
-        );
-    }
-    assert!(cfg.epoch > 0.0, "the control-plane epoch must be positive");
-    assert!(
-        cfg.backoff_cap >= 0.0,
-        "the backoff cap must be non-negative (and not NaN)"
-    );
-    assert!(
-        cfg.hang_chance <= 0.0 || cfg.watchdog_quantum > 0.0,
-        "hang injection without a watchdog would stall the executive forever"
-    );
+    check_config(cfg, ndisks)?;
 
     let farm_cfg = FarmConfig {
         policy: cfg.policy,
@@ -366,19 +352,17 @@ fn run_guarded(
     let tracer = cfg
         .trace
         .then(|| Tracer::new(ndisks, TraceConfig::detailed()));
-    let trace_instant = |name: &str, t: f64| {
-        if let Some(tr) = &tracer {
-            tr.instant(Category::FaultDomain, name, t, Args::default());
-        }
-    };
     let (mut sampler, mut observer) = match obs {
         Some((every, o)) => (Some(Sampler::new(every, ndisks)), Some(o)),
         None => (None, None),
     };
     let mut recorder = FlightRecorder::new(cfg.flight_recorder_depth);
     // Events of the current epoch, stable-sorted by stamp before flushing
-    // so the published stream is globally non-decreasing in time.
+    // so the published stream is globally non-decreasing in time. Every
+    // control-plane decision is stated once, here; the flush fans it out
+    // to the flight recorder, the control-plane trace and the observer.
     let mut epoch_buf: Vec<ObsEvent> = Vec::new();
+    let tag = |j: usize| j as u32 + 1;
 
     let mut jobs: Vec<JobState> = specs
         .iter()
@@ -426,12 +410,8 @@ fn run_guarded(
             if sim.alive_disks() > 1 {
                 let migrated = sim.kill_disk(disk);
                 deaths_fired += 1;
-                trace_instant(&format!("disk_death:d{disk}"), at);
-                epoch_buf.push(ObsEvent {
-                    t,
-                    job: 0,
-                    kind: ObsKind::DiskDeath { disk, migrated, at },
-                });
+                let died = ObsKind::DiskDeath { disk, migrated, at };
+                emit(&mut epoch_buf, t, 0, died);
             }
         }
 
@@ -445,8 +425,7 @@ fn run_guarded(
         ready.sort_by(|&a, &b| {
             jobs[a]
                 .deadline
-                .partial_cmp(&jobs[b].deadline)
-                .unwrap()
+                .total_cmp(&jobs[b].deadline)
                 .then(a.cmp(&b))
         });
         for j in ready {
@@ -461,8 +440,7 @@ fn run_guarded(
                     .max_by(|&a, &b| {
                         jobs[a]
                             .deadline
-                            .partial_cmp(&jobs[b].deadline)
-                            .unwrap()
+                            .total_cmp(&jobs[b].deadline)
                             .then(a.cmp(&b))
                     })
                     .expect("running >= cap >= 1");
@@ -475,23 +453,12 @@ fn run_guarded(
                 let cursors = sim.remove_job(slot);
                 let resume = checkpoint_watermark(&cursors, cfg.checkpoint_every);
                 jobs[victim].preemptions += 1;
-                epoch_buf.push(ObsEvent {
-                    t,
-                    job: victim as u32 + 1,
-                    kind: ObsKind::Preempted,
-                });
-                epoch_buf.push(ObsEvent {
-                    t,
-                    job: victim as u32 + 1,
-                    kind: ObsKind::Checkpoint {
-                        watermark: resume.iter().map(|&c| c as u64).sum(),
-                    },
-                });
+                emit(&mut epoch_buf, t, tag(victim), ObsKind::Preempted);
+                emit(&mut epoch_buf, t, tag(victim), checkpoint_event(&resume));
                 jobs[victim].st = St::Waiting {
                     at: t,
                     resume: Some(resume),
                 };
-                trace_instant(&format!("preempt:{}", specs[victim].name), t);
             }
             let St::Waiting { resume, .. } = std::mem::replace(
                 &mut jobs[j].st,
@@ -522,15 +489,9 @@ fn run_guarded(
                 jobs[j].first_admit = Some(t);
             }
             jobs[j].st = St::Running { slot };
-            trace_instant(&format!("admit:{}:a{}", specs[j].name, jobs[j].attempts), t);
-            epoch_buf.push(ObsEvent {
-                t,
-                job: j as u32 + 1,
-                kind: ObsKind::Admitted {
-                    attempt: jobs[j].attempts,
-                    resumed,
-                },
-            });
+            let attempt = jobs[j].attempts;
+            let admitted = ObsKind::Admitted { attempt, resumed };
+            emit(&mut epoch_buf, t, tag(j), admitted);
             // Chaos: this attempt may hang, per the seeded per-(job,
             // attempt) stream. The hang pins one rank's remaining requests
             // past a fraction of its solo life.
@@ -543,12 +504,7 @@ fn run_guarded(
                 let at_solo = frac * specs[j].profile.rank_finish[rank];
                 sim.hang(slot, rank, at_solo);
                 jobs[j].hangs_injected += 1;
-                trace_instant(&format!("hang_injected:{}:r{rank}", specs[j].name), t);
-                epoch_buf.push(ObsEvent {
-                    t,
-                    job: j as u32 + 1,
-                    kind: ObsKind::HangInjected { rank },
-                });
+                emit(&mut epoch_buf, t, tag(j), ObsKind::HangInjected { rank });
             }
         }
 
@@ -600,18 +556,14 @@ fn run_guarded(
                 });
                 jobs[j].st = St::Terminal;
                 sim.remove_job(slot);
-                trace_instant(&format!("complete:{}", specs[j].name), completion);
-                epoch_buf.push(ObsEvent {
-                    // Stamped at the detecting sweep; the actual
-                    // completion (≤ t, or past it for a rigid compute
-                    // tail) rides in the payload.
-                    t,
-                    job: j as u32 + 1,
-                    kind: ObsKind::Completed {
-                        completion,
-                        recovered,
-                    },
-                });
+                // Stamped at the detecting sweep; the actual completion
+                // (≤ t, or past it for a rigid compute tail) rides in the
+                // payload.
+                let done = ObsKind::Completed {
+                    completion,
+                    recovered,
+                };
+                emit(&mut epoch_buf, t, tag(j), done);
                 continue;
             }
             let late = t > jobs[j].deadline;
@@ -628,40 +580,22 @@ fn run_guarded(
             // either resubmit with backoff or seal the fate.
             let cursors = sim.remove_job(slot);
             jobs[j].kills += 1;
-            let why = if late { "deadline" } else { "watchdog" };
-            trace_instant(&format!("kill:{}:{}", specs[j].name, why), t);
-            epoch_buf.push(ObsEvent {
-                t,
-                job: j as u32 + 1,
-                kind: if late {
-                    ObsKind::DeadlineKill
-                } else {
-                    ObsKind::WatchdogKill
-                },
-            });
+            let kill = if late {
+                ObsKind::DeadlineKill
+            } else {
+                ObsKind::WatchdogKill
+            };
+            emit(&mut epoch_buf, t, tag(j), kill);
             if cfg.max_retries == 0 {
                 jobs[j].outcome = Some(JobOutcome::Killed { at: t });
                 jobs[j].st = St::Terminal;
-                epoch_buf.push(ObsEvent {
-                    t,
-                    job: j as u32 + 1,
-                    kind: ObsKind::Killed,
-                });
+                emit(&mut epoch_buf, t, tag(j), ObsKind::Killed);
                 sealed_badly.push(j);
             } else if jobs[j].kills > cfg.max_retries {
-                jobs[j].outcome = Some(JobOutcome::Quarantined {
-                    at: t,
-                    attempts: jobs[j].attempts,
-                });
+                let attempts = jobs[j].attempts;
+                jobs[j].outcome = Some(JobOutcome::Quarantined { at: t, attempts });
                 jobs[j].st = St::Terminal;
-                trace_instant(&format!("quarantine:{}", specs[j].name), t);
-                epoch_buf.push(ObsEvent {
-                    t,
-                    job: j as u32 + 1,
-                    kind: ObsKind::Quarantined {
-                        attempts: jobs[j].attempts,
-                    },
-                });
+                emit(&mut epoch_buf, t, tag(j), ObsKind::Quarantined { attempts });
                 sealed_badly.push(j);
             } else {
                 let resume = checkpoint_watermark(&cursors, cfg.checkpoint_every);
@@ -681,22 +615,13 @@ fn run_guarded(
                         f64::INFINITY
                     };
                 }
-                epoch_buf.push(ObsEvent {
-                    t,
-                    job: j as u32 + 1,
-                    kind: ObsKind::Checkpoint {
-                        watermark: resume.iter().map(|&c| c as u64).sum(),
-                    },
-                });
-                epoch_buf.push(ObsEvent {
-                    t,
-                    job: j as u32 + 1,
-                    kind: ObsKind::RetryScheduled {
-                        attempt: jobs[j].attempts + 1,
-                        backoff,
-                        resume_at: at,
-                    },
-                });
+                emit(&mut epoch_buf, t, tag(j), checkpoint_event(&resume));
+                let retry = ObsKind::RetryScheduled {
+                    attempt: jobs[j].attempts + 1,
+                    backoff,
+                    resume_at: at,
+                };
+                emit(&mut epoch_buf, t, tag(j), retry);
                 jobs[j].st = St::Waiting {
                     at,
                     resume: Some(resume),
@@ -706,12 +631,15 @@ fn run_guarded(
 
         // 5. Flush the epoch's events: stable-sort by stamp (control
         // events at the epoch edges, dispatches in between), feed the
-        // flight recorder, publish to the observer — then capture
-        // postmortems for jobs whose fate just sealed badly, so the dump
-        // includes their terminal events.
+        // flight recorder and the control-plane trace, publish to the
+        // observer — then capture postmortems for jobs whose fate just
+        // sealed badly, so the dump includes their terminal events.
         epoch_buf.sort_by(|a, b| a.t.total_cmp(&b.t));
         for e in &epoch_buf {
             recorder.push(e);
+            if let Some(tr) = &tracer {
+                trace_decision(tr, specs, e);
+            }
             if let Some(o) = observer.as_mut() {
                 o.event(e);
             }
@@ -770,6 +698,70 @@ fn run_guarded(
         domain_trace: tracer.map(|tr| tr.finish()),
     };
     Ok(out)
+}
+
+/// The four conditions a [`DomainConfig`] must meet for the executive's
+/// sweep to terminate. Written so a NaN fails each of them.
+fn check_config(cfg: &DomainConfig, ndisks: usize) -> Result<(), AdmissionError> {
+    let require = |ok: bool, what: std::fmt::Arguments| {
+        ok.then_some(()).ok_or_else(|| AdmissionError::BadConfig {
+            what: what.to_string(),
+        })
+    };
+    for &(t, d) in &cfg.disk_deaths {
+        require(
+            t.is_finite() && d < ndisks,
+            format_args!("disk death ({t}, {d}) outside the farm of {ndisks} disks"),
+        )?;
+    }
+    require(
+        cfg.epoch > 0.0,
+        format_args!("the control-plane epoch must be positive"),
+    )?;
+    require(
+        cfg.backoff_cap >= 0.0,
+        format_args!("the backoff cap must be non-negative (and not NaN)"),
+    )?;
+    require(
+        cfg.hang_chance <= 0.0 || cfg.watchdog_quantum > 0.0,
+        format_args!("hang injection without a watchdog would stall the executive forever"),
+    )
+}
+
+/// Queue one control-plane decision for the epoch's flush.
+fn emit(buf: &mut Vec<ObsEvent>, t: f64, job: u32, kind: ObsKind) {
+    buf.push(ObsEvent { t, job, kind });
+}
+
+/// The rollback a kill or preemption resumes from.
+fn checkpoint_event(resume: &[usize]) -> ObsKind {
+    ObsKind::Checkpoint {
+        watermark: resume.iter().map(|&c| c as u64).sum(),
+    }
+}
+
+/// The control-plane trace's view of one bus event: admissions, hangs,
+/// kills, preemptions, quarantines, completions and disk deaths become
+/// [`Category::FaultDomain`] instants (a disk death and a completion at
+/// their actual times, the rest at the sweep stamp); dispatches,
+/// checkpoints, retry schedules and terminal kills do not appear.
+fn trace_decision(tracer: &Tracer, specs: &[JobSpec], e: &ObsEvent) {
+    let name = || &specs[e.job as usize - 1].name;
+    let (label, at) = match &e.kind {
+        ObsKind::DiskDeath { disk, at, .. } => (format!("disk_death:d{disk}"), *at),
+        ObsKind::Preempted => (format!("preempt:{}", name()), e.t),
+        ObsKind::Admitted { attempt, .. } => (format!("admit:{}:a{attempt}", name()), e.t),
+        ObsKind::HangInjected { rank } => (format!("hang_injected:{}:r{rank}", name()), e.t),
+        ObsKind::Completed { completion, .. } => (format!("complete:{}", name()), *completion),
+        ObsKind::DeadlineKill => (format!("kill:{}:deadline", name()), e.t),
+        ObsKind::WatchdogKill => (format!("kill:{}:watchdog", name()), e.t),
+        ObsKind::Quarantined { .. } => (format!("quarantine:{}", name()), e.t),
+        ObsKind::Dispatched { .. }
+        | ObsKind::Checkpoint { .. }
+        | ObsKind::RetryScheduled { .. }
+        | ObsKind::Killed => return,
+    };
+    tracer.instant(Category::FaultDomain, &label, at, Args::default());
 }
 
 /// Roll per-rank cursors back to the checkpoint grid.
@@ -1006,10 +998,29 @@ mod tests {
         ];
         let cfg = DomainConfig {
             disk_deaths: vec![(3.0, 1)],
+            trace: true,
             ..quiet_cfg()
         };
         let rep = run_workload_guarded(&specs, &cfg).unwrap();
         assert_eq!(rep.disk_deaths, 1);
+        // Traced at its configured time, between the admissions and the
+        // completions.
+        let instants: Vec<(&str, f64)> = rep
+            .domain_trace
+            .as_ref()
+            .unwrap()
+            .events
+            .iter()
+            .map(|e| (e.name.as_str(), e.t0))
+            .collect();
+        assert_eq!(
+            instants[..3],
+            [
+                ("admit:wide-a:a1", 0.0),
+                ("admit:wide-b:a1", 0.0),
+                ("disk_death:d1", 3.0)
+            ]
+        );
         for j in &rep.jobs {
             assert!(
                 j.outcome.completed(),
@@ -1046,12 +1057,61 @@ mod tests {
         assert_eq!(a.jobs, b.jobs);
         assert_eq!(a.farm.served, b.farm.served);
         assert_eq!(a.domain_trace, b.domain_trace);
-        // The control-plane trace is real and exports cleanly.
+        // The control-plane trace, pinned instant for instant (name, time
+        // bits): the flush-time fan-out must not reorder, rename or
+        // re-time a single one.
+        const GOLDEN: [(&str, u64); 41] = [
+            ("admit:j0:a1", 0x0000000000000000),
+            ("hang_injected:j0:r0", 0x0000000000000000),
+            ("admit:j1:a1", 0x3ff0000000000000),
+            ("admit:j2:a1", 0x4000000000000000),
+            ("hang_injected:j2:r0", 0x4000000000000000),
+            ("kill:j0:watchdog", 0x4021000000000000),
+            ("admit:j3:a1", 0x4021000000000000),
+            ("preempt:j3", 0x4023000000000000),
+            ("admit:j0:a2", 0x4023000000000000),
+            ("kill:j2:watchdog", 0x4025000000000000),
+            ("admit:j3:a2", 0x4025000000000000),
+            ("hang_injected:j3:r0", 0x4025000000000000),
+            ("preempt:j3", 0x4027000000000000),
+            ("admit:j2:a2", 0x4027000000000000),
+            ("hang_injected:j2:r0", 0x4027000000000000),
+            ("complete:j1", 0x4028cccccccccccd),
+            ("admit:j3:a3", 0x4028000000000000),
+            ("hang_injected:j3:r0", 0x4028000000000000),
+            ("complete:j0", 0x4030666666666666),
+            ("admit:j4:a1", 0x4030000000000000),
+            ("hang_injected:j4:r0", 0x4030000000000000),
+            ("kill:j2:watchdog", 0x4030800000000000),
+            ("admit:j5:a1", 0x4030800000000000),
+            ("preempt:j5", 0x4032800000000000),
+            ("admit:j2:a3", 0x4032800000000000),
+            ("kill:j3:watchdog", 0x4035800000000000),
+            ("admit:j5:a2", 0x4035800000000000),
+            ("preempt:j5", 0x4036800000000000),
+            ("admit:j3:a4", 0x4036800000000000),
+            ("complete:j2", 0x403be66666666666),
+            ("admit:j5:a3", 0x403b800000000000),
+            ("kill:j4:watchdog", 0x403d800000000000),
+            ("admit:j4:a2", 0x403e800000000000),
+            ("hang_injected:j4:r0", 0x403e800000000000),
+            ("complete:j3", 0x4040b33333333333),
+            ("kill:j4:watchdog", 0x4041000000000000),
+            ("admit:j4:a3", 0x4042000000000000),
+            ("hang_injected:j4:r0", 0x4042000000000000),
+            ("complete:j5", 0x4043a66666666666),
+            ("kill:j4:watchdog", 0x4043c00000000000),
+            ("quarantine:j4", 0x4043c00000000000),
+        ];
         let tr = a.domain_trace.unwrap();
-        assert!(tr
+        let got: Vec<(&str, u64)> = tr
             .events
             .iter()
-            .any(|e| e.cat == Category::FaultDomain && e.name.starts_with("admit")));
+            .map(|e| (e.name.as_str(), e.t0.to_bits()))
+            .collect();
+        assert_eq!(got, GOLDEN);
+        assert!(tr.events.iter().all(|e| e.cat == Category::FaultDomain));
+        // And it exports cleanly.
         let full = ooc_trace::Trace {
             ranks: a
                 .farm

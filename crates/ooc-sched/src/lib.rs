@@ -22,17 +22,28 @@
 //!   streams derive from the `(job, rank)` pair via
 //!   [`noderun::RunConfig::job`]) and per-job queue-depth / wait-time
 //!   metrics, exportable as a Perfetto timeline.
+//! * [`live`] — capture a whole fleet of programs concurrently on one
+//!   shared worker pool ([`capture_specs`]), ready for either runtime.
+//! * [`domain`] — the guarded runtime: the same workload under fault
+//!   domains (watchdog, deadlines, bounded re-runs, EDF preemption,
+//!   degraded-disk re-planning) with a typed outcome per job.
 //! * [`obs`] — the workload observatory: a typed, time-ordered event bus
 //!   ([`WorkloadObserver`]), a deterministic fixed-cadence sampler, a
 //!   bounded crash flight recorder, and SLO scorecards — all guaranteed
 //!   never to perturb the replay they watch.
-//! * [`serve`] — `oocd`, the persistent multi-tenant I/O daemon: it owns
+//! * [`mod@serve`] — `oocd`, the persistent multi-tenant I/O daemon: it owns
 //!   the farm, accepts length-prefixed JSON submissions over Unix-domain
 //!   or TCP sockets from many tenants, seals the virtual timeline on
 //!   `drain`, maps the session onto the guarded observed runtime, and
 //!   streams the observatory to subscribers — deterministically, so two
 //!   daemons fed the same logical submissions emit byte-identical
 //!   artifacts.
+//!
+//! Four functions run something: [`simulate`] replays jobs on the farm
+//! as given; [`run_workload`] adds admission control;
+//! [`run_workload_guarded`] adds the fault-domain executive; and
+//! [`run_workload_guarded_observed`] is that with an observer attached
+//! (what `oocd` drains through).
 //!
 //! The compiler side of the story is
 //! [`ooc_core::CompilerOptions::background`] /
@@ -79,12 +90,9 @@ pub use domain::{
     GuardedReport, JobOutcome,
 };
 pub use farm::{simulate, FarmConfig, FarmJob, FarmReport, FarmSim, JobQueueStats, Served};
-pub use live::{
-    profile_all_on, run_workload_live, run_workload_live_observed, ProgramJob, WorkloadError,
-};
+pub use live::{capture_specs, profile_all_on, ProgramJob, WorkloadError};
 pub use obs::{
-    EventLog, FlightRecorder, NullObserver, ObsEvent, ObsKind, Sample, Sampler, SloScorecard,
-    WorkloadObserver,
+    EventLog, FlightRecorder, ObsEvent, ObsKind, Sample, Sampler, SloScorecard, WorkloadObserver,
 };
 pub use policy::Policy;
 pub use serve::{
@@ -92,6 +100,5 @@ pub use serve::{
     ServeConfig, DEFAULT_MAX_FRAME,
 };
 pub use workload::{
-    run_workload, run_workload_observed, AdmissionError, JobReport, JobSpec, WorkloadConfig,
-    WorkloadReport,
+    run_workload, AdmissionError, JobReport, JobSpec, WorkloadConfig, WorkloadReport,
 };

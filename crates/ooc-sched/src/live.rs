@@ -1,5 +1,5 @@
 //! Live workloads: profile many compiled programs *concurrently* on one
-//! shared worker pool, then schedule them against the disk farm.
+//! shared worker pool, ready to schedule against the disk farm.
 //!
 //! [`crate::capture::profile`] runs one program at a time, each on its own
 //! simulated machine with one OS thread per rank. That is fine for a
@@ -17,12 +17,11 @@ use std::sync::Arc;
 use dmsim::WorkerPool;
 use noderun::{start, RunConfig, RunError, StartedRun};
 use ooc_core::CompiledProgram;
-use ooc_trace::TraceConfig;
 
-use crate::capture::JobProfile;
-use crate::workload::{run_workload, AdmissionError, JobSpec, WorkloadConfig, WorkloadReport};
+use crate::capture::{capture_cfg, JobProfile};
+use crate::workload::{AdmissionError, JobSpec};
 
-/// Failure of a live workload: either the batch was refused at admission,
+/// Failure of a live capture: either the batch was refused at admission,
 /// or a capture run failed on the pool.
 #[derive(Debug)]
 pub enum WorkloadError {
@@ -120,18 +119,6 @@ impl ProgramJob {
     }
 }
 
-/// Force detailed tracing on a capture configuration, exactly as
-/// [`crate::capture::profile`] does.
-fn capture_cfg(cfg: &RunConfig) -> RunConfig {
-    let mut cfg = cfg.clone();
-    match cfg.machine.as_mut() {
-        // An explicit machine carries its own trace configuration.
-        Some(m) => m.trace = TraceConfig::detailed(),
-        None => cfg.trace = Some(TraceConfig::detailed()),
-    }
-    cfg
-}
-
 /// Capture every job's solo profile, with all captures in flight at once on
 /// `pool`.
 ///
@@ -151,64 +138,19 @@ pub fn profile_all_on(jobs: &[ProgramJob], pool: &WorkerPool) -> Result<Vec<JobP
         .collect::<Result<_, _>>()?;
     started
         .into_iter()
-        .map(|s| {
-            let mut out = s.wait()?;
-            let trace = out
-                .report
-                .take_trace()
-                .expect("tracing was enabled for profiling");
-            let rank_finish = out
-                .report
-                .per_proc()
-                .iter()
-                .map(|p| p.finish_time)
-                .collect();
-            Ok(JobProfile::from_trace(&trace, rank_finish).with_counters(&out.report.totals()))
-        })
+        .map(|s| Ok(JobProfile::from_run(s.wait()?)))
         .collect()
 }
 
-/// Profile `jobs` concurrently on `pool` and run them as a workload against
-/// the shared disk farm.
-///
-/// The live, end-to-end counterpart of [`run_workload`]: instead of taking
-/// pre-captured [`JobSpec`]s it takes the programs themselves, captures the
-/// whole fleet concurrently on the fixed worker pool, and feeds the
-/// resulting profiles to the deterministic admission/replay machinery.
-pub fn run_workload_live(
+/// Capture the fleet concurrently on `pool` and assemble the [`JobSpec`]s
+/// the admission machinery consumes — the live front end of
+/// [`run_workload`](crate::run_workload) and
+/// [`run_workload_guarded`](crate::run_workload_guarded): hand the result
+/// to either.
+pub fn capture_specs(
     jobs: &[ProgramJob],
-    cfg: &WorkloadConfig,
     pool: &WorkerPool,
-) -> Result<WorkloadReport, WorkloadError> {
-    let specs = capture_specs(jobs, pool)?;
-    Ok(run_workload(&specs, cfg)?)
-}
-
-/// [`run_workload_live`] with the workload observatory attached: the replay
-/// publishes admissions, dispatches, and completions to `observer` and
-/// samples farm state every `sample_every` simulated seconds.
-///
-/// The report is bit-identical to [`run_workload_live`]'s — observation
-/// never perturbs the replay.
-pub fn run_workload_live_observed(
-    jobs: &[ProgramJob],
-    cfg: &WorkloadConfig,
-    pool: &WorkerPool,
-    sample_every: f64,
-    observer: &mut dyn crate::obs::WorkloadObserver,
-) -> Result<WorkloadReport, WorkloadError> {
-    let specs = capture_specs(jobs, pool)?;
-    Ok(crate::workload::run_workload_observed(
-        &specs,
-        cfg,
-        sample_every,
-        observer,
-    )?)
-}
-
-/// Capture the fleet concurrently and assemble the [`JobSpec`]s the
-/// admission machinery consumes.
-fn capture_specs(jobs: &[ProgramJob], pool: &WorkerPool) -> Result<Vec<JobSpec>, WorkloadError> {
+) -> Result<Vec<JobSpec>, WorkloadError> {
     // Refuse duplicate job tags up front: two jobs sharing a nonzero tag
     // would draw from the same fault/RNG streams and their identities
     // would collide in the report.
@@ -237,6 +179,7 @@ mod tests {
     use super::*;
     use crate::capture::profile;
     use crate::policy::Policy;
+    use crate::workload::{run_workload, WorkloadConfig};
     use ooc_core::{compile_source, CompilerOptions};
 
     fn small_program() -> Arc<CompiledProgram> {
@@ -260,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn run_workload_live_matches_precaptured_run_workload() {
+    fn live_capture_matches_precaptured_run_workload() {
         let compiled = small_program();
         let pool = WorkerPool::new(2);
         let jobs: Vec<ProgramJob> = (0..3)
@@ -273,7 +216,7 @@ mod tests {
             max_concurrent: 2,
             ..WorkloadConfig::default()
         };
-        let live = run_workload_live(&jobs, &wcfg, &pool).unwrap();
+        let live = run_workload(&capture_specs(&jobs, &pool).unwrap(), &wcfg).unwrap();
         let specs: Vec<JobSpec> = jobs
             .iter()
             .map(|j| {

@@ -7,8 +7,7 @@
 //! deadline kills, retries with backoff, checkpoint watermarks, disk
 //! deaths and migrations, completions — as [`ObsEvent`]s stamped with
 //! simulated time, consumed through the [`WorkloadObserver`] trait passed
-//! into [`crate::run_workload_observed`], [`crate::run_workload_live_observed`]
-//! and [`crate::run_workload_guarded_observed`].
+//! into [`crate::run_workload_guarded_observed`].
 //!
 //! Ordering contract: the stream is globally non-decreasing in `t`.
 //! Control events are stamped at the sweep that *detected* them (actual
@@ -32,6 +31,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
 use dmsim::StatsSnapshot;
+use ooc_trace::metrics::percentile_sorted;
 
 use crate::domain::GuardedReport;
 use crate::farm::FarmSim;
@@ -199,14 +199,6 @@ pub trait WorkloadObserver {
     fn sample(&mut self, _s: &Sample) {}
 }
 
-/// Observer that discards everything (useful as a baseline in tests).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullObserver;
-
-impl WorkloadObserver for NullObserver {
-    fn event(&mut self, _e: &ObsEvent) {}
-}
-
 /// Observer that retains the full stream and renders it deterministically
 /// — the byte-comparison vehicle for parity tests and the CI smoke job.
 #[derive(Debug, Default, Clone, PartialEq)]
@@ -323,7 +315,7 @@ impl EventLog {
         for (i, s) in self.samples.iter().enumerate() {
             merged.push((s.t, self.events.len() + i, Line::Sm(s)));
         }
-        merged.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        merged.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut out = String::new();
         for (_, _, l) in merged {
             match l {
@@ -476,17 +468,6 @@ pub struct SloScorecard {
     pub mean_slowdown: f64,
     /// Latest completion on the workload clock.
     pub makespan: f64,
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice. `None` on an
-/// empty slice: there is no value every sample is below, and reporting
-/// 0.0 would make a run that completed nothing look like a perfect SLO.
-fn percentile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
-    Some(sorted[rank.clamp(1, sorted.len()) - 1])
 }
 
 impl SloScorecard {
@@ -865,61 +846,6 @@ mod tests {
         ooc_trace::prom::validate(&a).unwrap();
         assert!(a.contains("ooc_slo_turnaround_seconds{policy=\"fifo\",quantile=\"0.5\"}"));
         assert!(a.contains("ooc_slo_jobs{policy=\"fifo\",outcome=\"completed\"} 1.000000000"));
-    }
-
-    #[test]
-    fn observed_plain_workload_streams_events_and_matches_unobserved() {
-        use crate::workload::{run_workload, run_workload_observed, WorkloadConfig};
-        let specs: Vec<JobSpec> = (0..3)
-            .map(|i| {
-                JobSpec::new(format!("j{i}"), profile(5 + i, 1.0, 0.25)).with_submit(i as f64 * 0.5)
-            })
-            .collect();
-        let cfg = WorkloadConfig {
-            policy: Policy::Fifo,
-            max_concurrent: 2,
-            trace: true,
-            ..WorkloadConfig::default()
-        };
-        let plain = run_workload(&specs, &cfg).unwrap();
-        let mut log = EventLog::default();
-        let observed = run_workload_observed(&specs, &cfg, 1.0, &mut log).unwrap();
-        assert_eq!(plain.jobs, observed.jobs, "observation is transparent");
-        assert_eq!(plain.farm.served, observed.farm.served);
-        assert_eq!(plain.farm.trace, observed.farm.trace);
-        // The stream covers every lifecycle stage of this faultless run.
-        assert_eq!(
-            log.events
-                .iter()
-                .filter(|e| matches!(e.kind, ObsKind::Admitted { .. }))
-                .count(),
-            3
-        );
-        assert_eq!(
-            log.events
-                .iter()
-                .filter(|e| matches!(e.kind, ObsKind::Completed { .. }))
-                .count(),
-            3
-        );
-        let dispatched = log
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, ObsKind::Dispatched { .. }))
-            .count();
-        assert_eq!(
-            dispatched as u64,
-            plain.jobs.iter().map(|j| j.requests).sum()
-        );
-        // Global ordering: non-decreasing time stamps.
-        for w in log.events.windows(2) {
-            assert!(w[0].t <= w[1].t, "{:?} then {:?}", w[0], w[1]);
-        }
-        assert!(!log.samples.is_empty());
-        // Byte-identical across invocations.
-        let mut log2 = EventLog::default();
-        run_workload_observed(&specs, &cfg, 1.0, &mut log2).unwrap();
-        assert_eq!(log.render(), log2.render());
     }
 
     #[test]

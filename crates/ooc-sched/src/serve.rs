@@ -58,7 +58,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use ooc_trace::digest::fnv1a;
 use ooc_trace::json::{self, Json};
+use ooc_trace::perfetto::escape_json;
 
 use crate::capture::{IoReq, JobProfile};
 use crate::domain::{run_workload_guarded_observed, DomainConfig, GuardedReport, JobOutcome};
@@ -206,40 +208,12 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
     w.flush()
 }
 
-/// Escape a string for embedding in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn error_json(kind: &str, detail: &str) -> String {
     format!(
         "{{\"ok\":false,\"error\":{{\"kind\":\"{}\",\"detail\":\"{}\"}}}}",
-        json_escape(kind),
-        json_escape(detail)
+        escape_json(kind),
+        escape_json(detail)
     )
-}
-
-/// FNV-1a 64-bit digest of the rendered event stream — the one-line
-/// divergence detector carried by summaries and the subscriber end frame.
-fn fnv64(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 // ---------------------------------------------------------------------------
@@ -268,14 +242,6 @@ impl Conn {
             #[cfg(unix)]
             Conn::Unix(s) => s.set_read_timeout(d),
             Conn::Tcp(s) => s.set_read_timeout(d),
-        }
-    }
-
-    fn try_clone(&self) -> io::Result<Conn> {
-        match self {
-            #[cfg(unix)]
-            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
-            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
         }
     }
 
@@ -439,6 +405,13 @@ impl Hub {
         self.subs.retain(|s| s.send(line.clone()).is_ok());
         self.sent.push(line);
     }
+
+    /// The run is over: dropping the senders ends the live streams, and
+    /// late subscribers only replay.
+    fn finish(&mut self) {
+        self.done = true;
+        self.subs.clear();
+    }
 }
 
 struct Inner {
@@ -592,7 +565,7 @@ fn stream_subscriber(inner: &Inner, mut conn: Conn, rx: mpsc::Receiver<String>) 
     // timeout long before a large run finishes.
     let _ = conn.set_read_timeout(None);
     for line in rx {
-        let frame = format!("{{\"line\":\"{}\"}}", json_escape(&line));
+        let frame = format!("{{\"line\":\"{}\"}}", escape_json(&line));
         if write_frame(&mut conn, &frame).is_err() {
             return; // client disconnected mid-stream; drop it
         }
@@ -866,10 +839,11 @@ fn op_drain(inner: &Inner) -> Result<String, ProtoError> {
     let report = match run {
         Ok(r) => r,
         Err(e) => {
-            // Per-submit validation makes this unreachable; fail closed
-            // anyway rather than poisoning the daemon.
-            let mut st = inner.state.lock().unwrap();
-            st.phase = Phase::Drained;
+            // Per-submit validation leaves only a bad `DomainConfig` to
+            // land here. Fail closed: the session is over, and waiting
+            // subscribers are released to their end frame.
+            inner.state.lock().unwrap().phase = Phase::Drained;
+            inner.hub.lock().unwrap().finish();
             return Err(ProtoError::Refused {
                 kind: "admission".to_string(),
                 detail: e.to_string(),
@@ -877,7 +851,9 @@ fn op_drain(inner: &Inner) -> Result<String, ProtoError> {
         }
     };
     let rendered = obs.log.render();
-    let stream_fnv = fnv64(&rendered);
+    // The one-line divergence detector carried by summaries and the
+    // subscriber end frame.
+    let stream_fnv = fnv1a(rendered.as_bytes());
     let card = SloScorecard::from_guarded(&report);
     let prom = ooc_trace::prom::render(&SloScorecard::prom(std::slice::from_ref(&card)));
     let result = DrainResult {
@@ -894,11 +870,8 @@ fn op_drain(inner: &Inner) -> Result<String, ProtoError> {
         st.result = Some(result);
         st.phase = Phase::Drained;
     }
-    // Release the live subscribers: dropping the senders ends their
-    // streams, and each then reads the end frame from the stored result.
-    let mut hub = inner.hub.lock().unwrap();
-    hub.done = true;
-    hub.subs.clear();
+    // Each released subscriber reads the end frame from the stored result.
+    inner.hub.lock().unwrap().finish();
     Ok(summary)
 }
 
@@ -951,7 +924,7 @@ fn op_scorecard(inner: &Inner) -> Result<String, ProtoError> {
         Some(r) => Ok(format!(
             "{{\"ok\":true,\"scorecard\":{},\"prom\":\"{}\"}}",
             r.scorecard,
-            json_escape(&r.prom)
+            escape_json(&r.prom)
         )),
         None => Err(ProtoError::Refused {
             kind: "not_ready".to_string(),
@@ -1051,26 +1024,17 @@ impl Client {
         self.conn.write_all(bytes)?;
         self.conn.flush()
     }
-
-    /// Clone the underlying connection (e.g. one half subscribing while
-    /// the other submits is *not* supported — frames would interleave —
-    /// but a reader clone lets tests poke at half-closed behavior).
-    pub fn try_clone(&self) -> io::Result<Client> {
-        Ok(Client {
-            conn: self.conn.try_clone()?,
-            max_frame: self.max_frame,
-        })
-    }
 }
 
-/// Encode a [`JobSpec`]-shaped submission request. The inverse of
-/// [`parse_spec`]; `oocload` and the tests build their traffic with it.
+/// Encode a [`JobSpec`]-shaped submission request. The inverse of the
+/// daemon's `parse_spec`; `oocload` and the tests build their traffic
+/// with it.
 pub fn submit_json(tenant: &str, spec: &JobSpec) -> String {
     let mut out = format!(
         "{{\"op\":\"submit\",\"job\":{{\"tenant\":\"{}\",\"name\":\"{}\",\
          \"submit\":{:.9},\"weight\":{:.9},\"qos_slack\":{:.9},\"profile\":{{\"rank_finish\":[",
-        json_escape(tenant),
-        json_escape(&spec.name),
+        escape_json(tenant),
+        escape_json(&spec.name),
         spec.submit,
         spec.weight,
         spec.qos_slack,
@@ -1218,13 +1182,5 @@ mod tests {
                 "{body}: {err} missing {needle:?}"
             );
         }
-    }
-
-    #[test]
-    fn json_escape_handles_quotes_newlines_and_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        let round = json::parse(&format!("\"{}\"", json_escape("x\ty\r\nz\"")));
-        assert_eq!(round.unwrap().as_str(), Some("x\ty\r\nz\""));
     }
 }

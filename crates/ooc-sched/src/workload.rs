@@ -14,15 +14,12 @@
 
 use std::fmt;
 
-use dmsim::StatsSnapshot;
-
 use crate::capture::JobProfile;
-use crate::farm::{simulate, FarmConfig, FarmJob, FarmReport, FarmSim};
-use crate::obs::{ObsEvent, ObsKind, Sampler, WorkloadObserver};
+use crate::farm::{simulate, FarmConfig, FarmJob, FarmReport};
 use crate::policy::Policy;
 
 /// A job submission the runtime refuses to admit. Raised by
-/// [`run_workload`], [`crate::run_workload_live`] and
+/// [`run_workload`], [`crate::capture_specs`] and
 /// [`crate::run_workload_guarded`] before anything runs — a malformed
 /// batch never reaches the farm, and never panics the runtime.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,6 +43,10 @@ pub enum AdmissionError {
     /// poison the farm's time arithmetic. See
     /// [`JobProfile::validate`](crate::capture::JobProfile::validate).
     MalformedProfile { job: String, reason: String },
+    /// The guarded runtime's [`crate::DomainConfig`] cannot drive a run
+    /// (a disk death outside the farm, a non-positive epoch, a NaN backoff
+    /// cap, hang injection with no watchdog to end the hang).
+    BadConfig { what: String },
 }
 
 impl fmt::Display for AdmissionError {
@@ -67,6 +68,7 @@ impl fmt::Display for AdmissionError {
             AdmissionError::MalformedProfile { job, reason } => {
                 write!(f, "job {job:?}: malformed profile: {reason}")
             }
+            AdmissionError::BadConfig { what } => write!(f, "bad domain config: {what}"),
         }
     }
 }
@@ -275,18 +277,11 @@ pub fn run_workload(
 }
 
 /// The deterministic admission schedule: `(spec index, admit time)` in
-/// admission order. Shared by the plain and observed runtimes so both
-/// replay the exact same farm input.
+/// admission order.
 fn admission_schedule(specs: &[JobSpec], cfg: &WorkloadConfig) -> Vec<(usize, f64)> {
     // Deterministic admission order: submission time, then slice position.
     let mut order: Vec<usize> = (0..specs.len()).collect();
-    order.sort_by(|&a, &b| {
-        specs[a]
-            .submit
-            .partial_cmp(&specs[b].submit)
-            .unwrap()
-            .then(a.cmp(&b))
-    });
+    order.sort_by(|&a, &b| specs[a].submit.total_cmp(&specs[b].submit).then(a.cmp(&b)));
 
     let farm_cfg = FarmConfig {
         policy: cfg.policy,
@@ -310,7 +305,7 @@ fn admission_schedule(specs: &[JobSpec], cfg: &WorkloadConfig) -> Vec<(usize, f6
                 .expect("simulated after admission")
                 .jobs;
             let mut done: Vec<f64> = completions.iter().map(|j| j.completion).collect();
-            done.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            done.sort_by(f64::total_cmp);
             let slot_free = done[admitted.len() - cfg.max_concurrent];
             spec.submit.max(slot_free)
         };
@@ -367,105 +362,6 @@ fn build_report(
         farm,
         policy,
     }
-}
-
-/// [`run_workload`] with the observatory attached: the same admission
-/// schedule and a bitwise-identical report, but the final replay streams
-/// [`ObsEvent`]s (admissions, dispatches, completions) to `observer` and
-/// samples the time series on the `sample_every` virtual-time cadence.
-///
-/// The replay advances the resumable farm chunk by chunk on the sample
-/// grid; chunked replay is bitwise outcome-invariant, so observation is
-/// transparent — asserted by tests comparing against [`run_workload`].
-pub fn run_workload_observed(
-    specs: &[JobSpec],
-    cfg: &WorkloadConfig,
-    sample_every: f64,
-    observer: &mut dyn WorkloadObserver,
-) -> Result<WorkloadReport, AdmissionError> {
-    validate_specs(specs, cfg.disks)?;
-    let admitted = admission_schedule(specs, cfg);
-    let jobs = farm_jobs(specs, &admitted);
-    // Size the farm exactly as `simulate` would, so traces match bitwise.
-    let ndisks = jobs.iter().map(|j| j.profile.nprocs()).max().unwrap_or(0);
-    let mut sim = FarmSim::new(
-        ndisks,
-        FarmConfig {
-            policy: cfg.policy,
-            seek_penalty: cfg.seek_penalty,
-            trace: cfg.trace,
-            observe: true,
-        },
-    );
-    let slots: Vec<usize> = jobs.iter().map(|j| sim.admit(j)).collect();
-
-    // Admission events, stamped at the granted admit time.
-    let mut admits: Vec<ObsEvent> = admitted
-        .iter()
-        .map(|&(i, base)| ObsEvent {
-            t: base,
-            job: i as u32 + 1,
-            kind: ObsKind::Admitted {
-                attempt: 1,
-                resumed: false,
-            },
-        })
-        .collect();
-    admits.sort_by(|a, b| a.t.partial_cmp(&b.t).unwrap().then(a.job.cmp(&b.job)));
-    let mut next_admit = 0usize;
-
-    let mut sampler = Sampler::new(sample_every, ndisks);
-    let mut reported = vec![false; slots.len()];
-    loop {
-        let t = sampler.due(f64::INFINITY).expect("the grid is unbounded");
-        sim.run_until(t);
-        let mut batch: Vec<ObsEvent> = Vec::new();
-        while next_admit < admits.len() && admits[next_admit].t <= t {
-            batch.push(admits[next_admit].clone());
-            next_admit += 1;
-        }
-        batch.extend(sim.drain_obs());
-        for (pos, &slot) in slots.iter().enumerate() {
-            if !reported[pos] && sim.job_done(slot) {
-                reported[pos] = true;
-                batch.push(ObsEvent {
-                    // Stamped at the detecting grid point; the actual
-                    // completion rides in the payload.
-                    t,
-                    job: admitted[pos].0 as u32 + 1,
-                    kind: ObsKind::Completed {
-                        completion: sim.completion(slot).expect("job is done"),
-                        recovered: false,
-                    },
-                });
-            }
-        }
-        batch.sort_by(|a, b| a.t.partial_cmp(&b.t).unwrap());
-        for e in &batch {
-            observer.event(e);
-        }
-        // Chaos counters attributable to the workload so far: the capture
-        // counters of every job admitted by `t` (the sampler stores the
-        // delta between consecutive samples).
-        let mut cum = StatsSnapshot::default();
-        for &(i, base) in &admitted {
-            if base <= t {
-                let p = &specs[i].profile;
-                cum = cum.merge(&StatsSnapshot::fault_counts(
-                    p.faults_injected,
-                    p.io_retries,
-                    p.msg_retries,
-                ));
-            }
-        }
-        let s = sampler.take(&sim, cum);
-        observer.sample(&s);
-        if reported.iter().all(|&r| r) {
-            break;
-        }
-    }
-    let farm = sim.finish();
-    Ok(build_report(specs, &admitted, farm, cfg.policy))
 }
 
 #[cfg(test)]

@@ -9,7 +9,8 @@ use dmsim::{FaultConfig, WorkerPool};
 use noderun::{start, RunConfig};
 use ooc_core::{compile_source, CompiledProgram, CompilerOptions};
 use ooc_sched::{
-    profile, run_workload, run_workload_live, JobSpec, Policy, ProgramJob, WorkloadConfig,
+    capture_specs, profile, run_workload, run_workload_guarded_observed, DomainConfig, JobSpec,
+    Policy, ProgramJob, WorkloadConfig,
 };
 use proptest::prelude::*;
 
@@ -61,29 +62,31 @@ proptest! {
             })
             .collect();
         let threaded = run_workload(&specs, &wcfg).unwrap();
-        // Observer streams are part of the parity contract: the threaded
-        // observed run is the baseline the pooled engines must reproduce
-        // byte for byte.
+        // Observer streams are part of the parity contract: the guarded
+        // observed run over the threaded capture is the baseline the pooled
+        // engines must reproduce byte for byte.
+        let dcfg = DomainConfig {
+            policy: Policy::FairShare,
+            max_concurrent: 2,
+            ..DomainConfig::default()
+        };
         let cadence = specs[0].profile.makespan() / 4.0;
-        let mut baseline_log = ooc_sched::EventLog::default();
-        let observed =
-            ooc_sched::run_workload_observed(&specs, &wcfg, cadence, &mut baseline_log).unwrap();
-        prop_assert_eq!(&observed, &threaded, "observation perturbed the workload");
-        let baseline_stream = baseline_log.render();
+        let stream = |specs: &[JobSpec]| {
+            let mut log = ooc_sched::EventLog::default();
+            run_workload_guarded_observed(specs, &dcfg, cadence, &mut log).unwrap();
+            log.render()
+        };
+        let baseline_stream = stream(&specs);
         for workers in [1usize, 2, 8] {
             let pool = WorkerPool::new(workers);
-            let pooled = run_workload_live(&jobs, &wcfg, &pool).unwrap();
+            let pooled_specs = capture_specs(&jobs, &pool).unwrap();
+            let pooled = run_workload(&pooled_specs, &wcfg).unwrap();
             prop_assert_eq!(
                 &pooled, &threaded,
                 "Pool({}) chaos workload diverged from Threads", workers
             );
-            let mut log = ooc_sched::EventLog::default();
-            let pooled_obs =
-                ooc_sched::run_workload_live_observed(&jobs, &wcfg, &pool, cadence, &mut log)
-                    .unwrap();
-            prop_assert_eq!(&pooled_obs, &threaded, "Pool({}) observed run diverged", workers);
             prop_assert_eq!(
-                &log.render(), &baseline_stream,
+                &stream(&pooled_specs), &baseline_stream,
                 "Pool({}) event stream diverged from Threads", workers
             );
         }

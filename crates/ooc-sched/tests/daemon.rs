@@ -433,6 +433,46 @@ fn draining_an_empty_session_yields_the_zero_completions_scorecard() {
     stop(daemon);
 }
 
+/// A daemon launched with a `DomainConfig` the executive cannot sweep
+/// (here `epoch: 0`) must refuse the drain with a typed error and end the
+/// session — not panic on the connection thread and sit in `draining`
+/// for ever with its subscribers waiting.
+#[test]
+fn a_bad_domain_config_fails_the_drain_closed_instead_of_wedging() {
+    let daemon = start_tcp(ServeConfig {
+        domain: DomainConfig {
+            epoch: 0.0,
+            ..chaos_cfg().domain
+        },
+        ..chaos_cfg()
+    });
+    let mut c = Client::connect_tcp(&daemon.addr).unwrap();
+    for (tenant, spec) in specs() {
+        c.request(&submit_json(&tenant, &spec)).unwrap();
+    }
+    let mut sub = Client::connect_tcp(&daemon.addr).unwrap();
+    sub.request("{\"op\":\"subscribe\"}").unwrap();
+
+    let err = c.request("{\"op\":\"drain\"}").unwrap_err();
+    assert!(
+        matches!(&err, ProtoError::Refused { kind, detail }
+            if kind == "admission" && detail.contains("epoch")),
+        "got {err:?}"
+    );
+    // The subscriber is released with a bare end frame: nothing ran.
+    let end = sub.next_frame().unwrap().expect("stream ends with a frame");
+    assert!(matches!(end.get("end"), Some(Json::Bool(true))));
+    assert!(end.get("stream_fnv").is_none());
+    // The session is over, and says so.
+    let status = c.request("{\"op\":\"status\"}").unwrap();
+    assert_eq!(status.get("phase").and_then(Json::as_str), Some("drained"));
+    let again = c.request("{\"op\":\"drain\"}").unwrap_err();
+    assert!(matches!(again, ProtoError::Refused { ref kind, .. } if kind == "draining"));
+    drop(c);
+    drop(sub);
+    stop(daemon);
+}
+
 /// `write_frame` is what the raw-bytes abuse cases bypass — sanity-check
 /// that a shutdown op over it closes cleanly from the daemon side.
 #[test]

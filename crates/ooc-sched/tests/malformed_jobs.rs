@@ -1,13 +1,13 @@
 //! Admission-error corpus: malformed or inadmissible job submissions must
 //! come back as typed [`AdmissionError`]s from every workload entry point
-//! — `run_workload`, `run_workload_live` and `run_workload_guarded` — and
+//! — `run_workload`, `capture_specs` and `run_workload_guarded` — and
 //! never as panics.
 
 use std::sync::Arc;
 
 use dmsim::WorkerPool;
 use ooc_sched::{
-    run_workload, run_workload_guarded, run_workload_live, AdmissionError, DomainConfig, IoReq,
+    capture_specs, run_workload, run_workload_guarded, AdmissionError, DomainConfig, IoReq,
     JobProfile, JobSpec, ProgramJob, WorkloadConfig, WorkloadError,
 };
 
@@ -177,7 +177,7 @@ fn the_guarded_runtime_shares_the_same_corpus() {
 }
 
 #[test]
-fn live_workload_refuses_duplicate_job_tags_before_running_anything() {
+fn live_capture_refuses_duplicate_job_tags_before_running_anything() {
     let compiled = Arc::new(
         ooc_core::compile_source(hpf::GAXPY_SOURCE, &ooc_core::CompilerOptions::default()).unwrap(),
     );
@@ -186,7 +186,7 @@ fn live_workload_refuses_duplicate_job_tags_before_running_anything() {
         ProgramJob::new("a", Arc::clone(&compiled)).with_job_tag(3),
         ProgramJob::new("b", Arc::clone(&compiled)).with_job_tag(3),
     ];
-    let err = run_workload_live(&jobs, &WorkloadConfig::default(), &pool).unwrap_err();
+    let err = capture_specs(&jobs, &pool).unwrap_err();
     assert!(
         matches!(
             err,
@@ -199,7 +199,41 @@ fn live_workload_refuses_duplicate_job_tags_before_running_anything() {
         ProgramJob::new("a", Arc::clone(&compiled)).with_job_tag(1),
         ProgramJob::new("b", compiled).with_job_tag(2),
     ];
-    assert!(run_workload_live(&jobs, &WorkloadConfig::default(), &pool).is_ok());
+    assert!(capture_specs(&jobs, &pool).is_ok());
+}
+
+#[test]
+fn guarded_runtime_refuses_a_config_it_cannot_sweep() {
+    // A panic here would take down whichever thread ran the workload —
+    // under `oocd` a connection thread, wedging the session in `draining`.
+    let specs = [JobSpec::new("w", wide_profile(2))];
+    let bad = [
+        DomainConfig {
+            // Only disks 0 and 1 exist: the farm is sized from the jobs.
+            disk_deaths: vec![(1.0, 2)],
+            ..DomainConfig::default()
+        },
+        DomainConfig {
+            epoch: 0.0,
+            ..DomainConfig::default()
+        },
+        DomainConfig {
+            backoff_cap: f64::NAN,
+            ..DomainConfig::default()
+        },
+        DomainConfig {
+            hang_chance: 0.5,
+            watchdog_quantum: 0.0,
+            ..DomainConfig::default()
+        },
+    ];
+    for cfg in bad {
+        let err = run_workload_guarded(&specs, &cfg).unwrap_err();
+        assert!(
+            matches!(err, AdmissionError::BadConfig { .. }),
+            "{cfg:?}: got {err:?}"
+        );
+    }
 }
 
 #[test]
@@ -219,6 +253,9 @@ fn admission_errors_are_std_errors_with_readable_messages() {
         AdmissionError::MalformedProfile {
             job: "j".into(),
             reason: "rank 0: bad finish time NaN".into(),
+        },
+        AdmissionError::BadConfig {
+            what: "job-independent".into(),
         },
     ];
     for e in errors {

@@ -9,10 +9,7 @@
 
 use noderun::{run, RunConfig};
 use ooc_core::{compile_source, CompilerOptions};
-use ooc_sched::{
-    profile, run_workload, run_workload_observed, FarmConfig, FarmJob, JobSpec, Policy,
-    WorkloadConfig,
-};
+use ooc_sched::{profile, run_workload, FarmConfig, FarmJob, JobSpec, Policy, WorkloadConfig};
 use ooc_trace::TraceConfig;
 
 fn compiled_gaxpy() -> ooc_core::CompiledProgram {
@@ -191,33 +188,16 @@ fn contention_slows_jobs_and_fair_share_bounds_the_damage() {
 
 #[test]
 fn observed_workload_is_transparent_and_its_traces_stay_well_nested() {
-    // Attaching the observatory must not change the report, the farm
-    // trace, or the guarded domain trace — and the streams it publishes
-    // must be byte-reproducible.
+    // Attaching the observatory must not change the guarded report, the
+    // farm trace, or the domain trace — and the stream it publishes must
+    // be byte-reproducible.
     let compiled = compiled_gaxpy();
     let p = profile(&compiled, &RunConfig::default()).unwrap();
     let specs = [
         JobSpec::new("a", p.clone()),
         JobSpec::new("b", p.clone()).with_submit(0.01),
     ];
-    let cfg = WorkloadConfig {
-        policy: Policy::Fifo,
-        trace: true,
-        ..WorkloadConfig::default()
-    };
-    let plain = run_workload(&specs, &cfg).unwrap();
-    let mut log = ooc_sched::EventLog::default();
     let cadence = p.makespan() / 4.0;
-    let observed = ooc_sched::run_workload_observed(&specs, &cfg, cadence, &mut log).unwrap();
-    assert_eq!(plain, observed, "observation perturbed the workload");
-    for rt in &observed.farm.trace.as_ref().unwrap().ranks {
-        ooc_trace::check_well_nested(rt).expect("observed farm trace nesting");
-    }
-    let mut log2 = ooc_sched::EventLog::default();
-    run_workload_observed(&specs, &cfg, cadence, &mut log2).unwrap();
-    assert_eq!(log.render(), log2.render(), "stream is not reproducible");
-
-    // Same transparency for the guarded executive, domain trace included.
     let dcfg = ooc_sched::DomainConfig {
         policy: Policy::Fifo,
         trace: true,
@@ -229,5 +209,11 @@ fn observed_workload_is_transparent_and_its_traces_stay_well_nested() {
     assert_eq!(gplain, gobs, "observation perturbed the guarded run");
     ooc_trace::check_well_nested(gobs.domain_trace.as_ref().unwrap())
         .expect("observed domain trace nesting");
+    for rt in &gobs.farm.trace.as_ref().unwrap().ranks {
+        ooc_trace::check_well_nested(rt).expect("observed farm trace nesting");
+    }
     assert!(!glog.events.is_empty() && !glog.samples.is_empty());
+    let mut glog2 = ooc_sched::EventLog::default();
+    ooc_sched::run_workload_guarded_observed(&specs, &dcfg, cadence, &mut glog2).unwrap();
+    assert_eq!(glog.render(), glog2.render(), "stream is not reproducible");
 }

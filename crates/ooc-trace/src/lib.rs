@@ -18,6 +18,9 @@
 //! * [`json`] — a minimal hand-rolled JSON parser used to validate exported
 //!   traces against a checked-in schema (CI `trace_smoke`).
 //!
+//! [`digest`] holds the FNV-1a fingerprint every layer stamps its
+//! deterministic artifacts with.
+//!
 //! This crate sits below `dmsim` in the dependency graph, so timestamps are
 //! plain `f64` simulated seconds rather than `dmsim::SimTime`.
 
@@ -25,6 +28,7 @@ use std::cell::RefCell;
 
 use serde::{Deserialize, Serialize};
 
+pub mod digest;
 pub mod html;
 pub mod json;
 pub mod metrics;
@@ -314,12 +318,6 @@ impl Args {
     /// Attach a slab index.
     pub fn with_slab(mut self, slab: u64) -> Args {
         self.slab = Some(slab);
-        self
-    }
-
-    /// Attach an I/O access-method label.
-    pub fn with_method(mut self, method: &str) -> Args {
-        self.method = Some(method.to_string());
         self
     }
 

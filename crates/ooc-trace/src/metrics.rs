@@ -190,6 +190,18 @@ impl Histogram {
     }
 }
 
+/// Nearest-rank percentile of an ascending-sorted slice; `q` is clamped to
+/// `[0, 1]`. `None` on an empty slice: there is no value every sample is
+/// below, and reporting 0.0 would make a run that completed nothing look
+/// like a perfect SLO.
+pub fn percentile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
+    if sorted.is_empty() {
+        return None;
+    }
+    let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
+    Some(sorted[rank.clamp(1, sorted.len()) - 1])
+}
+
 /// Aggregate for one event category.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CategoryStats {
