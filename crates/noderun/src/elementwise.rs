@@ -229,8 +229,18 @@ pub fn execute_prefetched(
         match &fast_kernel {
             Some(k) => crate::kernels::run_linear(k, &out_sec, &inputs, &mut out),
             None => {
-                for (pos, idx) in out_sec.indices().enumerate() {
-                    out[pos] = eval(&expr, &idx, &inputs, &ghosts, &local_shape);
+                // One index buffer for the whole slab, advanced as an
+                // odometer in section column-major order.
+                let mut idx: Vec<usize> = out_sec.ranges().iter().map(|r| r.lo).collect();
+                for o in out.iter_mut() {
+                    *o = eval(&expr, &idx, &inputs, &ghosts, &local_shape);
+                    for (i, r) in idx.iter_mut().zip(out_sec.ranges()) {
+                        *i += r.step;
+                        if *i < r.hi {
+                            break;
+                        }
+                        *i = r.lo;
+                    }
                 }
             }
         }
@@ -288,54 +298,49 @@ fn sample(
     ghosts: &HashMap<(usize, usize), Ghost>,
     local_shape: &Shape,
 ) -> f32 {
-    let ndims = idx.len();
-    let mut target = vec![0isize; ndims];
-    let mut oob_dim: Option<usize> = None;
-    for d in 0..ndims {
-        let t = idx[d] as isize + offsets[d];
-        target[d] = t;
-        if t < 0 || t >= local_shape.extent(d) as isize {
-            debug_assert!(
-                oob_dim.is_none(),
-                "corner ghost (two out-of-bounds dims) not supported on 1-D grids"
-            );
-            oob_dim = Some(d);
-        }
-    }
-    match oob_dim {
+    // The target `idx + offsets` is computed on the fly, never stored.
+    let target = |d: usize| idx[d] as isize + offsets[d];
+    let oob = |d: &usize| {
+        let t = target(*d);
+        t < 0 || t >= local_shape.extent(*d) as isize
+    };
+    debug_assert!(
+        (0..idx.len()).filter(oob).count() <= 1,
+        "corner ghost (two out-of-bounds dims) not supported on 1-D grids"
+    );
+    match (0..idx.len()).rev().find(oob) {
         None => {
             let (sec, data) = &inputs[ai];
-            data[section_cm_index(sec, &target)]
+            data[section_cm_index(sec, target)]
         }
         Some(d) => {
             let ghost = ghosts
                 .get(&(ai, d))
                 .unwrap_or_else(|| panic!("reference leaves local space without ghosts (dim {d})"));
-            if target[d] < 0 {
-                let (sec, data) = ghost
+            let ((sec, data), shift) = if target(d) < 0 {
+                let strip = ghost
                     .lo
                     .as_ref()
                     .expect("lower ghost present (boundary region excluded it otherwise)");
-                // Neighbor-local coordinate of the target row.
-                let nb_ext = sec.range(d).hi; // strips end at the neighbor's extent
-                let mut nb_target = target.clone();
-                nb_target[d] += nb_ext as isize;
-                data[section_cm_index(sec, &nb_target)]
+                // Neighbor-local coordinate of the target row: strips end
+                // at the neighbor's extent.
+                (strip, strip.0.range(d).hi as isize)
             } else {
-                let (sec, data) = ghost.hi.as_ref().expect("upper ghost present");
-                let mut nb_target = target.clone();
-                nb_target[d] -= local_shape.extent(d) as isize;
-                data[section_cm_index(sec, &nb_target)]
-            }
+                let strip = ghost.hi.as_ref().expect("upper ghost present");
+                (strip, -(local_shape.extent(d) as isize))
+            };
+            data[section_cm_index(sec, |k| target(k) + if k == d { shift } else { 0 })]
         }
     }
 }
 
-/// Column-major position of an absolute local index inside a section.
-fn section_cm_index(sec: &Section, target: &[isize]) -> usize {
+/// Column-major position inside a section of the absolute local index
+/// whose coordinate along dimension `d` is `target(d)`.
+fn section_cm_index(sec: &Section, target: impl Fn(usize) -> isize) -> usize {
     let mut pos = 0usize;
     let mut stride = 1usize;
-    for (d, &t) in target.iter().enumerate().take(sec.ndims()) {
+    for d in 0..sec.ndims() {
+        let t = target(d);
         let r = sec.range(d);
         debug_assert!(
             t >= r.lo as isize && (t as usize) < r.hi,

@@ -220,31 +220,34 @@ enum Sift {
 }
 
 /// Separate an attempt's results into success / retry / hard failure.
+///
+/// A hard failure reports the lowest rank's non-recoverable error when
+/// there is one: a rank that fails on its own (malformed input, a dead
+/// disk) takes its peers down with communication errors, and the
+/// lowest-ranked of those would only say that a peer vanished.
 fn sift_attempt(
     results: Vec<Result<RankResult, OocError>>,
     recoveries: usize,
 ) -> Result<Sift, RunError> {
     let mut ok = Vec::with_capacity(results.len());
     let mut first_err: Option<OocError> = None;
-    let mut all_recoverable = true;
+    let mut first_hard: Option<OocError> = None;
     for r in results {
         match r {
             Ok(v) => ok.push(v),
-            Err(e) => {
-                all_recoverable &= e.is_recoverable();
+            Err(e) if e.is_recoverable() => {
                 first_err.get_or_insert(e);
+            }
+            Err(e) => {
+                first_hard.get_or_insert(e);
             }
         }
     }
-    match first_err {
-        None => Ok(Sift::Done(ok)),
-        Some(e) => {
-            if !all_recoverable || recoveries >= MAX_RECOVERIES {
-                Err(e.into())
-            } else {
-                Ok(Sift::Retry)
-            }
-        }
+    match (first_hard, first_err) {
+        (Some(e), _) => Err(e.into()),
+        (None, None) => Ok(Sift::Done(ok)),
+        (None, Some(e)) if recoveries >= MAX_RECOVERIES => Err(e.into()),
+        (None, Some(_)) => Ok(Sift::Retry),
     }
 }
 
@@ -256,8 +259,10 @@ fn quiesce(fault: &mut Option<FaultConfig>) {
     }
 }
 
-/// Assemble the final outcome (collected arrays, peak) outside the timed
-/// region.
+/// Assemble the final outcome (collected arrays, peak) outside the
+/// *simulated* timed region: nothing here is charged to the machine. On the
+/// host clock it is part of every [`run`] / [`StartedRun::wait`] — and so of
+/// every ledger lap — costing one pass over each collected element.
 fn assemble_outcome(
     compiled: &CompiledProgram,
     cfg: &RunConfig,

@@ -73,6 +73,18 @@ fn checked_rowptr(name: &str, rowptr: &[f32], n: usize, nnz: usize) -> Result<Ve
     Ok(rp)
 }
 
+/// Row of nonzero `g` over checked row pointers — the last `r` with
+/// `rowptr[r] <= g`, in `0..n` because `rowptr[0] = 0 <= g < nnz =
+/// rowptr[n]` — searched forward from `row`, the row of an earlier
+/// nonzero (or 0). The executor visits its nonzeros in rising order, so
+/// the whole pass costs `O(n + nnz)` instead of a binary search each.
+fn row_from(rowptr: &[u64], mut row: usize, g: u64) -> usize {
+    while rowptr[row + 1] <= g {
+        row += 1;
+    }
+    row
+}
+
 /// Re-select the gather method from the *measured* schedule statistics,
 /// allreduced so every rank prices the same machine-global view: per-rank
 /// stats travel as `u64` vectors through one all-to-all and merge in rank
@@ -159,11 +171,9 @@ pub fn execute_cached(
     let mut partial = vec![0.0f32; plan.n];
     {
         let _c = ctx.trace_span(ooc_trace::Category::Compute, "spmv accumulate");
+        let mut row = 0;
         for (t, (&v, &xv)) in vals.iter().zip(xg.iter()).enumerate() {
-            let g = (nnz_lo + t) as u64;
-            // Row of global nonzero g: the last r with rowptr[r] <= g —
-            // in 0..n because rowptr[0] = 0 <= g < nnz = rowptr[n].
-            let row = rp.partition_point(|&x| x <= g) - 1;
+            row = row_from(&rp, row, (nnz_lo + t) as u64);
             partial[row] += v * xv;
         }
     }
@@ -495,6 +505,71 @@ mod tests {
                 for v in &verdicts {
                     assert!(v.contains(complaint), "{engine:?}: {v}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn bad_indirection_entry_on_one_rank_is_a_data_error_on_every_engine() {
+        // `hpf::SPMV_SOURCE`: n = 64, nnz = 512 on 4 ranks, so colidx
+        // entry 300 lives on rank 2 alone. That rank fails in the inspector
+        // before its want-list exchange; its peers lose it there and fail
+        // with communication errors, which must not mask the real cause.
+        let compiled =
+            ooc_core::compile_source(hpf::SPMV_SOURCE, &ooc_core::CompilerOptions::default())
+                .unwrap();
+        for bad in [64.0f32, -1.0, 2.5, f32::NAN] {
+            for engine in [dmsim::Engine::Threads, dmsim::Engine::Pool(2)] {
+                let m = || Csr { n: 64, nnz: 512 };
+                let mut cfg = crate::RunConfig {
+                    engine: Some(engine),
+                    ..crate::RunConfig::default()
+                };
+                let init = [
+                    ("rowptr", crate::init_fn(move |g| m().rowptr(g[0]))),
+                    ("vals", crate::init_fn(move |g| m().val(g[0]))),
+                    ("x", crate::init_fn(move |g| m().x(g[0]))),
+                    (
+                        "colidx",
+                        crate::init_fn(move |g| match g[0] {
+                            300 => bad,
+                            k => m().col(k) as f32,
+                        }),
+                    ),
+                ];
+                for (name, f) in init {
+                    cfg.init.insert(name.into(), f);
+                }
+                match crate::run(&compiled, &cfg) {
+                    Err(crate::RunError::Data(msg)) => assert!(
+                        msg.contains("`colidx`: local entry 44 on rank 2")
+                            && msg.contains(&format!("= {bad} is not an index into `x` (0..64)")),
+                        "{engine:?} {bad}: {msg}"
+                    ),
+                    other => panic!("{engine:?} {bad}: expected a data error, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn row_cursor_matches_partition_point(
+            lens in proptest::collection::vec(0u64..4, 1..12),
+            start in 0u64..40,
+        ) {
+            // Zero-length rows anywhere — leading, trailing, consecutive.
+            let mut rp = vec![0u64];
+            for l in &lens {
+                rp.push(rp.last().unwrap() + l);
+            }
+            let nnz = *rp.last().unwrap();
+            proptest::prop_assume!(nnz > 0);
+            // A rank's nonzeros are one ascending run starting anywhere.
+            let mut row = 0;
+            for g in start % nnz..nnz {
+                row = row_from(&rp, row, g);
+                proptest::prop_assert_eq!(row, rp.partition_point(|&x| x <= g) - 1);
             }
         }
     }

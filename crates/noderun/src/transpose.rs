@@ -185,8 +185,7 @@ fn execute_two_phase(
             let local = local_section_of_global(&plan.dst.dist, rank, &isect_dst)
                 .expect("receiver owns the piece");
             debug_assert_eq!(local.len(), piece.len());
-            for (v, idx) in piece.iter().zip(local.indices()) {
-                let off: usize = idx.iter().zip(strides.iter()).map(|(i, s)| i * s).sum();
+            for (v, off) in piece.iter().zip(local.offsets(&strides)) {
                 assembled[off] = *v;
             }
         }

@@ -1,18 +1,45 @@
 //! Verification helpers: global assembly and serial references.
 
-use ooc_array::{local_to_global, ArrayDesc, Section, Shape};
+use ooc_array::{ArrayDesc, Shape};
 
 /// Assemble a global column-major array from per-rank local buffers (local
 /// column-major order, as returned by `OocEnv::read_local_all`).
+///
+/// Index translation is hoisted to once per rank and dimension: each
+/// dimension gets a table of global-offset contributions, and the local
+/// buffer is walked column by column (dimension 0 runs) with an odometer
+/// over the outer dimensions.
 pub fn assemble_global(desc: &ArrayDesc, per_rank: &[&[f32]]) -> (Shape, Vec<f32>) {
     let shape = desc.global_shape().clone();
+    let gstrides = shape.strides();
     let mut out = vec![0.0f32; shape.len()];
     for (rank, local) in per_rank.iter().enumerate() {
-        let local_shape = desc.local_shape(rank);
-        assert_eq!(local.len(), local_shape.len(), "rank {rank} buffer size");
-        for (off, idx) in Section::full(&local_shape).indices().enumerate() {
-            let g = local_to_global(&desc.dist, rank, &idx);
-            out[shape.linear(&g)] = local[off];
+        let mut contrib = desc.dist.global_index_tables(rank);
+        let exts: Vec<usize> = contrib.iter().map(Vec::len).collect();
+        assert_eq!(
+            local.len(),
+            exts.iter().product::<usize>(),
+            "rank {rank} buffer size"
+        );
+        if local.is_empty() {
+            continue;
+        }
+        for (table, s) in contrib.iter_mut().zip(&gstrides) {
+            table.iter_mut().for_each(|g| *g *= s);
+        }
+        let mut idx = vec![0usize; exts.len()];
+        for run in local.chunks_exact(exts[0]) {
+            let base: usize = (1..exts.len()).map(|d| contrib[d][idx[d]]).sum();
+            for (v, &c) in run.iter().zip(&contrib[0]) {
+                out[base + c] = *v;
+            }
+            for d in 1..exts.len() {
+                idx[d] += 1;
+                if idx[d] < exts[d] {
+                    break;
+                }
+                idx[d] = 0;
+            }
         }
     }
     (shape, out)
@@ -73,8 +100,9 @@ pub fn ref_transpose(n: usize, f: &dyn Fn(&[usize]) -> f32) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ooc_array::{ArrayId, Distribution};
+    use ooc_array::{local_to_global, ArrayId, DimDist, DistKind, Distribution, ProcGrid, Section};
     use pario::ElemKind;
+    use proptest::prelude::*;
 
     #[test]
     fn assemble_inverts_distribution() {
@@ -100,6 +128,85 @@ mod tests {
         let (gshape, global) = assemble_global(&desc, &refs);
         for (off, idx) in Section::full(&gshape).indices().enumerate() {
             assert_eq!(global[off], (idx[0] * 10 + idx[1]) as f32);
+        }
+    }
+
+    /// The per-element scatter `assemble_global` replaced: the reference.
+    fn scatter_reference(desc: &ArrayDesc, per_rank: &[&[f32]]) -> Vec<f32> {
+        let shape = desc.global_shape();
+        let mut out = vec![0.0f32; shape.len()];
+        for (rank, local) in per_rank.iter().enumerate() {
+            for (off, idx) in Section::full(&desc.local_shape(rank)).indices().enumerate() {
+                out[shape.linear(&local_to_global(&desc.dist, rank, &idx))] = local[off];
+            }
+        }
+        out
+    }
+
+    /// Every rank's local buffer filled with values unique machine-wide.
+    fn distinct_locals(desc: &ArrayDesc) -> Vec<Vec<f32>> {
+        (0..desc.dist.nprocs())
+            .map(|r| {
+                let n = desc.local_shape(r).len();
+                (0..n).map(|k| (r * 10_000 + k) as f32).collect()
+            })
+            .collect()
+    }
+
+    fn assert_assembles_like_the_reference(desc: &ArrayDesc) {
+        let locals = distinct_locals(desc);
+        let refs: Vec<&[f32]> = locals.iter().map(|v| v.as_slice()).collect();
+        let (shape, got) = assemble_global(desc, &refs);
+        assert_eq!(&shape, desc.global_shape());
+        assert_eq!(got, scatter_reference(desc, &refs), "{:?}", desc.dist);
+    }
+
+    #[test]
+    fn assemble_skips_ranks_with_empty_parts() {
+        // Blocks of ceil(5/4) = 2 rows: rank 3 owns nothing.
+        let desc = ArrayDesc::new(
+            ArrayId(0),
+            "x",
+            ElemKind::F32,
+            Distribution::row_block(Shape::matrix(5, 3), 4),
+        );
+        assert!(desc.local_shape(3).is_empty());
+        assert_assembles_like_the_reference(&desc);
+    }
+
+    proptest! {
+        #[test]
+        fn assemble_matches_the_per_element_scatter(
+            ndims in 1usize..4,
+            n in proptest::collection::vec(1usize..9, 3..4),
+            kinds in proptest::collection::vec(0usize..4, 3..4),
+            p in proptest::collection::vec(1usize..5, 3..4),
+            b in 1usize..4,
+        ) {
+            // Collapsed / block / cyclic / block-cyclic per dimension, each
+            // distributed dimension on its own grid axis; p need not divide
+            // n, and a rank may own nothing.
+            let mut dims = Vec::new();
+            let mut grid = Vec::new();
+            for d in 0..ndims {
+                let kind = match kinds[d] {
+                    0 => {
+                        dims.push(DimDist::Collapsed);
+                        continue;
+                    }
+                    1 => DistKind::Block,
+                    2 => DistKind::Cyclic,
+                    _ => DistKind::BlockCyclic(b),
+                };
+                dims.push(DimDist::Distributed { kind, axis: grid.len() });
+                grid.push(p[d]);
+            }
+            if grid.is_empty() {
+                dims[0] = DimDist::Distributed { kind: DistKind::Block, axis: 0 };
+                grid.push(p[0]);
+            }
+            let dist = Distribution::new(Shape::new(n[..ndims].to_vec()), dims, ProcGrid::new(grid));
+            assert_assembles_like_the_reference(&ArrayDesc::new(ArrayId(0), "x", ElemKind::F32, dist));
         }
     }
 

@@ -76,14 +76,34 @@ impl ProcGrid {
     }
 
     /// Grid coordinates of `rank`.
-    pub fn coords(&self, rank: usize) -> Vec<usize> {
+    pub fn coords(&self, mut rank: usize) -> Vec<usize> {
         assert!(rank < self.nprocs(), "rank out of grid");
-        Shape::new(self.extents.clone()).unlinear(rank)
+        self.extents
+            .iter()
+            .map(|&e| {
+                let c = rank % e;
+                rank /= e;
+                c
+            })
+            .collect()
     }
 
     /// Rank of grid coordinates.
     pub fn rank(&self, coords: &[usize]) -> usize {
-        Shape::new(self.extents.clone()).linear(coords)
+        debug_assert_eq!(coords.len(), self.extents.len());
+        coords
+            .iter()
+            .zip(&self.extents)
+            .rev()
+            .fold(0, |rank, (&c, &e)| {
+                debug_assert!(c < e, "coordinate {c} out of grid axis extent {e}");
+                rank * e + c
+            })
+    }
+
+    /// Rank stride of axis `a`: how far one step along it moves the rank.
+    fn stride(&self, a: usize) -> usize {
+        self.extents[..a].iter().product()
     }
 }
 
@@ -201,15 +221,18 @@ impl Distribution {
 
     /// Rank of the processor owning the element at `index`.
     pub fn owner(&self, index: &[usize]) -> usize {
-        let mut coords = vec![0; self.grid.naxes()];
-        for (d, dd) in self.dims.iter().enumerate() {
-            if let DimDist::Distributed { axis, .. } = dd {
-                coords[*axis] = self
-                    .owner_coord(d, index[d])
-                    .expect("distributed dim has coord");
-            }
-        }
-        self.grid.rank(&coords)
+        self.dims
+            .iter()
+            .enumerate()
+            .filter_map(|(d, dd)| match dd {
+                DimDist::Collapsed => None,
+                DimDist::Distributed { axis, .. } => Some(
+                    self.owner_coord(d, index[d])
+                        .expect("distributed dim has coord")
+                        * self.grid.stride(*axis),
+                ),
+            })
+            .sum()
     }
 
     /// Local index along dimension `d` of global index `g` (valid on the
@@ -242,6 +265,28 @@ impl Distribution {
                 }
             }
         }
+    }
+
+    /// Local → global index tables of `rank`'s local part, one per
+    /// dimension: `tables[d][l]` is the global index of local index `l`
+    /// along `d`. Per-element loops look indices up here instead of
+    /// calling [`Distribution::global_index`] (and [`ProcGrid::coords`])
+    /// per element.
+    pub fn global_index_tables(&self, rank: usize) -> Vec<Vec<usize>> {
+        let coords = self.grid.coords(rank);
+        self.dims
+            .iter()
+            .enumerate()
+            .map(|(d, dd)| {
+                let coord = match dd {
+                    DimDist::Collapsed => 0,
+                    DimDist::Distributed { axis, .. } => coords[*axis],
+                };
+                (0..self.local_extent(d, coord))
+                    .map(|l| self.global_index(d, coord, l))
+                    .collect()
+            })
+            .collect()
     }
 
     /// Number of local elements along dimension `d` on grid coordinate
@@ -450,16 +495,50 @@ mod tests {
         );
     }
 
+    fn kind_of(k: usize, b: usize) -> DistKind {
+        match k {
+            0 => DistKind::Block,
+            1 => DistKind::Cyclic,
+            _ => DistKind::BlockCyclic(b),
+        }
+    }
+
     proptest! {
+        #[test]
+        fn grid_coords_rank_and_owner_match_the_shape_formulas_on_2d_grids(
+            e0 in 1usize..5, e1 in 1usize..5, n0 in 1usize..12, n1 in 1usize..12,
+            k0 in 0usize..3, k1 in 0usize..3, b in 1usize..4, swap in proptest::bool::ANY,
+        ) {
+            let grid = ProcGrid::new(vec![e0, e1]);
+            let as_shape = Shape::new(vec![e0, e1]);
+            for r in 0..grid.nprocs() {
+                let c = grid.coords(r);
+                prop_assert_eq!(&c, &as_shape.unlinear(r));
+                prop_assert_eq!(grid.rank(&c), r);
+            }
+            // Array dimension d on grid axis d (or the axes swapped).
+            let (a0, a1) = if swap { (1, 0) } else { (0, 1) };
+            let d = Distribution::new(
+                Shape::matrix(n0, n1),
+                vec![
+                    DimDist::Distributed { kind: kind_of(k0, b), axis: a0 },
+                    DimDist::Distributed { kind: kind_of(k1, b), axis: a1 },
+                ],
+                grid.clone(),
+            );
+            for idx in Shape::matrix(n0, n1).indices() {
+                let mut coords = vec![0; 2];
+                coords[a0] = d.owner_coord(0, idx[0]).unwrap();
+                coords[a1] = d.owner_coord(1, idx[1]).unwrap();
+                prop_assert_eq!(d.owner(&idx), as_shape.linear(&coords));
+            }
+        }
+
         #[test]
         fn owner_and_local_consistent_for_all_kinds(
             n in 1usize..40, p in 1usize..6, kind in 0usize..3, b in 1usize..4
         ) {
-            let kind = match kind {
-                0 => DistKind::Block,
-                1 => DistKind::Cyclic,
-                _ => DistKind::BlockCyclic(b),
-            };
+            let kind = kind_of(kind, b);
             let d = Distribution::new(
                 Shape::new(vec![n]),
                 vec![DimDist::Distributed { kind, axis: 0 }],

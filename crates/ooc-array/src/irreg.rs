@@ -20,7 +20,6 @@ use pario::{plan_union, ByteRun, IoCharge, IoMethod};
 use serde::{Deserialize, Serialize};
 
 use crate::error::OocError;
-use crate::localize::global_to_local;
 use crate::ocla::{ArrayDesc, OocEnv};
 use crate::section::Section;
 
@@ -395,7 +394,8 @@ impl IrregStats {
 ///
 /// Both arrays must be one-dimensional (the paper's `A(idx(i))` shape);
 /// indirection values are global element indices stored as `f32` and must
-/// lie in `[0, n)`.
+/// be whole numbers in `[0, n)` — any other entry is an
+/// [`OocError::Data`] naming the indirection array.
 pub fn inspect(
     ctx: &ProcCtx,
     env: &mut OocEnv,
@@ -421,15 +421,26 @@ pub fn inspect(
     let n = data.global_shape().extent(0);
     let index_hash = Fnv1a::new().u64s(vals.iter().map(|v| *v as u64)).finish();
 
-    // Bin every target by owner; collapse duplicates to one wire slot.
+    // Bin every target by owner; collapse duplicates to one wire slot. A
+    // bad entry fails this rank before it sends anything; its peers then
+    // see the loss as a communication error in the exchange below.
     let mut want: Vec<Vec<u64>> = vec![Vec::new(); p];
     let mut targets = Vec::with_capacity(vals.len());
-    for v in &vals {
-        let g = *v as usize;
-        assert!(g < n, "indirection value {g} out of range 0..{n}");
-        let (owner, local) = global_to_local(&data.dist, &[g]);
-        targets.push((owner as u32, local[0] as u64));
-        want[owner].push(local[0] as u64);
+    for (i, &v) in vals.iter().enumerate() {
+        if !(v >= 0.0 && v.fract() == 0.0 && (v as usize) < n) {
+            return Err(OocError::Data {
+                array: index.name.clone(),
+                reason: format!(
+                    "local entry {i} on rank {me} = {v} is not an index into `{}` (0..{n})",
+                    data.name
+                ),
+            });
+        }
+        let g = v as usize;
+        let owner = data.dist.owner(&[g]);
+        let local = data.dist.local_index(0, g) as u64;
+        targets.push((owner as u32, local));
+        want[owner].push(local);
     }
     for w in &mut want {
         w.sort_unstable();

@@ -266,20 +266,9 @@ impl OocEnv {
         let local_shape = desc.local_shape(self.rank);
         let ndims = local_shape.ndims();
         let total = local_shape.len();
-        // Precompute per-dimension local -> global maps so the fill loop is
+        // Per-dimension local -> global maps keep the fill loop
         // allocation-free (this runs once per element of every array).
-        let coords = desc.dist.grid().coords(self.rank);
-        let maps: Vec<Vec<usize>> = (0..ndims)
-            .map(|d| {
-                let coord = match desc.dist.dims()[d] {
-                    crate::dist::DimDist::Collapsed => 0,
-                    crate::dist::DimDist::Distributed { axis, .. } => coords[axis],
-                };
-                (0..local_shape.extent(d))
-                    .map(|l| desc.dist.global_index(d, coord, l))
-                    .collect()
-            })
-            .collect();
+        let maps = desc.dist.global_index_tables(self.rank);
         let order = desc.layout.order().to_vec();
         let mut idx = vec![0usize; ndims];
         let mut g = vec![0usize; ndims];

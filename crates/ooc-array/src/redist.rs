@@ -292,8 +292,7 @@ fn redistribute_two_phase(
         let local_dst =
             local_section_of_global(&dst.dist, me, &isect).expect("receiver owns intersection");
         assert_eq!(piece.len(), local_dst.len(), "two-phase payload size");
-        for (v, idx) in piece.iter().zip(local_dst.indices()) {
-            let off: usize = idx.iter().zip(strides.iter()).map(|(i, s)| i * s).sum();
+        for (v, off) in piece.iter().zip(local_dst.offsets(&strides)) {
             buf[off] = *v;
         }
     }

@@ -189,6 +189,21 @@ impl Section {
         index.len() == self.ndims() && self.ranges.iter().zip(index).all(|(r, &i)| r.contains(i))
     }
 
+    /// Linear offsets `Σ idx[d]·strides[d]` of the selected multi-indices,
+    /// in the column-major order of [`Section::indices`] — the per-element
+    /// walk that scatters a section buffer into a larger one. Allocates once
+    /// per walk, never per element.
+    pub fn offsets<'a>(&'a self, strides: &'a [usize]) -> SectionOffsets<'a> {
+        assert_eq!(strides.len(), self.ndims(), "one stride per dimension");
+        SectionOffsets {
+            ranges: &self.ranges,
+            strides,
+            idx: self.ranges.iter().map(|r| r.lo).collect(),
+            off: self.ranges.iter().zip(strides).map(|(r, s)| r.lo * s).sum(),
+            left: self.len(),
+        }
+    }
+
     /// Iterate the selected multi-indices in column-major order (dimension 0
     /// fastest).
     pub fn indices(&self) -> impl Iterator<Item = Vec<usize>> + '_ {
@@ -201,6 +216,42 @@ impl Section {
         })
     }
 }
+
+/// Iterator of [`Section::offsets`]: an odometer over the section that
+/// carries the linear offset along with the multi-index.
+#[derive(Debug)]
+pub struct SectionOffsets<'a> {
+    ranges: &'a [DimRange],
+    strides: &'a [usize],
+    idx: Vec<usize>,
+    off: usize,
+    left: usize,
+}
+
+impl Iterator for SectionOffsets<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        self.left = self.left.checked_sub(1)?;
+        let cur = self.off;
+        for ((i, r), s) in self.idx.iter_mut().zip(self.ranges).zip(self.strides) {
+            *i += r.step;
+            self.off += r.step * s;
+            if *i < r.hi {
+                break;
+            }
+            self.off -= (*i - r.lo) * s;
+            *i = r.lo;
+        }
+        Some(cur)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for SectionOffsets<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -295,6 +346,31 @@ mod tests {
             ]);
             prop_assert_eq!(s.indices().count(), s.len());
             prop_assert_eq!(s.is_empty(), s.is_empty());
+        }
+
+        #[test]
+        fn offset_walk_matches_indices_dot_strides(
+            lo in proptest::collection::vec(0usize..5, 3..4),
+            len in proptest::collection::vec(0usize..5, 3..4),
+            step in proptest::collection::vec(1usize..4, 3..4),
+            strides in proptest::collection::vec(1usize..50, 3..4),
+            ndims in 1usize..4,
+        ) {
+            // Strided, single-index (len 1) and empty (len 0) ranges, 1-D
+            // to 3-D, under arbitrary (even overlapping) strides.
+            let s = Section::new(
+                (0..ndims)
+                    .map(|d| DimRange::strided(lo[d], lo[d] + len[d] * step[d], step[d]))
+                    .collect::<Vec<_>>(),
+            );
+            let strides = &strides[..ndims];
+            let expect: Vec<usize> = s
+                .indices()
+                .map(|i| i.iter().zip(strides).map(|(i, s)| i * s).sum())
+                .collect();
+            let walk = s.offsets(strides);
+            prop_assert_eq!(walk.len(), s.len());
+            prop_assert_eq!(walk.collect::<Vec<_>>(), expect);
         }
     }
 }

@@ -178,17 +178,20 @@ pub fn bytes_to_f32(bytes: &[u8]) -> Result<Vec<f32>> {
             elem: 4,
         });
     }
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
+    // Pre-sized output filled by one zip: a single pass the compiler
+    // vectorizes (collecting from `chunks_exact` does not).
+    let mut out = vec![0.0f32; bytes.len() / 4];
+    for (v, c) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+        *v = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+    }
+    Ok(out)
 }
 
 /// Serialize `f32`s as little-endian bytes.
 pub fn f32_to_bytes(data: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * 4);
-    for v in data {
-        out.extend_from_slice(&v.to_le_bytes());
+    let mut out = vec![0u8; data.len() * 4];
+    for (c, v) in out.chunks_exact_mut(4).zip(data) {
+        c.copy_from_slice(&v.to_le_bytes());
     }
     out
 }
@@ -262,6 +265,36 @@ mod tests {
             bytes_to_f32(&[1, 2, 3]),
             Err(IoError::BadElementSize { .. })
         ));
+    }
+
+    #[test]
+    fn f32_byte_round_trip_is_bit_exact_for_odd_values() {
+        let bits = [
+            0x7fc0_0000u32, // quiet NaN
+            0x7fa0_1234,    // signalling NaN with a payload
+            0xffc0_0001,    // negative NaN with a payload
+            0x8000_0000,    // -0.0
+            0x0000_0001,    // smallest subnormal
+            0x807f_ffff,    // largest negative subnormal
+            0x7f80_0000,    // +inf
+        ];
+        let v: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+        let b = f32_to_bytes(&v);
+        assert_eq!(b.len(), 4 * v.len());
+        assert_eq!(&b[12..16], &[0, 0, 0, 0x80], "little-endian -0.0");
+        let back: Vec<u32> = bytes_to_f32(&b)
+            .unwrap()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        assert_eq!(back, bits);
+        assert!(bytes_to_f32(&[]).unwrap().is_empty());
+        for bad in [1, 2, 3, 5, 7] {
+            assert!(matches!(
+                bytes_to_f32(&vec![0u8; bad]),
+                Err(IoError::BadElementSize { bytes, elem: 4 }) if bytes == bad
+            ));
+        }
     }
 
     #[test]
