@@ -27,6 +27,10 @@
 //! times, and the sweep visits jobs in a fixed order — so the whole
 //! chaotic workload is bitwise-reproducible.
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeSet, BinaryHeap};
+use std::ops::{Index, IndexMut};
+
 use dmsim::{FaultStream, StatsSnapshot};
 use ooc_trace::{Args, Category, RankTrace, TraceConfig, Tracer};
 
@@ -242,8 +246,9 @@ impl GuardedReport {
 
 /// Where a job sits in the executive's state machine.
 enum St {
-    /// Waiting to (re)enter the farm at `at`, resuming from `resume`.
-    Waiting { at: f64, resume: Option<Vec<usize>> },
+    /// Waiting to (re)enter the farm (when is the `waiting` heap's key),
+    /// resuming from `resume`.
+    Waiting { resume: Option<Vec<usize>> },
     /// Running on the farm as `slot`.
     Running { slot: usize },
     /// Fate sealed.
@@ -263,12 +268,66 @@ struct JobState {
     last_progress: u64,
     /// Workload time of the last watchdog reset.
     last_progress_t: f64,
-    /// First admission time, for the sampler's counter attribution.
-    first_admit: Option<f64>,
     /// Flight-recorder dump captured when the fate sealed badly.
     postmortem: Vec<ObsEvent>,
     outcome: Option<JobOutcome>,
 }
+
+/// The executive's job records in spec order. Every access goes through
+/// indexing, so the tests can count the records a run touches — the
+/// executive's host-cost measure.
+struct Jobs(Vec<JobState>);
+
+impl Index<usize> for Jobs {
+    type Output = JobState;
+
+    fn index(&self, j: usize) -> &JobState {
+        touched();
+        &self.0[j]
+    }
+}
+
+impl IndexMut<usize> for Jobs {
+    fn index_mut(&mut self, j: usize) -> &mut JobState {
+        touched();
+        &mut self.0[j]
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    static TOUCHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+fn touched() {
+    #[cfg(test)]
+    TOUCHES.with(|n| n.set(n.get() + 1));
+}
+
+/// A time (or deadline) and a job index, ordered by `f64::total_cmp` and
+/// then the index: the key of the executive's waiting and ready queues.
+#[derive(Clone, Copy)]
+struct Key(f64, usize);
+
+impl Ord for Key {
+    fn cmp(&self, other: &Key) -> Ordering {
+        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
+    }
+}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Key) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Key {}
 
 /// Largest idle stretch of the solo profile: the initial lead-in plus
 /// inter-request gaps per rank, and the widest request itself. A healthy
@@ -364,36 +423,55 @@ fn run_guarded(
     let mut epoch_buf: Vec<ObsEvent> = Vec::new();
     let tag = |j: usize| j as u32 + 1;
 
-    let mut jobs: Vec<JobState> = specs
-        .iter()
-        .map(|s| JobState {
-            st: St::Waiting {
-                at: s.submit,
-                resume: None,
-            },
-            deadline: if cfg.deadline_factor > 0.0 {
-                s.submit + cfg.deadline_factor * s.profile.makespan()
-            } else {
-                f64::INFINITY
-            },
-            quantum: if cfg.watchdog_quantum > 0.0 {
-                cfg.watchdog_quantum + max_solo_gap(s)
-            } else {
-                f64::INFINITY
-            },
-            attempts: 0,
-            preemptions: 0,
-            kills: 0,
-            hangs_injected: 0,
-            last_progress: 0,
-            last_progress_t: 0.0,
-            first_admit: None,
-            postmortem: Vec::new(),
-            outcome: None,
-        })
+    let mut jobs = Jobs(
+        specs
+            .iter()
+            .map(|s| JobState {
+                st: St::Waiting { resume: None },
+                deadline: if cfg.deadline_factor > 0.0 {
+                    s.submit + cfg.deadline_factor * s.profile.makespan()
+                } else {
+                    f64::INFINITY
+                },
+                quantum: if cfg.watchdog_quantum > 0.0 {
+                    cfg.watchdog_quantum + max_solo_gap(s)
+                } else {
+                    f64::INFINITY
+                },
+                attempts: 0,
+                preemptions: 0,
+                kills: 0,
+                hangs_injected: 0,
+                last_progress: 0,
+                last_progress_t: 0.0,
+                postmortem: Vec::new(),
+                outcome: None,
+            })
+            .collect(),
+    );
+    // Views of the job records kept current at every state change, so an
+    // epoch costs the work happening in it, not a pass over every job:
+    // - `waiting`: jobs not yet due, a min-heap on (re-entry time, index);
+    // - `ready`: due jobs EDF deferred, ordered by (deadline, index) — a
+    //   job's deadline never changes while it waits;
+    // - `running`: jobs on the farm, by index (the sweep's visit order);
+    // - `terminal`: how many fates are sealed.
+    let mut waiting: BinaryHeap<Reverse<Key>> = (0..specs.len())
+        .map(|j| Reverse(Key(specs[j].submit, j)))
         .collect();
-    // slot -> job index, for farm slots admitted so far.
-    let mut slot_owner: Vec<usize> = Vec::new();
+    let mut ready: BTreeSet<Key> = BTreeSet::new();
+    let mut running: BTreeSet<usize> = BTreeSet::new();
+    let mut sweep: Vec<usize> = Vec::new();
+    let mut terminal = 0usize;
+    // First admissions in time order. A sample attributes the capture
+    // counters of every job first admitted by its own time; the cursor over
+    // this log states that rule whenever the sampler runs. A total bumped
+    // at admission would agree only while the sampler never lags behind an
+    // admission — which holds just because a fast-forward stops an epoch
+    // short of the next re-entry.
+    let mut first_admits: Vec<(f64, usize)> = Vec::new();
+    let mut attributed = 0usize;
+    let mut cum = StatsSnapshot::default();
     let mut deaths: Vec<(f64, usize)> = cfg.disk_deaths.clone();
     deaths.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     let mut next_death = 0usize;
@@ -418,34 +496,33 @@ fn run_guarded(
         // 2. Admissions: every waiting job whose (re)submit time has come,
         // most urgent deadline first. Under overload, EDF preempts the
         // latest-deadline running job at its checkpoint boundary — but
-        // only for a strictly more urgent candidate.
-        let mut ready: Vec<usize> = (0..jobs.len())
-            .filter(|&j| matches!(&jobs[j].st, St::Waiting { at, .. } if *at <= t))
-            .collect();
-        ready.sort_by(|&a, &b| {
-            jobs[a]
-                .deadline
-                .total_cmp(&jobs[b].deadline)
-                .then(a.cmp(&b))
-        });
-        for j in ready {
-            let running = jobs
-                .iter()
-                .filter(|s| matches!(s.st, St::Running { .. }))
-                .count();
-            if cfg.max_concurrent != 0 && running >= cfg.max_concurrent {
+        // only for a strictly more urgent candidate. A preempted job waits
+        // for the next sweep.
+        while let Some(&Reverse(Key(at, j))) = waiting.peek() {
+            if at > t {
+                break;
+            }
+            waiting.pop();
+            ready.insert(Key(jobs[j].deadline, j));
+        }
+        while let Some(Key(deadline, j)) = ready.pop_first() {
+            if cfg.max_concurrent != 0 && running.len() >= cfg.max_concurrent {
                 // Overload: find the least urgent running job.
-                let victim = (0..jobs.len())
-                    .filter(|&v| matches!(jobs[v].st, St::Running { .. }))
-                    .max_by(|&a, &b| {
+                let victim = *running
+                    .iter()
+                    .max_by(|&&a, &&b| {
                         jobs[a]
                             .deadline
                             .total_cmp(&jobs[b].deadline)
                             .then(a.cmp(&b))
                     })
                     .expect("running >= cap >= 1");
-                if jobs[victim].deadline <= jobs[j].deadline {
-                    continue; // nothing less urgent to evict
+                if jobs[victim].deadline <= deadline {
+                    // Nothing less urgent to evict — nor for any later
+                    // candidate, whose deadline is no earlier: they all
+                    // stay ready for the next sweep.
+                    ready.insert(Key(deadline, j));
+                    break;
                 }
                 let St::Running { slot } = jobs[victim].st else {
                     unreachable!()
@@ -456,11 +533,12 @@ fn run_guarded(
                 emit(&mut epoch_buf, t, tag(victim), ObsKind::Preempted);
                 emit(&mut epoch_buf, t, tag(victim), checkpoint_event(&resume));
                 jobs[victim].st = St::Waiting {
-                    at: t,
                     resume: Some(resume),
                 };
+                running.remove(&victim);
+                waiting.push(Reverse(Key(t, victim)));
             }
-            let St::Waiting { resume, .. } = std::mem::replace(
+            let St::Waiting { resume } = std::mem::replace(
                 &mut jobs[j].st,
                 St::Terminal, // placeholder, overwritten below
             ) else {
@@ -478,18 +556,15 @@ fn run_guarded(
                 Some(w) if w.iter().any(|&c| c > 0) => sim.admit_resumed(&fj, w),
                 _ => sim.admit(&fj),
             };
-            if slot_owner.len() <= slot {
-                slot_owner.resize(slot + 1, usize::MAX);
-            }
-            slot_owner[slot] = j;
             jobs[j].attempts += 1;
             jobs[j].last_progress = sim.progress(slot);
             jobs[j].last_progress_t = t;
-            if jobs[j].first_admit.is_none() {
-                jobs[j].first_admit = Some(t);
-            }
             jobs[j].st = St::Running { slot };
+            running.insert(j);
             let attempt = jobs[j].attempts;
+            if attempt == 1 {
+                first_admits.push((t, j));
+            }
             let admitted = ObsKind::Admitted { attempt, resumed };
             emit(&mut epoch_buf, t, tag(j), admitted);
             // Chaos: this attempt may hang, per the seeded per-(job,
@@ -517,15 +592,17 @@ fn run_guarded(
                 sim.run_until(s);
                 // Chaos counters attributable so far: the capture counters
                 // of every job first admitted by the sample time.
-                let mut cum = StatsSnapshot::default();
-                for (spec, st) in specs.iter().zip(&jobs) {
-                    if st.first_admit.is_some_and(|fa| fa <= s) {
-                        cum = cum.merge(&StatsSnapshot::fault_counts(
-                            spec.profile.faults_injected,
-                            spec.profile.io_retries,
-                            spec.profile.msg_retries,
-                        ));
+                while let Some(&(admitted, j)) = first_admits.get(attributed) {
+                    if admitted > s {
+                        break;
                     }
+                    let p = &specs[j].profile;
+                    cum = cum.merge(&StatsSnapshot::fault_counts(
+                        p.faults_injected,
+                        p.io_retries,
+                        p.msg_retries,
+                    ));
+                    attributed += 1;
                 }
                 let sample = sampler.take(&sim, cum);
                 if let Some(o) = observer.as_mut() {
@@ -538,9 +615,11 @@ fn run_guarded(
 
         // 4. Sweep running jobs: completion, then deadline, then watchdog.
         let mut sealed_badly: Vec<usize> = Vec::new();
-        for j in 0..jobs.len() {
+        sweep.clear();
+        sweep.extend(&running);
+        for &j in &sweep {
             let St::Running { slot } = jobs[j].st else {
-                continue;
+                unreachable!("the running view holds running jobs only")
             };
             if sim.job_done(slot) {
                 let completion = sim.completion(slot).expect("job is done");
@@ -555,6 +634,8 @@ fn run_guarded(
                     JobOutcome::Done { completion }
                 });
                 jobs[j].st = St::Terminal;
+                running.remove(&j);
+                terminal += 1;
                 sim.remove_job(slot);
                 // Stamped at the detecting sweep; the actual completion
                 // (≤ t, or past it for a rigid compute tail) rides in the
@@ -579,6 +660,7 @@ fn run_guarded(
             // Kill the attempt: roll back to the checkpoint watermark and
             // either resubmit with backoff or seal the fate.
             let cursors = sim.remove_job(slot);
+            running.remove(&j);
             jobs[j].kills += 1;
             let kill = if late {
                 ObsKind::DeadlineKill
@@ -589,12 +671,14 @@ fn run_guarded(
             if cfg.max_retries == 0 {
                 jobs[j].outcome = Some(JobOutcome::Killed { at: t });
                 jobs[j].st = St::Terminal;
+                terminal += 1;
                 emit(&mut epoch_buf, t, tag(j), ObsKind::Killed);
                 sealed_badly.push(j);
             } else if jobs[j].kills > cfg.max_retries {
                 let attempts = jobs[j].attempts;
                 jobs[j].outcome = Some(JobOutcome::Quarantined { at: t, attempts });
                 jobs[j].st = St::Terminal;
+                terminal += 1;
                 emit(&mut epoch_buf, t, tag(j), ObsKind::Quarantined { attempts });
                 sealed_badly.push(j);
             } else {
@@ -623,9 +707,9 @@ fn run_guarded(
                 };
                 emit(&mut epoch_buf, t, tag(j), retry);
                 jobs[j].st = St::Waiting {
-                    at,
                     resume: Some(resume),
                 };
+                waiting.push(Reverse(Key(at, j)));
             }
         }
 
@@ -649,23 +733,20 @@ fn run_guarded(
             jobs[j].postmortem = recorder.dump(j as u32 + 1);
         }
 
-        if jobs.iter().all(|s| matches!(s.st, St::Terminal)) {
+        if terminal == specs.len() {
             break;
         }
         // Fast-forward across idle stretches (everyone waiting on backoff
         // or future submits) so backoff cost is virtual time, not host
-        // sweeps. The next sweep still lands on the epoch grid.
-        let next_event = jobs
-            .iter()
-            .filter_map(|s| match &s.st {
-                St::Waiting { at, .. } => Some(*at),
-                _ => None,
-            })
-            .fold(f64::INFINITY, f64::min);
-        let any_running = jobs.iter().any(|s| matches!(s.st, St::Running { .. }));
-        if !any_running && next_event.is_finite() && next_event > t + cfg.epoch {
-            let skip = ((next_event - t) / cfg.epoch).floor();
-            t += (skip - 1.0).max(0.0) * cfg.epoch;
+        // sweeps. The next sweep still lands on the epoch grid. A deferred
+        // ready job is due already, so it rules the skip out too.
+        if running.is_empty() && ready.is_empty() {
+            if let Some(&Reverse(Key(next_event, _))) = waiting.peek() {
+                if next_event.is_finite() && next_event > t + cfg.epoch {
+                    let skip = ((next_event - t) / cfg.epoch).floor();
+                    t += (skip - 1.0).max(0.0) * cfg.epoch;
+                }
+            }
         }
     }
 
@@ -673,7 +754,7 @@ fn run_guarded(
     let out = GuardedReport {
         jobs: specs
             .iter()
-            .zip(&jobs)
+            .zip(&jobs.0)
             .enumerate()
             .map(|(i, (s, st))| GuardedJobReport {
                 name: s.name.clone(),
@@ -776,6 +857,7 @@ fn checkpoint_watermark(cursors: &[usize], every: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::capture::{IoReq, JobProfile};
+    use crate::obs::EventLog;
     use crate::workload::WorkloadConfig;
 
     fn profile(n: usize, service: f64, gap: f64) -> JobProfile {
@@ -1160,5 +1242,200 @@ mod tests {
             run_workload_guarded(&[nan], &quiet_cfg()),
             Err(AdmissionError::BadSubmitTime { .. })
         ));
+    }
+
+    /// A mixed batch for the pinned scenarios: staggered submits, varied
+    /// lengths, gaps and weights, one- and two-rank jobs, and nonzero
+    /// capture counters for the sampler to attribute.
+    fn mixed_specs(n: usize, spread: f64) -> Vec<JobSpec> {
+        (0..n)
+            .map(|i| {
+                let one = profile(
+                    4 + (i * 5) % 11,
+                    0.5 + 0.25 * (i % 3) as f64,
+                    0.1 * (i % 4) as f64,
+                );
+                let mut p = if i % 3 == 0 {
+                    JobProfile {
+                        rank_finish: vec![one.rank_finish[0]; 2],
+                        streams: vec![one.streams[0].clone(); 2],
+                        ..JobProfile::default()
+                    }
+                } else {
+                    one
+                };
+                p.faults_injected = i as u64 % 3;
+                p.io_retries = i as u64 % 2;
+                p.msg_retries = 1;
+                JobSpec::new(format!("m{i}"), p)
+                    .with_submit(spread * ((i * 7) % n) as f64)
+                    .with_weight(1.0 + (i % 2) as f64)
+            })
+            .collect()
+    }
+
+    /// The executive's observable behaviour on scenarios covering every
+    /// control path, pinned by FNV-1a digests of the rendered event stream
+    /// and of the whole report (`Debug`, so every float bit counts). The
+    /// goldens were captured from the epoch sweep that rescanned every job
+    /// record; the incremental views must reproduce them byte for byte.
+    #[test]
+    fn executive_reproduces_the_pinned_scenarios_byte_for_byte() {
+        let edf = DomainConfig {
+            max_concurrent: 2,
+            deadline_factor: 3.0,
+            checkpoint_every: 2,
+            ..quiet_cfg()
+        };
+        let kills = DomainConfig {
+            hang_chance: 0.35,
+            seed: 9,
+            watchdog_quantum: 2.0,
+            deadline_factor: 1.6,
+            max_retries: 2,
+            backoff_base: 0.5,
+            ..quiet_cfg()
+        };
+        let death = DomainConfig {
+            policy: Policy::FairShare,
+            disk_deaths: vec![(2.0, 1)],
+            hang_chance: 0.2,
+            seed: 4,
+            watchdog_quantum: 3.0,
+            max_concurrent: 3,
+            deadline_factor: 5.0,
+            trace: true,
+            ..quiet_cfg()
+        };
+        // One slot: a deferred job is still ready when the running one
+        // ends, with a far-future submit pending — no fast-forward.
+        let cap1 = DomainConfig {
+            max_concurrent: 1,
+            deadline_factor: 3.0,
+            ..quiet_cfg()
+        };
+        let mut cap1_specs = mixed_specs(6, 3.0);
+        cap1_specs[5].submit = 200.0;
+        let idle = DomainConfig {
+            hang_chance: 0.5,
+            seed: 21,
+            watchdog_quantum: 2.0,
+            backoff_base: 12.0,
+            max_retries: 3,
+            epoch: 1.0,
+            ..quiet_cfg()
+        };
+        let cases = [
+            ("edf", mixed_specs(12, 0.75), edf, 1.0),
+            ("kills", mixed_specs(10, 1.5), kills, 1.0),
+            ("death", mixed_specs(9, 0.5), death, 0.75),
+            ("cap1", cap1_specs, cap1, 1.0),
+            ("idle", mixed_specs(6, 40.0), idle, 0.3),
+        ];
+        const GOLDEN: [(&str, u64, u64); 5] = [
+            ("edf", 0x5f24f6566bf88b59, 0x68935bc50d48f38c),
+            ("kills", 0x710c0be179680541, 0x9c8a96e9181da2b9),
+            ("death", 0x85348e8ad7edfd50, 0xfdaadb4ce897af9b),
+            ("cap1", 0x36e828c68b19794e, 0xd397b053c51970b8),
+            ("idle", 0xf99deff698e67328, 0x53e78404013b146b),
+        ];
+        let mut got = Vec::new();
+        for (name, specs, cfg, every) in &cases {
+            let mut log = EventLog::default();
+            let rep = run_workload_guarded_observed(specs, cfg, *every, &mut log).unwrap();
+            assert_eq!(rep, run_workload_guarded(specs, cfg).unwrap(), "{name}");
+            let has = |f: fn(&ObsKind) -> bool| log.events.iter().any(|e| f(&e.kind));
+            match *name {
+                "edf" => {
+                    // Preempt / resume, and an admission EDF deferred.
+                    assert!(has(|k| matches!(k, ObsKind::Preempted)));
+                    assert!(has(|k| matches!(
+                        k,
+                        ObsKind::Admitted { resumed: true, .. }
+                    )));
+                    assert!(log.events.iter().any(|e| {
+                        matches!(e.kind, ObsKind::Admitted { attempt: 1, .. })
+                            && e.t >= specs[e.job as usize - 1].submit + 2.0 * cfg.epoch
+                    }));
+                }
+                "kills" => {
+                    // Both kill kinds, renegotiated deadlines, quarantine.
+                    assert!(has(|k| matches!(k, ObsKind::WatchdogKill)));
+                    assert!(has(|k| matches!(k, ObsKind::DeadlineKill)));
+                    assert!(has(|k| matches!(k, ObsKind::Quarantined { .. })));
+                    assert!(rep.jobs.iter().any(|j| {
+                        j.deadline != j.submit + cfg.deadline_factor * j.solo_makespan
+                    }));
+                }
+                "cap1" => {
+                    // A job admitted only once the one before it ended.
+                    assert!(log.events.windows(2).any(|w| {
+                        matches!(w[0].kind, ObsKind::Completed { .. })
+                            && matches!(w[1].kind, ObsKind::Admitted { attempt: 1, .. })
+                            && w[1].t > w[0].t
+                    }));
+                }
+                "death" => {
+                    assert_eq!(rep.disk_deaths, 1);
+                    assert!(has(|k| matches!(
+                        k,
+                        ObsKind::DiskDeath { migrated: 1.., .. }
+                    )));
+                }
+                _ => {
+                    // An idle stretch the sweep fast-forwarded across, its
+                    // sample grid caught up afterwards.
+                    let gap = log.events.windows(2).find(|w| w[1].t - w[0].t > 10.0);
+                    let (from, to) = gap.map(|w| (w[0].t, w[1].t)).expect("an idle stretch");
+                    assert!(log.samples.iter().any(|s| s.t > from && s.t < to));
+                    assert!(has(|k| matches!(k, ObsKind::RetryScheduled { .. })));
+                }
+            }
+            let stream = ooc_trace::digest::fnv1a(log.render().as_bytes());
+            let report = ooc_trace::digest::fnv1a(format!("{rep:?}").as_bytes());
+            got.push((*name, stream, report));
+        }
+        assert_eq!(got, GOLDEN);
+    }
+
+    /// The executive's host cost is the work happening, not jobs × epochs:
+    /// job records touched per run stay within a constant of (sweeps +
+    /// admissions + events), and touches per event do not grow with the
+    /// job count. A sweep that rescans every record grows as N × sweeps.
+    #[test]
+    fn job_records_touched_scale_with_events_not_jobs_times_epochs() {
+        let touches_per_event = |n: usize| {
+            // One short job per ten epochs: most of the timeline is idle,
+            // and each job finishes inside the epoch it was admitted in.
+            let specs: Vec<JobSpec> = (0..n)
+                .map(|i| {
+                    JobSpec::new(format!("c{i}"), profile(2, 0.02, 0.02)).with_submit(i as f64)
+                })
+                .collect();
+            let cfg = DomainConfig {
+                epoch: 0.1,
+                ..quiet_cfg()
+            };
+            let mut log = EventLog::default();
+            TOUCHES.set(0);
+            let rep = run_workload_guarded_observed(&specs, &cfg, 1.0, &mut log).unwrap();
+            let touches = TOUCHES.get() as f64;
+            assert_eq!(rep.completed(), n);
+            // Fast-forwards only remove sweeps from the epoch grid.
+            let sweeps = rep.makespan() / cfg.epoch + 1.0;
+            let admissions: f64 = rep.jobs.iter().map(|j| j.attempts as f64).sum();
+            let events = log.events.len() as f64;
+            assert!(
+                touches <= 32.0 * (sweeps + admissions + events),
+                "{n} jobs: {touches} touches for {sweeps} sweeps, {events} events"
+            );
+            touches / events
+        };
+        let small = touches_per_event(1_000);
+        let large = touches_per_event(10_000);
+        assert!(
+            large <= 1.2 * small && small <= 1.2 * large,
+            "touches per event: {small} at 1000 jobs, {large} at 10000"
+        );
     }
 }

@@ -14,6 +14,8 @@
 //! which float non-associativity would perturb). Single-job replays under
 //! FIFO therefore reproduce the pre-farm simulated times byte-for-byte.
 
+use std::collections::BTreeSet;
+
 use crate::capture::{IoReq, JobProfile};
 use crate::obs::{ObsEvent, ObsKind};
 use crate::policy::Policy;
@@ -307,8 +309,6 @@ struct JobSlot<'a> {
     profile: &'a JobProfile,
     /// Admission base, for the sampler's in-flight accounting.
     base: f64,
-    /// False once the job was removed (completed, preempted, quarantined).
-    active: bool,
 }
 
 /// A resumable disk-farm replay.
@@ -331,6 +331,10 @@ pub struct FarmSim<'a> {
     queues: Vec<Vec<StreamState<'a>>>,
     stats: Vec<JobQueueStats>,
     slots: Vec<JobSlot<'a>>,
+    /// Slots admitted and not yet removed (completed, preempted,
+    /// quarantined), in admission order: the sampler's views visit these
+    /// only, not every slot ever admitted.
+    live: BTreeSet<usize>,
     /// Pending observatory events ([`FarmConfig::observe`]), drained by
     /// the executive after each advance.
     obs: Vec<ObsEvent>,
@@ -357,6 +361,7 @@ impl<'a> FarmSim<'a> {
             queues: (0..ndisks).map(|_| Vec::new()).collect(),
             stats: Vec::new(),
             slots: Vec::new(),
+            live: BTreeSet::new(),
             obs: Vec::new(),
         }
     }
@@ -394,8 +399,8 @@ impl<'a> FarmSim<'a> {
         self.slots.push(JobSlot {
             profile: j.profile,
             base: j.base,
-            active: true,
         });
+        self.live.insert(slot);
         for rank in 0..j.profile.nprocs().min(self.ndisks) {
             let reqs: &'a [IoReq] = &j.profile.streams[rank];
             let w = start
@@ -488,19 +493,19 @@ impl<'a> FarmSim<'a> {
     /// Jobs admitted by `t` whose streams have not all drained: the
     /// sampler's in-flight count.
     pub fn in_flight_at(&self, t: f64) -> usize {
-        (0..self.slots.len())
-            .filter(|&slot| {
-                self.slots[slot].active && self.slots[slot].base <= t && !self.job_done(slot)
-            })
+        self.live
+            .iter()
+            .filter(|&&slot| self.slots[slot].base <= t && !self.job_done(slot))
             .count()
     }
 
     /// `(job tag, requests served, solo total)` for every job on the farm
     /// at time `t`, in admission order — the sampler's progress view.
     pub fn progress_report(&self, t: f64) -> Vec<(u32, u64, u64)> {
-        (0..self.slots.len())
-            .filter(|&slot| self.slots[slot].active && self.slots[slot].base <= t)
-            .map(|slot| {
+        self.live
+            .iter()
+            .filter(|&&slot| self.slots[slot].base <= t)
+            .map(|&slot| {
                 (
                     self.stats[slot].job,
                     self.progress(slot),
@@ -541,7 +546,7 @@ impl<'a> FarmSim<'a> {
     /// Whether every stream of `slot` has drained (the job's I/O is done;
     /// only rigid compute tails remain).
     pub fn job_done(&self, slot: usize) -> bool {
-        if !self.slots[slot].active {
+        if !self.live.contains(&slot) {
             return false;
         }
         let mut any = false;
@@ -598,7 +603,7 @@ impl<'a> FarmSim<'a> {
                 }
             });
         }
-        self.slots[slot].active = false;
+        self.live.remove(&slot);
         cursors
     }
 

@@ -298,29 +298,39 @@ pub(crate) fn render_sample(s: &Sample) -> String {
     line
 }
 
+/// The order a stream renders in — the one rule behind
+/// [`EventLog::render`] and the daemon's `stream_fnv`. `stamps` holds
+/// each published line's time and whether it is a sample, in publish
+/// order; the result lists their positions by time, events before samples
+/// at equal times, otherwise in publish order.
+pub(crate) fn render_order(stamps: &[(f64, bool)]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..stamps.len()).collect();
+    // Stable, so publish order breaks the remaining ties.
+    order.sort_by(|&a, &b| {
+        let (ta, sa) = stamps[a];
+        let (tb, sb) = stamps[b];
+        ta.total_cmp(&tb).then(sa.cmp(&sb))
+    });
+    order
+}
+
 impl EventLog {
     /// Render the whole stream as deterministic text, one line per event
     /// or sample, merged in time order (events first on ties). Two
     /// identical runs — across seeds of equal value and across execution
     /// engines — produce byte-identical renders.
     pub fn render(&self) -> String {
-        enum Line<'a> {
-            Ev(&'a ObsEvent),
-            Sm(&'a Sample),
-        }
-        let mut merged: Vec<(f64, usize, Line)> = Vec::new();
-        for (i, e) in self.events.iter().enumerate() {
-            merged.push((e.t, i, Line::Ev(e)));
-        }
-        for (i, s) in self.samples.iter().enumerate() {
-            merged.push((s.t, self.events.len() + i, Line::Sm(s)));
-        }
-        merged.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let stamps: Vec<(f64, bool)> = self
+            .events
+            .iter()
+            .map(|e| (e.t, false))
+            .chain(self.samples.iter().map(|s| (s.t, true)))
+            .collect();
         let mut out = String::new();
-        for (_, _, l) in merged {
-            match l {
-                Line::Ev(e) => out.push_str(&render_event(e)),
-                Line::Sm(s) => out.push_str(&render_sample(s)),
+        for i in render_order(&stamps) {
+            match self.events.get(i) {
+                Some(e) => out.push_str(&render_event(e)),
+                None => out.push_str(&render_sample(&self.samples[i - self.events.len()])),
             }
             out.push('\n');
         }

@@ -48,7 +48,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -58,18 +58,22 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ooc_trace::digest::fnv1a;
+use ooc_trace::digest::Fnv1a;
 use ooc_trace::json::{self, Json};
 use ooc_trace::perfetto::escape_json;
 
 use crate::capture::{IoReq, JobProfile};
 use crate::domain::{run_workload_guarded_observed, DomainConfig, GuardedReport, JobOutcome};
-use crate::obs::{render_event, render_sample, EventLog, ObsEvent, Sample, WorkloadObserver};
+use crate::obs::{render_event, render_order, render_sample, ObsEvent, Sample, WorkloadObserver};
 use crate::workload::{validate_specs, JobSpec};
 use crate::SloScorecard;
 
 /// Default ceiling on a single frame's payload, bytes.
 pub const DEFAULT_MAX_FRAME: u32 = 1 << 20;
+
+/// A subscriber's frames are written in batches of about this many bytes:
+/// every line already waiting in its channel goes out in one `write`.
+const STREAM_BATCH: usize = 64 << 10;
 
 /// Daemon configuration: the guarded runtime the session maps onto, plus
 /// the protocol guards.
@@ -167,6 +171,12 @@ fn io_err(e: io::Error) -> ProtoError {
     }
 }
 
+fn bad_json(e: json::JsonError) -> ProtoError {
+    ProtoError::BadJson {
+        detail: e.to_string(),
+    }
+}
+
 /// Read one length-prefixed frame. `Ok(None)` is a clean disconnect at a
 /// frame boundary; EOF anywhere else is [`ProtoError::Truncated`].
 pub fn read_frame(r: &mut impl Read, max: u32) -> Result<Option<String>, ProtoError> {
@@ -198,14 +208,19 @@ pub fn read_frame(r: &mut impl Read, max: u32) -> Result<Option<String>, ProtoEr
 /// `write_all` — two small writes per frame would trip Nagle + delayed-ACK
 /// on TCP and cost ~40ms per request.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
-    let bytes = payload.as_bytes();
-    let len = u32::try_from(bytes.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    let mut frame = Vec::with_capacity(4 + bytes.len());
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(bytes);
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    push_frame(&mut frame, payload)?;
     w.write_all(&frame)?;
     w.flush()
+}
+
+/// Append one length-prefixed frame to `out`.
+fn push_frame(out: &mut Vec<u8>, payload: &str) -> io::Result<()> {
+    let len = u32::try_from(payload.len())
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(payload.as_bytes());
+    Ok(())
 }
 
 fn error_json(kind: &str, detail: &str) -> String {
@@ -517,32 +532,36 @@ enum Flow {
     Stream(mpsc::Receiver<String>),
 }
 
-fn handle_conn(inner: Arc<Inner>, mut conn: Conn) {
+fn handle_conn(inner: Arc<Inner>, conn: Conn) {
     let _ = conn.set_read_timeout(inner.cfg.read_timeout);
+    // Requests are read through a buffer (about one `recv` per batch of
+    // frames, not three per frame); responses are written to the socket
+    // underneath it.
+    let mut conn = BufReader::new(conn);
     loop {
         match read_frame(&mut conn, inner.cfg.max_frame) {
             Ok(None) => return,
             Ok(Some(text)) => match handle_request(&inner, &text) {
                 Ok((response, flow)) => {
-                    if write_frame(&mut conn, &response).is_err() {
+                    if write_frame(conn.get_mut(), &response).is_err() {
                         return;
                     }
                     match flow {
                         Flow::Continue => {}
                         Flow::Close => {
-                            conn.shutdown();
+                            conn.get_ref().shutdown();
                             return;
                         }
                         Flow::Stream(rx) => {
-                            stream_subscriber(&inner, conn, rx);
+                            stream_subscriber(&inner, conn.into_inner(), rx);
                             return;
                         }
                     }
                 }
                 Err(e) => {
                     let frame = error_json(e.kind(), &e.to_string());
-                    if write_frame(&mut conn, &frame).is_err() || !e.recoverable() {
-                        conn.shutdown();
+                    if write_frame(conn.get_mut(), &frame).is_err() || !e.recoverable() {
+                        conn.get_ref().shutdown();
                         return;
                     }
                 }
@@ -550,8 +569,8 @@ fn handle_conn(inner: Arc<Inner>, mut conn: Conn) {
             Err(e) => {
                 // Framing is gone (or the read timed out): report
                 // best-effort and close.
-                let _ = write_frame(&mut conn, &error_json(e.kind(), &e.to_string()));
-                conn.shutdown();
+                let _ = write_frame(conn.get_mut(), &error_json(e.kind(), &e.to_string()));
+                conn.get_ref().shutdown();
                 return;
             }
         }
@@ -559,14 +578,29 @@ fn handle_conn(inner: Arc<Inner>, mut conn: Conn) {
 }
 
 /// Stream the event fan-out to one subscriber until the run completes (or
-/// the client goes away), then send the end frame.
+/// the client goes away), then send the end frame. Each `write` carries
+/// every line already waiting (up to about [`STREAM_BATCH`] bytes), one
+/// frame per line, so the byte stream is the same as one write per frame.
 fn stream_subscriber(inner: &Inner, mut conn: Conn, rx: mpsc::Receiver<String>) {
     // The subscriber only writes from here on; reads would hit the idle
     // timeout long before a large run finishes.
     let _ = conn.set_read_timeout(None);
-    for line in rx {
-        let frame = format!("{{\"line\":\"{}\"}}", escape_json(&line));
-        if write_frame(&mut conn, &frame).is_err() {
+    let mut batch: Vec<u8> = Vec::with_capacity(2 * STREAM_BATCH);
+    while let Ok(first) = rx.recv() {
+        batch.clear();
+        let mut line = Some(first);
+        while let Some(l) = line {
+            let frame = format!("{{\"line\":\"{}\"}}", escape_json(&l));
+            if push_frame(&mut batch, &frame).is_err() {
+                return;
+            }
+            line = if batch.len() < STREAM_BATCH {
+                rx.try_recv().ok()
+            } else {
+                None
+            };
+        }
+        if conn.write_all(&batch).is_err() {
             return; // client disconnected mid-stream; drop it
         }
     }
@@ -585,7 +619,7 @@ fn stream_subscriber(inner: &Inner, mut conn: Conn, rx: mpsc::Receiver<String>) 
 }
 
 fn handle_request(inner: &Inner, text: &str) -> Result<(String, Flow), ProtoError> {
-    let req = json::parse(text).map_err(|detail| ProtoError::BadJson { detail })?;
+    let req = json::parse(text).map_err(bad_json)?;
     let op = req
         .get("op")
         .and_then(Json::as_str)
@@ -794,22 +828,24 @@ fn op_subscribe(inner: &Inner) -> mpsc::Receiver<String> {
     rx
 }
 
-/// The observatory observer that feeds the subscriber fan-out while
-/// retaining the full log for the artifacts.
+/// The observatory observer that feeds the subscriber fan-out. Each line
+/// is rendered once, on publish; the hub keeps it, and `stamps` keeps its
+/// time and kind so the drain can hash the lines in render order.
 struct Broadcast<'a> {
     hub: &'a Mutex<Hub>,
-    log: EventLog,
+    /// (time, is a sample) of every published line, in publish order.
+    stamps: Vec<(f64, bool)>,
 }
 
 impl WorkloadObserver for Broadcast<'_> {
     fn event(&mut self, e: &ObsEvent) {
         self.hub.lock().unwrap().publish(render_event(e));
-        self.log.events.push(e.clone());
+        self.stamps.push((e.t, false));
     }
 
     fn sample(&mut self, s: &Sample) {
         self.hub.lock().unwrap().publish(render_sample(s));
-        self.log.samples.push(s.clone());
+        self.stamps.push((s.t, true));
     }
 }
 
@@ -832,7 +868,7 @@ fn op_drain(inner: &Inner) -> Result<String, ProtoError> {
     specs.sort_by(|a, b| a.submit.total_cmp(&b.submit).then(a.name.cmp(&b.name)));
     let mut obs = Broadcast {
         hub: &inner.hub,
-        log: EventLog::default(),
+        stamps: Vec::new(),
     };
     let run =
         run_workload_guarded_observed(&specs, &inner.cfg.domain, inner.cfg.sample_every, &mut obs);
@@ -850,10 +886,19 @@ fn op_drain(inner: &Inner) -> Result<String, ProtoError> {
             });
         }
     };
-    let rendered = obs.log.render();
     // The one-line divergence detector carried by summaries and the
-    // subscriber end frame.
-    let stream_fnv = fnv1a(rendered.as_bytes());
+    // subscriber end frame: the digest of `EventLog::render`, computed from
+    // the lines already published.
+    let stream_fnv = {
+        let hub = inner.hub.lock().expect("no hub holder panics");
+        render_order(&obs.stamps)
+            .into_iter()
+            .fold(Fnv1a::new(), |h, i| {
+                h.bytes(hub.sent[i].as_bytes()).bytes(b"\n")
+            })
+            .finish()
+    };
+    let samples = obs.stamps.iter().filter(|&&(_, sample)| sample).count();
     let card = SloScorecard::from_guarded(&report);
     let prom = ooc_trace::prom::render(&SloScorecard::prom(std::slice::from_ref(&card)));
     let result = DrainResult {
@@ -861,8 +906,8 @@ fn op_drain(inner: &Inner) -> Result<String, ProtoError> {
         scorecard: scorecard_json(&card, stream_fnv),
         prom,
         stream_fnv,
-        events: obs.log.events.len(),
-        samples: obs.log.samples.len(),
+        events: obs.stamps.len() - samples,
+        samples,
     };
     let summary = result.summary.clone();
     {
@@ -939,7 +984,9 @@ fn op_scorecard(inner: &Inner) -> Result<String, ProtoError> {
 /// Blocking protocol client used by `oocload`, the tests and ad-hoc
 /// tooling.
 pub struct Client {
-    conn: Conn,
+    /// Responses are read through a buffer; requests are written to the
+    /// socket underneath it.
+    conn: BufReader<Conn>,
     max_frame: u32,
 }
 
@@ -948,7 +995,7 @@ impl Client {
     #[cfg(unix)]
     pub fn connect_unix(path: &str) -> io::Result<Client> {
         Ok(Client {
-            conn: Conn::Unix(UnixStream::connect(path)?),
+            conn: BufReader::new(Conn::Unix(UnixStream::connect(path)?)),
             max_frame: DEFAULT_MAX_FRAME,
         })
     }
@@ -956,7 +1003,7 @@ impl Client {
     /// Connect to a TCP daemon address.
     pub fn connect_tcp(addr: &str) -> io::Result<Client> {
         Ok(Client {
-            conn: Conn::tcp(TcpStream::connect(addr)?),
+            conn: BufReader::new(Conn::tcp(TcpStream::connect(addr)?)),
             max_frame: DEFAULT_MAX_FRAME,
         })
     }
@@ -975,7 +1022,7 @@ impl Client {
     /// responses still come back as frames here; use [`Client::request`]
     /// for typed errors.
     pub fn request_raw(&mut self, body: &str) -> Result<String, ProtoError> {
-        write_frame(&mut self.conn, body).map_err(io_err)?;
+        write_frame(self.conn.get_mut(), body).map_err(io_err)?;
         read_frame(&mut self.conn, self.max_frame)?.ok_or(ProtoError::Truncated {
             context: "response",
         })
@@ -986,7 +1033,7 @@ impl Client {
     /// [`ProtoError::BadJson`] keyed by the server's error kind.
     pub fn request(&mut self, body: &str) -> Result<Json, ProtoError> {
         let raw = self.request_raw(body)?;
-        let frame = json::parse(&raw).map_err(|detail| ProtoError::BadJson { detail })?;
+        let frame = json::parse(&raw).map_err(bad_json)?;
         if let Some(err) = frame.get("error") {
             let kind = err
                 .get("kind")
@@ -1011,9 +1058,7 @@ impl Client {
     /// server closed the stream.
     pub fn next_frame(&mut self) -> Result<Option<Json>, ProtoError> {
         match read_frame(&mut self.conn, self.max_frame)? {
-            Some(text) => json::parse(&text)
-                .map(Some)
-                .map_err(|detail| ProtoError::BadJson { detail }),
+            Some(text) => json::parse(&text).map(Some).map_err(bad_json),
             None => Ok(None),
         }
     }
@@ -1021,8 +1066,8 @@ impl Client {
     /// Write raw bytes on the socket — the malformed-frame corpus uses
     /// this to attack the decoder.
     pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.conn.write_all(bytes)?;
-        self.conn.flush()
+        self.conn.get_mut().write_all(bytes)?;
+        self.conn.get_mut().flush()
     }
 }
 

@@ -12,6 +12,7 @@
 //! reproducible — the admit times are the runtime's view at decision time,
 //! exactly as a real batch scheduler's would be.
 
+use std::collections::HashSet;
 use std::fmt;
 
 use crate::capture::JobProfile;
@@ -79,7 +80,7 @@ impl std::error::Error for AdmissionError {}
 /// finite submit time and a structurally sound profile, fits the farm, and
 /// carries a unique id.
 pub(crate) fn validate_specs(specs: &[JobSpec], disks: usize) -> Result<(), AdmissionError> {
-    let mut seen: Vec<&str> = Vec::with_capacity(specs.len());
+    let mut seen: HashSet<&str> = HashSet::with_capacity(specs.len());
     for spec in specs {
         if spec.profile.nprocs() == 0 {
             return Err(AdmissionError::NoRanks {
@@ -105,12 +106,11 @@ pub(crate) fn validate_specs(specs: &[JobSpec], disks: usize) -> Result<(), Admi
                 reason,
             });
         }
-        if seen.contains(&spec.name.as_str()) {
+        if !seen.insert(&spec.name) {
             return Err(AdmissionError::DuplicateJobId {
                 job: spec.name.clone(),
             });
         }
-        seen.push(&spec.name);
     }
     Ok(())
 }

@@ -165,7 +165,7 @@ fn two_daemons_with_permuted_arrivals_emit_byte_identical_artifacts() {
 #[test]
 fn malformed_frames_get_typed_errors_and_never_kill_the_daemon() {
     let daemon = start_tcp(ServeConfig {
-        max_frame: 1024,
+        max_frame: 256 << 10,
         ..chaos_cfg()
     });
 
@@ -199,6 +199,15 @@ fn malformed_frames_get_typed_errors_and_never_kill_the_daemon() {
     // NaN is invalid JSON for this protocol too.
     let err = c.request("{\"op\":\"submit\",\"job\":NaN}").unwrap_err();
     assert!(matches!(err, ProtoError::BadJson { .. }), "{err:?}");
+    // 200 000 nested arrays in a 200 KB frame: a typed error, not a stack
+    // overflow that aborts the daemon and every tenant's session with it.
+    let err = c.request(&"[".repeat(200_000)).unwrap_err();
+    assert!(
+        matches!(err, ProtoError::BadJson { ref detail } if detail.contains("nest")),
+        "{err:?}"
+    );
+    let st = c.request("{\"op\":\"status\"}").unwrap();
+    assert_eq!(st.get("phase").and_then(Json::as_str), Some("accepting"));
 
     // Unknown op / missing op / wrong types: typed errors, same connection.
     for bad in [

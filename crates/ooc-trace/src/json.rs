@@ -62,23 +62,64 @@ impl Json {
     }
 }
 
+/// Why [`parse`] refused a document.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonError {
+    /// Not JSON, or outside the strict subset; the message says where.
+    Syntax(String),
+    /// Arrays and objects nest deeper than the parser's fixed bound of
+    /// `limit` levels. The parser recurses once per level, so without a
+    /// bound a frame of nothing but `[` would overflow the stack of the
+    /// thread decoding it.
+    TooDeep {
+        /// The bound.
+        limit: usize,
+    },
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JsonError::Syntax(detail) => f.write_str(detail),
+            JsonError::TooDeep { limit } => {
+                write!(f, "arrays and objects nest deeper than {limit} levels")
+            }
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
+
+/// Nesting bound of [`parse`]: far above any document the workspace
+/// writes, far below what a 2 MiB thread stack survives.
+const MAX_DEPTH: usize = 128;
+
+fn syntax<T>(detail: String) -> Result<T, JsonError> {
+    Err(JsonError::Syntax(detail))
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 /// Parse a JSON document. Strict: rejects trailing garbage, `NaN`,
-/// `Infinity`, comments and unquoted keys.
-pub fn parse(s: &str) -> Result<Json, String> {
+/// `Infinity`, comments, unquoted keys and nesting deeper than 128 levels.
+pub fn parse(s: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
+        return syntax(format!("trailing garbage at byte {}", p.pos));
     }
     Ok(v)
 }
@@ -94,12 +135,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, c: u8) -> Result<(), String> {
+    fn expect(&mut self, c: u8) -> Result<(), JsonError> {
         if self.peek() == Some(c) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
+            syntax(format!(
                 "expected '{}' at byte {}, found {:?}",
                 c as char,
                 self.pos,
@@ -108,17 +149,17 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
+            other => syntax(format!(
                 "unexpected {:?} at byte {}",
                 other.map(|b| b as char),
                 self.pos
@@ -126,16 +167,28 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
+    /// Parse one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, JsonError>) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::TooDeep { limit: MAX_DEPTH });
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn literal(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
-            Err(format!("bad literal at byte {}", self.pos))
+            syntax(format!("bad literal at byte {}", self.pos))
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut m = BTreeMap::new();
         self.skip_ws();
@@ -158,7 +211,7 @@ impl<'a> Parser<'a> {
                     return Ok(Json::Obj(m));
                 }
                 other => {
-                    return Err(format!(
+                    return syntax(format!(
                         "expected ',' or '}}' at byte {}, found {:?}",
                         self.pos,
                         other.map(|b| b as char)
@@ -168,7 +221,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self) -> Result<Json, JsonError> {
         self.expect(b'[')?;
         let mut v = Vec::new();
         self.skip_ws();
@@ -186,7 +239,7 @@ impl<'a> Parser<'a> {
                     return Ok(Json::Arr(v));
                 }
                 other => {
-                    return Err(format!(
+                    return syntax(format!(
                         "expected ',' or ']' at byte {}, found {:?}",
                         self.pos,
                         other.map(|b| b as char)
@@ -196,12 +249,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
-                None => return Err("unterminated string".into()),
+                None => return syntax("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
@@ -217,35 +270,62 @@ impl<'a> Parser<'a> {
                         Some(b't') => out.push('\t'),
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
+                        Some(b'u') => out.push(self.unicode_escape()?),
+                        other => {
+                            return syntax(format!("bad escape {:?}", other.map(|b| b as char)))
                         }
-                        other => return Err(format!("bad escape {:?}", other.map(|b| b as char))),
                     }
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // on char boundaries is safe via chars()).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "bad utf8".to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // The run up to the next quote or backslash, copied as
+                    // one slice. Both delimiters are ASCII, so in a `&str`
+                    // they always sit on char boundaries.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// The character of a `\u` escape whose `u` is at `pos`, leaving `pos`
+    /// on its last hex digit. A high surrogate followed by an escaped low
+    /// one combines into the astral character they encode; a lone
+    /// surrogate becomes U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let hi = self.hex4()?;
+        if (0xd800..0xdc00).contains(&hi) && self.bytes[self.pos + 1..].starts_with(b"\\u") {
+            let at = self.pos;
+            self.pos += 2;
+            let lo = self.hex4()?;
+            if (0xdc00..0xe000).contains(&lo) {
+                let c = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
+                return Ok(char::from_u32(c).expect("a surrogate pair encodes a scalar"));
+            }
+            self.pos = at; // not a pair: the next escape stands alone
+        }
+        Ok(char::from_u32(hi).unwrap_or('\u{fffd}'))
+    }
+
+    /// The four hex digits after the `u` at `pos`; leaves `pos` on the
+    /// last of them.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        if self.pos + 4 >= self.bytes.len() {
+            return syntax("truncated \\u escape".into());
+        }
+        let code = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
+            .ok()
+            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+            .ok_or_else(|| JsonError::Syntax("bad \\u escape".into()))?;
+        self.pos += 4;
+        Ok(code)
+    }
+
+    fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -254,12 +334,12 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         let n: f64 = text
             .parse()
-            .map_err(|_| format!("bad number {:?} at byte {}", text, start))?;
+            .map_err(|_| JsonError::Syntax(format!("bad number {:?} at byte {}", text, start)))?;
         if !n.is_finite() {
-            return Err(format!("non-finite number {:?}", text));
+            return syntax(format!("non-finite number {:?}", text));
         }
         Ok(Json::Num(n))
     }
@@ -393,6 +473,7 @@ pub const DEFAULT_SCHEMA: &str = r#"{
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars_and_nesting() {
@@ -409,6 +490,88 @@ mod tests {
         assert!(parse("{").is_err());
         assert!(parse("{} x").is_err());
         assert!(parse(r#"{"a": NaN}"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_typed_error() {
+        let nest = |depth: usize| {
+            let open: String = (0..depth)
+                .map(|k| if k % 2 == 0 { "[" } else { "{\"k\":" })
+                .collect();
+            let close: String = (0..depth)
+                .rev()
+                .map(|k| if k % 2 == 0 { "]" } else { "}" })
+                .collect();
+            format!("{open}0{close}")
+        };
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let too_deep = Err(JsonError::TooDeep { limit: MAX_DEPTH });
+        assert_eq!(parse(&nest(MAX_DEPTH + 1)), too_deep);
+        // A frame of nothing but `[` stops at the bound instead of
+        // recursing once per byte.
+        assert_eq!(parse(&"[".repeat(200_000)), too_deep);
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_astral_character() {
+        assert_eq!(parse(r#""😀""#), Ok(Json::Str("😀".into())));
+        assert_eq!(parse(r#""a𝄞b""#), Ok(Json::Str("a𝄞b".into())));
+        // Lone or reversed surrogates stay U+FFFD; the escape after a
+        // lone high surrogate still decodes on its own.
+        assert_eq!(parse(r#""\ud83d""#), Ok(Json::Str("\u{fffd}".into())));
+        assert_eq!(parse(r#""\ude00x""#), Ok(Json::Str("\u{fffd}x".into())));
+        assert_eq!(parse(r#""\ud83dA""#), Ok(Json::Str("\u{fffd}A".into())));
+        assert_eq!(
+            parse(r#""\ude00\ud83d""#),
+            Ok(Json::Str("\u{fffd}\u{fffd}".into()))
+        );
+        assert!(parse(r#""\ud83d\u12""#).is_err());
+    }
+
+    /// `s` as a JSON string body with every non-ASCII character escaped,
+    /// astral ones as surrogate pairs — what an ASCII-only encoder (such
+    /// as Python's `json.dumps` default) sends.
+    fn ascii_escaped(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                ' '..='~' => out.push(c),
+                _ => {
+                    let mut units = [0u16; 2];
+                    for u in c.encode_utf16(&mut units) {
+                        out.push_str(&format!("\\u{u:04X}"));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn escaped_strings_round_trip(chars in proptest::collection::vec(
+            prop_oneof![
+                Just('"'),
+                Just('\\'),
+                Just('/'),
+                (0u32..0x20).prop_map(|c| char::from_u32(c).unwrap()),
+                (0x20u32..0x7f).prop_map(|c| char::from_u32(c).unwrap()),
+                (0x80u32..0xd800).prop_map(|c| char::from_u32(c).unwrap()),
+                (0xe000u32..0x10000).prop_map(|c| char::from_u32(c).unwrap()),
+                (0x10000u32..0x110000).prop_map(|c| char::from_u32(c).unwrap()),
+            ],
+            0..24,
+        )) {
+            let s: String = chars.into_iter().collect();
+            let quoted = format!("\"{}\"", crate::perfetto::escape_json(&s));
+            prop_assert_eq!(parse(&quoted), Ok(Json::Str(s.clone())));
+            let ascii = format!("\"{}\"", ascii_escaped(&s));
+            prop_assert_eq!(parse(&ascii), Ok(Json::Str(s)));
+        }
     }
 
     #[test]

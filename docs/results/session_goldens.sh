@@ -1,0 +1,31 @@
+#!/usr/bin/env bash
+# Regenerate every drained session artifact the smoke jobs produce and diff
+# their sha256 sums against the golden session_goldens.txt beside this
+# script. The smoke jobs `cmp` two runs of the same build; this pins the
+# bytes to a committed reference, so a change that moves a drained byte the
+# same way in both runs still fails. Exits non-zero on any difference.
+#
+#   docs/results/session_goldens.sh      # ~2 min cold, ~15 s warm
+set -euo pipefail
+here="$(cd "$(dirname "$0")" && pwd)"
+manifest="$here/../../Cargo.toml"
+golden="$here/session_goldens.txt"
+scratch="$(mktemp -d)"
+trap 'rm -rf "$scratch"' EXIT
+
+run() {
+    local bin="$1"
+    shift
+    cargo run --release --quiet --offline --manifest-path "$manifest" -p ooc-bench \
+        --bin "$bin" -- "$@" </dev/null >/dev/null
+}
+run oocload --out "$scratch/BENCH_daemon.json"
+run service --out "$scratch/BENCH_service.json"
+run chaos_workload --jobs 16 --ranks 8 --out "$scratch/BENCH_chaos_workload.json"
+run workload --out "$scratch/BENCH_workload.json"
+
+(cd "$scratch" && sha256sum BENCH_daemon.json BENCH_daemon.prom BENCH_service.json \
+    BENCH_service.prom BENCH_service.html BENCH_chaos_workload.json BENCH_workload.json) \
+    >"$scratch/got.txt"
+grep -v '^#' "$golden" | diff -u - "$scratch/got.txt"
+echo "session goldens: ok"
