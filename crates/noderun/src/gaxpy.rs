@@ -126,21 +126,66 @@ fn replan_degraded(
     ))
 }
 
-/// Pipelined slab fetch: accumulate the read, then charge it overlapped
-/// with the flops deferred since the previous fetch.
-fn read_overlapped(
+/// Slab fetch into a reused buffer. With `prefetch` the read accumulates
+/// and is then charged overlapped with the flops deferred since the
+/// previous fetch; otherwise it is charged to `charge` directly.
+fn read_slab(
     env: &mut OocEnv,
     desc: &ooc_array::ArrayDesc,
     sec: &Section,
+    out: &mut Vec<f32>,
     ctx: &ProcCtx,
-    pending_flops: &mut u64,
-) -> Result<Vec<f32>, IoError> {
+    prefetch: Option<&mut u64>,
+    charge: &dyn pario::IoCharge,
+) -> Result<(), IoError> {
+    let Some(pending_flops) = prefetch else {
+        return env.read_section_into(desc, sec, out, charge);
+    };
     let pend = PendingIo::new();
-    let data = env.read_section(desc, sec, &pend)?;
+    env.read_section_into(desc, sec, out, &pend)?;
     let (r, b) = pend.reads();
     ctx.charge_prefetched_read(r, b, *pending_flops);
     *pending_flops = 0;
-    Ok(data)
+    Ok(())
+}
+
+/// `temp += a · b`: the GAXPY inner multiply over an `h × b.len()`
+/// column-major block `a`, where `h = temp.len()`.
+///
+/// Register-blocked four columns at a time, so `temp` is loaded and stored
+/// once per four multiply-adds. Each element still computes
+/// `t + a₀b₀ + a₁b₁ + …` left to right in ascending column order, with
+/// every product rounded before its add, exactly as one column at a time
+/// would — the result bits do not depend on the blocking.
+fn accumulate_columns(temp: &mut [f32], a: &[f32], b: &[f32]) {
+    let h = temp.len();
+    debug_assert_eq!(a.len(), h * b.len());
+    if h == 0 {
+        return;
+    }
+    let blocks = a.chunks_exact(4 * h);
+    let rest = blocks.remainder();
+    let quads = b.chunks_exact(4);
+    let b_rest = quads.remainder();
+    for (block, bq) in blocks.zip(quads) {
+        let (c0, c123) = block.split_at(h);
+        let (c1, c23) = c123.split_at(h);
+        let (c2, c3) = c23.split_at(h);
+        let (b0, b1, b2, b3) = (bq[0], bq[1], bq[2], bq[3]);
+        for ((((t, &x0), &x1), &x2), &x3) in temp.iter_mut().zip(c0).zip(c1).zip(c2).zip(c3) {
+            let mut x = *t;
+            x += x0 * b0;
+            x += x1 * b1;
+            x += x2 * b2;
+            x += x3 * b3;
+            *t = x;
+        }
+    }
+    for (col, &bv) in rest.chunks_exact(h).zip(b_rest) {
+        for (t, &av) in temp.iter_mut().zip(col) {
+            *t += av * bv;
+        }
+    }
 }
 
 /// Deferred-or-immediate flop charge.
@@ -206,6 +251,12 @@ fn column_version(
 
     let mut peak = 0usize;
     let mut pending_flops = 0u64;
+    // One B slab, one A slab and one column accumulator, reused by every
+    // read and every column of C.
+    let mut b_icla = Vec::new();
+    let mut a_icla = Vec::new();
+    let mut temp = vec![0.0f32; n];
+    let mut a_sec = Section::new(vec![DimRange::new(0, n), DimRange::new(0, 0)]);
 
     // Outer loop: slabs of B (columns of B's OCLA are global columns of C).
     let mut slab_idx = 0u64;
@@ -214,37 +265,26 @@ fn column_version(
         let _slab = ctx.trace_slab_span("b_slab", slab_idx);
         let b_hi = (b_lo + slab_b).min(n);
         let b_sec = Section::new(vec![DimRange::new(0, lr_b), DimRange::new(b_lo, b_hi)]);
-        let b_icla = if prefetch {
-            read_overlapped(env, &plan.b, &b_sec, ctx, &mut pending_flops)?
-        } else {
-            env.read_section(&plan.b, &b_sec, charge)?
-        };
+        let pending = prefetch.then_some(&mut pending_flops);
+        read_slab(env, &plan.b, &b_sec, &mut b_icla, ctx, pending, charge)?;
 
         for m in 0..(b_hi - b_lo) {
             let j = b_lo + m; // global column of C
-            let mut temp = vec![0.0f32; n];
+            temp.fill(0.0);
 
             // Inner loop: stream the slabs of A; with prefetch, each fetch
             // overlaps the previous slab's multiply.
             let mut a_lo = 0usize;
             while a_lo < lc_a {
                 let a_hi = (a_lo + slab_a).min(lc_a);
-                let a_sec = Section::new(vec![DimRange::new(0, n), DimRange::new(a_lo, a_hi)]);
-                let a_icla = if prefetch {
-                    read_overlapped(env, &plan.a, &a_sec, ctx, &mut pending_flops)?
-                } else {
-                    env.read_section(&plan.a, &a_sec, charge)?
-                };
+                a_sec = a_sec.with_range(1, DimRange::new(a_lo, a_hi));
+                let pending = prefetch.then_some(&mut pending_flops);
+                read_slab(env, &plan.a, &a_sec, &mut a_icla, ctx, pending, charge)?;
+                // A's local columns a_lo..a_hi pair with B's local rows of
+                // the same indices (both are block slices of 1..n).
+                let b_col = &b_icla[m * lr_b..];
+                accumulate_columns(&mut temp, &a_icla, &b_col[a_lo..a_hi]);
                 let wa = a_hi - a_lo;
-                for ii in 0..wa {
-                    // A's local column a_lo+ii pairs with B's local row of
-                    // the same index (both are block slices of 1..n).
-                    let bval = b_icla[(a_lo + ii) + m * lr_b];
-                    let col = &a_icla[ii * n..(ii + 1) * n];
-                    for (t, &av) in temp.iter_mut().zip(col) {
-                        *t += av * bval;
-                    }
-                }
                 charge_or_defer(ctx, prefetch, &mut pending_flops, (2 * n * wa) as u64);
                 peak = peak.max(b_icla.len() + a_icla.len() + temp.len() + cbuf.capacity());
                 a_lo = a_hi;
@@ -393,6 +433,8 @@ fn row_version(
     };
 
     let mut pending_flops = 0u64;
+    let mut a_icla = Vec::new();
+    let mut temp = Vec::new();
     let mut slab_idx = 0u64;
     let mut r_lo = start_r;
     while r_lo < n {
@@ -401,11 +443,8 @@ fn row_version(
         let h = r_hi - r_lo;
         let a_sec = Section::new(vec![DimRange::new(r_lo, r_hi), DimRange::new(0, lc)]);
         // h x lc, CM; with prefetch this fetch overlaps deferred work.
-        let a_icla = if prefetch {
-            read_overlapped(env, &plan.a, &a_sec, ctx, &mut pending_flops)?
-        } else {
-            env.read_section(&plan.a, &a_sec, charge)?
-        };
+        let pending = prefetch.then_some(&mut pending_flops);
+        read_slab(env, &plan.a, &a_sec, &mut a_icla, ctx, pending, charge)?;
 
         // One row slab of C's owned columns accumulates here.
         let c_cols = plan.c.local_shape(rank).extent(1);
@@ -427,14 +466,9 @@ fn row_version(
 
             for m in 0..(b_hi - b_lo) {
                 let j = b_lo + m;
-                let mut temp = vec![0.0f32; h];
-                for i in 0..lc {
-                    let bval = b_icla[i + m * lr_b];
-                    let col = &a_icla[i * h..(i + 1) * h];
-                    for (t, &av) in temp.iter_mut().zip(col) {
-                        *t += av * bval;
-                    }
-                }
+                temp.clear();
+                temp.resize(h, 0.0);
+                accumulate_columns(&mut temp, &a_icla, &b_icla[m * lr_b..m * lr_b + lc]);
                 charge_or_defer(ctx, prefetch, &mut pending_flops, (2 * h * lc) as u64);
                 peak = peak.max(a_icla.len() + b_icla.len() + temp.len() + cbuf.len());
 
@@ -530,6 +564,68 @@ mod tests {
         let locals: Vec<&[f32]> = results.iter().map(|v| v.as_slice()).collect();
         let (_, c) = assemble_global(&plan.c, &locals);
         (c, report)
+    }
+
+    /// The multiply as it was before blocking: one column at a time.
+    fn column_by_column(temp: &mut [f32], a: &[f32], b: &[f32]) {
+        let h = temp.len();
+        for (k, &bv) in b.iter().enumerate() {
+            for (t, &av) in temp.iter_mut().zip(&a[k * h..(k + 1) * h]) {
+                *t += av * bv;
+            }
+        }
+    }
+
+    /// A splitmix64 stream of f32s: mostly ordinary values with random
+    /// mantissas (where summation order shows in the rounding), plus NaNs
+    /// with payloads, ±0, ±inf, subnormals, arbitrary bit patterns and
+    /// small exact integers.
+    fn awkward_f32(state: &mut u64) -> f32 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        let (bits, sign) = (z as u32, (z as u32) & 0x8000_0000);
+        match (z >> 32) % 32 {
+            0 => f32::from_bits(bits | 0x7f80_0001),
+            1 => f32::from_bits(sign),
+            2 => f32::from_bits(sign | 0x7f80_0000),
+            3 => f32::from_bits(bits & 0x807f_ffff),
+            4 => f32::from_bits(bits),
+            5..=9 => ((z >> 40) % 17) as f32 - 8.0,
+            // |x| in [2^-4, 2^5) with a random mantissa.
+            _ => {
+                let exp = 123 + ((z >> 40) % 9) as u32;
+                f32::from_bits(sign | (exp << 23) | (bits & 0x007f_ffff))
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn blocked_kernel_matches_the_column_loop_bit_for_bit(
+            h in 0usize..71,
+            ncols in 0usize..10,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut state = seed;
+            let mut gen = |len: usize| (0..len).map(|_| awkward_f32(&mut state)).collect::<Vec<_>>();
+            let (a, b, temp) = (gen(h * ncols), gen(ncols), gen(h));
+            let mut want = temp.clone();
+            column_by_column(&mut want, &a, &b);
+            let mut got = temp;
+            accumulate_columns(&mut got, &a, &b);
+            // Rust leaves the payload of a NaN *result* unspecified, so a
+            // NaN only has to be matched by a NaN; every other result must
+            // match to the bit.
+            for (r, (w, g)) in want.iter().zip(&got).enumerate() {
+                let same = w.to_bits() == g.to_bits() || (w.is_nan() && g.is_nan());
+                proptest::prop_assert!(same, "row {r} of {h}x{ncols}: {w:e} vs {g:e}");
+            }
+        }
     }
 
     #[test]

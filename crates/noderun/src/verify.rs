@@ -56,13 +56,24 @@ pub fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
 
 /// Serial reference GAXPY: C = A·B for `n × n` matrices generated by `fa`,
 /// `fb` (global column-major result).
+///
+/// A is materialized once (n² generator calls), then each element sums its
+/// products in ascending `k`, so the result bits do not depend on how the
+/// loops are arranged. Plain loops, deliberately not the executor's kernel.
 pub fn ref_gaxpy(n: usize, fa: &dyn Fn(&[usize]) -> f32, fb: &dyn Fn(&[usize]) -> f32) -> Vec<f32> {
+    let mut a = Vec::with_capacity(n * n);
+    for k in 0..n {
+        for i in 0..n {
+            a.push(fa(&[i, k]));
+        }
+    }
     let mut c = vec![0.0f32; n * n];
     for j in 0..n {
+        let c_col = &mut c[j * n..(j + 1) * n];
         for k in 0..n {
             let bkj = fb(&[k, j]);
-            for i in 0..n {
-                c[i + j * n] += fa(&[i, k]) * bkj;
+            for (cij, &aik) in c_col.iter_mut().zip(&a[k * n..(k + 1) * n]) {
+                *cij += aik * bkj;
             }
         }
     }

@@ -10,10 +10,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
+use dmsim::{Machine, MachineConfig};
 use noderun::assemble_global;
 use ooc_array::{
-    ArrayDesc, ArrayId, DimDist, DimRange, DistKind, Distribution, ProcGrid, Section, Shape,
+    ArrayDesc, ArrayId, DimDist, DimRange, DistKind, Distribution, OocEnv, ProcGrid, Section, Shape,
 };
+use ooc_core::plan::{GaxpyPlan, SlabStrategy};
 use pario::ElemKind;
 
 thread_local! {
@@ -135,4 +137,55 @@ fn a_section_offset_walk_allocates_once() {
         "{allocs} allocations walking {} elements",
         sec.len()
     );
+}
+
+/// Allocations made by each rank's column-slab GAXPY body (setup excluded)
+/// with A slabs `slab_a` columns thick. `slab_b` and `slab_c` stay fixed,
+/// so only the number of A-slab reads varies with `slab_a`.
+fn column_gaxpy_allocs(n: usize, p: usize, slab_a: usize) -> Vec<usize> {
+    let col = Distribution::column_block(Shape::matrix(n, n), p);
+    let row = Distribution::row_block(Shape::matrix(n, n), p);
+    let plan = GaxpyPlan {
+        strategy: SlabStrategy::ColumnSlab,
+        a: ArrayDesc::new(ArrayId(0), "a", ElemKind::F32, col.clone()),
+        b: ArrayDesc::new(ArrayId(1), "b", ElemKind::F32, row),
+        c: ArrayDesc::new(ArrayId(2), "c", ElemKind::F32, col),
+        n,
+        nprocs: p,
+        slab_a,
+        slab_b: n / 4,
+        slab_c: n / p,
+    };
+    let f = |g: &[usize]| (g[0] + 2 * g[1]) as f32;
+    let (_, allocs) = Machine::new(MachineConfig::free(p)).run_with(|ctx| {
+        let mut env = OocEnv::in_memory(ctx.rank());
+        for desc in [&plan.a, &plan.b, &plan.c] {
+            env.alloc(desc).unwrap();
+            env.load_global(desc, &f).unwrap();
+        }
+        let (peak, allocs) =
+            allocs_during(|| noderun::gaxpy::execute(ctx, &mut env, &plan, false).unwrap());
+        assert!(peak > 0);
+        allocs
+    });
+    allocs
+}
+
+#[test]
+fn column_gaxpy_allocates_per_column_of_c_not_per_a_slab_read() {
+    let (n, p) = (64usize, 4usize);
+    let lc = n / p;
+    // Every column of C re-reads all of A: n * lc / slab_a reads per rank.
+    let reads = |slab_a: usize| n * lc.div_ceil(slab_a);
+    let thick = column_gaxpy_allocs(n, p, lc);
+    let thin = column_gaxpy_allocs(n, p, lc / 2);
+    let added_reads = reads(lc / 2) - reads(lc);
+    for (rank, (&t, &h)) in thick.iter().zip(&thin).enumerate() {
+        let added = h.saturating_sub(t);
+        assert!(
+            added < added_reads,
+            "rank {rank}: halving slab_a added {added} allocations for {added_reads} \
+             added A-slab reads ({t} -> {h})"
+        );
+    }
 }

@@ -101,11 +101,25 @@ impl FileLayout {
     /// elements unless the section is degenerate, and degenerate adjacency
     /// is handled by the disk layer's coalescer anyway).
     pub fn section_runs(&self, shape: &Shape, section: &Section) -> Vec<ElemRun> {
+        let mut runs = Vec::new();
+        self.section_runs_into(shape, section, &mut runs);
+        runs
+    }
+
+    /// [`FileLayout::section_runs`] into a caller-owned buffer, replacing
+    /// its contents. A section that is one contiguous run (a slab along the
+    /// slowest dimension) allocates nothing.
+    pub(crate) fn section_runs_into(
+        &self,
+        shape: &Shape,
+        section: &Section,
+        runs: &mut Vec<ElemRun>,
+    ) {
         assert_eq!(shape.ndims(), section.ndims());
+        runs.clear();
         if section.is_empty() {
-            return Vec::new();
+            return;
         }
-        let strides = self.strides(shape);
 
         // Grow the contiguous chunk over the fastest dimensions while the
         // section covers them fully with stride 1; a final partially-covered
@@ -125,20 +139,26 @@ impl FileLayout {
                 break;
             }
         }
+        // Offset of the section's first element: each dimension's start
+        // times its layout stride, accumulated fastest dimension first.
+        let mut base = 0usize;
+        let mut stride = 1usize;
+        for &d in &self.order {
+            base += section.range(d).lo * stride;
+            stride *= shape.extent(d);
+        }
+        if outer_start == self.order.len() {
+            runs.push(ElemRun::new(base as u64, chunk as u64));
+            return;
+        }
 
-        let outer_dims: Vec<usize> = self.order[outer_start..].to_vec();
         // Enumerate the Cartesian product of the section's ranges over the
         // outer dimensions (fastest outer dimension first => ascending
         // offsets), with inner dimensions pinned at their range starts.
-        let base: usize = (0..shape.ndims())
-            .map(|d| section.range(d).lo * strides[d])
-            .sum();
-        if outer_dims.is_empty() {
-            return vec![ElemRun::new(base as u64, chunk as u64)];
-        }
+        let strides = self.strides(shape);
+        let outer_dims = &self.order[outer_start..];
         let counts: Vec<usize> = outer_dims.iter().map(|&d| section.range(d).len()).collect();
-        let total_runs: usize = counts.iter().product();
-        let mut runs = Vec::with_capacity(total_runs);
+        runs.reserve(counts.iter().product());
         let mut odo = vec![0usize; outer_dims.len()];
         loop {
             let mut off = base;
@@ -150,7 +170,7 @@ impl FileLayout {
             let mut k = 0;
             loop {
                 if k == outer_dims.len() {
-                    return runs;
+                    return;
                 }
                 odo[k] += 1;
                 if odo[k] < counts[k] {

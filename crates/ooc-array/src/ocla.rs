@@ -81,8 +81,18 @@ impl ArrayDesc {
 pub struct OocEnv {
     rank: usize,
     disk: LogicalDisk,
-    files: HashMap<ArrayId, LocalArrayFile>,
+    files: HashMap<ArrayId, LocalFile>,
     sieve: pario::SievePolicy,
+    /// Element-run scratch of the section read path, reused across reads.
+    runs: Vec<pario::ElemRun>,
+}
+
+/// One allocated LAF and the local shape its array had at allocation, so a
+/// section read need not re-derive the shape from the distribution.
+struct LocalFile {
+    laf: LocalArrayFile,
+    dist: Distribution,
+    shape: Shape,
 }
 
 impl OocEnv {
@@ -93,6 +103,7 @@ impl OocEnv {
             disk: LogicalDisk::in_memory(),
             files: HashMap::new(),
             sieve: pario::SievePolicy::Direct,
+            runs: Vec::new(),
         }
     }
 
@@ -103,6 +114,7 @@ impl OocEnv {
             disk: LogicalDisk::on_disk(&format!("rank{rank}"))?,
             files: HashMap::new(),
             sieve: pario::SievePolicy::Direct,
+            runs: Vec::new(),
         })
     }
 
@@ -187,17 +199,21 @@ impl OocEnv {
         if self.files.contains_key(&desc.id) {
             return Ok(());
         }
-        let len = desc.local_shape(self.rank).len() as u64;
-        let laf = LocalArrayFile::create(&mut self.disk, desc.elem, len)?;
-        self.files.insert(desc.id, laf);
+        let shape = desc.local_shape(self.rank);
+        let laf = LocalArrayFile::create(&mut self.disk, desc.elem, shape.len() as u64)?;
+        let dist = desc.dist.clone();
+        self.files.insert(desc.id, LocalFile { laf, dist, shape });
         Ok(())
     }
 
-    fn laf(&self, id: ArrayId) -> LocalArrayFile {
-        *self
-            .files
+    fn file(&self, id: ArrayId) -> &LocalFile {
+        self.files
             .get(&id)
             .unwrap_or_else(|| panic!("array {id:?} not allocated on rank {}", self.rank))
+    }
+
+    fn laf(&self, id: ArrayId) -> LocalArrayFile {
+        self.file(id).laf
     }
 
     /// Read a section of the OCLA (local index space) into a fresh ICLA
@@ -208,13 +224,43 @@ impl OocEnv {
         section: &Section,
         charge: &dyn IoCharge,
     ) -> Result<Vec<f32>, IoError> {
-        let local_shape = desc.local_shape(self.rank);
-        let runs = desc.layout.section_runs(&local_shape, section);
-        let laf = self.laf(desc.id);
+        let mut out = Vec::new();
+        self.read_section_into(desc, section, &mut out, charge)?;
+        Ok(out)
+    }
+
+    /// [`OocEnv::read_section`] into a caller-owned ICLA buffer, replacing
+    /// its contents. Under a column-major layout the elements are decoded
+    /// straight from storage into `out`, so a slab buffer reused across
+    /// reads is neither reallocated nor copied twice.
+    pub fn read_section_into(
+        &mut self,
+        desc: &ArrayDesc,
+        section: &Section,
+        out: &mut Vec<f32>,
+        charge: &dyn IoCharge,
+    ) -> Result<(), IoError> {
+        let mut runs = std::mem::take(&mut self.runs);
+        let file = self.file(desc.id);
+        let laf = file.laf;
+        if file.dist == desc.dist {
+            desc.layout
+                .section_runs_into(&file.shape, section, &mut runs);
+        } else {
+            let local_shape = desc.local_shape(self.rank);
+            desc.layout
+                .section_runs_into(&local_shape, section, &mut runs);
+        }
         charge.io_array(&desc.name, laf.file_id().0);
         self.disk.note_array(laf.file_id(), &desc.name);
-        let raw = laf.read_f32_with(&mut self.disk, &runs, charge, self.sieve)?;
-        Ok(reorder_layout_to_cm(&desc.layout, section, raw))
+        let read = if layout_is_cm(&desc.layout) {
+            laf.read_f32_into(&mut self.disk, &runs, out, charge, self.sieve)
+        } else {
+            laf.read_f32_with(&mut self.disk, &runs, charge, self.sieve)
+                .map(|raw| *out = reorder_layout_to_cm(&desc.layout, section, raw))
+        };
+        self.runs = runs;
+        read
     }
 
     /// Write an ICLA buffer (section column-major order) into a section of

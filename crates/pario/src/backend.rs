@@ -25,6 +25,17 @@ pub trait StorageBackend: Send {
     fn len(&self, id: u64) -> Result<u64>;
     /// Read `buf.len()` bytes starting at `offset`.
     fn read_at(&mut self, id: u64, offset: u64, buf: &mut [u8]) -> Result<()>;
+    /// Read `out.len()` little-endian `f32`s starting at byte `offset`.
+    ///
+    /// The default stages the bytes and decodes them; a backend holding its
+    /// bytes in memory overrides it to decode straight out of storage, so
+    /// each element crosses memory once.
+    fn read_f32_at(&mut self, id: u64, offset: u64, out: &mut [f32]) -> Result<()> {
+        let mut bytes = vec![0u8; out.len() * 4];
+        self.read_at(id, offset, &mut bytes)?;
+        decode_f32(&bytes, out);
+        Ok(())
+    }
     /// Write `data` starting at `offset`.
     fn write_at(&mut self, id: u64, offset: u64, data: &[u8]) -> Result<()>;
     /// Remove file `id`, releasing its storage.
@@ -47,6 +58,15 @@ fn check_bounds(id: u64, offset: u64, len: usize, file_len: u64) -> Result<()> {
     }
 }
 
+/// Decode little-endian `f32`s from `bytes` into `out` (equal element
+/// counts). One zip the compiler vectorizes.
+pub(crate) fn decode_f32(bytes: &[u8], out: &mut [f32]) {
+    debug_assert_eq!(bytes.len(), out.len() * 4);
+    for (v, c) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+        *v = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+    }
+}
+
 /// In-memory backend: each file is a `Vec<u8>`.
 #[derive(Debug, Default)]
 pub struct MemBackend {
@@ -66,7 +86,14 @@ impl StorageBackend for MemBackend {
             !self.files.contains_key(&id),
             "file id {id} created twice on one disk"
         );
-        self.files.insert(id, vec![0u8; len as usize]);
+        // A length the allocator cannot satisfy is a typed error, not a
+        // process abort.
+        let too_large = || IoError::TooLarge { len, elem: 1 };
+        let bytes = usize::try_from(len).map_err(|_| too_large())?;
+        let mut file = Vec::new();
+        file.try_reserve_exact(bytes).map_err(|_| too_large())?;
+        file.resize(bytes, 0);
+        self.files.insert(id, file);
         Ok(())
     }
 
@@ -85,6 +112,18 @@ impl StorageBackend for MemBackend {
         check_bounds(id, offset, buf.len(), file.len() as u64)?;
         let start = offset as usize;
         buf.copy_from_slice(&file[start..start + buf.len()]);
+        Ok(())
+    }
+
+    fn read_f32_at(&mut self, id: u64, offset: u64, out: &mut [f32]) -> Result<()> {
+        let file = self
+            .files
+            .get(&id)
+            .ok_or(IoError::NoSuchFile { file: id })?;
+        let len = out.len().saturating_mul(4);
+        check_bounds(id, offset, len, file.len() as u64)?;
+        let start = offset as usize;
+        decode_f32(&file[start..start + len], out);
         Ok(())
     }
 
@@ -250,6 +289,48 @@ mod tests {
     #[test]
     fn disk_backend_semantics() {
         exercise(&mut DiskBackend::new("test").unwrap());
+    }
+
+    #[test]
+    fn an_unallocatable_mem_file_is_a_typed_error_not_an_abort() {
+        let mut mem = MemBackend::new();
+        // Past `isize::MAX`, and within it but beyond any address space.
+        for len in [u64::MAX, 1 << 60] {
+            let err = mem.create(1, len).unwrap_err();
+            assert!(
+                matches!(err, IoError::TooLarge { len: l, elem: 1 } if l == len),
+                "{err:?}"
+            );
+            assert!(matches!(mem.len(1), Err(IoError::NoSuchFile { file: 1 })));
+        }
+        mem.create(1, 8).unwrap();
+        assert_eq!(mem.len(1).unwrap(), 8);
+    }
+
+    #[test]
+    fn f32_reads_decode_little_endian_on_both_backends() {
+        let mut mem = MemBackend::new();
+        let mut disk = DiskBackend::new("f32").unwrap();
+        let bytes: Vec<u8> = [1.5f32, -0.0, f32::from_bits(0x7fa0_1234)]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        for backend in [&mut mem as &mut dyn StorageBackend, &mut disk] {
+            backend.create(3, 16).unwrap();
+            backend.write_at(3, 2, &bytes).unwrap();
+            let mut out = [0.0f32; 3];
+            backend.read_f32_at(3, 2, &mut out).unwrap();
+            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, [0x3fc0_0000, 0x8000_0000, 0x7fa0_1234]);
+            assert!(matches!(
+                backend.read_f32_at(3, 8, &mut out),
+                Err(IoError::OutOfBounds { needed: 20, .. })
+            ));
+            assert!(matches!(
+                backend.read_f32_at(4, 0, &mut out),
+                Err(IoError::NoSuchFile { file: 4 })
+            ));
+        }
     }
 
     #[test]

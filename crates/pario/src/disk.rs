@@ -13,7 +13,8 @@ use dmsim::{FaultConfig, FaultDomain, FaultInjector, IoFate};
 use crate::backend::{MemBackend, StorageBackend};
 use crate::cache::{BufferPool, SlabCache};
 use crate::error::{FaultOp, IoError, Result};
-use crate::request::{coalesce_runs, total_bytes, ByteRun};
+use crate::laf::decode_f32_into;
+use crate::request::{coalesce_runs, coalesce_runs_into, total_bytes, ByteRun};
 use crate::stats::DiskStats;
 use crate::IoCharge;
 
@@ -28,25 +29,23 @@ pub struct LogicalDisk {
     stats: DiskStats,
     cache: Option<SlabCache>,
     pool: BufferPool,
+    /// Coalesced-run scratch of the `f32` read path, reused across reads.
+    runs: Vec<ByteRun>,
     faults: Option<FaultInjector>,
 }
 
-/// One backend read, routed through the fault layer when present.
+/// The fault layer's verdict on one backend read of `len` bytes at
+/// `offset`: `Ok` means the read goes ahead.
 ///
 /// Transient faults re-issue the read after an exponential backoff, bounded
 /// by the retry policy; the final attempt always succeeds, so only *hard*
 /// faults (drawn separately) surface — as [`IoError::PermanentFault`].
 /// Recovery work accumulates in the injector and is drained into the clock
-/// by [`LogicalDisk`] after each public operation.
-pub(crate) fn backend_read(
-    backend: &mut dyn StorageBackend,
-    faults: Option<&FaultInjector>,
-    file: u64,
-    offset: u64,
-    buf: &mut [u8],
-) -> Result<()> {
+/// by [`LogicalDisk`] after each public operation. Byte and `f32` reads
+/// share this one gate, so both draw the same fates per request.
+fn read_gate(faults: Option<&FaultInjector>, file: u64, offset: u64, len: u64) -> Result<()> {
     let Some(fi) = faults else {
-        return backend.read_at(file, offset, buf);
+        return Ok(());
     };
     if fi.dead() {
         return Err(IoError::DiskDown { file });
@@ -63,23 +62,47 @@ pub(crate) fn backend_read(
     let mut attempt = 1u32;
     loop {
         match fi.read_attempt() {
-            IoFate::Ok | IoFate::Torn => break,
+            IoFate::Ok | IoFate::Torn => return Ok(()),
             IoFate::Delayed(secs) => {
                 fi.note_fault();
                 fi.note_wait(secs);
-                break;
+                return Ok(());
             }
             IoFate::Transient => {
                 if attempt >= max {
-                    break; // bounded: the last attempt always succeeds
+                    return Ok(()); // bounded: the last attempt always succeeds
                 }
                 fi.note_fault();
-                fi.note_read_retry(buf.len() as u64, fi.retry().backoff(attempt));
+                fi.note_read_retry(len, fi.retry().backoff(attempt));
                 attempt += 1;
             }
         }
     }
+}
+
+/// One backend read, routed through the fault layer when present.
+pub(crate) fn backend_read(
+    backend: &mut dyn StorageBackend,
+    faults: Option<&FaultInjector>,
+    file: u64,
+    offset: u64,
+    buf: &mut [u8],
+) -> Result<()> {
+    read_gate(faults, file, offset, buf.len() as u64)?;
     backend.read_at(file, offset, buf)
+}
+
+/// One backend read decoded as `f32`s, routed through the fault layer when
+/// present: the same fates as [`backend_read`] of `4 * out.len()` bytes.
+fn backend_read_f32(
+    backend: &mut dyn StorageBackend,
+    faults: Option<&FaultInjector>,
+    file: u64,
+    offset: u64,
+    out: &mut [f32],
+) -> Result<()> {
+    read_gate(faults, file, offset, out.len() as u64 * 4)?;
+    backend.read_f32_at(file, offset, out)
 }
 
 /// One backend write, routed through the fault layer when present.
@@ -168,6 +191,7 @@ impl LogicalDisk {
             stats: DiskStats::default(),
             cache: None,
             pool: BufferPool::new(),
+            runs: Vec::new(),
             faults: None,
         }
     }
@@ -286,17 +310,6 @@ impl LogicalDisk {
         self.stats
     }
 
-    /// Take a cleared staging buffer from the disk's pool (return it with
-    /// [`LogicalDisk::put_buf`] so the capacity is recycled).
-    pub fn take_buf(&mut self) -> Vec<u8> {
-        self.pool.take()
-    }
-
-    /// Return a staging buffer to the pool.
-    pub fn put_buf(&mut self, buf: Vec<u8>) {
-        self.pool.put(buf)
-    }
-
     /// Read the byte `runs` of `file` into `out` (appended in run order,
     /// after coalescing). Charges one request per coalesced run.
     ///
@@ -363,9 +376,8 @@ impl LogicalDisk {
         }
         match plan_access(runs, policy) {
             AccessPlan::Direct(coalesced) => {
-                let bytes = total_bytes(&coalesced);
                 let start = out.len();
-                out.resize(start + bytes as usize, 0);
+                out.resize(start + total_bytes(&coalesced) as usize, 0);
                 let mut cursor = start;
                 for run in &coalesced {
                     let buf = &mut out[cursor..cursor + run.len as usize];
@@ -378,15 +390,7 @@ impl LogicalDisk {
                     )?;
                     cursor += run.len as usize;
                 }
-                let requests = coalesced.len() as u64;
-                self.stats.add_read(requests, bytes);
-                if let Some(first) = coalesced.first() {
-                    charge.io_offset(first.offset);
-                }
-                charge.io_read(requests, bytes);
-                self.settle_faults(charge);
-                charge.io_wait();
-                Ok(requests)
+                Ok(self.charge_direct_read(&coalesced, charge))
             }
             AccessPlan::Sieved { span, useful } => {
                 let mut span_buf = self.pool.take();
@@ -409,6 +413,79 @@ impl LogicalDisk {
                 Ok(1)
             }
         }
+    }
+
+    /// Count and charge a completed direct read of `coalesced` runs.
+    fn charge_direct_read(&mut self, coalesced: &[ByteRun], charge: &dyn IoCharge) -> u64 {
+        let (requests, bytes) = (coalesced.len() as u64, total_bytes(coalesced));
+        self.stats.add_read(requests, bytes);
+        if let Some(first) = coalesced.first() {
+            charge.io_offset(first.offset);
+        }
+        charge.io_read(requests, bytes);
+        self.settle_faults(charge);
+        charge.io_wait();
+        requests
+    }
+
+    /// Read the byte `runs` of `file` as little-endian `f32`s into `out`,
+    /// replacing its contents: [`LogicalDisk::read_runs_with`] decoded,
+    /// with the same requests, charges, fault draws and errors.
+    ///
+    /// On the direct, uncached path every element is decoded straight out
+    /// of the backend into `out`, which is resized in place — a buffer
+    /// reused at one length is neither reallocated nor refilled. Sieved and
+    /// cached reads stage through a pooled byte buffer and decode.
+    pub fn read_f32_runs_with(
+        &mut self,
+        file: FileId,
+        runs: impl IntoIterator<Item = ByteRun>,
+        out: &mut Vec<f32>,
+        charge: &dyn IoCharge,
+        policy: crate::sieve::SievePolicy,
+    ) -> Result<u64> {
+        let mut coalesced = std::mem::take(&mut self.runs);
+        coalesce_runs_into(runs, &mut coalesced);
+        let read = self.read_f32_coalesced(file, &coalesced, out, charge, policy);
+        self.runs = coalesced;
+        read
+    }
+
+    fn read_f32_coalesced(
+        &mut self,
+        file: FileId,
+        coalesced: &[ByteRun],
+        out: &mut Vec<f32>,
+        charge: &dyn IoCharge,
+        policy: crate::sieve::SievePolicy,
+    ) -> Result<u64> {
+        let direct = self.cache.is_none()
+            && crate::sieve::sieve_span(coalesced, policy).is_none()
+            && coalesced.iter().all(|r| r.len % 4 == 0);
+        if !direct {
+            let mut bytes = self.pool.take();
+            let read = self
+                .read_runs_with(file, coalesced, &mut bytes, charge, policy)
+                .and_then(|requests| decode_f32_into(&bytes, out).map(|()| requests));
+            self.pool.put(bytes);
+            return read;
+        }
+        let elems = (total_bytes(coalesced) / 4) as usize;
+        out.truncate(elems);
+        out.resize(elems, 0.0);
+        let mut cursor = 0usize;
+        for run in coalesced {
+            let n = (run.len / 4) as usize;
+            backend_read_f32(
+                &mut *self.backend,
+                self.faults.as_ref(),
+                file.0,
+                run.offset,
+                &mut out[cursor..cursor + n],
+            )?;
+            cursor += n;
+        }
+        Ok(self.charge_direct_read(coalesced, charge))
     }
 
     /// Like [`LogicalDisk::write_runs`] but a strided write may be serviced

@@ -46,6 +46,14 @@ pub enum IoError {
         /// File whose access hit the dead disk.
         file: u64,
     },
+    /// A file of `len` elements of `elem` bytes each cannot be created:
+    /// its byte length overflows, or the backend cannot allocate it.
+    TooLarge {
+        /// Requested length in elements.
+        len: u64,
+        /// Element size in bytes (1 for a raw byte file).
+        elem: usize,
+    },
 }
 
 /// The direction of a permanently faulted disk access.
@@ -86,6 +94,10 @@ impl fmt::Display for IoError {
             IoError::DiskDown { file } => write!(
                 f,
                 "logical disk died permanently; access to file {file} refused"
+            ),
+            IoError::TooLarge { len, elem } => write!(
+                f,
+                "cannot create a file of {len} elements of {elem} bytes: too large"
             ),
         }
     }

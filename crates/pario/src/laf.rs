@@ -64,7 +64,14 @@ pub struct LocalArrayFile {
 impl LocalArrayFile {
     /// Allocate a LAF of `len_elems` elements on `disk`.
     pub fn create(disk: &mut LogicalDisk, elem: ElemKind, len_elems: u64) -> Result<Self> {
-        let file = disk.create_file(len_elems * elem.size() as u64)?;
+        // An unchecked product would wrap to a tiny file in release builds.
+        let bytes = len_elems
+            .checked_mul(elem.size() as u64)
+            .ok_or(IoError::TooLarge {
+                len: len_elems,
+                elem: elem.size(),
+            })?;
+        let file = disk.create_file(bytes)?;
         Ok(LocalArrayFile {
             file,
             elem,
@@ -114,15 +121,28 @@ impl LocalArrayFile {
         charge: &dyn IoCharge,
         policy: crate::sieve::SievePolicy,
     ) -> Result<Vec<f32>> {
+        let mut out = Vec::new();
+        self.read_f32_into(disk, runs, &mut out, charge, policy)?;
+        Ok(out)
+    }
+
+    /// Read element `runs` as `f32` values into `out`, replacing its
+    /// contents (file must be `F32`). See
+    /// [`LogicalDisk::read_f32_runs_with`]: a direct read decodes straight
+    /// from storage into `out`, so a reused buffer costs one pass per
+    /// element.
+    pub fn read_f32_into(
+        &self,
+        disk: &mut LogicalDisk,
+        runs: &[ElemRun],
+        out: &mut Vec<f32>,
+        charge: &dyn IoCharge,
+        policy: crate::sieve::SievePolicy,
+    ) -> Result<()> {
         assert_eq!(self.elem, ElemKind::F32, "read_f32 on non-f32 file");
-        // Stage through a pooled buffer so repeated slab reads reuse one
-        // allocation instead of growing a fresh Vec per call.
-        let mut bytes = disk.take_buf();
-        let read =
-            disk.read_runs_with(self.file, &self.byte_runs(runs), &mut bytes, charge, policy);
-        let out = read.and_then(|_| bytes_to_f32(&bytes));
-        disk.put_buf(bytes);
-        out
+        let byte_runs = runs.iter().map(|r| r.to_bytes(self.elem));
+        disk.read_f32_runs_with(self.file, byte_runs, out, charge, policy)?;
+        Ok(())
     }
 
     /// Write `data` to element `runs` (file must be `F32`; total run length
@@ -172,19 +192,23 @@ impl LocalArrayFile {
 
 /// Reinterpret little-endian bytes as `f32`s.
 pub fn bytes_to_f32(bytes: &[u8]) -> Result<Vec<f32>> {
+    let mut out = vec![0.0f32; bytes.len() / 4];
+    decode_f32_into(bytes, &mut out)?;
+    Ok(out)
+}
+
+/// [`bytes_to_f32`] into `out`, replacing its contents.
+pub(crate) fn decode_f32_into(bytes: &[u8], out: &mut Vec<f32>) -> Result<()> {
     if !bytes.len().is_multiple_of(4) {
         return Err(IoError::BadElementSize {
             bytes: bytes.len(),
             elem: 4,
         });
     }
-    // Pre-sized output filled by one zip: a single pass the compiler
-    // vectorizes (collecting from `chunks_exact` does not).
-    let mut out = vec![0.0f32; bytes.len() / 4];
-    for (v, c) in out.iter_mut().zip(bytes.chunks_exact(4)) {
-        *v = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-    }
-    Ok(out)
+    out.truncate(bytes.len() / 4);
+    out.resize(bytes.len() / 4, 0.0);
+    crate::backend::decode_f32(bytes, out);
+    Ok(())
 }
 
 /// Serialize `f32`s as little-endian bytes.
@@ -295,6 +319,24 @@ mod tests {
                 Err(IoError::BadElementSize { bytes, elem: 4 }) if bytes == bad
             ));
         }
+    }
+
+    #[test]
+    fn a_length_whose_byte_size_overflows_is_a_typed_error() {
+        let mut disk = LogicalDisk::in_memory();
+        // 2^62 + 1 four-byte elements: the unchecked product wraps to 4 bytes.
+        let len = (1u64 << 62) + 1;
+        let err = LocalArrayFile::create(&mut disk, ElemKind::F32, len).unwrap_err();
+        assert!(
+            matches!(err, IoError::TooLarge { len: l, elem: 4 } if l == len),
+            "{err:?}"
+        );
+        let err = LocalArrayFile::create(&mut disk, ElemKind::F64, u64::MAX / 4).unwrap_err();
+        assert!(matches!(err, IoError::TooLarge { elem: 8, .. }), "{err:?}");
+        assert!(err.to_string().contains("too large"), "{err}");
+        // The disk is still usable.
+        let laf = LocalArrayFile::create(&mut disk, ElemKind::F32, 4).unwrap();
+        assert_eq!(disk.file_len(laf.file_id()).unwrap(), 16);
     }
 
     #[test]

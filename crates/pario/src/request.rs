@@ -52,27 +52,41 @@ impl ByteRun {
 /// struct-literal construction — [`ByteRun::new`] rejects them) are clamped
 /// to the representable extent `[offset, u64::MAX)` before merging.
 pub fn coalesce_runs(runs: &[ByteRun]) -> Vec<ByteRun> {
-    let mut sorted: Vec<ByteRun> = runs
-        .iter()
-        .copied()
-        .map(|r| ByteRun {
-            offset: r.offset,
-            len: r.len.min(u64::MAX - r.offset),
-        })
-        .filter(|r| r.len > 0)
-        .collect();
-    sorted.sort_by_key(|r| r.offset);
-    let mut out: Vec<ByteRun> = Vec::with_capacity(sorted.len());
-    for run in sorted {
-        match out.last_mut() {
+    let mut out = Vec::new();
+    coalesce_runs_into(runs.iter().copied(), &mut out);
+    out
+}
+
+/// [`coalesce_runs`] into a caller-owned buffer (its contents are
+/// replaced), so a hot read path reuses one allocation.
+pub(crate) fn coalesce_runs_into(runs: impl IntoIterator<Item = ByteRun>, out: &mut Vec<ByteRun>) {
+    out.clear();
+    out.extend(
+        runs.into_iter()
+            .map(|r| ByteRun {
+                offset: r.offset,
+                len: r.len.min(u64::MAX - r.offset),
+            })
+            .filter(|r| r.len > 0),
+    );
+    // Runs sharing an offset merge to the same extent in any order, so the
+    // non-allocating unstable sort gives the same result as a stable one.
+    out.sort_unstable_by_key(|r| r.offset);
+    let mut kept = 0usize;
+    for i in 0..out.len() {
+        let run = out[i];
+        match kept.checked_sub(1).map(|k| &mut out[k]) {
             Some(last) if run.offset <= last.end() => {
                 let new_end = last.end().max(run.end());
                 last.len = new_end - last.offset;
             }
-            _ => out.push(run),
+            _ => {
+                out[kept] = run;
+                kept += 1;
+            }
         }
     }
-    out
+    out.truncate(kept);
 }
 
 /// Total bytes covered by a set of runs (before coalescing; duplicates count

@@ -70,10 +70,22 @@ impl AccessPlan {
 /// Decide how to service `runs` under `policy`.
 pub fn plan_access(runs: &[ByteRun], policy: SievePolicy) -> AccessPlan {
     let coalesced = coalesce_runs(runs);
-    if coalesced.len() <= 1 {
-        return AccessPlan::Direct(coalesced);
+    match sieve_span(&coalesced, policy) {
+        Some(span) => AccessPlan::Sieved {
+            span,
+            useful: coalesced,
+        },
+        None => AccessPlan::Direct(coalesced),
     }
-    let useful = total_bytes(&coalesced);
+}
+
+/// The one spanning request that services already-`coalesced` runs under
+/// `policy`, or `None` when they are issued directly.
+pub(crate) fn sieve_span(coalesced: &[ByteRun], policy: SievePolicy) -> Option<ByteRun> {
+    if coalesced.len() <= 1 {
+        return None;
+    }
+    let useful = total_bytes(coalesced);
     let lo = coalesced.first().expect("non-empty").offset;
     let hi = coalesced.last().expect("non-empty").end();
     let span = ByteRun::new(lo, hi - lo);
@@ -87,14 +99,7 @@ pub fn plan_access(runs: &[ByteRun], policy: SievePolicy) -> AccessPlan {
             sieved < direct
         }
     };
-    if sieve {
-        AccessPlan::Sieved {
-            span,
-            useful: coalesced,
-        }
-    } else {
-        AccessPlan::Direct(coalesced)
-    }
+    sieve.then_some(span)
 }
 
 /// Extract the useful runs from a buffer holding the whole span.
