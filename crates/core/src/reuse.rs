@@ -12,7 +12,7 @@
 //! construction — the repo's central invariant, extended to caching.
 
 use ooc_array::{ArrayDesc, ArrayId, DimRange, Distribution, FileLayout, Section, Shape};
-use pario::{coalesce_runs, ByteRun, DiskStats, ElemKind, NoCharge, SlabCache};
+use pario::{coalesce_runs, DiskStats, ElemKind, NoCharge, SlabCache};
 
 use crate::ir::{ArrayIoTotals, NestTotals};
 use crate::nodegen::gaxpy_nest_for;
@@ -25,9 +25,9 @@ const FILE_B: u64 = 1;
 const FILE_C: u64 = 2;
 
 /// One replayed section access against the predictor cache: exactly what
-/// `OocEnv::{read,write}_section` does on the byte level — section to
-/// element runs under the array's file layout, element runs to byte runs,
-/// coalesce, then one cache operation per coalesced run in ascending order.
+/// `OocEnv::{read,write}_section` does on the byte level — the section's
+/// byte runs ([`ArrayDesc::section_byte_runs`]), coalesced, then one cache
+/// operation per coalesced run in ascending order.
 fn replay_access(
     cache: &mut SlabCache,
     stats: &mut DiskStats,
@@ -37,14 +37,8 @@ fn replay_access(
     sec: &Section,
     is_read: bool,
 ) {
-    let local = desc.local_shape(rank);
-    let es = desc.elem.size() as u64;
-    let byte_runs: Vec<ByteRun> = desc
-        .layout
-        .section_runs(&local, sec)
-        .iter()
-        .map(|r| ByteRun::new(r.offset * es, r.len * es))
-        .collect();
+    let mut byte_runs = Vec::new();
+    desc.section_byte_runs(&desc.local_shape(rank), sec, &mut byte_runs);
     for run in coalesce_runs(&byte_runs) {
         if is_read {
             cache
@@ -194,109 +188,6 @@ fn replay_row(plan: &GaxpyPlan, rank: usize, cache: &mut SlabCache, stats: &mut 
     }
 }
 
-/// Predict the per-array I/O totals of one pre-statement remap (a
-/// [`ooc_array::redistribute_with`] call) executed with `method` on `rank`
-/// behind a slab cache of `budget` bytes. The replay drives the same
-/// predictor-mode cache as the GAXPY path, with the source as file 0 and
-/// the destination as file 1.
-///
-/// Behind a cache the sieve is bypassed (miss handling already fetches
-/// spanning gaps), mirroring the runtime: a zero budget therefore
-/// reproduces [`ooc_array::redist_counts`] of the *direct* schedule for
-/// `Direct`/`Sieved`, and of the two-phase schedule for `TwoPhase`.
-/// Communication is unaffected by caching and copied from the uncached
-/// counts.
-pub fn remap_cached_totals(
-    src: &ArrayDesc,
-    dst: &ArrayDesc,
-    rank: usize,
-    method: pario::IoMethod,
-    budget: usize,
-) -> NestTotals {
-    use ooc_array::{global_section_of_local, local_section_of_global};
-    let mut cache = SlabCache::predictor(budget);
-    let mut stats = DiskStats::default();
-    let p = src.dist.nprocs();
-    let uncached = ooc_array::redist_counts(src, dst, rank, method);
-
-    let my_src = global_section_of_local(&src.dist, rank).expect("regular source distribution");
-    let my_dst =
-        global_section_of_local(&dst.dist, rank).expect("regular destination distribution");
-    match method {
-        pario::IoMethod::Direct | pario::IoMethod::Sieved => {
-            for j in 0..p {
-                let theirs = global_section_of_local(&dst.dist, j)
-                    .expect("regular destination distribution");
-                if let Some(isect) = my_src.intersect(&theirs) {
-                    let sec = local_section_of_global(&src.dist, rank, &isect)
-                        .expect("sender owns intersection");
-                    replay_access(&mut cache, &mut stats, FILE_A, src, rank, &sec, true);
-                }
-            }
-            for j in 0..p {
-                let theirs =
-                    global_section_of_local(&src.dist, j).expect("regular source distribution");
-                if let Some(isect) = my_dst.intersect(&theirs) {
-                    let sec = local_section_of_global(&dst.dist, rank, &isect)
-                        .expect("receiver owns intersection");
-                    replay_access(&mut cache, &mut stats, FILE_B, dst, rank, &sec, false);
-                }
-            }
-        }
-        pario::IoMethod::TwoPhase => {
-            let es = src.elem.size() as u64;
-            let local = src.local_shape(rank);
-            let pieces: Vec<Vec<ByteRun>> = (0..p)
-                .map(|j| {
-                    let theirs = global_section_of_local(&dst.dist, j)
-                        .expect("regular destination distribution");
-                    let Some(isect) = my_src.intersect(&theirs) else {
-                        return Vec::new();
-                    };
-                    let sec = local_section_of_global(&src.dist, rank, &isect)
-                        .expect("sender owns intersection");
-                    src.layout
-                        .section_runs(&local, &sec)
-                        .iter()
-                        .map(|r| ByteRun::new(r.offset * es, r.len * es))
-                        .collect()
-                })
-                .collect();
-            for run in &pario::plan_union(&pieces).union {
-                cache
-                    .read(FILE_A, *run, None, None, None, &NoCharge, &mut stats)
-                    .expect("predictor cache read cannot fail");
-            }
-            let dlocal = dst.local_shape(rank);
-            if !dlocal.is_empty() {
-                replay_access(
-                    &mut cache,
-                    &mut stats,
-                    FILE_B,
-                    dst,
-                    rank,
-                    &Section::full(&dlocal),
-                    false,
-                );
-            }
-        }
-    }
-    cache
-        .flush(None, None, &NoCharge, &mut stats)
-        .expect("predictor flush cannot fail");
-
-    let mut t = NestTotals {
-        comm_messages: uncached.messages,
-        comm_bytes: uncached.msg_bytes,
-        ..NestTotals::default()
-    };
-    t.per_array
-        .insert(src.name.clone(), array_totals(&cache, FILE_A, src.elem));
-    t.per_array
-        .insert(dst.name.clone(), array_totals(&cache, FILE_B, dst.elem));
-    t
-}
-
 /// A canonical GAXPY plan for `strategy` with the paper's distributions and
 /// layouts: A and C column-block (column-major for column slabs, row-major
 /// reorganized for row slabs), B row-block column-major. Used by the
@@ -414,79 +305,6 @@ mod tests {
         assert_eq!(
             cached.per_array["c"].write_elems, uncached.per_array["c"].write_elems,
             "every produced element still reaches disk"
-        );
-    }
-
-    #[test]
-    fn remap_replay_reproduces_uncached_counts_at_zero_budget() {
-        let n = 16;
-        let p = 4;
-        let src = ArrayDesc::new(
-            ArrayId(0),
-            "a",
-            ElemKind::F32,
-            Distribution::row_block(Shape::matrix(n, n), p),
-        )
-        .with_layout(FileLayout::row_major(2));
-        let dst = ArrayDesc::new(
-            ArrayId(1),
-            "a2",
-            ElemKind::F32,
-            Distribution::column_block(Shape::matrix(n, n), p),
-        );
-        // Behind a cache the sieve is bypassed, so Sieved replays as
-        // Direct; compare the methods whose uncached schedule survives.
-        for method in [pario::IoMethod::Direct, pario::IoMethod::TwoPhase] {
-            let t = remap_cached_totals(&src, &dst, 0, method, 0);
-            let c = ooc_array::redist_counts(&src, &dst, 0, method);
-            assert_eq!(
-                t.per_array["a"].read_requests, c.read_requests,
-                "{method:?}"
-            );
-            assert_eq!(t.per_array["a"].read_elems * 4, c.read_bytes, "{method:?}");
-            assert_eq!(
-                t.per_array["a2"].write_requests, c.write_requests,
-                "{method:?}"
-            );
-            assert_eq!(
-                t.per_array["a2"].write_elems * 4,
-                c.write_bytes,
-                "{method:?}"
-            );
-            assert_eq!(t.comm_messages, c.messages);
-        }
-    }
-
-    #[test]
-    fn cache_budget_cannot_beat_two_phase_writes() {
-        // The direct remap's fragmented writes merge in a generous cache,
-        // but never below the two-phase schedule's single full-local write.
-        let n = 16;
-        let p = 4;
-        let src = ArrayDesc::new(
-            ArrayId(0),
-            "a",
-            ElemKind::F32,
-            Distribution::row_block(Shape::matrix(n, n), p),
-        )
-        .with_layout(FileLayout::row_major(2));
-        let dst = ArrayDesc::new(
-            ArrayId(1),
-            "a2",
-            ElemKind::F32,
-            Distribution::column_block(Shape::matrix(n, n), p),
-        );
-        let direct_uncached = remap_cached_totals(&src, &dst, 0, pario::IoMethod::Direct, 0);
-        let direct_cached = remap_cached_totals(&src, &dst, 0, pario::IoMethod::Direct, 1 << 20);
-        let two_phase = remap_cached_totals(&src, &dst, 0, pario::IoMethod::TwoPhase, 0);
-        assert!(
-            direct_cached.per_array["a2"].write_requests
-                <= direct_uncached.per_array["a2"].write_requests
-        );
-        assert_eq!(two_phase.per_array["a2"].write_requests, 1);
-        assert!(
-            direct_cached.per_array["a2"].write_requests
-                >= two_phase.per_array["a2"].write_requests
         );
     }
 

@@ -13,10 +13,11 @@ use std::hint::black_box;
 use dmsim::{Machine, MachineConfig};
 use noderun::assemble_global;
 use ooc_array::{
-    ArrayDesc, ArrayId, DimDist, DimRange, DistKind, Distribution, OocEnv, ProcGrid, Section, Shape,
+    ArrayDesc, ArrayId, DimDist, DimRange, DistKind, Distribution, FileLayout, OocEnv, ProcGrid,
+    Section, Shape,
 };
 use ooc_core::plan::{GaxpyPlan, SlabStrategy};
-use pario::ElemKind;
+use pario::{ElemKind, NoCharge};
 
 thread_local! {
     // Per thread, so the test harness's parallel tests do not count each
@@ -187,5 +188,53 @@ fn column_gaxpy_allocates_per_column_of_c_not_per_a_slab_read() {
             "rank {rank}: halving slab_a added {added} allocations for {added_reads} \
              added A-slab reads ({t} -> {h})"
         );
+    }
+}
+
+/// Allocations of one warmed-up `read_section_into` and one `write_section`
+/// of `section` of a 64×64 array stored under `layout` on a single rank.
+fn section_io_allocs(layout: &FileLayout, section: &Section) -> (usize, usize) {
+    let dist = Distribution::column_block(Shape::matrix(64, 64), 1);
+    let desc = ArrayDesc::new(ArrayId(0), "a", ElemKind::F32, dist).with_layout(layout.clone());
+    let mut env = OocEnv::in_memory(0);
+    env.alloc(&desc).unwrap();
+    env.load_global(&desc, &|g| (64 * g[0] + g[1]) as f32)
+        .unwrap();
+    let data: Vec<f32> = (0..section.len()).map(|i| i as f32).collect();
+    let mut out = Vec::new();
+    // One pass of each first, so every reused scratch buffer has its size.
+    env.read_section_into(&desc, section, &mut out, &NoCharge)
+        .unwrap();
+    env.write_section(&desc, section, &data, &NoCharge).unwrap();
+    let ((), reads) = allocs_during(|| {
+        env.read_section_into(&desc, section, &mut out, &NoCharge)
+            .unwrap()
+    });
+    let ((), writes) =
+        allocs_during(|| env.write_section(&desc, section, &data, &NoCharge).unwrap());
+    assert_eq!(out, data, "the write must land where the read finds it");
+    (reads, writes)
+}
+
+#[test]
+fn section_writes_allocate_no_more_than_reads_and_neither_per_run() {
+    let shape = Shape::matrix(64, 64);
+    let row_slab = Section::new(vec![DimRange::new(0, 16), DimRange::new(0, 64)]);
+    let every_other_column = Section::new(vec![DimRange::new(0, 16), DimRange::strided(0, 64, 2)]);
+    for layout in [FileLayout::column_major(2), FileLayout::row_major(2)] {
+        for section in [&row_slab, &every_other_column] {
+            let runs = layout.count_section_runs(&shape, section);
+            let (reads, writes) = section_io_allocs(&layout, section);
+            let case = format!(
+                "{:?}, {} elements in {runs} runs",
+                layout.order(),
+                section.len()
+            );
+            assert!(
+                writes <= reads,
+                "{case}: {writes} allocations per write, {reads} per read"
+            );
+            assert!(reads <= 8, "{case}: {reads} allocations per read");
+        }
     }
 }

@@ -16,7 +16,7 @@
 
 use dmsim::{Payload, ProcCtx, Tag};
 use ooc_trace::digest::Fnv1a;
-use pario::{plan_union, ByteRun, IoCharge, IoMethod};
+use pario::{plan_union, ByteRun, IoCharge, IoMethod, SievePolicy};
 use serde::{Deserialize, Serialize};
 
 use crate::error::OocError;
@@ -144,6 +144,13 @@ impl IrregSchedule {
     /// [`crate::persist::import_array`], the format validates against them
     /// rather than storing them); a digest mismatch means the arrays moved
     /// since the schedule was cached, and the schedule is rejected.
+    ///
+    /// The digest covers only the descriptors, so the body is checked too:
+    /// the rank count must match the data array's distribution, every
+    /// element list must be strictly ascending inside its owner's local
+    /// length, every output slot must name a wanted element, and every
+    /// serve run list must be exactly the coalesced runs of its elements.
+    /// Any mismatch is an `Err`, never a panic later in the executor.
     pub fn from_bytes(
         data: &ArrayDesc,
         index: &ArrayDesc,
@@ -179,6 +186,16 @@ impl IrregSchedule {
         let nprocs = get("nprocs")? as usize;
         let nout = get("nout")? as usize;
         let index_hash = get("hash")?;
+        if nprocs != data.dist.nprocs() {
+            return Err(format!(
+                "schedule spans {nprocs} ranks, `{}` is distributed over {}",
+                data.name,
+                data.dist.nprocs()
+            ));
+        }
+        if rank >= nprocs {
+            return Err(format!("schedule rank {rank} is not below nprocs {nprocs}"));
+        }
 
         let parse_list = |s: &str| -> Result<Vec<u64>, String> {
             if s.is_empty() {
@@ -232,7 +249,7 @@ impl IrregSchedule {
         if out_slot.len() != nout {
             return Err("out_slot length mismatches nout".into());
         }
-        Ok(IrregSchedule {
+        let sched = IrregSchedule {
             stamp: ScheduleStamp {
                 data: data.clone(),
                 index: index.clone(),
@@ -245,7 +262,50 @@ impl IrregSchedule {
             want,
             serve_elems,
             serve_runs,
-        })
+        };
+        sched.check_body()?;
+        Ok(sched)
+    }
+
+    /// The structural invariants [`inspect`] establishes and the executor
+    /// relies on (see [`Self::from_bytes`]).
+    fn check_body(&self) -> Result<(), String> {
+        let data = &self.stamp.data;
+        let local_len = |rank: usize| data.local_shape(rank).len() as u64;
+        let check_elems = |label: &str, j: usize, elems: &[u64], owner: usize| {
+            let ascending = elems.windows(2).all(|w| w[0] < w[1]);
+            let len = local_len(owner);
+            match elems.last() {
+                _ if !ascending => Err(format!("{label}[{j}] is not strictly ascending")),
+                Some(&last) if last >= len => Err(format!(
+                    "{label}[{j}] names element {last} of rank {owner}'s {len}"
+                )),
+                _ => Ok(()),
+            }
+        };
+        for (j, elems) in self.want.iter().enumerate() {
+            check_elems("want", j, elems, j)?;
+        }
+        for (j, elems) in self.serve_elems.iter().enumerate() {
+            check_elems("serve_elems", j, elems, self.stamp.rank)?;
+        }
+        for &(peer, slot) in &self.out_slot {
+            let wanted = self.want.get(peer as usize).map_or(0, Vec::len);
+            if slot as usize >= wanted {
+                return Err(format!(
+                    "out_slot {peer}:{slot} is outside the {wanted} elements wanted from rank {peer}"
+                ));
+            }
+        }
+        let es = data.elem.size() as u64;
+        for (j, (elems, runs)) in self.serve_elems.iter().zip(&self.serve_runs).enumerate() {
+            if *runs != serve_runs_of(elems, es) {
+                return Err(format!(
+                    "serve_runs[{j}] are not the coalesced runs of serve_elems[{j}]"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Run-length statistics of the inspected index set, as one flat u64
@@ -461,13 +521,7 @@ pub fn inspect(
     let es = data.elem.size() as u64;
     let serve_runs = serve_elems
         .iter()
-        .map(|elems| {
-            let unit: Vec<ByteRun> = elems
-                .iter()
-                .map(|&off| ByteRun::new(off * es, es))
-                .collect();
-            pario::coalesce_runs(&unit)
-        })
+        .map(|elems| serve_runs_of(elems, es))
         .collect();
 
     Ok(IrregSchedule {
@@ -486,6 +540,16 @@ pub fn inspect(
     })
 }
 
+/// The coalesced byte runs covering local elements `elems` of `es` bytes
+/// each.
+fn serve_runs_of(elems: &[u64], es: u64) -> Vec<ByteRun> {
+    let unit: Vec<ByteRun> = elems
+        .iter()
+        .map(|&off| ByteRun::new(off * es, es))
+        .collect();
+    pario::coalesce_runs(&unit)
+}
+
 /// Execute a cached schedule: gather `data[idx[i]]` for every local
 /// indirection entry, returning the values in entry order. Collective —
 /// every rank drives its own schedule with the same `method`.
@@ -493,7 +557,8 @@ pub fn inspect(
 /// * `Direct` — one read per coalesced serve run, one message per peer
 ///   with data.
 /// * `Sieved` — one spanning read per peer with data (trading bytes for
-///   requests), same messages as direct.
+///   requests), same messages as direct: the disk read under
+///   [`SievePolicy::Always`].
 /// * `TwoPhase` — one coalesced union read covering every peer's serve
 ///   list, then an all-to-all exchange.
 ///
@@ -520,30 +585,16 @@ pub fn gather_with(
     let mut local_part: Vec<f32> = Vec::new();
     match method {
         IoMethod::Direct | IoMethod::Sieved => {
+            let policy = match method {
+                IoMethod::Sieved => SievePolicy::Always,
+                _ => SievePolicy::Direct,
+            };
             for (j, runs) in sched.serve_runs.iter().enumerate() {
                 if runs.is_empty() {
                     continue;
                 }
-                let bytes = match method {
-                    // One request per coalesced run, exact bytes.
-                    IoMethod::Direct => env.read_byte_runs(data, runs, charge)?,
-                    // One spanning request, unwanted bytes discarded here.
-                    IoMethod::Sieved => {
-                        let lo = runs.first().expect("non-empty").offset;
-                        let hi = runs.last().expect("non-empty").end();
-                        let span =
-                            env.read_byte_runs(data, &[ByteRun::new(lo, hi - lo)], charge)?;
-                        let mut picked =
-                            Vec::with_capacity(runs.iter().map(|r| r.len as usize).sum());
-                        for r in runs {
-                            let s = (r.offset - lo) as usize;
-                            picked.extend_from_slice(&span[s..s + r.len as usize]);
-                        }
-                        picked
-                    }
-                    IoMethod::TwoPhase => unreachable!(),
-                };
-                let vals = pario::bytes_to_f32(&bytes)?;
+                let mut vals = Vec::new();
+                env.read_runs(data, runs, &mut vals, charge, policy)?;
                 if j == me {
                     local_part = vals;
                 } else {
@@ -552,20 +603,13 @@ pub fn gather_with(
             }
         }
         IoMethod::TwoPhase => {
+            // The union is already file-conforming, so it is never sieved.
             let plan = plan_union(&sched.serve_runs);
-            let union_buf = if plan.buffer_len() > 0 {
-                env.read_byte_runs(data, &plan.union, charge)?
-            } else {
-                Vec::new()
-            };
-            let mut sends: Vec<Vec<f32>> = Vec::with_capacity(p);
-            for j in 0..p {
-                if sched.serve_runs[j].is_empty() {
-                    sends.push(Vec::new());
-                } else {
-                    sends.push(pario::bytes_to_f32(&plan.carve(j, &union_buf))?);
-                }
+            let mut union = Vec::new();
+            if plan.buffer_len() > 0 {
+                env.read_runs(data, &plan.union, &mut union, charge, SievePolicy::Direct)?;
             }
+            let sends: Vec<Vec<f32>> = (0..p).map(|j| plan.carve(j, &union)).collect();
             let mut received = {
                 let _x = ctx.trace_span(ooc_trace::Category::Exchange, "exchange");
                 ctx.try_alltoallv::<f32>(sends)?
@@ -862,6 +906,78 @@ mod tests {
         });
     }
 
+    /// Rank 0's serialised schedule of `descs(16, 32, 2)`, pinned: schedules
+    /// cached on disk by other builds must keep parsing (same hash, same
+    /// digest).
+    const GOLDEN: &str = "oochpf-irreg 1\n\
+        data=x index=idx rank=0 nprocs=2 hash=16393428719305668808 \
+        digest=8632607547962904211 nout=16\n\
+        out_slot=0:0,0:4,1:2,1:2,1:5,0:3,0:3,1:1,1:4,1:4,0:2,1:0,1:0,1:3,0:1,0:1\n\
+        want[0]=0,2,3,4,5\nwant[1]=0,1,2,5,6,7\n\
+        serve_elems[0]=0,2,3,4,5\nserve_elems[1]=0,1,4,5,6,7\n\
+        serve_runs[0]=0:4,8:16\nserve_runs[1]=0:8,16:16\n";
+
+    #[test]
+    fn tampered_schedule_blobs_are_typed_errors() {
+        let (x, idx) = descs(16, 32, 2);
+        let golden = IrregSchedule::from_bytes(&x, &idx, GOLDEN.as_bytes()).unwrap();
+        assert_eq!(String::from_utf8(golden.to_bytes()).unwrap(), GOLDEN);
+        for (from, to, why) in [
+            // Counts the digest does not cover: each used to panic or
+            // parse into a schedule the executor would index out of bounds.
+            (
+                "nprocs=2",
+                "nprocs=18446744073709551615",
+                "distributed over 2",
+            ),
+            (
+                "serve_runs[0]=0:4,8:16",
+                "serve_runs[0]=",
+                "serve_runs[0] are not",
+            ),
+            ("rank=0", "rank=7", "rank 7 is not below"),
+            (
+                "out_slot=0:0,",
+                "out_slot=9:999,",
+                "out_slot 9:999 is outside",
+            ),
+            // One per structural check.
+            ("nprocs=2", "nprocs=3", "spans 3 ranks"),
+            (
+                "want[0]=0,2,3,4,5",
+                "want[0]=0,3,2,4,5",
+                "want[0] is not strictly",
+            ),
+            (
+                "want[1]=0,1,2,5,6,7",
+                "want[1]=0,1,2,5,6,8",
+                "element 8 of rank 1",
+            ),
+            (
+                "serve_elems[1]=0,1,4,5,6,7",
+                "serve_elems[1]=1,0,4,5,6,7",
+                "serve_elems[1] is not strictly",
+            ),
+            (
+                "serve_elems[0]=0,2,3,4,5",
+                "serve_elems[0]=0,2,3,4,9",
+                "element 9 of rank 0",
+            ),
+            ("out_slot=0:0,", "out_slot=0:5,", "outside the 5 elements"),
+            (
+                "serve_runs[1]=0:8,16:16",
+                "serve_runs[1]=0:4,4:4,16:16",
+                "serve_runs[1] are not",
+            ),
+        ] {
+            let tampered = GOLDEN.replace(from, to);
+            assert_ne!(tampered, GOLDEN, "{from} not in the golden blob");
+            let err = IrregSchedule::from_bytes(&x, &idx, tampered.as_bytes())
+                .expect_err(&format!("`{to}` must be refused"));
+            assert!(err.contains(why), "`{to}`: {err}");
+        }
+    }
+
     #[test]
     fn schedules_serialize_and_round_trip() {
         let (n, nidx, p) = (16, 32, 2);
@@ -878,15 +994,6 @@ mod tests {
             let bytes = sched.to_bytes();
             let back = IrregSchedule::from_bytes(&x, &idx, &bytes).unwrap();
             assert_eq!(back, sched);
-            // Rank 0's serialised form is pinned: schedules cached on disk
-            // by other builds must keep parsing (same hash, same digest).
-            const GOLDEN: &str = "oochpf-irreg 1\n\
-                data=x index=idx rank=0 nprocs=2 hash=16393428719305668808 \
-                digest=8632607547962904211 nout=16\n\
-                out_slot=0:0,0:4,1:2,1:2,1:5,0:3,0:3,1:1,1:4,1:4,0:2,1:0,1:0,1:3,0:1,0:1\n\
-                want[0]=0,2,3,4,5\nwant[1]=0,1,2,5,6,7\n\
-                serve_elems[0]=0,2,3,4,5\nserve_elems[1]=0,1,4,5,6,7\n\
-                serve_runs[0]=0:4,8:16\nserve_runs[1]=0:8,16:16\n";
             if ctx.rank() == 0 {
                 assert_eq!(String::from_utf8(bytes.clone()).unwrap(), GOLDEN);
             }

@@ -102,18 +102,20 @@ impl FileLayout {
     /// is handled by the disk layer's coalescer anyway).
     pub fn section_runs(&self, shape: &Shape, section: &Section) -> Vec<ElemRun> {
         let mut runs = Vec::new();
-        self.section_runs_into(shape, section, &mut runs);
+        self.section_runs_into(shape, section, &mut runs, ElemRun::new);
         runs
     }
 
     /// [`FileLayout::section_runs`] into a caller-owned buffer, replacing
-    /// its contents. A section that is one contiguous run (a slab along the
-    /// slowest dimension) allocates nothing.
-    pub(crate) fn section_runs_into(
+    /// its contents, with each `(offset, len)` element run built by `run`.
+    /// A section that is one contiguous run (a slab along the slowest
+    /// dimension) allocates nothing.
+    pub(crate) fn section_runs_into<R>(
         &self,
         shape: &Shape,
         section: &Section,
-        runs: &mut Vec<ElemRun>,
+        runs: &mut Vec<R>,
+        run: impl Fn(u64, u64) -> R,
     ) {
         assert_eq!(shape.ndims(), section.ndims());
         runs.clear();
@@ -148,7 +150,7 @@ impl FileLayout {
             stride *= shape.extent(d);
         }
         if outer_start == self.order.len() {
-            runs.push(ElemRun::new(base as u64, chunk as u64));
+            runs.push(run(base as u64, chunk as u64));
             return;
         }
 
@@ -165,7 +167,7 @@ impl FileLayout {
             for (k, &d) in outer_dims.iter().enumerate() {
                 off += odo[k] * section.range(d).step * strides[d];
             }
-            runs.push(ElemRun::new(off as u64, chunk as u64));
+            runs.push(run(off as u64, chunk as u64));
             // Advance odometer.
             let mut k = 0;
             loop {

@@ -17,7 +17,10 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use pario::{ElemKind, IoCharge, IoError, LocalArrayFile, LogicalDisk, NoCharge};
+use pario::{
+    ByteRun, ElemKind, ElemRun, FileId, IoCharge, IoError, LocalArrayFile, LogicalDisk, NoCharge,
+    SievePolicy,
+};
 
 use crate::dist::Distribution;
 use crate::layout::FileLayout;
@@ -74,6 +77,20 @@ impl ArrayDesc {
     pub fn local_shape(&self, rank: usize) -> Shape {
         self.dist.local_shape(rank)
     }
+
+    /// The byte runs of `section` of a local array of `shape` in this
+    /// array's file, in ascending offset order, replacing `out`'s contents.
+    ///
+    /// This is the one section → request translation: section reads and
+    /// writes, redistribution's pieces, the inspector's indirection read
+    /// and the compiler's reuse replay all ask the disk for these runs.
+    pub fn section_byte_runs(&self, shape: &Shape, section: &Section, out: &mut Vec<ByteRun>) {
+        let es = self.elem.size() as u64;
+        self.layout
+            .section_runs_into(shape, section, out, |offset, len| {
+                ByteRun::new(offset * es, len * es)
+            });
+    }
 }
 
 /// Per-processor out-of-core array environment: the logical disk and the
@@ -82,9 +99,12 @@ pub struct OocEnv {
     rank: usize,
     disk: LogicalDisk,
     files: HashMap<ArrayId, LocalFile>,
-    sieve: pario::SievePolicy,
-    /// Element-run scratch of the section read path, reused across reads.
-    runs: Vec<pario::ElemRun>,
+    sieve: SievePolicy,
+    /// Byte-run scratch of the section paths, reused across accesses.
+    runs: Vec<ByteRun>,
+    /// Layout-order staging of a section access under a non-column-major
+    /// layout, reused across accesses.
+    staged: Vec<f32>,
 }
 
 /// One allocated LAF and the local shape its array had at allocation, so a
@@ -102,8 +122,9 @@ impl OocEnv {
             rank,
             disk: LogicalDisk::in_memory(),
             files: HashMap::new(),
-            sieve: pario::SievePolicy::Direct,
+            sieve: SievePolicy::Direct,
             runs: Vec::new(),
+            staged: Vec::new(),
         }
     }
 
@@ -113,20 +134,21 @@ impl OocEnv {
             rank,
             disk: LogicalDisk::on_disk(&format!("rank{rank}"))?,
             files: HashMap::new(),
-            sieve: pario::SievePolicy::Direct,
+            sieve: SievePolicy::Direct,
             runs: Vec::new(),
+            staged: Vec::new(),
         })
     }
 
     /// Service strided section reads by data sieving according to `policy`
     /// (PASSION-style: one spanning request, unwanted bytes discarded).
-    pub fn set_sieve_policy(&mut self, policy: pario::SievePolicy) {
+    pub fn set_sieve_policy(&mut self, policy: SievePolicy) {
         self.sieve = policy;
     }
 
     /// The sieve policy currently in force (so callers can save/restore it
     /// around a method-forced access).
-    pub fn sieve_policy(&self) -> pario::SievePolicy {
+    pub fn sieve_policy(&self) -> SievePolicy {
         self.sieve
     }
 
@@ -216,6 +238,48 @@ impl OocEnv {
         self.file(id).laf
     }
 
+    /// The file of `desc`, announced to `charge` and to the slab cache so
+    /// the access — and any write-back it defers — carries the array's
+    /// name.
+    fn tagged_file(&mut self, desc: &ArrayDesc, charge: &dyn IoCharge) -> FileId {
+        let file = self.laf(desc.id).file_id();
+        charge.io_array(&desc.name, file.0);
+        self.disk.note_array(file, &desc.name);
+        file
+    }
+
+    /// Byte runs of `section` of `desc`'s OCLA, in the reused scratch
+    /// (hand it back through `self.runs`). While `desc` keeps the
+    /// distribution it was allocated with, the local shape recorded at
+    /// allocation is used instead of re-deriving it.
+    fn take_section_runs(&mut self, desc: &ArrayDesc, section: &Section) -> Vec<ByteRun> {
+        let mut runs = std::mem::take(&mut self.runs);
+        let file = self.file(desc.id);
+        if file.dist == desc.dist {
+            desc.section_byte_runs(&file.shape, section, &mut runs);
+        } else {
+            desc.section_byte_runs(&desc.local_shape(self.rank), section, &mut runs);
+        }
+        runs
+    }
+
+    /// Read the byte `runs` of `desc`'s LAF as `f32`s into `out` (in offset
+    /// order) under `policy`: the one disk read behind section reads,
+    /// redistribution's union reads and the irregular gathers.
+    pub(crate) fn read_runs(
+        &mut self,
+        desc: &ArrayDesc,
+        runs: &[ByteRun],
+        out: &mut Vec<f32>,
+        charge: &dyn IoCharge,
+        policy: SievePolicy,
+    ) -> Result<(), IoError> {
+        let file = self.tagged_file(desc, charge);
+        self.disk
+            .read(file, runs.iter().copied(), out, charge, policy)?;
+        Ok(())
+    }
+
     /// Read a section of the OCLA (local index space) into a fresh ICLA
     /// buffer in section column-major order. I/O is charged to `charge`.
     pub fn read_section(
@@ -231,8 +295,9 @@ impl OocEnv {
 
     /// [`OocEnv::read_section`] into a caller-owned ICLA buffer, replacing
     /// its contents. Under a column-major layout the elements are decoded
-    /// straight from storage into `out`, so a slab buffer reused across
-    /// reads is neither reallocated nor copied twice.
+    /// straight from storage into `out`; under any other layout they are
+    /// staged in reused scratch and reordered into `out`, so a slab buffer
+    /// reused across reads is never reallocated.
     pub fn read_section_into(
         &mut self,
         desc: &ArrayDesc,
@@ -240,24 +305,18 @@ impl OocEnv {
         out: &mut Vec<f32>,
         charge: &dyn IoCharge,
     ) -> Result<(), IoError> {
-        let mut runs = std::mem::take(&mut self.runs);
-        let file = self.file(desc.id);
-        let laf = file.laf;
-        if file.dist == desc.dist {
-            desc.layout
-                .section_runs_into(&file.shape, section, &mut runs);
-        } else {
-            let local_shape = desc.local_shape(self.rank);
-            desc.layout
-                .section_runs_into(&local_shape, section, &mut runs);
-        }
-        charge.io_array(&desc.name, laf.file_id().0);
-        self.disk.note_array(laf.file_id(), &desc.name);
+        let runs = self.take_section_runs(desc, section);
         let read = if layout_is_cm(&desc.layout) {
-            laf.read_f32_into(&mut self.disk, &runs, out, charge, self.sieve)
+            self.read_runs(desc, &runs, out, charge, self.sieve)
         } else {
-            laf.read_f32_with(&mut self.disk, &runs, charge, self.sieve)
-                .map(|raw| *out = reorder_layout_to_cm(&desc.layout, section, raw))
+            let mut staged = std::mem::take(&mut self.staged);
+            let read = self.read_runs(desc, &runs, &mut staged, charge, self.sieve);
+            if read.is_ok() {
+                out.resize(staged.len(), 0.0);
+                layout_to_cm(&desc.layout, section, &staged, out);
+            }
+            self.staged = staged;
+            read
         };
         self.runs = runs;
         read
@@ -273,32 +332,22 @@ impl OocEnv {
         charge: &dyn IoCharge,
     ) -> Result<(), IoError> {
         assert_eq!(data.len(), section.len(), "ICLA buffer/section mismatch");
-        let local_shape = desc.local_shape(self.rank);
-        let runs = desc.layout.section_runs(&local_shape, section);
-        let raw = reorder_cm_to_layout(&desc.layout, section, data);
-        let laf = self.laf(desc.id);
-        charge.io_array(&desc.name, laf.file_id().0);
-        self.disk.note_array(laf.file_id(), &desc.name);
-        laf.write_f32_with(&mut self.disk, &runs, &raw, charge, self.sieve)
-    }
-
-    /// Read raw byte runs of `desc`'s LAF, one request per coalesced run,
-    /// bypassing the section/reorder machinery. This is the service read of
-    /// the two-phase collective path: the runs are the *file-conforming
-    /// union* of several pieces, already coalesced by the union planner, so
-    /// sieving never applies. Bytes come back concatenated in run order.
-    pub fn read_byte_runs(
-        &mut self,
-        desc: &ArrayDesc,
-        runs: &[pario::ByteRun],
-        charge: &dyn IoCharge,
-    ) -> Result<Vec<u8>, IoError> {
-        let laf = self.laf(desc.id);
-        charge.io_array(&desc.name, laf.file_id().0);
-        self.disk.note_array(laf.file_id(), &desc.name);
-        let mut out = Vec::with_capacity(runs.iter().map(|r| r.len as usize).sum());
-        self.disk.read_runs(laf.file_id(), runs, &mut out, charge)?;
-        Ok(out)
+        let runs = self.take_section_runs(desc, section);
+        let file = self.tagged_file(desc, charge);
+        let mut staged = std::mem::take(&mut self.staged);
+        let data = if layout_is_cm(&desc.layout) {
+            data
+        } else {
+            staged.resize(data.len(), 0.0);
+            cm_to_layout(&desc.layout, section, data, &mut staged);
+            &staged
+        };
+        let written = self
+            .disk
+            .write(file, runs.iter().copied(), data, charge, self.sieve);
+        self.staged = staged;
+        self.runs = runs;
+        written.map(|_| ())
     }
 
     /// Populate the whole OCLA from a global-index generator function —
@@ -333,7 +382,12 @@ impl OocEnv {
             }
         }
         let laf = self.laf(desc.id);
-        laf.write_all_f32(&mut self.disk, &buf, &NoCharge)
+        laf.write_f32(
+            &mut self.disk,
+            &[ElemRun::new(0, laf.len())],
+            &buf,
+            &NoCharge,
+        )
     }
 
     /// Read the whole OCLA in *local column-major* order (for verification;
@@ -353,41 +407,25 @@ impl OocEnv {
     }
 }
 
-/// Reorder a buffer delivered in `layout` order of `section` into section
-/// column-major order.
-pub(crate) fn reorder_layout_to_cm(
-    layout: &FileLayout,
-    section: &Section,
-    raw: Vec<f32>,
-) -> Vec<f32> {
-    if layout_is_cm(layout) {
-        return raw;
-    }
-    let mut out = vec![0.0f32; raw.len()];
+/// Reorder `raw`, delivered in `layout` order of `section`, into section
+/// column-major order in `out` (same length).
+pub(crate) fn layout_to_cm(layout: &FileLayout, section: &Section, raw: &[f32], out: &mut [f32]) {
     for (k, cm) in LayoutCmMap::new(layout, section).enumerate() {
         out[cm] = raw[k];
     }
-    out
 }
 
-/// Reorder a section-column-major buffer into `layout` order for writing.
-/// Borrows the input unchanged when the layout already is column-major.
-pub(crate) fn reorder_cm_to_layout<'a>(
-    layout: &FileLayout,
-    section: &Section,
-    data: &'a [f32],
-) -> std::borrow::Cow<'a, [f32]> {
-    if layout_is_cm(layout) {
-        return std::borrow::Cow::Borrowed(data);
-    }
-    let mut out = vec![0.0f32; data.len()];
+/// Reorder a section-column-major buffer into `layout` order in `out`
+/// (same length), for writing.
+fn cm_to_layout(layout: &FileLayout, section: &Section, data: &[f32], out: &mut [f32]) {
     for (k, cm) in LayoutCmMap::new(layout, section).enumerate() {
         out[k] = data[cm];
     }
-    std::borrow::Cow::Owned(out)
 }
 
-fn layout_is_cm(layout: &FileLayout) -> bool {
+/// True when `layout` stores sections in column-major order, so section
+/// buffers need no reorder.
+pub(crate) fn layout_is_cm(layout: &FileLayout) -> bool {
     layout.order().iter().enumerate().all(|(i, &d)| i == d)
 }
 

@@ -15,7 +15,7 @@ use crate::error::OocError;
 
 use crate::layout::FileLayout;
 use crate::localize::{global_section_of_local, local_section_of_global};
-use crate::ocla::{ArrayDesc, OocEnv};
+use crate::ocla::{layout_is_cm, layout_to_cm, ArrayDesc, OocEnv};
 use crate::section::Section;
 use crate::slab::SlabPlan;
 
@@ -46,16 +46,9 @@ pub fn relayout_in_place(
     }
     let slab_dim = new_layout.slowest_dim();
     let plan = SlabPlan::from_memory(local_shape, slab_dim, memory_elems.max(1));
-    // Stage through a scratch copy: read each slab under the old layout,
-    // write it under the new one. The new LAF replaces the old after the
-    // loop; we use a second descriptor id-sharing trick — simplest correct
-    // approach is a full temporary in a fresh env file. To keep the LAF id
-    // stable we buffer slabs in memory instead: each slab is read fully
-    // before any of it is rewritten, and slabs are disjoint, but old and new
-    // byte positions of *different* slabs overlap. Hence we must buffer the
-    // whole array when layouts interleave. For the 2-D transpose-like case
-    // (any permutation), positions of different slabs do overlap, so we take
-    // the safe route: read everything slab-wise first, then write slab-wise.
+    // The rewrite is in place, and a slab's bytes under the new layout
+    // overlap other slabs' bytes under the old one, so every slab is read
+    // before any is written: the whole array passes through memory.
     let mut slab_bufs = Vec::with_capacity(plan.num_slabs());
     for slab in plan.iter() {
         slab_bufs.push(env.read_section(desc, &slab, charge)?);
@@ -206,14 +199,22 @@ fn piece_section(src: &ArrayDesc, dst: &ArrayDesc, me: usize, dst_rank: usize) -
     Some(local_section_of_global(&src.dist, me, &isect).expect("sender owns intersection"))
 }
 
-/// Byte runs of a local section under `desc`'s file layout.
-fn section_byte_runs(desc: &ArrayDesc, rank: usize, sec: &Section) -> Vec<ByteRun> {
-    let local_shape = desc.local_shape(rank);
-    let es = desc.elem.size() as u64;
-    desc.layout
-        .section_runs(&local_shape, sec)
+/// Byte runs of local section `sec` of `desc` on `rank`.
+fn byte_runs(desc: &ArrayDesc, rank: usize, sec: &Section) -> Vec<ByteRun> {
+    let mut runs = Vec::new();
+    desc.section_byte_runs(&desc.local_shape(rank), sec, &mut runs);
+    runs
+}
+
+/// Byte runs of every outgoing piece (empty where this rank sends nothing):
+/// what the two-phase union read covers.
+fn piece_runs(src: &ArrayDesc, rank: usize, piece_secs: &[Option<Section>]) -> Vec<Vec<ByteRun>> {
+    piece_secs
         .iter()
-        .map(|r| ByteRun::new(r.offset * es, r.len * es))
+        .map(|sec| {
+            sec.as_ref()
+                .map_or_else(Vec::new, |s| byte_runs(src, rank, s))
+        })
         .collect()
 }
 
@@ -234,34 +235,32 @@ fn redistribute_two_phase(
     let me = ctx.rank();
     let p = ctx.nprocs();
 
-    // Phase 1: one coalesced union read covering every outgoing piece.
+    // Phase 1: one coalesced union read covering every outgoing piece. The
+    // union is already file-conforming, so it is never sieved.
     let piece_secs: Vec<Option<Section>> = (0..p).map(|j| piece_section(src, dst, me, j)).collect();
-    let piece_runs: Vec<Vec<ByteRun>> = piece_secs
-        .iter()
-        .map(|sec| {
-            sec.as_ref()
-                .map_or_else(Vec::new, |s| section_byte_runs(src, me, s))
-        })
-        .collect();
-    let plan = plan_union(&piece_runs);
-    let union_buf = if plan.buffer_len() > 0 {
-        env.read_byte_runs(src, &plan.union, charge)?
-    } else {
-        Vec::new()
-    };
+    let plan = plan_union(&piece_runs(src, me, &piece_secs));
+    let mut union = Vec::new();
+    if plan.buffer_len() > 0 {
+        env.read_runs(src, &plan.union, &mut union, charge, SievePolicy::Direct)?;
+    }
 
     // Carve the per-destination pieces out of the union buffer, each in the
     // direct path's wire format (section column-major order).
-    let mut sends: Vec<Vec<f32>> = Vec::with_capacity(p);
-    for (j, sec) in piece_secs.iter().enumerate() {
-        match sec {
-            Some(sec) => {
-                let raw = pario::bytes_to_f32(&plan.carve(j, &union_buf))?;
-                sends.push(crate::ocla::reorder_layout_to_cm(&src.layout, sec, raw));
+    let cm = layout_is_cm(&src.layout);
+    let sends: Vec<Vec<f32>> = piece_secs
+        .iter()
+        .enumerate()
+        .map(|(j, sec)| match sec {
+            Some(sec) if !cm => {
+                let raw = plan.carve(j, &union);
+                let mut piece = vec![0.0; raw.len()];
+                layout_to_cm(&src.layout, sec, &raw, &mut piece);
+                piece
             }
-            None => sends.push(Vec::new()),
-        }
-    }
+            Some(_) => plan.carve(j, &union),
+            None => Vec::new(),
+        })
+        .collect();
 
     // Phase 2: exchange to the computation-conforming decomposition.
     let received = {
@@ -350,7 +349,7 @@ pub fn redist_counts(
             // Send phase: one piece-wise read per destination with data.
             for (j, sec) in piece_secs.iter().enumerate() {
                 let Some(sec) = sec else { continue };
-                let runs = section_byte_runs(src, rank, sec);
+                let runs = byte_runs(src, rank, sec);
                 let rp = pario::plan_access(&runs, policy);
                 c.read_requests += rp.requests();
                 c.read_bytes += rp.bytes();
@@ -370,7 +369,7 @@ pub fn redist_counts(
                 };
                 let local_dst = local_section_of_global(&dst.dist, rank, &isect)
                     .expect("receiver owns intersection");
-                let runs = section_byte_runs(dst, rank, &local_dst);
+                let runs = byte_runs(dst, rank, &local_dst);
                 match pario::plan_access(&runs, policy) {
                     AccessPlan::Direct(coalesced) => {
                         c.write_requests += coalesced.len() as u64;
@@ -387,14 +386,7 @@ pub fn redist_counts(
             }
         }
         IoMethod::TwoPhase => {
-            let piece_runs: Vec<Vec<ByteRun>> = piece_secs
-                .iter()
-                .map(|sec| {
-                    sec.as_ref()
-                        .map_or_else(Vec::new, |s| section_byte_runs(src, rank, s))
-                })
-                .collect();
-            let plan = plan_union(&piece_runs);
+            let plan = plan_union(&piece_runs(src, rank, &piece_secs));
             c.read_requests = plan.requests();
             c.read_bytes = plan.bytes();
             // alltoallv posts to every peer, empty pieces included.

@@ -59,11 +59,19 @@ fn check_bounds(id: u64, offset: u64, len: usize, file_len: u64) -> Result<()> {
 }
 
 /// Decode little-endian `f32`s from `bytes` into `out` (equal element
-/// counts). One zip the compiler vectorizes.
+/// counts). One zip the compiler vectorizes; [`encode_f32`] is its inverse.
 pub(crate) fn decode_f32(bytes: &[u8], out: &mut [f32]) {
     debug_assert_eq!(bytes.len(), out.len() * 4);
     for (v, c) in out.iter_mut().zip(bytes.chunks_exact(4)) {
         *v = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+    }
+}
+
+/// Encode `data` as little-endian `f32`s into `out` (equal element counts).
+pub(crate) fn encode_f32(data: &[f32], out: &mut [u8]) {
+    debug_assert_eq!(out.len(), data.len() * 4);
+    for (c, v) in out.chunks_exact_mut(4).zip(data) {
+        c.copy_from_slice(&v.to_le_bytes());
     }
 }
 

@@ -25,9 +25,9 @@
 //!   identical replacement logic, so the estimate and the measurement agree
 //!   exactly by construction (see `ooc_core::reuse`).
 //!
-//! [`BufferPool`] is the companion allocation-recycling helper: the
-//! staged read paths (sieved spans, sieved or cached `f32` reads) stage
-//! bytes in pooled buffers instead of growing a fresh `Vec` per slab.
+//! [`BufferPool`] is the companion allocation-recycling helper: the disk's
+//! read and write stage sieve spans, cached runs and write payloads in
+//! pooled buffers instead of growing a fresh `Vec` per slab.
 
 use std::collections::BTreeMap;
 

@@ -10,11 +10,11 @@
 
 use dmsim::{FaultConfig, FaultDomain, FaultInjector, IoFate};
 
-use crate::backend::{MemBackend, StorageBackend};
+use crate::backend::{decode_f32, encode_f32, MemBackend, StorageBackend};
 use crate::cache::{BufferPool, SlabCache};
 use crate::error::{FaultOp, IoError, Result};
-use crate::laf::decode_f32_into;
-use crate::request::{coalesce_runs, coalesce_runs_into, total_bytes, ByteRun};
+use crate::request::{coalesce_runs_into, total_bytes, ByteRun};
+use crate::sieve::{sieve_extract, sieve_scatter, sieve_span, SievePolicy};
 use crate::stats::DiskStats;
 use crate::IoCharge;
 
@@ -29,8 +29,10 @@ pub struct LogicalDisk {
     stats: DiskStats,
     cache: Option<SlabCache>,
     pool: BufferPool,
-    /// Coalesced-run scratch of the `f32` read path, reused across reads.
+    /// Coalesced-run scratch of every read and write, reused across calls.
     runs: Vec<ByteRun>,
+    /// A write's runs in offset order with their payload positions.
+    placed: Vec<(ByteRun, usize)>,
     faults: Option<FaultInjector>,
 }
 
@@ -41,8 +43,8 @@ pub struct LogicalDisk {
 /// by the retry policy; the final attempt always succeeds, so only *hard*
 /// faults (drawn separately) surface — as [`IoError::PermanentFault`].
 /// Recovery work accumulates in the injector and is drained into the clock
-/// by [`LogicalDisk`] after each public operation. Byte and `f32` reads
-/// share this one gate, so both draw the same fates per request.
+/// by [`LogicalDisk`] after each public operation. Every read request —
+/// direct run, sieve span or cache miss — passes this one gate.
 fn read_gate(faults: Option<&FaultInjector>, file: u64, offset: u64, len: u64) -> Result<()> {
     let Some(fi) = faults else {
         return Ok(());
@@ -90,19 +92,6 @@ pub(crate) fn backend_read(
 ) -> Result<()> {
     read_gate(faults, file, offset, buf.len() as u64)?;
     backend.read_at(file, offset, buf)
-}
-
-/// One backend read decoded as `f32`s, routed through the fault layer when
-/// present: the same fates as [`backend_read`] of `4 * out.len()` bytes.
-fn backend_read_f32(
-    backend: &mut dyn StorageBackend,
-    faults: Option<&FaultInjector>,
-    file: u64,
-    offset: u64,
-    out: &mut [f32],
-) -> Result<()> {
-    read_gate(faults, file, offset, out.len() as u64 * 4)?;
-    backend.read_f32_at(file, offset, out)
 }
 
 /// One backend write, routed through the fault layer when present.
@@ -192,6 +181,7 @@ impl LogicalDisk {
             cache: None,
             pool: BufferPool::new(),
             runs: Vec::new(),
+            placed: Vec::new(),
             faults: None,
         }
     }
@@ -310,54 +300,68 @@ impl LogicalDisk {
         self.stats
     }
 
-    /// Read the byte `runs` of `file` into `out` (appended in run order,
-    /// after coalescing). Charges one request per coalesced run.
+    /// Read the byte `runs` of `file` as little-endian `f32`s into `out`,
+    /// replacing its contents in offset order after coalescing. Returns the
+    /// number of read requests issued.
     ///
-    /// Returns the number of requests issued.
-    pub fn read_runs(
+    /// The coalesced runs are serviced by the first branch that applies:
+    ///
+    /// * **cached** — the slab cache serves each coalesced run: a covered
+    ///   run is a free hit, a miss fetches one spanning request over its
+    ///   uncovered gap. That already subsumes data sieving, so `policy` is
+    ///   not consulted.
+    /// * **sieved** — `policy` ([`SievePolicy`]) replaces the runs by one
+    ///   spanning request whose unwanted bytes are discarded in memory.
+    /// * **direct** — one request per coalesced run, decoded straight out of
+    ///   the backend into `out`, which is resized in place: a buffer reused
+    ///   at one length is neither reallocated nor refilled.
+    ///
+    /// Each request (coalesced run or sieve span) passes one fault gate.
+    /// Every coalesced run must hold whole elements; one that does not is
+    /// [`IoError::BadElementSize`] before any request is issued.
+    pub fn read(
         &mut self,
         file: FileId,
-        runs: &[ByteRun],
-        out: &mut Vec<u8>,
+        runs: impl IntoIterator<Item = ByteRun>,
+        out: &mut Vec<f32>,
         charge: &dyn IoCharge,
+        policy: SievePolicy,
     ) -> Result<u64> {
-        self.read_runs_with(file, runs, out, charge, crate::sieve::SievePolicy::Direct)
+        let mut coalesced = std::mem::take(&mut self.runs);
+        coalesce_runs_into(runs, &mut coalesced);
+        let read = self.read_coalesced(file, &coalesced, out, charge, policy);
+        self.runs = coalesced;
+        read
     }
 
-    /// Like [`LogicalDisk::read_runs`] but the access may be serviced by
-    /// data sieving according to `policy`: one spanning request whose
-    /// unwanted bytes are discarded in memory. The charged request/byte
-    /// counts reflect what actually moved.
-    pub fn read_runs_with(
+    fn read_coalesced(
         &mut self,
         file: FileId,
-        runs: &[ByteRun],
-        out: &mut Vec<u8>,
+        coalesced: &[ByteRun],
+        out: &mut Vec<f32>,
         charge: &dyn IoCharge,
-        policy: crate::sieve::SievePolicy,
+        policy: SievePolicy,
     ) -> Result<u64> {
-        use crate::sieve::{plan_access, sieve_extract, AccessPlan};
-        // With a slab cache the sieve is bypassed: the cache's miss handling
-        // already issues one spanning request per uncovered gap, which
-        // subsumes data sieving while also capturing reuse.
-        if self.cache.is_some() {
-            let coalesced = coalesce_runs(runs);
-            let bytes = total_bytes(&coalesced);
-            let start = out.len();
-            out.resize(start + bytes as usize, 0);
-            let LogicalDisk {
-                backend,
-                cache,
-                stats,
-                faults,
-                ..
-            } = self;
-            let cache = cache.as_mut().expect("cache checked above");
+        let bytes = whole_elements(coalesced)?;
+        let elems = (bytes / 4) as usize;
+        out.truncate(elems);
+        out.resize(elems, 0.0);
+        let LogicalDisk {
+            backend,
+            cache,
+            stats,
+            faults,
+            pool,
+            ..
+        } = self;
+        if let Some(cache) = cache.as_mut() {
             let before = stats.read_requests;
-            let mut cursor = start;
-            for run in &coalesced {
+            let mut staged = pool.take();
+            staged.resize(bytes as usize, 0);
+            let mut cursor = 0usize;
+            for run in coalesced {
                 charge.io_offset(run.offset);
-                let buf = &mut out[cursor..cursor + run.len as usize];
+                let buf = &mut staged[cursor..cursor + run.len as usize];
                 cache.read(
                     file.0,
                     *run,
@@ -369,223 +373,122 @@ impl LogicalDisk {
                 )?;
                 cursor += run.len as usize;
             }
+            decode_f32(&staged, out);
+            pool.put(staged);
+            let requests = stats.read_requests - before;
+            self.settle_cache(charge);
+            return Ok(requests);
+        }
+        if let Some(span) = sieve_span(coalesced, policy) {
+            let mut staged = pool.take();
+            staged.resize(span.len as usize, 0);
+            backend_read(
+                &mut **backend,
+                faults.as_ref(),
+                file.0,
+                span.offset,
+                &mut staged,
+            )?;
+            sieve_extract(&span, coalesced, &staged, out);
+            pool.put(staged);
+            stats.add_read(1, span.len);
+            charge.io_offset(span.offset);
+            charge.io_read(1, span.len);
+            charge.io_sieve(span.len, bytes);
             self.settle_faults(charge);
-            let c = self.cache.as_ref().expect("cache checked above");
-            charge.io_cache_level(c.used(), c.dirty_bytes());
-            return Ok(self.stats.read_requests - before);
+            charge.io_wait();
+            return Ok(1);
         }
-        match plan_access(runs, policy) {
-            AccessPlan::Direct(coalesced) => {
-                let start = out.len();
-                out.resize(start + total_bytes(&coalesced) as usize, 0);
-                let mut cursor = start;
-                for run in &coalesced {
-                    let buf = &mut out[cursor..cursor + run.len as usize];
-                    backend_read(
-                        &mut *self.backend,
-                        self.faults.as_ref(),
-                        file.0,
-                        run.offset,
-                        buf,
-                    )?;
-                    cursor += run.len as usize;
-                }
-                Ok(self.charge_direct_read(&coalesced, charge))
-            }
-            AccessPlan::Sieved { span, useful } => {
-                let mut span_buf = self.pool.take();
-                span_buf.resize(span.len as usize, 0);
-                backend_read(
-                    &mut *self.backend,
-                    self.faults.as_ref(),
-                    file.0,
-                    span.offset,
-                    &mut span_buf,
-                )?;
-                out.extend(sieve_extract(&span, &useful, &span_buf));
-                self.pool.put(span_buf);
-                self.stats.add_read(1, span.len);
-                charge.io_offset(span.offset);
-                charge.io_read(1, span.len);
-                charge.io_sieve(span.len, total_bytes(&useful));
-                self.settle_faults(charge);
-                charge.io_wait();
-                Ok(1)
-            }
+        let mut cursor = 0usize;
+        for run in coalesced {
+            let n = (run.len / 4) as usize;
+            read_gate(faults.as_ref(), file.0, run.offset, run.len)?;
+            backend.read_f32_at(file.0, run.offset, &mut out[cursor..cursor + n])?;
+            cursor += n;
         }
-    }
-
-    /// Count and charge a completed direct read of `coalesced` runs.
-    fn charge_direct_read(&mut self, coalesced: &[ByteRun], charge: &dyn IoCharge) -> u64 {
-        let (requests, bytes) = (coalesced.len() as u64, total_bytes(coalesced));
-        self.stats.add_read(requests, bytes);
+        let requests = coalesced.len() as u64;
+        stats.add_read(requests, bytes);
         if let Some(first) = coalesced.first() {
             charge.io_offset(first.offset);
         }
         charge.io_read(requests, bytes);
         self.settle_faults(charge);
         charge.io_wait();
-        requests
+        Ok(requests)
     }
 
-    /// Read the byte `runs` of `file` as little-endian `f32`s into `out`,
-    /// replacing its contents: [`LogicalDisk::read_runs_with`] decoded,
-    /// with the same requests, charges, fault draws and errors.
+    /// Write `data` to the byte `runs` of `file`: the payload is consumed in
+    /// the caller's run order, each value as 4 little-endian bytes, and the
+    /// runs must be disjoint and hold exactly `data.len()` whole elements.
+    /// Returns the number of write requests issued.
     ///
-    /// On the direct, uncached path every element is decoded straight out
-    /// of the backend into `out`, which is resized in place — a buffer
-    /// reused at one length is neither reallocated nor refilled. Sieved and
-    /// cached reads stage through a pooled byte buffer and decode.
-    pub fn read_f32_runs_with(
+    /// The branches mirror [`LogicalDisk::read`]:
+    ///
+    /// * **cached** — each coalesced run becomes a dirty cache segment,
+    ///   charged when it is written back (eviction or
+    ///   [`LogicalDisk::flush_cache`]).
+    /// * **sieved** — one read-modify-write of the spanning extent: one read
+    ///   and one write request instead of one write per run.
+    /// * **direct** — one charged request per coalesced run, while each
+    ///   *original* non-empty run passes its own fault gate, in offset
+    ///   order.
+    pub fn write(
         &mut self,
         file: FileId,
         runs: impl IntoIterator<Item = ByteRun>,
-        out: &mut Vec<f32>,
+        data: &[f32],
         charge: &dyn IoCharge,
-        policy: crate::sieve::SievePolicy,
+        policy: SievePolicy,
     ) -> Result<u64> {
+        let mut placed = std::mem::take(&mut self.placed);
         let mut coalesced = std::mem::take(&mut self.runs);
-        coalesce_runs_into(runs, &mut coalesced);
-        let read = self.read_f32_coalesced(file, &coalesced, out, charge, policy);
+        let mut payload = self.pool.take();
+        let written = place_runs(runs, &mut placed).and_then(|elems| {
+            assert_eq!(
+                elems,
+                data.len(),
+                "write data length {} does not match run total {elems}",
+                data.len()
+            );
+            coalesce_runs_into(placed.iter().map(|&(run, _)| run), &mut coalesced);
+            assert_eq!(
+                total_bytes(&coalesced),
+                4 * elems as u64,
+                "overlapping write runs are not allowed"
+            );
+            sort_write_data(&placed, data, &mut payload);
+            self.write_sorted(file, &placed, &coalesced, &payload, charge, policy)
+        });
+        self.pool.put(payload);
         self.runs = coalesced;
-        read
+        self.placed = placed;
+        written
     }
 
-    fn read_f32_coalesced(
+    /// [`LogicalDisk::write`] of a payload already in offset order.
+    fn write_sorted(
         &mut self,
         file: FileId,
+        placed: &[(ByteRun, usize)],
         coalesced: &[ByteRun],
-        out: &mut Vec<f32>,
+        payload: &[u8],
         charge: &dyn IoCharge,
-        policy: crate::sieve::SievePolicy,
+        policy: SievePolicy,
     ) -> Result<u64> {
-        let direct = self.cache.is_none()
-            && crate::sieve::sieve_span(coalesced, policy).is_none()
-            && coalesced.iter().all(|r| r.len % 4 == 0);
-        if !direct {
-            let mut bytes = self.pool.take();
-            let read = self
-                .read_runs_with(file, coalesced, &mut bytes, charge, policy)
-                .and_then(|requests| decode_f32_into(&bytes, out).map(|()| requests));
-            self.pool.put(bytes);
-            return read;
-        }
-        let elems = (total_bytes(coalesced) / 4) as usize;
-        out.truncate(elems);
-        out.resize(elems, 0.0);
-        let mut cursor = 0usize;
-        for run in coalesced {
-            let n = (run.len / 4) as usize;
-            backend_read_f32(
-                &mut *self.backend,
-                self.faults.as_ref(),
-                file.0,
-                run.offset,
-                &mut out[cursor..cursor + n],
-            )?;
-            cursor += n;
-        }
-        Ok(self.charge_direct_read(coalesced, charge))
-    }
-
-    /// Like [`LogicalDisk::write_runs`] but a strided write may be serviced
-    /// by sieving: read the spanning extent, scatter the new values into
-    /// it, and write the span back (one read + one write request instead of
-    /// one write per run).
-    pub fn write_runs_with(
-        &mut self,
-        file: FileId,
-        runs: &[ByteRun],
-        data: &[u8],
-        charge: &dyn IoCharge,
-        policy: crate::sieve::SievePolicy,
-    ) -> Result<u64> {
-        use crate::sieve::{plan_access, sieve_scatter, AccessPlan};
-        if self.cache.is_some() {
-            return self.write_runs(file, runs, data, charge);
-        }
-        match plan_access(runs, policy) {
-            AccessPlan::Direct(_) => self.write_runs(file, runs, data, charge),
-            AccessPlan::Sieved { span, useful } => {
-                // The useful runs are coalesced+sorted; reorder `data` from
-                // the caller's run order into sorted order first.
-                let sorted = sort_write_data(runs, data);
-                let mut span_buf = self.pool.take();
-                span_buf.resize(span.len as usize, 0);
-                backend_read(
-                    &mut *self.backend,
-                    self.faults.as_ref(),
-                    file.0,
-                    span.offset,
-                    &mut span_buf,
-                )?;
-                let updated = sieve_scatter(&span, &useful, span_buf, &sorted);
-                backend_write(
-                    &mut *self.backend,
-                    self.faults.as_ref(),
-                    file.0,
-                    span.offset,
-                    &updated,
-                )?;
-                self.pool.put(updated);
-                self.stats.add_read(1, span.len);
-                self.stats.add_write(1, span.len);
-                charge.io_offset(span.offset);
-                charge.io_read(1, span.len);
-                charge.io_offset(span.offset);
-                charge.io_write(1, span.len);
-                charge.io_sieve(span.len, total_bytes(&useful));
-                self.settle_faults(charge);
-                charge.io_wait();
-                Ok(2)
-            }
-        }
-    }
-
-    /// Write `data` to the byte `runs` of `file` (consumed in run order,
-    /// after coalescing; total run length must equal `data.len()`).
-    /// Charges one request per coalesced run.
-    ///
-    /// Write runs must be disjoint — merging overlapping writes would change
-    /// the stored bytes.
-    pub fn write_runs(
-        &mut self,
-        file: FileId,
-        runs: &[ByteRun],
-        data: &[u8],
-        charge: &dyn IoCharge,
-    ) -> Result<u64> {
-        let coalesced = coalesce_runs(runs);
-        let bytes = total_bytes(&coalesced);
-        debug_assert_eq!(
-            bytes,
-            total_bytes(runs),
-            "overlapping write runs are not allowed"
-        );
-        assert_eq!(
-            bytes as usize,
-            data.len(),
-            "write data length {} does not match run total {}",
-            data.len(),
-            bytes
-        );
-        if self.cache.is_some() {
-            // Buffer each coalesced run as a dirty cache segment; the
-            // requests are charged at write-back time.
-            let sorted = sort_write_data(runs, data);
-            let LogicalDisk {
-                backend,
-                cache,
-                stats,
-                faults,
-                ..
-            } = self;
-            let cache = cache.as_mut().expect("cache checked above");
+        let LogicalDisk {
+            backend,
+            cache,
+            stats,
+            faults,
+            pool,
+            ..
+        } = self;
+        if let Some(cache) = cache.as_mut() {
             let before = stats.write_requests;
             let mut cursor = 0usize;
-            for run in &coalesced {
+            for run in coalesced {
                 charge.io_offset(run.offset);
-                let src = &sorted[cursor..cursor + run.len as usize];
+                let src = &payload[cursor..cursor + run.len as usize];
                 cache.write(
                     file.0,
                     *run,
@@ -597,34 +500,48 @@ impl LogicalDisk {
                 )?;
                 cursor += run.len as usize;
             }
-            self.settle_faults(charge);
-            let c = self.cache.as_ref().expect("cache checked above");
-            charge.io_cache_level(c.used(), c.dirty_bytes());
-            return Ok(self.stats.write_requests - before);
+            let requests = stats.write_requests - before;
+            self.settle_cache(charge);
+            return Ok(requests);
         }
-        // The coalesced runs are sorted by offset, but `data` is laid out in
-        // the *original* run order; build the mapping original -> data.
-        let mut sorted_idx: Vec<usize> = (0..runs.len()).filter(|&i| runs[i].len > 0).collect();
-        sorted_idx.sort_by_key(|&i| runs[i].offset);
-        let mut data_offsets = vec![0usize; runs.len()];
-        let mut acc = 0usize;
-        for (i, run) in runs.iter().enumerate() {
-            data_offsets[i] = acc;
-            acc += run.len as usize;
-        }
-        for &i in &sorted_idx {
-            let run = runs[i];
-            let src = &data[data_offsets[i]..data_offsets[i] + run.len as usize];
-            backend_write(
-                &mut *self.backend,
-                self.faults.as_ref(),
+        if let Some(span) = sieve_span(coalesced, policy) {
+            let mut staged = pool.take();
+            staged.resize(span.len as usize, 0);
+            backend_read(
+                &mut **backend,
+                faults.as_ref(),
                 file.0,
-                run.offset,
-                src,
+                span.offset,
+                &mut staged,
             )?;
+            sieve_scatter(&span, coalesced, &mut staged, payload);
+            backend_write(
+                &mut **backend,
+                faults.as_ref(),
+                file.0,
+                span.offset,
+                &staged,
+            )?;
+            pool.put(staged);
+            stats.add_read(1, span.len);
+            stats.add_write(1, span.len);
+            charge.io_offset(span.offset);
+            charge.io_read(1, span.len);
+            charge.io_offset(span.offset);
+            charge.io_write(1, span.len);
+            charge.io_sieve(span.len, payload.len() as u64);
+            self.settle_faults(charge);
+            charge.io_wait();
+            return Ok(2);
         }
-        let requests = coalesced.len() as u64;
-        self.stats.add_write(requests, bytes);
+        let mut cursor = 0usize;
+        for (run, _) in placed {
+            let src = &payload[cursor..cursor + run.len as usize];
+            backend_write(&mut **backend, faults.as_ref(), file.0, run.offset, src)?;
+            cursor += run.len as usize;
+        }
+        let (requests, bytes) = (coalesced.len() as u64, payload.len() as u64);
+        stats.add_write(requests, bytes);
         if let Some(first) = coalesced.first() {
             charge.io_offset(first.offset);
         }
@@ -634,55 +551,58 @@ impl LogicalDisk {
         Ok(requests)
     }
 
-    /// Convenience: read one contiguous extent.
-    pub fn read_extent(
-        &mut self,
-        file: FileId,
-        offset: u64,
-        len: u64,
-        charge: &dyn IoCharge,
-    ) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        self.read_runs(file, &[ByteRun::new(offset, len)], &mut out, charge)?;
-        Ok(out)
-    }
-
-    /// Convenience: write one contiguous extent.
-    pub fn write_extent(
-        &mut self,
-        file: FileId,
-        offset: u64,
-        data: &[u8],
-        charge: &dyn IoCharge,
-    ) -> Result<()> {
-        self.write_runs(
-            file,
-            &[ByteRun::new(offset, data.len() as u64)],
-            data,
-            charge,
-        )?;
-        Ok(())
+    /// Close a cached access: drain fault charges, then report occupancy.
+    fn settle_cache(&self, charge: &dyn IoCharge) {
+        self.settle_faults(charge);
+        if let Some(c) = self.cache.as_ref() {
+            charge.io_cache_level(c.used(), c.dirty_bytes());
+        }
     }
 }
 
-/// Reorder write payload bytes from the caller's run order into
-/// offset-sorted run order (what the coalesced/sieved paths consume).
-fn sort_write_data(runs: &[ByteRun], data: &[u8]) -> Vec<u8> {
-    let mut data_offsets = Vec::with_capacity(runs.len());
-    let mut acc = 0usize;
+/// Total bytes of `runs`, each of which must hold whole `f32`s.
+fn whole_elements(runs: &[ByteRun]) -> Result<u64> {
+    match runs.iter().find(|r| r.len % 4 != 0) {
+        Some(run) => Err(IoError::BadElementSize {
+            bytes: run.len as usize,
+            elem: 4,
+        }),
+        None => Ok(total_bytes(runs)),
+    }
+}
+
+/// Fill `placed` with the non-empty `runs` in offset order, each paired
+/// with the index of its first element in the caller-ordered payload.
+/// Returns the payload length the runs hold.
+fn place_runs(
+    runs: impl IntoIterator<Item = ByteRun>,
+    placed: &mut Vec<(ByteRun, usize)>,
+) -> Result<usize> {
+    placed.clear();
+    let mut elems = 0usize;
     for run in runs {
-        data_offsets.push(acc);
-        acc += run.len as usize;
+        whole_elements(&[run])?;
+        if run.len > 0 {
+            placed.push((run, elems));
+            elems += (run.len / 4) as usize;
+        }
     }
-    debug_assert_eq!(acc, data.len());
-    let mut idx: Vec<usize> = (0..runs.len()).filter(|&i| runs[i].len > 0).collect();
-    idx.sort_by_key(|&i| runs[i].offset);
-    let mut out = Vec::with_capacity(data.len());
-    for i in idx {
-        let s = data_offsets[i];
-        out.extend_from_slice(&data[s..s + runs[i].len as usize]);
+    // Payload positions break offset ties in caller order, so the
+    // non-allocating unstable sort is stable here.
+    placed.sort_unstable_by_key(|&(run, at)| (run.offset, at));
+    Ok(elems)
+}
+
+/// Encode the payload of `placed` runs into `out` in offset order — what
+/// every write branch consumes.
+fn sort_write_data(placed: &[(ByteRun, usize)], data: &[f32], out: &mut Vec<u8>) {
+    out.resize(4 * data.len(), 0);
+    let mut cursor = 0usize;
+    for &(run, at) in placed {
+        let n = (run.len / 4) as usize;
+        encode_f32(&data[at..at + n], &mut out[cursor..cursor + 4 * n]);
+        cursor += 4 * n;
     }
-    out
 }
 
 #[cfg(test)]
@@ -690,13 +610,44 @@ mod tests {
     use super::*;
     use crate::NoCharge;
 
+    /// Read one extent of `len` bytes at `offset`, unsieved.
+    fn read_extent(
+        d: &mut LogicalDisk,
+        f: FileId,
+        offset: u64,
+        len: u64,
+        charge: &dyn IoCharge,
+    ) -> Result<Vec<f32>> {
+        let mut out = Vec::new();
+        d.read(
+            f,
+            [ByteRun::new(offset, len)],
+            &mut out,
+            charge,
+            SievePolicy::Direct,
+        )?;
+        Ok(out)
+    }
+
+    /// Write `data` as one extent at `offset`, unsieved.
+    fn write_extent(
+        d: &mut LogicalDisk,
+        f: FileId,
+        offset: u64,
+        data: &[f32],
+        charge: &dyn IoCharge,
+    ) -> Result<u64> {
+        let run = ByteRun::new(offset, 4 * data.len() as u64);
+        d.write(f, [run], data, charge, SievePolicy::Direct)
+    }
+
     #[test]
     fn create_read_write_roundtrip() {
         let mut d = LogicalDisk::in_memory();
         let f = d.create_file(64).unwrap();
-        d.write_extent(f, 8, &[1, 2, 3, 4], &NoCharge).unwrap();
-        let got = d.read_extent(f, 6, 8, &NoCharge).unwrap();
-        assert_eq!(got, vec![0, 0, 1, 2, 3, 4, 0, 0]);
+        write_extent(&mut d, f, 8, &[1.0, 2.0], &NoCharge).unwrap();
+        let got = read_extent(&mut d, f, 4, 16, &NoCharge).unwrap();
+        assert_eq!(got, vec![0.0, 1.0, 2.0, 0.0]);
         assert_eq!(d.file_len(f).unwrap(), 64);
     }
 
@@ -704,30 +655,63 @@ mod tests {
     fn request_counting_respects_coalescing() {
         let mut d = LogicalDisk::in_memory();
         let f = d.create_file(100).unwrap();
-        let runs = [
-            ByteRun::new(0, 10),
-            ByteRun::new(10, 10),
-            ByteRun::new(50, 10),
-        ];
+        let runs = [ByteRun::new(0, 8), ByteRun::new(8, 8), ByteRun::new(40, 8)];
         let mut out = Vec::new();
-        let reqs = d.read_runs(f, &runs, &mut out, &NoCharge).unwrap();
+        let reqs = d
+            .read(f, runs, &mut out, &NoCharge, SievePolicy::Direct)
+            .unwrap();
         assert_eq!(reqs, 2, "adjacent runs coalesce into one request");
-        assert_eq!(out.len(), 30);
+        assert_eq!(out.len(), 6);
         assert_eq!(d.stats().read_requests, 2);
-        assert_eq!(d.stats().bytes_read, 30);
+        assert_eq!(d.stats().bytes_read, 24);
     }
 
     #[test]
     fn strided_write_lands_in_right_places() {
         let mut d = LogicalDisk::in_memory();
-        let f = d.create_file(16).unwrap();
-        // Write [1,2] at offset 12 and [3,4] at offset 2, in that run order.
-        let runs = [ByteRun::new(12, 2), ByteRun::new(2, 2)];
-        d.write_runs(f, &runs, &[1, 2, 3, 4], &NoCharge).unwrap();
-        let all = d.read_extent(f, 0, 16, &NoCharge).unwrap();
-        assert_eq!(all[12..14], [1, 2]);
-        assert_eq!(all[2..4], [3, 4]);
+        let f = d.create_file(64).unwrap();
+        // Write [1,2] at element 12 and [3,4] at element 2, in that run order.
+        let runs = [ByteRun::new(48, 8), ByteRun::new(8, 8)];
+        d.write(
+            f,
+            runs,
+            &[1.0, 2.0, 3.0, 4.0],
+            &NoCharge,
+            SievePolicy::Direct,
+        )
+        .unwrap();
+        let all = read_extent(&mut d, f, 0, 64, &NoCharge).unwrap();
+        assert_eq!(all[12..14], [1.0, 2.0]);
+        assert_eq!(all[2..4], [3.0, 4.0]);
         assert_eq!(d.stats().write_requests, 2);
+    }
+
+    #[test]
+    fn a_run_of_partial_elements_is_a_typed_error_before_any_request() {
+        let mut d = LogicalDisk::in_memory();
+        let f = d.create_file(64).unwrap();
+        let mut out = Vec::new();
+        let err = d
+            .read(
+                f,
+                [ByteRun::new(0, 6)],
+                &mut out,
+                &NoCharge,
+                SievePolicy::Direct,
+            )
+            .unwrap_err();
+        assert!(
+            matches!(err, IoError::BadElementSize { bytes: 6, elem: 4 }),
+            "{err:?}"
+        );
+        let err = d
+            .write(f, [ByteRun::new(0, 2)], &[], &NoCharge, SievePolicy::Direct)
+            .unwrap_err();
+        assert!(
+            matches!(err, IoError::BadElementSize { bytes: 2, .. }),
+            "{err:?}"
+        );
+        assert_eq!(d.stats(), DiskStats::default());
     }
 
     #[test]
@@ -767,9 +751,9 @@ mod tests {
         let sink = Counting::default();
         let mut d = LogicalDisk::in_memory();
         let f = d.create_file(100).unwrap();
-        d.write_extent(f, 0, &[9; 10], &sink).unwrap();
-        let _ = d.read_extent(f, 0, 20, &sink).unwrap();
-        assert_eq!(sink.writes.get(), (1, 10));
+        write_extent(&mut d, f, 0, &[9.0; 3], &sink).unwrap();
+        let _ = read_extent(&mut d, f, 0, 20, &sink).unwrap();
+        assert_eq!(sink.writes.get(), (1, 12));
         assert_eq!(sink.reads.get(), (1, 20));
     }
 
@@ -807,33 +791,22 @@ mod tests {
         let mut d = LogicalDisk::in_memory();
         d.enable_faults(&chaos, 0);
         let f = d.create_file(4096).unwrap();
-        let pattern: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
-        for chunk in 0..16u64 {
-            d.write_extent(
-                f,
-                chunk * 256,
-                &pattern[(chunk * 256) as usize..][..256],
-                &sink,
-            )
-            .unwrap();
+        let pattern: Vec<f32> = (0..1024u32).map(|i| (i % 251) as f32).collect();
+        for chunk in 0..16usize {
+            let part = &pattern[chunk * 64..][..64];
+            write_extent(&mut d, f, chunk as u64 * 256, part, &sink).unwrap();
         }
-        let got = d.read_extent(f, 0, 4096, &sink).unwrap();
+        let got = read_extent(&mut d, f, 0, 4096, &sink).unwrap();
         assert_eq!(got, pattern, "faults never change the stored bytes");
         // Logical counts match a fault-free disk doing the same accesses.
         let clean_sink = FaultSink::default();
         let mut clean = LogicalDisk::in_memory();
         let cf = clean.create_file(4096).unwrap();
-        for chunk in 0..16u64 {
-            clean
-                .write_extent(
-                    cf,
-                    chunk * 256,
-                    &pattern[(chunk * 256) as usize..][..256],
-                    &clean_sink,
-                )
-                .unwrap();
+        for chunk in 0..16usize {
+            let part = &pattern[chunk * 64..][..64];
+            write_extent(&mut clean, cf, chunk as u64 * 256, part, &clean_sink).unwrap();
         }
-        let _ = clean.read_extent(cf, 0, 4096, &clean_sink).unwrap();
+        let _ = read_extent(&mut clean, cf, 0, 4096, &clean_sink).unwrap();
         assert_eq!(
             d.stats(),
             clean.stats(),
@@ -857,8 +830,8 @@ mod tests {
         let mut d = LogicalDisk::in_memory();
         d.enable_faults(&quiet, 3);
         let f = d.create_file(128).unwrap();
-        d.write_extent(f, 0, &[5u8; 128], &sink).unwrap();
-        let _ = d.read_extent(f, 0, 128, &sink).unwrap();
+        write_extent(&mut d, f, 0, &[5.0; 32], &sink).unwrap();
+        let _ = read_extent(&mut d, f, 0, 128, &sink).unwrap();
         assert!(sink.faults.get().is_zero());
         assert_eq!(d.fault_injector().unwrap().faults_seen(), 0);
     }
@@ -872,7 +845,7 @@ mod tests {
         let mut d = LogicalDisk::in_memory();
         d.enable_faults(&cfg, 0);
         let f = d.create_file(64).unwrap();
-        let err = d.read_extent(f, 0, 8, &NoCharge).unwrap_err();
+        let err = read_extent(&mut d, f, 0, 8, &NoCharge).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -886,7 +859,7 @@ mod tests {
         // Quiescing hard faults (checkpoint/restart recovery) lets the same
         // request succeed.
         d.fault_injector().unwrap().quiesce_hard();
-        assert!(d.read_extent(f, 0, 8, &NoCharge).is_ok());
+        assert!(read_extent(&mut d, f, 0, 8, &NoCharge).is_ok());
     }
 
     #[test]
@@ -903,21 +876,21 @@ mod tests {
         let f = d.create_file(64).unwrap();
         assert!(!d.is_dead());
         // First access injects retries until the budget trips.
-        let r = d.read_extent(f, 0, 8, &NoCharge);
+        let r = read_extent(&mut d, f, 0, 8, &NoCharge);
         let died_immediately = r.is_err();
         let mut hits = 0;
         while !d.is_dead() && hits < 16 {
-            let _ = d.read_extent(f, 0, 8, &NoCharge);
+            let _ = read_extent(&mut d, f, 0, 8, &NoCharge);
             hits += 1;
         }
         assert!(d.is_dead(), "fault budget of 2 must trip the death gate");
-        let err = d.read_extent(f, 0, 8, &NoCharge).unwrap_err();
+        let err = read_extent(&mut d, f, 0, 8, &NoCharge).unwrap_err();
         assert!(matches!(err, IoError::DiskDown { .. }), "{err}");
-        let werr = d.write_extent(f, 0, &[1; 4], &NoCharge).unwrap_err();
+        let werr = write_extent(&mut d, f, 0, &[1.0], &NoCharge).unwrap_err();
         assert!(matches!(werr, IoError::DiskDown { .. }), "{werr}");
         // Unlike hard faults, quiescing does not resurrect a dead disk.
         d.fault_injector().unwrap().quiesce_hard();
-        assert!(d.read_extent(f, 0, 8, &NoCharge).is_err());
+        assert!(read_extent(&mut d, f, 0, 8, &NoCharge).is_err());
         let _ = died_immediately;
     }
 
@@ -932,9 +905,9 @@ mod tests {
         d.enable_faults(&cfg, 0);
         let f = d.create_file(64).unwrap();
         let sink = FaultSink::default();
-        d.write_extent(f, 0, &[0xAB; 32], &sink).unwrap();
-        let got = d.read_extent(f, 0, 32, &sink).unwrap();
-        assert_eq!(got, vec![0xAB; 32], "torn write is repaired by the retry");
+        write_extent(&mut d, f, 0, &[0.5; 8], &sink).unwrap();
+        let got = read_extent(&mut d, f, 0, 32, &sink).unwrap();
+        assert_eq!(got, vec![0.5; 8], "torn write is repaired by the retry");
         assert!(sink.faults.get().write_retries > 0);
     }
 }

@@ -3,14 +3,15 @@
 //! A LAF (§2.3) is the disk-resident image of one processor's out-of-core
 //! local array. This module adds element typing on top of the byte-level
 //! [`LogicalDisk`]: element runs are expressed in element units and
-//! converted to byte runs; payloads move as `f32`/`f64` vectors, which is
-//! what the compute kernels and message payloads use.
+//! converted to byte runs; payloads move as `f32` vectors, which is what
+//! the compute kernels and message payloads use.
 
 use serde::{Deserialize, Serialize};
 
 use crate::disk::{FileId, LogicalDisk};
 use crate::error::{IoError, Result};
 use crate::request::ByteRun;
+use crate::sieve::SievePolicy;
 use crate::IoCharge;
 
 /// Element type stored in a local array file.
@@ -18,8 +19,6 @@ use crate::IoCharge;
 pub enum ElemKind {
     /// 32-bit IEEE float — HPF `real`, the paper's element type.
     F32,
-    /// 64-bit IEEE float — HPF `double precision`.
-    F64,
 }
 
 impl ElemKind {
@@ -27,7 +26,6 @@ impl ElemKind {
     pub fn size(self) -> usize {
         match self {
             ElemKind::F32 => 4,
-            ElemKind::F64 => 8,
         }
     }
 }
@@ -99,54 +97,22 @@ impl LocalArrayFile {
         self.file
     }
 
-    fn byte_runs(&self, runs: &[ElemRun]) -> Vec<ByteRun> {
-        runs.iter().map(|r| r.to_bytes(self.elem)).collect()
-    }
-
-    /// Read element `runs` as `f32` values (file must be `F32`).
+    /// Read element `runs`, one request per coalesced run: a
+    /// [`LogicalDisk::read`] in element units.
     pub fn read_f32(
         &self,
         disk: &mut LogicalDisk,
         runs: &[ElemRun],
         charge: &dyn IoCharge,
     ) -> Result<Vec<f32>> {
-        self.read_f32_with(disk, runs, charge, crate::sieve::SievePolicy::Direct)
-    }
-
-    /// Read element `runs` as `f32` values under a sieving policy.
-    pub fn read_f32_with(
-        &self,
-        disk: &mut LogicalDisk,
-        runs: &[ElemRun],
-        charge: &dyn IoCharge,
-        policy: crate::sieve::SievePolicy,
-    ) -> Result<Vec<f32>> {
         let mut out = Vec::new();
-        self.read_f32_into(disk, runs, &mut out, charge, policy)?;
+        let byte_runs = runs.iter().map(|r| r.to_bytes(self.elem));
+        disk.read(self.file, byte_runs, &mut out, charge, SievePolicy::Direct)?;
         Ok(out)
     }
 
-    /// Read element `runs` as `f32` values into `out`, replacing its
-    /// contents (file must be `F32`). See
-    /// [`LogicalDisk::read_f32_runs_with`]: a direct read decodes straight
-    /// from storage into `out`, so a reused buffer costs one pass per
-    /// element.
-    pub fn read_f32_into(
-        &self,
-        disk: &mut LogicalDisk,
-        runs: &[ElemRun],
-        out: &mut Vec<f32>,
-        charge: &dyn IoCharge,
-        policy: crate::sieve::SievePolicy,
-    ) -> Result<()> {
-        assert_eq!(self.elem, ElemKind::F32, "read_f32 on non-f32 file");
-        let byte_runs = runs.iter().map(|r| r.to_bytes(self.elem));
-        disk.read_f32_runs_with(self.file, byte_runs, out, charge, policy)?;
-        Ok(())
-    }
-
-    /// Write `data` to element `runs` (file must be `F32`; total run length
-    /// must equal `data.len()`).
+    /// Write `data` to element `runs` (total run length must equal
+    /// `data.len()`): a [`LogicalDisk::write`] in element units.
     pub fn write_f32(
         &self,
         disk: &mut LogicalDisk,
@@ -154,69 +120,30 @@ impl LocalArrayFile {
         data: &[f32],
         charge: &dyn IoCharge,
     ) -> Result<()> {
-        self.write_f32_with(disk, runs, data, charge, crate::sieve::SievePolicy::Direct)
-    }
-
-    /// Write `data` to element `runs` under a sieving policy (strided
-    /// writes may become a read-modify-write of the spanning extent).
-    pub fn write_f32_with(
-        &self,
-        disk: &mut LogicalDisk,
-        runs: &[ElemRun],
-        data: &[f32],
-        charge: &dyn IoCharge,
-        policy: crate::sieve::SievePolicy,
-    ) -> Result<()> {
-        assert_eq!(self.elem, ElemKind::F32, "write_f32 on non-f32 file");
-        let bytes = f32_to_bytes(data);
-        disk.write_runs_with(self.file, &self.byte_runs(runs), &bytes, charge, policy)?;
+        let byte_runs = runs.iter().map(|r| r.to_bytes(self.elem));
+        disk.write(self.file, byte_runs, data, charge, SievePolicy::Direct)?;
         Ok(())
     }
-
-    /// Read the whole file as `f32` in storage order.
-    pub fn read_all_f32(&self, disk: &mut LogicalDisk, charge: &dyn IoCharge) -> Result<Vec<f32>> {
-        self.read_f32(disk, &[ElemRun::new(0, self.len_elems)], charge)
-    }
-
-    /// Overwrite the whole file from `data` in storage order.
-    pub fn write_all_f32(
-        &self,
-        disk: &mut LogicalDisk,
-        data: &[f32],
-        charge: &dyn IoCharge,
-    ) -> Result<()> {
-        assert_eq!(data.len() as u64, self.len_elems, "full write wrong length");
-        self.write_f32(disk, &[ElemRun::new(0, self.len_elems)], data, charge)
-    }
 }
 
-/// Reinterpret little-endian bytes as `f32`s.
+/// Reinterpret little-endian bytes as `f32`s — the codec of the
+/// array-export file format.
 pub fn bytes_to_f32(bytes: &[u8]) -> Result<Vec<f32>> {
-    let mut out = vec![0.0f32; bytes.len() / 4];
-    decode_f32_into(bytes, &mut out)?;
-    Ok(out)
-}
-
-/// [`bytes_to_f32`] into `out`, replacing its contents.
-pub(crate) fn decode_f32_into(bytes: &[u8], out: &mut Vec<f32>) -> Result<()> {
     if !bytes.len().is_multiple_of(4) {
         return Err(IoError::BadElementSize {
             bytes: bytes.len(),
             elem: 4,
         });
     }
-    out.truncate(bytes.len() / 4);
-    out.resize(bytes.len() / 4, 0.0);
-    crate::backend::decode_f32(bytes, out);
-    Ok(())
+    let mut out = vec![0.0f32; bytes.len() / 4];
+    crate::backend::decode_f32(bytes, &mut out);
+    Ok(out)
 }
 
-/// Serialize `f32`s as little-endian bytes.
+/// Serialize `f32`s as little-endian bytes; inverse of [`bytes_to_f32`].
 pub fn f32_to_bytes(data: &[f32]) -> Vec<u8> {
     let mut out = vec![0u8; data.len() * 4];
-    for (c, v) in out.chunks_exact_mut(4).zip(data) {
-        c.copy_from_slice(&v.to_le_bytes());
-    }
+    crate::backend::encode_f32(data, &mut out);
     out
 }
 
@@ -237,7 +164,9 @@ mod tests {
             .unwrap();
         assert_eq!(got, data);
         // Untouched elements are zero.
-        let all = laf.read_all_f32(&mut disk, &NoCharge).unwrap();
+        let all = laf
+            .read_f32(&mut disk, &[ElemRun::new(0, 8)], &NoCharge)
+            .unwrap();
         assert_eq!(all[0], 0.0);
         assert_eq!(all[7], 0.0);
     }
@@ -246,8 +175,9 @@ mod tests {
     fn strided_element_runs_map_to_byte_runs() {
         let mut disk = LogicalDisk::in_memory();
         let laf = LocalArrayFile::create(&mut disk, ElemKind::F32, 16).unwrap();
-        laf.write_all_f32(
+        laf.write_f32(
             &mut disk,
+            &[ElemRun::new(0, 16)],
             &(0..16).map(|i| i as f32).collect::<Vec<_>>(),
             &NoCharge,
         )
@@ -331,8 +261,6 @@ mod tests {
             matches!(err, IoError::TooLarge { len: l, elem: 4 } if l == len),
             "{err:?}"
         );
-        let err = LocalArrayFile::create(&mut disk, ElemKind::F64, u64::MAX / 4).unwrap_err();
-        assert!(matches!(err, IoError::TooLarge { elem: 8, .. }), "{err:?}");
         assert!(err.to_string().contains("too large"), "{err}");
         // The disk is still usable.
         let laf = LocalArrayFile::create(&mut disk, ElemKind::F32, 4).unwrap();
@@ -342,14 +270,14 @@ mod tests {
     #[test]
     fn elem_sizes() {
         assert_eq!(ElemKind::F32.size(), 4);
-        assert_eq!(ElemKind::F64.size(), 8);
     }
 
     #[test]
-    #[should_panic(expected = "full write wrong length")]
+    #[should_panic(expected = "does not match run total")]
     fn full_write_checks_length() {
         let mut disk = LogicalDisk::in_memory();
         let laf = LocalArrayFile::create(&mut disk, ElemKind::F32, 4).unwrap();
-        laf.write_all_f32(&mut disk, &[0.0; 3], &NoCharge).unwrap();
+        laf.write_f32(&mut disk, &[ElemRun::new(0, 4)], &[0.0; 3], &NoCharge)
+            .unwrap();
     }
 }

@@ -64,29 +64,20 @@ impl UnionPlan {
         self.union.iter().map(|r| r.len).sum()
     }
 
-    /// Size of the union buffer (same as [`Self::bytes`], as usize).
+    /// Size of the union buffer in bytes (same as [`Self::bytes`], as usize).
     pub fn buffer_len(&self) -> usize {
         self.bytes() as usize
     }
 
-    /// Copy piece `i`'s bytes out of a union buffer.
-    pub fn carve(&self, i: usize, union_buf: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.carves[i].iter().map(|&(_, l)| l).sum());
+    /// Copy piece `i` out of the union read as `f32`s (the
+    /// [`crate::LogicalDisk::read`] of [`Self::union`]); the pieces' runs
+    /// must hold whole elements.
+    pub fn carve(&self, i: usize, union: &[f32]) -> Vec<f32> {
+        let mut out = Vec::with_capacity(self.carves[i].iter().map(|&(_, l)| l / 4).sum());
         for &(pos, len) in &self.carves[i] {
-            out.extend_from_slice(&union_buf[pos..pos + len]);
+            out.extend_from_slice(&union[pos / 4..(pos + len) / 4]);
         }
         out
-    }
-
-    /// Scatter piece `i`'s bytes into a union buffer (the write-side dual
-    /// of [`Self::carve`]).
-    pub fn scatter(&self, i: usize, piece: &[u8], union_buf: &mut [u8]) {
-        let mut cursor = 0usize;
-        for &(pos, len) in &self.carves[i] {
-            union_buf[pos..pos + len].copy_from_slice(&piece[cursor..cursor + len]);
-            cursor += len;
-        }
-        debug_assert_eq!(cursor, piece.len(), "piece length mismatches its carve");
     }
 }
 
@@ -147,6 +138,14 @@ pub fn plan_union(pieces: &[Vec<ByteRun>]) -> UnionPlan {
 mod tests {
     use super::*;
 
+    /// A union buffer whose every element is its own file byte offset.
+    fn offsets(plan: &UnionPlan) -> Vec<f32> {
+        plan.union
+            .iter()
+            .flat_map(|r| (r.offset..r.end()).step_by(4).map(|o| o as f32))
+            .collect()
+    }
+
     #[test]
     fn method_labels_are_stable() {
         assert_eq!(
@@ -160,35 +159,15 @@ mod tests {
     fn union_of_strided_pieces_is_contiguous() {
         // Two interleaved strided pieces whose union is one extent — the
         // row-block/row-major redistribution picture.
-        let a = vec![ByteRun::new(0, 4), ByteRun::new(8, 4)];
-        let b = vec![ByteRun::new(4, 4), ByteRun::new(12, 4)];
+        let a = vec![ByteRun::new(0, 8), ByteRun::new(16, 8)];
+        let b = vec![ByteRun::new(8, 8), ByteRun::new(24, 8)];
         let plan = plan_union(&[a, b]);
-        assert_eq!(plan.union, vec![ByteRun::new(0, 16)]);
+        assert_eq!(plan.union, vec![ByteRun::new(0, 32)]);
         assert_eq!(plan.requests(), 1);
-        assert_eq!(plan.bytes(), 16);
-        let buf: Vec<u8> = (0u8..16).collect();
-        assert_eq!(plan.carve(0, &buf), vec![0, 1, 2, 3, 8, 9, 10, 11]);
-        assert_eq!(plan.carve(1, &buf), vec![4, 5, 6, 7, 12, 13, 14, 15]);
-    }
-
-    #[test]
-    fn scatter_is_the_inverse_of_carve() {
-        let pieces = vec![
-            vec![ByteRun::new(0, 3), ByteRun::new(10, 2)],
-            vec![ByteRun::new(3, 4)],
-        ];
-        let plan = plan_union(&pieces);
-        assert_eq!(plan.union, vec![ByteRun::new(0, 7), ByteRun::new(10, 2)]);
-        let src: Vec<u8> = (50u8..59).collect();
-        let mut rebuilt = vec![0u8; plan.buffer_len()];
-        for i in 0..pieces.len() {
-            let piece = plan.carve(i, &src);
-            plan.scatter(i, &piece, &mut rebuilt);
-        }
-        // Every byte covered by some piece round-trips.
-        assert_eq!(rebuilt[0..3], src[0..3]);
-        assert_eq!(rebuilt[3..7], src[3..7]);
-        assert_eq!(rebuilt[7..9], src[7..9]);
+        assert_eq!(plan.bytes(), 32);
+        let buf = offsets(&plan);
+        assert_eq!(plan.carve(0, &buf), vec![0.0, 4.0, 16.0, 20.0]);
+        assert_eq!(plan.carve(1, &buf), vec![8.0, 12.0, 24.0, 28.0]);
     }
 
     #[test]
@@ -196,6 +175,7 @@ mod tests {
         let plan = plan_union(&[vec![ByteRun::new(0, 4)], vec![ByteRun::new(100, 4)]]);
         assert_eq!(plan.requests(), 2);
         assert_eq!(plan.carves[1], vec![(4, 4)]);
+        assert_eq!(plan.carve(1, &offsets(&plan)), vec![100.0]);
     }
 
     #[test]
@@ -206,11 +186,7 @@ mod tests {
         let plan = plan_union(&[piece]);
         assert_eq!(plan.union, vec![ByteRun::new(0, 4), ByteRun::new(8, 4)]);
         assert_eq!(plan.bytes(), 8, "duplicate offsets double-charged");
-        let buf: Vec<u8> = (0u8..8).collect();
-        assert_eq!(
-            plan.carve(0, &buf),
-            vec![0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7]
-        );
+        assert_eq!(plan.carve(0, &[1.0, 2.0]), vec![1.0, 1.0, 2.0]);
     }
 
     #[test]
@@ -219,42 +195,31 @@ mod tests {
         let plan = plan_union(&[vec![ByteRun::new(0, 4)], vec![ByteRun::new(0, 4)]]);
         assert_eq!(plan.requests(), 1);
         assert_eq!(plan.bytes(), 4);
-        let buf = [9u8, 8, 7, 6];
+        let buf = [9.0];
         assert_eq!(plan.carve(0, &buf), plan.carve(1, &buf));
     }
 
     #[test]
     fn overlapping_runs_coalesce_and_carve_correctly() {
-        let plan = plan_union(&[vec![ByteRun::new(0, 6), ByteRun::new(4, 8)]]);
-        assert_eq!(plan.union, vec![ByteRun::new(0, 12)]);
-        assert_eq!(plan.bytes(), 12);
-        let buf: Vec<u8> = (0u8..12).collect();
-        let mut want: Vec<u8> = (0u8..6).collect();
-        want.extend(4u8..12);
-        assert_eq!(plan.carve(0, &buf), want);
+        let plan = plan_union(&[vec![ByteRun::new(0, 12), ByteRun::new(8, 16)]]);
+        assert_eq!(plan.union, vec![ByteRun::new(0, 24)]);
+        assert_eq!(plan.bytes(), 24);
+        assert_eq!(
+            plan.carve(0, &offsets(&plan)),
+            vec![0.0, 4.0, 8.0, 8.0, 12.0, 16.0, 20.0]
+        );
     }
 
     #[test]
     fn consecutive_index_runs_merge_into_one_carve_segment() {
         // A unit-run-per-element gather of consecutive indices: the carve
-        // collapses to a single segment (one memcpy), byte-identically.
+        // collapses to a single segment (one memcpy), value-identically.
         let piece: Vec<ByteRun> = (0..64).map(|i| ByteRun::new(i * 4, 4)).collect();
         let plan = plan_union(&[piece]);
         assert_eq!(plan.union, vec![ByteRun::new(0, 256)]);
         assert_eq!(plan.carves[0], vec![(0, 256)]);
-        let buf: Vec<u8> = (0..=255u8).collect();
+        let buf = offsets(&plan);
         assert_eq!(plan.carve(0, &buf), buf);
-    }
-
-    #[test]
-    fn scatter_with_duplicate_runs_is_last_writer_wins_and_consistent() {
-        let piece = vec![ByteRun::new(0, 4), ByteRun::new(0, 4)];
-        let plan = plan_union(&[piece]);
-        let mut buf = vec![0u8; plan.buffer_len()];
-        plan.scatter(0, &[1, 2, 3, 4, 5, 6, 7, 8], &mut buf);
-        assert_eq!(buf, vec![5, 6, 7, 8]);
-        // Carving back replays the surviving value for both repeats.
-        assert_eq!(plan.carve(0, &buf), vec![5, 6, 7, 8, 5, 6, 7, 8]);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::backend::decode_f32;
 use crate::request::{coalesce_runs, total_bytes, ByteRun};
 
 /// When to replace a strided access by one spanning request.
@@ -102,25 +103,26 @@ pub(crate) fn sieve_span(coalesced: &[ByteRun], policy: SievePolicy) -> Option<B
     sieve.then_some(span)
 }
 
-/// Extract the useful runs from a buffer holding the whole span.
-pub fn sieve_extract(span: &ByteRun, useful: &[ByteRun], span_data: &[u8]) -> Vec<u8> {
+/// Decode the useful runs (each a whole number of `f32`s) out of a buffer
+/// holding the whole span into `out`, in run order.
+pub fn sieve_extract(span: &ByteRun, useful: &[ByteRun], span_data: &[u8], out: &mut [f32]) {
     debug_assert_eq!(span_data.len() as u64, span.len);
-    let mut out = Vec::with_capacity(total_bytes(useful) as usize);
+    debug_assert_eq!(out.len() as u64 * 4, total_bytes(useful));
+    let mut cursor = 0usize;
     for run in useful {
         let start = (run.offset - span.offset) as usize;
-        out.extend_from_slice(&span_data[start..start + run.len as usize]);
+        let n = run.len as usize / 4;
+        decode_f32(
+            &span_data[start..start + run.len as usize],
+            &mut out[cursor..cursor + n],
+        );
+        cursor += n;
     }
-    out
 }
 
-/// Scatter useful runs back into a span buffer (for sieved writes:
-/// read-modify-write). Returns the modified span buffer.
-pub fn sieve_scatter(
-    span: &ByteRun,
-    useful: &[ByteRun],
-    mut span_data: Vec<u8>,
-    new_data: &[u8],
-) -> Vec<u8> {
+/// Scatter useful runs back into a span buffer in place (for sieved
+/// writes: read-modify-write).
+pub fn sieve_scatter(span: &ByteRun, useful: &[ByteRun], span_data: &mut [u8], new_data: &[u8]) {
     debug_assert_eq!(span_data.len() as u64, span.len);
     debug_assert_eq!(new_data.len() as u64, total_bytes(useful));
     let mut cursor = 0usize;
@@ -130,7 +132,6 @@ pub fn sieve_scatter(
             .copy_from_slice(&new_data[cursor..cursor + run.len as usize]);
         cursor += run.len as usize;
     }
-    span_data
 }
 
 #[cfg(test)]
@@ -196,24 +197,36 @@ mod tests {
         ));
     }
 
+    /// Little-endian bytes of `vals`.
+    fn le(vals: &[f32]) -> Vec<u8> {
+        vals.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
     #[test]
     fn extract_pulls_the_right_bytes() {
-        let span = ByteRun::new(10, 20);
-        let useful = vec![ByteRun::new(12, 3), ByteRun::new(20, 2)];
-        let span_data: Vec<u8> = (10..30).collect();
-        let got = sieve_extract(&span, &useful, &span_data);
-        assert_eq!(got, vec![12, 13, 14, 20, 21]);
+        // A span of elements 10..15 at byte 40; the useful runs are
+        // elements 11..13 and 14.
+        let span = ByteRun::new(40, 20);
+        let useful = vec![ByteRun::new(44, 8), ByteRun::new(56, 4)];
+        let span_data = le(&[10.0, 11.0, 12.0, 13.0, 14.0]);
+        let mut got = [0.0f32; 3];
+        sieve_extract(&span, &useful, &span_data, &mut got);
+        assert_eq!(got, [11.0, 12.0, 14.0]);
     }
 
     #[test]
     fn scatter_is_extract_inverse() {
-        let span = ByteRun::new(0, 10);
-        let useful = vec![ByteRun::new(2, 2), ByteRun::new(7, 1)];
-        let base = vec![9u8; 10];
-        let updated = sieve_scatter(&span, &useful, base, &[1, 2, 3]);
-        assert_eq!(updated, vec![9, 9, 1, 2, 9, 9, 9, 3, 9, 9]);
-        let back = sieve_extract(&span, &useful, &updated);
-        assert_eq!(back, vec![1, 2, 3]);
+        let span = ByteRun::new(0, 40);
+        let useful = vec![ByteRun::new(8, 8), ByteRun::new(28, 4)];
+        let mut span_data = le(&[9.0; 10]);
+        sieve_scatter(&span, &useful, &mut span_data, &le(&[1.0, 2.0, 3.0]));
+        assert_eq!(
+            span_data,
+            le(&[9.0, 9.0, 1.0, 2.0, 9.0, 9.0, 9.0, 3.0, 9.0, 9.0])
+        );
+        let mut back = [0.0f32; 3];
+        sieve_extract(&span, &useful, &span_data, &mut back);
+        assert_eq!(back, [1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -1,261 +1,402 @@
-//! Property tests: the `f32` read path is the byte read path decoded.
+//! Pinned digests of a seeded corpus of `LogicalDisk` read and write
+//! sequences.
 //!
-//! `LogicalDisk::read_f32_runs_with` (and `LocalArrayFile::read_f32_into`
-//! over it) decodes straight out of the backend on the direct, uncached
-//! path and stages through bytes otherwise. Whatever path a request takes,
-//! it must be indistinguishable from `read_runs_with` + `bytes_to_f32` on
-//! an identical disk: the same values bit for bit, request count,
-//! `DiskStats`, sequence of recorded charges, fault counters, and the same
-//! error on the same request.
+//! Each case drives one disk through a seeded sequence of strided reads,
+//! writes and cache flushes under one access configuration (a sieve policy,
+//! or a slab cache budget) and one fault regime, on the memory and the file
+//! backend. It digests everything observable: the values read, `DiskStats`,
+//! every `IoCharge` call in order with its arguments, the fault counters and
+//! each error's `Debug`. The digests were captured before the byte and
+//! `f32` forms of the read and write were merged into one read and one
+//! write, so a change to any value, charge, fault draw or error fails here —
+//! for instance drawing a direct write's fault gate per coalesced run
+//! instead of per original run, or dropping an `io_offset`.
 
 use std::cell::RefCell;
 
 use dmsim::FaultConfig;
-use proptest::prelude::*;
+use pario::{ByteRun, FileId, IoCharge, LogicalDisk, NoCharge, SievePolicy};
 
-use pario::{
-    bytes_to_f32, ByteRun, ElemKind, ElemRun, FileId, IoCharge, LocalArrayFile, LogicalDisk,
-    NoCharge, SievePolicy,
-};
+fn disk_read(
+    disk: &mut LogicalDisk,
+    file: FileId,
+    runs: &[ByteRun],
+    out: &mut Vec<f32>,
+    charge: &dyn IoCharge,
+    policy: SievePolicy,
+) -> Result<u64, pario::IoError> {
+    disk.read(file, runs.iter().copied(), out, charge, policy)
+}
 
-const FILE_ELEMS: u64 = 96;
+fn disk_write(
+    disk: &mut LogicalDisk,
+    file: FileId,
+    runs: &[ByteRun],
+    data: &[f32],
+    charge: &dyn IoCharge,
+    policy: SievePolicy,
+) -> Result<u64, pario::IoError> {
+    disk.write(file, runs.iter().copied(), data, charge, policy)
+}
 
-/// Every charge a disk operation makes, in order.
+/// Elements in the corpus file.
+const FILE_ELEMS: u64 = 64;
+/// Operations per case, before the closing flush and full read.
+const OPS: usize = 32;
+
+/// Every charge a disk operation makes, and every outcome, in order.
 #[derive(Default)]
-struct Recorder(RefCell<Vec<String>>);
+struct Log(RefCell<String>);
 
-impl Recorder {
-    fn note(&self, what: String) {
-        self.0.borrow_mut().push(what);
-    }
-    fn take(&self) -> Vec<String> {
-        std::mem::take(&mut self.0.borrow_mut())
+impl Log {
+    fn note(&self, what: std::fmt::Arguments) {
+        use std::fmt::Write;
+        let _ = writeln!(self.0.borrow_mut(), "{what}");
     }
 }
 
-impl IoCharge for Recorder {
+impl IoCharge for Log {
     fn io_read(&self, requests: u64, bytes: u64) {
-        self.note(format!("read {requests} {bytes}"));
+        self.note(format_args!("read {requests} {bytes}"));
     }
     fn io_write(&self, requests: u64, bytes: u64) {
-        self.note(format!("write {requests} {bytes}"));
+        self.note(format_args!("write {requests} {bytes}"));
     }
     fn io_cache_hit(&self, runs: u64, bytes: u64) {
-        self.note(format!("hit {runs} {bytes}"));
+        self.note(format_args!("hit {runs} {bytes}"));
     }
     fn io_write_back(&self, requests: u64, bytes: u64) {
-        self.note(format!("write_back {requests} {bytes}"));
+        self.note(format_args!("write_back {requests} {bytes}"));
     }
     fn io_faults(&self, charges: &dmsim::FaultCharges) {
-        self.note(format!("faults {charges:?}"));
+        self.note(format_args!("faults {charges:?}"));
+    }
+    fn io_array(&self, name: &str, file: u64) {
+        self.note(format_args!("array {name} {file}"));
     }
     fn io_offset(&self, offset: u64) {
-        self.note(format!("offset {offset}"));
+        self.note(format_args!("offset {offset}"));
     }
     fn io_cache_level(&self, used: u64, dirty: u64) {
-        self.note(format!("cache_level {used} {dirty}"));
+        self.note(format_args!("cache_level {used} {dirty}"));
     }
     fn io_sieve(&self, span: u64, useful: u64) {
-        self.note(format!("sieve {span} {useful}"));
+        self.note(format_args!("sieve {span} {useful}"));
     }
     fn io_wait(&self) {
-        self.note("wait".into());
+        self.note(format_args!("wait"));
     }
 }
 
-/// How the pair of disks under comparison is configured.
+/// How a case services its accesses: a sieve policy on an uncached disk,
+/// or a slab cache of the given byte budget (which bypasses the sieve).
 #[derive(Debug, Clone, Copy)]
-enum Mode {
-    Direct,
-    Sieved(SievePolicy),
-    Cached(usize),
-    OnDisk,
-    /// Transient, delayed and permanent read faults.
-    Faulty(u64),
-    /// A disk that dies after a few faults.
-    Dying(u64),
+enum Access {
+    Policy(&'static str, SievePolicy),
+    Cache(&'static str, usize),
 }
 
-fn arb_mode() -> impl Strategy<Value = Mode> {
-    prop_oneof![
-        Just(Mode::Direct),
-        Just(Mode::Sieved(SievePolicy::Always)),
-        Just(Mode::Sieved(SievePolicy::WasteBound { max_waste: 2.0 })),
-        (0usize..1024).prop_map(Mode::Cached),
-        Just(Mode::OnDisk),
-        (0u64..1000).prop_map(Mode::Faulty),
-        (0u64..1000).prop_map(Mode::Dying),
-    ]
+const ACCESSES: [Access; 7] = [
+    Access::Policy("direct", SievePolicy::Direct),
+    Access::Policy("always", SievePolicy::Always),
+    Access::Policy("waste2", SievePolicy::WasteBound { max_waste: 2.0 }),
+    Access::Policy(
+        "cost",
+        SievePolicy::CostBased {
+            startup: 1e-2,
+            bandwidth: 1e4,
+        },
+    ),
+    Access::Cache("cache0", 0),
+    Access::Cache("cache48", 48),
+    Access::Cache("cache64k", 1 << 16),
+];
+
+/// The fault regime a case's disk runs under.
+#[derive(Debug, Clone, Copy)]
+enum Faults {
+    Quiet,
+    Chaos,
+    Hard,
+    Dying,
 }
 
-/// One read request: byte runs (element-aligned or arbitrary), and whether
-/// the file is removed first (so the read names a missing file).
-#[derive(Debug, Clone)]
-struct Read {
-    runs: Vec<(u64, u64)>,
-    aligned: bool,
-    removed: bool,
-}
+const FAULTS: [Faults; 4] = [Faults::Quiet, Faults::Chaos, Faults::Hard, Faults::Dying];
 
-fn arb_read() -> impl Strategy<Value = Read> {
-    (
-        // Offsets may run past the end of the file, runs may overlap, be
-        // empty or come unsorted.
-        proptest::collection::vec((0u64..FILE_ELEMS * 4 + 16, 0u64..48), 0..6),
-        proptest::bool::ANY,
-        0u32..20,
-    )
-        .prop_map(|(runs, aligned, remove)| Read {
-            runs,
-            aligned,
-            removed: remove == 0,
-        })
-}
-
-fn disk_for(mode: Mode, label: &str) -> (LogicalDisk, LocalArrayFile, SievePolicy) {
-    let mut disk = match mode {
-        Mode::OnDisk => LogicalDisk::on_disk(label).unwrap(),
-        _ => LogicalDisk::in_memory(),
-    };
-    let laf = LocalArrayFile::create(&mut disk, ElemKind::F32, FILE_ELEMS).unwrap();
-    // Bit patterns spread over the whole f32 space: NaN payloads, ±0,
-    // subnormals and infinities all occur.
-    let data: Vec<f32> = (0..FILE_ELEMS as u32)
-        .map(|i| f32::from_bits(i.wrapping_mul(0x9e37_79b9) ^ (i << 29)))
-        .collect();
-    laf.write_all_f32(&mut disk, &data, &NoCharge).unwrap();
-    let mut policy = SievePolicy::Direct;
-    match mode {
-        Mode::Direct | Mode::OnDisk => {}
-        Mode::Sieved(p) => policy = p,
-        Mode::Cached(budget) => disk.enable_cache(budget),
-        Mode::Faulty(seed) => disk.enable_faults(
-            &FaultConfig {
-                hard_read: 0.05,
-                ..FaultConfig::chaos(seed)
-            },
-            0,
-        ),
-        Mode::Dying(seed) => disk.enable_faults(
-            &FaultConfig {
-                read_error: 0.3,
-                fail_after: 4,
-                ..FaultConfig::chaos(seed)
-            },
-            0,
-        ),
+impl Faults {
+    fn label(self) -> &'static str {
+        match self {
+            Faults::Quiet => "quiet",
+            Faults::Chaos => "chaos",
+            Faults::Hard => "hard",
+            Faults::Dying => "dying",
+        }
     }
-    (disk, laf, policy)
-}
 
-fn byte_runs(read: &Read) -> Vec<ByteRun> {
-    read.runs
-        .iter()
-        .map(|&(o, l)| {
-            if read.aligned {
-                ByteRun::new(o / 4 * 4, l / 4 * 4)
-            } else {
-                ByteRun::new(o, l)
-            }
-        })
-        .collect()
-}
-
-/// Everything observable about one disk after a read.
-fn observe(disk: &LogicalDisk, rec: &Recorder) -> (String, Vec<String>, Option<u64>, bool) {
-    (
-        format!("{:?}", disk.stats()),
-        rec.take(),
-        disk.fault_injector().map(|f| f.faults_seen()),
-        disk.is_dead(),
-    )
-}
-
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn f32_read_is_the_byte_read_decoded(
-        mode in arb_mode(),
-        reads in proptest::collection::vec(arb_read(), 1..8),
-    ) {
-        let (mut bdisk, blaf, policy) = disk_for(mode, "f32-props-bytes");
-        let (mut fdisk, flaf, _) = disk_for(mode, "f32-props-f32");
-        let file = blaf.file_id();
-        prop_assert_eq!(file, flaf.file_id());
-        let (brec, frec) = (Recorder::default(), Recorder::default());
-        // One output buffer reused across every read, as the executor does.
-        let mut out = vec![f32::NAN; 7];
-        let mut removed = false;
-        for read in &reads {
-            if read.removed && !removed {
-                bdisk.remove_file(file).unwrap();
-                fdisk.remove_file(file).unwrap();
-                removed = true;
-            }
-            let runs = byte_runs(read);
-            let mut bytes = Vec::new();
-            let want = bdisk
-                .read_runs_with(file, &runs, &mut bytes, &brec, policy)
-                .and_then(|requests| Ok((requests, bytes_to_f32(&bytes)?)));
-            let got = if read.aligned {
-                let elem_runs: Vec<ElemRun> =
-                    runs.iter().map(|r| ElemRun::new(r.offset / 4, r.len / 4)).collect();
-                flaf.read_f32_into(&mut fdisk, &elem_runs, &mut out, &frec, policy)
-                    .map(|()| None)
-            } else {
-                fdisk
-                    .read_f32_runs_with(file, runs.iter().copied(), &mut out, &frec, policy)
-                    .map(Some)
-            };
-            match (&want, &got) {
-                (Ok((requests, values)), Ok(got_requests)) => {
-                    if let Some(r) = got_requests {
-                        prop_assert_eq!(r, requests);
-                    }
-                    prop_assert_eq!(bits(&out), bits(values), "{:?} {:?}", mode, read);
-                }
-                (Err(w), Err(g)) => {
-                    prop_assert_eq!(format!("{w:?}"), format!("{g:?}"), "{:?}", mode)
-                }
-                _ => prop_assert!(false, "{:?} {:?}: {:?} vs {:?}", mode, read, want, got),
-            }
-            prop_assert_eq!(observe(&bdisk, &brec), observe(&fdisk, &frec), "{:?}", mode);
+    fn config(self, seed: u64) -> FaultConfig {
+        match self {
+            Faults::Quiet => FaultConfig::quiet(seed),
+            Faults::Chaos => FaultConfig::chaos(seed),
+            Faults::Hard => FaultConfig {
+                hard_read: 0.03,
+                hard_write: 0.03,
+                ..FaultConfig::chaos(seed)
+            },
+            Faults::Dying => FaultConfig {
+                read_error: 0.3,
+                write_error: 0.3,
+                fail_after: 12,
+                ..FaultConfig::chaos(seed)
+            },
         }
     }
 }
 
+/// splitmix64: the corpus generator, independent of any other crate.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// Any bit pattern: NaN payloads, ±0, subnormals and infinities occur.
+    fn value(&mut self) -> f32 {
+        f32::from_bits(self.next() as u32)
+    }
+}
+
+/// Element-aligned read runs inside the file: possibly empty, unsorted,
+/// overlapping or repeated.
+fn read_runs(rng: &mut Rng) -> Vec<ByteRun> {
+    (0..rng.below(6))
+        .map(|_| {
+            let len = rng.below(9);
+            let off = rng.below(FILE_ELEMS - len + 1);
+            ByteRun::new(off * 4, len * 4)
+        })
+        .collect()
+}
+
+/// Disjoint element-aligned write runs in shuffled order; half the gaps are
+/// zero, so original runs often coalesce, and some runs are empty.
+fn write_runs(rng: &mut Rng) -> Vec<ByteRun> {
+    let mut runs = Vec::new();
+    let mut cursor = rng.below(8);
+    for _ in 0..=rng.below(6) {
+        let len = rng.below(6);
+        if cursor + len > FILE_ELEMS {
+            break;
+        }
+        runs.push(ByteRun::new(cursor * 4, len * 4));
+        cursor += len + [0, 0, 1, 3][rng.below(4) as usize];
+    }
+    for i in (1..runs.len()).rev() {
+        runs.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    runs
+}
+
+fn note_outcome(
+    log: &Log,
+    disk: &LogicalDisk,
+    outcome: Result<u64, pario::IoError>,
+    read: Option<&[f32]>,
+) {
+    match outcome {
+        Ok(requests) => {
+            log.note(format_args!("ok {requests}"));
+            if let Some(vals) = read {
+                let bits: Vec<u32> = vals.iter().map(|v| v.to_bits()).collect();
+                log.note(format_args!("values {bits:?}"));
+            }
+        }
+        Err(e) => log.note(format_args!("err {e:?}")),
+    }
+    log.note(format_args!(
+        "stats {:?} faults {:?} dead {} degraded {}",
+        disk.stats(),
+        disk.fault_injector().map(|f| f.faults_seen()),
+        disk.is_dead(),
+        disk.is_degraded()
+    ));
+}
+
+/// Drive one case and digest everything it observed.
+fn run_case(access: Access, faults: Faults, on_disk: bool, seed: u64) -> u64 {
+    let mut disk = if on_disk {
+        LogicalDisk::on_disk("io-corpus").unwrap()
+    } else {
+        LogicalDisk::in_memory()
+    };
+    let file = disk.create_file(FILE_ELEMS * 4).unwrap();
+    let mut rng = Rng(seed);
+    let init: Vec<f32> = (0..FILE_ELEMS).map(|_| rng.value()).collect();
+    let whole = [ByteRun::new(0, FILE_ELEMS * 4)];
+    disk_write(
+        &mut disk,
+        file,
+        &whole,
+        &init,
+        &NoCharge,
+        SievePolicy::Direct,
+    )
+    .unwrap();
+    let policy = match access {
+        Access::Policy(_, policy) => policy,
+        Access::Cache(_, budget) => {
+            disk.enable_cache(budget);
+            SievePolicy::Direct
+        }
+    };
+    disk.enable_faults(&faults.config(seed), 0);
+
+    let log = Log::default();
+    // One output buffer reused across every read, as the executor does.
+    let mut out = vec![f32::NAN; 3];
+    for _ in 0..OPS {
+        match rng.below(20) {
+            0 => {
+                log.note(format_args!("flush"));
+                let outcome = disk.flush_cache(&log).map(|()| 0);
+                note_outcome(&log, &disk, outcome, None);
+            }
+            1..=9 => {
+                let mut runs = read_runs(&mut rng);
+                if rng.below(8) == 0 {
+                    runs.push(ByteRun::new((FILE_ELEMS - 1) * 4, 8));
+                }
+                log.note(format_args!("read {runs:?}"));
+                let outcome = disk_read(&mut disk, file, &runs, &mut out, &log, policy);
+                let ok = outcome.is_ok();
+                note_outcome(&log, &disk, outcome, ok.then_some(&out[..]));
+            }
+            _ => {
+                let runs = write_runs(&mut rng);
+                let n = runs.iter().map(|r| r.len / 4).sum::<u64>();
+                let data: Vec<f32> = (0..n).map(|_| rng.value()).collect();
+                log.note(format_args!("write {runs:?}"));
+                let outcome = disk_write(&mut disk, file, &runs, &data, &log, policy);
+                note_outcome(&log, &disk, outcome, None);
+            }
+        }
+    }
+    log.note(format_args!("final flush"));
+    let outcome = disk.flush_cache(&log).map(|()| 0);
+    note_outcome(&log, &disk, outcome, None);
+    log.note(format_args!("final read"));
+    let outcome = disk_read(&mut disk, file, &whole, &mut out, &log, policy);
+    let ok = outcome.is_ok();
+    note_outcome(&log, &disk, outcome, ok.then_some(&out[..]));
+    log.note(format_args!("missing file"));
+    let outcome = disk_read(&mut disk, FileId(99), &whole, &mut out, &log, policy);
+    note_outcome(&log, &disk, outcome, None);
+    ooc_trace::digest::fnv1a(log.0.into_inner().as_bytes())
+}
+
+/// Every case's name and digest, memory and file backends asserted equal.
+fn corpus_digests() -> Vec<(String, u64)> {
+    let mut digests = Vec::new();
+    for (f, &faults) in FAULTS.iter().enumerate() {
+        for (a, &access) in ACCESSES.iter().enumerate() {
+            let seed = 0x5eed_0000 + (f * ACCESSES.len() + a) as u64;
+            let (Access::Policy(label, _) | Access::Cache(label, _)) = access;
+            let name = format!("{}/{label}", faults.label());
+            let mem = run_case(access, faults, false, seed);
+            let file = run_case(access, faults, true, seed);
+            assert_eq!(mem, file, "{name}: the file backend diverged from memory");
+            digests.push((name, mem));
+        }
+    }
+    digests
+}
+
+/// Each case's digest, captured on the pre-merge read and write paths.
+const PINNED: [(&str, u64); 28] = [
+    ("quiet/direct", 0xe3e910808e006a31),
+    ("quiet/always", 0x5fbaf875760718b0),
+    ("quiet/waste2", 0xeaf19614062812e5),
+    ("quiet/cost", 0xcfe2fbbc51b16dcd),
+    ("quiet/cache0", 0x1fe7ee8378eb2ba9),
+    ("quiet/cache48", 0x319529721b633b9f),
+    ("quiet/cache64k", 0x407080efcc50676b),
+    ("chaos/direct", 0x95d6cbbc1937347b),
+    ("chaos/always", 0x4eb756a55c8b8aa3),
+    ("chaos/waste2", 0x8202b81059cb9986),
+    ("chaos/cost", 0x4b64102dc9bdb274),
+    ("chaos/cache0", 0x2d32687ed5b7aba1),
+    ("chaos/cache48", 0x29eda4d38142bf69),
+    ("chaos/cache64k", 0xa49111d816900b49),
+    ("hard/direct", 0x8eca9a18203ffaee),
+    ("hard/always", 0x09da68757822f03d),
+    ("hard/waste2", 0x148970a2922f9192),
+    ("hard/cost", 0x9a3813aee85e165a),
+    ("hard/cache0", 0x80c0170a53f1e6de),
+    ("hard/cache48", 0xb104476f4e388ed2),
+    ("hard/cache64k", 0x41813fdafc5c8188),
+    ("dying/direct", 0x1d172460c6f85f41),
+    ("dying/always", 0x80b1b8bca770ecad),
+    ("dying/waste2", 0x501f76b073aaa866),
+    ("dying/cost", 0x9490e9309f4a9544),
+    ("dying/cache0", 0xe163fd7ac140b29e),
+    ("dying/cache48", 0xc42b05790e08cc52),
+    ("dying/cache64k", 0xf885208aac98c3f8),
+];
+
+#[test]
+fn the_io_corpus_matches_its_pinned_digests() {
+    let got = corpus_digests();
+    let diverged: Vec<String> = got
+        .iter()
+        .zip(PINNED)
+        .filter(|((name, digest), (pin_name, pin))| name != pin_name || digest != pin)
+        .map(|((name, digest), _)| format!("{name} {digest:016x}"))
+        .collect();
+    assert_eq!(got.len(), PINNED.len());
+    assert!(
+        diverged.is_empty(),
+        "cases off their pinned digest: {diverged:#?}"
+    );
+}
+
 #[test]
 fn every_typed_read_error_is_reproduced() {
-    // Out of bounds and a missing file, on a plain disk.
-    let (mut disk, _, _) = disk_for(Mode::Direct, "");
-    let mut out = Vec::new();
-    let past_end = [ByteRun::new(FILE_ELEMS * 4 - 4, 8)];
-    let err = disk
-        .read_f32_runs_with(
-            FileId(0),
-            past_end,
+    let disk_with_file = || {
+        let mut disk = LogicalDisk::in_memory();
+        disk.create_file(FILE_ELEMS * 4).unwrap();
+        disk
+    };
+    let read = |disk: &mut LogicalDisk, file: u64, run: ByteRun| {
+        let mut out = Vec::new();
+        disk.read(
+            FileId(file),
+            [run],
             &mut out,
             &NoCharge,
             SievePolicy::Direct,
         )
-        .unwrap_err();
+        .unwrap_err()
+    };
+    // Out of bounds, a missing file and a partial element, on a plain disk.
+    let mut disk = disk_with_file();
+    let err = read(&mut disk, 0, ByteRun::new(FILE_ELEMS * 4 - 4, 8));
     assert!(matches!(err, pario::IoError::OutOfBounds { .. }), "{err:?}");
-    let err = disk
-        .read_f32_runs_with(
-            FileId(9),
-            [ByteRun::new(0, 4)],
-            &mut out,
-            &NoCharge,
-            SievePolicy::Direct,
-        )
-        .unwrap_err();
+    let err = read(&mut disk, 9, ByteRun::new(0, 4));
     assert!(
         matches!(err, pario::IoError::NoSuchFile { file: 9 }),
+        "{err:?}"
+    );
+    let err = read(&mut disk, 0, ByteRun::new(0, 5));
+    assert!(
+        matches!(err, pario::IoError::BadElementSize { bytes: 5, elem: 4 }),
         "{err:?}"
     );
 
@@ -277,12 +418,13 @@ fn every_typed_read_error_is_reproduced() {
             true,
         ),
     ] {
-        let (mut disk, _, _) = disk_for(Mode::Direct, "");
+        let mut disk = disk_with_file();
         disk.enable_faults(&cfg, 0);
+        let mut out = Vec::new();
         let mut last = None;
         for _ in 0..3 {
             last = disk
-                .read_f32_runs_with(
+                .read(
                     FileId(0),
                     [ByteRun::new(0, 16)],
                     &mut out,

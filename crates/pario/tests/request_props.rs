@@ -68,7 +68,7 @@ proptest! {
 
     /// Repeated-index request streams (the shape irregular gathers emit):
     /// the union plan charges each file byte once however often pieces
-    /// repeat it, and every carve replays its piece's bytes exactly.
+    /// repeat it, and every carve replays its piece's elements exactly.
     #[test]
     fn union_plans_never_double_charge_repeated_index_streams(
         base in proptest::collection::vec((0u64..64, 1u64..8), 1..16),
@@ -78,7 +78,7 @@ proptest! {
         // Build pieces that heavily share and repeat runs.
         let runs: Vec<ByteRun> = base
             .iter()
-            .map(|&(o, l)| ByteRun { offset: o * 4, len: l })
+            .map(|&(o, l)| ByteRun { offset: o * 4, len: l * 4 })
             .collect();
         let pieces: Vec<Vec<ByteRun>> = (0..npieces)
             .map(|i| {
@@ -96,24 +96,13 @@ proptest! {
         prop_assert_eq!(plan.bytes(), total_bytes(&coalesce_runs(&all)));
         prop_assert_eq!(plan.requests(), coalesce_runs(&all).len() as u64);
 
-        // Each carve reproduces its piece byte-for-byte from a union buffer
-        // whose contents encode absolute file offsets.
-        let union = coalesce_runs(&all);
-        let mut buf = Vec::with_capacity(plan.buffer_len());
-        for r in &union {
-            for b in 0..r.len {
-                buf.push(((r.offset + b) % 251) as u8);
-            }
-        }
+        // Each carve reproduces its piece element for element from a union
+        // buffer whose contents encode absolute file offsets.
+        let offsets = |r: &ByteRun| (r.offset..r.end()).step_by(4).map(|o| o as f32);
+        let buf: Vec<f32> = coalesce_runs(&all).iter().flat_map(offsets).collect();
         for (i, piece) in pieces.iter().enumerate() {
-            let got = plan.carve(i, &buf);
-            let mut want = Vec::new();
-            for r in piece {
-                for b in 0..r.len {
-                    want.push(((r.offset + b) % 251) as u8);
-                }
-            }
-            prop_assert_eq!(&got, &want, "piece {} carve mismatch", i);
+            let want: Vec<f32> = piece.iter().flat_map(offsets).collect();
+            prop_assert_eq!(&plan.carve(i, &buf), &want, "piece {} carve mismatch", i);
         }
     }
 }

@@ -4,7 +4,29 @@
 
 use proptest::prelude::*;
 
-use pario::{ElemKind, ElemRun, LocalArrayFile, LogicalDisk, NoCharge, SievePolicy};
+use pario::{ByteRun, ElemKind, ElemRun, LocalArrayFile, LogicalDisk, NoCharge, SievePolicy};
+
+fn byte_runs(runs: &[ElemRun]) -> impl Iterator<Item = ByteRun> + '_ {
+    runs.iter().map(|r| ByteRun::new(r.offset * 4, r.len * 4))
+}
+
+/// Read element `runs` of `laf` under `policy`.
+fn read_with(
+    disk: &mut LogicalDisk,
+    laf: &LocalArrayFile,
+    runs: &[ElemRun],
+    policy: SievePolicy,
+) -> Vec<f32> {
+    let mut out = Vec::new();
+    disk.read(laf.file_id(), byte_runs(runs), &mut out, &NoCharge, policy)
+        .unwrap();
+    out
+}
+
+/// The whole of `laf`.
+fn all(laf: &LocalArrayFile) -> [ElemRun; 1] {
+    [ElemRun::new(0, laf.len())]
+}
 
 fn arb_runs(file_elems: u64) -> impl Strategy<Value = Vec<ElemRun>> {
     // Sorted, disjoint element runs inside the file.
@@ -39,7 +61,7 @@ proptest! {
         let mut disk = LogicalDisk::in_memory();
         let laf = LocalArrayFile::create(&mut disk, ElemKind::F32, elems).unwrap();
         let data: Vec<f32> = (0..elems).map(|i| i as f32 * 1.5 - 7.0).collect();
-        laf.write_all_f32(&mut disk, &data, &NoCharge).unwrap();
+        laf.write_f32(&mut disk, &all(&laf), &data, &NoCharge).unwrap();
 
         let direct = laf.read_f32(&mut disk, &runs, &NoCharge).unwrap();
         for policy in [
@@ -47,7 +69,7 @@ proptest! {
             SievePolicy::WasteBound { max_waste: 2.0 },
             SievePolicy::CostBased { startup: 1e-2, bandwidth: 1e6 },
         ] {
-            let sieved = laf.read_f32_with(&mut disk, &runs, &NoCharge, policy).unwrap();
+            let sieved = read_with(&mut disk, &laf, &runs, policy);
             prop_assert_eq!(&sieved, &direct, "{:?}", policy);
         }
     }
@@ -62,10 +84,10 @@ proptest! {
         let run_with = |policy: SievePolicy| -> Vec<f32> {
             let mut disk = LogicalDisk::in_memory();
             let laf = LocalArrayFile::create(&mut disk, ElemKind::F32, elems).unwrap();
-            laf.write_all_f32(&mut disk, &background, &NoCharge).unwrap();
-            laf.write_f32_with(&mut disk, &runs, &payload, &NoCharge, policy)
+            laf.write_f32(&mut disk, &all(&laf), &background, &NoCharge).unwrap();
+            disk.write(laf.file_id(), byte_runs(&runs), &payload, &NoCharge, policy)
                 .unwrap();
-            laf.read_all_f32(&mut disk, &NoCharge).unwrap()
+            laf.read_f32(&mut disk, &all(&laf), &NoCharge).unwrap()
         };
 
         let direct = run_with(SievePolicy::Direct);
@@ -79,7 +101,7 @@ proptest! {
         let count_reqs = |policy: SievePolicy| -> u64 {
             let mut disk = LogicalDisk::in_memory();
             let laf = LocalArrayFile::create(&mut disk, ElemKind::F32, elems).unwrap();
-            let _ = laf.read_f32_with(&mut disk, &runs, &NoCharge, policy).unwrap();
+            let _ = read_with(&mut disk, &laf, &runs, policy);
             disk.stats().read_requests
         };
         let direct = count_reqs(SievePolicy::Direct);

@@ -75,7 +75,8 @@ fn run_workload(ops: &[Op], cache_budget: Option<usize>) -> (DiskStats, u64) {
     let mut disk = LogicalDisk::in_memory();
     let laf = LocalArrayFile::create(&mut disk, ElemKind::F32, FILE_ELEMS).unwrap();
     let init: Vec<f32> = (0..FILE_ELEMS).map(|i| i as f32).collect();
-    laf.write_all_f32(&mut disk, &init, &NoCharge).unwrap();
+    laf.write_f32(&mut disk, &[ElemRun::new(0, FILE_ELEMS)], &init, &NoCharge)
+        .unwrap();
     if let Some(budget) = cache_budget {
         disk.enable_cache(budget);
     }
