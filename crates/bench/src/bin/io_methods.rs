@@ -10,8 +10,8 @@
 //!
 //! For each method the table reports measured per-processor request and
 //! byte counters, message traffic, simulated I/O time and elapsed time,
-//! next to the compiler's replayed estimate (`est req` — exact by
-//! construction). A second table shows the cost-based selector's estimates
+//! next to the compiler's estimate (`est req`); every measured counter of
+//! rank 0 is asserted equal to the remap nodes' estimate of its method. A second table shows the cost-based selector's estimates
 //! and its pick, and the trace-derived per-method request-size histograms
 //! are rendered underneath.
 //!
@@ -19,12 +19,11 @@
 //! (default n = 256, p = 16).
 
 use dmsim::{CostModel, Machine, MachineConfig, TraceConfig};
-use ooc_array::{
-    redist_counts, redistribute_with, ArrayDesc, ArrayId, Distribution, FileLayout, OocEnv, Shape,
-};
+use ooc_array::{redistribute_with, ArrayDesc, ArrayId, Distribution, FileLayout, OocEnv, Shape};
 use ooc_bench::table::secs;
 use ooc_bench::TextTable;
-use ooc_core::nodegen::remap_nodes;
+use ooc_core::ir::{totals, ArrayIoTotals};
+use ooc_core::nodegen::RemapGeometry;
 use ooc_core::plan::RemapSpec;
 use ooc_core::reorg::choose_io_method;
 use pario::{ElemKind, IoMethod};
@@ -61,6 +60,13 @@ fn main() {
 
     println!("io methods: column-distributed read of a row-major {n}x{n} file, {p} procs\n");
 
+    let spec = RemapSpec {
+        src: src.clone(),
+        tmp: dst.clone(),
+        method: IoMethod::Direct,
+    };
+    let geometry = RemapGeometry::redistribution(&spec, 0);
+
     // ---- Measured comparison table --------------------------------------
     let mut t = TextTable::new(&[
         "method",
@@ -86,8 +92,8 @@ fn main() {
             redistribute_with(ctx, &mut env, &src, &dst, method, ctx).unwrap();
         });
         let s = report.per_proc()[0].stats;
-        let counts = redist_counts(&src, &dst, 0, method);
-        let est_reads = counts.read_requests + counts.dst_read_requests;
+        let est = totals(&geometry.nodes(method));
+        let sum = |f: fn(&ArrayIoTotals) -> u64| est.per_array.values().map(f).sum::<u64>();
         t.row(vec![
             method.label().to_string(),
             s.io_read_requests.to_string(),
@@ -96,12 +102,29 @@ fn main() {
             s.msgs_sent.to_string(),
             secs(s.time_io),
             secs(report.elapsed()),
-            est_reads.to_string(),
+            sum(|a| a.read_requests).to_string(),
         ]);
+        let (reads, writes) = (sum(|a| a.read_elems), sum(|a| a.write_elems));
         assert_eq!(
-            s.io_read_requests,
-            est_reads,
-            "{}: replayed read estimate must match the measured counter",
+            [
+                s.io_read_requests,
+                s.io_bytes_read,
+                s.io_write_requests,
+                s.io_bytes_written
+            ],
+            [
+                sum(|a| a.read_requests),
+                4 * reads,
+                sum(|a| a.write_requests),
+                4 * writes
+            ],
+            "{}: measured disk requests and bytes must equal the estimate",
+            method.label()
+        );
+        assert_eq!(
+            [s.msgs_sent, s.bytes_sent],
+            [est.comm_messages, est.comm_bytes],
+            "{}: measured messages and bytes must equal the estimate",
             method.label()
         );
         io_times.push((method, s.time_io));
@@ -115,24 +138,11 @@ fn main() {
     println!();
 
     // ---- Selector table --------------------------------------------------
-    let spec = RemapSpec {
-        src: src.clone(),
-        tmp: dst.clone(),
-        method: IoMethod::Direct,
-    };
     let choice = choose_io_method(
         format!("remap {}", src.name),
         &CostModel::delta(p),
         None,
-        |m| {
-            remap_nodes(
-                &RemapSpec {
-                    method: m,
-                    ..spec.clone()
-                },
-                0,
-            )
-        },
+        |m| geometry.nodes(m),
     );
     let mut sel = TextTable::new(&["method", "est req", "est bytes", "est time (s)", "chosen"]);
     for (m, est) in &choice.estimates {

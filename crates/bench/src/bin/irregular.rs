@@ -23,9 +23,11 @@
 //! files — CI diffs them.
 
 use dmsim::{Engine, FaultConfig, Machine, MachineConfig};
-use ooc_array::irreg::{gather_with, inspect, inspect_counts, irreg_counts};
+use ooc_array::irreg::{gather_with, inspect};
 use ooc_array::{ArrayDesc, ArrayId, DimDist, DistKind, Distribution, OocEnv, ProcGrid, Shape};
 use ooc_bench::TextTable;
+use ooc_core::ir::totals;
+use ooc_core::irreg::schedule_nodes;
 use ooc_core::{compile_source, CompilerOptions};
 use ooc_trace::digest::Fnv1a;
 use pario::{ElemKind, IoMethod};
@@ -107,14 +109,16 @@ fn scenario(
         let mut gather_reqs = 0u64;
         let mut cached = None;
         for _ in 0..ITERS {
-            if mode == Mode::OneShot || cached.is_none() {
-                let s = inspect(ctx, &mut env, &x, &idx, ctx).unwrap();
-                inspect_bytes += inspect_counts(&s).read_bytes;
-                cached = Some(s);
+            let inspected = mode == Mode::OneShot || cached.is_none();
+            if inspected {
+                cached = Some(inspect(ctx, &mut env, &x, &idx, ctx).unwrap());
             }
             let s = cached.as_ref().expect("inspected above");
             let out = gather_with(ctx, &mut env, s, method, ctx).unwrap();
-            gather_reqs += irreg_counts(s, method).read_requests;
+            let est = totals(&schedule_nodes(s, method, inspected));
+            let of = |name: &str| est.per_array.get(name).copied().unwrap_or_default();
+            inspect_bytes += 4 * of("idx").read_elems;
+            gather_reqs += of("x").read_requests;
             digest = digest.f32s(&out);
         }
         (digest.finish(), inspect_bytes, gather_reqs)

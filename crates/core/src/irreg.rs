@@ -10,17 +10,17 @@
 //!   run length 1) to select the executor's access method before any data
 //!   exists.
 //! * **Exact** ([`schedule_nodes`]): once the inspector has produced a real
-//!   [`ooc_array::IrregSchedule`], its request arithmetic is replayed by
-//!   [`ooc_array::irreg_counts`] / [`ooc_array::inspect_counts`], so the
-//!   resulting nest prices the measured run exactly — estimate == measured
-//!   for the inspected schedule, like every affine path.
+//!   [`ooc_array::IrregSchedule`], its serve runs are tallied through the
+//!   disk's own decision rule, so the resulting nest prices the measured
+//!   run exactly — estimate == measured for the inspected schedule, like
+//!   every affine path.
 //!
 //! Both produce ordinary [`NestNode`] programs, so the existing
 //! [`crate::cost::CostEstimate`] machinery and the
 //! [`crate::reorg::choose_io_method`] selector apply unchanged.
 
 use ooc_array::{IrregSchedule, IrregStats};
-use pario::IoMethod;
+use pario::{plan_union, Access, IoMethod, Tally};
 
 use crate::ir::NestNode;
 use crate::plan::SpmvPlan;
@@ -142,9 +142,9 @@ pub fn gather_nodes(data_name: &str, s: &IrregStats, method: IoMethod) -> Vec<Ne
 }
 
 /// Exact per-rank nodes for a real inspected schedule (the irregular
-/// counterpart of [`crate::nodegen::remap_nodes`]): counts come from
-/// [`ooc_array::inspect_counts`] and [`ooc_array::irreg_counts`], which
-/// replay the executor's request arithmetic, so a [`CostEstimate`] built
+/// counterpart of [`crate::nodegen::remap_nodes`]): the gather's serve
+/// runs are tallied through the disk's decision rule ([`Tally`]) and the
+/// messages counted as the executor posts them, so a [`CostEstimate`] built
 /// from this nest matches the measured disk/message deltas exactly.
 ///
 /// [`CostEstimate`]: crate::cost::CostEstimate
@@ -153,32 +153,49 @@ pub fn schedule_nodes(
     method: IoMethod,
     include_inspect: bool,
 ) -> Vec<NestNode> {
-    let es = sched.stamp.data.elem.size() as u64;
-    let ies = sched.stamp.index.elem.size() as u64;
+    let me = sched.stamp.rank;
+    let remote = |lists: &[Vec<u64>]| -> u64 {
+        let all: usize = lists.iter().map(Vec::len).sum();
+        (all - lists.get(me).map_or(0, Vec::len)) as u64
+    };
+    // An all-to-all posts to every peer, empty pieces included.
+    let all_to_all = sched.stamp.nprocs.saturating_sub(1) as u64;
     let mut v = Vec::new();
     if include_inspect {
-        let ic = ooc_array::inspect_counts(sched);
-        v.push(NestNode::read(
-            &sched.stamp.index.name,
-            ic.read_requests,
-            ic.read_bytes / ies,
-        ));
+        // One read of the whole local indirection file.
+        let nout = sched.nout as u64;
+        let index = &sched.stamp.index.name;
+        v.push(NestNode::read(index, u64::from(nout > 0), nout));
         v.push(NestNode::Comm {
             label: "exchange want-lists".into(),
-            messages: ic.messages,
-            bytes: ic.msg_bytes,
+            messages: all_to_all,
+            bytes: remote(&sched.want) * 8,
         });
     }
-    let c = ooc_array::irreg_counts(sched, method);
+    let mut t = Tally::default();
+    let mut messages = all_to_all;
+    if method == IoMethod::TwoPhase {
+        let union = plan_union(&sched.serve_runs).union;
+        t.read(Access::of_coalesced(&union), method.sieve_policy());
+    } else {
+        messages = 0;
+        for (j, runs) in sched.serve_runs.iter().enumerate() {
+            if !runs.is_empty() {
+                t.read(Access::of_coalesced(runs), method.sieve_policy());
+                messages += u64::from(j != me);
+            }
+        }
+    }
+    let (data, es) = (&sched.stamp.data, sched.stamp.data.elem.size() as u64);
     v.push(NestNode::read(
-        &sched.stamp.data.name,
-        c.read_requests,
-        c.read_bytes / es,
+        &data.name,
+        t.read_requests,
+        t.read_bytes / es,
     ));
     v.push(NestNode::Comm {
         label: format!("gather exchange ({})", method.label()),
-        messages: c.messages,
-        bytes: c.msg_bytes,
+        messages,
+        bytes: remote(&sched.serve_elems) * es,
     });
     v
 }

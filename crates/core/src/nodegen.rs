@@ -7,7 +7,8 @@
 //! operation sequence, so predicted and measured I/O metrics agree
 //! request-for-request (ragged final slabs included).
 
-use ooc_array::{ArrayDesc, DimRange, Section};
+use ooc_array::{local_section_of_global, ArrayDesc, DimRange, RedistPieces, Section};
+use pario::{Access, IoMethod, Tally};
 
 use crate::hir::ElwStmt;
 use crate::ir::NestNode;
@@ -36,7 +37,7 @@ pub fn nest_of(plan: &ExecPlan) -> Vec<NestNode> {
     match plan {
         ExecPlan::Gaxpy(g) => gaxpy_nest(g),
         ExecPlan::Elementwise(e) => elw_nest(e, 0),
-        ExecPlan::Transpose(t) => transpose_nest(t),
+        ExecPlan::Transpose(t) => RemapGeometry::transpose(t, 0).nodes(t.method),
         ExecPlan::Spmv(s) => crate::irreg::spmv_nest(s),
     }
 }
@@ -396,99 +397,152 @@ pub fn elw_nest(plan: &ElwPlan, rank: usize) -> Vec<NestNode> {
     nest
 }
 
-/// The three estimate nodes of one pre-statement remap, exact for `rank`:
-/// [`ooc_array::redist_counts`] replays the executor's request schedule for
-/// the spec's access method. Sieved read-modify-write writes surface as an
-/// extra read node on the destination array, matching how the tracing layer
-/// attributes them.
+/// The nodes of one pre-statement remap under its access method, exact for
+/// `rank`.
 pub fn remap_nodes(r: &RemapSpec, rank: usize) -> Vec<NestNode> {
-    let es = r.src.elem.size() as u64;
-    let cnt = ooc_array::redist_counts(&r.src, &r.tmp, rank, r.method);
-    let mut v = vec![NestNode::read(
-        &r.src.name,
-        cnt.read_requests,
-        cnt.read_bytes / es,
-    )];
-    if cnt.dst_read_requests > 0 {
-        v.push(NestNode::read(
-            &r.tmp.name,
-            cnt.dst_read_requests,
-            cnt.dst_read_bytes / es,
-        ));
-    }
-    v.push(NestNode::Comm {
-        label: format!(
-            "remap `{}` to the lhs distribution ({})",
-            r.src.name,
-            r.method.label()
-        ),
-        messages: cnt.messages,
-        bytes: cnt.msg_bytes,
-    });
-    v.push(NestNode::write(
-        &r.tmp.name,
-        cnt.write_requests,
-        cnt.write_bytes / es,
-    ));
-    v
+    RemapGeometry::redistribution(r, rank).nodes(r.method)
 }
 
-/// Node program for a transpose plan.
-///
-/// Under `Direct`/`Sieved` the *read* side is exact (full and ragged slabs
-/// accounted separately, matching the executor request for request); the
-/// communication and write sides are estimates — the remap's write-side
-/// request count depends on arrival interleaving, which the executor
-/// measures honestly. Under `TwoPhase` every side is exact: each stage is
-/// one contiguous slab read plus the all-to-all exchange, and the whole
-/// local destination is assembled in memory and written with a single
-/// request after the stage loop.
-pub fn transpose_nest(plan: &TransposePlan) -> Vec<NestNode> {
-    let local = plan.src.local_shape(0);
-    let slab_dim = plan.src.layout.slowest_dim();
-    let extent = local.extent(slab_dim);
-    let others: u64 = (0..local.ndims())
-        .filter(|&d| d != slab_dim)
-        .map(|d| local.extent(d) as u64)
-        .product();
-    let t = plan.slab_thickness.max(1);
-    let p = plan.src.dist.nprocs() as u64;
-    let two_phase = plan.method == pario::IoMethod::TwoPhase;
-    let stage = |h: usize| -> Vec<NestNode> {
-        let elems = h as u64 * others;
-        let mut v = vec![
-            NestNode::read(&plan.src.name, 1, elems),
-            NestNode::Comm {
-                label: "remap exchange".into(),
-                messages: p.saturating_sub(1),
-                bytes: elems * 4 * (p.saturating_sub(1)) / p.max(1),
-            },
-        ];
-        if !two_phase {
-            v.push(NestNode::write(&plan.dst.name, p, elems));
+/// One remap-style access on one rank — a redistribution or a transpose —
+/// as the disk accesses and messages its executor issues, walked once from
+/// the executor's own piece geometry. [`RemapGeometry::nodes`] tallies them
+/// through the disk's decision rule ([`Tally`]) under any access method, so
+/// one walk prices every candidate of [`crate::reorg::choose_io_method`]
+/// exactly.
+#[derive(Debug, Clone)]
+pub struct RemapGeometry {
+    src: String,
+    dst: String,
+    label: String,
+    elem_size: u64,
+    /// Direct and sieved: every piece read from the source and written to
+    /// the destination, and the point-to-point messages and their bytes.
+    reads: Vec<Access>,
+    writes: Vec<Access>,
+    sends: (u64, u64),
+    /// Two-phase: the source reads, the all-to-all messages (every
+    /// exchange posts to every peer; together they carry the same bytes),
+    /// and the one write of the assembled destination.
+    collective_reads: Vec<Access>,
+    collective_messages: u64,
+    dst_bytes: u64,
+}
+
+impl RemapGeometry {
+    /// The redistribution of `r.src` into `r.tmp` on `rank`: one read and
+    /// one message (or local write) per outgoing piece, one write per
+    /// incoming piece. Two-phase reads the union of the outgoing pieces.
+    pub fn redistribution(r: &RemapSpec, rank: usize) -> RemapGeometry {
+        let pieces = RedistPieces::of(&r.src, &r.tmp, rank);
+        let label = format!("remap `{}` to the lhs distribution", r.src.name);
+        let mut g = RemapGeometry::new(&r.src, &r.tmp, rank, label);
+        let src_local = r.src.local_shape(rank);
+        for (j, piece) in pieces.send.iter().enumerate() {
+            if let Some(piece) = piece {
+                g.reads.push(r.src.section_access(&src_local, piece));
+                g.send(j != rank, piece);
+            }
         }
+        let dst_local = r.tmp.local_shape(rank);
+        for piece in pieces.recv.iter().flatten() {
+            g.writes.push(r.tmp.section_access(&dst_local, piece));
+        }
+        // The destination distribution partitions the global array, so the
+        // outgoing pieces tile the local source: their union is all of it.
+        let union = Access::contiguous(src_local.len() as u64 * g.elem_size);
+        g.collective_reads.push(union);
+        g
+    }
+
+    /// The transpose `plan` on `rank`: per stage, one read of its source
+    /// slab and one message (or local write) per piece of it, one write per
+    /// piece of another rank's slab it receives. Two-phase reads the same
+    /// slabs and exchanges once per stage.
+    pub fn transpose(plan: &TransposePlan, rank: usize) -> RemapGeometry {
+        let (slabs, stages) = plan.slab_plans();
+        let label = "transpose exchange".to_string();
+        let mut g = RemapGeometry::new(&plan.src, &plan.dst, rank, label);
+        let src_local = plan.src.local_shape(rank);
+        for slab in slabs[rank].iter() {
+            g.reads.push(plan.src.section_access(&src_local, &slab));
+            for j in 0..slabs.len() {
+                if let Some(piece) = plan.piece(rank, &slab, j) {
+                    g.send(j != rank, &piece);
+                }
+            }
+        }
+        let dst_local = plan.dst.local_shape(rank);
+        for (q, peer) in slabs.iter().enumerate() {
+            for piece in peer.iter().filter_map(|slab| plan.piece(q, &slab, rank)) {
+                let local = local_section_of_global(&plan.dst.dist, rank, &piece)
+                    .expect("receiver owns the piece");
+                g.writes.push(plan.dst.section_access(&dst_local, &local));
+            }
+        }
+        g.collective_reads = g.reads.clone();
+        g.collective_messages *= stages as u64;
+        g
+    }
+
+    fn new(src: &ArrayDesc, dst: &ArrayDesc, rank: usize, label: String) -> RemapGeometry {
+        let elem_size = src.elem.size() as u64;
+        RemapGeometry {
+            src: src.name.clone(),
+            dst: dst.name.clone(),
+            label,
+            elem_size,
+            reads: Vec::new(),
+            writes: Vec::new(),
+            sends: (0, 0),
+            collective_reads: Vec::new(),
+            collective_messages: src.dist.nprocs().saturating_sub(1) as u64,
+            dst_bytes: dst.local_shape(rank).len() as u64 * elem_size,
+        }
+    }
+
+    /// Count a piece's message, unless it stays on this rank.
+    fn send(&mut self, remote: bool, piece: &Section) {
+        if remote {
+            self.sends.0 += 1;
+            self.sends.1 += piece.len() as u64 * self.elem_size;
+        }
+    }
+
+    /// The access's flat node program under `method`: one read node per
+    /// array (the destination's only when a sieved write reads it back),
+    /// one exchange node, one write node.
+    pub fn nodes(&self, method: IoMethod) -> Vec<NestNode> {
+        let policy = method.sieve_policy();
+        let assembled = [Access::contiguous(self.dst_bytes)];
+        let (reads, writes, messages) = match method {
+            IoMethod::TwoPhase => (
+                &self.collective_reads,
+                &assembled[..],
+                self.collective_messages,
+            ),
+            IoMethod::Direct | IoMethod::Sieved => (&self.reads, &self.writes[..], self.sends.0),
+        };
+        let (mut src, mut dst) = (Tally::default(), Tally::default());
+        reads.iter().for_each(|a| src.read(*a, policy));
+        writes.iter().for_each(|a| dst.write(*a, policy));
+        let io = |read: bool, array: &str, (requests, bytes): (u64, u64)| NestNode::Io {
+            array: array.into(),
+            read,
+            requests,
+            elems: bytes / self.elem_size,
+        };
+        let mut v = vec![io(true, &self.src, (src.read_requests, src.read_bytes))];
+        if dst.read_requests > 0 {
+            v.push(io(true, &self.dst, (dst.read_requests, dst.read_bytes)));
+        }
+        v.push(NestNode::Comm {
+            label: format!("{} ({})", self.label, method.label()),
+            messages,
+            bytes: self.sends.1,
+        });
+        v.push(io(false, &self.dst, (dst.write_requests, dst.write_bytes)));
         v
-    };
-    let full = extent / t;
-    let rag = extent % t;
-    let mut nest = Vec::new();
-    if full > 0 {
-        nest.push(NestNode::loop_(
-            "l = 1, slabs of src",
-            full as u64,
-            stage(t),
-        ));
     }
-    if rag > 0 {
-        nest.extend(stage(rag));
-    }
-    if two_phase {
-        let dst_elems = plan.dst.local_shape(0).len() as u64;
-        if dst_elems > 0 {
-            nest.push(NestNode::write(&plan.dst.name, 1, dst_elems));
-        }
-    }
-    nest
 }
 
 #[cfg(test)]

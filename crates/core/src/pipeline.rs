@@ -20,7 +20,7 @@ use crate::cost::CostEstimate;
 use crate::hir::{HirProgram, HirStmt};
 use crate::ir::{render, NestNode};
 use crate::lower::lower;
-use crate::nodegen::nest_of;
+use crate::nodegen::{nest_of, RemapGeometry};
 use crate::plan::{ElwPlan, ExecPlan, SlabStrategy, SpmvPlan, TransposePlan};
 use crate::reorg::{choose_gaxpy, GaxpyChoice, GaxpySelection};
 use crate::stripmine::SlabSizing;
@@ -371,6 +371,37 @@ fn require_block_or_collapsed(desc: &ArrayDesc, what: &str) -> Result<(), Compil
     Ok(())
 }
 
+/// Reject a machine the estimator cannot price: times finite and >= 0,
+/// bandwidths > 0 (an infinite one is a free link, as in
+/// [`CostModel::free`]), background fair-share weights finite, this job's
+/// > 0 and its competitors' >= 0.
+fn check_machine(m: &CostModel, load: Option<&dmsim::BackgroundLoad>) -> Result<(), CompileError> {
+    let time: fn(f64) -> bool = |v| v.is_finite() && v >= 0.0;
+    let bandwidth: fn(f64) -> bool = |v| v > 0.0;
+    let weight: fn(f64) -> bool = |v| v.is_finite() && v > 0.0;
+    let (w, cw) = load.map_or((1.0, 0.0), |l| (l.weight, l.competitor_weight));
+    let fields = [
+        ("flop_time", m.flop_time, time),
+        ("msg_latency", m.msg_latency, time),
+        ("io_startup", m.io_startup, time),
+        ("io_write_startup", m.io_write_startup, time),
+        ("msg_bandwidth", m.msg_bandwidth, bandwidth),
+        (
+            "io_aggregate_bandwidth",
+            m.io_aggregate_bandwidth,
+            bandwidth,
+        ),
+        ("io_write_bandwidth", m.io_write_bandwidth, bandwidth),
+        ("weight", w, weight),
+        ("competitor_weight", cw, time),
+    ];
+    if let Some((name, v, _)) = fields.into_iter().find(|(_, v, ok)| !ok(*v)) {
+        let msg = format!("machine model: `{name}` = {v} is out of range");
+        return Err(CompileError::Plan(msg));
+    }
+    Ok(())
+}
+
 /// Compile HPF source text.
 pub fn compile_source(
     source: &str,
@@ -395,9 +426,11 @@ pub fn compile_hir(
     // This is the legacy `shared_disks`-style static divide; the `ooc-sched`
     // farm instead models contention dynamically from queues and should be
     // fed programs compiled *without* a background load.
+    let model = options.profile.model(p);
+    check_machine(&model, options.background.as_ref())?;
     let model = match &options.background {
-        Some(load) => options.profile.model(p).contended(load),
-        None => options.profile.model(p),
+        Some(load) => model.contended(load),
+        None => model,
     };
 
     let id_of = |name: &str| -> Result<ArrayId, CompileError> {
@@ -576,23 +609,17 @@ pub fn compile_hir(
                         rhs_descs.push(tmp);
                     }
                 }
-                // Per-remap access-method selection: price the exact
-                // request replay of each method, keep the cheapest.
+                // Per-remap access-method selection: walk the remap's
+                // pieces once, price every method exactly from them, keep
+                // the cheapest.
                 let mut stmt_choices = Vec::new();
                 for r in &mut pre_remaps {
+                    let geometry = RemapGeometry::redistribution(r, 0);
                     let choice = crate::reorg::choose_io_method(
                         format!("remap {}", r.src.name),
                         &model,
                         options.io_method,
-                        |m| {
-                            crate::nodegen::remap_nodes(
-                                &crate::plan::RemapSpec {
-                                    method: m,
-                                    ..r.clone()
-                                },
-                                0,
-                            )
-                        },
+                        |m| geometry.nodes(m),
                     );
                     r.method = choice.chosen;
                     stmt_choices.push(choice);
@@ -656,19 +683,15 @@ pub fn compile_hir(
                     slab_thickness: sp.thickness(),
                     method: pario::IoMethod::Direct,
                 };
+                let geometry = RemapGeometry::transpose(&plan, 0);
                 let choice = crate::reorg::choose_io_method(
                     format!("transpose {}", plan.dst.name),
                     &model,
                     options.io_method,
-                    |m| {
-                        crate::nodegen::transpose_nest(&TransposePlan {
-                            method: m,
-                            ..plan.clone()
-                        })
-                    },
+                    |m| geometry.nodes(m),
                 );
                 plan.method = choice.chosen;
-                let nest = nest_of(&ExecPlan::Transpose(plan.clone()));
+                let nest = geometry.nodes(plan.method);
                 let est = CostEstimate::from_nest(&nest, &model, 4);
                 plans.push(ExecPlan::Transpose(plan));
                 nests.push(nest);
@@ -908,6 +931,112 @@ mod tests {
         };
         assert_eq!(s.method, pario::IoMethod::Sieved);
         assert!(compiled.io_choices[0][0].forced);
+    }
+
+    #[test]
+    fn a_model_the_estimator_cannot_price_is_a_plan_error_not_a_panic() {
+        let transpose = "
+      parameter (n=16)
+      real a(n, n), b(n, n)
+!hpf$ processors pr(4)
+!hpf$ distribute a(*, block) on pr
+!hpf$ distribute b(*, block) on pr
+      forall (i = 1:n, j = 1:n)
+        b(i, j) = a(j, i)
+      end forall
+      end
+";
+        type Field = fn(&mut CostModel) -> &mut f64;
+        let times: [(&str, Field); 4] = [
+            ("flop_time", |m| &mut m.flop_time),
+            ("msg_latency", |m| &mut m.msg_latency),
+            ("io_startup", |m| &mut m.io_startup),
+            ("io_write_startup", |m| &mut m.io_write_startup),
+        ];
+        let bandwidths: [(&str, Field); 3] = [
+            ("msg_bandwidth", |m| &mut m.msg_bandwidth),
+            ("io_aggregate_bandwidth", |m| &mut m.io_aggregate_bandwidth),
+            ("io_write_bandwidth", |m| &mut m.io_write_bandwidth),
+        ];
+        let cases = times
+            .iter()
+            .flat_map(|&(name, field)| [f64::NAN, -1.0, f64::INFINITY].map(|v| (name, field, v)))
+            .chain(
+                bandwidths
+                    .iter()
+                    .flat_map(|&(name, field)| [f64::NAN, -1.0, 0.0].map(|v| (name, field, v))),
+            );
+        for (name, field, v) in cases {
+            let mut m = CostModel::delta(4);
+            *field(&mut m) = v;
+            let opts = CompilerOptions {
+                profile: MachineProfile::Custom(m),
+                ..CompilerOptions::default()
+            };
+            for source in [hpf::GAXPY_SOURCE, transpose] {
+                match compile_source(source, &opts) {
+                    Err(CompileError::Plan(msg)) => assert!(msg.contains(name), "{msg}"),
+                    other => panic!("`{name}` = {v}: expected a plan error, got {other:?}"),
+                }
+            }
+        }
+        // A free link (infinite bandwidth) is a valid model.
+        let mut free_links = CostModel::delta(4);
+        free_links.msg_bandwidth = f64::INFINITY;
+        let opts = CompilerOptions {
+            profile: MachineProfile::Custom(free_links),
+            ..CompilerOptions::default()
+        };
+        assert!(compile_source(transpose, &opts).is_ok());
+        // Fair-share weights outside their domain are refused the same way.
+        for (name, load) in [
+            (
+                "weight",
+                dmsim::BackgroundLoad {
+                    weight: f64::NAN,
+                    ..dmsim::BackgroundLoad::jobs(3)
+                },
+            ),
+            (
+                "weight",
+                dmsim::BackgroundLoad {
+                    weight: 0.0,
+                    ..dmsim::BackgroundLoad::jobs(3)
+                },
+            ),
+            (
+                "weight",
+                dmsim::BackgroundLoad {
+                    weight: f64::INFINITY,
+                    ..dmsim::BackgroundLoad::jobs(3)
+                },
+            ),
+            (
+                "competitor_weight",
+                dmsim::BackgroundLoad {
+                    competitor_weight: -1.0,
+                    ..dmsim::BackgroundLoad::jobs(3)
+                },
+            ),
+            (
+                "competitor_weight",
+                dmsim::BackgroundLoad {
+                    competitor_weight: f64::NAN,
+                    ..dmsim::BackgroundLoad::jobs(3)
+                },
+            ),
+        ] {
+            let opts = CompilerOptions {
+                background: Some(load),
+                ..CompilerOptions::default()
+            };
+            for source in [hpf::GAXPY_SOURCE, transpose] {
+                match compile_source(source, &opts) {
+                    Err(CompileError::Plan(msg)) => assert!(msg.contains(name), "{msg}"),
+                    other => panic!("{load:?}: expected a plan error, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use ooc_array::{ArrayDesc, Section};
+use ooc_array::{global_section_of_local, ArrayDesc, DimRange, Section, SlabPlan};
 
 use crate::hir::ElwExpr;
 
@@ -182,6 +182,51 @@ pub struct TransposePlan {
     /// Access method servicing the remap's file traffic (cost-selected by
     /// the compiler, overridable at run time).
     pub method: pario::IoMethod,
+}
+
+/// The stage and piece geometry of a transpose, shared by the executor and
+/// the compiler's estimate. Stage `s` moves every rank's `s`-th source slab;
+/// a slab is split into one piece per destination rank that owns part of
+/// its transpose.
+impl TransposePlan {
+    /// Every rank's source slab plan (slabs along the source's slowest
+    /// layout dimension, so each slab read is one contiguous request), and
+    /// the stage count: the largest slab count, which every rank runs so
+    /// the exchange stays symmetric.
+    pub fn slab_plans(&self) -> (Vec<SlabPlan>, usize) {
+        let (dim, thickness) = (self.src.layout.slowest_dim(), self.slab_thickness.max(1));
+        let plans: Vec<SlabPlan> = (0..self.src.dist.nprocs())
+            .map(|r| SlabPlan::new(self.src.local_shape(r), dim, thickness))
+            .collect();
+        let stages = plans.iter().map(SlabPlan::num_slabs).max().unwrap_or(0);
+        (plans, stages)
+    }
+
+    /// The piece of `src_rank`'s source slab `slab` that `dst_rank`
+    /// receives, as a global destination section: the transpose of the
+    /// slab's global section intersected with what `dst_rank` owns. `None`
+    /// when they share nothing, or the slab is empty (a rank that owns
+    /// nothing).
+    pub fn piece(&self, src_rank: usize, slab: &Section, dst_rank: usize) -> Option<Section> {
+        if slab.is_empty() {
+            return None;
+        }
+        let owned = |desc: &ArrayDesc, rank| {
+            global_section_of_local(&desc.dist, rank).expect("regular distribution")
+        };
+        // Block and collapsed dimensions own one contiguous global range.
+        let src = owned(&self.src, src_rank);
+        let global: Vec<DimRange> = (slab.ranges().iter().zip(src.ranges()))
+            .map(|(r, o)| DimRange::new(o.lo + r.lo, o.lo + r.hi))
+            .collect();
+        transposed(&Section::new(global)).intersect(&owned(&self.dst, dst_rank))
+    }
+}
+
+/// Transpose of a 2-D section: swap the two dimension ranges.
+pub fn transposed(sec: &Section) -> Section {
+    assert_eq!(sec.ndims(), 2, "transpose is 2-D");
+    Section::new(vec![sec.range(1), sec.range(0)])
 }
 
 /// Out-of-core CSR SpMV `y = A·x`, where the `x(colidx(k))` gather runs

@@ -134,18 +134,15 @@ pub fn choose_gaxpy(sel: &GaxpySelection<'_>, model: &CostModel) -> GaxpyChoice 
     }
     let estimates: Vec<(SlabStrategy, CostEstimate)> =
         scored.iter().map(|(s, _, _, e)| (*s, e.clone())).collect();
-    let pick = match sel.force {
-        Some(f) => scored
-            .iter()
-            .position(|(s, _, _, _)| *s == f)
-            .expect("forced strategy is a candidate"),
-        None => scored
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.3.time().partial_cmp(&b.3.time()).expect("finite times"))
-            .map(|(i, _)| i)
-            .expect("two candidates"),
+    let cheapest = || {
+        (0..scored.len())
+            .min_by(|&a, &b| scored[a].3.time().total_cmp(&scored[b].3.time()))
+            .unwrap_or(0)
     };
+    let pick = sel
+        .force
+        .and_then(|f| scored.iter().position(|(s, _, _, _)| *s == f))
+        .unwrap_or_else(cheapest);
     let (_, plan, nest, _) = scored.swap_remove(pick);
     GaxpyChoice {
         plan,
@@ -173,7 +170,9 @@ pub struct IoMethodChoice {
 /// Select the access method for one remap-style access: build the candidate
 /// nest for each [`pario::IoMethod`] via `nest_for`, price it under
 /// `model`, and pick the cheapest — or `force`, when set. All estimates are
-/// kept for the report.
+/// kept for the report; a remap-style access builds its candidates from one
+/// walk of its pieces ([`crate::nodegen::RemapGeometry::nodes`]), so each is
+/// the price the executor would charge if that method were forced.
 pub fn choose_io_method<F>(
     access: impl Into<String>,
     model: &CostModel,
@@ -187,16 +186,12 @@ where
         .into_iter()
         .map(|m| (m, CostEstimate::from_nest(&nest_for(m), model, 4)))
         .collect();
-    let chosen = match force {
-        Some(f) => f,
-        None => {
-            estimates
-                .iter()
-                .min_by(|(_, a), (_, b)| a.time().partial_cmp(&b.time()).expect("finite times"))
-                .expect("three candidates")
-                .0
-        }
-    };
+    let chosen = force.unwrap_or_else(|| {
+        estimates
+            .iter()
+            .min_by(|(_, a), (_, b)| a.time().total_cmp(&b.time()))
+            .map_or(pario::IoMethod::Direct, |(m, _)| *m)
+    });
     IoMethodChoice {
         access: access.into(),
         chosen,

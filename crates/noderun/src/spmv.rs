@@ -383,10 +383,14 @@ mod tests {
 
             // The reused iteration never re-reads the indirection array:
             // its reads are rowptr + gather + vals only.
-            let c = ooc_array::irreg_counts(&first, IoMethod::TwoPhase);
+            let gather = totals(&ooc_core::irreg::schedule_nodes(
+                &first,
+                IoMethod::TwoPhase,
+                false,
+            ));
             let rp_loc = plan.rowptr.local_shape(ctx.rank()).len() as u64;
             let nnz_loc = plan.vals.local_shape(ctx.rank()).len() as u64;
-            let expected = u64::from(rp_loc > 0) + c.read_requests + u64::from(nnz_loc > 0);
+            let expected = u64::from(rp_loc > 0) + gather.io_requests() + u64::from(nnz_loc > 0);
             let second_reads = env.disk().stats().read_requests - colidx_reads_after_first;
             assert_eq!(second_reads, expected, "rank {}", ctx.rank());
         });

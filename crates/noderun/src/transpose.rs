@@ -5,28 +5,15 @@
 //! destination owners of its transposed coordinates; pieces travel as
 //! point-to-point messages and are written into the destination LAF on
 //! arrival. The stage structure is deterministic (stage `s` moves every
-//! rank's `s`-th slab), so receives match sends without a scheduler.
+//! rank's `s`-th slab), so receives match sends without a scheduler. The
+//! stage and piece geometry is [`TransposePlan`]'s, the same the compiler
+//! prices.
 
 use dmsim::{Payload, ProcCtx, Tag};
-use ooc_array::{
-    global_section_of_local, local_section_of_global, DimRange, OocEnv, OocError, Section, SlabPlan,
-};
-use ooc_core::plan::TransposePlan;
+use ooc_array::{local_section_of_global, OocEnv, OocError, Section};
+use ooc_core::plan::{transposed, TransposePlan};
 
 const REMAP_TAG: Tag = Tag(0x7A05);
-
-/// Transpose of a section: swap the two dimension ranges.
-fn transposed(sec: &Section) -> Section {
-    assert_eq!(sec.ndims(), 2, "transpose is 2-D");
-    Section::new(vec![sec.range(1), sec.range(0)])
-}
-
-/// The slab plan of `rank`'s source OCLA.
-fn slab_plan_of(plan: &TransposePlan, rank: usize) -> SlabPlan {
-    let local = plan.src.local_shape(rank);
-    let slab_dim = plan.src.layout.slowest_dim();
-    SlabPlan::new(local, slab_dim, plan.slab_thickness.max(1))
-}
 
 /// Execute the plan on this processor. Returns peak in-core elements.
 ///
@@ -41,7 +28,7 @@ pub fn execute(ctx: &ProcCtx, env: &mut OocEnv, plan: &TransposePlan) -> Result<
         pario::IoMethod::Direct => execute_direct(ctx, env, plan),
         pario::IoMethod::Sieved => {
             let saved = env.sieve_policy();
-            env.set_sieve_policy(pario::SievePolicy::Always);
+            env.set_sieve_policy(plan.method.sieve_policy());
             let r = execute_direct(ctx, env, plan);
             env.set_sieve_policy(saved);
             r
@@ -57,32 +44,19 @@ fn execute_direct(
 ) -> Result<usize, OocError> {
     let rank = ctx.rank();
     let p = ctx.nprocs();
-    let my_plan = slab_plan_of(plan, rank);
-    let peer_plans: Vec<SlabPlan> = (0..p).map(|r| slab_plan_of(plan, r)).collect();
-    let stages = peer_plans
-        .iter()
-        .map(|sp| sp.num_slabs())
-        .max()
-        .unwrap_or(0);
-    let my_dst_global =
-        global_section_of_local(&plan.dst.dist, rank).expect("regular destination distribution");
+    let (slabs, stages) = plan.slab_plans();
 
     let mut peak = 0usize;
     for stage in 0..stages {
         // Stage `s` moves every rank's s-th slab; one structural span each.
         let _stage = ctx.trace_slab_span("stage", stage as u64);
         // ---- Send my stage-th slab, split by destination owner. ----------
-        if stage < my_plan.num_slabs() {
-            let slab = my_plan.slab(stage);
+        if stage < slabs[rank].num_slabs() {
+            let slab = slabs[rank].slab(stage);
             let data = env.read_section(&plan.src, &slab, ctx)?;
             peak = peak.max(data.len());
-            // Global section of this slab in source coordinates.
-            let slab_global = global_of_local_section(plan, rank, &slab);
-            let sendable = transposed(&slab_global);
             for dst_rank in 0..p {
-                let their_dst = global_section_of_local(&plan.dst.dist, dst_rank)
-                    .expect("regular destination distribution");
-                let Some(isect_dst) = sendable.intersect(&their_dst) else {
+                let Some(isect_dst) = plan.piece(rank, &slab, dst_rank) else {
                     continue;
                 };
                 // Element (i, j) of dst = element (j, i) of src: iterate
@@ -90,7 +64,8 @@ fn execute_direct(
                 // from the slab buffer.
                 let payload = gather_transposed(&isect_dst, &slab, &data, plan, rank);
                 if dst_rank == rank {
-                    write_piece(env, plan, rank, &isect_dst, &payload, ctx)?;
+                    let local = local_dst(plan, rank, &isect_dst);
+                    env.write_section(&plan.dst, &local, &payload, ctx)?;
                 } else {
                     ctx.send(dst_rank, REMAP_TAG, Payload::F32(payload));
                 }
@@ -98,20 +73,16 @@ fn execute_direct(
         }
 
         // ---- Receive the pieces of everyone else's stage-th slab. --------
-        for (src_rank, peer) in peer_plans.iter().enumerate() {
+        for (src_rank, peer) in slabs.iter().enumerate() {
             if src_rank == rank || stage >= peer.num_slabs() {
                 continue;
             }
-            let slab = peer.slab(stage);
-            let slab_global = global_of_local_section(plan, src_rank, &slab);
-            let sendable = transposed(&slab_global);
-            let Some(isect_dst) = sendable.intersect(&my_dst_global) else {
+            let Some(isect_dst) = plan.piece(src_rank, &peer.slab(stage), rank) else {
                 continue;
             };
             let payload = ctx.try_recv_f32(src_rank, REMAP_TAG)?;
-            debug_assert_eq!(payload.len(), isect_dst.len());
             peak = peak.max(payload.len());
-            write_piece(env, plan, rank, &isect_dst, &payload, ctx)?;
+            env.write_section(&plan.dst, &local_dst(plan, rank, &isect_dst), &payload, ctx)?;
         }
     }
     Ok(peak)
@@ -129,15 +100,7 @@ fn execute_two_phase(
 ) -> Result<usize, OocError> {
     let rank = ctx.rank();
     let p = ctx.nprocs();
-    let my_plan = slab_plan_of(plan, rank);
-    let peer_plans: Vec<SlabPlan> = (0..p).map(|r| slab_plan_of(plan, r)).collect();
-    let stages = peer_plans
-        .iter()
-        .map(|sp| sp.num_slabs())
-        .max()
-        .unwrap_or(0);
-    let my_dst_global =
-        global_section_of_local(&plan.dst.dist, rank).expect("regular destination distribution");
+    let (slabs, stages) = plan.slab_plans();
 
     let dst_local_shape = plan.dst.local_shape(rank);
     let strides = dst_local_shape.strides();
@@ -148,16 +111,12 @@ fn execute_two_phase(
         let _stage = ctx.trace_slab_span("stage", stage as u64);
         // ---- Split my stage-th slab by destination owner. ----------------
         let mut sends: Vec<Vec<f32>> = vec![Vec::new(); p];
-        if stage < my_plan.num_slabs() {
-            let slab = my_plan.slab(stage);
+        if stage < slabs[rank].num_slabs() {
+            let slab = slabs[rank].slab(stage);
             let data = env.read_section(&plan.src, &slab, ctx)?;
             peak = peak.max(assembled.len() + data.len());
-            let slab_global = global_of_local_section(plan, rank, &slab);
-            let sendable = transposed(&slab_global);
             for (dst_rank, send) in sends.iter_mut().enumerate() {
-                let their_dst = global_section_of_local(&plan.dst.dist, dst_rank)
-                    .expect("regular destination distribution");
-                if let Some(isect_dst) = sendable.intersect(&their_dst) {
+                if let Some(isect_dst) = plan.piece(rank, &slab, dst_rank) {
                     *send = gather_transposed(&isect_dst, &slab, &data, plan, rank);
                 }
             }
@@ -175,15 +134,12 @@ fn execute_two_phase(
             if piece.is_empty() {
                 continue;
             }
-            let peer = &peer_plans[src_rank];
+            let peer = &slabs[src_rank];
             debug_assert!(stage < peer.num_slabs());
-            let slab = peer.slab(stage);
-            let slab_global = global_of_local_section(plan, src_rank, &slab);
-            let isect_dst = transposed(&slab_global)
-                .intersect(&my_dst_global)
+            let isect_dst = plan
+                .piece(src_rank, &peer.slab(stage), rank)
                 .expect("non-empty payload implies intersection");
-            let local = local_section_of_global(&plan.dst.dist, rank, &isect_dst)
-                .expect("receiver owns the piece");
+            let local = local_dst(plan, rank, &isect_dst);
             debug_assert_eq!(local.len(), piece.len());
             for (v, off) in piece.iter().zip(local.offsets(&strides)) {
                 assembled[off] = *v;
@@ -197,26 +153,9 @@ fn execute_two_phase(
     Ok(peak)
 }
 
-/// Global section corresponding to a local section of `rank`'s source.
-fn global_of_local_section(plan: &TransposePlan, rank: usize, local: &Section) -> Section {
-    // Regular distributions map local ranges monotonically; translate each
-    // dimension via its endpoint images.
-    let dist = &plan.src.dist;
-    let mut ranges = Vec::with_capacity(local.ndims());
-    for d in 0..local.ndims() {
-        let r = local.range(d);
-        debug_assert!(r.step == 1 && !r.is_empty());
-        let coords = dist.grid().coords(rank);
-        let coord = match dist.dims()[d] {
-            ooc_array::DimDist::Collapsed => 0,
-            ooc_array::DimDist::Distributed { axis, .. } => coords[axis],
-        };
-        let lo = dist.global_index(d, coord, r.lo);
-        let hi = dist.global_index(d, coord, r.hi - 1) + 1;
-        debug_assert_eq!(hi - lo, r.len(), "block/collapsed dims are contiguous");
-        ranges.push(DimRange::new(lo, hi));
-    }
-    Section::new(ranges)
+/// The receiver-local section of a destination piece.
+fn local_dst(plan: &TransposePlan, rank: usize, piece: &Section) -> Section {
+    local_section_of_global(&plan.dst.dist, rank, piece).expect("receiver owns the piece")
 }
 
 /// Gather the values of a destination-space global section from a local
@@ -251,20 +190,6 @@ fn gather_transposed(
         }
     }
     out
-}
-
-fn write_piece(
-    env: &mut OocEnv,
-    plan: &TransposePlan,
-    rank: usize,
-    isect_dst_global: &Section,
-    data: &[f32],
-    ctx: &ProcCtx,
-) -> Result<(), pario::IoError> {
-    let local = local_section_of_global(&plan.dst.dist, rank, isect_dst_global)
-        .expect("receiver owns the piece");
-    debug_assert_eq!(local.len(), data.len());
-    env.write_section(&plan.dst, &local, data, ctx)
 }
 
 #[cfg(test)]

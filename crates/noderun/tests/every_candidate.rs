@@ -1,0 +1,434 @@
+//! Every candidate, every kernel, exact.
+//!
+//! The access-method selector compares a price for each of direct, sieved
+//! and two-phase I/O, so each price must be what the executor charges when
+//! that method runs — not only the winner's. For every remap-style kernel
+//! (transposes, a misaligned forall's redistribution, the irregular gather
+//! of SpMV) and every forced method, rank 0's measured requests, bytes and
+//! messages equal the compiler's estimate and its simulated seconds agree
+//! to 1e-9; and every candidate an unforced compile reports equals the
+//! estimate of compiling with that candidate forced.
+
+use dmsim::{Machine, MachineConfig, StatsSnapshot};
+use noderun::spmv::execute_cached;
+use noderun::{init_fn, run, InitFn, RunConfig};
+use ooc_array::{
+    gather_with, inspect, redistribute_with, ArrayDesc, ArrayId, DimDist, DistKind, Distribution,
+    FileLayout, OocEnv, ProcGrid, Shape,
+};
+use ooc_core::ir::{totals, ArrayIoTotals, NestNode, NestTotals};
+use ooc_core::irreg::schedule_nodes;
+use ooc_core::nodegen::remap_nodes;
+use ooc_core::plan::{RemapSpec, SpmvPlan};
+use ooc_core::{compile_source, CompiledProgram, CompilerOptions, CostEstimate, ExecPlan};
+use pario::{ElemKind, IoMethod};
+
+fn fa(g: &[usize]) -> f32 {
+    ((g[0] * 7 + g[1] * 3) % 11) as f32 * 0.125 - 0.5
+}
+
+fn fb(g: &[usize]) -> f32 {
+    ((g[0] * 5 + g[1]) % 13) as f32 * 0.125 - 0.75
+}
+
+fn fv(g: &[usize]) -> f32 {
+    (g[0] % 17) as f32 * 0.5 + 0.125
+}
+
+fn transpose_source(n: usize, p: usize, dist: &str) -> String {
+    format!(
+        "
+      parameter (n={n})
+      real a(n, n), b(n, n)
+!hpf$ processors pr({p})
+!hpf$ distribute a({dist}) on pr
+!hpf$ distribute b({dist}) on pr
+      forall (i = 1:n, j = 1:n)
+        b(i, j) = a(j, i)
+      end forall
+      end
+"
+    )
+}
+
+fn misaligned_source(n: usize, p: usize) -> String {
+    format!(
+        "
+      parameter (n={n})
+      real u(n, n), w(n, n), v(n, n)
+!hpf$ processors pr({p})
+!hpf$ distribute u(block, *) on pr
+!hpf$ distribute w(*, block) on pr
+!hpf$ distribute v(*, block) on pr
+      forall (i = 1:n, j = 1:n)
+        v(i, j) = 2.0 * u(i, j) + w(i, j)
+      end forall
+      end
+"
+    )
+}
+
+fn sum(t: &NestTotals, f: fn(&ArrayIoTotals) -> u64) -> u64 {
+    t.per_array.values().map(f).sum()
+}
+
+/// Rank 0's measured counters and finish time against an estimate.
+fn assert_exact(tag: &str, est: &CostEstimate, s: &StatsSnapshot, finish: f64) {
+    let t = &est.totals;
+    for (counter, measured, estimated) in [
+        (
+            "read requests",
+            s.io_read_requests,
+            sum(t, |a| a.read_requests),
+        ),
+        ("read bytes", s.io_bytes_read, 4 * sum(t, |a| a.read_elems)),
+        (
+            "write requests",
+            s.io_write_requests,
+            sum(t, |a| a.write_requests),
+        ),
+        (
+            "write bytes",
+            s.io_bytes_written,
+            4 * sum(t, |a| a.write_elems),
+        ),
+        ("messages", s.msgs_sent, t.comm_messages),
+        ("message bytes", s.bytes_sent, t.comm_bytes),
+    ] {
+        assert_eq!(measured, estimated, "{tag}: {counter}");
+    }
+    let secs = est.time();
+    assert!(
+        (secs - finish).abs() <= 1e-9 * finish,
+        "{tag}: estimated {secs} s, rank 0 finished at {finish} s"
+    );
+}
+
+/// Compile `source` with `method` forced, run it, and hold rank 0 to the
+/// statement's estimate.
+fn forced_run_is_exact(tag: &str, source: &str, init: &[(&str, InitFn)], method: IoMethod) {
+    let options = CompilerOptions {
+        io_method: Some(method),
+        ..CompilerOptions::default()
+    };
+    let compiled = compile_source(source, &options).unwrap();
+    let mut cfg = RunConfig::default();
+    for (name, f) in init {
+        cfg.init.insert((*name).into(), f.clone());
+    }
+    let outcome = run(&compiled, &cfg).unwrap();
+    let rank0 = &outcome.report.per_proc()[0];
+    assert_eq!(compiled.estimates.len(), 1, "{tag}: one statement");
+    assert_exact(
+        &format!("{tag} {method:?}"),
+        &compiled.estimates[0],
+        &rank0.stats,
+        rank0.finish_time,
+    );
+}
+
+/// The remap-style nodes a compiled statement prices for one access under
+/// `method`: the whole transpose, or the redistribution of a forall's
+/// `k`-th pre-remap.
+fn access_nodes(compiled: &CompiledProgram, k: usize) -> Vec<NestNode> {
+    match &compiled.plans[0] {
+        ExecPlan::Transpose(_) | ExecPlan::Spmv(_) => compiled.nests[0].clone(),
+        ExecPlan::Elementwise(e) => remap_nodes(&e.pre_remaps[k], 0),
+        ExecPlan::Gaxpy(_) => unreachable!("no remap-style access"),
+    }
+}
+
+/// Every candidate an unforced compile priced equals the estimate of the
+/// same access compiled with that candidate forced.
+fn losers_are_priced_as_if_forced(tag: &str, source: &str) {
+    let unforced = compile_source(source, &CompilerOptions::default()).unwrap();
+    for method in IoMethod::ALL {
+        let forced = compile_source(
+            source,
+            &CompilerOptions {
+                io_method: Some(method),
+                ..CompilerOptions::default()
+            },
+        )
+        .unwrap();
+        for (k, choice) in unforced.io_choices[0].iter().enumerate() {
+            let (m, priced) =
+                &choice.estimates[IoMethod::ALL.iter().position(|x| *x == method).unwrap()];
+            assert_eq!(*m, method);
+            let as_forced = CostEstimate::from_nest(&access_nodes(&forced, k), &forced.model, 4);
+            assert_eq!(*priced, as_forced, "{tag} {}: {method:?}", choice.access);
+        }
+    }
+}
+
+#[test]
+fn every_forced_transpose_matches_its_estimate() {
+    for dist in ["*, block", "block, *"] {
+        // (64, 48): ranks 32..47 own nothing.
+        for (n, p) in [(32, 4), (13, 4), (100, 7), (64, 48)] {
+            let source = transpose_source(n, p, dist);
+            let tag = format!("transpose ({dist}) n={n} p={p}");
+            for method in IoMethod::ALL {
+                forced_run_is_exact(&tag, &source, &[("a", init_fn(fa))], method);
+            }
+            losers_are_priced_as_if_forced(&tag, &source);
+        }
+    }
+}
+
+#[test]
+fn every_forced_misaligned_forall_matches_its_estimate() {
+    for (n, p) in [(32, 4), (13, 3)] {
+        let source = misaligned_source(n, p);
+        let tag = format!("misaligned forall n={n} p={p}");
+        let init = [("u", init_fn(fa)), ("w", init_fn(fb))];
+        for method in IoMethod::ALL {
+            forced_run_is_exact(&tag, &source, &init, method);
+        }
+        losers_are_priced_as_if_forced(&tag, &source);
+    }
+}
+
+fn vec_dist(n: usize, p: usize) -> Distribution {
+    Distribution::new(
+        Shape::new(vec![n]),
+        vec![DimDist::Distributed {
+            kind: DistKind::Block,
+            axis: 0,
+        }],
+        ProcGrid::line(p),
+    )
+}
+
+#[test]
+fn every_forced_spmv_gather_matches_its_inspected_schedule() {
+    // `hpf::SPMV_SOURCE`'s matrix: 8 nonzeros per row at scattered columns.
+    let (n, nnz, p) = (64usize, 512usize, 4usize);
+    let source = hpf::SPMV_SOURCE;
+    losers_are_priced_as_if_forced("spmv", source);
+    for method in IoMethod::ALL {
+        let options = CompilerOptions {
+            io_method: Some(method),
+            ..CompilerOptions::default()
+        };
+        let compiled = compile_source(source, &options).unwrap();
+        let ExecPlan::Spmv(plan) = &compiled.plans[0] else {
+            panic!("expected an spmv plan");
+        };
+        let plan: SpmvPlan = (**plan).clone();
+        let model = compiled.model.clone();
+        let machine = Machine::new(MachineConfig::new(p, model.clone()));
+        let (report, scheds) = machine.run_with(|ctx| {
+            let mut env = OocEnv::in_memory(ctx.rank());
+            for (desc, f) in [
+                (&plan.rowptr, init_fn(move |g| (g[0] * (nnz / n)) as f32)),
+                (
+                    &plan.colidx,
+                    init_fn(move |g| ((g[0] * 37 + (g[0] / 3) * 11) % n) as f32),
+                ),
+                (&plan.vals, init_fn(fv)),
+                (&plan.x, init_fn(fv)),
+                (&plan.y, init_fn(fv)),
+            ] {
+                env.alloc(desc).unwrap();
+                env.load_global(desc, &|g| f(g)).unwrap();
+            }
+            let mut cache = None;
+            execute_cached(ctx, &mut env, &plan, &mut cache, None).unwrap();
+            cache.expect("inspected")
+        });
+        // The executor's program, step for step: stream and allgather the
+        // row pointers, inspect and gather over the real schedule, stream
+        // the values, reduce the partial rows, write y. (The accumulation
+        // charges no flops, so unlike the compile-time nest this one has no
+        // compute node.)
+        let rank = 0;
+        let local = |d: &ArrayDesc| d.local_shape(rank).len() as u64;
+        let peers = p as u64 - 1;
+        let mut nest = vec![
+            NestNode::read(&plan.rowptr.name, 1, local(&plan.rowptr)),
+            NestNode::Comm {
+                label: "allgather rowptr".into(),
+                messages: peers,
+                bytes: 4 * local(&plan.rowptr) * peers,
+            },
+        ];
+        nest.extend(schedule_nodes(&scheds[rank], method, true));
+        nest.extend([
+            NestNode::read(&plan.vals.name, 1, local(&plan.vals)),
+            NestNode::Comm {
+                label: "reduce partial y".into(),
+                messages: peers,
+                bytes: 4 * local(&plan.y) * peers,
+            },
+            NestNode::write(&plan.y.name, 1, local(&plan.y)),
+        ]);
+        let est = CostEstimate::from_nest(&nest, &model, 4);
+        let rank0 = &report.per_proc()[rank];
+        assert_exact(
+            &format!("spmv {method:?}"),
+            &est,
+            &rank0.stats,
+            rank0.finish_time,
+        );
+    }
+}
+
+/// Disk and message counters of one rank around an operation.
+fn delta(after: &StatsSnapshot, before: &StatsSnapshot) -> [u64; 6] {
+    [
+        after.io_read_requests - before.io_read_requests,
+        after.io_bytes_read - before.io_bytes_read,
+        after.io_write_requests - before.io_write_requests,
+        after.io_bytes_written - before.io_bytes_written,
+        after.msgs_sent - before.msgs_sent,
+        after.bytes_sent - before.bytes_sent,
+    ]
+}
+
+/// The same six counters from a nest's totals.
+fn estimated(nest: &[NestNode]) -> [u64; 6] {
+    let t = totals(nest);
+    [
+        sum(&t, |a| a.read_requests),
+        4 * sum(&t, |a| a.read_elems),
+        sum(&t, |a| a.write_requests),
+        4 * sum(&t, |a| a.write_elems),
+        t.comm_messages,
+        t.comm_bytes,
+    ]
+}
+
+#[test]
+fn every_method_of_every_rank_redistributes_as_estimated() {
+    // Column-block/column-major → row-block/row-major: pieces are strided
+    // on both sender and receiver, so the three methods take genuinely
+    // different request schedules, sieved writes included. Block → cyclic
+    // gives strided pieces whose runs touch across columns.
+    let (n, p) = (14, 2);
+    let cyclic = Distribution::new(
+        Shape::matrix(n, 3),
+        vec![
+            DimDist::Distributed {
+                kind: DistKind::Cyclic,
+                axis: 0,
+            },
+            DimDist::Collapsed,
+        ],
+        ProcGrid::line(p),
+    );
+    let desc = |id: u32, dist: Distribution| ArrayDesc::new(ArrayId(id), "a", ElemKind::F32, dist);
+    for (src, dst, p) in [
+        (
+            desc(0, Distribution::column_block(Shape::matrix(12, 12), 3)),
+            desc(1, Distribution::row_block(Shape::matrix(12, 12), 3))
+                .with_layout(FileLayout::row_major(2)),
+            3,
+        ),
+        (
+            desc(0, Distribution::row_block(Shape::matrix(n, 3), p)),
+            desc(1, cyclic.clone()),
+            p,
+        ),
+        (
+            desc(0, cyclic),
+            desc(1, Distribution::row_block(Shape::matrix(n, 3), p)),
+            p,
+        ),
+    ] {
+        for method in IoMethod::ALL {
+            let spec = RemapSpec {
+                src: src.clone(),
+                tmp: dst.clone(),
+                method,
+            };
+            Machine::new(MachineConfig::free(p)).run(|ctx| {
+                let mut env = OocEnv::in_memory(ctx.rank());
+                env.alloc(&src).unwrap();
+                env.alloc(&dst).unwrap();
+                env.load_global(&src, &fa).unwrap();
+                let before = ctx.stats();
+                redistribute_with(ctx, &mut env, &src, &dst, method, ctx).unwrap();
+                assert_eq!(
+                    delta(&ctx.stats(), &before),
+                    estimated(&remap_nodes(&spec, ctx.rank())),
+                    "{:?} -> {:?} {method:?} rank {}",
+                    src.dist.dims(),
+                    dst.dist.dims(),
+                    ctx.rank()
+                );
+            });
+        }
+    }
+}
+
+#[test]
+fn two_phase_reads_once_where_direct_reads_per_row() {
+    // The paper's worst case: a row-major file read in a column-conforming
+    // decomposition. Direct issues one request per (row, destination)
+    // pair; the file-conforming union of all pieces is this rank's entire
+    // contiguous file — one request.
+    let (n, p) = (16, 4);
+    let src = ArrayDesc::new(
+        ArrayId(0),
+        "a",
+        ElemKind::F32,
+        Distribution::row_block(Shape::matrix(n, n), p),
+    )
+    .with_layout(FileLayout::row_major(2));
+    let dst = ArrayDesc::new(
+        ArrayId(1),
+        "a2",
+        ElemKind::F32,
+        Distribution::column_block(Shape::matrix(n, n), p),
+    );
+    let counts = |method| {
+        let spec = RemapSpec {
+            src: src.clone(),
+            tmp: dst.clone(),
+            method,
+        };
+        estimated(&remap_nodes(&spec, 0))
+    };
+    let (direct, two_phase) = (counts(IoMethod::Direct), counts(IoMethod::TwoPhase));
+    let rows_per_rank = (n / p) as u64;
+    assert_eq!(direct[0], rows_per_rank * p as u64);
+    assert_eq!(two_phase[0], 1);
+    assert_eq!(two_phase[1], direct[1], "no overread");
+    // Writes collapse too: the receiver assembles its full local part.
+    assert_eq!(two_phase[2], 1);
+    assert!(direct[2] > two_phase[2]);
+}
+
+#[test]
+fn every_method_of_every_rank_gathers_as_its_schedule_estimates() {
+    // A scattered-but-deterministic index stream with repeats.
+    let (n, nidx, p) = (48, 96, 3);
+    let x = ArrayDesc::new(ArrayId(0), "x", ElemKind::F32, vec_dist(n, p));
+    let idx = ArrayDesc::new(ArrayId(1), "idx", ElemKind::F32, vec_dist(nidx, p));
+    for method in IoMethod::ALL {
+        Machine::new(MachineConfig::free(p)).run(|ctx| {
+            let mut env = OocEnv::in_memory(ctx.rank());
+            env.alloc(&x).unwrap();
+            env.alloc(&idx).unwrap();
+            env.load_global(&x, &|g| g[0] as f32 * 0.5).unwrap();
+            env.load_global(&idx, &|g| ((g[0] * 37 + (g[0] / 3) * 11) % n) as f32)
+                .unwrap();
+            let before = ctx.stats();
+            let sched = inspect(ctx, &mut env, &x, &idx, ctx).unwrap();
+            let inspected = ctx.stats();
+            gather_with(ctx, &mut env, &sched, method, ctx).unwrap();
+            let tag = format!("{method:?} rank {}", ctx.rank());
+            assert_eq!(
+                delta(&ctx.stats(), &before),
+                estimated(&schedule_nodes(&sched, method, true)),
+                "{tag}: inspect + gather"
+            );
+            assert_eq!(
+                delta(&ctx.stats(), &inspected),
+                estimated(&schedule_nodes(&sched, method, false)),
+                "{tag}: gather alone"
+            );
+        });
+    }
+}

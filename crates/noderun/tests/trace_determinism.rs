@@ -283,32 +283,26 @@ fn divergence_report_is_zero_gap_where_estimates_are_exact() {
         report.render()
     );
 
-    // Transpose forced onto the direct path: the estimator prices each
-    // remap piece as one write request, but the executor's section writes
-    // fragment pieces into column runs. The report must surface exactly
-    // that — write_requests diverges, every byte count and the read side
-    // stay exact — and sort it first.
-    let direct_options = CompilerOptions {
-        io_method: Some(pario::IoMethod::Direct),
-        ..traced_options()
-    };
-    let (compiled, cfg) = transpose(&direct_options);
-    assert!(compiled.io_choices[0][0].forced);
-    let trace = run_trace(&compiled, &cfg);
-    let report = divergence_report(&compiled, &trace);
-    let divergent: Vec<_> = report.divergent().collect();
-    assert_eq!(
-        divergent.len(),
-        1,
-        "only the write-request model diverges:\n{}",
-        report.render()
-    );
-    assert_eq!(divergent[0].metric, "write_requests");
-    assert!(divergent[0].measured > divergent[0].estimated);
-    assert_eq!(
-        report.rows[0], *divergent[0],
-        "worst divergence sorts first"
-    );
+    // Transpose forced onto each method: the estimator tallies every piece
+    // the executor reads and writes — fragmented column runs, sieved
+    // read-modify-writes and all — so every forced candidate is zero-gap,
+    // not only the one the selector picks.
+    for method in pario::IoMethod::ALL {
+        let forced_options = CompilerOptions {
+            io_method: Some(method),
+            ..traced_options()
+        };
+        let (compiled, cfg) = transpose(&forced_options);
+        assert!(compiled.io_choices[0][0].forced);
+        let trace = run_trace(&compiled, &cfg);
+        let report = divergence_report(&compiled, &trace);
+        assert!(!report.rows.is_empty());
+        assert!(
+            report.is_zero_gap(),
+            "forced {method:?} transpose diverged:\n{}",
+            report.render()
+        );
+    }
 
     // GAXPY under a slab cache: the reuse-aware estimator replays the cache,
     // so estimate == measured still holds when compile-time and run-time

@@ -10,9 +10,10 @@
 //! serialisable and reusable across iterations, so its cost amortizes. The
 //! **executor** ([`gather_with`]) then drives the schedule through any of
 //! the three access methods — direct piece-wise reads, data sieving, or a
-//! two-phase union read + all-to-all — and [`irreg_counts`] replays each
-//! schedule's request arithmetic exactly, so estimate == measured holds for
-//! the inspected schedule just as it does for the affine paths.
+//! two-phase union read + all-to-all. The compiler prices a schedule by
+//! tallying the same serve runs through the disk's decision rule
+//! (`ooc_core::irreg::schedule_nodes`), so estimate == measured holds for the
+//! inspected schedule just as it does for the affine paths.
 
 use dmsim::{Payload, ProcCtx, Tag};
 use ooc_trace::digest::Fnv1a;
@@ -563,7 +564,7 @@ fn serve_runs_of(elems: &[u64], es: u64) -> Vec<ByteRun> {
 ///   list, then an all-to-all exchange.
 ///
 /// All three produce identical outputs; they differ only in the request and
-/// message schedule, which [`irreg_counts`] replays exactly.
+/// message schedule.
 pub fn gather_with(
     ctx: &ProcCtx,
     env: &mut OocEnv,
@@ -585,16 +586,12 @@ pub fn gather_with(
     let mut local_part: Vec<f32> = Vec::new();
     match method {
         IoMethod::Direct | IoMethod::Sieved => {
-            let policy = match method {
-                IoMethod::Sieved => SievePolicy::Always,
-                _ => SievePolicy::Direct,
-            };
             for (j, runs) in sched.serve_runs.iter().enumerate() {
                 if runs.is_empty() {
                     continue;
                 }
                 let mut vals = Vec::new();
-                env.read_runs(data, runs, &mut vals, charge, policy)?;
+                env.read_runs(data, runs, &mut vals, charge, method.sieve_policy())?;
                 if j == me {
                     local_part = vals;
                 } else {
@@ -652,97 +649,6 @@ fn assemble(sched: &IrregSchedule, got: Vec<Vec<f32>>) -> Vec<f32> {
         .collect()
 }
 
-/// Predicted I/O and message traffic of one executor invocation on this
-/// schedule's rank — an exact replay of [`gather_with`]'s request
-/// arithmetic (same runs, same union planner, same span arithmetic), so
-/// estimate == measurement holds by construction for every method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IrregCounts {
-    /// Disk read requests issued against the data array on this rank.
-    pub read_requests: u64,
-    /// Bytes those reads move (sieved spans count whole).
-    pub read_bytes: u64,
-    /// Messages this rank sends.
-    pub messages: u64,
-    /// Payload bytes this rank sends.
-    pub msg_bytes: u64,
-}
-
-/// Replay the request schedule of `gather_with(.., method, ..)` without
-/// touching any data.
-pub fn irreg_counts(sched: &IrregSchedule, method: IoMethod) -> IrregCounts {
-    let me = sched.stamp.rank;
-    let es = sched.stamp.data.elem.size() as u64;
-    let mut c = IrregCounts::default();
-    match method {
-        IoMethod::Direct => {
-            for (j, runs) in sched.serve_runs.iter().enumerate() {
-                if runs.is_empty() {
-                    continue;
-                }
-                c.read_requests += runs.len() as u64;
-                c.read_bytes += runs.iter().map(|r| r.len).sum::<u64>();
-                if j != me {
-                    c.messages += 1;
-                    c.msg_bytes += sched.serve_elems[j].len() as u64 * es;
-                }
-            }
-        }
-        IoMethod::Sieved => {
-            for (j, runs) in sched.serve_runs.iter().enumerate() {
-                if runs.is_empty() {
-                    continue;
-                }
-                let lo = runs.first().expect("non-empty").offset;
-                let hi = runs.last().expect("non-empty").end();
-                c.read_requests += 1;
-                c.read_bytes += hi - lo;
-                if j != me {
-                    c.messages += 1;
-                    c.msg_bytes += sched.serve_elems[j].len() as u64 * es;
-                }
-            }
-        }
-        IoMethod::TwoPhase => {
-            let plan = plan_union(&sched.serve_runs);
-            c.read_requests = plan.requests();
-            c.read_bytes = plan.bytes();
-            // alltoallv posts to every peer, empty pieces included.
-            c.messages = sched.stamp.nprocs.saturating_sub(1) as u64;
-            for (j, elems) in sched.serve_elems.iter().enumerate() {
-                if j != me {
-                    c.msg_bytes += elems.len() as u64 * es;
-                }
-            }
-        }
-    }
-    c
-}
-
-/// Replay the inspector's own request schedule for this rank: the one
-/// charged indirection read plus the want-list all-to-all.
-pub fn inspect_counts(sched: &IrregSchedule) -> IrregCounts {
-    let me = sched.stamp.rank;
-    let es = sched.stamp.index.elem.size() as u64;
-    let mut c = IrregCounts::default();
-    if sched.nout > 0 {
-        let local = sched.stamp.index.local_shape(me);
-        c.read_requests = sched
-            .stamp
-            .index
-            .layout
-            .count_section_runs(&local, &Section::full(&local));
-        c.read_bytes = sched.nout as u64 * es;
-    }
-    c.messages = sched.stamp.nprocs.saturating_sub(1) as u64;
-    for (j, w) in sched.want.iter().enumerate() {
-        if j != me {
-            c.msg_bytes += w.len() as u64 * 8;
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -789,25 +695,7 @@ mod tests {
                 .unwrap();
 
             let sched = inspect(ctx, &mut env, &x, &idx, &NoCharge).unwrap();
-            let before = env.disk().stats();
             let out = gather_with(ctx, &mut env, &sched, method, &NoCharge).unwrap();
-            let after = env.disk().stats();
-
-            // Exact replay: measured disk deltas equal the counts.
-            let c = irreg_counts(&sched, method);
-            assert_eq!(
-                after.read_requests - before.read_requests,
-                c.read_requests,
-                "{method:?} rank {} read requests",
-                ctx.rank()
-            );
-            assert_eq!(
-                after.bytes_read - before.bytes_read,
-                c.read_bytes,
-                "{method:?} rank {} read bytes",
-                ctx.rank()
-            );
-
             outs_c.lock().unwrap().push((ctx.rank(), out));
         });
         let mut v = std::sync::Arc::try_unwrap(outs)
@@ -819,7 +707,7 @@ mod tests {
     }
 
     #[test]
-    fn every_method_gathers_the_right_values_and_matches_its_replay() {
+    fn every_method_gathers_the_right_values() {
         let (n, nidx, p) = (48, 96, 3);
         for method in IoMethod::ALL {
             let outs = run_gather(n, nidx, p, method);
@@ -858,10 +746,19 @@ mod tests {
             env.load_global(&idx, &|g: &[usize]| index_value(g[0], n) as f32)
                 .unwrap();
             let sched = inspect(ctx, &mut env, &x, &idx, &NoCharge).unwrap();
-            let d = irreg_counts(&sched, IoMethod::Direct);
-            let t = irreg_counts(&sched, IoMethod::TwoPhase);
-            assert!(t.read_requests <= d.read_requests);
-            assert!(t.read_bytes <= d.read_bytes, "union never over-reads");
+            let mut reads = |method| {
+                let before = env.disk().stats();
+                gather_with(ctx, &mut env, &sched, method, &NoCharge).unwrap();
+                let after = env.disk().stats();
+                (
+                    after.read_requests - before.read_requests,
+                    after.bytes_read - before.bytes_read,
+                )
+            };
+            let (d_reqs, d_bytes) = reads(IoMethod::Direct);
+            let (t_reqs, t_bytes) = reads(IoMethod::TwoPhase);
+            assert!(t_reqs <= d_reqs);
+            assert!(t_bytes <= d_bytes, "union never over-reads");
         });
     }
 
@@ -877,16 +774,28 @@ mod tests {
             env.load_global(&x, &|g: &[usize]| g[0] as f32).unwrap();
             env.load_global(&idx, &|g: &[usize]| index_value(g[0], n) as f32)
                 .unwrap();
+            let before = env.disk().stats().bytes_read;
             let sched = inspect(ctx, &mut env, &x, &idx, &NoCharge).unwrap();
+            let inspected = env.disk().stats().bytes_read - before;
             assert!(sched.is_valid_for(&x, &idx, ctx.rank(), ctx.nprocs()));
+            assert_eq!(
+                inspected,
+                sched.nout as u64 * 4,
+                "inspector pays the indirection read"
+            );
 
             // Reusing across iterations: the executor alone never touches
-            // the indirection file.
-            let a = gather_with(ctx, &mut env, &sched, IoMethod::TwoPhase, &NoCharge).unwrap();
-            let b = gather_with(ctx, &mut env, &sched, IoMethod::TwoPhase, &NoCharge).unwrap();
+            // the indirection file, so both gathers read alike.
+            let mut gather = || {
+                let before = env.disk().stats().bytes_read;
+                let out =
+                    gather_with(ctx, &mut env, &sched, IoMethod::TwoPhase, &NoCharge).unwrap();
+                (out, env.disk().stats().bytes_read - before)
+            };
+            let (a, a_bytes) = gather();
+            let (b, b_bytes) = gather();
             assert_eq!(a, b);
-            let ic = inspect_counts(&sched);
-            assert!(ic.read_bytes > 0, "inspector pays the indirection read");
+            assert_eq!(a_bytes, b_bytes);
 
             // A different data distribution invalidates the stamp.
             let moved = ArrayDesc::new(
@@ -1037,11 +946,13 @@ mod tests {
             let sched = inspect(ctx, &mut env, &x, &idx, &NoCharge).unwrap();
             let owner_want: usize = sched.want.iter().map(Vec::len).sum();
             assert_eq!(owner_want, 1, "duplicates must dedup on the wire");
-            let c = irreg_counts(&sched, IoMethod::TwoPhase);
+            let before = env.disk().stats().bytes_read;
+            gather_with(ctx, &mut env, &sched, IoMethod::TwoPhase, &NoCharge).unwrap();
+            let read = env.disk().stats().bytes_read - before;
             if ctx.rank() == 0 {
-                assert_eq!(c.read_bytes, 4, "element 0 charged once");
+                assert_eq!(read, 4, "element 0 charged once");
             } else {
-                assert_eq!(c.read_bytes, 0);
+                assert_eq!(read, 0);
             }
             let out = gather_with(ctx, &mut env, &sched, IoMethod::Direct, &NoCharge).unwrap();
             assert!(out.iter().all(|v| *v == 7.0));

@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use pario::ElemRun;
+use pario::{Access, ElemRun};
 
 use crate::section::Section;
 use crate::shape::Shape;
@@ -123,32 +123,8 @@ impl FileLayout {
             return;
         }
 
-        // Grow the contiguous chunk over the fastest dimensions while the
-        // section covers them fully with stride 1; a final partially-covered
-        // stride-1 dimension extends the chunk once and stops the growth.
-        let mut chunk = 1usize;
-        let mut outer_start = 0usize; // index into self.order
-        for (pos, &d) in self.order.iter().enumerate() {
-            let r = section.range(d);
-            if r.covers(shape.extent(d)) {
-                chunk *= shape.extent(d);
-                outer_start = pos + 1;
-            } else if r.step == 1 {
-                chunk *= r.len();
-                outer_start = pos + 1;
-                break;
-            } else {
-                break;
-            }
-        }
-        // Offset of the section's first element: each dimension's start
-        // times its layout stride, accumulated fastest dimension first.
-        let mut base = 0usize;
-        let mut stride = 1usize;
-        for &d in &self.order {
-            base += section.range(d).lo * stride;
-            stride *= shape.extent(d);
-        }
+        let (outer_start, chunk) = self.chunk(shape, section);
+        let (base, _) = self.first_last(shape, section);
         if outer_start == self.order.len() {
             runs.push(run(base as u64, chunk as u64));
             return;
@@ -184,6 +160,39 @@ impl FileLayout {
         }
     }
 
+    /// The contiguous chunk every run of `section` shares: the fastest
+    /// dimensions the section covers whole, grown by at most one partially
+    /// covered unit-stride dimension. Returns the position in the layout
+    /// order of the first dimension outside the chunk, and the chunk's
+    /// element count.
+    fn chunk(&self, shape: &Shape, section: &Section) -> (usize, usize) {
+        let mut chunk = 1usize;
+        for (pos, &d) in self.order.iter().enumerate() {
+            let r = section.range(d);
+            if r.covers(shape.extent(d)) {
+                chunk *= shape.extent(d);
+            } else if r.step == 1 {
+                return (pos + 1, chunk * r.len());
+            } else {
+                return (pos, chunk);
+            }
+        }
+        (self.order.len(), chunk)
+    }
+
+    /// Element offsets of the first and the last element of a non-empty
+    /// `section` under this layout.
+    fn first_last(&self, shape: &Shape, section: &Section) -> (usize, usize) {
+        let (mut first, mut last, mut stride) = (0usize, 0usize, 1usize);
+        for &d in &self.order {
+            let r = section.range(d);
+            first += r.lo * stride;
+            last += (r.lo + (r.len() - 1) * r.step) * stride;
+            stride *= shape.extent(d);
+        }
+        (first, last)
+    }
+
     /// Number of runs [`FileLayout::section_runs`] would produce, computed
     /// without materializing them — used by the compiler's cost estimator.
     pub fn count_section_runs(&self, shape: &Shape, section: &Section) -> u64 {
@@ -191,22 +200,60 @@ impl FileLayout {
         if section.is_empty() {
             return 0;
         }
-        let mut outer_start = 0usize;
-        for (pos, &d) in self.order.iter().enumerate() {
-            let r = section.range(d);
-            if r.covers(shape.extent(d)) {
-                outer_start = pos + 1;
-            } else if r.step == 1 {
-                outer_start = pos + 1;
-                break;
-            } else {
-                break;
-            }
-        }
+        let (outer_start, _) = self.chunk(shape, section);
         self.order[outer_start..]
             .iter()
             .map(|&d| section.range(d).len() as u64)
             .product()
+    }
+
+    /// The [`Access`] the disk sees for `section` of a local array of
+    /// `shape`, elements of `elem_size` bytes, in O(ndims): what coalescing
+    /// [`FileLayout::section_runs`] and spanning them would give, without
+    /// materializing a run.
+    ///
+    /// Runs only touch when the first dimension outside the chunk is
+    /// strided and the chunk fills its stride: then the transition that
+    /// wraps outer dimensions `0..k` and advances outer dimension `k`
+    /// joins two runs exactly when each wrapped dimension selects both its
+    /// first and its last index and dimension `k` has unit stride.
+    pub(crate) fn section_access(
+        &self,
+        shape: &Shape,
+        section: &Section,
+        elem_size: u64,
+    ) -> Access {
+        if section.is_empty() {
+            return Access::default();
+        }
+        let (outer_start, _) = self.chunk(shape, section);
+        let outer = &self.order[outer_start..];
+        let spans_ends = |d: usize| {
+            let r = section.range(d);
+            r.lo == 0 && r.lo + (r.len() - 1) * r.step + 1 == shape.extent(d)
+        };
+        let chunk_fills_stride = self.order[..outer_start]
+            .iter()
+            .all(|&d| section.range(d).covers(shape.extent(d)));
+        let wrapping = if chunk_fills_stride {
+            outer.iter().take_while(|&&d| spans_ends(d)).count()
+        } else {
+            0
+        };
+        let (mut runs, mut joins) = (1u64, 0u64);
+        for (k, &d) in outer.iter().enumerate().rev() {
+            let r = section.range(d);
+            if (1..=wrapping).contains(&k) && r.step == 1 {
+                joins += (r.len() as u64 - 1) * runs;
+            }
+            runs *= r.len() as u64;
+        }
+        let (first, last) = self.first_last(shape, section);
+        Access {
+            runs: runs - joins,
+            bytes: section.len() as u64 * elem_size,
+            span: (last - first + 1) as u64 * elem_size,
+        }
     }
 
     /// Iterate the section's multi-indices in this layout's order (fastest

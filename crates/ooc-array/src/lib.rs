@@ -30,10 +30,7 @@ pub mod slab;
 
 pub use dist::{DimDist, DistKind, Distribution, ProcGrid};
 pub use error::OocError;
-pub use irreg::{
-    gather_with, inspect, inspect_counts, irreg_counts, IrregCounts, IrregSchedule, IrregStats,
-    ScheduleStamp,
-};
+pub use irreg::{gather_with, inspect, IrregSchedule, IrregStats, ScheduleStamp};
 pub use layout::FileLayout;
 pub use localize::{
     global_section_of_local, global_to_local, local_part, local_section_of_global, local_to_global,
@@ -44,7 +41,7 @@ pub use persist::{
     checkpoint_file, checkpoint_section, export_array, import_array, remove_checkpoint,
     restore_checkpoint,
 };
-pub use redist::{redist_counts, redistribute, redistribute_with, relayout_in_place, RedistCounts};
+pub use redist::{redistribute, redistribute_with, relayout_in_place, RedistPieces};
 pub use section::{DimRange, Section};
 pub use shape::Shape;
 pub use slab::SlabPlan;

@@ -18,8 +18,8 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use pario::{
-    ByteRun, ElemKind, ElemRun, FileId, IoCharge, IoError, LocalArrayFile, LogicalDisk, NoCharge,
-    SievePolicy,
+    Access, ByteRun, ElemKind, ElemRun, FileId, IoCharge, IoError, LocalArrayFile, LogicalDisk,
+    NoCharge, SievePolicy,
 };
 
 use crate::dist::Distribution;
@@ -90,6 +90,15 @@ impl ArrayDesc {
             .section_runs_into(shape, section, out, |offset, len| {
                 ByteRun::new(offset * es, len * es)
             });
+    }
+
+    /// The [`Access`] the disk sees when asked for
+    /// [`ArrayDesc::section_byte_runs`], computed in O(ndims) without
+    /// materializing a run: what the compiler tallies for each section an
+    /// executor reads or writes.
+    pub fn section_access(&self, shape: &Shape, section: &Section) -> Access {
+        self.layout
+            .section_access(shape, section, self.elem.size() as u64)
     }
 }
 

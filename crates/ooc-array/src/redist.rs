@@ -9,7 +9,7 @@
 //! message fabric), so experiments can charge or amortize them explicitly.
 
 use dmsim::{Payload, ProcCtx, Tag};
-use pario::{plan_union, AccessPlan, ByteRun, IoCharge, IoError, IoMethod, SievePolicy};
+use pario::{plan_union, ByteRun, IoCharge, IoError, IoMethod, SievePolicy};
 
 use crate::error::OocError;
 
@@ -92,8 +92,8 @@ pub fn redistribute(
 ///   and assembles its whole local destination for one contiguous write.
 ///
 /// All three produce byte-identical array contents; they differ only in the
-/// request/message schedule, which is exactly what [`redist_counts`]
-/// predicts.
+/// request/message schedule over the same [`RedistPieces`], which is what
+/// the compiler prices.
 pub fn redistribute_with(
     ctx: &ProcCtx,
     env: &mut OocEnv,
@@ -102,13 +102,12 @@ pub fn redistribute_with(
     method: IoMethod,
     charge: &dyn IoCharge,
 ) -> Result<(), OocError> {
-    check_conformance(src, dst);
     let _m = ctx.trace_io_method(method.label());
     match method {
         IoMethod::Direct => redistribute_direct(ctx, env, src, dst, charge),
         IoMethod::Sieved => {
             let saved = env.sieve_policy();
-            env.set_sieve_policy(SievePolicy::Always);
+            env.set_sieve_policy(method.sieve_policy());
             let r = redistribute_direct(ctx, env, src, dst, charge);
             env.set_sieve_policy(saved);
             r
@@ -130,6 +129,44 @@ fn check_conformance(src: &ArrayDesc, dst: &ArrayDesc) {
     );
 }
 
+/// One rank's pieces of a redistribution: per peer, what it exchanges with
+/// that peer — the intersection of the two ranks' owned global sections —
+/// in this rank's local index space, `None` where they share nothing. The
+/// executor moves exactly these pieces, under every access method, and the
+/// compiler prices them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RedistPieces {
+    /// Per destination rank: the section of this rank's source it sends
+    /// (`send[rank]` stays local).
+    pub send: Vec<Option<Section>>,
+    /// Per source rank: the section of this rank's destination it fills
+    /// (`recv[rank]` is the local piece).
+    pub recv: Vec<Option<Section>>,
+}
+
+impl RedistPieces {
+    /// The pieces `rank` exchanges when `src` is redistributed into `dst`.
+    pub fn of(src: &ArrayDesc, dst: &ArrayDesc, rank: usize) -> RedistPieces {
+        check_conformance(src, dst);
+        let owned = |desc: &ArrayDesc, r: usize| {
+            global_section_of_local(&desc.dist, r).expect("regular distribution required")
+        };
+        let (my_src, my_dst) = (owned(src, rank), owned(dst, rank));
+        let local = |desc: &ArrayDesc, isect: Option<Section>| {
+            isect.map(|g| local_section_of_global(&desc.dist, rank, &g).expect("owns intersection"))
+        };
+        let p = src.dist.nprocs();
+        RedistPieces {
+            send: (0..p)
+                .map(|j| local(src, my_src.intersect(&owned(dst, j))))
+                .collect(),
+            recv: (0..p)
+                .map(|j| local(dst, my_dst.intersect(&owned(src, j))))
+                .collect(),
+        }
+    }
+}
+
 /// The baseline schedule: one read/send (or local write) per destination,
 /// one receive/write per source, each file access serviced piece-wise under
 /// the environment's sieve policy.
@@ -142,78 +179,46 @@ fn redistribute_direct(
 ) -> Result<(), OocError> {
     let _span = ctx.trace_span(ooc_trace::Category::Redist, "redistribute");
     let me = ctx.rank();
-    let p = ctx.nprocs();
-
-    let my_src_global =
-        global_section_of_local(&src.dist, me).expect("regular source distribution required");
+    let pieces = RedistPieces::of(src, dst, me);
 
     // Send phase (unbounded channels: sends never block on capacity).
-    for dst_rank in 0..p {
-        let their_dst_global = global_section_of_local(&dst.dist, dst_rank)
-            .expect("regular destination distribution required");
-        let Some(isect) = my_src_global.intersect(&their_dst_global) else {
-            continue;
-        };
-        let local_src =
-            local_section_of_global(&src.dist, me, &isect).expect("sender owns intersection");
-        let data = env.read_section(src, &local_src, charge)?;
+    for (dst_rank, piece) in pieces.send.iter().enumerate() {
+        let Some(local_src) = piece else { continue };
+        let data = env.read_section(src, local_src, charge)?;
         if dst_rank == me {
-            let local_dst =
-                local_section_of_global(&dst.dist, me, &isect).expect("receiver owns intersection");
-            env.write_section(dst, &local_dst, &data, charge)?;
+            let local_dst = pieces.recv[me]
+                .as_ref()
+                .expect("the local piece is received too");
+            env.write_section(dst, local_dst, &data, charge)?;
         } else {
             ctx.send(dst_rank, REDIST_TAG, Payload::F32(data));
         }
     }
 
     // Receive phase.
-    let my_dst_global =
-        global_section_of_local(&dst.dist, me).expect("regular destination distribution required");
-    for src_rank in 0..p {
-        if src_rank == me {
-            continue;
-        }
-        let their_src_global = global_section_of_local(&src.dist, src_rank)
-            .expect("regular source distribution required");
-        let Some(isect) = my_dst_global.intersect(&their_src_global) else {
+    for (src_rank, piece) in pieces.recv.iter().enumerate() {
+        let Some(local_dst) = piece.as_ref().filter(|_| src_rank != me) else {
             continue;
         };
         let data = ctx.try_recv_f32(src_rank, REDIST_TAG)?;
-        let local_dst =
-            local_section_of_global(&dst.dist, me, &isect).expect("receiver owns intersection");
         assert_eq!(data.len(), local_dst.len(), "redistribute payload size");
-        env.write_section(dst, &local_dst, &data, charge)?;
+        env.write_section(dst, local_dst, &data, charge)?;
     }
     Ok(())
 }
 
-/// The piece this rank contributes to `dst_rank`: the intersection of the
-/// two ranks' owned global sections, in the sender's local index space.
-/// `None` when the ranks share nothing.
-fn piece_section(src: &ArrayDesc, dst: &ArrayDesc, me: usize, dst_rank: usize) -> Option<Section> {
-    let mine =
-        global_section_of_local(&src.dist, me).expect("regular source distribution required");
-    let theirs = global_section_of_local(&dst.dist, dst_rank)
-        .expect("regular destination distribution required");
-    let isect = mine.intersect(&theirs)?;
-    Some(local_section_of_global(&src.dist, me, &isect).expect("sender owns intersection"))
-}
-
-/// Byte runs of local section `sec` of `desc` on `rank`.
-fn byte_runs(desc: &ArrayDesc, rank: usize, sec: &Section) -> Vec<ByteRun> {
-    let mut runs = Vec::new();
-    desc.section_byte_runs(&desc.local_shape(rank), sec, &mut runs);
-    runs
-}
-
 /// Byte runs of every outgoing piece (empty where this rank sends nothing):
 /// what the two-phase union read covers.
-fn piece_runs(src: &ArrayDesc, rank: usize, piece_secs: &[Option<Section>]) -> Vec<Vec<ByteRun>> {
-    piece_secs
+fn piece_runs(src: &ArrayDesc, rank: usize, pieces: &[Option<Section>]) -> Vec<Vec<ByteRun>> {
+    let shape = src.local_shape(rank);
+    pieces
         .iter()
         .map(|sec| {
-            sec.as_ref()
-                .map_or_else(Vec::new, |s| byte_runs(src, rank, s))
+            let mut runs = Vec::new();
+            if let Some(sec) = sec {
+                src.section_byte_runs(&shape, sec, &mut runs);
+            }
+            runs
         })
         .collect()
 }
@@ -233,12 +238,11 @@ fn redistribute_two_phase(
 ) -> Result<(), OocError> {
     let _span = ctx.trace_span(ooc_trace::Category::Redist, "redistribute");
     let me = ctx.rank();
-    let p = ctx.nprocs();
+    let pieces = RedistPieces::of(src, dst, me);
 
     // Phase 1: one coalesced union read covering every outgoing piece. The
     // union is already file-conforming, so it is never sieved.
-    let piece_secs: Vec<Option<Section>> = (0..p).map(|j| piece_section(src, dst, me, j)).collect();
-    let plan = plan_union(&piece_runs(src, me, &piece_secs));
+    let plan = plan_union(&piece_runs(src, me, &pieces.send));
     let mut union = Vec::new();
     if plan.buffer_len() > 0 {
         env.read_runs(src, &plan.union, &mut union, charge, SievePolicy::Direct)?;
@@ -247,7 +251,8 @@ fn redistribute_two_phase(
     // Carve the per-destination pieces out of the union buffer, each in the
     // direct path's wire format (section column-major order).
     let cm = layout_is_cm(&src.layout);
-    let sends: Vec<Vec<f32>> = piece_secs
+    let sends: Vec<Vec<f32>> = pieces
+        .send
         .iter()
         .enumerate()
         .map(|(j, sec)| match sec {
@@ -275,21 +280,15 @@ fn redistribute_two_phase(
     if dst_local_shape.is_empty() {
         return Ok(());
     }
-    let my_dst_global =
-        global_section_of_local(&dst.dist, me).expect("regular destination distribution required");
     let strides = dst_local_shape.strides();
     let mut buf = vec![0.0f32; dst_local_shape.len()];
-    for (src_rank, piece) in received.iter().enumerate() {
+    for (piece, local_dst) in received.iter().zip(&pieces.recv) {
         if piece.is_empty() {
             continue;
         }
-        let their_src = global_section_of_local(&src.dist, src_rank)
-            .expect("regular source distribution required");
-        let isect = my_dst_global
-            .intersect(&their_src)
+        let local_dst = local_dst
+            .as_ref()
             .expect("non-empty payload implies intersection");
-        let local_dst =
-            local_section_of_global(&dst.dist, me, &isect).expect("receiver owns intersection");
         assert_eq!(piece.len(), local_dst.len(), "two-phase payload size");
         for (v, off) in piece.iter().zip(local_dst.offsets(&strides)) {
             buf[off] = *v;
@@ -297,113 +296,6 @@ fn redistribute_two_phase(
     }
     env.write_section(dst, &Section::full(&dst_local_shape), &buf, charge)?;
     Ok(())
-}
-
-/// Predicted I/O and message traffic of [`redistribute_with`] on one rank —
-/// an exact replay of the executor's request arithmetic (same section
-/// machinery, same coalescing, same sieve planner), so estimate ==
-/// measurement holds by construction for every method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RedistCounts {
-    /// Disk read requests issued against the *source* array on this rank.
-    pub read_requests: u64,
-    /// Bytes those reads move (sieved spans count whole).
-    pub read_bytes: u64,
-    /// Read requests against the *destination* array — the read half of
-    /// sieved read-modify-write writes (zero for the other methods).
-    pub dst_read_requests: u64,
-    /// Bytes those destination-side reads move.
-    pub dst_read_bytes: u64,
-    /// Disk write requests issued on this rank.
-    pub write_requests: u64,
-    /// Bytes those writes move.
-    pub write_bytes: u64,
-    /// Messages this rank sends.
-    pub messages: u64,
-    /// Payload bytes this rank sends.
-    pub msg_bytes: u64,
-}
-
-/// Replay the request schedule of `redistribute_with(.., method, ..)` for
-/// `rank` without touching any data.
-pub fn redist_counts(
-    src: &ArrayDesc,
-    dst: &ArrayDesc,
-    rank: usize,
-    method: IoMethod,
-) -> RedistCounts {
-    check_conformance(src, dst);
-    let p = src.dist.nprocs();
-    let es = src.elem.size() as u64;
-    let mut c = RedistCounts::default();
-
-    let piece_secs: Vec<Option<Section>> =
-        (0..p).map(|j| piece_section(src, dst, rank, j)).collect();
-
-    match method {
-        IoMethod::Direct | IoMethod::Sieved => {
-            let policy = match method {
-                IoMethod::Sieved => SievePolicy::Always,
-                _ => SievePolicy::Direct,
-            };
-            // Send phase: one piece-wise read per destination with data.
-            for (j, sec) in piece_secs.iter().enumerate() {
-                let Some(sec) = sec else { continue };
-                let runs = byte_runs(src, rank, sec);
-                let rp = pario::plan_access(&runs, policy);
-                c.read_requests += rp.requests();
-                c.read_bytes += rp.bytes();
-                if j != rank {
-                    c.messages += 1;
-                    c.msg_bytes += sec.len() as u64 * es;
-                }
-            }
-            // Receive phase: one piece-wise write per source with data.
-            let my_dst_global = global_section_of_local(&dst.dist, rank)
-                .expect("regular destination distribution required");
-            for src_rank in 0..p {
-                let their_src = global_section_of_local(&src.dist, src_rank)
-                    .expect("regular source distribution required");
-                let Some(isect) = my_dst_global.intersect(&their_src) else {
-                    continue;
-                };
-                let local_dst = local_section_of_global(&dst.dist, rank, &isect)
-                    .expect("receiver owns intersection");
-                let runs = byte_runs(dst, rank, &local_dst);
-                match pario::plan_access(&runs, policy) {
-                    AccessPlan::Direct(coalesced) => {
-                        c.write_requests += coalesced.len() as u64;
-                        c.write_bytes += coalesced.iter().map(|r| r.len).sum::<u64>();
-                    }
-                    // A sieved write is read-modify-write of the span.
-                    AccessPlan::Sieved { span, .. } => {
-                        c.dst_read_requests += 1;
-                        c.dst_read_bytes += span.len;
-                        c.write_requests += 1;
-                        c.write_bytes += span.len;
-                    }
-                }
-            }
-        }
-        IoMethod::TwoPhase => {
-            let plan = plan_union(&piece_runs(src, rank, &piece_secs));
-            c.read_requests = plan.requests();
-            c.read_bytes = plan.bytes();
-            // alltoallv posts to every peer, empty pieces included.
-            c.messages = p.saturating_sub(1) as u64;
-            for (j, sec) in piece_secs.iter().enumerate() {
-                if j != rank {
-                    c.msg_bytes += sec.as_ref().map_or(0, |s| s.len() as u64) * es;
-                }
-            }
-            let local_len = dst.local_shape(rank).len() as u64;
-            if local_len > 0 {
-                c.write_requests = 1;
-                c.write_bytes = local_len * es;
-            }
-        }
-    }
-    c
 }
 
 #[cfg(test)]
@@ -487,12 +379,11 @@ mod tests {
     }
 
     #[test]
-    fn every_method_matches_direct_contents_and_its_replayed_counts() {
+    fn every_method_matches_direct_contents() {
         // Column-block/column-major → row-block/row-major: pieces are
         // strided on both sender and receiver, so the three methods take
         // genuinely different request schedules (sieved even goes through
-        // its read-modify-write path) — yet contents must be identical, and
-        // the measured disk counters must equal the redist_counts replay.
+        // its read-modify-write path) — yet contents must be identical.
         let n = 12;
         let p = 3;
         let src = ArrayDesc::new(
@@ -517,36 +408,7 @@ mod tests {
                 env.alloc(&src_c).unwrap();
                 env.alloc(&dst_c).unwrap();
                 env.load_global(&src_c, &value).unwrap();
-
-                let before = env.disk().stats();
                 redistribute_with(ctx, &mut env, &src_c, &dst_c, method, &NoCharge).unwrap();
-                let after = env.disk().stats();
-
-                let counts = redist_counts(&src_c, &dst_c, ctx.rank(), method);
-                assert_eq!(
-                    after.read_requests - before.read_requests,
-                    counts.read_requests + counts.dst_read_requests,
-                    "{method:?} rank {} read requests",
-                    ctx.rank()
-                );
-                assert_eq!(
-                    after.bytes_read - before.bytes_read,
-                    counts.read_bytes + counts.dst_read_bytes,
-                    "{method:?} rank {} read bytes",
-                    ctx.rank()
-                );
-                assert_eq!(
-                    after.write_requests - before.write_requests,
-                    counts.write_requests,
-                    "{method:?} rank {} write requests",
-                    ctx.rank()
-                );
-                assert_eq!(
-                    after.bytes_written - before.bytes_written,
-                    counts.write_bytes,
-                    "{method:?} rank {} write bytes",
-                    ctx.rank()
-                );
 
                 let local_shape = dst_c.local_shape(ctx.rank());
                 let all = env.read_local_all(&dst_c).unwrap();
@@ -556,38 +418,6 @@ mod tests {
                 }
             });
         }
-    }
-
-    #[test]
-    fn two_phase_reads_once_where_direct_reads_per_row() {
-        // The paper's worst case: a row-major file read in a
-        // column-conforming decomposition. Direct issues one request per
-        // (row, destination) pair; the file-conforming union of all pieces
-        // is this rank's entire contiguous file — one request.
-        let n = 16;
-        let p = 4;
-        let src = ArrayDesc::new(
-            ArrayId(0),
-            "a",
-            ElemKind::F32,
-            Distribution::row_block(Shape::matrix(n, n), p),
-        )
-        .with_layout(FileLayout::row_major(2));
-        let dst = ArrayDesc::new(
-            ArrayId(1),
-            "a2",
-            ElemKind::F32,
-            Distribution::column_block(Shape::matrix(n, n), p),
-        );
-        let rows_per_rank = n / p;
-        let direct = redist_counts(&src, &dst, 0, pario::IoMethod::Direct);
-        let two_phase = redist_counts(&src, &dst, 0, pario::IoMethod::TwoPhase);
-        assert_eq!(direct.read_requests, (rows_per_rank * p) as u64);
-        assert_eq!(two_phase.read_requests, 1);
-        assert_eq!(two_phase.read_bytes, direct.read_bytes, "no overread");
-        // Writes collapse too: the receiver assembles its full local part.
-        assert_eq!(two_phase.write_requests, 1);
-        assert!(direct.write_requests > two_phase.write_requests);
     }
 
     #[test]

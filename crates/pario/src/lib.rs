@@ -27,6 +27,7 @@ pub mod method;
 pub mod request;
 pub mod sieve;
 pub mod stats;
+pub mod tally;
 
 pub use backend::{DiskBackend, MemBackend, StorageBackend};
 pub use cache::{BufferPool, FileIoCounts, SlabCache};
@@ -35,8 +36,9 @@ pub use error::{FaultOp, IoError};
 pub use laf::{bytes_to_f32, f32_to_bytes, ElemKind, ElemRun, LocalArrayFile};
 pub use method::{plan_union, IoMethod, UnionPlan};
 pub use request::{coalesce_runs, total_bytes, ByteRun};
-pub use sieve::{plan_access, AccessPlan, SievePolicy};
+pub use sieve::SievePolicy;
 pub use stats::DiskStats;
+pub use tally::{Access, Tally};
 
 use dmsim::ProcCtx;
 

@@ -12,6 +12,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::request::{coalesce_runs, ByteRun};
+use crate::sieve::SievePolicy;
 
 /// How an array-section access is serviced against the file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -39,6 +40,15 @@ impl IoMethod {
 
     /// All methods, in comparison-table order.
     pub const ALL: [IoMethod; 3] = [IoMethod::Direct, IoMethod::Sieved, IoMethod::TwoPhase];
+
+    /// The sieve policy the method's piece accesses run under: only
+    /// `Sieved` sieves (a two-phase union is already file-conforming).
+    pub fn sieve_policy(self) -> SievePolicy {
+        match self {
+            IoMethod::Sieved => SievePolicy::Always,
+            IoMethod::Direct | IoMethod::TwoPhase => SievePolicy::Direct,
+        }
+    }
 }
 
 /// The file-conforming service plan for a set of piece accesses: the

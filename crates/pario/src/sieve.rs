@@ -4,12 +4,14 @@
 //! requests, exact bytes) or by *sieving*: one request covering the whole
 //! span, discarding the unwanted bytes in memory. Sieving trades bytes for
 //! requests; whether it wins depends on the machine's request startup vs
-//! bandwidth. [`SievePolicy`] makes the choice per access.
+//! bandwidth. [`SievePolicy::sieves`] makes the choice per access, for the
+//! disk and for the count-only [`crate::Tally`] alike.
 
 use serde::{Deserialize, Serialize};
 
 use crate::backend::decode_f32;
-use crate::request::{coalesce_runs, total_bytes, ByteRun};
+use crate::request::{total_bytes, ByteRun};
+use crate::tally::Access;
 
 /// When to replace a strided access by one spanning request.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -35,72 +37,34 @@ pub enum SievePolicy {
     },
 }
 
-/// The access plan chosen by a policy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AccessPlan {
-    /// Issue the coalesced runs as-is.
-    Direct(Vec<ByteRun>),
-    /// Issue one spanning request; the payload must then be sieved with
-    /// [`sieve_extract`].
-    Sieved {
-        /// The single spanning run.
-        span: ByteRun,
-        /// The useful runs within it (coalesced, sorted).
-        useful: Vec<ByteRun>,
-    },
-}
-
-impl AccessPlan {
-    /// Requests this plan issues.
-    pub fn requests(&self) -> u64 {
-        match self {
-            AccessPlan::Direct(runs) => runs.len() as u64,
-            AccessPlan::Sieved { .. } => 1,
+impl SievePolicy {
+    /// True when `access` is serviced by one spanning request instead of
+    /// one request per run: the one decision rule behind
+    /// [`crate::LogicalDisk::read`], [`crate::LogicalDisk::write`] and
+    /// [`crate::Tally`]. A single run is never sieved.
+    pub fn sieves(self, access: Access) -> bool {
+        if access.runs <= 1 {
+            return false;
         }
-    }
-
-    /// Bytes this plan moves from disk.
-    pub fn bytes(&self) -> u64 {
+        let (runs, useful, span) = (access.runs as f64, access.bytes as f64, access.span as f64);
         match self {
-            AccessPlan::Direct(runs) => total_bytes(runs),
-            AccessPlan::Sieved { span, .. } => span.len,
+            SievePolicy::Direct => false,
+            SievePolicy::Always => true,
+            SievePolicy::WasteBound { max_waste } => span <= useful * max_waste,
+            SievePolicy::CostBased { startup, bandwidth } => {
+                startup + span / bandwidth < runs * startup + useful / bandwidth
+            }
         }
-    }
-}
-
-/// Decide how to service `runs` under `policy`.
-pub fn plan_access(runs: &[ByteRun], policy: SievePolicy) -> AccessPlan {
-    let coalesced = coalesce_runs(runs);
-    match sieve_span(&coalesced, policy) {
-        Some(span) => AccessPlan::Sieved {
-            span,
-            useful: coalesced,
-        },
-        None => AccessPlan::Direct(coalesced),
     }
 }
 
 /// The one spanning request that services already-`coalesced` runs under
 /// `policy`, or `None` when they are issued directly.
 pub(crate) fn sieve_span(coalesced: &[ByteRun], policy: SievePolicy) -> Option<ByteRun> {
-    if coalesced.len() <= 1 {
-        return None;
-    }
-    let useful = total_bytes(coalesced);
-    let lo = coalesced.first().expect("non-empty").offset;
-    let hi = coalesced.last().expect("non-empty").end();
-    let span = ByteRun::new(lo, hi - lo);
-    let sieve = match policy {
-        SievePolicy::Direct => false,
-        SievePolicy::Always => true,
-        SievePolicy::WasteBound { max_waste } => span.len as f64 <= useful as f64 * max_waste,
-        SievePolicy::CostBased { startup, bandwidth } => {
-            let direct = coalesced.len() as f64 * startup + useful as f64 / bandwidth;
-            let sieved = startup + span.len as f64 / bandwidth;
-            sieved < direct
-        }
-    };
-    sieve.then_some(span)
+    let access = Access::of_coalesced(coalesced);
+    policy
+        .sieves(access)
+        .then(|| ByteRun::new(coalesced[0].offset, access.span))
 }
 
 /// Decode the useful runs (each a whole number of `f32`s) out of a buffer
@@ -146,32 +110,28 @@ mod tests {
 
     #[test]
     fn single_run_is_always_direct() {
-        let plan = plan_access(&[ByteRun::new(0, 100)], SievePolicy::Always);
-        assert_eq!(plan, AccessPlan::Direct(vec![ByteRun::new(0, 100)]));
+        assert_eq!(
+            sieve_span(&[ByteRun::new(0, 100)], SievePolicy::Always),
+            None
+        );
+        assert!(!SievePolicy::Always.sieves(Access::contiguous(100)));
     }
 
     #[test]
     fn always_policy_spans_the_access() {
         let runs = strided(4, 10, 90);
-        let plan = plan_access(&runs, SievePolicy::Always);
-        let AccessPlan::Sieved { span, useful } = plan else {
-            panic!("expected sieved");
-        };
-        assert_eq!(span, ByteRun::new(0, 310)); // 3*(100) + 10
-        assert_eq!(useful.len(), 4);
+        // 3 * 100 + 10 bytes from the first run's start to the last's end.
+        assert_eq!(
+            sieve_span(&runs, SievePolicy::Always),
+            Some(ByteRun::new(0, 310))
+        );
     }
 
     #[test]
     fn waste_bound_respects_the_ratio() {
         let runs = strided(4, 10, 90); // span 310, useful 40: waste 7.75x
-        assert!(matches!(
-            plan_access(&runs, SievePolicy::WasteBound { max_waste: 8.0 }),
-            AccessPlan::Sieved { .. }
-        ));
-        assert!(matches!(
-            plan_access(&runs, SievePolicy::WasteBound { max_waste: 7.0 }),
-            AccessPlan::Direct(_)
-        ));
+        assert!(sieve_span(&runs, SievePolicy::WasteBound { max_waste: 8.0 }).is_some());
+        assert!(sieve_span(&runs, SievePolicy::WasteBound { max_waste: 7.0 }).is_none());
     }
 
     #[test]
@@ -182,19 +142,13 @@ mod tests {
             startup: 1e-2,
             bandwidth: 1e6,
         };
-        assert!(matches!(
-            plan_access(&runs, cheap_bw),
-            AccessPlan::Sieved { .. }
-        ));
+        assert!(sieve_span(&runs, cheap_bw).is_some());
         // Nearly free seeks: direct wins.
         let costly_bytes = SievePolicy::CostBased {
             startup: 1e-9,
             bandwidth: 1e6,
         };
-        assert!(matches!(
-            plan_access(&runs, costly_bytes),
-            AccessPlan::Direct(_)
-        ));
+        assert!(sieve_span(&runs, costly_bytes).is_none());
     }
 
     /// Little-endian bytes of `vals`.
@@ -231,12 +185,12 @@ mod tests {
 
     #[test]
     fn plan_metrics() {
-        let runs = strided(4, 10, 90);
-        let direct = plan_access(&runs, SievePolicy::Direct);
-        assert_eq!(direct.requests(), 4);
-        assert_eq!(direct.bytes(), 40);
-        let sieved = plan_access(&runs, SievePolicy::Always);
-        assert_eq!(sieved.requests(), 1);
-        assert_eq!(sieved.bytes(), 310);
+        let access = Access::of_coalesced(&strided(4, 10, 90));
+        let mut direct = crate::Tally::default();
+        direct.read(access, SievePolicy::Direct);
+        assert_eq!((direct.read_requests, direct.read_bytes), (4, 40));
+        let mut sieved = crate::Tally::default();
+        sieved.read(access, SievePolicy::Always);
+        assert_eq!((sieved.read_requests, sieved.read_bytes), (1, 310));
     }
 }
