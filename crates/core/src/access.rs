@@ -91,7 +91,7 @@ pub fn elw_dim_scores(
         );
         let slab = plan.slab(0);
         let mut requests = lhs_desc.layout.count_section_runs(&local, &slab);
-        let shifts = stmt.max_shift(ndims);
+        let shifts = stmt.rhs.max_shift(ndims);
         for rd in rhs_descs {
             // The read section is the slab widened by the ghost width along
             // the slab dimension (clamped to the local extent).

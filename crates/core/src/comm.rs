@@ -50,12 +50,13 @@ pub fn analyze_stmt(stmt: &HirStmt, prog: &HirProgram) -> Result<CommRequirement
 
 /// Ghost analysis for an elementwise statement: every referenced array must
 /// share the lhs distribution; shifts along distributed dimensions become
-/// ghost strips of the shift width.
+/// ghost strips of the shift width, which need a block distribution on a
+/// one-dimensional processor grid.
 pub fn analyze_elw(stmt: &ElwStmt, prog: &HirProgram) -> Result<CommRequirement, String> {
     let lhs = prog
         .array(&stmt.lhs)
         .ok_or_else(|| format!("undeclared array `{}`", stmt.lhs))?;
-    for (name, _) in stmt.rhs_refs() {
+    for (name, _) in stmt.rhs.rhs_refs() {
         let arr = prog
             .array(&name)
             .ok_or_else(|| format!("undeclared array `{name}`"))?;
@@ -74,15 +75,16 @@ pub fn analyze_elw(stmt: &ElwStmt, prog: &HirProgram) -> Result<CommRequirement,
         }
     }
     let ndims = lhs.shape.ndims();
+    let grid = lhs.dist.grid();
     let mut ghosts = Vec::new();
     for d in 0..ndims {
-        let kind = match lhs.dist.dims()[d] {
+        let (kind, axis) = match lhs.dist.dims()[d] {
             DimDist::Collapsed => continue, // shifts stay on-processor
-            DimDist::Distributed { kind, .. } => kind,
+            DimDist::Distributed { kind, axis } => (kind, axis),
         };
         let mut lo = 0usize;
         let mut hi = 0usize;
-        for (_, offs) in stmt.rhs_refs() {
+        for (_, offs) in stmt.rhs.rhs_refs() {
             let o = offs[d];
             if o < 0 {
                 lo = lo.max(o.unsigned_abs());
@@ -91,20 +93,36 @@ pub fn analyze_elw(stmt: &ElwStmt, prog: &HirProgram) -> Result<CommRequirement,
             }
         }
         if lo > 0 || hi > 0 {
-            // Ghost strips assume adjacent global indices live on adjacent
-            // processors — true only for block distributions.
-            if kind != ooc_array::DistKind::Block {
-                return Err(format!(
-                    "shift along dimension {d} of `{}` which is distributed \
-                     {kind:?}: ghost exchange requires a block distribution",
-                    stmt.lhs
-                ));
-            }
-            ghosts.push(GhostSpec {
-                dim: d,
-                lo_width: lo,
-                hi_width: hi,
-            });
+            // Ghost strips come from the two adjacent processors along one
+            // grid axis. Adjacent global indices must live there (a block
+            // distribution), no corner neighbour may be needed (a
+            // one-dimensional grid), and a strip can be no wider than the
+            // neighbour's block.
+            let block = lhs.shape.extent(d).div_ceil(grid.extent(axis));
+            let why = if kind != ooc_array::DistKind::Block {
+                format!(
+                    "which is distributed {kind:?}: ghost exchange requires a block distribution"
+                )
+            } else if grid.naxes() > 1 {
+                format!(
+                    "needs a ghost exchange, which runs only on a one-dimensional \
+                     processor grid (this one has {} axes)",
+                    grid.naxes()
+                )
+            } else if lo.max(hi) > block {
+                format!(
+                    "by {} reaches past the neighbouring processor's block of {block}",
+                    lo.max(hi)
+                )
+            } else {
+                ghosts.push(GhostSpec {
+                    dim: d,
+                    lo_width: lo,
+                    hi_width: hi,
+                });
+                continue;
+            };
+            return Err(format!("shift along dimension {d} of `{}` {why}", stmt.lhs));
         }
     }
     if ghosts.is_empty() {
@@ -188,6 +206,39 @@ mod tests {
                 hi_width: 1
             }]
         );
+    }
+
+    #[test]
+    fn ghosts_on_a_multi_axis_grid_are_rejected() {
+        use ooc_array::{DistKind, ProcGrid};
+        let block = |axis| DimDist::Distributed {
+            kind: DistKind::Block,
+            axis,
+        };
+        let mut prog = prog_two_arrays(4, true);
+        let dist = Distribution::new(
+            Shape::matrix(8, 8),
+            vec![block(0), block(1)],
+            ProcGrid::new(vec![2, 2]),
+        );
+        for a in &mut prog.arrays {
+            a.dist = dist.clone();
+        }
+        let err = analyze_elw(&stencil(vec![vec![-1, 0], vec![0, 1]]), &prog).unwrap_err();
+        assert!(err.contains("dimension 0 of `u`"), "{err}");
+        assert!(err.contains("one-dimensional processor grid"), "{err}");
+        // Without a shift there is nothing to exchange.
+        let s = stencil(vec![vec![0, 0]]);
+        assert_eq!(analyze_elw(&s, &prog).unwrap(), CommRequirement::None);
+    }
+
+    #[test]
+    fn a_ghost_wider_than_the_neighbouring_block_is_rejected() {
+        // 8 columns over 4 processors: blocks of 2.
+        let prog = prog_two_arrays(4, true);
+        let err = analyze_elw(&stencil(vec![vec![0, 3]]), &prog).unwrap_err();
+        assert!(err.contains("block of 2"), "{err}");
+        assert!(analyze_elw(&stencil(vec![vec![0, -2]]), &prog).is_ok());
     }
 
     #[test]

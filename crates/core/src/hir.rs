@@ -13,6 +13,10 @@
 //!   become ghost-cell exchanges.
 //! * **Transpose** — `c(i,j) = a(j,i)`: a full data remapping, compiled to
 //!   an out-of-core redistribution.
+//! * **CSR sparse matrix–vector product** — a `do i` loop over rows whose
+//!   inner `do k = rowptr(i), rowptr(i+1) - 1` accumulates
+//!   `y(i) = y(i) + vals(k) * x(colidx(k))`. The `x(colidx(k))` gather is
+//!   irregular, so it compiles to an inspector–executor pair.
 //!
 //! All bounds are 0-based half-open after lowering.
 
@@ -110,44 +114,6 @@ pub struct ElwStmt {
     pub rhs: ElwExpr,
 }
 
-impl ElwStmt {
-    /// All arrays referenced on the right-hand side, with their shift
-    /// offsets, in first-appearance order.
-    pub fn rhs_refs(&self) -> Vec<(String, Vec<isize>)> {
-        let mut out: Vec<(String, Vec<isize>)> = Vec::new();
-        collect_refs(&self.rhs, &mut out);
-        out
-    }
-
-    /// The largest |offset| per dimension over all rhs references — the
-    /// ghost-zone width the translation needs.
-    pub fn max_shift(&self, ndims: usize) -> Vec<usize> {
-        let mut m = vec![0usize; ndims];
-        for (_, offs) in self.rhs_refs() {
-            for (d, &o) in offs.iter().enumerate() {
-                m[d] = m[d].max(o.unsigned_abs());
-            }
-        }
-        m
-    }
-}
-
-fn collect_refs(e: &ElwExpr, out: &mut Vec<(String, Vec<isize>)>) {
-    match e {
-        ElwExpr::Const(_) => {}
-        ElwExpr::Ref { array, offsets } => {
-            if !out.iter().any(|(a, o)| a == array && o == offsets) {
-                out.push((array.clone(), offsets.clone()));
-            }
-        }
-        ElwExpr::Neg(inner) => collect_refs(inner, out),
-        ElwExpr::Add(l, r) | ElwExpr::Sub(l, r) | ElwExpr::Mul(l, r) | ElwExpr::Div(l, r) => {
-            collect_refs(l, out);
-            collect_refs(r, out);
-        }
-    }
-}
-
 /// Elementwise expression over shifted array references.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ElwExpr {
@@ -201,6 +167,43 @@ impl ElwExpr {
         ElwExpr::Mul(Box::new(l), Box::new(r))
     }
 
+    /// All arrays referenced, with their shift offsets, in first-appearance
+    /// order (each array/offsets pair once).
+    pub fn rhs_refs(&self) -> Vec<(String, Vec<isize>)> {
+        let mut out: Vec<(String, Vec<isize>)> = Vec::new();
+        self.visit_refs(&mut |array, offsets| {
+            if !out.iter().any(|(a, o)| a == array && o == offsets) {
+                out.push((array.to_string(), offsets.to_vec()));
+            }
+        });
+        out
+    }
+
+    /// The largest |offset| per dimension over all references — how far a
+    /// point's inputs reach, and so the ghost-zone width the translation
+    /// needs.
+    pub fn max_shift(&self, ndims: usize) -> Vec<usize> {
+        let mut m = vec![0usize; ndims];
+        self.visit_refs(&mut |_, offsets| {
+            for (m, o) in m.iter_mut().zip(offsets) {
+                *m = (*m).max(o.unsigned_abs());
+            }
+        });
+        m
+    }
+
+    fn visit_refs(&self, f: &mut dyn FnMut(&str, &[isize])) {
+        match self {
+            ElwExpr::Const(_) => {}
+            ElwExpr::Ref { array, offsets } => f(array, offsets),
+            ElwExpr::Neg(inner) => inner.visit_refs(f),
+            ElwExpr::Add(l, r) | ElwExpr::Sub(l, r) | ElwExpr::Mul(l, r) | ElwExpr::Div(l, r) => {
+                l.visit_refs(f);
+                r.visit_refs(f);
+            }
+        }
+    }
+
     /// Count floating-point operations per evaluated point.
     pub fn flops_per_point(&self) -> u64 {
         match self {
@@ -240,7 +243,7 @@ mod tests {
     #[test]
     fn rhs_refs_dedup_and_order() {
         let s = jacobi_stmt();
-        let refs = s.rhs_refs();
+        let refs = s.rhs.rhs_refs();
         assert_eq!(refs.len(), 4);
         assert_eq!(refs[0], ("b".to_string(), vec![-1, 0]));
     }
@@ -248,7 +251,7 @@ mod tests {
     #[test]
     fn max_shift_is_ghost_width() {
         let s = jacobi_stmt();
-        assert_eq!(s.max_shift(2), vec![1, 1]);
+        assert_eq!(s.rhs.max_shift(2), vec![1, 1]);
     }
 
     #[test]

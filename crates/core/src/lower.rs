@@ -750,7 +750,7 @@ mod tests {
         };
         assert_eq!(e.lhs, "v");
         assert_eq!(e.region.range(0), DimRange::new(1, 15));
-        assert_eq!(e.max_shift(2), vec![1, 1]);
+        assert_eq!(e.rhs.max_shift(2), vec![1, 1]);
         assert_eq!(e.rhs.flops_per_point(), 4);
     }
 

@@ -10,7 +10,6 @@
 use ooc_array::{local_section_of_global, ArrayDesc, DimRange, RedistPieces, Section};
 use pario::{Access, IoMethod, Tally};
 
-use crate::hir::ElwStmt;
 use crate::ir::NestNode;
 use crate::partition::local_iteration_space;
 use crate::plan::{ElwPlan, ExecPlan, GaxpyPlan, RemapSpec, SlabStrategy, TransposePlan};
@@ -267,13 +266,12 @@ fn gaxpy_row_nest(plan: &GaxpyPlan, rank: usize) -> Vec<NestNode> {
     nest
 }
 
-/// Node program for an elementwise plan, estimated for `rank` (processors
-/// are symmetric in block distributions of full regions; the estimator uses
-/// rank 0).
+/// Node program for an elementwise plan on `rank` (the estimator uses rank
+/// 0). The ghost strips and stage inputs come from the plan's own geometry
+/// ([`ElwPlan::ghost_sends`], [`ElwPlan::stage_input`]), the rules the
+/// executor follows, so every rank's nest matches its measured I/O and
+/// messages.
 pub fn elw_nest(plan: &ElwPlan, rank: usize) -> Vec<NestNode> {
-    let Some(local_region) = local_iteration_space(&plan.lhs.dist, rank, &plan.region) else {
-        return Vec::new();
-    };
     let local_shape = plan.lhs.local_shape(rank);
     let mut nest = Vec::new();
 
@@ -285,86 +283,45 @@ pub fn elw_nest(plan: &ElwPlan, rank: usize) -> Vec<NestNode> {
     }
 
     // Ghost exchanges: per spec, per rhs array, one strip read + one
-    // message per neighbor this rank has (mirrors the executor exactly).
+    // message per neighbour this rank sends to — whether or not the rank
+    // computes anything itself.
     for g in &plan.ghosts {
-        let (p_axis, coord) = match plan.lhs.dist.dims()[g.dim] {
-            ooc_array::DimDist::Distributed { axis, .. } => {
-                let coords = plan.lhs.dist.grid().coords(rank);
-                (plan.lhs.dist.grid().extent(axis), coords[axis])
-            }
-            ooc_array::DimDist::Collapsed => continue,
-        };
-        let other: usize = (0..local_shape.ndims())
-            .filter(|&d| d != g.dim)
-            .map(|d| local_shape.extent(d))
-            .product();
-        let mut sends = Vec::new();
-        if coord > 0 && g.hi_width > 0 {
-            sends.push(g.hi_width.min(local_shape.extent(g.dim)));
-        }
-        if coord + 1 < p_axis && g.lo_width > 0 {
-            sends.push(g.lo_width.min(local_shape.extent(g.dim)));
-        }
+        let sends = plan.ghost_sends(g, rank);
         for rd in &plan.rhs_arrays {
-            for &w in &sends {
-                let strip = Section::full(&local_shape).with_range(g.dim, DimRange::new(0, w));
+            for (_, strip) in sends.iter().flatten() {
                 nest.push(NestNode::read(
                     &rd.name,
-                    rd.layout.count_section_runs(&rd.local_shape(rank), &strip),
-                    (w * other) as u64,
+                    rd.layout.count_section_runs(&rd.local_shape(rank), strip),
+                    strip.len() as u64,
                 ));
                 nest.push(NestNode::Comm {
                     label: format!("ghost send dim {}", g.dim),
                     messages: 1,
-                    bytes: (w * other * 4) as u64,
+                    bytes: strip.len() as u64 * 4,
                 });
             }
         }
     }
 
+    let Some(local_region) = local_iteration_space(&plan.lhs.dist, rank, &plan.region) else {
+        return nest;
+    };
     // Slab loop over the local region along slab_dim. Group stages as
     // first / middle / last since ghost widening clamps at the edges.
     let r = local_region.range(plan.slab_dim);
-    let extent = r.len();
     let t = plan.slab_thickness.max(1);
-    let stages = extent.div_ceil(t);
-    let shifts: Vec<usize> = {
-        // Reconstruct per-dimension max shifts from the expression.
-        let stmt = ElwStmt {
-            lhs: plan.lhs.name.clone(),
-            region: plan.region.clone(),
-            rhs: plan.expr.clone(),
-        };
-        stmt.max_shift(local_shape.ndims())
-    };
-
+    let stages = r.len().div_ceil(t);
     let stage_nodes = |lo: usize, hi: usize| -> Vec<NestNode> {
         let sec = local_region
             .clone()
             .with_range(plan.slab_dim, DimRange::new(lo, hi));
+        let input = plan.stage_input(&sec, &local_shape);
         let mut v = Vec::new();
         for rd in &plan.rhs_arrays {
-            let wlo = lo.saturating_sub(shifts[plan.slab_dim]);
-            let whi = (hi + shifts[plan.slab_dim]).min(local_shape.extent(plan.slab_dim));
-            // The read section spans the region widened by all shifts in
-            // every dimension, clamped to the local array.
-            let mut rsec = sec.clone();
-            for (d, &shift) in shifts.iter().enumerate().take(local_shape.ndims()) {
-                let rr = rsec.range(d);
-                let (a, b) = if d == plan.slab_dim {
-                    (wlo, whi)
-                } else {
-                    (
-                        rr.lo.saturating_sub(shift),
-                        (rr.hi + shift).min(local_shape.extent(d)),
-                    )
-                };
-                rsec = rsec.with_range(d, DimRange::new(a, b));
-            }
             v.push(NestNode::read(
                 &rd.name,
-                rd.layout.count_section_runs(&rd.local_shape(rank), &rsec),
-                rsec.len() as u64,
+                rd.layout.count_section_runs(&rd.local_shape(rank), &input),
+                input.len() as u64,
             ));
         }
         v.push(NestNode::Compute {

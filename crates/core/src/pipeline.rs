@@ -428,6 +428,12 @@ pub fn compile_hir(
     // fed programs compiled *without* a background load.
     let model = options.profile.model(p);
     check_machine(&model, options.background.as_ref())?;
+    if let SlabSizing::Ratio(r) = options.sizing {
+        if !(r > 0.0 && r <= 1.0) {
+            let msg = format!("sizing: slab ratio {r} is outside (0, 1]");
+            return Err(CompileError::Plan(msg));
+        }
+    }
     let model = match &options.background {
         Some(load) => model.contended(load),
         None => model,
@@ -541,7 +547,7 @@ pub fn compile_hir(
                 // reference would read slabs already overwritten by earlier
                 // stages of the stripmined loop. (Unshifted self-reference
                 // is safe: each stage reads its inputs before writing.)
-                for (name, offs) in e.rhs_refs() {
+                for (name, offs) in e.rhs.rhs_refs() {
                     if name == e.lhs && offs.iter().any(|&o| o != 0) {
                         return Err(CompileError::Plan(format!(
                             "elementwise: `{name}` is assigned and referenced \
@@ -578,7 +584,7 @@ pub fn compile_hir(
                 // HPF compiler schedules for misaligned operands).
                 let mut rhs_descs: Vec<ArrayDesc> = Vec::new();
                 let mut pre_remaps = Vec::new();
-                for (name, _) in e.rhs_refs() {
+                for (name, _) in e.rhs.rhs_refs() {
                     let id = id_of(&name)?;
                     let d = descs[id.0 as usize].clone();
                     if rhs_descs.iter().any(|x| x.name == d.name) {
@@ -1037,6 +1043,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn an_out_of_range_slab_ratio_is_a_plan_error_not_a_panic() {
+        for r in [0.0, f64::NAN, 1.5] {
+            let opts = CompilerOptions {
+                sizing: SlabSizing::Ratio(r),
+                ..CompilerOptions::default()
+            };
+            match compile_source(hpf::GAXPY_SOURCE, &opts) {
+                Err(CompileError::Plan(msg)) => assert!(msg.contains("sizing"), "{msg}"),
+                other => panic!("ratio {r}: expected a plan error, got {other:?}"),
+            }
+        }
+        let whole = CompilerOptions {
+            sizing: SlabSizing::Ratio(1.0),
+            ..CompilerOptions::default()
+        };
+        assert!(compile_source(hpf::GAXPY_SOURCE, &whole).is_ok());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use ooc_array::{global_section_of_local, ArrayDesc, DimRange, Section, SlabPlan};
+use ooc_array::{global_section_of_local, ArrayDesc, DimDist, DimRange, Section, Shape, SlabPlan};
 
 use crate::hir::ElwExpr;
 
@@ -167,6 +167,82 @@ pub struct ElwPlan {
     pub ghosts: Vec<GhostSpec>,
     /// Flops evaluated per point.
     pub flops_per_point: u64,
+}
+
+/// A ghost strip and the rank on the other end of its message: lower
+/// neighbour first, then upper, along the ghost's processor axis.
+pub type GhostStrips = [Option<(usize, Section)>; 2];
+
+/// The stage and ghost geometry of an elementwise statement, shared by the
+/// executor and the compiler's estimate ([`crate::nodegen::elw_nest`]).
+impl ElwPlan {
+    /// The input section of the stage that computes `out`: `out` widened by
+    /// the expression's largest shift in every dimension
+    /// ([`ElwExpr::max_shift`]) and clamped to `[0, extent)` of `bounds`.
+    /// Under a rank's local shape this is the section the stage reads from
+    /// disk.
+    pub fn stage_input(&self, out: &Section, bounds: &Shape) -> Section {
+        let ranges: Vec<DimRange> = (out.ranges().iter().zip(self.expr.max_shift(out.ndims())))
+            .enumerate()
+            .map(|(d, (r, s))| {
+                DimRange::new(r.lo.saturating_sub(s), (r.hi + s).min(bounds.extent(d)))
+            })
+            .collect();
+        Section::new(ranges)
+    }
+
+    /// The strips `rank` sends along `g`, as sections of its local arrays:
+    /// its lowest `hi_width` indices along `g.dim` to the lower neighbour
+    /// (they are that neighbour's upper ghosts) and its highest `lo_width`
+    /// to the upper one. A rank with no neighbour on a side, or a zero
+    /// width, sends nothing there.
+    pub fn ghost_sends(&self, g: &GhostSpec, rank: usize) -> GhostStrips {
+        let [lower, upper] = self.neighbours(g, rank);
+        let local = self.lhs.local_shape(rank);
+        let ext = local.extent(g.dim);
+        let strip =
+            |lo: usize, hi: usize| Section::full(&local).with_range(g.dim, DimRange::new(lo, hi));
+        [
+            lower
+                .filter(|_| g.hi_width > 0)
+                .map(|nb| (nb, strip(0, g.hi_width.min(ext)))),
+            upper
+                .filter(|_| g.lo_width > 0)
+                .map(|nb| (nb, strip(ext.saturating_sub(g.lo_width), ext))),
+        ]
+    }
+
+    /// The strips `rank` receives along `g`: what its lower neighbour sends
+    /// up and what its upper neighbour sends down, each as a section of the
+    /// sender's local arrays.
+    pub fn ghost_recvs(&self, g: &GhostSpec, rank: usize) -> GhostStrips {
+        let [lower, upper] = self.neighbours(g, rank);
+        let from = |nb: Option<usize>, side: usize| {
+            let nb = nb?;
+            let (_, strip) = self.ghost_sends(g, nb)[side].take()?;
+            Some((nb, strip))
+        };
+        [from(lower, 1), from(upper, 0)]
+    }
+
+    /// The ranks adjacent to `rank` along the processor axis of `g.dim`.
+    fn neighbours(&self, g: &GhostSpec, rank: usize) -> [Option<usize>; 2] {
+        let DimDist::Distributed { axis, .. } = self.lhs.dist.dims()[g.dim] else {
+            return [None, None];
+        };
+        let grid = self.lhs.dist.grid();
+        let mut coords = grid.coords(rank);
+        let c = coords[axis];
+        [
+            c.checked_sub(1),
+            Some(c + 1).filter(|&u| u < grid.extent(axis)),
+        ]
+        .map(|nb| {
+            let nb = nb?;
+            coords[axis] = nb;
+            Some(grid.rank(&coords))
+        })
+    }
 }
 
 /// Out-of-core transpose `dst = srcᵀ` via slab-wise all-to-all remap.

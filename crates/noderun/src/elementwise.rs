@@ -1,4 +1,5 @@
-//! Elementwise forall executor: ghost exchange + stripmined evaluation.
+//! Elementwise forall executor: ghost exchange, then one evaluator over
+//! contiguous runs of ghost-filled stage buffers.
 //!
 //! The plan's arrays all share one distribution, so the owner-computes
 //! local iteration space is the local part of the global region. Shifted
@@ -6,70 +7,26 @@
 //! dimension are served from ghost strips exchanged once, up front (HPF
 //! copy-in semantics: the exchange happens before any element of the
 //! statement is stored).
+//!
+//! Each stage reads, per rhs array, the section [`ElwPlan::stage_input`]
+//! names and places it in one buffer together with the part of the
+//! received strips the stage reaches, so every shifted reference is an
+//! in-bounds offset into that buffer. The expression is compiled once into
+//! a postfix [`Program`] and evaluated one dimension-0 run at a time: a
+//! constant fills the run, a reference reads a slice of its buffer, an
+//! operation combines two runs. Every element sees the operations of the
+//! written expression in the written order, so the result is bitwise a
+//! serial evaluation of the same tree.
 
-use std::collections::HashMap;
+use std::iter::repeat;
 
 use dmsim::{Payload, ProcCtx, Tag};
-use ooc_array::{DimDist, DimRange, OocEnv, OocError, Section, Shape};
+use ooc_array::{DimRange, OocEnv, OocError, Section, Shape};
 use ooc_core::hir::ElwExpr;
 use ooc_core::partition::local_iteration_space;
 use ooc_core::plan::ElwPlan;
 
 const GHOST_TAG: Tag = Tag(0x6057);
-
-/// Ghost strips for one (rhs array, dimension) pair, in section-CM order.
-struct Ghost {
-    /// Strip from the lower neighbor: serves local indices `-lo_width..0`
-    /// along the dimension. `(section in the neighbor's local space, data)`.
-    lo: Option<(Section, Vec<f32>)>,
-    /// Strip from the upper neighbor: serves `ext..ext+hi_width`.
-    hi: Option<(Section, Vec<f32>)>,
-}
-
-/// Expression with array references resolved to rhs-array indices.
-enum CExpr {
-    Const(f32),
-    Ref { ai: usize, offsets: Vec<isize> },
-    Neg(Box<CExpr>),
-    Add(Box<CExpr>, Box<CExpr>),
-    Sub(Box<CExpr>, Box<CExpr>),
-    Mul(Box<CExpr>, Box<CExpr>),
-    Div(Box<CExpr>, Box<CExpr>),
-}
-
-fn compile_expr(e: &ElwExpr, plan: &ElwPlan) -> CExpr {
-    match e {
-        ElwExpr::Const(v) => CExpr::Const(*v),
-        ElwExpr::Ref { array, offsets } => {
-            let ai = plan
-                .rhs_arrays
-                .iter()
-                .position(|d| d.name == *array)
-                .unwrap_or_else(|| panic!("rhs array `{array}` missing from plan"));
-            CExpr::Ref {
-                ai,
-                offsets: offsets.clone(),
-            }
-        }
-        ElwExpr::Neg(i) => CExpr::Neg(Box::new(compile_expr(i, plan))),
-        ElwExpr::Add(l, r) => CExpr::Add(
-            Box::new(compile_expr(l, plan)),
-            Box::new(compile_expr(r, plan)),
-        ),
-        ElwExpr::Sub(l, r) => CExpr::Sub(
-            Box::new(compile_expr(l, plan)),
-            Box::new(compile_expr(r, plan)),
-        ),
-        ElwExpr::Mul(l, r) => CExpr::Mul(
-            Box::new(compile_expr(l, plan)),
-            Box::new(compile_expr(r, plan)),
-        ),
-        ElwExpr::Div(l, r) => CExpr::Div(
-            Box::new(compile_expr(l, plan)),
-            Box::new(compile_expr(r, plan)),
-        ),
-    }
-}
 
 /// Execute the plan on this processor. Returns peak in-core elements.
 ///
@@ -89,7 +46,6 @@ pub fn execute_prefetched(
 ) -> Result<usize, OocError> {
     let rank = ctx.rank();
     let local_shape = plan.lhs.local_shape(rank);
-    let ndims = local_shape.ndims();
     let mut peak = 0usize;
 
     // Mixed-distribution right-hand sides were remapped by the compiler:
@@ -100,63 +56,51 @@ pub fn execute_prefetched(
     }
 
     // ---- Ghost exchange (charged I/O + real messages). -----------------
+    // Compiled statements exchange along at most one dimension
+    // (`ooc_core::comm::analyze_elw`). The strips received there extend
+    // the local index space below 0 and past the extent: in this halo
+    // space, of shape `halo`, local index `x` sits at `x + pad`, and
+    // `strips[ai]` holds array `ai`'s strips.
+    assert!(
+        plan.ghosts.len() <= 1,
+        "ghost exchange runs along one dimension"
+    );
     let ghost_span = ctx.trace_span(ooc_trace::Category::Slab, "ghost_exchange");
-    let mut ghosts: HashMap<(usize, usize), Ghost> = HashMap::new();
+    let (mut halo, mut pad) = (local_shape.clone(), vec![0; local_shape.ndims()]);
+    let mut strips: Vec<Vec<(Section, Vec<f32>)>> = vec![Vec::new(); plan.rhs_arrays.len()];
     for g in &plan.ghosts {
-        let (p_axis, coord) = match plan.lhs.dist.dims()[g.dim] {
-            DimDist::Distributed { axis, .. } => {
-                debug_assert_eq!(plan.lhs.dist.grid().naxes(), 1, "1-D grids supported");
-                let coords = plan.lhs.dist.grid().coords(rank);
-                (plan.lhs.dist.grid().extent(axis), coords[axis])
+        let (sends, recvs) = (plan.ghost_sends(g, rank), plan.ghost_recvs(g, rank));
+        let rows = |i: usize| recvs[i].as_ref().map_or(0, |(_, s)| s.range(g.dim).len());
+        let (below, ext, above) = (rows(0), local_shape.extent(g.dim), rows(1));
+        let mut extents = local_shape.extents().to_vec();
+        extents[g.dim] += below + above;
+        (halo, pad[g.dim]) = (Shape::new(extents), below);
+        // The lower strip sits below local index 0, the upper one past the
+        // local extent, each across every other dimension.
+        let at = [(0, below), (below + ext, below + ext + above)];
+        for (rd, placed) in plan.rhs_arrays.iter().zip(&mut strips) {
+            for (peer, strip) in sends.iter().flatten() {
+                let data = env.read_section(rd, strip, ctx)?;
+                ctx.send(*peer, GHOST_TAG, Payload::F32(data));
             }
-            DimDist::Collapsed => unreachable!("ghost along collapsed dim"),
-        };
-        let ext = local_shape.extent(g.dim);
-
-        for (ai, rd) in plan.rhs_arrays.iter().enumerate() {
-            let rd_local = rd.local_shape(rank);
-            // Send my lowest hi_width rows to the lower neighbor (they are
-            // its upper ghosts) and my highest lo_width rows to the upper
-            // neighbor (its lower ghosts).
-            if coord > 0 && g.hi_width > 0 {
-                let sec = Section::full(&rd_local)
-                    .with_range(g.dim, DimRange::new(0, g.hi_width.min(ext)));
-                let data = env.read_section(rd, &sec, ctx)?;
-                ctx.send(rank - 1, GHOST_TAG, Payload::F32(data));
+            for (recv, (lo, hi)) in recvs.iter().zip(at) {
+                let Some((peer, strip)) = recv else { continue };
+                let data = ctx.try_recv_f32(*peer, GHOST_TAG)?;
+                debug_assert_eq!(data.len(), strip.len());
+                peak += data.len();
+                let sec = Section::full(&halo).with_range(g.dim, DimRange::new(lo, hi));
+                placed.push((sec, data));
             }
-            if coord + 1 < p_axis && g.lo_width > 0 {
-                let lo = ext.saturating_sub(g.lo_width);
-                let sec = Section::full(&rd_local).with_range(g.dim, DimRange::new(lo, ext));
-                let data = env.read_section(rd, &sec, ctx)?;
-                ctx.send(rank + 1, GHOST_TAG, Payload::F32(data));
-            }
-            let mut ghost = Ghost { lo: None, hi: None };
-            if coord > 0 && g.lo_width > 0 {
-                let nb = plan.lhs.local_shape(rank - 1);
-                let nb_ext = nb.extent(g.dim);
-                let sec = Section::full(&nb).with_range(
-                    g.dim,
-                    DimRange::new(nb_ext.saturating_sub(g.lo_width), nb_ext),
-                );
-                let data = ctx.try_recv_f32(rank - 1, GHOST_TAG)?;
-                debug_assert_eq!(data.len(), sec.len());
-                ghost.lo = Some((sec, data));
-            }
-            if coord + 1 < p_axis && g.hi_width > 0 {
-                let nb = plan.lhs.local_shape(rank + 1);
-                let sec = Section::full(&nb)
-                    .with_range(g.dim, DimRange::new(0, g.hi_width.min(nb.extent(g.dim))));
-                let data = ctx.try_recv_f32(rank + 1, GHOST_TAG)?;
-                debug_assert_eq!(data.len(), sec.len());
-                ghost.hi = Some((sec, data));
-            }
-            peak += ghost.lo.as_ref().map(|(_, d)| d.len()).unwrap_or(0)
-                + ghost.hi.as_ref().map(|(_, d)| d.len()).unwrap_or(0);
-            ghosts.insert((ai, g.dim), ghost);
         }
     }
     drop(ghost_span);
     let ghost_peak = peak;
+    let to_halo = |sec: &Section| {
+        let ranges: Vec<DimRange> = (sec.ranges().iter().zip(&pad))
+            .map(|(r, p)| DimRange::new(r.lo + p, r.hi + p))
+            .collect();
+        Section::new(ranges)
+    };
 
     // ---- Stripmined evaluation. -----------------------------------------
     let Some(local_region) = local_iteration_space(&plan.lhs.dist, rank, &plan.region) else {
@@ -165,28 +109,10 @@ pub fn execute_prefetched(
         return Ok(peak);
     };
 
-    let expr = compile_expr(&plan.expr, plan);
-    // Specialize: a linear combination with no ghost strips runs through
-    // contiguous term-by-term loops instead of the per-point interpreter.
-    let fast_kernel = if plan.ghosts.is_empty() {
-        crate::kernels::linearize(&plan.expr, &|name| {
-            plan.rhs_arrays
-                .iter()
-                .position(|d| d.name == name)
-                .expect("rhs array present")
-        })
-    } else {
-        None
-    };
-    let stmt_shifts = {
-        let stmt = ooc_core::hir::ElwStmt {
-            lhs: plan.lhs.name.clone(),
-            region: plan.region.clone(),
-            rhs: plan.expr.clone(),
-        };
-        stmt.max_shift(ndims)
-    };
-
+    let mut program = Program::compile(plan);
+    let narr = plan.rhs_arrays.len();
+    let (mut disk, mut filled) = (vec![Vec::new(); narr], vec![Vec::new(); narr]);
+    let (mut out, mut scratch) = (Vec::new(), Vec::new());
     let r = local_region.range(plan.slab_dim);
     let t = plan.slab_thickness.max(1);
     let mut pending_flops = 0u64;
@@ -199,25 +125,16 @@ pub fn execute_prefetched(
             .clone()
             .with_range(plan.slab_dim, DimRange::new(lo, hi));
 
-        // Widened input section per rhs array, clamped to the local array.
-        // With prefetch, the whole stage's reads overlap the previous
-        // stage's deferred compute.
+        // The stage's disk input. With prefetch, the whole stage's reads
+        // overlap the previous stage's deferred compute.
+        let input = plan.stage_input(&out_sec, &local_shape);
         let pend = pario::PendingIo::new();
-        let mut inputs: Vec<(Section, Vec<f32>)> = Vec::with_capacity(plan.rhs_arrays.len());
-        for rd in &plan.rhs_arrays {
-            let mut sec = out_sec.clone();
-            for (d, &shift) in stmt_shifts.iter().enumerate().take(ndims) {
-                let rr = sec.range(d);
-                let a = rr.lo.saturating_sub(shift);
-                let b = (rr.hi + shift).min(local_shape.extent(d));
-                sec = sec.with_range(d, DimRange::new(a, b));
-            }
-            let data = if prefetch {
-                env.read_section(rd, &sec, &pend)?
+        for (rd, buf) in plan.rhs_arrays.iter().zip(&mut disk) {
+            if prefetch {
+                env.read_section_into(rd, &input, buf, &pend)?;
             } else {
-                env.read_section(rd, &sec, ctx)?
-            };
-            inputs.push((sec, data));
+                env.read_section_into(rd, &input, buf, ctx)?;
+            }
         }
         if prefetch {
             let (reqs, bytes) = pend.reads();
@@ -225,32 +142,32 @@ pub fn execute_prefetched(
             pending_flops = 0;
         }
 
-        let mut out = vec![0.0f32; out_sec.len()];
-        match &fast_kernel {
-            Some(k) => crate::kernels::run_linear(k, &out_sec, &inputs, &mut out),
-            None => {
-                // One index buffer for the whole slab, advanced as an
-                // odometer in section column-major order.
-                let mut idx: Vec<usize> = out_sec.ranges().iter().map(|r| r.lo).collect();
-                for o in out.iter_mut() {
-                    *o = eval(&expr, &idx, &inputs, &ghosts, &local_shape);
-                    for (i, r) in idx.iter_mut().zip(out_sec.ranges()) {
-                        *i += r.step;
-                        if *i < r.hi {
-                            break;
-                        }
-                        *i = r.lo;
-                    }
+        // Each array's stage buffer: the same widening in the halo space.
+        // Where it reaches into the ghost strips, the disk input and the
+        // strips are assembled into one buffer.
+        let out_halo = to_halo(&out_sec);
+        let (buf_sec, disk_sec) = (plan.stage_input(&out_halo, &halo), to_halo(&input));
+        let bufs: Vec<&[f32]> = if buf_sec == disk_sec {
+            disk.iter().map(Vec::as_slice).collect()
+        } else {
+            for ((buf, data), placed) in filled.iter_mut().zip(&disk).zip(&strips) {
+                buf.resize(buf_sec.len(), 0.0);
+                copy_overlap(data, &disk_sec, buf, &buf_sec);
+                for (sec, strip) in placed {
+                    copy_overlap(strip, sec, buf, &buf_sec);
                 }
             }
-        }
+            filled.iter().map(Vec::as_slice).collect()
+        };
+
+        out.resize(out_sec.len(), 0.0);
+        program.run(&out_halo, &buf_sec, &bufs, &mut out, &mut scratch);
         if prefetch {
             pending_flops += out_sec.len() as u64 * plan.flops_per_point;
         } else {
             ctx.charge_flops(out_sec.len() as u64 * plan.flops_per_point);
         }
-        peak =
-            peak.max(ghost_peak + out.len() + inputs.iter().map(|(_, d)| d.len()).sum::<usize>());
+        peak = peak.max(ghost_peak + out.len() + narr * input.len());
 
         env.write_section(&plan.lhs, &out_sec, &out, ctx)?;
         slab_idx += 1;
@@ -262,96 +179,224 @@ pub fn execute_prefetched(
     Ok(peak)
 }
 
-fn eval(
-    e: &CExpr,
-    idx: &[usize],
-    inputs: &[(Section, Vec<f32>)],
-    ghosts: &HashMap<(usize, usize), Ghost>,
-    local_shape: &Shape,
-) -> f32 {
-    match e {
-        CExpr::Const(v) => *v,
-        CExpr::Neg(i) => -eval(i, idx, inputs, ghosts, local_shape),
-        CExpr::Add(l, r) => {
-            eval(l, idx, inputs, ghosts, local_shape) + eval(r, idx, inputs, ghosts, local_shape)
-        }
-        CExpr::Sub(l, r) => {
-            eval(l, idx, inputs, ghosts, local_shape) - eval(r, idx, inputs, ghosts, local_shape)
-        }
-        CExpr::Mul(l, r) => {
-            eval(l, idx, inputs, ghosts, local_shape) * eval(r, idx, inputs, ghosts, local_shape)
-        }
-        CExpr::Div(l, r) => {
-            eval(l, idx, inputs, ghosts, local_shape) / eval(r, idx, inputs, ghosts, local_shape)
-        }
-        CExpr::Ref { ai, offsets } => sample(*ai, idx, offsets, inputs, ghosts, local_shape),
-    }
-}
-
-/// Fetch `array[idx + offsets]`, falling back to ghost strips when the
-/// target leaves the local index space along a distributed dimension.
-fn sample(
-    ai: usize,
-    idx: &[usize],
-    offsets: &[isize],
-    inputs: &[(Section, Vec<f32>)],
-    ghosts: &HashMap<(usize, usize), Ghost>,
-    local_shape: &Shape,
-) -> f32 {
-    // The target `idx + offsets` is computed on the fly, never stored.
-    let target = |d: usize| idx[d] as isize + offsets[d];
-    let oob = |d: &usize| {
-        let t = target(*d);
-        t < 0 || t >= local_shape.extent(*d) as isize
+/// Copy the elements of `src` (column-major over `src_sec`) that `dst_sec`
+/// also covers into `dst` (column-major over `dst_sec`), one dimension-0
+/// run at a time.
+fn copy_overlap(src: &[f32], src_sec: &Section, dst: &mut [f32], dst_sec: &Section) {
+    let Some(common) = src_sec.intersect(dst_sec) else {
+        return;
     };
-    debug_assert!(
-        (0..idx.len()).filter(oob).count() <= 1,
-        "corner ghost (two out-of-bounds dims) not supported on 1-D grids"
-    );
-    match (0..idx.len()).rev().find(oob) {
-        None => {
-            let (sec, data) = &inputs[ai];
-            data[section_cm_index(sec, target)]
-        }
-        Some(d) => {
-            let ghost = ghosts
-                .get(&(ai, d))
-                .unwrap_or_else(|| panic!("reference leaves local space without ghosts (dim {d})"));
-            let ((sec, data), shift) = if target(d) < 0 {
-                let strip = ghost
-                    .lo
-                    .as_ref()
-                    .expect("lower ghost present (boundary region excluded it otherwise)");
-                // Neighbor-local coordinate of the target row: strips end
-                // at the neighbor's extent.
-                (strip, strip.0.range(d).hi as isize)
-            } else {
-                let strip = ghost.hi.as_ref().expect("upper ghost present");
-                (strip, -(local_shape.extent(d) as isize))
+    let (src_strides, dst_strides) = (src_sec.shape().strides(), dst_sec.shape().strides());
+    let len = common.range(0).len();
+    for_each_run(&common, |at| {
+        let (s, d) = (
+            offset_in(src_sec, &src_strides, at),
+            offset_in(dst_sec, &dst_strides, at),
+        );
+        dst[d..d + len].copy_from_slice(&src[s..s + len]);
+    });
+}
+
+/// Call `f` with the first index of every dimension-0 run of the unit-step
+/// section `sec`, in column-major order.
+fn for_each_run(sec: &Section, mut f: impl FnMut(&[usize])) {
+    if sec.is_empty() {
+        return;
+    }
+    let mut at: Vec<usize> = sec.ranges().iter().map(|r| r.lo).collect();
+    loop {
+        f(&at);
+        let mut d = 1;
+        loop {
+            let Some(r) = sec.ranges().get(d) else {
+                return;
             };
-            data[section_cm_index(sec, |k| target(k) + if k == d { shift } else { 0 })]
+            at[d] += 1;
+            if at[d] < r.hi {
+                break;
+            }
+            at[d] = r.lo;
+            d += 1;
         }
     }
 }
 
-/// Column-major position inside a section of the absolute local index
-/// whose coordinate along dimension `d` is `target(d)`.
-fn section_cm_index(sec: &Section, target: impl Fn(usize) -> isize) -> usize {
-    let mut pos = 0usize;
-    let mut stride = 1usize;
-    for d in 0..sec.ndims() {
-        let t = target(d);
-        let r = sec.range(d);
-        debug_assert!(
-            t >= r.lo as isize && (t as usize) < r.hi,
-            "target {t} outside section dim {d} [{}, {})",
-            r.lo,
-            r.hi
-        );
-        pos += (t as usize - r.lo) * stride;
-        stride *= r.len();
+/// Column-major offset of index `at` inside `sec`.
+fn offset_in(sec: &Section, strides: &[usize], at: &[usize]) -> usize {
+    (at.iter().zip(sec.ranges()).zip(strides))
+        .map(|((&i, r), s)| (i - r.lo) * s)
+        .sum()
+}
+
+/// A leaf of the expression: a constant, or rhs array `ai` shifted by
+/// `offsets` — `delta` elements from the output point in the current
+/// stage's buffers.
+enum Leaf {
+    Const(f32),
+    Ref {
+        ai: usize,
+        offsets: Vec<isize>,
+        delta: isize,
+    },
+}
+
+#[derive(Clone, Copy)]
+enum BinOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+}
+
+impl BinOp {
+    /// `dst[k] = dst[k] ∘ src[k]`.
+    fn apply(self, dst: &mut [f32], src: impl Iterator<Item = f32>) {
+        let pairs = dst.iter_mut().zip(src);
+        match self {
+            BinOp::Add => pairs.for_each(|(d, s)| *d += s),
+            BinOp::Sub => pairs.for_each(|(d, s)| *d -= s),
+            BinOp::Mul => pairs.for_each(|(d, s)| *d *= s),
+            BinOp::Div => pairs.for_each(|(d, s)| *d /= s),
+        }
     }
-    pos
+}
+
+/// One postfix instruction; each acts on whole runs, kept on a stack.
+enum Op {
+    /// Push a run holding the leaf.
+    Load(Leaf),
+    /// `top = top ∘ leaf`.
+    Apply(BinOp, Leaf),
+    /// Pop the top run and fold it into the one below: `below = below ∘
+    /// top`.
+    Combine(BinOp),
+    /// `top = -top`.
+    Neg,
+}
+
+/// A statement's expression, compiled once into postfix instructions over
+/// runs. `depth` is the most runs live at once.
+struct Program {
+    ops: Vec<Op>,
+    depth: usize,
+}
+
+impl Program {
+    fn compile(plan: &ElwPlan) -> Program {
+        let mut program = Program {
+            ops: Vec::new(),
+            depth: 0,
+        };
+        program.emit(&plan.expr, plan, 0);
+        program
+    }
+
+    /// Emit `e`, leaving its value in stack run `slot`. A binary operation
+    /// whose right operand is a leaf applies it in place instead of pushing
+    /// it first.
+    fn emit(&mut self, e: &ElwExpr, plan: &ElwPlan, slot: usize) {
+        self.depth = self.depth.max(slot + 1);
+        let leaf = |e: &ElwExpr| match e {
+            ElwExpr::Const(v) => Some(Leaf::Const(*v)),
+            ElwExpr::Ref { array, offsets } => Some(Leaf::Ref {
+                ai: (plan.rhs_arrays.iter().position(|d| d.name == *array))
+                    .unwrap_or_else(|| panic!("rhs array `{array}` missing from plan")),
+                offsets: offsets.clone(),
+                delta: 0,
+            }),
+            _ => None,
+        };
+        let (op, l, r) = match e {
+            ElwExpr::Add(l, r) => (BinOp::Add, l, r),
+            ElwExpr::Sub(l, r) => (BinOp::Sub, l, r),
+            ElwExpr::Mul(l, r) => (BinOp::Mul, l, r),
+            ElwExpr::Div(l, r) => (BinOp::Div, l, r),
+            ElwExpr::Neg(inner) => {
+                self.emit(inner, plan, slot);
+                return self.ops.push(Op::Neg);
+            }
+            e => return self.ops.push(Op::Load(leaf(e).expect("a leaf"))),
+        };
+        self.emit(l, plan, slot);
+        match leaf(r) {
+            Some(leaf) => self.ops.push(Op::Apply(op, leaf)),
+            None => {
+                self.emit(r, plan, slot + 1);
+                self.ops.push(Op::Combine(op));
+            }
+        }
+    }
+
+    /// Evaluate over `out_sec` into `out`, column-major. Every rhs array is
+    /// read from its stage buffer, column-major over `buf_sec`; both
+    /// sections are in the halo space.
+    fn run(
+        &mut self,
+        out_sec: &Section,
+        buf_sec: &Section,
+        bufs: &[&[f32]],
+        out: &mut [f32],
+        scratch: &mut Vec<f32>,
+    ) {
+        let strides = buf_sec.shape().strides();
+        for op in &mut self.ops {
+            if let Op::Load(Leaf::Ref { offsets, delta, .. })
+            | Op::Apply(_, Leaf::Ref { offsets, delta, .. }) = op
+            {
+                *delta = (offsets.iter().zip(&strides))
+                    .map(|(&o, &s)| o * s as isize)
+                    .sum();
+            }
+        }
+        let len = out_sec.range(0).len();
+        scratch.resize(self.depth * len, 0.0);
+        let mut runs = out.chunks_exact_mut(len);
+        for_each_run(out_sec, |at| {
+            let base = offset_in(buf_sec, &strides, at);
+            let run = runs.next().expect("one output run per section run");
+            self.eval(base, bufs, scratch, len);
+            run.copy_from_slice(&scratch[..len]);
+        });
+    }
+
+    /// Evaluate one run of `len` points, the first at `base` in every stage
+    /// buffer, into stack run 0 of `scratch`.
+    fn eval(&self, base: usize, bufs: &[&[f32]], scratch: &mut [f32], len: usize) {
+        let read = |ai: usize, delta: isize| {
+            let at = (base.checked_add_signed(delta)).expect("reference inside its buffer");
+            &bufs[ai][at..at + len]
+        };
+        let mut top = 0;
+        for op in &self.ops {
+            match op {
+                Op::Load(leaf) => {
+                    let dst = &mut scratch[top * len..(top + 1) * len];
+                    match leaf {
+                        Leaf::Const(c) => dst.fill(*c),
+                        Leaf::Ref { ai, delta, .. } => dst.copy_from_slice(read(*ai, *delta)),
+                    }
+                    top += 1;
+                }
+                Op::Apply(op, leaf) => {
+                    let dst = &mut scratch[(top - 1) * len..top * len];
+                    match leaf {
+                        Leaf::Const(c) => op.apply(dst, repeat(*c)),
+                        Leaf::Ref { ai, delta, .. } => {
+                            op.apply(dst, read(*ai, *delta).iter().copied())
+                        }
+                    }
+                }
+                Op::Combine(op) => {
+                    top -= 1;
+                    let (below, above) = scratch.split_at_mut(top * len);
+                    op.apply(&mut below[(top - 1) * len..], above[..len].iter().copied());
+                }
+                Op::Neg => scratch[(top - 1) * len..top * len]
+                    .iter_mut()
+                    .for_each(|x| *x = -*x),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -507,70 +552,31 @@ mod tests {
     }
 
     #[test]
-    fn linear_fast_path_agrees_with_the_interpreter() {
-        // Same statement run twice: once eligible for the specialized
-        // linear kernel, once forced onto the per-point interpreter by a
-        // zero-width ghost spec (which disables the fast path but never
-        // exchanges anything). Outputs must be identical.
-        let n = 12;
-        let shape = AShape::matrix(n, n);
-        let dist = Distribution::column_block(shape.clone(), 3);
-        let u = ArrayDesc::new(ArrayId(0), "u", ElemKind::F32, dist.clone());
-        let w = ArrayDesc::new(ArrayId(1), "w", ElemKind::F32, dist.clone());
-        let v = ArrayDesc::new(ArrayId(2), "v", ElemKind::F32, dist);
-        // v = 2u(i-1,j) - w/4 + 1  (shift along the collapsed dim only).
-        let expr = ElwExpr::add(
-            ElwExpr::Sub(
-                Box::new(ElwExpr::mul(
-                    ElwExpr::Const(2.0),
-                    ElwExpr::shifted("u", vec![-1, 0]),
-                )),
-                Box::new(ElwExpr::Div(
-                    Box::new(ElwExpr::aref("w", 2)),
-                    Box::new(ElwExpr::Const(4.0)),
-                )),
-            ),
-            ElwExpr::Const(1.0),
+    fn program_runs_match_hand_computation() {
+        // out over rows 1..3, cols 0..2 of a 4x3 local space; the buffer
+        // covers rows 0..4 (shift ±1 along dim 0) and holds row + 10*col.
+        // v = (100 + u(i-1, j)) + 2 * u(i+1, j): the right leaf of the outer
+        // sum is not a leaf, so it takes a second stack run.
+        let mut plan = jacobi_plan(4, 1, 1, true);
+        plan.expr = ElwExpr::add(
+            ElwExpr::add(ElwExpr::Const(100.0), ElwExpr::shifted("u", vec![-1, 0])),
+            ElwExpr::mul(ElwExpr::Const(2.0), ElwExpr::shifted("u", vec![1, 0])),
         );
-        let region = Section::new(vec![DimRange::new(1, n), DimRange::new(0, n)]);
-        let base_plan = ElwPlan {
-            pre_remaps: vec![],
-            lhs: v.clone(),
-            rhs_arrays: vec![u.clone(), w.clone()],
-            expr: expr.clone(),
-            region,
-            slab_dim: 1,
-            slab_thickness: 2,
-            ghosts: vec![],
-            flops_per_point: expr.flops_per_point(),
-        };
-        let mut forced_slow = base_plan.clone();
-        forced_slow.ghosts.push(ooc_core::plan::GhostSpec {
-            dim: 1,
-            lo_width: 0,
-            hi_width: 0,
-        });
-
-        let run_plan = |plan: &ElwPlan| -> Vec<f32> {
-            let machine = Machine::new(MachineConfig::free(3));
-            let (_, results) = machine.run_with(|ctx| {
-                let mut env = OocEnv::in_memory(ctx.rank());
-                env.alloc(&u).unwrap();
-                env.alloc(&w).unwrap();
-                env.alloc(&v).unwrap();
-                env.load_global(&u, &init_u).unwrap();
-                env.load_global(&w, &|g: &[usize]| (g[0] + 2 * g[1]) as f32)
-                    .unwrap();
-                execute(ctx, &mut env, plan).unwrap();
-                env.read_local_all(&v).unwrap()
-            });
-            let locals: Vec<&[f32]> = results.iter().map(|x| x.as_slice()).collect();
-            assemble_global(&v, &locals).1
-        };
-
-        let fast = run_plan(&base_plan);
-        let slow = run_plan(&forced_slow);
-        assert_eq!(fast, slow, "specialized kernel diverges from interpreter");
+        let mut program = Program::compile(&plan);
+        assert_eq!(program.depth, 2);
+        let out_sec = Section::new(vec![DimRange::new(1, 3), DimRange::new(0, 2)]);
+        let buf_sec = Section::new(vec![DimRange::new(0, 4), DimRange::new(0, 2)]);
+        let data: Vec<f32> = (0..2)
+            .flat_map(|c| (0..4).map(move |r| (r + 10 * c) as f32))
+            .collect();
+        let mut out = vec![0.0f32; out_sec.len()];
+        program.run(&out_sec, &buf_sec, &[&data], &mut out, &mut Vec::new());
+        for c in 0..2 {
+            for (k, r) in (1..3).enumerate() {
+                let expect = (100.0 + (r - 1 + 10 * c) as f32) + 2.0 * (r + 1 + 10 * c) as f32;
+                assert_eq!(out[k + c * 2], expect, "r={r} c={c}");
+            }
+        }
     }
 
     #[test]
@@ -602,28 +608,36 @@ mod tests {
 
     #[test]
     fn measured_elw_io_matches_estimator() {
-        // Interior/edge slab grouping in the estimator must agree with the
-        // executor, including the ragged last stage.
-        for thickness in [1, 2, 3, 5] {
-            let plan = jacobi_plan(12, 2, thickness, true);
-            let nest = ooc_core::nodegen::elw_nest(&plan, 0);
-            let predicted = ooc_core::ir::totals(&nest);
-            let machine = Machine::new(MachineConfig::delta(2));
+        // Every rank's own nest — ghost strips, the first / interior / last
+        // stage grouping and the ragged last stage — agrees with what that
+        // rank's executor does, including ranks that own nothing (12 rows
+        // over 5: blocks of 3, the last rank empty).
+        for (row_block, p, thickness) in (0..2)
+            .flat_map(|rb| [2, 3, 5].map(move |p| (rb == 0, p)))
+            .flat_map(|(rb, p)| [1, 2, 3, 5].map(move |t| (rb, p, t)))
+        {
+            let plan = jacobi_plan(12, p, thickness, row_block);
+            let machine = Machine::new(MachineConfig::delta(p));
             let report = machine.run(|ctx| {
                 let mut env = OocEnv::in_memory(ctx.rank());
                 env.alloc(&plan.rhs_arrays[0]).unwrap();
                 env.alloc(&plan.lhs).unwrap();
                 execute(ctx, &mut env, &plan).unwrap();
             });
-            let s0 = report.per_proc()[0].stats;
-            assert_eq!(
-                s0.io_read_requests, predicted.per_array["u"].read_requests,
-                "t={thickness}"
-            );
-            assert_eq!(
-                s0.io_write_requests, predicted.per_array["v"].write_requests,
-                "t={thickness}"
-            );
+            for (rank, proc) in report.per_proc().iter().enumerate() {
+                let t = ooc_core::ir::totals(&ooc_core::nodegen::elw_nest(&plan, rank));
+                let sum = |f: fn(&ooc_core::ir::ArrayIoTotals) -> u64| {
+                    t.per_array.values().map(f).sum::<u64>()
+                };
+                let s = proc.stats;
+                let tag = format!("row_block={row_block} p={p} t={thickness} rank {rank}");
+                assert_eq!(s.io_read_requests, sum(|a| a.read_requests), "{tag}");
+                assert_eq!(s.io_bytes_read, 4 * sum(|a| a.read_elems), "{tag}");
+                assert_eq!(s.io_write_requests, sum(|a| a.write_requests), "{tag}");
+                assert_eq!(s.io_bytes_written, 4 * sum(|a| a.write_elems), "{tag}");
+                assert_eq!(s.msgs_sent, t.comm_messages, "{tag}");
+                assert_eq!(s.bytes_sent, t.comm_bytes, "{tag}");
+            }
         }
     }
 }

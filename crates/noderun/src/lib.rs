@@ -27,7 +27,6 @@ pub mod divergence;
 pub mod elementwise;
 pub mod exec;
 pub mod gaxpy;
-pub mod kernels;
 pub mod spmv;
 pub mod trace;
 pub mod transpose;

@@ -46,11 +46,17 @@ pub fn assemble_global(desc: &ArrayDesc, per_rank: &[&[f32]]) -> (Shape, Vec<f32
 }
 
 /// Largest absolute element difference between two equal-length buffers.
+/// A NaN against a number is an infinite difference; two NaNs, like two
+/// equal infinities, count as equal.
 pub fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "length mismatch");
     a.iter()
         .zip(b)
-        .map(|(x, y)| (x - y).abs())
+        .map(|(x, y)| match (x.is_nan(), y.is_nan()) {
+            (false, false) => (x - y).abs(),
+            (true, true) => 0.0,
+            _ => f32::INFINITY,
+        })
         .fold(0.0, f32::max)
 }
 
@@ -258,5 +264,13 @@ mod tests {
     fn max_abs_diff_finds_the_worst() {
         assert_eq!(max_abs_diff(&[1.0, 2.0], &[1.0, 2.5]), 0.5);
         assert_eq!(max_abs_diff(&[], &[]), 0.0);
+    }
+
+    #[test]
+    fn max_abs_diff_sees_a_nan() {
+        assert_eq!(max_abs_diff(&[f32::NAN], &[1.0]), f32::INFINITY);
+        assert_eq!(max_abs_diff(&[1.0], &[f32::NAN]), f32::INFINITY);
+        assert_eq!(max_abs_diff(&[f32::NAN, 2.0], &[f32::NAN, 2.5]), 0.5);
+        assert_eq!(max_abs_diff(&[f32::INFINITY], &[f32::INFINITY]), 0.0);
     }
 }

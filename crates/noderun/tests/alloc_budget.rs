@@ -16,7 +16,8 @@ use ooc_array::{
     ArrayDesc, ArrayId, DimDist, DimRange, DistKind, Distribution, FileLayout, OocEnv, ProcGrid,
     Section, Shape,
 };
-use ooc_core::plan::{GaxpyPlan, SlabStrategy};
+use ooc_core::hir::ElwExpr;
+use ooc_core::plan::{ElwPlan, GaxpyPlan, GhostSpec, SlabStrategy};
 use pario::{ElemKind, NoCharge};
 
 thread_local! {
@@ -188,6 +189,72 @@ fn column_gaxpy_allocates_per_column_of_c_not_per_a_slab_read() {
             "rank {rank}: halving slab_a added {added} allocations for {added_reads} \
              added A-slab reads ({t} -> {h})"
         );
+    }
+}
+
+/// Allocations made by each rank's elementwise executor (setup excluded)
+/// for a 5-point stencil on a `rows × cols` grid, `(block, *)` over two
+/// ranks (one ghost exchange each way), stripmined along `slab_dim` in
+/// slabs of 2. Also returns the stage count, the same on both ranks.
+fn stencil_allocs(rows: usize, cols: usize, slab_dim: usize) -> (Vec<usize>, usize) {
+    let dist = Distribution::row_block(Shape::matrix(rows, cols), 2);
+    let u = ArrayDesc::new(ArrayId(0), "u", ElemKind::F32, dist.clone());
+    let v = ArrayDesc::new(ArrayId(1), "v", ElemKind::F32, dist);
+    let at = |d0, d1| ElwExpr::shifted("u", vec![d0, d1]);
+    let sum = ElwExpr::add(
+        ElwExpr::add(at(-1, 0), at(1, 0)),
+        ElwExpr::add(at(0, -1), at(0, 1)),
+    );
+    let expr = ElwExpr::mul(ElwExpr::Const(0.25), sum);
+    let region = Section::new(vec![DimRange::new(1, rows - 1), DimRange::new(1, cols - 1)]);
+    let stages = [rows / 2 - 1, cols - 2][slab_dim].div_ceil(2);
+    let plan = ElwPlan {
+        pre_remaps: vec![],
+        lhs: v,
+        rhs_arrays: vec![u],
+        flops_per_point: expr.flops_per_point(),
+        expr,
+        region,
+        slab_dim,
+        slab_thickness: 2,
+        ghosts: vec![GhostSpec {
+            dim: 0,
+            lo_width: 1,
+            hi_width: 1,
+        }],
+    };
+    let f = |g: &[usize]| (g[0] + 2 * g[1]) as f32;
+    let (_, allocs) = Machine::new(MachineConfig::free(2)).run_with(|ctx| {
+        let mut env = OocEnv::in_memory(ctx.rank());
+        for desc in [&plan.rhs_arrays[0], &plan.lhs] {
+            env.alloc(desc).unwrap();
+            env.load_global(desc, &f).unwrap();
+        }
+        let (peak, allocs) =
+            allocs_during(|| noderun::elementwise::execute(ctx, &mut env, &plan).unwrap());
+        assert!(peak > 0);
+        allocs
+    });
+    (allocs, stages)
+}
+
+#[test]
+fn elementwise_allocates_per_stage_not_per_run_or_point() {
+    // Slabs across the ghost dimension: doubling the rows doubles every
+    // run. Slabs along it: doubling the columns doubles the runs of every
+    // stage. Either way stages, arrays and ghost strips stay fixed.
+    for (slab_dim, small, doubled) in [(1, (16, 16), (32, 16)), (0, (16, 16), (16, 32))] {
+        let (before, stages) = stencil_allocs(small.0, small.1, slab_dim);
+        let (after, same_stages) = stencil_allocs(doubled.0, doubled.1, slab_dim);
+        assert_eq!(stages, same_stages);
+        for (rank, (&b, &a)) in before.iter().zip(&after).enumerate() {
+            let added = a.saturating_sub(b);
+            assert!(
+                added < stages,
+                "slab dim {slab_dim}, rank {rank}: doubling every stage added {added} \
+                 allocations over {stages} stages ({b} -> {a})"
+            );
+        }
     }
 }
 

@@ -1,4 +1,5 @@
-//! File layouts: how an out-of-core local array is linearized in its LAF.
+//! File layouts: the order in which an out-of-core local array's elements
+//! lie in its LAF.
 //!
 //! The paper's central optimization *reorganizes data storage on disk* so
 //! that the chosen slabs are contiguous: column slabs want column-major

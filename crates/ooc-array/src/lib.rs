@@ -6,8 +6,8 @@
 //!   (block / cyclic / block-cyclic per dimension over a processor grid)
 //!   into **out-of-core local arrays** (OCLAs), one per processor;
 //! * each OCLA lives in a **Local Array File** on the owning processor's
-//!   logical disk, linearized by a [`FileLayout`] the compiler may choose
-//!   (this is the paper's "reorganizing data storage on disks");
+//!   logical disk, in the element order of a [`FileLayout`] the compiler
+//!   may choose (this is the paper's "reorganizing data storage on disks");
 //! * computation runs over **in-core local arrays** (ICLAs): memory-sized
 //!   **slabs** of the OCLA produced by a [`SlabPlan`] along a chosen
 //!   dimension (column slabs vs row slabs in the paper's Figure 11).

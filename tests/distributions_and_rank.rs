@@ -221,6 +221,66 @@ fn three_d_stencil_end_to_end() {
 }
 
 #[test]
+fn stencils_on_multi_axis_grids_are_rejected_at_compile_time() {
+    // The ghost exchange trades strips along one processor axis: a shifted
+    // forall on a 2×2 grid is refused when it compiles, instead of failing
+    // every run with a receive from a processor that never sends.
+    let source = |grid: &str, dist: &str, rhs: &str| {
+        format!(
+            "
+      parameter (n=8)
+      real u(n, n), v(n, n)
+!hpf$ processors pr({grid})
+!hpf$ distribute u({dist}) on pr
+!hpf$ distribute v({dist}) on pr
+      forall (i = 2:n-1, j = 1:n-1)
+        v(i, j) = {rhs}
+      end forall
+      end
+"
+        )
+    };
+    let stencil = "u(i-1, j) + u(i, j+1)";
+    let err = compile_source(
+        &source("2, 2", "block, block", stencil),
+        &CompilerOptions::default(),
+    )
+    .unwrap_err();
+    assert!(
+        matches!(&err, ooc_core::CompileError::Plan(m)
+            if m.contains("dimension 0 of `v`") && m.contains("one-dimensional")),
+        "{err}"
+    );
+    assert!(compile_source(
+        &source("4", "*, block", stencil),
+        &CompilerOptions::default()
+    )
+    .is_ok());
+
+    // An unshifted forall on the same grid needs no exchange and still runs.
+    let compiled = compile_source(
+        &source("2, 2", "block, block", "2.0 * u(i, j) + 1.0"),
+        &CompilerOptions::default(),
+    )
+    .unwrap();
+    let init = |g: &[usize]| (g[0] * 10 + g[1]) as f32;
+    let mut cfg = RunConfig::default();
+    cfg.init.insert("u".into(), init_fn(init));
+    cfg.collect.push("v".into());
+    let outcome = run(&compiled, &cfg).unwrap();
+    let (shape, v) = &outcome.collected["v"];
+    for j in 0..7 {
+        for i in 1..7 {
+            assert_eq!(
+                v[shape.linear(&[i, j])],
+                2.0 * init(&[i, j]) + 1.0,
+                "({i},{j})"
+            );
+        }
+    }
+}
+
+#[test]
 fn block_cyclic_declaration_is_analyzable() {
     // cyclic(b) parses and analyzes; plans over block-cyclic locals are
     // rejected cleanly (irregular local sections), never miscompiled.
