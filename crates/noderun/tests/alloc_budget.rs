@@ -258,6 +258,62 @@ fn elementwise_allocates_per_stage_not_per_run_or_point() {
     }
 }
 
+/// Allocations each rank's `inspect` makes for `per_rank` indirection
+/// entries per rank, scattered without repeats over a 2^16-element array
+/// block-distributed over `p` ranks.
+fn inspect_allocs(p: usize, per_rank: usize) -> Vec<usize> {
+    let n = 1 << 16;
+    let line = |len| {
+        Distribution::new(
+            Shape::new(vec![len]),
+            vec![DimDist::Distributed {
+                kind: DistKind::Block,
+                axis: 0,
+            }],
+            ProcGrid::line(p),
+        )
+    };
+    let x = ArrayDesc::new(ArrayId(0), "x", ElemKind::F32, line(n));
+    let idx = ArrayDesc::new(ArrayId(1), "idx", ElemKind::F32, line(per_rank * p));
+    let (_, allocs) = Machine::new(MachineConfig::free(p)).run_with(|ctx| {
+        let mut env = OocEnv::in_memory(ctx.rank());
+        env.alloc(&idx).unwrap();
+        // 40 503 is odd, so no target repeats, and close to 2^16 / φ, so
+        // every owner gets an even share of every rank's entries.
+        env.load_global(&idx, &|g| ((40_503 * g[0]) % n) as f32)
+            .unwrap();
+        // The exchange allocates a little more when a rank waits for a peer,
+        // which depends on thread timing: keep the least of a few runs.
+        (0..5)
+            .map(|_| {
+                let (sched, allocs) = allocs_during(|| {
+                    ooc_array::inspect(ctx, &mut env, &x, &idx, &NoCharge).unwrap()
+                });
+                assert_eq!(sched.nout, per_rank);
+                allocs
+            })
+            .min()
+            .expect("five runs")
+    });
+    allocs
+}
+
+#[test]
+fn inspect_allocates_per_peer_not_per_entry_or_target() {
+    // Doubling the entries doubles every want and serve list. Each of the
+    // p want lists may grow once more; nothing else may allocate again.
+    let p = 4;
+    let before = inspect_allocs(p, 3000);
+    let after = inspect_allocs(p, 6000);
+    for (rank, (&b, &a)) in before.iter().zip(&after).enumerate() {
+        let added = a.saturating_sub(b);
+        assert!(
+            added <= p,
+            "rank {rank}: doubling the entries added {added} allocations ({b} -> {a})"
+        );
+    }
+}
+
 /// Allocations of one warmed-up `read_section_into` and one `write_section`
 /// of `section` of a 64×64 array stored under `layout` on a single rank.
 fn section_io_allocs(layout: &FileLayout, section: &Section) -> (usize, usize) {

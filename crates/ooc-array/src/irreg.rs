@@ -147,7 +147,8 @@ impl IrregSchedule {
     /// since the schedule was cached, and the schedule is rejected.
     ///
     /// The digest covers only the descriptors, so the body is checked too:
-    /// the rank count must match the data array's distribution, every
+    /// the rank count must match the data array's distribution, the output
+    /// length must be the rank's count of indirection entries, every
     /// element list must be strictly ascending inside its owner's local
     /// length, every output slot must name a wanted element, and every
     /// serve run list must be exactly the coalesced runs of its elements.
@@ -271,6 +272,14 @@ impl IrregSchedule {
     /// The structural invariants [`inspect`] establishes and the executor
     /// relies on (see [`Self::from_bytes`]).
     fn check_body(&self) -> Result<(), String> {
+        let (index, rank) = (&self.stamp.index, self.stamp.rank);
+        let entries = index.local_shape(rank).len();
+        if self.nout != entries {
+            return Err(format!(
+                "nout {} mismatches the {entries} entries of `{}` on rank {rank}",
+                self.nout, index.name
+            ));
+        }
         let data = &self.stamp.data;
         let local_len = |rank: usize| data.local_shape(rank).len() as u64;
         let check_elems = |label: &str, j: usize, elems: &[u64], owner: usize| {
@@ -448,10 +457,10 @@ impl IrregStats {
 }
 
 /// Run the inspector: read this rank's slice of the indirection array once
-/// (charged), bin each target by its owning rank, exchange the per-owner
-/// want-lists (one u64 all-to-all), and coalesce every incoming want-list
-/// into the byte runs this rank will service. Collective — every rank must
-/// call it with the same descriptors.
+/// (charged), sort its entries by target, bin each distinct target by its
+/// owning rank, exchange the per-owner want-lists (one u64 all-to-all), and
+/// coalesce every incoming want-list into the byte runs this rank will
+/// service. Collective — every rank must call it with the same descriptors.
 ///
 /// Both arrays must be one-dimensional (the paper's `A(idx(i))` shape);
 /// indirection values are global element indices stored as `f32` and must
@@ -482,13 +491,16 @@ pub fn inspect(
     let n = data.global_shape().extent(0);
     let index_hash = Fnv1a::new().u64s(vals.iter().map(|v| *v as u64)).finish();
 
-    // Bin every target by owner; collapse duplicates to one wire slot. A
-    // bad entry fails this rank before it sends anything; its peers then
-    // see the loss as a communication error in the exchange below.
-    let mut want: Vec<Vec<u64>> = vec![Vec::new(); p];
-    let mut targets = Vec::with_capacity(vals.len());
+    // Key every entry by its target, in entry order so that the first bad
+    // entry is the one reported. A bad entry fails this rank before it
+    // sends anything; its peers then see the loss as a communication error
+    // in the exchange below.
+    let mut keyed = Vec::with_capacity(vals.len());
     for (i, &v) in vals.iter().enumerate() {
-        if !(v >= 0.0 && v.fract() == 0.0 && (v as usize) < n) {
+        let g = v as usize;
+        // `as` truncates: a whole `v` in range converts back exactly, a
+        // fractional one does not.
+        if !(v >= 0.0 && g < n && g as f32 == v) {
             return Err(OocError::Data {
                 array: index.name.clone(),
                 reason: format!(
@@ -497,25 +509,26 @@ pub fn inspect(
                 ),
             });
         }
-        let g = v as usize;
-        let owner = data.dist.owner(&[g]);
-        let local = data.dist.local_index(0, g) as u64;
-        targets.push((owner as u32, local));
-        want[owner].push(local);
+        keyed.push((g, i));
     }
-    for w in &mut want {
-        w.sort_unstable();
-        w.dedup();
+
+    // Locate each distinct target once, in target order. Within one owner
+    // the local index rises with the global one under block, cyclic and
+    // block-cyclic alike, so appending keeps every want list ascending and
+    // free of duplicates (repeats collapse to one wire slot), and a
+    // target's slot is its owner's list length when the target is first met.
+    let mut want: Vec<Vec<u64>> = vec![Vec::new(); p];
+    let mut out_slot = vec![(0, 0); vals.len()];
+    let (mut last, mut slot) = (None, (0, 0));
+    for (g, i) in sort_by_target(keyed, n) {
+        if last != Some(g) {
+            last = Some(g);
+            let owner = data.dist.owner(&[g]);
+            slot = (owner as u32, want[owner].len() as u32);
+            want[owner].push(data.dist.local_index(0, g) as u64);
+        }
+        out_slot[i] = slot;
     }
-    let out_slot = targets
-        .iter()
-        .map(|&(owner, off)| {
-            let slot = want[owner as usize]
-                .binary_search(&off)
-                .expect("dedup kept every wanted offset");
-            (owner, slot as u32)
-        })
-        .collect();
 
     // Tell every owner what we want from it; learn what we must serve.
     let serve_elems = ctx.try_alltoallv::<u64>(want.clone())?;
@@ -541,14 +554,51 @@ pub fn inspect(
     })
 }
 
-/// The coalesced byte runs covering local elements `elems` of `es` bytes
-/// each.
+/// `(target, entry)` pairs stably sorted by target, every target below
+/// `bound`: an LSD counting sort over equal digits of at most 16 bits, so
+/// targets below 2^16 take one pass and the count table never outgrows
+/// 2^16 slots, however long the data array.
+fn sort_by_target(mut pairs: Vec<(usize, usize)>, bound: usize) -> Vec<(usize, usize)> {
+    let bits = usize::BITS - bound.saturating_sub(1).leading_zeros();
+    let passes = bits.div_ceil(16);
+    if passes == 0 || pairs.len() < 2 {
+        return pairs;
+    }
+    let width = bits.div_ceil(passes);
+    let digit = |target: usize, pass: u32| (target >> (pass * width)) & ((1 << width) - 1);
+    let mut count = vec![0usize; 1 << width];
+    let mut sorted = vec![(0, 0); pairs.len()];
+    for pass in 0..passes {
+        count.fill(0);
+        for &(target, _) in &pairs {
+            count[digit(target, pass)] += 1;
+        }
+        let mut start = 0;
+        for c in &mut count {
+            (start, *c) = (start + *c, start);
+        }
+        for &pair in &pairs {
+            let at = &mut count[digit(pair.0, pass)];
+            sorted[*at] = pair;
+            *at += 1;
+        }
+        std::mem::swap(&mut pairs, &mut sorted);
+    }
+    pairs
+}
+
+/// The coalesced byte runs covering strictly ascending local elements
+/// `elems` of `es` bytes each, in one pass and one allocation (there is at
+/// most one run per element).
 fn serve_runs_of(elems: &[u64], es: u64) -> Vec<ByteRun> {
-    let unit: Vec<ByteRun> = elems
-        .iter()
-        .map(|&off| ByteRun::new(off * es, es))
-        .collect();
-    pario::coalesce_runs(&unit)
+    let mut runs: Vec<ByteRun> = Vec::with_capacity(elems.len());
+    for &off in elems {
+        match runs.last_mut() {
+            Some(run) if run.end() == off * es => run.len += es,
+            _ => runs.push(ByteRun::new(off * es, es)),
+        }
+    }
+    runs
 }
 
 /// Execute a cached schedule: gather `data[idx[i]]` for every local
@@ -873,6 +923,19 @@ mod tests {
                 "element 9 of rank 0",
             ),
             ("out_slot=0:0,", "out_slot=0:5,", "outside the 5 elements"),
+            // An output length that disagrees with the rank's 16 entries,
+            // even with an out_slot list that agrees with it: the gather
+            // would come back short and the SpMV drop products.
+            (
+                "nout=16\nout_slot=0:0,0:4,1:2,1:2,1:5,0:3,0:3,1:1,1:4,1:4,0:2,1:0,1:0,1:3,0:1,0:1\n",
+                "nout=15\nout_slot=0:0,0:4,1:2,1:2,1:5,0:3,0:3,1:1,1:4,1:4,0:2,1:0,1:0,1:3,0:1\n",
+                "nout 15 mismatches the 16 entries of `idx` on rank 0",
+            ),
+            (
+                "nout=16\nout_slot=0:0,0:4,1:2,1:2,1:5,0:3,0:3,1:1,1:4,1:4,0:2,1:0,1:0,1:3,0:1,0:1\n",
+                "nout=0\nout_slot=\n",
+                "nout 0 mismatches the 16 entries",
+            ),
             (
                 "serve_runs[1]=0:8,16:16",
                 "serve_runs[1]=0:4,4:4,16:16",

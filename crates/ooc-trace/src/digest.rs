@@ -7,6 +7,12 @@
 
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Four byte steps that each xor in a zero byte: xor with zero is the
+/// identity, so they are four multiplies by `PRIME`.
+const PRIME4: u64 = PRIME
+    .wrapping_mul(PRIME)
+    .wrapping_mul(PRIME)
+    .wrapping_mul(PRIME);
 
 /// Running FNV-1a 64 state. Feeders chain:
 /// `Fnv1a::new().u64s(words).f32s(&floats).finish()`.
@@ -34,11 +40,17 @@ impl Fnv1a {
         self
     }
 
-    /// Fold each word in as its eight little-endian bytes.
+    /// Fold each word in as its eight little-endian bytes. A word whose
+    /// high four bytes are zero folds its low four and then multiplies by
+    /// `PRIME⁴` once, which gives the same bits.
     pub fn u64s(self, words: impl IntoIterator<Item = u64>) -> Fnv1a {
-        words
-            .into_iter()
-            .fold(self, |h, w| h.bytes(&w.to_le_bytes()))
+        words.into_iter().fold(self, |h, w| {
+            let h = h.bytes(&(w as u32).to_le_bytes());
+            match (w >> 32) as u32 {
+                0 => Fnv1a(h.0.wrapping_mul(PRIME4)),
+                high => h.bytes(&high.to_le_bytes()),
+            }
+        })
     }
 
     /// Fold each value's IEEE-754 bit pattern in, little-endian.
@@ -86,5 +98,22 @@ mod tests {
             Fnv1a::new().bytes(b"foo").bytes(b"bar").finish(),
             fnv1a(b"foobar")
         );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn word_feeder_equals_the_byte_feeder_on_narrow_and_wide_words(
+            words in proptest::collection::vec((0u64..u64::MAX, proptest::bool::ANY), 0..40)
+        ) {
+            // About half the words have zero high bytes, the folded case.
+            let words: Vec<u64> = words
+                .into_iter()
+                .map(|(w, narrow)| if narrow { w >> 32 } else { w })
+                .collect();
+            let raw = words
+                .iter()
+                .fold(Fnv1a::new(), |h, w| h.bytes(&w.to_le_bytes()));
+            proptest::prop_assert_eq!(Fnv1a::new().u64s(words), raw);
+        }
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Regenerate every drained session artifact the smoke jobs produce and diff
-# their sha256 sums against the golden session_goldens.txt beside this
-# script. The smoke jobs `cmp` two runs of the same build; this pins the
+# Regenerate every drained session artifact the smoke jobs produce, and the
+# full-size `irregular` ladder's artifact, and diff their sha256 sums against
+# the golden session_goldens.txt beside this script. The smoke jobs `cmp` two runs of the same build; this pins the
 # bytes to a committed reference, so a change that moves a drained byte the
 # same way in both runs still fails. Exits non-zero on any difference.
 #
@@ -23,9 +23,10 @@ run oocload --out "$scratch/BENCH_daemon.json"
 run service --out "$scratch/BENCH_service.json"
 run chaos_workload --jobs 16 --ranks 8 --out "$scratch/BENCH_chaos_workload.json"
 run workload --out "$scratch/BENCH_workload.json"
+run irregular --out "$scratch/BENCH_irregular.json"
 
 (cd "$scratch" && sha256sum BENCH_daemon.json BENCH_daemon.prom BENCH_service.json \
-    BENCH_service.prom BENCH_service.html BENCH_chaos_workload.json BENCH_workload.json) \
-    >"$scratch/got.txt"
+    BENCH_service.prom BENCH_service.html BENCH_chaos_workload.json BENCH_workload.json \
+    BENCH_irregular.json) >"$scratch/got.txt"
 grep -v '^#' "$golden" | diff -u - "$scratch/got.txt"
 echo "session goldens: ok"
