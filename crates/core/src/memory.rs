@@ -169,8 +169,10 @@ fn stream_weights(strategy: SlabStrategy, n: usize, p: usize, elems: usize) -> (
     }
 }
 
-/// Read request count as a function of the split (writes do not depend on
-/// the A/B split).
+/// Read request count as a function of the split. Writes are left out,
+/// although they depend on the split too: the column version's owner writes
+/// C once per `slab_a` columns it produces, so a thinner A slab means more
+/// write requests.
 fn request_estimate(strategy: SlabStrategy, n: usize, p: usize, sa: usize, sb: usize) -> u64 {
     let n64 = n as u64;
     match strategy {

@@ -31,7 +31,10 @@ pub fn slab_requests(desc: &ArrayDesc, rank: usize, dim: usize, lo: usize, hi: u
     desc.layout.count_section_runs(&local, &sec)
 }
 
-/// Build the nest for any plan.
+/// Build the nest for any plan, priced for rank 0 alone. For elementwise
+/// plans rank 0 is not the critical rank: an interior rank reads a ghost
+/// strip on each side, and the last rank also waits on its neighbour, so
+/// both finish later than the estimate.
 pub fn nest_of(plan: &ExecPlan) -> Vec<NestNode> {
     match plan {
         ExecPlan::Gaxpy(g) => gaxpy_nest(g),
@@ -42,8 +45,8 @@ pub fn nest_of(plan: &ExecPlan) -> Vec<NestNode> {
 }
 
 /// The GAXPY node program (Figure 9 for column slabs, Figure 12 for row
-/// slabs) for rank 0 — the most-loaded processor under ceil-block
-/// distribution, hence the one whose time bounds the run.
+/// slabs) for rank 0, the rank [`nest_of`] prices. Under ceil-block
+/// distribution no rank owns more columns than rank 0.
 pub fn gaxpy_nest(plan: &GaxpyPlan) -> Vec<NestNode> {
     gaxpy_nest_for(plan, 0)
 }

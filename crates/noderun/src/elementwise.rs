@@ -12,7 +12,7 @@
 //! names and places it in one buffer together with the part of the
 //! received strips the stage reaches, so every shifted reference is an
 //! in-bounds offset into that buffer. The expression is compiled once into
-//! a postfix [`Program`] and evaluated one dimension-0 run at a time: a
+//! a postfix `Program` and evaluated one dimension-0 run at a time: a
 //! constant fills the run, a reference reads a slice of its buffer, an
 //! operation combines two runs. Every element sees the operations of the
 //! written expression in the written order, so the result is bitwise a

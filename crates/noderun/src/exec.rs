@@ -543,8 +543,7 @@ fn execute_rank(
     for desc in &compiled.descs {
         env.alloc(desc)?;
         if let Some(init) = cfg.init.get(&desc.name) {
-            let f = init.clone();
-            env.load_global(desc, &move |g| f(g))?;
+            env.load_global(desc, init.as_ref())?;
         }
     }
     // Statement-local temporaries (e.g. remap targets) carry fresh ids

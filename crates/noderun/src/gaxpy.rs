@@ -10,6 +10,8 @@
 //! file. Returns the peak number of in-core elements held, so tests can
 //! check the plan's memory accounting.
 
+use std::sync::OnceLock;
+
 use dmsim::{ProcCtx, ReduceOp};
 use ooc_array::{OocEnv, OocError, Section};
 use ooc_core::plan::{GaxpyOperand, GaxpyPlan, GaxpyVisitor, SlabStrategy};
@@ -164,12 +166,71 @@ fn read_slab(
 /// `temp += a · b`: the GAXPY inner multiply over an `h × b.len()`
 /// column-major block `a`, where `h = temp.len()`.
 ///
+/// The body ([`accumulate_body`]) is compiled once per instruction set the
+/// host may offer and the widest one the running CPU supports is picked
+/// the first time it is called: there is no knob. Every variant computes
+/// the same bits (see [`accumulate_body`]), so the choice only moves host
+/// time.
+fn accumulate_columns(temp: &mut [f32], a: &[f32], b: &[f32]) {
+    static KERNEL: OnceLock<Kernel> = OnceLock::new();
+    let kernel = KERNEL.get_or_init(|| supported_kernels()[0].1);
+    // SAFETY: `supported_kernels` lists a variant only when the running
+    // CPU has every feature that variant was compiled for.
+    unsafe { kernel(temp, a, b) }
+}
+
+/// One compiled variant of [`accumulate_body`]; calling it is sound only
+/// on a CPU with the features it was compiled for.
+type Kernel = unsafe fn(&mut [f32], &[f32], &[f32]);
+
+/// The variants this CPU can run, widest instruction set first; the
+/// baseline build is always last.
+fn supported_kernels() -> Vec<(&'static str, Kernel)> {
+    let mut kernels: Vec<(&'static str, Kernel)> = Vec::with_capacity(3);
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            kernels.push(("avx512f", accumulate_avx512f));
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            kernels.push(("avx2", accumulate_avx2));
+        }
+    }
+    kernels.push(("baseline", accumulate_baseline));
+    kernels
+}
+
+/// [`accumulate_body`] for AVX-512F; callable only where it is detected.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn accumulate_avx512f(temp: &mut [f32], a: &[f32], b: &[f32]) {
+    accumulate_body(temp, a, b);
+}
+
+/// [`accumulate_body`] for AVX2; callable only where it is detected.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn accumulate_avx2(temp: &mut [f32], a: &[f32], b: &[f32]) {
+    accumulate_body(temp, a, b);
+}
+
+/// [`accumulate_body`] for the target's baseline instruction set.
+fn accumulate_baseline(temp: &mut [f32], a: &[f32], b: &[f32]) {
+    accumulate_body(temp, a, b);
+}
+
+/// The multiply itself, inlined into each [`Kernel`] variant so the
+/// compiler vectorizes it for that variant's instruction set.
+///
 /// Register-blocked four columns at a time, so `temp` is loaded and stored
 /// once per four multiply-adds. Each element still computes
 /// `t + a₀b₀ + a₁b₁ + …` left to right in ascending column order, with
 /// every product rounded before its add, exactly as one column at a time
-/// would — the result bits do not depend on the blocking.
-fn accumulate_columns(temp: &mut [f32], a: &[f32], b: &[f32]) {
+/// would. Rust never contracts a multiply and an add into a fused
+/// multiply-add, and vector lanes are independent elements, so neither the
+/// blocking nor the vector width changes a result bit.
+#[inline(always)]
+fn accumulate_body(temp: &mut [f32], a: &[f32], b: &[f32]) {
     let h = temp.len();
     debug_assert_eq!(a.len(), h * b.len());
     if h == 0 {
@@ -471,6 +532,31 @@ mod tests {
         }
     }
 
+    /// Runs every kernel variant this CPU supports, and the dispatched
+    /// [`accumulate_columns`], on `temp += a · b` and holds each to the
+    /// column-at-a-time loop bit for bit. Rust leaves the payload of a NaN
+    /// *result* unspecified, so a NaN only has to be matched by a NaN;
+    /// every other result must match to the bit.
+    fn check_every_kernel(temp: &[f32], a: &[f32], b: &[f32]) -> Result<(), String> {
+        let (h, ncols) = (temp.len(), b.len());
+        let mut want = temp.to_vec();
+        column_by_column(&mut want, a, b);
+        let mut kernels = supported_kernels();
+        kernels.push(("dispatched", accumulate_columns));
+        for (name, kernel) in kernels {
+            let mut got = temp.to_vec();
+            // SAFETY: `supported_kernels` lists only variants this CPU
+            // runs; `accumulate_columns` is a safe function.
+            unsafe { kernel(&mut got, a, b) };
+            for (r, (w, g)) in want.iter().zip(&got).enumerate() {
+                if w.to_bits() != g.to_bits() && !(w.is_nan() && g.is_nan()) {
+                    return Err(format!("{name}: row {r} of {h}x{ncols}: {w:e} vs {g:e}"));
+                }
+            }
+        }
+        Ok(())
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
 
@@ -483,16 +569,48 @@ mod tests {
             let mut state = seed;
             let mut gen = |len: usize| (0..len).map(|_| awkward_f32(&mut state)).collect::<Vec<_>>();
             let (a, b, temp) = (gen(h * ncols), gen(ncols), gen(h));
-            let mut want = temp.clone();
-            column_by_column(&mut want, &a, &b);
-            let mut got = temp;
-            accumulate_columns(&mut got, &a, &b);
-            // Rust leaves the payload of a NaN *result* unspecified, so a
-            // NaN only has to be matched by a NaN; every other result must
-            // match to the bit.
-            for (r, (w, g)) in want.iter().zip(&got).enumerate() {
-                let same = w.to_bits() == g.to_bits() || (w.is_nan() && g.is_nan());
-                proptest::prop_assert!(same, "row {r} of {h}x{ncols}: {w:e} vs {g:e}");
+            proptest::prop_assert_eq!(check_every_kernel(&temp, &a, &b), Ok(()));
+        }
+    }
+
+    #[test]
+    fn every_kernel_matches_on_ragged_shapes_and_special_operands() {
+        // Subnormals, infinities, NaNs and signed zeros, interleaved with
+        // ordinary values so they meet each other in products and sums.
+        let special = [
+            f32::from_bits(1),
+            -f32::MIN_POSITIVE / 3.0,
+            f32::INFINITY,
+            1.5,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -0.0,
+            3.0e38,
+            0.0,
+            -2.25,
+            f32::MIN_POSITIVE,
+        ];
+        let pick = |i: usize| special[i % special.len()];
+        // Around every vector width (4, 8 and 16 lanes), plus h = 0 and 1;
+        // ncols covers every remainder of the four-column blocking.
+        for h in [0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 33, 47, 63, 64, 65] {
+            for ncols in 0..10 {
+                for shift in [0, 1, 4] {
+                    let a: Vec<f32> = (0..h * ncols).map(|i| pick(3 * i + shift)).collect();
+                    let b: Vec<f32> = (0..ncols).map(|i| pick(i + 2 * shift)).collect();
+                    let temp: Vec<f32> = (0..h).map(|i| pick(5 * i + shift + 7)).collect();
+                    check_every_kernel(&temp, &a, &b).unwrap();
+                    // Ordinary operands too, where a change of summation
+                    // order would show in the rounding.
+                    let mut state = (h * 10 + ncols) as u64 + shift as u64;
+                    let mut gen = |len: usize| {
+                        (0..len)
+                            .map(|_| awkward_f32(&mut state))
+                            .collect::<Vec<_>>()
+                    };
+                    let (a, b, temp) = (gen(h * ncols), gen(ncols), gen(h));
+                    check_every_kernel(&temp, &a, &b).unwrap();
+                }
             }
         }
     }

@@ -350,3 +350,75 @@ fn section_writes_allocate_no_more_than_reads_and_neither_per_run() {
         }
     }
 }
+
+/// Allocations of one `load_global` of a `rows × cols` array, `(*, block)`
+/// over `p` ranks and stored under `layout`, on each rank (the file is
+/// allocated beforehand).
+fn load_global_allocs(rows: usize, cols: usize, p: usize, layout: &FileLayout) -> Vec<usize> {
+    let dist = Distribution::column_block(Shape::matrix(rows, cols), p);
+    let desc = ArrayDesc::new(ArrayId(0), "a", ElemKind::F32, dist).with_layout(layout.clone());
+    (0..p)
+        .map(|rank| {
+            let mut env = OocEnv::in_memory(rank);
+            env.alloc(&desc).unwrap();
+            let ((), allocs) = allocs_during(|| {
+                env.load_global(&desc, &|g| (g[0] + 3 * g[1]) as f32)
+                    .unwrap()
+            });
+            allocs
+        })
+        .collect()
+}
+
+#[test]
+fn load_global_allocates_per_dimension_not_per_run_or_element() {
+    // Growing the rows lengthens every column-major run and multiplies the
+    // row-major runs; growing the columns does the opposite. Neither may
+    // change the count: a few per dimension for the index tables and the
+    // odometer, plus the buffer and the one write of the whole file.
+    let ndims = 2;
+    for layout in [
+        FileLayout::column_major(ndims),
+        FileLayout::row_major(ndims),
+    ] {
+        let base = load_global_allocs(8, 8, 4, &layout);
+        for (rows, cols) in [(64, 8), (8, 64), (64, 64)] {
+            let grown = load_global_allocs(rows, cols, 4, &layout);
+            assert_eq!(
+                grown,
+                base,
+                "{:?}: {rows}x{cols} allocates differently from 8x8",
+                layout.order()
+            );
+        }
+        for (rank, &allocs) in base.iter().enumerate() {
+            assert!(
+                allocs <= 4 * ndims + 8,
+                "{:?}, rank {rank}: {allocs} allocations",
+                layout.order()
+            );
+        }
+    }
+}
+
+#[test]
+fn contiguous_reads_from_a_disk_backed_file_allocate_nothing() {
+    let dist = Distribution::column_block(Shape::matrix(64, 64), 1);
+    let desc = ArrayDesc::new(ArrayId(0), "a", ElemKind::F32, dist);
+    let whole_columns = Section::new(vec![DimRange::new(0, 64), DimRange::new(8, 24)]);
+    let mut out = Vec::new();
+    for mut env in [OocEnv::in_memory(0), OocEnv::on_disk(0).unwrap()] {
+        env.alloc(&desc).unwrap();
+        env.load_global(&desc, &|g| (64 * g[0] + g[1]) as f32)
+            .unwrap();
+        // One read first, so every reused buffer has its size.
+        env.read_section_into(&desc, &whole_columns, &mut out, &NoCharge)
+            .unwrap();
+        let ((), allocs) = allocs_during(|| {
+            env.read_section_into(&desc, &whole_columns, &mut out, &NoCharge)
+                .unwrap()
+        });
+        assert_eq!(allocs, 0, "a warmed-up contiguous read allocated");
+        assert_eq!(out[..2], [8.0, 72.0], "the read must find the fill");
+    }
+}

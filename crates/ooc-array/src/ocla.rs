@@ -362,34 +362,21 @@ impl OocEnv {
     /// Populate the whole OCLA from a global-index generator function —
     /// model of the initial distribution of data onto the local array files.
     /// Not charged (the paper amortizes this setup).
+    ///
+    /// `f` is called once per local element, in the file's layout order,
+    /// one run along the layout's fastest dimension at a time, and the
+    /// OCLA is written with one request.
     pub fn load_global(
         &mut self,
         desc: &ArrayDesc,
         f: &dyn Fn(&[usize]) -> f32,
     ) -> Result<(), IoError> {
         let local_shape = desc.local_shape(self.rank);
-        let ndims = local_shape.ndims();
-        let total = local_shape.len();
         // Per-dimension local -> global maps keep the fill loop
         // allocation-free (this runs once per element of every array).
         let maps = desc.dist.global_index_tables(self.rank);
-        let order = desc.layout.order().to_vec();
-        let mut idx = vec![0usize; ndims];
-        let mut g = vec![0usize; ndims];
-        let mut buf = Vec::with_capacity(total);
-        for _ in 0..total {
-            for d in 0..ndims {
-                g[d] = maps[d][idx[d]];
-            }
-            buf.push(f(&g));
-            for &d in &order {
-                idx[d] += 1;
-                if idx[d] < local_shape.extent(d) {
-                    break;
-                }
-                idx[d] = 0;
-            }
-        }
+        let mut buf = Vec::with_capacity(local_shape.len());
+        fill_in_layout_order(&local_shape, &maps, desc.layout.order(), f, &mut buf);
         let laf = self.laf(desc.id);
         laf.write_f32(
             &mut self.disk,
@@ -413,6 +400,48 @@ impl OocEnv {
         section: &Section,
     ) -> Result<Vec<f32>, IoError> {
         self.read_section(desc, section, &NoCharge)
+    }
+}
+
+/// Push `f(global index)` for every element of a local array of `shape`
+/// onto `out`, in the layout whose dimensions run fastest to slowest as
+/// `order`; `maps[d][l]` is the global index of local index `l` along `d`.
+///
+/// One run along the fastest dimension at a time: within a run only that
+/// dimension's global index changes, so each element costs one table
+/// lookup and one call of `f`, and the other dimensions' indices are
+/// updated once per run, as an odometer over `order`'s slower dimensions.
+fn fill_in_layout_order(
+    shape: &Shape,
+    maps: &[Vec<usize>],
+    order: &[usize],
+    f: &dyn Fn(&[usize]) -> f32,
+    out: &mut Vec<f32>,
+) {
+    let Some((&fast, slower)) = order.split_first() else {
+        // A zero-dimensional array holds one element.
+        out.push(f(&[]));
+        return;
+    };
+    if shape.is_empty() {
+        return;
+    }
+    let mut idx = vec![0usize; order.len()];
+    let mut g: Vec<usize> = maps.iter().map(|m| m[0]).collect();
+    for _ in 0..shape.len() / shape.extent(fast) {
+        for &l in &maps[fast] {
+            g[fast] = l;
+            out.push(f(&g));
+        }
+        for &d in slower {
+            idx[d] += 1;
+            if idx[d] < shape.extent(d) {
+                g[d] = maps[d][idx[d]];
+                break;
+            }
+            idx[d] = 0;
+            g[d] = maps[d][0];
+        }
     }
 }
 
@@ -501,7 +530,7 @@ impl Iterator for LayoutCmMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::Distribution;
+    use crate::dist::{DimDist, DistKind, Distribution, ProcGrid};
     use crate::section::DimRange;
 
     fn desc_col_block(n: usize, p: usize, layout: FileLayout) -> ArrayDesc {
@@ -527,6 +556,104 @@ mod tests {
         let col = env.read_section_uncharged(&desc, &s).unwrap();
         let expect: Vec<f32> = (0..8).map(|r| (100 * r + 5) as f32).collect();
         assert_eq!(col, expect);
+    }
+
+    /// Distinct, non-trivial values per global index (and a NaN now and
+    /// then), so a misplaced element changes the file bytes.
+    fn fill_value(g: &[usize]) -> f32 {
+        let h = g.iter().fold(0x9e37_79b9u32, |h, &i| {
+            (h ^ i as u32).wrapping_mul(0x0100_0193).rotate_left(5)
+        });
+        f32::from_bits(h)
+    }
+
+    /// `load_global` against a per-element reference walk on every rank of
+    /// `dist` under `layout`: every owned global index, placed at its file
+    /// offset through `local_index` and `FileLayout::linear`, must be the
+    /// order of the init calls and give the file's bytes. Returns how many
+    /// ranks own nothing.
+    fn check_fill(dist: &Distribution, layout: &FileLayout) -> usize {
+        let desc = ArrayDesc::new(ArrayId(3), "f", ElemKind::F32, dist.clone())
+            .with_layout(layout.clone());
+        let mut empty_ranks = 0;
+        for rank in 0..dist.nprocs() {
+            let local = desc.local_shape(rank);
+            let mut want: Vec<(usize, Vec<usize>)> = dist
+                .global()
+                .indices()
+                .filter(|g| dist.owner(g) == rank)
+                .map(|g| {
+                    let l: Vec<usize> = (0..g.len()).map(|d| dist.local_index(d, g[d])).collect();
+                    (layout.linear(&local, &l), g)
+                })
+                .collect();
+            want.sort();
+            assert!(want.iter().enumerate().all(|(i, (pos, _))| i == *pos));
+            empty_ranks += usize::from(want.is_empty());
+
+            let mut env = OocEnv::in_memory(rank);
+            env.alloc(&desc).unwrap();
+            let calls = std::cell::RefCell::new(Vec::new());
+            env.load_global(&desc, &|g| {
+                calls.borrow_mut().push(g.to_vec());
+                fill_value(g)
+            })
+            .unwrap();
+            let case = format!("rank {rank} of {dist:?} under {:?}", layout.order());
+            let want_calls: Vec<&Vec<usize>> = want.iter().map(|(_, g)| g).collect();
+            let got_calls = calls.into_inner();
+            assert_eq!(got_calls.iter().collect::<Vec<_>>(), want_calls, "{case}");
+
+            let laf = env.laf(desc.id);
+            let file = laf
+                .read_f32(&mut env.disk, &[ElemRun::new(0, laf.len())], &NoCharge)
+                .unwrap();
+            let got_bits: Vec<u32> = file.iter().map(|v| v.to_bits()).collect();
+            let want_bits: Vec<u32> = want.iter().map(|(_, g)| fill_value(g).to_bits()).collect();
+            assert_eq!(got_bits, want_bits, "{case}");
+        }
+        empty_ranks
+    }
+
+    #[test]
+    fn load_global_fills_as_a_per_element_walk_would() {
+        let dd = |kind, axis| DimDist::Distributed { kind, axis };
+        let kinds = [DistKind::Block, DistKind::Cyclic, DistKind::BlockCyclic(2)];
+        for kind in kinds {
+            let mut empty_ranks = 0;
+            // 1-D over 4 ranks: with 5 elements the last rank owns nothing
+            // under block and block-cyclic(2), with 3 under cyclic.
+            for n in [3, 5, 13] {
+                let dist =
+                    Distribution::new(Shape::new(vec![n]), vec![dd(kind, 0)], ProcGrid::line(4));
+                empty_ranks += check_fill(&dist, &FileLayout::column_major(1));
+            }
+            // 2-D: one distributed dimension, then both on a 2 × 3 grid
+            // (3 ranks along a 2-extent dimension leaves some empty).
+            for (shape, dims, grid) in [
+                (vec![6, 7], vec![DimDist::Collapsed, dd(kind, 0)], vec![3]),
+                (vec![7, 2], vec![dd(kind, 1), dd(kind, 0)], vec![3, 2]),
+            ] {
+                let dist = Distribution::new(Shape::new(shape), dims, ProcGrid::new(grid));
+                for layout in [FileLayout::column_major(2), FileLayout::row_major(2)] {
+                    empty_ranks += check_fill(&dist, &layout);
+                }
+            }
+            // 3-D, with a collapsed middle dimension.
+            let dist = Distribution::new(
+                Shape::new(vec![5, 3, 4]),
+                vec![dd(kind, 0), DimDist::Collapsed, dd(kind, 1)],
+                ProcGrid::new(vec![2, 3]),
+            );
+            for layout in [
+                FileLayout::column_major(3),
+                FileLayout::row_major(3),
+                FileLayout::new(vec![1, 2, 0]),
+            ] {
+                empty_ranks += check_fill(&dist, &layout);
+            }
+            assert!(empty_ranks > 0, "{kind:?}: no rank owned nothing");
+        }
     }
 
     #[test]

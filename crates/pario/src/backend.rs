@@ -27,9 +27,11 @@ pub trait StorageBackend: Send {
     fn read_at(&mut self, id: u64, offset: u64, buf: &mut [u8]) -> Result<()>;
     /// Read `out.len()` little-endian `f32`s starting at byte `offset`.
     ///
-    /// The default stages the bytes and decodes them; a backend holding its
-    /// bytes in memory overrides it to decode straight out of storage, so
-    /// each element crosses memory once.
+    /// The default stages the bytes in a fresh buffer and decodes them.
+    /// [`MemBackend`] overrides it to decode straight out of storage, so
+    /// each element crosses memory once; [`DiskBackend`] stages through a
+    /// buffer it reuses, so a read allocates nothing once it has seen one
+    /// as large.
     fn read_f32_at(&mut self, id: u64, offset: u64, out: &mut [f32]) -> Result<()> {
         let mut bytes = vec![0u8; out.len() * 4];
         self.read_at(id, offset, &mut bytes)?;
@@ -163,6 +165,9 @@ static SCRATCH_COUNTER: AtomicU64 = AtomicU64::new(0);
 pub struct DiskBackend {
     dir: PathBuf,
     files: HashMap<u64, (fs::File, u64)>,
+    /// Bytes of the last `f32` read, reused so a read allocates only when
+    /// it is larger than every read before it.
+    staged: Vec<u8>,
 }
 
 impl DiskBackend {
@@ -176,6 +181,7 @@ impl DiskBackend {
         Ok(DiskBackend {
             dir,
             files: HashMap::new(),
+            staged: Vec::new(),
         })
     }
 
@@ -223,6 +229,20 @@ impl StorageBackend for DiskBackend {
         check_bounds(id, offset, buf.len(), *len)?;
         file.read_exact_at(buf, offset)?;
         Ok(())
+    }
+
+    fn read_f32_at(&mut self, id: u64, offset: u64, out: &mut [f32]) -> Result<()> {
+        let len = out.len().saturating_mul(4);
+        // Bounds first, so a bad request never sizes the staging buffer.
+        check_bounds(id, offset, len, self.len(id)?)?;
+        let mut bytes = std::mem::take(&mut self.staged);
+        bytes.resize(len, 0);
+        let read = self.read_at(id, offset, &mut bytes);
+        if read.is_ok() {
+            decode_f32(&bytes, out);
+        }
+        self.staged = bytes;
+        read
     }
 
     fn write_at(&mut self, id: u64, offset: u64, data: &[u8]) -> Result<()> {
