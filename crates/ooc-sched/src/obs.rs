@@ -221,10 +221,22 @@ impl WorkloadObserver for EventLog {
 
 /// Render one event as a single deterministic line (no trailing newline).
 pub fn render_event(e: &ObsEvent) -> String {
-    let mut line = format!("{:.9} j{} {}", e.t, e.job, e.kind.tag());
+    let mut line = String::new();
+    render_event_into(&mut line, e);
+    line
+}
+
+/// Append [`render_event`]'s line for `e` to `out`.
+pub(crate) fn render_event_into(out: &mut String, e: &ObsEvent) {
+    push_f9(out, e.t);
+    out.push_str(" j");
+    push_uint(out, u64::from(e.job));
+    out.push(' ');
+    out.push_str(e.kind.tag());
     match &e.kind {
         ObsKind::Admitted { attempt, resumed } => {
-            let _ = write!(line, " attempt={attempt} resumed={resumed}");
+            push_uint_field(out, " attempt=", u64::from(*attempt));
+            push_bool_field(out, " resumed=", *resumed);
         }
         ObsKind::Dispatched {
             disk,
@@ -235,67 +247,189 @@ pub fn render_event(e: &ObsEvent) -> String {
             bytes,
             write,
         } => {
-            let _ = write!(
-                line,
-                " disk={disk} rank={rank} seq={seq} wait={wait:.9} \
-                 service={service:.9} bytes={bytes} write={write}"
-            );
+            push_uint_field(out, " disk=", *disk as u64);
+            push_uint_field(out, " rank=", *rank as u64);
+            push_uint_field(out, " seq=", *seq as u64);
+            push_f9_field(out, " wait=", *wait);
+            push_f9_field(out, " service=", *service);
+            push_uint_field(out, " bytes=", *bytes);
+            push_bool_field(out, " write=", *write);
         }
         ObsKind::RetryScheduled {
             attempt,
             backoff,
             resume_at,
         } => {
-            let _ = write!(
-                line,
-                " attempt={attempt} backoff={backoff:.9} resume_at={resume_at:.9}"
-            );
+            push_uint_field(out, " attempt=", u64::from(*attempt));
+            push_f9_field(out, " backoff=", *backoff);
+            push_f9_field(out, " resume_at=", *resume_at);
         }
-        ObsKind::Checkpoint { watermark } => {
-            let _ = write!(line, " watermark={watermark}");
-        }
+        ObsKind::Checkpoint { watermark } => push_uint_field(out, " watermark=", *watermark),
         ObsKind::Quarantined { attempts } => {
-            let _ = write!(line, " attempts={attempts}");
+            push_uint_field(out, " attempts=", u64::from(*attempts));
         }
         ObsKind::Completed {
             completion,
             recovered,
         } => {
-            let _ = write!(line, " completion={completion:.9} recovered={recovered}");
+            push_f9_field(out, " completion=", *completion);
+            push_bool_field(out, " recovered=", *recovered);
         }
         ObsKind::DiskDeath { disk, migrated, at } => {
-            let _ = write!(line, " disk={disk} migrated={migrated} at={at:.9}");
+            push_uint_field(out, " disk=", *disk as u64);
+            push_uint_field(out, " migrated=", *migrated as u64);
+            push_f9_field(out, " at=", *at);
         }
-        ObsKind::HangInjected { rank } => {
-            let _ = write!(line, " rank={rank}");
-        }
+        ObsKind::HangInjected { rank } => push_uint_field(out, " rank=", *rank as u64),
         ObsKind::Preempted | ObsKind::WatchdogKill | ObsKind::DeadlineKill | ObsKind::Killed => {}
     }
-    line
 }
 
-pub(crate) fn render_sample(s: &Sample) -> String {
-    let mut line = format!("{:.9} sample in_flight={}", s.t, s.in_flight);
-    line.push_str(" disks=[");
+/// Append one sample's deterministic line (no trailing newline) to `out`.
+pub(crate) fn render_sample_into(out: &mut String, s: &Sample) {
+    push_f9(out, s.t);
+    push_uint_field(out, " sample in_flight=", s.in_flight as u64);
+    out.push_str(" disks=[");
     for (i, d) in s.disks.iter().enumerate() {
-        if i > 0 {
-            line.push(' ');
-        }
-        let _ = write!(line, "d{i}:{}:{:.9}", d.depth, d.utilization);
+        out.push_str(if i > 0 { " d" } else { "d" });
+        push_uint(out, i as u64);
+        push_uint_field(out, ":", d.depth as u64);
+        push_f9_field(out, ":", d.utilization);
     }
-    let _ = write!(
-        line,
-        "] faults=+{} io_retries=+{} msg_retries=+{} progress=[",
-        s.counters.faults_injected, s.counters.io_retries, s.counters.msg_retries
-    );
+    push_uint_field(out, "] faults=+", s.counters.faults_injected);
+    push_uint_field(out, " io_retries=+", s.counters.io_retries);
+    push_uint_field(out, " msg_retries=+", s.counters.msg_retries);
+    out.push_str(" progress=[");
     for (i, p) in s.progress.iter().enumerate() {
-        if i > 0 {
-            line.push(' ');
-        }
-        let _ = write!(line, "j{}:{}/{}", p.job, p.done, p.total);
+        out.push_str(if i > 0 { " j" } else { "j" });
+        push_uint(out, u64::from(p.job));
+        push_uint_field(out, ":", p.done);
+        push_uint_field(out, "/", p.total);
     }
-    line.push(']');
-    line
+    out.push(']');
+}
+
+// ---------------------------------------------------------------------------
+// The digit writer behind both renderers: the exact text `format!` gives
+// `{}` on an unsigned integer and `{:.9}` on an `f64`, without going
+// through `core::fmt`.
+
+/// The two ASCII digits of every value below 100, in order.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+fn put_pair(dst: &mut [u8], v: u64) {
+    let v = v as usize * 2;
+    dst.copy_from_slice(&DIGIT_PAIRS[v..v + 2]);
+}
+
+/// Write the decimal digits of `n` so they end at `buf[end]` (exclusive);
+/// returns where they start.
+fn put_uint(buf: &mut [u8], end: usize, mut n: u64) -> usize {
+    let mut i = end;
+    while n >= 100 {
+        i -= 2;
+        put_pair(&mut buf[i..i + 2], n % 100);
+        n /= 100;
+    }
+    if n >= 10 {
+        i -= 2;
+        put_pair(&mut buf[i..i + 2], n);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + n as u8;
+    }
+    i
+}
+
+/// Append the decimal digits of `n`.
+fn push_uint(out: &mut String, n: u64) {
+    if n < 10 {
+        out.push(char::from(b'0' + n as u8));
+        return;
+    }
+    let mut buf = [0u8; 20];
+    let start = put_uint(&mut buf, 20, n);
+    push_ascii(out, &buf[start..]);
+}
+
+/// Append `x` exactly as `format!("{x:.9}")` renders it.
+///
+/// A finite `|x| < 1e9` is `m·2^-s` with `m < 2^53` and `s ≥ 23`, so
+/// `m·10^9 < 2^83` fits a `u128` and `|x|·10^9` rounds half to even on the
+/// exact remainder of the shift, as `core::fmt` does. Anything else goes
+/// through `core::fmt`.
+fn push_f9(out: &mut String, x: f64) {
+    const SCALE: u64 = 1_000_000_000;
+    if x.is_nan() || x.abs() >= 1e9 {
+        let _ = write!(out, "{x:.9}");
+        return;
+    }
+    let bits = x.to_bits();
+    let biased = ((bits >> 52) & 0x7ff) as u32;
+    let frac = bits & ((1 << 52) - 1);
+    let (m, s) = if biased == 0 {
+        (frac, 1074)
+    } else {
+        (frac | 1 << 52, 1075 - biased)
+    };
+    // Past 2^83 the whole product is under half a unit: it rounds to 0.
+    // Otherwise the rounded quotient is at most 10^18 and fits a `u64`.
+    let q = if s > 83 {
+        0
+    } else {
+        let scaled = u128::from(m) * u128::from(SCALE);
+        let q = (scaled >> s) as u64;
+        let rem = scaled & ((1 << s) - 1);
+        let half = 1 << (s - 1);
+        q + u64::from(rem > half || (rem == half && q & 1 == 1))
+    };
+    // Sign, up to ten integer digits, the point and nine fraction digits,
+    // built right to left.
+    let mut buf = [0u8; 22];
+    let f = q % SCALE;
+    let (hi, lo) = ((f % 100_000_000) / 10_000, f % 10_000);
+    buf[12] = b'.';
+    buf[13] = b'0' + (f / 100_000_000) as u8;
+    put_pair(&mut buf[14..16], hi / 100);
+    put_pair(&mut buf[16..18], hi % 100);
+    put_pair(&mut buf[18..20], lo / 100);
+    put_pair(&mut buf[20..22], lo % 100);
+    let mut start = put_uint(&mut buf, 12, q / SCALE);
+    if bits >> 63 != 0 {
+        start -= 1;
+        buf[start] = b'-';
+    }
+    push_ascii(out, &buf[start..]);
+}
+
+/// Append ASCII bytes. Pushing these few-byte runs char by char measured
+/// faster than checking them with `str::from_utf8` and copying the slice.
+fn push_ascii(out: &mut String, bytes: &[u8]) {
+    out.extend(bytes.iter().map(|&b| char::from(b)));
+}
+
+fn push_uint_field(out: &mut String, key: &str, n: u64) {
+    out.push_str(key);
+    push_uint(out, n);
+}
+
+fn push_f9_field(out: &mut String, key: &str, x: f64) {
+    out.push_str(key);
+    push_f9(out, x);
+}
+
+fn push_bool_field(out: &mut String, key: &str, b: bool) {
+    out.push_str(key);
+    out.push_str(if b { "true" } else { "false" });
 }
 
 /// The order a stream renders in — the one rule behind
@@ -329,8 +463,8 @@ impl EventLog {
         let mut out = String::new();
         for i in render_order(&stamps) {
             match self.events.get(i) {
-                Some(e) => out.push_str(&render_event(e)),
-                None => out.push_str(&render_sample(&self.samples[i - self.events.len()])),
+                Some(e) => render_event_into(&mut out, e),
+                None => render_sample_into(&mut out, &self.samples[i - self.events.len()]),
             }
             out.push('\n');
         }
@@ -620,6 +754,285 @@ mod tests {
 
     fn ev(t: f64, job: u32, kind: ObsKind) -> ObsEvent {
         ObsEvent { t, job, kind }
+    }
+
+    /// The renderers as they were written on `core::fmt`: the oracle the
+    /// digit writer is held to.
+    fn fmt_render_event(e: &ObsEvent) -> String {
+        let mut line = format!("{:.9} j{} {}", e.t, e.job, e.kind.tag());
+        match &e.kind {
+            ObsKind::Admitted { attempt, resumed } => {
+                let _ = write!(line, " attempt={attempt} resumed={resumed}");
+            }
+            ObsKind::Dispatched {
+                disk,
+                rank,
+                seq,
+                wait,
+                service,
+                bytes,
+                write,
+            } => {
+                let _ = write!(
+                    line,
+                    " disk={disk} rank={rank} seq={seq} wait={wait:.9} \
+                     service={service:.9} bytes={bytes} write={write}"
+                );
+            }
+            ObsKind::RetryScheduled {
+                attempt,
+                backoff,
+                resume_at,
+            } => {
+                let _ = write!(
+                    line,
+                    " attempt={attempt} backoff={backoff:.9} resume_at={resume_at:.9}"
+                );
+            }
+            ObsKind::Checkpoint { watermark } => {
+                let _ = write!(line, " watermark={watermark}");
+            }
+            ObsKind::Quarantined { attempts } => {
+                let _ = write!(line, " attempts={attempts}");
+            }
+            ObsKind::Completed {
+                completion,
+                recovered,
+            } => {
+                let _ = write!(line, " completion={completion:.9} recovered={recovered}");
+            }
+            ObsKind::DiskDeath { disk, migrated, at } => {
+                let _ = write!(line, " disk={disk} migrated={migrated} at={at:.9}");
+            }
+            ObsKind::HangInjected { rank } => {
+                let _ = write!(line, " rank={rank}");
+            }
+            ObsKind::Preempted
+            | ObsKind::WatchdogKill
+            | ObsKind::DeadlineKill
+            | ObsKind::Killed => {}
+        }
+        line
+    }
+
+    fn fmt_render_sample(s: &Sample) -> String {
+        let mut line = format!("{:.9} sample in_flight={}", s.t, s.in_flight);
+        line.push_str(" disks=[");
+        for (i, d) in s.disks.iter().enumerate() {
+            if i > 0 {
+                line.push(' ');
+            }
+            let _ = write!(line, "d{i}:{}:{:.9}", d.depth, d.utilization);
+        }
+        let _ = write!(
+            line,
+            "] faults=+{} io_retries=+{} msg_retries=+{} progress=[",
+            s.counters.faults_injected, s.counters.io_retries, s.counters.msg_retries
+        );
+        for (i, p) in s.progress.iter().enumerate() {
+            if i > 0 {
+                line.push(' ');
+            }
+            let _ = write!(line, "j{}:{}/{}", p.job, p.done, p.total);
+        }
+        line.push(']');
+        line
+    }
+
+    fn f9(x: f64) -> String {
+        let mut out = String::new();
+        push_f9(&mut out, x);
+        out
+    }
+
+    #[test]
+    fn digit_writer_matches_fmt_on_the_edges() {
+        let edges = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits((1 << 52) - 1),
+            5e-10,
+            -5e-10,
+            4.9999999999e-10,
+            1.5e-9,
+            2.5e-9,
+            0.5,
+            1.0,
+            999_999_999.999_999_9,
+            1e9,
+            -1e9,
+            1e9 + 0.25,
+            1e300,
+            f64::MAX,
+            f64::MIN,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            u64::MAX as f64,
+        ];
+        let near_1e9 = (1..64u64).flat_map(|k| {
+            [
+                f64::from_bits(1e9f64.to_bits() - k),
+                f64::from_bits(1e9f64.to_bits() + k),
+            ]
+        });
+        for x in edges.into_iter().chain(near_1e9) {
+            assert_eq!(f9(x), format!("{x:.9}"), "{x:e} ({:#x})", x.to_bits());
+        }
+        for n in [0, 1, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX] {
+            let mut out = String::new();
+            push_uint(&mut out, n);
+            assert_eq!(out, n.to_string());
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::bool::ANY as BOOL;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        fn u32s() -> std::ops::Range<u32> {
+            0..u32::MAX
+        }
+
+        fn u64s() -> std::ops::Range<u64> {
+            0..u64::MAX
+        }
+
+        /// Any `f64` bit pattern: NaNs, infinities and subnormals included.
+        fn any_bits() -> impl Strategy<Value = f64> {
+            u64s().prop_map(f64::from_bits)
+        }
+
+        /// Magnitudes a rendered stream holds, 1e-12 to 1e10, either sign.
+        fn in_range() -> impl Strategy<Value = f64> {
+            (-12i32..11, 0u64..1 << 53, BOOL).prop_map(|(e, m, neg)| {
+                let x = (1.0 + m as f64 / (1u64 << 53) as f64 * 9.0) * 10f64.powi(e);
+                if neg {
+                    -x
+                } else {
+                    x
+                }
+            })
+        }
+
+        /// `m / 2^k`, either sign.
+        fn dyadic() -> impl Strategy<Value = f64> {
+            (0u64..1 << 40, 0i32..61, BOOL).prop_map(|(m, k, neg)| {
+                let x = m as f64 / 2f64.powi(k);
+                if neg {
+                    -x
+                } else {
+                    x
+                }
+            })
+        }
+
+        /// Odd `m / 2^10`: the tenth decimal is exactly a 5 with nothing
+        /// after it, so `{:.9}` must round half to even.
+        fn ties() -> impl Strategy<Value = f64> {
+            (0u64..1 << 38).prop_map(|m| (2 * m + 1) as f64 / 1024.0)
+        }
+
+        fn any_f64() -> impl Strategy<Value = f64> {
+            prop_oneof![any_bits(), in_range(), dyadic(), ties()]
+        }
+
+        fn kind() -> impl Strategy<Value = ObsKind> {
+            let n = || 0usize..1 << 20;
+            prop_oneof![
+                (u32s(), BOOL)
+                    .prop_map(|(attempt, resumed)| ObsKind::Admitted { attempt, resumed }),
+                ((n(), n(), n()), (any_f64(), any_f64()), (u64s(), BOOL)).prop_map(
+                    |((disk, rank, seq), (wait, service), (bytes, write))| {
+                        ObsKind::Dispatched {
+                            disk,
+                            rank,
+                            seq,
+                            wait,
+                            service,
+                            bytes,
+                            write,
+                        }
+                    }
+                ),
+                Just(ObsKind::Preempted),
+                Just(ObsKind::WatchdogKill),
+                Just(ObsKind::DeadlineKill),
+                (u32s(), any_f64(), any_f64()).prop_map(|(attempt, backoff, resume_at)| {
+                    ObsKind::RetryScheduled {
+                        attempt,
+                        backoff,
+                        resume_at,
+                    }
+                }),
+                u64s().prop_map(|watermark| ObsKind::Checkpoint { watermark }),
+                u32s().prop_map(|attempts| ObsKind::Quarantined { attempts }),
+                Just(ObsKind::Killed),
+                (any_f64(), BOOL).prop_map(|(completion, recovered)| ObsKind::Completed {
+                    completion,
+                    recovered,
+                }),
+                (n(), n(), any_f64()).prop_map(|(disk, migrated, at)| ObsKind::DiskDeath {
+                    disk,
+                    migrated,
+                    at
+                }),
+                n().prop_map(|rank| ObsKind::HangInjected { rank }),
+            ]
+        }
+
+        fn sample() -> impl Strategy<Value = Sample> {
+            (
+                (any_f64(), 0usize..1 << 20),
+                vec((0usize..64, any_f64()), 0..6),
+                (u64s(), u64s(), u64s()),
+                vec((u32s(), u64s(), u64s()), 0..6),
+            )
+                .prop_map(|((t, in_flight), disks, (f, io, msg), progress)| Sample {
+                    t,
+                    in_flight,
+                    disks: disks
+                        .into_iter()
+                        .map(|(depth, utilization)| DiskSample { depth, utilization })
+                        .collect(),
+                    counters: StatsSnapshot::fault_counts(f, io, msg),
+                    progress: progress
+                        .into_iter()
+                        .map(|(job, done, total)| JobProgress { job, done, total })
+                        .collect(),
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn digit_writer_matches_fmt(xs in vec(any_f64(), 256..257)) {
+                for x in xs {
+                    prop_assert_eq!(f9(x), format!("{x:.9}"), "{:#x}", x.to_bits());
+                }
+            }
+
+            #[test]
+            fn renderers_match_the_fmt_renderers(
+                head in (any_f64(), u32s()),
+                kind in kind(),
+                s in sample(),
+            ) {
+                let e = ev(head.0, head.1, kind);
+                prop_assert_eq!(render_event(&e), fmt_render_event(&e));
+                let mut line = String::from("kept ");
+                render_sample_into(&mut line, &s);
+                prop_assert_eq!(line, format!("kept {}", fmt_render_sample(&s)));
+            }
+        }
     }
 
     #[test]

@@ -33,6 +33,16 @@
 //! connection keeps serving. A client disconnecting mid-stream is simply
 //! dropped from the fan-out.
 //!
+//! ## Event stream
+//!
+//! The drain renders each observatory line exactly once, straight into
+//! one shared buffer (the hub). Every subscriber keeps its own line cursor
+//! into it, copies a batch of frames out under the lock and writes them
+//! outside it, so the run never waits for a slow or stalled client, and
+//! a late subscriber replays the whole stream from line 0. Shutdown
+//! closes every streaming connection, so a subscriber blocked writing to
+//! a client that stopped reading cannot hold up `join`.
+//!
 //! ## Session lifecycle and determinism
 //!
 //! The daemon is a *virtual-time* service: submissions carry virtual
@@ -53,8 +63,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -64,16 +73,26 @@ use ooc_trace::perfetto::escape_json;
 
 use crate::capture::{IoReq, JobProfile};
 use crate::domain::{run_workload_guarded_observed, DomainConfig, GuardedReport, JobOutcome};
-use crate::obs::{render_event, render_order, render_sample, ObsEvent, Sample, WorkloadObserver};
+use crate::obs::{
+    render_event_into, render_order, render_sample_into, ObsEvent, Sample, WorkloadObserver,
+};
 use crate::workload::{validate_specs, JobSpec};
 use crate::SloScorecard;
 
 /// Default ceiling on a single frame's payload, bytes.
 pub const DEFAULT_MAX_FRAME: u32 = 1 << 20;
 
-/// A subscriber's frames are written in batches of about this many bytes:
-/// every line already waiting in its channel goes out in one `write`.
+/// A subscriber copies about this many bytes of frames out of the shared
+/// stream per lock and sends them in one `write`; the publisher wakes
+/// waiting subscribers about once per this many bytes of new text.
 const STREAM_BATCH: usize = 64 << 10;
+
+/// Address space the stream's text reserves before a drain. Untouched
+/// pages cost no memory. The size is above glibc's largest dynamic mmap
+/// threshold (32 MiB), so the buffer is a mapping of its own: it grows by
+/// remapping instead of copying, and goes back to the system when the
+/// daemon ends instead of staying in a thread's malloc arena.
+const STREAM_RESERVE: usize = 64 << 20;
 
 /// Daemon configuration: the guarded runtime the session maps onto, plus
 /// the protocol guards.
@@ -260,6 +279,14 @@ impl Conn {
         }
     }
 
+    fn try_clone(&self) -> io::Result<Conn> {
+        match self {
+            #[cfg(unix)]
+            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
+            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
+        }
+    }
+
     fn shutdown(&self) {
         match self {
             #[cfg(unix)]
@@ -404,28 +431,30 @@ struct State {
     result: Option<DrainResult>,
 }
 
-/// Subscriber fan-out: every rendered line ever published (for late
-/// subscribers to replay) plus the live senders. Dead subscribers are
-/// dropped on send failure — a client disconnecting mid-stream never
-/// stalls the run.
+/// Subscriber fan-out: the whole stream, rendered once. `text` holds
+/// every published line followed by `\n`, in publish order, and `ends[i]`
+/// is the offset just past line `i`'s newline. Each subscriber walks its
+/// own line cursor through it, so a late subscriber replays from line 0
+/// and the run never waits for a slow or dead client.
 #[derive(Default)]
 struct Hub {
-    sent: Vec<String>,
-    subs: Vec<mpsc::Sender<String>>,
+    text: String,
+    ends: Vec<usize>,
+    /// `text.len()` when waiting subscribers were last woken.
+    woken: usize,
+    /// The run is over: no more lines will be published.
     done: bool,
+    /// A second handle on each streaming connection, keyed by subscriber
+    /// id, so shutdown can unblock a subscriber stuck in `write`.
+    subs: Vec<(u64, Conn)>,
+    next_sub: u64,
 }
 
 impl Hub {
-    fn publish(&mut self, line: String) {
-        self.subs.retain(|s| s.send(line.clone()).is_ok());
-        self.sent.push(line);
-    }
-
-    /// The run is over: dropping the senders ends the live streams, and
-    /// late subscribers only replay.
-    fn finish(&mut self) {
-        self.done = true;
-        self.subs.clear();
+    /// Line `i` with its trailing newline.
+    fn line(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
     }
 }
 
@@ -433,6 +462,9 @@ struct Inner {
     cfg: ServeConfig,
     state: Mutex<State>,
     hub: Mutex<Hub>,
+    /// Signalled when the hub has news for waiting subscribers: about
+    /// [`STREAM_BATCH`] bytes of new text, the end of the run, or shutdown.
+    hub_news: Condvar,
     stop: AtomicBool,
     /// The daemon's own listener — the shutdown path self-connects through
     /// it to wake the blocking accept loop.
@@ -440,10 +472,43 @@ struct Inner {
 }
 
 impl Inner {
+    fn hub(&self) -> MutexGuard<'_, Hub> {
+        self.hub.lock().expect("no hub holder panics")
+    }
+
+    /// Append one line to the stream. `render` writes it without the
+    /// newline.
+    fn publish(&self, render: impl FnOnce(&mut String)) {
+        let mut hub = self.hub();
+        render(&mut hub.text);
+        hub.text.push('\n');
+        let end = hub.text.len();
+        hub.ends.push(end);
+        // One wake per batch: a wake per line would be a futex syscall
+        // per line.
+        if end - hub.woken >= STREAM_BATCH {
+            hub.woken = end;
+            self.hub_news.notify_all();
+        }
+    }
+
+    /// The run is over: live subscribers send what is left and their end
+    /// frame; later ones only replay.
+    fn finish_stream(&self) {
+        self.hub().done = true;
+        self.hub_news.notify_all();
+    }
+
     fn begin_shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Dropping the senders releases any live subscriber streams.
-        self.hub.lock().unwrap().subs.clear();
+        // Closing every streaming connection unblocks a subscriber stuck
+        // in `write` to a client that stopped reading; the flag is set
+        // before the hub lock is taken, so a waiting subscriber cannot
+        // miss it.
+        for (_, conn) in &self.hub().subs {
+            conn.shutdown();
+        }
+        self.hub_news.notify_all();
         self.listener.wake();
     }
 }
@@ -489,6 +554,7 @@ pub fn serve(listener: Listener, cfg: ServeConfig) -> DaemonHandle {
             result: None,
         }),
         hub: Mutex::new(Hub::default()),
+        hub_news: Condvar::new(),
         stop: AtomicBool::new(false),
         listener,
     });
@@ -529,7 +595,7 @@ enum Flow {
     Continue,
     Close,
     /// Switch into subscriber streaming (takes over the connection).
-    Stream(mpsc::Receiver<String>),
+    Stream,
 }
 
 fn handle_conn(inner: Arc<Inner>, conn: Conn) {
@@ -552,8 +618,8 @@ fn handle_conn(inner: Arc<Inner>, conn: Conn) {
                             conn.get_ref().shutdown();
                             return;
                         }
-                        Flow::Stream(rx) => {
-                            stream_subscriber(&inner, conn.into_inner(), rx);
+                        Flow::Stream => {
+                            stream_subscriber(&inner, conn.into_inner());
                             return;
                         }
                     }
@@ -577,45 +643,87 @@ fn handle_conn(inner: Arc<Inner>, conn: Conn) {
     }
 }
 
-/// Stream the event fan-out to one subscriber until the run completes (or
-/// the client goes away), then send the end frame. Each `write` carries
-/// every line already waiting (up to about [`STREAM_BATCH`] bytes), one
-/// frame per line, so the byte stream is the same as one write per frame.
-fn stream_subscriber(inner: &Inner, mut conn: Conn, rx: mpsc::Receiver<String>) {
+/// Stream the hub to one subscriber from line 0 until the run completes
+/// (or the client goes away, or the daemon shuts down), then send the end
+/// frame. Each pass copies up to about [`STREAM_BATCH`] bytes of frames
+/// under the hub lock and writes them with one `write` outside it. Each
+/// line is its own frame, so the byte stream is the same as one write per
+/// frame.
+fn stream_subscriber(inner: &Inner, mut conn: Conn) {
     // The subscriber only writes from here on; reads would hit the idle
     // timeout long before a large run finishes.
     let _ = conn.set_read_timeout(None);
-    let mut batch: Vec<u8> = Vec::with_capacity(2 * STREAM_BATCH);
-    while let Ok(first) = rx.recv() {
+    let Ok(handle) = conn.try_clone() else {
+        conn.shutdown();
+        return;
+    };
+    let id = {
+        let mut hub = inner.hub();
+        let id = hub.next_sub;
+        hub.next_sub += 1;
+        hub.subs.push((id, handle));
+        id
+    };
+    let mut batch: Vec<u8> = Vec::with_capacity(STREAM_BATCH + (4 << 10));
+    let mut next = 0;
+    let ended = loop {
         batch.clear();
-        let mut line = Some(first);
-        while let Some(l) = line {
-            let frame = format!("{{\"line\":\"{}\"}}", escape_json(&l));
-            if push_frame(&mut batch, &frame).is_err() {
-                return;
+        {
+            let stopping = || inner.stop.load(Ordering::SeqCst);
+            let mut hub = inner.hub();
+            while next == hub.ends.len() && !hub.done && !stopping() {
+                hub = inner.hub_news.wait(hub).expect("no hub holder panics");
             }
-            line = if batch.len() < STREAM_BATCH {
-                rx.try_recv().ok()
-            } else {
-                None
-            };
+            if stopping() {
+                break false;
+            }
+            if next == hub.ends.len() {
+                break true; // the run is over and every line went out
+            }
+            while next < hub.ends.len() && batch.len() < STREAM_BATCH {
+                push_line_frame(&mut batch, hub.line(next));
+                next += 1;
+            }
         }
         if conn.write_all(&batch).is_err() {
-            return; // client disconnected mid-stream; drop it
+            break false; // client disconnected mid-stream; drop it
         }
-    }
-    // Senders are gone: the drain finished (or the daemon shut down).
-    let st = inner.state.lock().unwrap();
-    let end = match &st.result {
-        Some(r) => format!(
-            "{{\"end\":true,\"events\":{},\"samples\":{},\"stream_fnv\":\"{:016x}\"}}",
-            r.events, r.samples, r.stream_fnv
-        ),
-        None => "{\"end\":true}".to_string(),
     };
-    drop(st);
-    let _ = write_frame(&mut conn, &end);
+    inner.hub().subs.retain(|&(k, _)| k != id);
+    if ended {
+        let st = inner.state.lock().unwrap();
+        let end = match &st.result {
+            Some(r) => format!(
+                "{{\"end\":true,\"events\":{},\"samples\":{},\"stream_fnv\":\"{:016x}\"}}",
+                r.events, r.samples, r.stream_fnv
+            ),
+            None => "{\"end\":true}".to_string(),
+        };
+        drop(st);
+        let _ = write_frame(&mut conn, &end);
+    }
     conn.shutdown();
+}
+
+/// Append `line` (which ends in `\n`) as one `{"line":…}` frame, without
+/// the newline. Rendered lines hold nothing JSON must escape, so the
+/// payload is normally three copies; [`escape_json`] runs only if one does.
+fn push_line_frame(out: &mut Vec<u8>, line: &str) {
+    const HEAD: &[u8] = b"{\"line\":\"";
+    const TAIL: &[u8] = b"\"}";
+    let line = line.strip_suffix('\n').unwrap_or(line);
+    let escaped;
+    let body = if line.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        escaped = escape_json(line);
+        escaped.as_str()
+    } else {
+        line
+    };
+    let len = u32::try_from(HEAD.len() + body.len() + TAIL.len()).expect("a line fits a frame");
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(HEAD);
+    out.extend_from_slice(body.as_bytes());
+    out.extend_from_slice(TAIL);
 }
 
 fn handle_request(inner: &Inner, text: &str) -> Result<(String, Flow), ProtoError> {
@@ -629,13 +737,10 @@ fn handle_request(inner: &Inner, text: &str) -> Result<(String, Flow), ProtoErro
     match op {
         "submit" => op_submit(inner, &req).map(|r| (r, Flow::Continue)),
         "status" => Ok((op_status(inner), Flow::Continue)),
-        "subscribe" => {
-            let rx = op_subscribe(inner);
-            Ok((
-                "{\"ok\":true,\"subscribed\":true}".to_string(),
-                Flow::Stream(rx),
-            ))
-        }
+        "subscribe" => Ok((
+            "{\"ok\":true,\"subscribed\":true}".to_string(),
+            Flow::Stream,
+        )),
         "drain" => op_drain(inner).map(|r| (r, Flow::Continue)),
         "scorecard" => op_scorecard(inner).map(|r| (r, Flow::Continue)),
         "shutdown" => {
@@ -814,37 +919,23 @@ fn op_status(inner: &Inner) -> String {
     )
 }
 
-fn op_subscribe(inner: &Inner) -> mpsc::Receiver<String> {
-    let (tx, rx) = mpsc::channel();
-    let mut hub = inner.hub.lock().unwrap();
-    // Late subscriber: replay everything already published, then go live
-    // (or, post-drain, straight to the end frame — the sender drops here).
-    for line in &hub.sent {
-        let _ = tx.send(line.clone());
-    }
-    if !hub.done {
-        hub.subs.push(tx);
-    }
-    rx
-}
-
 /// The observatory observer that feeds the subscriber fan-out. Each line
-/// is rendered once, on publish; the hub keeps it, and `stamps` keeps its
-/// time and kind so the drain can hash the lines in render order.
+/// is rendered once, straight into the hub; `stamps` keeps its time and
+/// kind so the drain can hash the lines in render order.
 struct Broadcast<'a> {
-    hub: &'a Mutex<Hub>,
+    inner: &'a Inner,
     /// (time, is a sample) of every published line, in publish order.
     stamps: Vec<(f64, bool)>,
 }
 
 impl WorkloadObserver for Broadcast<'_> {
     fn event(&mut self, e: &ObsEvent) {
-        self.hub.lock().unwrap().publish(render_event(e));
+        self.inner.publish(|text| render_event_into(text, e));
         self.stamps.push((e.t, false));
     }
 
     fn sample(&mut self, s: &Sample) {
-        self.hub.lock().unwrap().publish(render_sample(s));
+        self.inner.publish(|text| render_sample_into(text, s));
         self.stamps.push((s.t, true));
     }
 }
@@ -866,8 +957,9 @@ fn op_drain(inner: &Inner) -> Result<String, ProtoError> {
     // Deterministic execution order regardless of socket interleaving:
     // names are unique, so (submit, name) is a total order.
     specs.sort_by(|a, b| a.submit.total_cmp(&b.submit).then(a.name.cmp(&b.name)));
+    inner.hub().text.reserve(STREAM_RESERVE);
     let mut obs = Broadcast {
-        hub: &inner.hub,
+        inner,
         stamps: Vec::new(),
     };
     let run =
@@ -879,7 +971,7 @@ fn op_drain(inner: &Inner) -> Result<String, ProtoError> {
             // land here. Fail closed: the session is over, and waiting
             // subscribers are released to their end frame.
             inner.state.lock().unwrap().phase = Phase::Drained;
-            inner.hub.lock().unwrap().finish();
+            inner.finish_stream();
             return Err(ProtoError::Refused {
                 kind: "admission".to_string(),
                 detail: e.to_string(),
@@ -890,12 +982,10 @@ fn op_drain(inner: &Inner) -> Result<String, ProtoError> {
     // subscriber end frame: the digest of `EventLog::render`, computed from
     // the lines already published.
     let stream_fnv = {
-        let hub = inner.hub.lock().expect("no hub holder panics");
+        let hub = inner.hub();
         render_order(&obs.stamps)
             .into_iter()
-            .fold(Fnv1a::new(), |h, i| {
-                h.bytes(hub.sent[i].as_bytes()).bytes(b"\n")
-            })
+            .fold(Fnv1a::new(), |h, i| h.bytes(hub.line(i).as_bytes()))
             .finish()
     };
     let samples = obs.stamps.iter().filter(|&&(_, sample)| sample).count();
@@ -916,7 +1006,7 @@ fn op_drain(inner: &Inner) -> Result<String, ProtoError> {
         st.phase = Phase::Drained;
     }
     // Each released subscriber reads the end frame from the stored result.
-    inner.hub.lock().unwrap().finish();
+    inner.finish_stream();
     Ok(summary)
 }
 

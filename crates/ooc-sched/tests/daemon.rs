@@ -5,12 +5,16 @@
 //! timeouts. Everything runs over real sockets on the loopback interface
 //! (TCP on every platform, Unix-domain where available).
 
+use std::sync::mpsc;
 use std::time::Duration;
 
 use ooc_sched::serve::{
     serve, submit_json, write_frame, Client, Listener, ProtoError, ServeConfig,
 };
-use ooc_sched::{DomainConfig, IoReq, JobProfile, JobSpec};
+use ooc_sched::{
+    run_workload_guarded_observed, DomainConfig, EventLog, IoReq, JobProfile, JobSpec,
+};
+use ooc_trace::digest::Fnv1a;
 use ooc_trace::json::Json;
 
 fn profile(reqs: usize, dt: f64) -> JobProfile {
@@ -71,6 +75,51 @@ fn ok_num(resp: &Json, key: &str) -> f64 {
     resp.get(key)
         .and_then(Json::as_num)
         .unwrap_or_else(|| panic!("missing {key} in {resp:?}"))
+}
+
+/// Read a subscriber stream to its end frame: the lines, the bytes of
+/// line text received, and the end frame.
+fn read_stream(sub: &mut Client) -> (Vec<String>, usize, Json) {
+    let mut lines = Vec::new();
+    let mut bytes = 0;
+    loop {
+        let frame = sub.next_frame().unwrap().expect("stream ends with a frame");
+        if matches!(frame.get("end"), Some(Json::Bool(true))) {
+            return (lines, bytes, frame);
+        }
+        let line = frame.get("line").and_then(Json::as_str).unwrap();
+        bytes += line.len();
+        lines.push(line.to_string());
+    }
+}
+
+/// 400 jobs of two 200-request streams: the stream it publishes is far
+/// larger than the loopback socket buffers, so a subscriber that never
+/// reads leaves its connection thread blocked in `write`.
+fn submit_big_session(addr: &str) -> Client {
+    let mut c = Client::connect_tcp(addr).unwrap();
+    for i in 0..400 {
+        let spec =
+            JobSpec::new(format!("big-{i:03}"), profile(200, 1.0)).with_submit(i as f64 * 0.25);
+        c.request(&submit_json(&format!("tenant-{}", i % 7), &spec))
+            .unwrap();
+    }
+    c
+}
+
+/// Run `f` on its own thread and wait at most `limit` for it. A thread
+/// that overruns is left behind: there is nothing to join it with.
+fn within(limit: Duration, f: impl FnOnce() + Send + 'static) -> bool {
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        f();
+        let _ = tx.send(());
+    });
+    let done = rx.recv_timeout(limit).is_ok();
+    if done {
+        worker.join().unwrap();
+    }
+    done
 }
 
 #[test]
@@ -340,6 +389,98 @@ fn subscribers_stream_replay_and_survive_mid_run_disconnects() {
     drop(submitter);
     drop(live);
     drop(late);
+    stop(daemon);
+}
+
+/// The daemon's stream checked against an oracle outside it: the same
+/// specs and configuration run in process through the guarded runtime
+/// with an [`EventLog`]. The live subscriber sees exactly the render's
+/// lines (the daemon publishes in delivery order, the render merges by
+/// time, so they are compared as multisets), and the drain's `stream_fnv`
+/// is the FNV-1a digest of that render.
+#[test]
+fn the_daemon_stream_matches_an_in_process_event_log() {
+    let cfg = chaos_cfg();
+    let daemon = start_tcp(cfg.clone());
+    let mut live = Client::connect_tcp(&daemon.addr).unwrap();
+    live.request("{\"op\":\"subscribe\"}").unwrap();
+    let mut c = Client::connect_tcp(&daemon.addr).unwrap();
+    for (tenant, spec) in specs() {
+        c.request(&submit_json(&tenant, &spec)).unwrap();
+    }
+    let summary = c.request("{\"op\":\"drain\"}").unwrap();
+    let (mut lines, _, end) = read_stream(&mut live);
+    drop(live);
+    drop(c);
+    stop(daemon);
+
+    let mut specs: Vec<JobSpec> = specs().into_iter().map(|(_, s)| s).collect();
+    specs.sort_by(|a, b| a.submit.total_cmp(&b.submit).then(a.name.cmp(&b.name)));
+    let mut log = EventLog::default();
+    run_workload_guarded_observed(&specs, &cfg.domain, cfg.sample_every, &mut log).unwrap();
+    let render = log.render();
+    let mut oracle: Vec<&str> = render.lines().collect();
+    assert!(log.events.len() > 20 && !log.samples.is_empty());
+    assert_eq!(lines.len(), log.events.len() + log.samples.len());
+    lines.sort();
+    oracle.sort();
+    assert_eq!(lines, oracle, "the live stream is not the render's lines");
+    let fnv = format!("{:016x}", Fnv1a::new().bytes(render.as_bytes()).finish());
+    assert_eq!(
+        summary.get("stream_fnv").and_then(Json::as_str),
+        Some(fnv.as_str())
+    );
+    assert_eq!(
+        end.get("stream_fnv").and_then(Json::as_str),
+        Some(fnv.as_str())
+    );
+}
+
+/// A subscriber that stops reading once the socket buffers fill must not
+/// wedge shutdown: its connection thread sits in `write`, and shutdown
+/// closes the connection under it.
+#[test]
+fn a_stalled_subscriber_does_not_wedge_shutdown() {
+    let daemon = start_tcp(chaos_cfg());
+    let mut stalled = Client::connect_tcp(&daemon.addr).unwrap();
+    stalled.request("{\"op\":\"subscribe\"}").unwrap();
+    let mut c = submit_big_session(&daemon.addr);
+    let summary = c.request("{\"op\":\"drain\"}").unwrap();
+    assert_eq!(ok_num(&summary, "jobs"), 400.0);
+    drop(c);
+    let stopped = within(Duration::from_secs(10), move || stop(daemon));
+    assert!(
+        stopped,
+        "shutdown + join wedged behind a stalled subscriber"
+    );
+    drop(stalled);
+}
+
+/// The drain never waits for subscribers: one that never reads does not
+/// hold up the run, and another one still receives every line and the
+/// matching end frame.
+#[test]
+fn the_drain_never_waits_for_a_subscriber_that_does_not_read() {
+    let daemon = start_tcp(chaos_cfg());
+    let mut stalled = Client::connect_tcp(&daemon.addr).unwrap();
+    stalled.request("{\"op\":\"subscribe\"}").unwrap();
+    let mut reader = Client::connect_tcp(&daemon.addr).unwrap();
+    reader.request("{\"op\":\"subscribe\"}").unwrap();
+    let mut c = submit_big_session(&daemon.addr);
+    let summary = c.request("{\"op\":\"drain\"}").unwrap();
+    let (lines, bytes, end) = read_stream(&mut reader);
+    let fnv = summary.get("stream_fnv").and_then(Json::as_str).unwrap();
+    assert_eq!(end.get("stream_fnv").and_then(Json::as_str), Some(fnv));
+    assert_eq!(
+        lines.len(),
+        (ok_num(&end, "events") + ok_num(&end, "samples")) as usize
+    );
+    // More than the loopback buffers hold, so the other subscriber is
+    // really stalled.
+    assert!(bytes > 16 << 20, "only {bytes} bytes streamed");
+    drop(stalled);
+    drop(reader);
+    drop(c);
     stop(daemon);
 }
 
