@@ -49,13 +49,24 @@ fn clamp_split(strategy: SlabStrategy, n: usize, p: usize, ma: usize, mb: usize)
 }
 
 /// Split `elems` of memory into `(slab_a, slab_b)` thicknesses.
-pub fn split_gaxpy_budget(
+///
+/// [`MemoryPolicy::Search`] scores a grid of split fractions. Without a
+/// slab cache (`cache_budget` `None`) the objective is the closed-form
+/// read time; when the target runs with a cache of `cache_budget` bytes,
+/// each candidate split is walked through the reuse predictor
+/// ([`crate::reuse::gaxpy_cached_totals`]) instead — cached executions
+/// reward splits the uncached formulas undervalue (e.g. an A slab that fits
+/// residently). The predictor walks the full access sequence per grid
+/// point, so a cached search is meant for compile-time sizing over moderate
+/// problem sizes, not inner loops. The other policies ignore the cache.
+pub fn split_gaxpy_budget_with_cache(
     strategy: SlabStrategy,
     n: usize,
     p: usize,
     elems: usize,
     policy: MemoryPolicy,
     model: &CostModel,
+    cache_budget: Option<usize>,
 ) -> (usize, usize) {
     let clamp = |ma: usize, mb: usize| clamp_split(strategy, n, p, ma, mb);
     match policy {
@@ -69,11 +80,15 @@ pub fn split_gaxpy_budget(
             clamp(ma, elems - ma)
         }
         MemoryPolicy::Search => {
+            let objective = |sa, sb| match cache_budget {
+                None => time_estimate(strategy, n, p, sa, sb, model),
+                Some(budget) => cached_time_estimate(strategy, n, p, sa, sb, budget, model),
+            };
             let mut best: Option<(f64, (usize, usize))> = None;
             for pct in (5..=95).step_by(5) {
                 let ma = elems * pct / 100;
                 let (sa, sb) = clamp(ma, elems - ma);
-                let time = time_estimate(strategy, n, p, sa, sb, model);
+                let time = objective(sa, sb);
                 if best.map(|(t, _)| time < t).unwrap_or(true) {
                     best = Some((time, (sa, sb)));
                 }
@@ -81,39 +96,6 @@ pub fn split_gaxpy_budget(
             best.expect("non-empty search").1
         }
     }
-}
-
-/// Like [`split_gaxpy_budget`], but when the target runs with a slab cache
-/// of `cache_budget` bytes, the [`MemoryPolicy::Search`] grid is scored by
-/// walking each candidate split through the reuse predictor
-/// ([`crate::reuse::gaxpy_cached_totals`]) instead of the closed-form
-/// request counts — cached executions reward splits the uncached formulas
-/// undervalue (e.g. an A slab that fits residently). Other policies, and an
-/// uncached target, delegate unchanged. The predictor walks the full access
-/// sequence per grid point, so this is meant for compile-time search over
-/// moderate problem sizes, not inner loops.
-pub fn split_gaxpy_budget_with_cache(
-    strategy: SlabStrategy,
-    n: usize,
-    p: usize,
-    elems: usize,
-    policy: MemoryPolicy,
-    model: &CostModel,
-    cache_budget: Option<usize>,
-) -> (usize, usize) {
-    let (Some(budget), MemoryPolicy::Search) = (cache_budget, policy) else {
-        return split_gaxpy_budget(strategy, n, p, elems, policy, model);
-    };
-    let mut best: Option<(f64, (usize, usize))> = None;
-    for pct in (5..=95).step_by(5) {
-        let ma = elems * pct / 100;
-        let (sa, sb) = clamp_split(strategy, n, p, ma, elems - ma);
-        let time = cached_time_estimate(strategy, n, p, sa, sb, budget, model);
-        if best.map(|(t, _)| time < t).unwrap_or(true) {
-            best = Some((time, (sa, sb)));
-        }
-    }
-    best.expect("non-empty search").1
 }
 
 /// Modeled I/O time of a cached execution of the paper's plan
@@ -238,13 +220,14 @@ mod tests {
     #[test]
     fn equal_split_halves_memory() {
         let elems = 2 * 256 * 128; // Table 2's 512-column budget (x128 elems)
-        let (sa, sb) = split_gaxpy_budget(
+        let (sa, sb) = split_gaxpy_budget_with_cache(
             SlabStrategy::RowSlab,
             N,
             P,
             elems,
             MemoryPolicy::EqualSplit,
             &CostModel::delta(P),
+            None,
         );
         // epi are both 128 for 2K/16: equal thicknesses.
         assert_eq!(sa, sb);
@@ -255,13 +238,14 @@ mod tests {
     fn access_weighted_gives_dominant_array_more() {
         // Column version: A streams N times, B once -> A gets more memory.
         let elems = 1 << 18;
-        let (sa, sb) = split_gaxpy_budget(
+        let (sa, sb) = split_gaxpy_budget_with_cache(
             SlabStrategy::ColumnSlab,
             N,
             P,
             elems,
             MemoryPolicy::AccessWeighted,
             &CostModel::delta(P),
+            None,
         );
         let epi_a = N;
         let epi_b = N / P;
@@ -277,21 +261,23 @@ mod tests {
     fn search_beats_or_matches_equal_split() {
         for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
             let elems = 1 << 17;
-            let (ea, eb) = split_gaxpy_budget(
+            let (ea, eb) = split_gaxpy_budget_with_cache(
                 strategy,
                 N,
                 P,
                 elems,
                 MemoryPolicy::EqualSplit,
                 &CostModel::delta(P),
+                None,
             );
-            let (oa, ob) = split_gaxpy_budget(
+            let (oa, ob) = split_gaxpy_budget_with_cache(
                 strategy,
                 N,
                 P,
                 elems,
                 MemoryPolicy::Search,
                 &CostModel::delta(P),
+                None,
             );
             let m = CostModel::delta(P);
             assert!(
@@ -311,8 +297,9 @@ mod tests {
         ] {
             for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
                 for elems in [16usize, 1 << 10, 1 << 24] {
+                    let m = CostModel::delta(4);
                     let (sa, sb) =
-                        split_gaxpy_budget(strategy, 64, 4, elems, policy, &CostModel::delta(4));
+                        split_gaxpy_budget_with_cache(strategy, 64, 4, elems, policy, &m, None);
                     assert!(sa >= 1 && sa <= a_slab_extent(strategy, 64, 4));
                     assert!((1..=64).contains(&sb));
                 }
@@ -321,18 +308,100 @@ mod tests {
     }
 
     #[test]
-    fn cache_aware_search_delegates_without_a_cache() {
+    fn uncached_split_is_the_closed_form_choice() {
+        // Splits the closed-form policies chose before the cached and
+        // uncached searches shared one grid loop.
+        let pinned = [
+            (
+                MemoryPolicy::AccessWeighted,
+                SlabStrategy::ColumnSlab,
+                64,
+                4,
+                1 << 10,
+                (14, 7),
+            ),
+            (
+                MemoryPolicy::AccessWeighted,
+                SlabStrategy::ColumnSlab,
+                100,
+                7,
+                3000,
+                (15, 18),
+            ),
+            (
+                MemoryPolicy::AccessWeighted,
+                SlabStrategy::RowSlab,
+                64,
+                4,
+                1 << 10,
+                (54, 9),
+            ),
+            (
+                MemoryPolicy::AccessWeighted,
+                SlabStrategy::RowSlab,
+                2048,
+                16,
+                1 << 20,
+                (2048, 177),
+            ),
+            (
+                MemoryPolicy::EqualSplit,
+                SlabStrategy::ColumnSlab,
+                100,
+                7,
+                3000,
+                (15, 100),
+            ),
+            (
+                MemoryPolicy::Search,
+                SlabStrategy::ColumnSlab,
+                64,
+                4,
+                1 << 10,
+                (8, 32),
+            ),
+            (
+                MemoryPolicy::Search,
+                SlabStrategy::RowSlab,
+                2048,
+                16,
+                1 << 20,
+                (2048, 2048),
+            ),
+        ];
+        for (policy, strategy, n, p, elems, want) in pinned {
+            let m = CostModel::delta(p);
+            let got = split_gaxpy_budget_with_cache(strategy, n, p, elems, policy, &m, None);
+            assert_eq!(
+                got, want,
+                "{policy:?} {strategy:?} n={n} p={p} elems={elems}"
+            );
+        }
+        // Without a cache the search is the first grid point minimizing the
+        // closed-form read time, and the cache changes only the search.
         let m = CostModel::delta(4);
-        for policy in [
-            MemoryPolicy::EqualSplit,
-            MemoryPolicy::AccessWeighted,
-            MemoryPolicy::Search,
-        ] {
-            for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
-                let plain = split_gaxpy_budget(strategy, 64, 4, 1 << 10, policy, &m);
-                let cached =
-                    split_gaxpy_budget_with_cache(strategy, 64, 4, 1 << 10, policy, &m, None);
-                assert_eq!(plain, cached, "{policy:?} {strategy:?}");
+        for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
+            for elems in [16usize, 300, 1 << 10, 1 << 14] {
+                let split = |policy, cache| {
+                    split_gaxpy_budget_with_cache(strategy, 64, 4, elems, policy, &m, cache)
+                };
+                let mut best: Option<(f64, (usize, usize))> = None;
+                for pct in (5..=95).step_by(5) {
+                    let ma = elems * pct / 100;
+                    let (sa, sb) = clamp_split(strategy, 64, 4, ma, elems - ma);
+                    let t = time_estimate(strategy, 64, 4, sa, sb, &m);
+                    if best.is_none_or(|(b, _)| t < b) {
+                        best = Some((t, (sa, sb)));
+                    }
+                }
+                assert_eq!(split(MemoryPolicy::Search, None), best.unwrap().1);
+                for policy in [MemoryPolicy::EqualSplit, MemoryPolicy::AccessWeighted] {
+                    assert_eq!(
+                        split(policy, None),
+                        split(policy, Some(1 << 14)),
+                        "{policy:?}"
+                    );
+                }
             }
         }
     }
@@ -345,7 +414,15 @@ mod tests {
         let budget = 1 << 14;
         for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
             for elems in [256usize, 1 << 11] {
-                let (ua, ub) = split_gaxpy_budget(strategy, n, p, elems, MemoryPolicy::Search, &m);
+                let (ua, ub) = split_gaxpy_budget_with_cache(
+                    strategy,
+                    n,
+                    p,
+                    elems,
+                    MemoryPolicy::Search,
+                    &m,
+                    None,
+                );
                 let (ca, cb) = split_gaxpy_budget_with_cache(
                     strategy,
                     n,
@@ -430,13 +507,14 @@ mod tests {
         // so A carries the larger weight and gets the larger slab.
         let (ka, kb) = stream_weights(SlabStrategy::RowSlab, N, P, 2 * 256 * 128);
         assert!(ka >= kb, "A weight {ka} must not be below B weight {kb}");
-        let (sa, sb) = split_gaxpy_budget(
+        let (sa, sb) = split_gaxpy_budget_with_cache(
             SlabStrategy::RowSlab,
             N,
             P,
             1 << 18,
             MemoryPolicy::AccessWeighted,
             &CostModel::delta(P),
+            None,
         );
         // epi is equal for both at 2K/16, so thickness compares memory.
         assert!(sa >= sb, "A slab {sa} must not be below B slab {sb}");

@@ -7,7 +7,7 @@
 //! operation sequence, so predicted and measured I/O metrics agree
 //! request-for-request (ragged final slabs included).
 
-use ooc_array::{local_section_of_global, ArrayDesc, DimRange, RedistPieces, Section};
+use ooc_array::{ArrayDesc, DimRange, RemapSchedule, Section};
 use pario::{Access, IoMethod, Tally};
 
 use crate::ir::NestNode;
@@ -364,107 +364,90 @@ pub fn remap_nodes(r: &RemapSpec, rank: usize) -> Vec<NestNode> {
 }
 
 /// One remap-style access on one rank — a redistribution or a transpose —
-/// as the disk accesses and messages its executor issues, walked once from
-/// the executor's own piece geometry. [`RemapGeometry::nodes`] tallies them
-/// through the disk's decision rule ([`Tally`]) under any access method, so
-/// one walk prices every candidate of [`crate::reorg::choose_io_method`]
-/// exactly.
+/// as the tally of its [`RemapSchedule`]: the disk accesses and messages
+/// the executor issues from that same schedule. [`RemapGeometry::nodes`]
+/// tallies them through the disk's decision rule ([`Tally`]) under any
+/// access method, so one schedule prices every candidate of
+/// [`crate::reorg::choose_io_method`] exactly.
 #[derive(Debug, Clone)]
 pub struct RemapGeometry {
     src: String,
     dst: String,
     label: String,
     elem_size: u64,
-    /// Direct and sieved: every piece read from the source and written to
-    /// the destination, and the point-to-point messages and their bytes.
+    /// Direct and sieved: every section read from the source and every
+    /// received piece written to the destination.
     reads: Vec<Access>,
     writes: Vec<Access>,
+    /// Two-phase: each stage's union read.
+    unions: Vec<Access>,
+    /// Point-to-point messages and their bytes; the all-to-all carries the
+    /// same bytes.
     sends: (u64, u64),
-    /// Two-phase: the source reads, the all-to-all messages (every
-    /// exchange posts to every peer; together they carry the same bytes),
-    /// and the one write of the assembled destination.
-    collective_reads: Vec<Access>,
+    /// All-to-all messages: every exchange posts to every peer.
     collective_messages: u64,
+    /// The assembled destination two-phase writes at once.
     dst_bytes: u64,
 }
 
 impl RemapGeometry {
-    /// The redistribution of `r.src` into `r.tmp` on `rank`: one read and
-    /// one message (or local write) per outgoing piece, one write per
-    /// incoming piece. Two-phase reads the union of the outgoing pieces.
+    /// The redistribution of `r.src` into `r.tmp` on `rank`.
     pub fn redistribution(r: &RemapSpec, rank: usize) -> RemapGeometry {
-        let pieces = RedistPieces::of(&r.src, &r.tmp, rank);
+        let schedule = RemapSchedule::redistribution(&r.src, &r.tmp, rank);
         let label = format!("remap `{}` to the lhs distribution", r.src.name);
-        let mut g = RemapGeometry::new(&r.src, &r.tmp, rank, label);
-        let src_local = r.src.local_shape(rank);
-        for (j, piece) in pieces.send.iter().enumerate() {
-            if let Some(piece) = piece {
-                g.reads.push(r.src.section_access(&src_local, piece));
-                g.send(j != rank, piece);
-            }
-        }
-        let dst_local = r.tmp.local_shape(rank);
-        for piece in pieces.recv.iter().flatten() {
-            g.writes.push(r.tmp.section_access(&dst_local, piece));
-        }
-        // The destination distribution partitions the global array, so the
-        // outgoing pieces tile the local source: their union is all of it.
-        let union = Access::contiguous(src_local.len() as u64 * g.elem_size);
-        g.collective_reads.push(union);
-        g
+        RemapGeometry::of(&r.src, &r.tmp, rank, &schedule, label)
     }
 
-    /// The transpose `plan` on `rank`: per stage, one read of its source
-    /// slab and one message (or local write) per piece of it, one write per
-    /// piece of another rank's slab it receives. Two-phase reads the same
-    /// slabs and exchanges once per stage.
+    /// The transpose `plan` on `rank`.
     pub fn transpose(plan: &TransposePlan, rank: usize) -> RemapGeometry {
-        let (slabs, stages) = plan.slab_plans();
-        let label = "transpose exchange".to_string();
-        let mut g = RemapGeometry::new(&plan.src, &plan.dst, rank, label);
-        let src_local = plan.src.local_shape(rank);
-        for slab in slabs[rank].iter() {
-            g.reads.push(plan.src.section_access(&src_local, &slab));
-            for j in 0..slabs.len() {
-                if let Some(piece) = plan.piece(rank, &slab, j) {
-                    g.send(j != rank, &piece);
-                }
-            }
-        }
-        let dst_local = plan.dst.local_shape(rank);
-        for (q, peer) in slabs.iter().enumerate() {
-            for piece in peer.iter().filter_map(|slab| plan.piece(q, &slab, rank)) {
-                let local = local_section_of_global(&plan.dst.dist, rank, &piece)
-                    .expect("receiver owns the piece");
-                g.writes.push(plan.dst.section_access(&dst_local, &local));
-            }
-        }
-        g.collective_reads = g.reads.clone();
-        g.collective_messages *= stages as u64;
-        g
+        let schedule = plan.schedule(rank);
+        RemapGeometry::of(
+            &plan.src,
+            &plan.dst,
+            rank,
+            &schedule,
+            "transpose exchange".into(),
+        )
     }
 
-    fn new(src: &ArrayDesc, dst: &ArrayDesc, rank: usize, label: String) -> RemapGeometry {
+    /// The tally of `rank`'s `schedule` remapping `src` into `dst`.
+    pub fn of(
+        src: &ArrayDesc,
+        dst: &ArrayDesc,
+        rank: usize,
+        schedule: &RemapSchedule,
+        label: String,
+    ) -> RemapGeometry {
         let elem_size = src.elem.size() as u64;
+        let (src_local, dst_local) = (src.local_shape(rank), dst.local_shape(rank));
+        let stages = &schedule.stages;
+        let mut sends = (0, 0);
+        for (j, piece) in stages.iter().flat_map(|s| &s.sends) {
+            if *j != rank {
+                sends.0 += 1;
+                sends.1 += piece.len() as u64 * elem_size;
+            }
+        }
+        let src_access = |sec: &Section| src.section_access(&src_local, sec);
         RemapGeometry {
             src: src.name.clone(),
             dst: dst.name.clone(),
             label,
             elem_size,
-            reads: Vec::new(),
-            writes: Vec::new(),
-            sends: (0, 0),
-            collective_reads: Vec::new(),
-            collective_messages: src.dist.nprocs().saturating_sub(1) as u64,
-            dst_bytes: dst.local_shape(rank).len() as u64 * elem_size,
-        }
-    }
-
-    /// Count a piece's message, unless it stays on this rank.
-    fn send(&mut self, remote: bool, piece: &Section) {
-        if remote {
-            self.sends.0 += 1;
-            self.sends.1 += piece.len() as u64 * self.elem_size;
+            reads: (stages.iter().flat_map(|s| &s.reads))
+                .map(|(sec, _)| src_access(sec))
+                .collect(),
+            writes: (stages.iter().flat_map(|s| s.recv.iter().flatten()))
+                .map(|sec| dst.section_access(&dst_local, sec))
+                .collect(),
+            unions: stages
+                .iter()
+                .filter_map(|s| s.union.as_ref())
+                .map(src_access)
+                .collect(),
+            sends,
+            collective_messages: (src.dist.nprocs().saturating_sub(1) * stages.len()) as u64,
+            dst_bytes: dst_local.len() as u64 * elem_size,
         }
     }
 
@@ -475,11 +458,7 @@ impl RemapGeometry {
         let policy = method.sieve_policy();
         let assembled = [Access::contiguous(self.dst_bytes)];
         let (reads, writes, messages) = match method {
-            IoMethod::TwoPhase => (
-                &self.collective_reads,
-                &assembled[..],
-                self.collective_messages,
-            ),
+            IoMethod::TwoPhase => (&self.unions, &assembled[..], self.collective_messages),
             IoMethod::Direct | IoMethod::Sieved => (&self.reads, &self.writes[..], self.sends.0),
         };
         let (mut src, mut dst) = (Tally::default(), Tally::default());

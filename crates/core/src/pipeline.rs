@@ -171,10 +171,7 @@ pub struct CompiledProgram {
     /// [`CompilerOptions::trace`] to the executor's machine).
     pub trace: ooc_trace::TraceConfig,
     /// Execution engine requested at compile time (threaded from
-    /// [`CompilerOptions::engine`] to the executor's machine). Defaults to
-    /// [`dmsim::Engine::Threads`] on programs serialized before the field
-    /// existed.
-    #[serde(default)]
+    /// [`CompilerOptions::engine`] to the executor's machine).
     pub engine: dmsim::Engine,
 }
 
@@ -615,8 +612,8 @@ pub fn compile_hir(
                         rhs_descs.push(tmp);
                     }
                 }
-                // Per-remap access-method selection: walk the remap's
-                // pieces once, price every method exactly from them, keep
+                // Per-remap access-method selection: tally the remap's
+                // schedule once, price every method exactly from it, keep
                 // the cheapest.
                 let mut stmt_choices = Vec::new();
                 for r in &mut pre_remaps {
@@ -676,6 +673,15 @@ pub fn compile_hir(
                 io_choices.push(stmt_choices);
             }
             HirStmt::Transpose { src, dst } => {
+                // Streamed in more than one slab, an in-place transpose
+                // would overwrite slabs later stages have not read yet.
+                if src == dst {
+                    return Err(CompileError::Plan(format!(
+                        "transpose: `{src}` is assigned its own transpose; the \
+                         stripmined remap cannot preserve forall copy-in \
+                         semantics (use a second array)"
+                    )));
+                }
                 let src_desc = descs[id_of(src)?.0 as usize].clone();
                 let dst_desc = descs[id_of(dst)?.0 as usize].clone();
                 require_block_or_collapsed(&src_desc, "transpose")?;
@@ -876,6 +882,29 @@ mod tests {
         // Unshifted in-place update stays legal.
         let ok_src = src.replace("u(i-1, j)", "2.0 * u(i, j)");
         assert!(compile_source(&ok_src, &CompilerOptions::default()).is_ok());
+    }
+
+    #[test]
+    fn in_place_transpose_is_rejected() {
+        let src = "
+      parameter (n=16)
+      real a(n, n), b(n, n)
+!hpf$ processors pr(2)
+!hpf$ distribute a(*, block) on pr
+!hpf$ distribute b(*, block) on pr
+      forall (i = 1:n, j = 1:n)
+        a(i, j) = a(j, i)
+      end forall
+      end
+";
+        match compile_source(src, &CompilerOptions::default()) {
+            Err(CompileError::Plan(msg)) => {
+                assert!(msg.contains("`a`") && msg.contains("copy-in"), "{msg}")
+            }
+            other => panic!("in-place transpose compiled: {other:?}"),
+        }
+        let ok = src.replace("a(i, j) = a(j, i)", "b(i, j) = a(j, i)");
+        assert!(compile_source(&ok, &CompilerOptions::default()).is_ok());
     }
 
     #[test]

@@ -10,8 +10,8 @@
 use serde::{Deserialize, Serialize};
 
 use ooc_array::{
-    global_section_of_local, ArrayDesc, ArrayId, DimDist, DimRange, Distribution, Section, Shape,
-    SlabPlan,
+    global_section_of_local, ArrayDesc, ArrayId, DimDist, DimRange, Distribution, RemapSchedule,
+    RemapStage, Section, Shape, SlabPlan,
 };
 use pario::ElemKind;
 
@@ -495,10 +495,8 @@ pub struct TransposePlan {
     pub method: pario::IoMethod,
 }
 
-/// The stage and piece geometry of a transpose, shared by the executor and
-/// the compiler's estimate. Stage `s` moves every rank's `s`-th source slab;
-/// a slab is split into one piece per destination rank that owns part of
-/// its transpose.
+/// The stage and piece geometry of a transpose: the remap schedule the
+/// executor runs and the compiler prices.
 impl TransposePlan {
     /// Every rank's source slab plan (slabs along the source's slowest
     /// layout dimension, so each slab read is one contiguous request), and
@@ -513,31 +511,67 @@ impl TransposePlan {
         (plans, stages)
     }
 
-    /// The piece of `src_rank`'s source slab `slab` that `dst_rank`
-    /// receives, as a global destination section: the transpose of the
-    /// slab's global section intersected with what `dst_rank` owns. `None`
-    /// when they share nothing, or the slab is empty (a rank that owns
-    /// nothing).
-    pub fn piece(&self, src_rank: usize, slab: &Section, dst_rank: usize) -> Option<Section> {
-        if slab.is_empty() {
-            return None;
-        }
-        let owned = |desc: &ArrayDesc, rank| {
-            global_section_of_local(&desc.dist, rank).expect("regular distribution")
+    /// `rank`'s side of the transpose. Stage `s` reads the rank's `s`-th
+    /// slab, if it has one, and sends each destination rank its piece: the
+    /// part of the slab's transpose that rank owns. A piece's source
+    /// section read in row-major order is the destination piece in
+    /// column-major order. Every rank runs every stage, so the exchange
+    /// stays symmetric even when slab counts differ; the empty slabs of a
+    /// rank that owns nothing have no pieces.
+    pub fn schedule(&self, rank: usize) -> RemapSchedule {
+        let (slabs, stages) = self.slab_plans();
+        let owned = |desc: &ArrayDesc| -> Vec<Section> {
+            (0..slabs.len())
+                .map(|r| global_section_of_local(&desc.dist, r).expect("regular distribution"))
+                .collect()
         };
-        // Block and collapsed dimensions own one contiguous global range.
-        let src = owned(&self.src, src_rank);
-        let global: Vec<DimRange> = (slab.ranges().iter().zip(src.ranges()))
-            .map(|(r, o)| DimRange::new(o.lo + r.lo, o.lo + r.hi))
+        let (src_owned, dst_owned) = (owned(&self.src), owned(&self.dst));
+        let slab_of = |q: usize, s: usize| (s < slabs[q].num_slabs()).then(|| slabs[q].slab(s));
+        // The piece of rank `q`'s slab that rank `j` receives, as global
+        // destination ranges: the slab's transpose intersected with what
+        // `j` owns. Block and collapsed dimensions own one contiguous
+        // global range, so a local index is the global one less the
+        // owner's lower corner.
+        let piece = |q: usize, slab: &Section, j: usize| {
+            let (o, d) = (src_owned[q].ranges(), dst_owned[j].ranges());
+            let global =
+                |k: usize| DimRange::new(o[k].lo + slab.range(k).lo, o[k].lo + slab.range(k).hi);
+            Some([global(1).intersect(&d[0])?, global(0).intersect(&d[1])?])
+        };
+        let local = |global: [DimRange; 2], owned: &Section| {
+            let o = owned.ranges();
+            let shift = |k: usize| DimRange::new(global[k].lo - o[k].lo, global[k].hi - o[k].lo);
+            Section::new(vec![shift(0), shift(1)])
+        };
+        let stages = (0..stages)
+            .map(|s| {
+                let mine = slab_of(rank, s);
+                let sends: Vec<_> = mine.as_ref().map_or(Vec::new(), |slab| {
+                    (0..slabs.len())
+                        .filter_map(|j| {
+                            let [d0, d1] = piece(rank, slab, j)?;
+                            Some((j, local([d1, d0], &src_owned[rank])))
+                        })
+                        .collect()
+                });
+                RemapStage {
+                    reads: mine
+                        .iter()
+                        .map(|slab| (slab.clone(), sends.len()))
+                        .collect(),
+                    union: mine,
+                    sends,
+                    recv: (0..slabs.len())
+                        .map(|q| Some(local(piece(q, &slab_of(q, s)?, rank)?, &dst_owned[rank])))
+                        .collect(),
+                }
+            })
             .collect();
-        transposed(&Section::new(global)).intersect(&owned(&self.dst, dst_rank))
+        RemapSchedule {
+            transpose: true,
+            stages,
+        }
     }
-}
-
-/// Transpose of a 2-D section: swap the two dimension ranges.
-pub fn transposed(sec: &Section) -> Section {
-    assert_eq!(sec.ndims(), 2, "transpose is 2-D");
-    Section::new(vec![sec.range(1), sec.range(0)])
 }
 
 /// Out-of-core CSR SpMV `y = A·x`, where the `x(colidx(k))` gather runs

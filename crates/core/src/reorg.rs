@@ -165,9 +165,10 @@ pub struct IoMethodChoice {
 /// Select the access method for one remap-style access: build the candidate
 /// nest for each [`pario::IoMethod`] via `nest_for`, price it under
 /// `model`, and pick the cheapest — or `force`, when set. All estimates are
-/// kept for the report; a remap-style access builds its candidates from one
-/// walk of its pieces ([`crate::nodegen::RemapGeometry::nodes`]), so each is
-/// the price the executor would charge if that method were forced.
+/// kept for the report; a remap-style access builds its candidates from the
+/// tally of the remap schedule its executor runs
+/// ([`crate::nodegen::RemapGeometry::nodes`]), so each is the price the
+/// executor would charge if that method were forced.
 pub fn choose_io_method<F>(
     access: impl Into<String>,
     model: &CostModel,

@@ -80,7 +80,7 @@ pub fn size_gaxpy(
             (a, b)
         }
         SlabSizing::Budget { elems, policy } => {
-            crate::memory::split_gaxpy_budget(strategy, n, p, elems, policy, model)
+            crate::memory::split_gaxpy_budget_with_cache(strategy, n, p, elems, policy, model, None)
         }
     };
     GaxpySlabs { a, b }

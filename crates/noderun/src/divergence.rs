@@ -67,11 +67,6 @@ impl DivergenceReport {
         self.rows.iter().map(|r| r.rel_gap()).fold(0.0, f64::max)
     }
 
-    /// Rows with a nonzero gap.
-    pub fn divergent(&self) -> impl Iterator<Item = &DivergenceRow> {
-        self.rows.iter().filter(|r| r.estimated != r.measured)
-    }
-
     /// Fixed-width table, worst divergence first.
     pub fn render(&self) -> String {
         let mut out = String::new();

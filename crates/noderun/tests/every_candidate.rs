@@ -7,19 +7,21 @@
 //! of SpMV) and every forced method, rank 0's measured requests, bytes and
 //! messages equal the compiler's estimate and its simulated seconds agree
 //! to 1e-9; and every candidate an unforced compile reports equals the
-//! estimate of compiling with that candidate forced.
+//! estimate of compiling with that candidate forced. Transposes and
+//! redistributions are also held to the tally of their remap schedule on
+//! every rank, ranks that own nothing included.
 
 use dmsim::{Machine, MachineConfig, StatsSnapshot};
 use noderun::spmv::execute_cached;
-use noderun::{init_fn, run, InitFn, RunConfig};
+use noderun::{assemble_global, init_fn, ref_transpose, run, InitFn, RunConfig};
 use ooc_array::{
     gather_with, inspect, redistribute_with, ArrayDesc, ArrayId, DimDist, DistKind, Distribution,
     FileLayout, OocEnv, ProcGrid, Shape,
 };
 use ooc_core::ir::{totals, ArrayIoTotals, NestNode, NestTotals};
 use ooc_core::irreg::schedule_nodes;
-use ooc_core::nodegen::remap_nodes;
-use ooc_core::plan::{RemapSpec, SpmvPlan};
+use ooc_core::nodegen::{remap_nodes, RemapGeometry};
+use ooc_core::plan::{RemapSpec, SpmvPlan, TransposePlan};
 use ooc_core::{compile_source, CompiledProgram, CompilerOptions, CostEstimate, ExecPlan};
 use pario::{ElemKind, IoMethod};
 
@@ -172,6 +174,66 @@ fn every_forced_transpose_matches_its_estimate() {
                 forced_run_is_exact(&tag, &source, &[("a", init_fn(fa))], method);
             }
             losers_are_priced_as_if_forced(&tag, &source);
+        }
+    }
+}
+
+/// Run `plan` on every rank: each rank's measured requests, bytes and
+/// messages equal the tally of its remap schedule, and the assembled
+/// destination is the transpose of `fa`.
+fn every_rank_transposes_as_scheduled(tag: &str, plan: &TransposePlan) {
+    let p = plan.src.dist.nprocs();
+    let (_, locals) = Machine::new(MachineConfig::free(p)).run_with(|ctx| {
+        let mut env = OocEnv::in_memory(ctx.rank());
+        env.alloc(&plan.src).unwrap();
+        env.alloc(&plan.dst).unwrap();
+        env.load_global(&plan.src, &fa).unwrap();
+        let before = ctx.stats();
+        noderun::transpose::execute(ctx, &mut env, plan).unwrap();
+        let tally = RemapGeometry::transpose(plan, ctx.rank()).nodes(plan.method);
+        assert_eq!(
+            delta(&ctx.stats(), &before),
+            estimated(&tally),
+            "{tag} rank {}",
+            ctx.rank()
+        );
+        env.read_local_all(&plan.dst).unwrap()
+    });
+    let locals: Vec<&[f32]> = locals.iter().map(Vec::as_slice).collect();
+    let n = plan.src.global_shape().extent(0);
+    let got = assemble_global(&plan.dst, &locals).1;
+    assert_eq!(got, ref_transpose(n, &fa), "{tag}: contents");
+}
+
+#[test]
+fn every_rank_of_every_forced_transpose_matches_its_schedule() {
+    for dist in ["*, block", "block, *"] {
+        for (n, p) in [(32, 4), (13, 4), (100, 7), (64, 48)] {
+            for method in IoMethod::ALL {
+                let options = CompilerOptions {
+                    io_method: Some(method),
+                    ..CompilerOptions::default()
+                };
+                let compiled = compile_source(&transpose_source(n, p, dist), &options).unwrap();
+                let ExecPlan::Transpose(plan) = &compiled.plans[0] else {
+                    panic!("expected a transpose plan");
+                };
+                if (n, p) == (64, 48) {
+                    assert!(
+                        plan.src.local_shape(p - 1).is_empty(),
+                        "a rank owns nothing"
+                    );
+                }
+                let tag = format!("transpose ({dist}) n={n} p={p} {method:?}");
+                every_rank_transposes_as_scheduled(&tag, plan);
+                // A row-major source: two-phase reads each stage's slab in
+                // layout order and carves the pieces in row-major order.
+                let row_major = TransposePlan {
+                    src: plan.src.clone().with_layout(FileLayout::row_major(2)),
+                    ..plan.clone()
+                };
+                every_rank_transposes_as_scheduled(&format!("{tag} row-major"), &row_major);
+            }
         }
     }
 }

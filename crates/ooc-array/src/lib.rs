@@ -41,7 +41,10 @@ pub use persist::{
     checkpoint_file, checkpoint_section, export_array, import_array, remove_checkpoint,
     restore_checkpoint,
 };
-pub use redist::{redistribute, redistribute_with, relayout_in_place, RedistPieces};
+pub use redist::{
+    redistribute, redistribute_with, relayout_in_place, remap, RedistPieces, RemapSchedule,
+    RemapStage,
+};
 pub use section::{DimRange, Section};
 pub use shape::Shape;
 pub use slab::SlabPlan;

@@ -7,20 +7,29 @@
 //! if the array is used several times." Both operations here are real: they
 //! move every byte through the I/O layer (and, for redistribution, the
 //! message fabric), so experiments can charge or amortize them explicitly.
+//!
+//! Redistribution and the out-of-core transpose are one operation: each
+//! rank reads its source in pieces, sends every piece to the rank owning its
+//! destination, and writes what it receives, piece by piece or assembled in
+//! one write. A [`RemapSchedule`] lists one rank's side of it, built by
+//! [`RemapSchedule::redistribution`] or by the transpose plan; [`remap`]
+//! runs it under every access method, and the compiler prices the same
+//! schedule.
 
 use dmsim::{Payload, ProcCtx, Tag};
-use pario::{plan_union, ByteRun, IoCharge, IoError, IoMethod, SievePolicy};
+use ooc_trace::Category;
+use pario::{IoCharge, IoError, IoMethod};
 
 use crate::error::OocError;
 
 use crate::layout::FileLayout;
 use crate::localize::{global_section_of_local, local_section_of_global};
-use crate::ocla::{layout_is_cm, layout_to_cm, ArrayDesc, OocEnv};
-use crate::section::Section;
+use crate::ocla::{ArrayDesc, OocEnv};
+use crate::section::{DimRange, Section};
 use crate::slab::SlabPlan;
 
-/// Tag used by redistribution messages.
-const REDIST_TAG: Tag = Tag(0x5ED1);
+/// Tag of remap messages (redistribution and transpose pieces).
+const REMAP_TAG: Tag = Tag(0x5ED1);
 
 /// Rewrite the OCLA of `desc` on this processor into `new_layout`, moving at
 /// most `memory_elems` elements through memory at a time (slab-wise, slabs
@@ -79,21 +88,11 @@ pub fn redistribute(
     redistribute_with(ctx, env, src, dst, IoMethod::Direct, charge)
 }
 
-/// [`redistribute`] with an explicit I/O access method.
-///
-/// * `Direct` — the baseline: each piece is read/written with one request
-///   per contiguous file run.
-/// * `Sieved` — the same schedule, but every multi-run piece access is
-///   serviced by a single spanning request ([`SievePolicy::Always`]); the
-///   environment's policy is restored afterwards.
-/// * `TwoPhase` — collective two-phase I/O: each rank reads the coalesced
-///   *file-conforming union* of everything it contributes, carves the
-///   per-destination pieces in memory, exchanges them with an all-to-all,
-///   and assembles its whole local destination for one contiguous write.
-///
-/// All three produce byte-identical array contents; they differ only in the
-/// request/message schedule over the same [`RedistPieces`], which is what
-/// the compiler prices.
+/// [`redistribute`] with an explicit I/O access method: [`remap`] over
+/// [`RemapSchedule::redistribution`]. All three methods produce
+/// byte-identical array contents; they differ only in the request/message
+/// schedule over the same [`RedistPieces`], which is what the compiler
+/// prices.
 pub fn redistribute_with(
     ctx: &ProcCtx,
     env: &mut OocEnv,
@@ -102,18 +101,8 @@ pub fn redistribute_with(
     method: IoMethod,
     charge: &dyn IoCharge,
 ) -> Result<(), OocError> {
-    let _m = ctx.trace_io_method(method.label());
-    match method {
-        IoMethod::Direct => redistribute_direct(ctx, env, src, dst, charge),
-        IoMethod::Sieved => {
-            let saved = env.sieve_policy();
-            env.set_sieve_policy(method.sieve_policy());
-            let r = redistribute_direct(ctx, env, src, dst, charge);
-            env.set_sieve_policy(saved);
-            r
-        }
-        IoMethod::TwoPhase => redistribute_two_phase(ctx, env, src, dst, charge),
-    }
+    let schedule = RemapSchedule::redistribution(src, dst, ctx.rank());
+    remap(ctx, env, src, dst, &schedule, method, charge).map(|_| ())
 }
 
 fn check_conformance(src: &ArrayDesc, dst: &ArrayDesc) {
@@ -131,9 +120,8 @@ fn check_conformance(src: &ArrayDesc, dst: &ArrayDesc) {
 
 /// One rank's pieces of a redistribution: per peer, what it exchanges with
 /// that peer — the intersection of the two ranks' owned global sections —
-/// in this rank's local index space, `None` where they share nothing. The
-/// executor moves exactly these pieces, under every access method, and the
-/// compiler prices them.
+/// in this rank's local index space, `None` where they share nothing.
+/// [`RemapSchedule::redistribution`] is built from them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RedistPieces {
     /// Per destination rank: the section of this rank's source it sends
@@ -167,135 +155,191 @@ impl RedistPieces {
     }
 }
 
-/// The baseline schedule: one read/send (or local write) per destination,
-/// one receive/write per source, each file access serviced piece-wise under
-/// the environment's sieve policy.
-fn redistribute_direct(
-    ctx: &ProcCtx,
-    env: &mut OocEnv,
-    src: &ArrayDesc,
-    dst: &ArrayDesc,
-    charge: &dyn IoCharge,
-) -> Result<(), OocError> {
-    let _span = ctx.trace_span(ooc_trace::Category::Redist, "redistribute");
-    let me = ctx.rank();
-    let pieces = RedistPieces::of(src, dst, me);
+/// One rank's side of a remap — a redistribution or a transpose — as
+/// stages of one exchange: in each, the rank reads source sections, sends
+/// every piece of them to the rank owning its destination, and receives at
+/// most one piece from each peer. [`remap`] runs it under every access
+/// method and the compiler tallies it, so both see the same requests and
+/// messages.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RemapSchedule {
+    /// Payloads are transposed: a piece's source section, read in row-major
+    /// order, is its destination piece in column-major order. A transpose
+    /// also traces each stage as a slab span.
+    pub transpose: bool,
+    /// The stages in order; every rank runs as many.
+    pub stages: Vec<RemapStage>,
+}
 
-    // Send phase (unbounded channels: sends never block on capacity).
-    for (dst_rank, piece) in pieces.send.iter().enumerate() {
-        let Some(local_src) = piece else { continue };
-        let data = env.read_section(src, local_src, charge)?;
-        if dst_rank == me {
-            let local_dst = pieces.recv[me]
-                .as_ref()
-                .expect("the local piece is received too");
-            env.write_section(dst, local_dst, &data, charge)?;
-        } else {
-            ctx.send(dst_rank, REDIST_TAG, Payload::F32(data));
-        }
-    }
+/// One stage of a [`RemapSchedule`], in this rank's local index spaces.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RemapStage {
+    /// The source section the stage's reads tile, which two-phase reads in
+    /// one request; `None` when the rank reads nothing.
+    pub union: Option<Section>,
+    /// Each source section read, with how many of the next `sends` are
+    /// pieces of it.
+    pub reads: Vec<(Section, usize)>,
+    /// Every piece sent, grouped by read: destination rank and the piece's
+    /// source section.
+    pub sends: Vec<(usize, Section)>,
+    /// Per source rank: the destination section its piece fills.
+    pub recv: Vec<Option<Section>>,
+}
 
-    // Receive phase.
-    for (src_rank, piece) in pieces.recv.iter().enumerate() {
-        let Some(local_dst) = piece.as_ref().filter(|_| src_rank != me) else {
-            continue;
+impl RemapSchedule {
+    /// The redistribution of `src` into `dst` on `rank`: one stage, one read
+    /// per outgoing piece of [`RedistPieces`]. The destination distribution
+    /// partitions the global array, so the pieces tile the local source,
+    /// which two-phase reads whole.
+    pub fn redistribution(src: &ArrayDesc, dst: &ArrayDesc, rank: usize) -> RemapSchedule {
+        let pieces = RedistPieces::of(src, dst, rank);
+        let sends: Vec<_> = (pieces.send.into_iter().enumerate())
+            .filter_map(|(j, piece)| Some((j, piece?)))
+            .collect();
+        let whole = Section::full(&src.local_shape(rank));
+        let stage = RemapStage {
+            union: (!sends.is_empty()).then_some(whole),
+            reads: sends.iter().map(|(_, piece)| (piece.clone(), 1)).collect(),
+            sends,
+            recv: pieces.recv,
         };
-        let data = ctx.try_recv_f32(src_rank, REDIST_TAG)?;
-        assert_eq!(data.len(), local_dst.len(), "redistribute payload size");
-        env.write_section(dst, local_dst, &data, charge)?;
+        RemapSchedule {
+            transpose: false,
+            stages: vec![stage],
+        }
     }
-    Ok(())
 }
 
-/// Byte runs of every outgoing piece (empty where this rank sends nothing):
-/// what the two-phase union read covers.
-fn piece_runs(src: &ArrayDesc, rank: usize, pieces: &[Option<Section>]) -> Vec<Vec<ByteRun>> {
-    let shape = src.local_shape(rank);
-    pieces
-        .iter()
-        .map(|sec| {
-            let mut runs = Vec::new();
-            if let Some(sec) = sec {
-                src.section_byte_runs(&shape, sec, &mut runs);
-            }
-            runs
-        })
-        .collect()
-}
-
-/// Two-phase collective redistribution (del Rosario–Bordawekar–Choudhary):
-/// phase one services the file-conforming union of this rank's outgoing
-/// pieces with coalesced requests; phase two all-to-alls the pieces to
-/// their computation-conforming owners, after which each rank assembles its
-/// entire local destination in memory and writes it with a single
-/// contiguous request.
-fn redistribute_two_phase(
+/// Run `schedule`, this rank's side of a remap of `src` into `dst`, under
+/// `method`. Collective. Returns the peak in-core elements.
+///
+/// * `Direct` — each read is one section access; each piece is sent (or
+///   written, if it stays local) and each received piece is written on
+///   arrival, one request per contiguous file run.
+/// * `Sieved` — the same, with the sieve forced on
+///   ([`pario::SievePolicy::Always`]): every multi-run access becomes one
+///   spanning request, and a sieved write a read-modify-write. The
+///   environment's policy is restored afterwards.
+/// * `TwoPhase` — collective two-phase I/O (del Rosario–Bordawekar–
+///   Choudhary): each stage reads its file-conforming union in one request,
+///   carves the pieces in memory and exchanges them in one all-to-all; the
+///   received pieces assemble the whole local destination, written with one
+///   contiguous request after the last stage.
+pub fn remap(
     ctx: &ProcCtx,
     env: &mut OocEnv,
     src: &ArrayDesc,
     dst: &ArrayDesc,
+    schedule: &RemapSchedule,
+    method: IoMethod,
     charge: &dyn IoCharge,
-) -> Result<(), OocError> {
-    let _span = ctx.trace_span(ooc_trace::Category::Redist, "redistribute");
-    let me = ctx.rank();
-    let pieces = RedistPieces::of(src, dst, me);
-
-    // Phase 1: one coalesced union read covering every outgoing piece. The
-    // union is already file-conforming, so it is never sieved.
-    let plan = plan_union(&piece_runs(src, me, &pieces.send));
-    let mut union = Vec::new();
-    if plan.buffer_len() > 0 {
-        env.read_runs(src, &plan.union, &mut union, charge, SievePolicy::Direct)?;
+) -> Result<usize, OocError> {
+    let _m = ctx.trace_io_method(method.label());
+    let _span = (!schedule.transpose).then(|| ctx.trace_span(Category::Redist, "redistribute"));
+    let saved = env.sieve_policy();
+    if method == IoMethod::Sieved {
+        env.set_sieve_policy(method.sieve_policy());
     }
+    let r = exchange(ctx, env, src, dst, schedule, method, charge);
+    env.set_sieve_policy(saved);
+    r
+}
 
-    // Carve the per-destination pieces out of the union buffer, each in the
-    // direct path's wire format (section column-major order).
-    let cm = layout_is_cm(&src.layout);
-    let sends: Vec<Vec<f32>> = pieces
-        .send
-        .iter()
-        .enumerate()
-        .map(|(j, sec)| match sec {
-            Some(sec) if !cm => {
-                let raw = plan.carve(j, &union);
-                let mut piece = vec![0.0; raw.len()];
-                layout_to_cm(&src.layout, sec, &raw, &mut piece);
-                piece
+/// The stages of [`remap`]: Direct and Sieved in one branch, two-phase in
+/// the other.
+fn exchange(
+    ctx: &ProcCtx,
+    env: &mut OocEnv,
+    src: &ArrayDesc,
+    dst: &ArrayDesc,
+    schedule: &RemapSchedule,
+    method: IoMethod,
+    charge: &dyn IoCharge,
+) -> Result<usize, OocError> {
+    let (me, two_phase) = (ctx.rank(), method == IoMethod::TwoPhase);
+    let dst_shape = dst.local_shape(me);
+    let strides = dst_shape.strides();
+    let mut assembled = vec![0.0f32; if two_phase { dst_shape.len() } else { 0 }];
+    let mut peak = assembled.len();
+    for (s, stage) in schedule.stages.iter().enumerate() {
+        let _stage = schedule
+            .transpose
+            .then(|| ctx.trace_slab_span("stage", s as u64));
+        if two_phase {
+            let mut payloads = vec![Vec::new(); ctx.nprocs()];
+            if let Some(union) = &stage.union {
+                let data = env.read_section(src, union, charge)?;
+                peak = peak.max(assembled.len() + data.len());
+                for (j, piece) in &stage.sends {
+                    payloads[*j] = carve(&data, union, piece, schedule.transpose);
+                }
             }
-            Some(_) => plan.carve(j, &union),
-            None => Vec::new(),
-        })
+            let received = {
+                let _x = ctx.trace_span(Category::Exchange, "exchange");
+                ctx.try_alltoallv::<f32>(payloads)?
+            };
+            for (piece, sec) in received.iter().zip(&stage.recv) {
+                if piece.is_empty() {
+                    continue;
+                }
+                let sec = sec.as_ref().expect("non-empty payload implies a piece");
+                assert_eq!(piece.len(), sec.len(), "remap payload size");
+                for (v, off) in piece.iter().zip(sec.offsets(&strides)) {
+                    assembled[off] = *v;
+                }
+            }
+        } else {
+            let mut sends = stage.sends.iter();
+            for (read, count) in &stage.reads {
+                let data = env.read_section(src, read, charge)?;
+                peak = peak.max(data.len());
+                for (j, piece) in sends.by_ref().take(*count) {
+                    let payload = carve(&data, read, piece, schedule.transpose);
+                    if *j == me {
+                        let local = stage.recv[me]
+                            .as_ref()
+                            .expect("the local piece is received");
+                        env.write_section(dst, local, &payload, charge)?;
+                    } else {
+                        ctx.send(*j, REMAP_TAG, Payload::F32(payload));
+                    }
+                }
+            }
+            for (q, sec) in stage.recv.iter().enumerate() {
+                let Some(sec) = sec.as_ref().filter(|_| q != me) else {
+                    continue;
+                };
+                let payload = ctx.try_recv_f32(q, REMAP_TAG)?;
+                assert_eq!(payload.len(), sec.len(), "remap payload size");
+                peak = peak.max(payload.len());
+                env.write_section(dst, sec, &payload, charge)?;
+            }
+        }
+    }
+    if two_phase && !dst_shape.is_empty() {
+        env.write_section(dst, &Section::full(&dst_shape), &assembled, charge)?;
+    }
+    Ok(peak)
+}
+
+/// The elements of `piece` out of `data`, which holds the dense section
+/// `read` ⊇ `piece` in column-major order: in column-major order, or in
+/// row-major order when `transpose`.
+fn carve(data: &[f32], read: &Section, piece: &Section, transpose: bool) -> Vec<f32> {
+    if piece == read && !transpose {
+        return data.to_vec();
+    }
+    let mut rel: Vec<DimRange> = (piece.ranges().iter().zip(read.ranges()))
+        .map(|(p, r)| DimRange::strided(p.lo - r.lo, p.hi - r.lo, p.step))
         .collect();
-
-    // Phase 2: exchange to the computation-conforming decomposition.
-    let received = {
-        let _x = ctx.trace_span(ooc_trace::Category::Exchange, "exchange");
-        ctx.try_alltoallv::<f32>(sends)?
-    };
-
-    // Source sections partition the global array, so the incoming pieces
-    // tile this rank's whole destination: assemble it in memory and issue
-    // one contiguous full-section write.
-    let dst_local_shape = dst.local_shape(me);
-    if dst_local_shape.is_empty() {
-        return Ok(());
+    let mut strides = read.shape().strides();
+    if transpose {
+        rel.reverse();
+        strides.reverse();
     }
-    let strides = dst_local_shape.strides();
-    let mut buf = vec![0.0f32; dst_local_shape.len()];
-    for (piece, local_dst) in received.iter().zip(&pieces.recv) {
-        if piece.is_empty() {
-            continue;
-        }
-        let local_dst = local_dst
-            .as_ref()
-            .expect("non-empty payload implies intersection");
-        assert_eq!(piece.len(), local_dst.len(), "two-phase payload size");
-        for (v, off) in piece.iter().zip(local_dst.offsets(&strides)) {
-            buf[off] = *v;
-        }
-    }
-    env.write_section(dst, &Section::full(&dst_local_shape), &buf, charge)?;
-    Ok(())
+    let rel = Section::new(rel);
+    rel.offsets(&strides).map(|off| data[off]).collect()
 }
 
 #[cfg(test)]
