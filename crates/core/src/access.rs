@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use ooc_array::{ArrayDesc, DimRange, SlabPlan};
+use ooc_array::{ArrayDesc, SlabPlan};
 
 use crate::hir::ElwStmt;
 use crate::plan::SlabStrategy;
@@ -37,14 +37,10 @@ pub fn elw_dim_scores(
         );
         let slab = plan.slab(0);
         let mut requests = lhs_desc.layout.count_section_runs(&local, &slab);
-        let shifts = stmt.rhs.max_shift(ndims);
+        // The read section is the slab widened as a stage widens it; the
+        // slab spans every other dimension in full, so only `d` grows.
+        let widened = stmt.rhs.widen(&slab, &local);
         for rd in rhs_descs {
-            // The read section is the slab widened by the ghost width along
-            // the slab dimension (clamped to the local extent).
-            let r = slab.range(d);
-            let lo = r.lo.saturating_sub(shifts[d]);
-            let hi = (r.hi + shifts[d]).min(local.extent(d));
-            let widened = slab.clone().with_range(d, DimRange::new(lo, hi));
             requests += rd
                 .layout
                 .count_section_runs(&rd.local_shape(rank), &widened);

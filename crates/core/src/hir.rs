@@ -22,7 +22,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use ooc_array::{Distribution, Section, Shape};
+use ooc_array::{DimRange, Distribution, Section, Shape};
 
 /// A lowered program: resolved array table plus recognized statements.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -190,6 +190,20 @@ impl ElwExpr {
             }
         });
         m
+    }
+
+    /// The input of the points in `out`: `out` widened by the largest
+    /// shift in every dimension ([`ElwExpr::max_shift`]) and clamped to
+    /// `[0, extent)` of `bounds`. Under a rank's local shape this is the
+    /// section a stage computing `out` reads from disk.
+    pub fn widen(&self, out: &Section, bounds: &Shape) -> Section {
+        let ranges: Vec<DimRange> = (out.ranges().iter().zip(self.max_shift(out.ndims())))
+            .enumerate()
+            .map(|(d, (r, s))| {
+                DimRange::new(r.lo.saturating_sub(s), (r.hi + s).min(bounds.extent(d)))
+            })
+            .collect();
+        Section::new(ranges)
     }
 
     fn visit_refs(&self, f: &mut dyn FnMut(&str, &[isize])) {

@@ -1,17 +1,24 @@
 //! Node-program generation: executable plans → symbolic loop nests.
 //!
 //! For each [`ExecPlan`] this module builds the per-processor
-//! node+MP+I/O program as a [`NestNode`] tree. Figures 9 and 12 of the
-//! paper are exactly [`gaxpy_nest`] for the column-slab and row-slab plans;
-//! the cost estimator walks these trees and the executor mirrors their
-//! operation sequence, so predicted and measured I/O metrics agree
-//! request-for-request (ragged final slabs included).
+//! node+MP+I/O program as a [`NestNode`] tree, which the cost estimator
+//! walks. Predicted and measured I/O agree request-for-request (ragged
+//! final slabs included) because each nest is built from what the
+//! executor runs:
+//!
+//! * Figures 9 and 12 of the paper are exactly [`gaxpy_nest`] for the
+//!   column-slab and row-slab plans. They are built by hand in closed
+//!   form; the executor walks [`GaxpyPlan::walk`], and tests hold the two
+//!   to the same operation sequence.
+//! * [`elw_nest`] prices every stage of [`ElwPlan::schedule`], the
+//!   schedule the elementwise executor runs.
+//! * [`RemapGeometry`] tallies the [`RemapSchedule`] the remap executor
+//!   runs, for redistributions and transposes alike.
 
 use ooc_array::{ArrayDesc, DimRange, RemapSchedule, Section};
 use pario::{Access, IoMethod, Tally};
 
 use crate::ir::NestNode;
-use crate::partition::local_iteration_space;
 use crate::plan::{ElwPlan, ExecPlan, GaxpyPlan, RemapSpec, SlabStrategy, TransposePlan};
 
 /// ceil(log2(p)): stages of a binomial-tree collective.
@@ -32,9 +39,10 @@ pub fn slab_requests(desc: &ArrayDesc, rank: usize, dim: usize, lo: usize, hi: u
 }
 
 /// Build the nest for any plan, priced for rank 0 alone. For elementwise
-/// plans rank 0 is not the critical rank: an interior rank reads a ghost
-/// strip on each side, and the last rank also waits on its neighbour, so
-/// both finish later than the estimate.
+/// plans that is rank 0's own schedule, exact for rank 0; but rank 0 is not
+/// the critical rank: an interior rank reads a ghost strip on each side,
+/// and the last rank also waits on its neighbour, so both finish later
+/// than the estimate.
 pub fn nest_of(plan: &ExecPlan) -> Vec<NestNode> {
     match plan {
         ExecPlan::Gaxpy(g) => gaxpy_nest(g),
@@ -270,90 +278,71 @@ fn gaxpy_row_nest(plan: &GaxpyPlan, rank: usize) -> Vec<NestNode> {
 }
 
 /// Node program for an elementwise plan on `rank` (the estimator uses rank
-/// 0). The ghost strips and stage inputs come from the plan's own geometry
-/// ([`ElwPlan::ghost_sends`], [`ElwPlan::stage_input`]), the rules the
-/// executor follows, so every rank's nest matches its measured I/O and
-/// messages.
+/// 0): every stage of the rank's [`ElwPlan::schedule`], the one the
+/// executor runs, priced on its own. The first and last stages stand
+/// alone; in between, each run of consecutive stages with equal bodies is
+/// one loop, so a stage clamped at a local edge is a group of its own.
 pub fn elw_nest(plan: &ElwPlan, rank: usize) -> Vec<NestNode> {
+    // Every array of the statement shares the lhs's distribution.
     let local_shape = plan.lhs.local_shape(rank);
-    let mut nest = Vec::new();
+    let schedule = plan.schedule(rank);
 
     // Pre-statement remaps: an exact replay of the redistribution's request
     // arithmetic under the chosen access method (same section machinery,
     // same coalescing, same sieve planner as the executor).
-    for r in &plan.pre_remaps {
-        nest.extend(remap_nodes(r, rank));
-    }
+    let mut nest: Vec<NestNode> = (plan.pre_remaps.iter())
+        .flat_map(|r| remap_nodes(r, rank))
+        .collect();
 
-    // Ghost exchanges: per spec, per rhs array, one strip read + one
-    // message per neighbour this rank sends to — whether or not the rank
-    // computes anything itself.
-    for g in &plan.ghosts {
-        let sends = plan.ghost_sends(g, rank);
-        for rd in &plan.rhs_arrays {
-            for (_, strip) in sends.iter().flatten() {
-                nest.push(NestNode::read(
-                    &rd.name,
-                    rd.layout.count_section_runs(&rd.local_shape(rank), strip),
-                    strip.len() as u64,
-                ));
-                nest.push(NestNode::Comm {
-                    label: format!("ghost send dim {}", g.dim),
-                    messages: 1,
-                    bytes: strip.len() as u64 * 4,
-                });
-            }
-        }
-    }
-
-    let Some(local_region) = local_iteration_space(&plan.lhs.dist, rank, &plan.region) else {
-        return nest;
-    };
-    // Slab loop over the local region along slab_dim. Group stages as
-    // first / middle / last since ghost widening clamps at the edges.
-    let r = local_region.range(plan.slab_dim);
-    let t = plan.slab_thickness.max(1);
-    let stages = r.len().div_ceil(t);
-    let stage_nodes = |lo: usize, hi: usize| -> Vec<NestNode> {
-        let sec = local_region
-            .clone()
-            .with_range(plan.slab_dim, DimRange::new(lo, hi));
-        let input = plan.stage_input(&sec, &local_shape);
-        let mut v = Vec::new();
-        for rd in &plan.rhs_arrays {
-            v.push(NestNode::read(
-                &rd.name,
-                rd.layout.count_section_runs(&rd.local_shape(rank), &input),
-                input.len() as u64,
-            ));
-        }
-        v.push(NestNode::Compute {
-            label: "evaluate rhs over slab".into(),
-            flops: sec.len() as u64 * plan.flops_per_point,
-        });
-        v.push(NestNode::write(
-            &plan.lhs.name,
-            plan.lhs.layout.count_section_runs(&local_shape, &sec),
-            sec.len() as u64,
+    // Ghost exchange: one strip read and one message per strip this rank
+    // sends. A received strip reads nothing, and its message is counted at
+    // the sender.
+    let dim = plan.ghosts.first().map_or(0, |g| g.dim);
+    for strip in schedule.strips.iter().filter(|s| s.send) {
+        let rd = &plan.rhs_arrays[strip.array];
+        nest.push(NestNode::read(
+            &rd.name,
+            rd.layout.count_section_runs(&local_shape, &strip.section),
+            strip.section.len() as u64,
         ));
-        v
-    };
-
-    match stages {
-        0 => {}
-        1 => nest.extend(stage_nodes(r.lo, r.hi)),
-        _ => {
-            nest.extend(stage_nodes(r.lo, r.lo + t)); // first
-            if stages > 2 {
-                nest.push(NestNode::loop_(
-                    "interior slabs",
-                    (stages - 2) as u64,
-                    stage_nodes(r.lo + t, r.lo + 2 * t),
-                ));
-            }
-            nest.extend(stage_nodes(r.lo + (stages - 1) * t, r.hi)); // last
-        }
+        nest.push(NestNode::Comm {
+            label: format!("ghost send dim {dim}"),
+            messages: 1,
+            bytes: strip.section.len() as u64 * 4,
+        });
     }
+
+    let mut bodies = schedule.stages.iter().map(|stage| {
+        let reads = plan.rhs_arrays.iter().map(|rd| {
+            let requests = rd.layout.count_section_runs(&local_shape, &stage.input);
+            NestNode::read(&rd.name, requests, stage.input.len() as u64)
+        });
+        let out = &stage.out;
+        reads
+            .chain([
+                NestNode::Compute {
+                    label: "evaluate rhs over slab".into(),
+                    flops: out.len() as u64 * plan.flops_per_point,
+                },
+                NestNode::write(
+                    &plan.lhs.name,
+                    plan.lhs.layout.count_section_runs(&local_shape, out),
+                    out.len() as u64,
+                ),
+            ])
+            .collect::<Vec<_>>()
+    });
+    nest.extend(bodies.next().into_iter().flatten());
+    let mut interior: Vec<Vec<NestNode>> = bodies.collect();
+    let last = interior.pop();
+    for group in interior.chunk_by(|a, b| a == b) {
+        nest.push(NestNode::loop_(
+            "interior slabs",
+            group.len() as u64,
+            group[0].clone(),
+        ));
+    }
+    nest.extend(last.into_iter().flatten());
     nest
 }
 
@@ -487,8 +476,11 @@ impl RemapGeometry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::totals;
-    use ooc_array::FileLayout;
+    use crate::hir::ElwExpr;
+    use crate::ir::{render, totals};
+    use crate::plan::GhostSpec;
+    use ooc_array::{ArrayId, Distribution, FileLayout, Shape};
+    use pario::ElemKind;
 
     fn gaxpy_plan(strategy: SlabStrategy, n: usize, p: usize, sa: usize, sb: usize) -> GaxpyPlan {
         GaxpyPlan::new(strategy, n, p, sa, sb)
@@ -578,6 +570,116 @@ mod tests {
             let plan = gaxpy_plan(strategy, 64, 4, 8, 8);
             let t = totals(&gaxpy_nest(&plan));
             assert_eq!(t.flops, 2 * 64u64.pow(3) / 4, "{strategy:?}");
+        }
+    }
+
+    /// `v = expr` over `u` on an `n × n` grid, `(*, block)` over `p`
+    /// ranks, rows `1..n-1` and columns `cols`, stripmined along the
+    /// distributed columns in slabs of `thickness`.
+    fn elw_plan(n: usize, p: usize, expr: ElwExpr, cols: (usize, usize), t: usize) -> ElwPlan {
+        let dist = Distribution::column_block(Shape::matrix(n, n), p);
+        let desc = |id, name: &str| ArrayDesc::new(ArrayId(id), name, ElemKind::F32, dist.clone());
+        let w = expr.max_shift(2)[1];
+        ElwPlan {
+            pre_remaps: vec![],
+            lhs: desc(1, "v"),
+            rhs_arrays: vec![desc(0, "u")],
+            flops_per_point: expr.flops_per_point(),
+            expr,
+            region: Section::new(vec![DimRange::new(1, n - 1), DimRange::new(cols.0, cols.1)]),
+            slab_dim: 1,
+            slab_thickness: t,
+            ghosts: vec![GhostSpec {
+                dim: 1,
+                lo_width: w,
+                hi_width: w,
+            }],
+        }
+    }
+
+    /// The trips of every loop at the top of `nest`, in order.
+    fn loop_trips(nest: &[NestNode]) -> Vec<u64> {
+        (nest.iter())
+            .filter_map(|n| match n {
+                NestNode::Loop { trips, .. } => Some(*trips),
+                _ => None,
+            })
+            .collect()
+    }
+
+    // The Jacobi node program of the first, an interior and the last rank
+    // of 16² over 4 ranks in one-column slabs. Every interior stage of a
+    // Jacobi sweep reads the same, so each rank's program is one loop
+    // between its first and last stages.
+    const JACOBI_RANK_0: &str = "\
+call read_slab(u)   ! 1 req, 16 elems
+call ghost send dim 1   ! 1 msgs, 64 bytes
+call read_slab(u)   ! 1 req, 48 elems
+evaluate rhs over slab   ! 56 flops
+call write_slab(v)   ! 1 req, 14 elems
+do interior slabs   ! 1 trips
+  call read_slab(u)   ! 1 req, 48 elems
+  evaluate rhs over slab   ! 56 flops
+  call write_slab(v)   ! 1 req, 14 elems
+end do
+call read_slab(u)   ! 1 req, 32 elems
+evaluate rhs over slab   ! 56 flops
+call write_slab(v)   ! 1 req, 14 elems
+";
+    const JACOBI_RANK_1: &str = "\
+call read_slab(u)   ! 1 req, 16 elems
+call ghost send dim 1   ! 1 msgs, 64 bytes
+call read_slab(u)   ! 1 req, 16 elems
+call ghost send dim 1   ! 1 msgs, 64 bytes
+call read_slab(u)   ! 1 req, 32 elems
+evaluate rhs over slab   ! 56 flops
+call write_slab(v)   ! 1 req, 14 elems
+do interior slabs   ! 2 trips
+  call read_slab(u)   ! 1 req, 48 elems
+  evaluate rhs over slab   ! 56 flops
+  call write_slab(v)   ! 1 req, 14 elems
+end do
+call read_slab(u)   ! 1 req, 32 elems
+evaluate rhs over slab   ! 56 flops
+call write_slab(v)   ! 1 req, 14 elems
+";
+    const JACOBI_RANK_3: &str = "\
+call read_slab(u)   ! 1 req, 16 elems
+call ghost send dim 1   ! 1 msgs, 64 bytes
+call read_slab(u)   ! 1 req, 32 elems
+evaluate rhs over slab   ! 56 flops
+call write_slab(v)   ! 1 req, 14 elems
+do interior slabs   ! 1 trips
+  call read_slab(u)   ! 1 req, 48 elems
+  evaluate rhs over slab   ! 56 flops
+  call write_slab(v)   ! 1 req, 14 elems
+end do
+call read_slab(u)   ! 1 req, 48 elems
+evaluate rhs over slab   ! 56 flops
+call write_slab(v)   ! 1 req, 14 elems
+";
+
+    #[test]
+    fn elementwise_node_program_groups_equal_stages() {
+        let at = |d1| ElwExpr::shifted("u", vec![0, d1]);
+        let sum = ElwExpr::add(
+            ElwExpr::add(
+                ElwExpr::shifted("u", vec![-1, 0]),
+                ElwExpr::shifted("u", vec![1, 0]),
+            ),
+            ElwExpr::add(at(-1), at(1)),
+        );
+        let jacobi = elw_plan(16, 4, ElwExpr::mul(ElwExpr::Const(0.25), sum), (1, 15), 1);
+        for (rank, text) in [(0, JACOBI_RANK_0), (1, JACOBI_RANK_1), (3, JACOBI_RANK_3)] {
+            assert_eq!(render(&elw_nest(&jacobi, rank)), text, "rank {rank}");
+        }
+        // Shift 2 over one-column slabs: an interior rank's second and
+        // second-to-last stages are clamped at its local edges, so each is
+        // a group of its own. The first rank clamps only its second-to-last
+        // stage (its region starts at column 2), the last only its second.
+        let wide = elw_plan(32, 4, ElwExpr::add(at(-2), at(2)), (2, 30), 1);
+        for (rank, trips) in [(0, vec![3, 1]), (1, vec![1, 4, 1]), (3, vec![1, 3])] {
+            assert_eq!(loop_trips(&elw_nest(&wide, rank)), trips, "rank {rank}");
         }
     }
 

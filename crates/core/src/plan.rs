@@ -16,6 +16,7 @@ use ooc_array::{
 use pario::ElemKind;
 
 use crate::hir::ElwExpr;
+use crate::partition::local_iteration_space;
 
 /// Slab orientation for the GAXPY translation — the choice at the heart of
 /// the paper's §4.
@@ -404,64 +405,128 @@ pub struct ElwPlan {
     pub flops_per_point: u64,
 }
 
-/// A ghost strip and the rank on the other end of its message: lower
-/// neighbour first, then upper, along the ghost's processor axis.
-pub type GhostStrips = [Option<(usize, Section)>; 2];
+/// One ghost-strip message of an elementwise statement's exchange.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GhostStrip {
+    /// This rank reads the strip and sends it; otherwise it receives it.
+    pub send: bool,
+    /// The rhs array the strip is of, as an index into
+    /// [`ElwPlan::rhs_arrays`].
+    pub array: usize,
+    /// The rank on the other end of the message.
+    pub peer: usize,
+    /// A sent strip's section of this rank's local array, or the section of
+    /// the [`ElwSchedule::halo`] space a received strip fills.
+    pub section: Section,
+}
 
-/// The stage and ghost geometry of an elementwise statement, shared by the
-/// executor and the compiler's estimate ([`crate::nodegen::elw_nest`]).
+/// One stage of an elementwise statement, in the rank's local index space.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ElwStage {
+    /// The section of the lhs the stage computes and writes.
+    pub out: Section,
+    /// The section the stage reads from every rhs array: `out` widened by
+    /// [`ElwExpr::widen`] within the local shape.
+    pub input: Section,
+}
+
+/// One rank's side of an elementwise statement: its ghost exchange, then
+/// its stages in order. The executor (`noderun::elementwise`) runs it and
+/// [`crate::nodegen::elw_nest`] prices every stage of it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ElwSchedule {
+    /// The local shape extended along the ghost dimension by the strips
+    /// the rank receives: the lower strip sits below local index 0, the
+    /// upper one past the local extent.
+    pub halo: Shape,
+    /// Where local index 0 sits in the halo space, per dimension.
+    pub pad: Vec<usize>,
+    /// The exchange in order: per rhs array, the strips the rank sends,
+    /// then those it receives, lower neighbour first.
+    pub strips: Vec<GhostStrip>,
+    /// The stages in order.
+    pub stages: Vec<ElwStage>,
+}
+
+/// The stage and ghost geometry of an elementwise statement.
 impl ElwPlan {
-    /// The input section of the stage that computes `out`: `out` widened by
-    /// the expression's largest shift in every dimension
-    /// ([`ElwExpr::max_shift`]) and clamped to `[0, extent)` of `bounds`.
-    /// Under a rank's local shape this is the section the stage reads from
-    /// disk.
-    pub fn stage_input(&self, out: &Section, bounds: &Shape) -> Section {
-        let ranges: Vec<DimRange> = (out.ranges().iter().zip(self.expr.max_shift(out.ndims())))
-            .enumerate()
-            .map(|(d, (r, s))| {
-                DimRange::new(r.lo.saturating_sub(s), (r.hi + s).min(bounds.extent(d)))
-            })
-            .collect();
-        Section::new(ranges)
-    }
-
-    /// The strips `rank` sends along `g`, as sections of its local arrays:
-    /// its lowest `hi_width` indices along `g.dim` to the lower neighbour
-    /// (they are that neighbour's upper ghosts) and its highest `lo_width`
-    /// to the upper one. A rank with no neighbour on a side, or a zero
-    /// width, sends nothing there.
-    pub fn ghost_sends(&self, g: &GhostSpec, rank: usize) -> GhostStrips {
-        let [lower, upper] = self.neighbours(g, rank);
+    /// `rank`'s schedule: the one place the local iteration space is cut
+    /// into stages of `slab_thickness` along `slab_dim` and each stage's
+    /// input is widened. A rank sends its strips whether or not it
+    /// computes anything itself.
+    pub fn schedule(&self, rank: usize) -> ElwSchedule {
+        // Compiled statements exchange along at most one dimension
+        // (`crate::comm::analyze_elw`).
+        assert!(
+            self.ghosts.len() <= 1,
+            "ghost exchange runs along one dimension"
+        );
         let local = self.lhs.local_shape(rank);
-        let ext = local.extent(g.dim);
-        let strip =
-            |lo: usize, hi: usize| Section::full(&local).with_range(g.dim, DimRange::new(lo, hi));
-        [
-            lower
-                .filter(|_| g.hi_width > 0)
-                .map(|nb| (nb, strip(0, g.hi_width.min(ext)))),
-            upper
-                .filter(|_| g.lo_width > 0)
-                .map(|nb| (nb, strip(ext.saturating_sub(g.lo_width), ext))),
-        ]
+        let (mut halo, mut pad) = (local.extents().to_vec(), vec![0; local.ndims()]);
+        let mut strips = Vec::new();
+        if let Some(g) = self.ghosts.first() {
+            // Toward its lower neighbour (side 0) a rank sends its lowest
+            // `hi_width` indices along `g.dim`, which are that neighbour's
+            // upper ghosts; toward its upper one (side 1) its highest
+            // `lo_width`. A rank with no neighbour on a side, or a zero
+            // width, sends nothing there.
+            let widths = [g.hi_width, g.lo_width];
+            let strip = |side: usize, ext: usize| {
+                let w = widths[side].min(ext);
+                [DimRange::new(0, w), DimRange::new(ext - w, ext)][side]
+            };
+            let nbs = self.neighbours(g, rank);
+            let peer = |side: usize, toward: usize| nbs[side].filter(|_| widths[toward] > 0);
+            // The lower neighbour's strip lands below local index 0, the
+            // upper neighbour's past the local extent.
+            let recvs = [0, 1].map(|side| {
+                let (nb, nb_ext) = peer(side, 1 - side)?;
+                Some((nb, strip(1 - side, nb_ext).len()))
+            });
+            let width = |side: usize| recvs[side].map_or(0, |(_, w)| w);
+            let ext = local.extent(g.dim);
+            (halo[g.dim], pad[g.dim]) = (width(0) + ext + width(1), width(0));
+            // The halo space differs from the local one along `g.dim` only.
+            let at = |r: DimRange| Section::full(&local).with_range(g.dim, r);
+            let sent =
+                (0..2).filter_map(|side| Some((true, peer(side, side)?.0, at(strip(side, ext)))));
+            let received = (recvs.iter().zip([0, width(0) + ext])).filter_map(|(recv, lo)| {
+                recv.map(|(nb, w)| (false, nb, at(DimRange::new(lo, lo + w))))
+            });
+            let moves: Vec<_> = sent.chain(received).collect();
+            strips = (0..self.rhs_arrays.len())
+                .flat_map(|array| {
+                    moves.iter().map(move |(send, peer, section)| GhostStrip {
+                        send: *send,
+                        array,
+                        peer: *peer,
+                        section: section.clone(),
+                    })
+                })
+                .collect();
+        }
+        let region = local_iteration_space(&self.lhs.dist, rank, &self.region);
+        let stages = region.map_or(Vec::new(), |region| {
+            let r = region.range(self.slab_dim);
+            slabs(r.lo, r.hi, self.slab_thickness.max(1))
+                .map(|(lo, hi)| {
+                    let out = (region.clone()).with_range(self.slab_dim, DimRange::new(lo, hi));
+                    let input = self.expr.widen(&out, &local);
+                    ElwStage { out, input }
+                })
+                .collect()
+        });
+        ElwSchedule {
+            halo: Shape::new(halo),
+            pad,
+            strips,
+            stages,
+        }
     }
 
-    /// The strips `rank` receives along `g`: what its lower neighbour sends
-    /// up and what its upper neighbour sends down, each as a section of the
-    /// sender's local arrays.
-    pub fn ghost_recvs(&self, g: &GhostSpec, rank: usize) -> GhostStrips {
-        let [lower, upper] = self.neighbours(g, rank);
-        let from = |nb: Option<usize>, side: usize| {
-            let nb = nb?;
-            let (_, strip) = self.ghost_sends(g, nb)[side].take()?;
-            Some((nb, strip))
-        };
-        [from(lower, 1), from(upper, 0)]
-    }
-
-    /// The ranks adjacent to `rank` along the processor axis of `g.dim`.
-    fn neighbours(&self, g: &GhostSpec, rank: usize) -> [Option<usize>; 2] {
+    /// The ranks adjacent to `rank` along the processor axis of `g.dim`,
+    /// lower first, each with its local extent along `g.dim`.
+    fn neighbours(&self, g: &GhostSpec, rank: usize) -> [Option<(usize, usize)>; 2] {
         let DimDist::Distributed { axis, .. } = self.lhs.dist.dims()[g.dim] else {
             return [None, None];
         };
@@ -475,7 +540,7 @@ impl ElwPlan {
         .map(|nb| {
             let nb = nb?;
             coords[axis] = nb;
-            Some(grid.rank(&coords))
+            Some((grid.rank(&coords), self.lhs.dist.local_extent(g.dim, nb)))
         })
     }
 }

@@ -1,6 +1,9 @@
-//! Elementwise forall executor: ghost exchange, then one evaluator over
+//! Elementwise forall executor: the rank's schedule
+//! ([`ElwPlan::schedule`]) run as a ghost exchange, then one evaluator over
 //! contiguous runs of ghost-filled stage buffers.
 //!
+//! The schedule is the one the compiler prices stage by stage
+//! (`ooc_core::nodegen::elw_nest`); this module decides no section itself.
 //! The plan's arrays all share one distribution, so the owner-computes
 //! local iteration space is the local part of the global region. Shifted
 //! references crossing the processor boundary along the distributed
@@ -8,133 +11,93 @@
 //! copy-in semantics: the exchange happens before any element of the
 //! statement is stored).
 //!
-//! Each stage reads, per rhs array, the section [`ElwPlan::stage_input`]
-//! names and places it in one buffer together with the part of the
-//! received strips the stage reaches, so every shifted reference is an
-//! in-bounds offset into that buffer. The expression is compiled once into
-//! a postfix `Program` and evaluated one dimension-0 run at a time: a
-//! constant fills the run, a reference reads a slice of its buffer, an
-//! operation combines two runs. Every element sees the operations of the
-//! written expression in the written order, so the result is bitwise a
-//! serial evaluation of the same tree.
+//! Each stage reads, per rhs array, the stage's input section and places
+//! it in one buffer together with the part of the received strips the
+//! stage reaches (the same widening, [`ElwExpr::widen`], in the halo
+//! space), so every shifted reference is an in-bounds offset into that
+//! buffer. The expression is compiled once into a postfix `Program` and
+//! evaluated one dimension-0 run at a time: a constant fills the run, a
+//! reference reads a slice of its buffer, an operation combines two runs.
+//! Every element sees the operations of the written expression in the
+//! written order, so the result is bitwise a serial evaluation of the same
+//! tree.
 
 use std::iter::repeat;
 
 use dmsim::{Payload, ProcCtx, Tag};
-use ooc_array::{DimRange, OocEnv, OocError, Section, Shape};
+use ooc_array::{DimRange, OocEnv, OocError, Section};
 use ooc_core::hir::ElwExpr;
-use ooc_core::partition::local_iteration_space;
 use ooc_core::plan::ElwPlan;
+use pario::IoCharge;
 
 const GHOST_TAG: Tag = Tag(0x6057);
 
-/// Execute the plan on this processor. Returns peak in-core elements.
+/// Execute the plan on this processor: run its schedule
+/// ([`ElwPlan::schedule`]), charging every disk access through `charge`.
+/// Returns peak in-core elements.
 ///
 /// With `prefetch`, each stage's slab reads overlap the previous stage's
 /// deferred computation (stencil stages have no intervening collective, so
-/// the overlap is effective — unlike the GAXPY row version).
-pub fn execute(ctx: &ProcCtx, env: &mut OocEnv, plan: &ElwPlan) -> Result<usize, OocError> {
-    execute_prefetched(ctx, env, plan, false)
-}
-
-/// See [`execute`]; `prefetch` selects the software-pipelined variant.
-pub fn execute_prefetched(
+/// the overlap is effective — unlike the GAXPY row version). Prefetched
+/// reads charge through the context's overlapped path, not `charge`.
+pub fn execute(
     ctx: &ProcCtx,
     env: &mut OocEnv,
     plan: &ElwPlan,
     prefetch: bool,
+    charge: &dyn IoCharge,
 ) -> Result<usize, OocError> {
     let rank = ctx.rank();
-    let local_shape = plan.lhs.local_shape(rank);
     let mut peak = 0usize;
 
     // Mixed-distribution right-hand sides were remapped by the compiler:
     // redistribute each into its statement-local temporary first.
     for remap in &plan.pre_remaps {
-        ooc_array::redistribute_with(ctx, env, &remap.src, &remap.tmp, remap.method, ctx)?;
+        ooc_array::redistribute_with(ctx, env, &remap.src, &remap.tmp, remap.method, charge)?;
         peak = peak.max(remap.src.local_shape(rank).len());
     }
+    let schedule = plan.schedule(rank);
 
     // ---- Ghost exchange (charged I/O + real messages). -----------------
-    // Compiled statements exchange along at most one dimension
-    // (`ooc_core::comm::analyze_elw`). The strips received there extend
-    // the local index space below 0 and past the extent: in this halo
-    // space, of shape `halo`, local index `x` sits at `x + pad`, and
-    // `strips[ai]` holds array `ai`'s strips.
-    assert!(
-        plan.ghosts.len() <= 1,
-        "ghost exchange runs along one dimension"
-    );
+    // `placed[ai]` holds array `ai`'s received strips, each with the
+    // section of the halo space it fills.
     let ghost_span = ctx.trace_span(ooc_trace::Category::Slab, "ghost_exchange");
-    let (mut halo, mut pad) = (local_shape.clone(), vec![0; local_shape.ndims()]);
-    let mut strips: Vec<Vec<(Section, Vec<f32>)>> = vec![Vec::new(); plan.rhs_arrays.len()];
-    for g in &plan.ghosts {
-        let (sends, recvs) = (plan.ghost_sends(g, rank), plan.ghost_recvs(g, rank));
-        let rows = |i: usize| recvs[i].as_ref().map_or(0, |(_, s)| s.range(g.dim).len());
-        let (below, ext, above) = (rows(0), local_shape.extent(g.dim), rows(1));
-        let mut extents = local_shape.extents().to_vec();
-        extents[g.dim] += below + above;
-        (halo, pad[g.dim]) = (Shape::new(extents), below);
-        // The lower strip sits below local index 0, the upper one past the
-        // local extent, each across every other dimension.
-        let at = [(0, below), (below + ext, below + ext + above)];
-        for (rd, placed) in plan.rhs_arrays.iter().zip(&mut strips) {
-            for (peer, strip) in sends.iter().flatten() {
-                let data = env.read_section(rd, strip, ctx)?;
-                ctx.send(*peer, GHOST_TAG, Payload::F32(data));
-            }
-            for (recv, (lo, hi)) in recvs.iter().zip(at) {
-                let Some((peer, strip)) = recv else { continue };
-                let data = ctx.try_recv_f32(*peer, GHOST_TAG)?;
-                debug_assert_eq!(data.len(), strip.len());
-                peak += data.len();
-                let sec = Section::full(&halo).with_range(g.dim, DimRange::new(lo, hi));
-                placed.push((sec, data));
-            }
+    let narr = plan.rhs_arrays.len();
+    let mut placed: Vec<Vec<(&Section, Vec<f32>)>> = vec![Vec::new(); narr];
+    for strip in &schedule.strips {
+        if strip.send {
+            let data = env.read_section(&plan.rhs_arrays[strip.array], &strip.section, charge)?;
+            ctx.send(strip.peer, GHOST_TAG, Payload::F32(data));
+        } else {
+            let data = ctx.try_recv_f32(strip.peer, GHOST_TAG)?;
+            debug_assert_eq!(data.len(), strip.section.len());
+            peak += data.len();
+            placed[strip.array].push((&strip.section, data));
         }
     }
     drop(ghost_span);
     let ghost_peak = peak;
     let to_halo = |sec: &Section| {
-        let ranges: Vec<DimRange> = (sec.ranges().iter().zip(&pad))
+        let ranges: Vec<DimRange> = (sec.ranges().iter().zip(&schedule.pad))
             .map(|(r, p)| DimRange::new(r.lo + p, r.hi + p))
             .collect();
         Section::new(ranges)
     };
 
     // ---- Stripmined evaluation. -----------------------------------------
-    let Some(local_region) = local_iteration_space(&plan.lhs.dist, rank, &plan.region) else {
-        // Nothing to compute here; the exchange above still served the
-        // neighbors.
-        return Ok(peak);
-    };
-
     let mut program = Program::compile(plan);
-    let narr = plan.rhs_arrays.len();
     let (mut disk, mut filled) = (vec![Vec::new(); narr], vec![Vec::new(); narr]);
     let (mut out, mut scratch) = (Vec::new(), Vec::new());
-    let r = local_region.range(plan.slab_dim);
-    let t = plan.slab_thickness.max(1);
     let mut pending_flops = 0u64;
-    let mut slab_idx = 0u64;
-    let mut lo = r.lo;
-    while lo < r.hi {
+    for (slab_idx, stage) in (0..).zip(&schedule.stages) {
         let _slab = ctx.trace_slab_span("slab", slab_idx);
-        let hi = (lo + t).min(r.hi);
-        let out_sec = local_region
-            .clone()
-            .with_range(plan.slab_dim, DimRange::new(lo, hi));
 
         // The stage's disk input. With prefetch, the whole stage's reads
         // overlap the previous stage's deferred compute.
-        let input = plan.stage_input(&out_sec, &local_shape);
         let pend = pario::PendingIo::new();
+        let reads: &dyn IoCharge = if prefetch { &pend } else { charge };
         for (rd, buf) in plan.rhs_arrays.iter().zip(&mut disk) {
-            if prefetch {
-                env.read_section_into(rd, &input, buf, &pend)?;
-            } else {
-                env.read_section_into(rd, &input, buf, ctx)?;
-            }
+            env.read_section_into(rd, &stage.input, buf, reads)?;
         }
         if prefetch {
             let (reqs, bytes) = pend.reads();
@@ -145,33 +108,35 @@ pub fn execute_prefetched(
         // Each array's stage buffer: the same widening in the halo space.
         // Where it reaches into the ghost strips, the disk input and the
         // strips are assembled into one buffer.
-        let out_halo = to_halo(&out_sec);
-        let (buf_sec, disk_sec) = (plan.stage_input(&out_halo, &halo), to_halo(&input));
+        let out_halo = to_halo(&stage.out);
+        let (buf_sec, disk_sec) = (
+            plan.expr.widen(&out_halo, &schedule.halo),
+            to_halo(&stage.input),
+        );
         let bufs: Vec<&[f32]> = if buf_sec == disk_sec {
             disk.iter().map(Vec::as_slice).collect()
         } else {
-            for ((buf, data), placed) in filled.iter_mut().zip(&disk).zip(&strips) {
+            for ((buf, data), strips) in filled.iter_mut().zip(&disk).zip(&placed) {
                 buf.resize(buf_sec.len(), 0.0);
                 copy_overlap(data, &disk_sec, buf, &buf_sec);
-                for (sec, strip) in placed {
+                for (sec, strip) in strips {
                     copy_overlap(strip, sec, buf, &buf_sec);
                 }
             }
             filled.iter().map(Vec::as_slice).collect()
         };
 
-        out.resize(out_sec.len(), 0.0);
+        out.resize(stage.out.len(), 0.0);
         program.run(&out_halo, &buf_sec, &bufs, &mut out, &mut scratch);
+        let flops = stage.out.len() as u64 * plan.flops_per_point;
         if prefetch {
-            pending_flops += out_sec.len() as u64 * plan.flops_per_point;
+            pending_flops += flops;
         } else {
-            ctx.charge_flops(out_sec.len() as u64 * plan.flops_per_point);
+            ctx.charge_flops(flops);
         }
-        peak = peak.max(ghost_peak + out.len() + narr * input.len());
+        peak = peak.max(ghost_peak + out.len() + narr * stage.input.len());
 
-        env.write_section(&plan.lhs, &out_sec, &out, ctx)?;
-        slab_idx += 1;
-        lo = hi;
+        env.write_section(&plan.lhs, &stage.out, &out, charge)?;
     }
     if pending_flops > 0 {
         ctx.charge_flops(pending_flops);
@@ -471,7 +436,7 @@ mod tests {
             // v starts as a copy of u so the untouched boundary matches the
             // reference.
             env.load_global(&plan.lhs, &init_u).unwrap();
-            execute(ctx, &mut env, &plan).unwrap();
+            execute(ctx, &mut env, &plan, false, ctx).unwrap();
             env.read_local_all(&plan.lhs).unwrap()
         });
         let locals: Vec<&[f32]> = results.iter().map(|v| v.as_slice()).collect();
@@ -504,7 +469,7 @@ mod tests {
             env.alloc(&plan.rhs_arrays[0]).unwrap();
             env.alloc(&plan.lhs).unwrap();
             env.load_global(&plan.rhs_arrays[0], &init_u).unwrap();
-            execute(ctx, &mut env, &plan).unwrap();
+            execute(ctx, &mut env, &plan, false, ctx).unwrap();
         });
         // Rank 1 (middle) exchanges with both neighbors: 2 sends.
         assert_eq!(report.per_proc()[1].stats.msgs_sent, 2);
@@ -540,7 +505,7 @@ mod tests {
             env.alloc(&u).unwrap();
             env.alloc(&v).unwrap();
             env.load_global(&u, &init_u).unwrap();
-            execute(ctx, &mut env, &plan).unwrap();
+            execute(ctx, &mut env, &plan, false, ctx).unwrap();
             env.read_local_all(&v).unwrap()
         });
         assert_eq!(report.totals().msgs_sent, 0);
@@ -589,7 +554,7 @@ mod tests {
                 env.alloc(&plan.rhs_arrays[0]).unwrap();
                 env.alloc(&plan.lhs).unwrap();
                 env.load_global(&plan.rhs_arrays[0], &init_u).unwrap();
-                execute_prefetched(ctx, &mut env, &plan, prefetch).unwrap();
+                execute(ctx, &mut env, &plan, prefetch, ctx).unwrap();
             })
         };
         let base = run_with(false);
@@ -606,23 +571,60 @@ mod tests {
         assert_eq!(b0.flops, p0.flops);
     }
 
+    /// `v = u(−shift) + u(+shift)` along the distributed dimension of an
+    /// `n × n` grid over `p` ranks, stripmined along that dimension: every
+    /// stage within `shift` of a local edge is clamped there.
+    fn wide_plan(n: usize, p: usize, shift: usize, thickness: usize, row_block: bool) -> ElwPlan {
+        let mut plan = jacobi_plan(n, p, thickness, row_block);
+        let d = plan.slab_dim;
+        let at = |s: isize| {
+            let mut offsets = vec![0, 0];
+            offsets[d] = s;
+            ElwExpr::shifted("u", offsets)
+        };
+        plan.expr = ElwExpr::add(at(-(shift as isize)), at(shift as isize));
+        plan.flops_per_point = plan.expr.flops_per_point();
+        plan.region =
+            Section::full(&AShape::matrix(n, n)).with_range(d, DimRange::new(shift, n - shift));
+        plan.ghosts[0].lo_width = shift;
+        plan.ghosts[0].hi_width = shift;
+        plan
+    }
+
     #[test]
     fn measured_elw_io_matches_estimator() {
-        // Every rank's own nest — ghost strips, the first / interior / last
-        // stage grouping and the ragged last stage — agrees with what that
-        // rank's executor does, including ranks that own nothing (12 rows
-        // over 5: blocks of 3, the last rank empty).
-        for (row_block, p, thickness) in (0..2)
+        // Every rank's own nest — ghost strips, every stage and the ragged
+        // last one — agrees with what that rank's executor does, including
+        // ranks that own nothing (12 rows over 5: blocks of 3, the last
+        // rank empty) and stages clamped at a local edge by a shift wider
+        // than the slab.
+        let jacobi = (0..2)
             .flat_map(|rb| [2, 3, 5].map(move |p| (rb == 0, p)))
             .flat_map(|(rb, p)| [1, 2, 3, 5].map(move |t| (rb, p, t)))
-        {
-            let plan = jacobi_plan(12, p, thickness, row_block);
+            .map(|(rb, p, t)| {
+                (
+                    format!("jacobi row_block={rb} p={p} t={t}"),
+                    jacobi_plan(12, p, t, rb),
+                )
+            });
+        let wide = [true, false]
+            .into_iter()
+            .flat_map(|rb| [2, 3, 4].map(move |p| (rb, p)))
+            .flat_map(|(rb, p)| [(2, 1), (3, 2)].map(move |(s, t)| (rb, p, s, t)))
+            .map(|(rb, p, s, t)| {
+                (
+                    format!("shift {s} row_block={rb} p={p} t={t}"),
+                    wide_plan(24, p, s, t, rb),
+                )
+            });
+        for (name, plan) in jacobi.chain(wide) {
+            let p = plan.lhs.dist.nprocs();
             let machine = Machine::new(MachineConfig::delta(p));
             let report = machine.run(|ctx| {
                 let mut env = OocEnv::in_memory(ctx.rank());
                 env.alloc(&plan.rhs_arrays[0]).unwrap();
                 env.alloc(&plan.lhs).unwrap();
-                execute(ctx, &mut env, &plan).unwrap();
+                execute(ctx, &mut env, &plan, false, ctx).unwrap();
             });
             for (rank, proc) in report.per_proc().iter().enumerate() {
                 let t = ooc_core::ir::totals(&ooc_core::nodegen::elw_nest(&plan, rank));
@@ -630,7 +632,7 @@ mod tests {
                     t.per_array.values().map(f).sum::<u64>()
                 };
                 let s = proc.stats;
-                let tag = format!("row_block={row_block} p={p} t={thickness} rank {rank}");
+                let tag = format!("{name} rank {rank}");
                 assert_eq!(s.io_read_requests, sum(|a| a.read_requests), "{tag}");
                 assert_eq!(s.io_bytes_read, 4 * sum(|a| a.read_elems), "{tag}");
                 assert_eq!(s.io_write_requests, sum(|a| a.write_requests), "{tag}");

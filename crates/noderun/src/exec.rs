@@ -608,7 +608,7 @@ fn execute_rank(
                     }
                     None => e,
                 };
-                crate::elementwise::execute_prefetched(ctx, &mut env, e, cfg.prefetch)?
+                crate::elementwise::execute(ctx, &mut env, e, cfg.prefetch, ctx)?
             }
             ExecPlan::Transpose(t) => {
                 let plan;

@@ -36,36 +36,17 @@ pub struct RecoveryOpts<'a> {
     pub cache_budget: Option<usize>,
 }
 
-/// Execute the plan on this processor. Returns peak in-core elements.
+/// Execute the plan on this processor, with optional checkpointing and
+/// degraded-disk re-planning per [`RecoveryOpts`]. Returns peak in-core
+/// elements.
 ///
-/// With `prefetch` enabled the runtime overlaps each slab fetch with the
+/// Non-prefetched I/O is charged through `charge`, the seam
+/// [`crate::trace::TracingCharge`] uses to record the operation sequence.
+/// With `prefetch` the runtime overlaps each slab fetch with the
 /// still-pending computation of the previous slab (software pipelining):
 /// the I/O *counts* are identical, only the modeled time shrinks.
-pub fn execute(
-    ctx: &ProcCtx,
-    env: &mut OocEnv,
-    plan: &GaxpyPlan,
-    prefetch: bool,
-) -> Result<usize, OocError> {
-    execute_with_charge(ctx, env, plan, prefetch, ctx)
-}
-
-/// Like [`execute`], but non-prefetched I/O is charged through `charge` —
-/// the seam [`crate::trace::TracingCharge`] uses to record the operation
-/// sequence. (Prefetched fetches charge through the context's overlapped
-/// path and are not routed through `charge`; trace with `prefetch = false`.)
-pub fn execute_with_charge(
-    ctx: &ProcCtx,
-    env: &mut OocEnv,
-    plan: &GaxpyPlan,
-    prefetch: bool,
-    charge: &dyn pario::IoCharge,
-) -> Result<usize, OocError> {
-    execute_recoverable(ctx, env, plan, prefetch, charge, &RecoveryOpts::default())
-}
-
-/// Full-featured entry point: like [`execute_with_charge`] plus optional
-/// checkpointing and degraded-disk re-planning per [`RecoveryOpts`].
+/// Prefetched fetches charge through the context's overlapped path, not
+/// `charge`; trace with `prefetch = false`.
 ///
 /// The plan's own slab walk ([`GaxpyPlan::walk`]) decides every section
 /// read and written; this executor is the visitor that reads, multiplies,
@@ -488,7 +469,7 @@ mod tests {
             env.alloc(&plan.c).unwrap();
             env.load_global(&plan.a, &fa).unwrap();
             env.load_global(&plan.b, &fb).unwrap();
-            execute(ctx, &mut env, plan, false).unwrap();
+            execute_recoverable(ctx, &mut env, plan, false, ctx, &RecoveryOpts::default()).unwrap();
             env.read_local_all(&plan.c).unwrap()
         });
         let locals: Vec<&[f32]> = results.iter().map(|v| v.as_slice()).collect();
@@ -678,7 +659,7 @@ mod tests {
             // Cache goes live after the uncharged setup, cold — exactly
             // what the reuse predictor models.
             env.enable_cache(budget);
-            execute(ctx, &mut env, plan, false).unwrap();
+            execute_recoverable(ctx, &mut env, plan, false, ctx, &RecoveryOpts::default()).unwrap();
             env.flush_cache(ctx).unwrap();
             env.read_local_all(&plan.c).unwrap()
         });
@@ -795,7 +776,15 @@ mod tests {
                 env.alloc(&plan.c).unwrap();
                 env.load_global(&plan.a, &fa).unwrap();
                 env.load_global(&plan.b, &fb).unwrap();
-                execute(ctx, &mut env, &plan, prefetch).unwrap();
+                execute_recoverable(
+                    ctx,
+                    &mut env,
+                    &plan,
+                    prefetch,
+                    ctx,
+                    &RecoveryOpts::default(),
+                )
+                .unwrap();
             })
         };
         let base = run_with(false);
@@ -826,7 +815,8 @@ mod tests {
                 env.alloc(&plan.c).unwrap();
                 env.load_global(&plan.a, &fa).unwrap();
                 env.load_global(&plan.b, &fb).unwrap();
-                execute(ctx, &mut env, &plan, true).unwrap();
+                execute_recoverable(ctx, &mut env, &plan, true, ctx, &RecoveryOpts::default())
+                    .unwrap();
                 env.read_local_all(&plan.c).unwrap()
             });
             let locals: Vec<&[f32]> = results.iter().map(|v| v.as_slice()).collect();
@@ -845,7 +835,8 @@ mod tests {
                 env.alloc(&plan.a).unwrap();
                 env.alloc(&plan.b).unwrap();
                 env.alloc(&plan.c).unwrap();
-                execute(ctx, &mut env, &plan, false).unwrap()
+                execute_recoverable(ctx, &mut env, &plan, false, ctx, &RecoveryOpts::default())
+                    .unwrap()
             });
             let budget = plan.memory_elems();
             for peak in peaks {

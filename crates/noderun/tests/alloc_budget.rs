@@ -154,8 +154,17 @@ fn column_gaxpy_allocs(n: usize, p: usize, slab_a: usize) -> Vec<usize> {
             env.alloc(desc).unwrap();
             env.load_global(desc, &f).unwrap();
         }
-        let (peak, allocs) =
-            allocs_during(|| noderun::gaxpy::execute(ctx, &mut env, &plan, false).unwrap());
+        let (peak, allocs) = allocs_during(|| {
+            noderun::gaxpy::execute_recoverable(
+                ctx,
+                &mut env,
+                &plan,
+                false,
+                ctx,
+                &Default::default(),
+            )
+            .unwrap()
+        });
         assert!(peak > 0);
         allocs
     });
@@ -219,8 +228,9 @@ fn stencil_allocs(rows: usize, cols: usize, slab_dim: usize) -> (Vec<usize>, usi
             env.alloc(desc).unwrap();
             env.load_global(desc, &f).unwrap();
         }
-        let (peak, allocs) =
-            allocs_during(|| noderun::elementwise::execute(ctx, &mut env, &plan).unwrap());
+        let (peak, allocs) = allocs_during(|| {
+            noderun::elementwise::execute(ctx, &mut env, &plan, false, ctx).unwrap()
+        });
         assert!(peak > 0);
         allocs
     });

@@ -9,7 +9,8 @@
 //! to 1e-9; and every candidate an unforced compile reports equals the
 //! estimate of compiling with that candidate forced. Transposes and
 //! redistributions are also held to the tally of their remap schedule on
-//! every rank, ranks that own nothing included.
+//! every rank, ranks that own nothing included. A stencil whose shift is
+//! wider than its slab is held to its estimate stage by stage.
 
 use dmsim::{Machine, MachineConfig, StatsSnapshot};
 use noderun::spmv::execute_cached;
@@ -248,6 +249,52 @@ fn every_forced_misaligned_forall_matches_its_estimate() {
             forced_run_is_exact(&tag, &source, &init, method);
         }
         losers_are_priced_as_if_forced(&tag, &source);
+    }
+}
+
+/// `v(i, j) = u(i, j-2) + u(i, j+2)` with both arrays `(*, block)` through
+/// one template: a ghost strip of two columns each way.
+fn wide_shift_source(n: usize, p: usize) -> String {
+    format!(
+        "
+      parameter (n={n})
+      real u(n, n), v(n, n)
+!hpf$ processors pr({p})
+!hpf$ template t(n)
+!hpf$ distribute t(block) on pr
+!hpf$ align (*, :) with t :: u, v
+      forall (i = 1:n, j = 3:n-2)
+        v(i, j) = u(i, j-2) + u(i, j+2)
+      end forall
+      end
+"
+    )
+}
+
+#[test]
+fn a_shift_wider_than_the_slab_is_priced_stage_by_stage() {
+    // One-column slabs under a shift of two: the stages next to the local
+    // edges read clamped inputs, and the estimate prices each of them.
+    for p in [2, 4] {
+        let options = CompilerOptions {
+            elw_slab_elems: 64,
+            ..CompilerOptions::default()
+        };
+        let compiled = compile_source(&wide_shift_source(32, p), &options).unwrap();
+        let ExecPlan::Elementwise(plan) = &compiled.plans[0] else {
+            panic!("expected an elementwise plan");
+        };
+        assert_eq!((plan.slab_dim, plan.slab_thickness), (1, 1));
+        let mut cfg = RunConfig::default();
+        cfg.init.insert("u".into(), init_fn(fa));
+        let outcome = run(&compiled, &cfg).unwrap();
+        let rank0 = &outcome.report.per_proc()[0];
+        assert_exact(
+            &format!("wide shift p={p}"),
+            &compiled.estimates[0],
+            &rank0.stats,
+            rank0.finish_time,
+        );
     }
 }
 

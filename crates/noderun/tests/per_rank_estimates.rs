@@ -85,7 +85,15 @@ fn every_rank_matches_its_own_nest_even_when_p_does_not_divide_n() {
                     if budget > 0 {
                         env.enable_cache(budget);
                     }
-                    noderun::gaxpy::execute(ctx, &mut env, &plan, false).unwrap();
+                    noderun::gaxpy::execute_recoverable(
+                        ctx,
+                        &mut env,
+                        &plan,
+                        false,
+                        ctx,
+                        &Default::default(),
+                    )
+                    .unwrap();
                     env.flush_cache(ctx).unwrap();
                     env.read_local_all(&plan.c).unwrap()
                 });
