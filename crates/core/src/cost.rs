@@ -63,21 +63,6 @@ impl CostEstimate {
         }
     }
 
-    /// Evaluate a nest under a cost model degraded by background disk-farm
-    /// load (concurrent workload jobs sharing the physical disks). With no
-    /// competitors the result is bit-identical to
-    /// [`CostEstimate::from_nest`]; otherwise reads/writes are priced at
-    /// this job's fair bandwidth share while communication and compute stay
-    /// untouched — contention lives only on the farm.
-    pub fn from_nest_contended(
-        nest: &[NestNode],
-        model: &CostModel,
-        elem_size: usize,
-        load: &dmsim::BackgroundLoad,
-    ) -> Self {
-        Self::from_totals(totals(nest), &model.contended(load), elem_size)
-    }
-
     /// Total modeled seconds (the selection criterion; I/O dominates on the
     /// Delta profile, so the ranking matches the paper's I/O-cost ranking).
     pub fn time(&self) -> f64 {
@@ -173,11 +158,15 @@ mod tests {
     fn contended_estimate_degrades_io_only() {
         let model = CostModel::delta(4);
         let base = CostEstimate::from_nest(&nest(), &model, 4);
-        let solo =
-            CostEstimate::from_nest_contended(&nest(), &model, 4, &dmsim::BackgroundLoad::jobs(0));
-        assert_eq!(solo, base, "zero competitors is bit-identical");
-        let busy =
-            CostEstimate::from_nest_contended(&nest(), &model, 4, &dmsim::BackgroundLoad::jobs(3));
+        let under = |jobs| {
+            CostEstimate::from_nest(
+                &nest(),
+                &model.contended(&dmsim::BackgroundLoad::jobs(jobs)),
+                4,
+            )
+        };
+        assert_eq!(under(0), base, "zero competitors is bit-identical");
+        let busy = under(3);
         assert!(busy.io_time > base.io_time, "contention slows the farm");
         assert_eq!(busy.comm_time, base.comm_time);
         assert_eq!(busy.compute_time, base.compute_time);

@@ -12,8 +12,9 @@
 //! 4. allocating memory among competing out-of-core arrays ([`memory`]).
 //!
 //! Compilation follows the two-phase structure of the paper's Figure 7:
-//! the *in-core phase* ([`partition`], [`comm`]) partitions computation by
-//! the owner-computes rule and detects communication; the *out-of-core
+//! the *in-core phase* ([`comm`], and [`ooc_array::local_section_of_global`]
+//! for the local iteration space) partitions computation by the
+//! owner-computes rule and detects communication; the *out-of-core
 //! phase* ([`stripmine`], [`nodegen`]) stripmines the local iteration space
 //! by the memory budget and inserts I/O calls, producing an executable
 //! [`plan::ExecPlan`] plus a symbolic [`ir::NestNode`] loop nest — the
@@ -38,7 +39,6 @@ pub mod irreg;
 pub mod lower;
 pub mod memory;
 pub mod nodegen;
-pub mod partition;
 pub mod pipeline;
 pub mod plan;
 pub mod reorg;

@@ -80,8 +80,9 @@ pub struct CompilerOptions {
     /// builds its machine with tracing already configured.
     pub trace: ooc_trace::TraceConfig,
     /// Force one I/O access method for every remap-style access (pre-
-    /// statement redistributions and transposes) instead of per-access
-    /// cost-based selection (`None`, the default).
+    /// statement redistributions, transposes and SpMV gathers, which then
+    /// skip run-time re-selection) instead of per-access cost-based
+    /// selection (`None`, the default).
     pub io_method: Option<pario::IoMethod>,
     /// Background disk-farm load the compiled program will run against
     /// (concurrent workload jobs sharing the physical disks). `Some` prices

@@ -10,13 +10,12 @@
 use serde::{Deserialize, Serialize};
 
 use ooc_array::{
-    global_section_of_local, ArrayDesc, ArrayId, DimDist, DimRange, Distribution, RemapSchedule,
-    RemapStage, Section, Shape, SlabPlan,
+    global_section_of_local, local_section_of_global, ArrayDesc, ArrayId, DimDist, DimRange,
+    Distribution, RemapSchedule, RemapStage, Section, Shape, SlabPlan,
 };
 use pario::ElemKind;
 
 use crate::hir::ElwExpr;
-use crate::partition::local_iteration_space;
 
 /// Slab orientation for the GAXPY translation — the choice at the heart of
 /// the paper's §4.
@@ -505,7 +504,8 @@ impl ElwPlan {
                 })
                 .collect();
         }
-        let region = local_iteration_space(&self.lhs.dist, rank, &self.region);
+        // Owner computes: the rank runs the part of the region it stores.
+        let region = local_section_of_global(&self.lhs.dist, rank, &self.region);
         let stages = region.map_or(Vec::new(), |region| {
             let r = region.range(self.slab_dim);
             slabs(r.lo, r.hi, self.slab_thickness.max(1))

@@ -73,8 +73,6 @@ pub fn build_gaxpy_plan(
 pub struct GaxpyChoice {
     /// The selected plan.
     pub plan: GaxpyPlan,
-    /// Its symbolic node program.
-    pub nest: Vec<NestNode>,
     /// Cost estimates of every candidate, in candidate order.
     pub estimates: Vec<(SlabStrategy, CostEstimate)>,
 }
@@ -104,7 +102,7 @@ pub struct GaxpySelection<'a> {
 /// Run the Figure 14 selection: build candidates, estimate, choose.
 pub fn choose_gaxpy(sel: &GaxpySelection<'_>, model: &CostModel) -> GaxpyChoice {
     let candidates = [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab];
-    let mut scored: Vec<(SlabStrategy, GaxpyPlan, Vec<NestNode>, CostEstimate)> = Vec::new();
+    let mut scored: Vec<(SlabStrategy, GaxpyPlan, CostEstimate)> = Vec::new();
     for strategy in candidates {
         let desired = if sel.reorganize {
             desired_layouts(strategy)
@@ -123,27 +121,22 @@ pub fn choose_gaxpy(sel: &GaxpySelection<'_>, model: &CostModel) -> GaxpyChoice 
         let plan = build_gaxpy_plan(
             sel.ids, sel.arrays, sel.n, sel.p, strategy, sel.sizing, layouts, model,
         );
-        let nest = gaxpy_nest(&plan);
-        let est = CostEstimate::from_nest(&nest, model, 4);
-        scored.push((strategy, plan, nest, est));
+        let est = CostEstimate::from_nest(&gaxpy_nest(&plan), model, 4);
+        scored.push((strategy, plan, est));
     }
     let estimates: Vec<(SlabStrategy, CostEstimate)> =
-        scored.iter().map(|(s, _, _, e)| (*s, e.clone())).collect();
+        scored.iter().map(|(s, _, e)| (*s, e.clone())).collect();
     let cheapest = || {
         (0..scored.len())
-            .min_by(|&a, &b| scored[a].3.time().total_cmp(&scored[b].3.time()))
+            .min_by(|&a, &b| scored[a].2.time().total_cmp(&scored[b].2.time()))
             .unwrap_or(0)
     };
     let pick = sel
         .force
-        .and_then(|f| scored.iter().position(|(s, _, _, _)| *s == f))
+        .and_then(|f| scored.iter().position(|(s, _, _)| *s == f))
         .unwrap_or_else(cheapest);
-    let (_, plan, nest, _) = scored.swap_remove(pick);
-    GaxpyChoice {
-        plan,
-        nest,
-        estimates,
-    }
+    let (_, plan, _) = scored.swap_remove(pick);
+    GaxpyChoice { plan, estimates }
 }
 
 /// Outcome of access-method selection for one remap-style access (a

@@ -39,9 +39,6 @@ pub struct RunConfig {
     /// Overlap slab fetches with the previous slab's computation (software
     /// pipelining). Leaves the I/O metrics untouched; only time shrinks.
     pub prefetch: bool,
-    /// Machine override; defaults to the compiled program's cost model on
-    /// its processor count.
-    pub machine: Option<MachineConfig>,
     /// Initial values per array (missing arrays start zeroed). Loading is
     /// not charged — the paper amortizes initial distribution.
     pub init: HashMap<String, InitFn>,
@@ -74,29 +71,20 @@ pub struct RunConfig {
     /// Tracing override. `None` follows the compiled program's
     /// [`ooc_core::CompilerOptions::trace`]; `Some` replaces it (e.g. to
     /// trace a program compiled without tracing, or to silence one).
-    /// Ignored when [`RunConfig::machine`] is set — an explicit machine
-    /// carries its own trace configuration.
     pub trace: Option<dmsim::TraceConfig>,
-    /// Override the compiler's per-access I/O method selection for every
-    /// remap-style access (pre-statement redistributions, transposes).
-    /// `Sieved` additionally sets the environment's sieve policy to
-    /// `Always`, so strided section reads sieve everywhere. `None` (the
-    /// default) runs what the compiler chose.
-    pub io_method: Option<pario::IoMethod>,
     /// Workload job tag. Job 0 (the default) is bit-identical to a build
     /// without the workload runtime; a nonzero tag gives this run its own
     /// fault/RNG streams per (job, rank) and labels its requests for the
     /// `ooc-sched` disk-farm scheduler.
     pub job: u32,
     /// Execution engine override. `None` follows the compiled program's
-    /// [`ooc_core::CompilerOptions::engine`]; `Some` replaces it. Ignored
-    /// when [`RunConfig::machine`] is set — an explicit machine carries its
-    /// own engine. Reports are bit-identical across engines.
+    /// [`ooc_core::CompilerOptions::engine`]; `Some` replaces it. Reports
+    /// are bit-identical across engines.
     pub engine: Option<Engine>,
     /// Host the ranks on this existing worker pool instead of building a
     /// transient one per run. Implies the pooled engine regardless of
-    /// `engine`/`machine`; required for running many programs concurrently
-    /// on one fixed set of OS threads (see [`start`]).
+    /// `engine`; required for running many programs concurrently on one
+    /// fixed set of OS threads (see [`start`]).
     pub pool: Option<WorkerPool>,
 }
 
@@ -171,28 +159,14 @@ pub(crate) struct RankResult {
     pub peak_elems: usize,
 }
 
-/// Build and validate the machine configuration for one run of `compiled`
-/// under `cfg` (engine resolution: `cfg.machine` > `cfg.engine` >
-/// `compiled.engine`).
+/// Build the machine for one run of `compiled` under `cfg` — the compiled
+/// program's cost model on its processor count, with `cfg`'s trace and
+/// engine overrides and job tag — and validate `cfg`'s array names.
 fn machine_config(compiled: &CompiledProgram, cfg: &RunConfig) -> Result<MachineConfig, RunError> {
-    let p = compiled.nprocs();
-    let mut machine_cfg = cfg.machine.clone().unwrap_or_else(|| {
-        MachineConfig::new(p, compiled.model.clone())
-            .with_trace(cfg.trace.unwrap_or(compiled.trace))
-            .with_engine(compiled.engine)
-    });
-    if let Some(engine) = cfg.engine {
-        machine_cfg.engine = engine;
-    }
-    if cfg.job != 0 {
-        machine_cfg.job = cfg.job;
-    }
-    if machine_cfg.nprocs != p {
-        return Err(RunError::Config(format!(
-            "machine has {} processors but the program was compiled for {p}",
-            machine_cfg.nprocs
-        )));
-    }
+    let mut machine_cfg = MachineConfig::new(compiled.nprocs(), compiled.model.clone())
+        .with_trace(cfg.trace.unwrap_or(compiled.trace))
+        .with_engine(cfg.engine.unwrap_or(compiled.engine));
+    machine_cfg.job = cfg.job;
     for name in &cfg.collect {
         if compiled.hir.array(name).is_none() {
             return Err(RunError::Config(format!(
@@ -537,9 +511,6 @@ fn execute_rank(
     if let Some(policy) = cfg.sieve {
         env.set_sieve_policy(policy);
     }
-    if cfg.io_method == Some(pario::IoMethod::Sieved) {
-        env.set_sieve_policy(pario::SievePolicy::Always);
-    }
     for desc in &compiled.descs {
         env.alloc(desc)?;
         if let Some(init) = cfg.init.get(&desc.name) {
@@ -590,55 +561,15 @@ fn execute_rank(
                 crate::gaxpy::execute_recoverable(ctx, &mut env, g, cfg.prefetch, ctx, &opts)?
             }
             ExecPlan::Elementwise(e) => {
-                let plan;
-                let e = match cfg.io_method {
-                    Some(m) => {
-                        plan = ooc_core::plan::ElwPlan {
-                            pre_remaps: e
-                                .pre_remaps
-                                .iter()
-                                .map(|r| ooc_core::plan::RemapSpec {
-                                    method: m,
-                                    ..r.clone()
-                                })
-                                .collect(),
-                            ..e.clone()
-                        };
-                        &plan
-                    }
-                    None => e,
-                };
                 crate::elementwise::execute(ctx, &mut env, e, cfg.prefetch, ctx)?
             }
-            ExecPlan::Transpose(t) => {
-                let plan;
-                let t = match cfg.io_method {
-                    Some(m) => {
-                        plan = ooc_core::plan::TransposePlan {
-                            method: m,
-                            ..t.clone()
-                        };
-                        &plan
-                    }
-                    None => t,
-                };
-                crate::transpose::execute(ctx, &mut env, t)?
-            }
+            ExecPlan::Transpose(t) => crate::transpose::execute(ctx, &mut env, t)?,
             ExecPlan::Spmv(s) => {
-                // A forced method (run config or compile-time forcing)
-                // pins the gather; otherwise the executor re-selects from
-                // the inspected schedule's allreduced statistics.
-                let plan;
-                let (s, model) = match cfg.io_method {
-                    Some(m) => {
-                        plan = ooc_core::plan::SpmvPlan {
-                            method: m,
-                            ..(**s).clone()
-                        };
-                        (&plan, None)
-                    }
-                    None => (&**s, Some(&compiled.model)),
-                };
+                // A compile-time-forced method pins the gather; otherwise
+                // the executor re-selects from the inspected schedule's
+                // allreduced statistics.
+                let forced = compiled.io_choices[i].iter().any(|c| c.forced);
+                let model = (!forced).then_some(&compiled.model);
                 crate::spmv::execute(ctx, &mut env, s, model)?
             }
         };
@@ -687,17 +618,6 @@ mod tests {
         let compiled = compile_source(hpf::GAXPY_SOURCE, &CompilerOptions::default()).unwrap();
         let cfg = RunConfig {
             collect: vec!["nope".into()],
-            ..RunConfig::default()
-        };
-        let err = run(&compiled, &cfg).unwrap_err();
-        assert!(matches!(err, RunError::Config(_)));
-    }
-
-    #[test]
-    fn mismatched_machine_is_a_config_error() {
-        let compiled = compile_source(hpf::GAXPY_SOURCE, &CompilerOptions::default()).unwrap();
-        let cfg = RunConfig {
-            machine: Some(MachineConfig::free(2)), // program wants 4
             ..RunConfig::default()
         };
         let err = run(&compiled, &cfg).unwrap_err();

@@ -118,7 +118,8 @@ fn select_method(
 /// indirection descriptors, the inspector is skipped entirely — the
 /// amortization the subsystem exists for. `model` enables runtime method
 /// re-selection from the inspected statistics; `None` keeps `plan.method`
-/// (the compile-time choice, or a forced override).
+/// (the compile-time choice; [`crate::run`] passes `None` when that choice
+/// was forced).
 pub fn execute_cached(
     ctx: &ProcCtx,
     env: &mut OocEnv,

@@ -1,12 +1,13 @@
 //! Chaos transparency of the irregular executor: fault injection (disk
 //! retries, degraded reads) may change *timing*, never *data* — and the
 //! three gather methods compute the same product bitwise, faults or not.
-//! So an SpMV forced through two-phase I/O under chaos must collect exactly
-//! the y of a fault-free direct run.
+//! So an SpMV compiled with two-phase I/O forced must, under chaos, collect
+//! exactly the y of a fault-free run compiled with direct I/O forced.
 
 use dmsim::FaultConfig;
 use noderun::{init_fn, run, RunConfig};
 use ooc_core::{compile_source, CompiledProgram, CompilerOptions};
+use pario::IoMethod;
 use proptest::prelude::*;
 
 const SN: usize = 64;
@@ -21,7 +22,7 @@ fn f_x(g: &[usize]) -> f32 {
     (g[0] % 17) as f32 * 0.5 + 0.125
 }
 
-fn spmv_cfg(colidx_stride: usize, io_method: Option<pario::IoMethod>) -> RunConfig {
+fn spmv_cfg(colidx_stride: usize) -> RunConfig {
     let mut cfg = RunConfig::default();
     cfg.init.insert("rowptr".into(), init_fn(f_rowptr));
     // A parameterized scatter: different strides exercise different
@@ -33,12 +34,16 @@ fn spmv_cfg(colidx_stride: usize, io_method: Option<pario::IoMethod>) -> RunConf
     cfg.init.insert("vals".into(), init_fn(f_vals));
     cfg.init.insert("x".into(), init_fn(f_x));
     cfg.collect.push("y".into());
-    cfg.io_method = io_method;
     cfg
 }
 
-fn compiled() -> CompiledProgram {
-    compile_source(hpf::SPMV_SOURCE, &CompilerOptions::default()).unwrap()
+/// The SpMV program with its gather method forced at compile time.
+fn compiled(method: IoMethod) -> CompiledProgram {
+    let options = CompilerOptions {
+        io_method: Some(method),
+        ..CompilerOptions::default()
+    };
+    compile_source(hpf::SPMV_SOURCE, &options).unwrap()
 }
 
 proptest! {
@@ -49,11 +54,10 @@ proptest! {
         seed in 0u64..1000,
         stride in 1usize..64,
     ) {
-        let compiled = compiled();
-        let baseline = run(&compiled, &spmv_cfg(stride, Some(pario::IoMethod::Direct))).unwrap();
-        let mut chaos_cfg = spmv_cfg(stride, Some(pario::IoMethod::TwoPhase));
+        let baseline = run(&compiled(IoMethod::Direct), &spmv_cfg(stride)).unwrap();
+        let mut chaos_cfg = spmv_cfg(stride);
         chaos_cfg.fault = Some(FaultConfig::chaos(seed));
-        let chaotic = run(&compiled, &chaos_cfg).unwrap();
+        let chaotic = run(&compiled(IoMethod::TwoPhase), &chaos_cfg).unwrap();
         prop_assert_eq!(
             &chaotic.collected, &baseline.collected,
             "two-phase under chaos(seed={}) diverged from fault-free direct (stride={})",
@@ -66,12 +70,11 @@ proptest! {
         seed in 0u64..1000,
         stride in 1usize..64,
     ) {
-        let compiled = compiled();
         let mut outcomes = Vec::new();
-        for m in pario::IoMethod::ALL {
-            let mut cfg = spmv_cfg(stride, Some(m));
+        for m in IoMethod::ALL {
+            let mut cfg = spmv_cfg(stride);
             cfg.fault = Some(FaultConfig::chaos(seed));
-            outcomes.push((m, run(&compiled, &cfg).unwrap()));
+            outcomes.push((m, run(&compiled(m), &cfg).unwrap()));
         }
         let (m0, first) = &outcomes[0];
         for (m, o) in &outcomes[1..] {

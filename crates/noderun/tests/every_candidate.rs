@@ -326,19 +326,20 @@ fn every_forced_spmv_gather_matches_its_inspected_schedule() {
         };
         let plan: SpmvPlan = (**plan).clone();
         let model = compiled.model.clone();
+        let inits = [
+            (&plan.rowptr, init_fn(move |g| (g[0] * (nnz / n)) as f32)),
+            (
+                &plan.colidx,
+                init_fn(move |g| ((g[0] * 37 + (g[0] / 3) * 11) % n) as f32),
+            ),
+            (&plan.vals, init_fn(fv)),
+            (&plan.x, init_fn(fv)),
+            (&plan.y, init_fn(fv)),
+        ];
         let machine = Machine::new(MachineConfig::new(p, model.clone()));
         let (report, scheds) = machine.run_with(|ctx| {
             let mut env = OocEnv::in_memory(ctx.rank());
-            for (desc, f) in [
-                (&plan.rowptr, init_fn(move |g| (g[0] * (nnz / n)) as f32)),
-                (
-                    &plan.colidx,
-                    init_fn(move |g| ((g[0] * 37 + (g[0] / 3) * 11) % n) as f32),
-                ),
-                (&plan.vals, init_fn(fv)),
-                (&plan.x, init_fn(fv)),
-                (&plan.y, init_fn(fv)),
-            ] {
+            for (desc, f) in &inits {
                 env.alloc(desc).unwrap();
                 env.load_global(desc, &|g| f(g)).unwrap();
             }
@@ -379,6 +380,19 @@ fn every_forced_spmv_gather_matches_its_inspected_schedule() {
             &est,
             &rank0.stats,
             rank0.finish_time,
+        );
+        // The whole program run from the same compile gathers through the
+        // method forced at compile time: no run-time re-selection.
+        let mut cfg = RunConfig::default();
+        for (desc, f) in &inits {
+            cfg.init.insert(desc.name.clone(), f.clone());
+        }
+        let whole = run(&compiled, &cfg).unwrap();
+        let none = StatsSnapshot::default();
+        assert_eq!(
+            delta(&whole.report.per_proc()[rank].stats, &none),
+            delta(&rank0.stats, &none),
+            "spmv {method:?}: noderun::run re-selected the forced gather"
         );
     }
 }

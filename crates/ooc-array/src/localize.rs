@@ -133,6 +133,40 @@ mod tests {
         assert!(local_section_of_global(&d, 0, &global).is_none());
     }
 
+    /// Owner-computes iteration counts of `region` on each rank.
+    fn per_rank_iterations(d: &Distribution, region: &Section) -> Vec<usize> {
+        (0..d.nprocs())
+            .map(|r| local_section_of_global(d, r, region).map_or(0, |s| s.len()))
+            .collect()
+    }
+
+    #[test]
+    fn partition_covers_region_exactly() {
+        // Columns 1..7 of an 8x8 column-block matrix over 4 procs (2 cols
+        // each): the edge procs own one column of it, the inner ones two.
+        let d = Distribution::column_block(Shape::matrix(8, 8), 4);
+        let region = Section::new(vec![DimRange::new(1, 7), DimRange::new(1, 7)]);
+        let per_rank = per_rank_iterations(&d, &region);
+        assert_eq!(per_rank.iter().sum::<usize>(), region.len());
+        assert_eq!(per_rank, vec![6, 12, 12, 6]);
+    }
+
+    #[test]
+    fn full_region_is_balanced() {
+        let d = Distribution::column_block(Shape::matrix(8, 8), 4);
+        let full = Section::full(&Shape::matrix(8, 8));
+        assert_eq!(per_rank_iterations(&d, &full), vec![16; 4]);
+    }
+
+    #[test]
+    fn empty_processor_gets_none() {
+        // A proc owning none of the region's columns executes nothing.
+        let d = Distribution::column_block(Shape::matrix(4, 4), 4);
+        let first_col = Section::new(vec![DimRange::new(0, 4), DimRange::new(0, 1)]);
+        assert!(local_section_of_global(&d, 0, &first_col).is_some());
+        assert!(local_section_of_global(&d, 3, &first_col).is_none());
+    }
+
     #[test]
     fn row_block_local_sections() {
         let d = Distribution::row_block(Shape::matrix(8, 8), 2);

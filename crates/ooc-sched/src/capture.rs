@@ -166,13 +166,10 @@ pub fn profile(compiled: &CompiledProgram, cfg: &RunConfig) -> Result<JobProfile
 
 /// `cfg` with tracing forced to [`TraceConfig::detailed`].
 pub(crate) fn capture_cfg(cfg: &RunConfig) -> RunConfig {
-    let mut cfg = cfg.clone();
-    match cfg.machine.as_mut() {
-        // An explicit machine carries its own trace configuration.
-        Some(m) => m.trace = TraceConfig::detailed(),
-        None => cfg.trace = Some(TraceConfig::detailed()),
+    RunConfig {
+        trace: Some(TraceConfig::detailed()),
+        ..cfg.clone()
     }
-    cfg
 }
 
 impl JobProfile {
