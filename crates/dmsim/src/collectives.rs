@@ -143,23 +143,13 @@ fn parent(rank: Rank) -> Option<Rank> {
 }
 
 /// Children of `rank` in the binomial tree rooted at 0, in increasing order.
-fn children(rank: Rank, nprocs: usize) -> Vec<Rank> {
-    let start_bit = if rank == 0 {
-        1usize
-    } else {
-        let high = 1usize << (usize::BITS - 1 - rank.leading_zeros());
-        high << 1
+fn children(rank: Rank, nprocs: usize) -> impl Iterator<Item = Rank> {
+    let start_bit = match parent(rank) {
+        None => 1,
+        Some(par) => (rank ^ par) << 1,
     };
-    let mut kids = Vec::new();
-    let mut bit = start_bit;
-    while rank + bit < nprocs {
-        kids.push(rank + bit);
-        if bit > usize::MAX / 2 {
-            break;
-        }
-        bit <<= 1;
-    }
-    kids
+    std::iter::successors(Some(start_bit), |bit| bit.checked_mul(2))
+        .map_while(move |bit| rank.checked_add(bit).filter(|&kid| kid < nprocs))
 }
 
 impl ProcCtx {
@@ -408,12 +398,12 @@ mod tests {
                 let par = parent(r).unwrap();
                 assert!(par < r, "parent({r}) = {par} not smaller");
                 assert!(
-                    children(par, p).contains(&r),
+                    children(par, p).any(|kid| kid == r),
                     "rank {r} missing from children of {par} (p={p})"
                 );
             }
             // Every rank is reachable exactly once: count tree edges.
-            let edges: usize = (0..p).map(|r| children(r, p).len()).sum();
+            let edges: usize = (0..p).map(|r| children(r, p).count()).sum();
             assert_eq!(edges, p - 1, "p={p}");
         }
     }

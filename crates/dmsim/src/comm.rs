@@ -1,11 +1,10 @@
 //! Point-to-point message fabric.
 //!
-//! Every rank owns one *mailbox*; inside it, per-source FIFO queues are
-//! materialized lazily on the first message from that source. A receive
-//! from a *specific* source scans only that source's queue, so matching is
-//! race-free and deterministic, and a 1024-rank machine whose ranks talk
-//! to `O(log n)` peers allocates `O(n log n)` queues instead of the `n²`
-//! channel pairs the previous eager fabric built up front.
+//! Every rank owns one *mailbox*: a single FIFO of `(source, message)`
+//! entries in arrival order. A receive takes the first entry matching its
+//! source and tag, so each source's messages arrive in send order and
+//! matching is deterministic. A message costs one push and one short scan,
+//! with no per-pair queue to allocate and nothing to hash.
 //!
 //! Message payloads are real data (the simulator computes real results);
 //! each message also carries its simulated arrival time so the receiver
@@ -49,7 +48,7 @@
 //!   between recording the waiter and finishing the context switch is
 //!   caught by the pool's `wake_pending`.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
@@ -215,13 +214,6 @@ impl std::fmt::Display for RecvError {
 
 impl std::error::Error for RecvError {}
 
-/// How the pooled engine wakes a parked rank task: a parked receiver
-/// records its task id in its mailbox, and senders hand that id to the
-/// scheduler through this route.
-pub(crate) struct PoolWake {
-    pub(crate) shared: Arc<PoolShared>,
-}
-
 /// A blocked receiver: what it waits for and how to resume it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Waiter {
@@ -233,11 +225,15 @@ struct Waiter {
 }
 
 struct MailState {
-    /// Per-source queues, materialized on the first message from a source.
-    queues: HashMap<usize, VecDeque<Msg>>,
+    /// Undelivered messages with their source ranks, in arrival order.
+    queue: VecDeque<(usize, Msg)>,
     /// Set while the mailbox's owner is blocked (or about to block) in a
     /// receive; taken by whoever wakes it.
     waiting: Option<Waiter>,
+    /// Queue entries receives stepped over before matching or blocking
+    /// (scan-cost tests).
+    #[cfg(test)]
+    skipped: usize,
 }
 
 impl MailState {
@@ -261,9 +257,12 @@ pub(crate) struct Fabric {
     mailboxes: Vec<Mailbox>,
     /// Stored under the rank's `watchers` lock; read lock-free by senders.
     exited: Vec<AtomicBool>,
-    /// `watchers[s]`: receivers to visit when rank `s` exits.
+    /// `watchers[s]`: receivers to visit when rank `s` exits. Pre-sized, so
+    /// filing the first few allocates nothing, whichever blocks first.
     watchers: Vec<Mutex<HashSet<usize>>>,
-    wake: OnceLock<PoolWake>,
+    /// How the pooled engine resumes a parked receiver: senders hand the
+    /// task id recorded in its mailbox to this scheduler.
+    wake: OnceLock<Arc<PoolShared>>,
     /// Times a blocked receive was resumed (wake-protocol tests).
     #[cfg(test)]
     resumes: std::sync::atomic::AtomicUsize,
@@ -275,14 +274,18 @@ impl Fabric {
             mailboxes: (0..n)
                 .map(|_| Mailbox {
                     state: Mutex::new(MailState {
-                        queues: HashMap::new(),
+                        queue: VecDeque::new(),
                         waiting: None,
+                        #[cfg(test)]
+                        skipped: 0,
                     }),
                     arrived: Condvar::new(),
                 })
                 .collect(),
             exited: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            watchers: (0..n).map(|_| Mutex::new(HashSet::new())).collect(),
+            watchers: (0..n)
+                .map(|_| Mutex::new(HashSet::with_capacity(1)))
+                .collect(),
             wake: OnceLock::new(),
             #[cfg(test)]
             resumes: std::sync::atomic::AtomicUsize::new(0),
@@ -292,20 +295,17 @@ impl Fabric {
     /// Install the pooled-engine wake route. Called once, after the run's
     /// tasks are staged (so the rank→task-id map exists) and before they
     /// are launched.
-    pub(crate) fn set_wake(&self, wake: PoolWake) {
-        if self.wake.set(wake).is_err() {
-            panic!("fabric wake route installed twice");
-        }
+    pub(crate) fn set_wake(&self, wake: Arc<PoolShared>) {
+        let installed = self.wake.set(wake).is_ok();
+        assert!(installed, "fabric wake route installed twice");
     }
 
     /// Resume a waiter taken out of `mb`.
     fn resume(&self, mb: &Mailbox, waiter: Waiter) {
         match waiter.task {
-            Some(tid) => {
-                if let Some(w) = self.wake.get() {
-                    w.shared.wake(tid);
-                }
-            }
+            // Only a pooled run's coroutines record a task id, and a pooled
+            // run installs its scheduler before launching them.
+            Some(tid) => self.wake.get().expect("pooled run").wake(tid),
             None => mb.arrived.notify_all(),
         }
     }
@@ -320,7 +320,7 @@ impl Fabric {
         let mb = &self.mailboxes[dst];
         let waiter = {
             let mut st = mb.state.lock().unwrap();
-            st.queues.entry(src).or_default().push_back(msg);
+            st.queue.push_back((src, msg));
             st.take_waiter_on(src)
         };
         if let Some(w) = waiter {
@@ -342,10 +342,13 @@ impl Fabric {
         let mb = &self.mailboxes[me];
         let mut st = mb.state.lock().unwrap();
         loop {
-            if let Some(q) = st.queues.get_mut(&src) {
-                if let Some(pos) = q.iter().position(|m| m.tag == tag) {
-                    return Ok(q.remove(pos).expect("position valid"));
-                }
+            let hit = st.queue.iter().position(|(s, m)| *s == src && m.tag == tag);
+            #[cfg(test)]
+            {
+                st.skipped += hit.unwrap_or(st.queue.len());
+            }
+            if let Some(pos) = hit {
+                return Ok(st.queue.remove(pos).expect("position valid").1);
             }
             // The exit check comes *after* the queue scan, so messages sent
             // before an exit are still delivered after it. It is made under
@@ -358,7 +361,11 @@ impl Fabric {
                 if self.exited[src].load(Ordering::Acquire) {
                     return Err(RecvError::Disconnected { from: src });
                 }
-                watchers.insert(me);
+                // `insert` makes room before it looks, so a full set would
+                // grow on a re-insert.
+                if !watchers.contains(&me) {
+                    watchers.insert(me);
+                }
             }
             st.waiting = Some(Waiter {
                 src,
@@ -393,10 +400,7 @@ impl Fabric {
         };
         for r in blocked_once {
             let mb = &self.mailboxes[r];
-            let waiter = {
-                let mut st = mb.state.lock().unwrap();
-                st.take_waiter_on(rank)
-            };
+            let waiter = mb.state.lock().unwrap().take_waiter_on(rank);
             if let Some(w) = waiter {
                 self.resume(mb, w);
             }
@@ -407,7 +411,7 @@ impl Fabric {
 /// One processor's handle into the fabric. Dropping it marks the rank
 /// exited (waking any peer blocked on it), which is how a finished — or
 /// panicked and unwound — rank disconnects.
-pub struct Endpoints {
+pub(crate) struct Endpoints {
     fabric: Arc<Fabric>,
     rank: usize,
 }
@@ -417,19 +421,14 @@ impl Endpoints {
         Endpoints { fabric, rank }
     }
 
-    /// Blocking receive of the next message from `src` with tag `tag`,
-    /// waiting as an OS thread.
+    /// Blocking receive of the next message from `src` with tag `tag`.
+    /// `hook` selects the wait: `None` blocks the OS thread, `Some` parks
+    /// the coroutine.
     ///
     /// Messages with other tags that arrive first stay queued and are
     /// delivered to later receives, so independent protocols (e.g. a
     /// collective and a user exchange) can interleave safely.
-    pub fn recv(&mut self, src: usize, tag: Tag) -> Result<Msg, RecvError> {
-        self.fabric.recv(self.rank, src, tag, None)
-    }
-
-    /// Blocking receive with an engine-selected wait: `hook` is `None` on
-    /// the threaded engine, `Some` (park the coroutine) on the pooled one.
-    pub(crate) fn recv_as(
+    pub(crate) fn recv(
         &self,
         src: usize,
         tag: Tag,
@@ -458,7 +457,7 @@ impl Drop for Endpoints {
 
 /// Build the full fabric for `n` processors: a vector of per-rank endpoint
 /// handles over one shared lazy mailbox fabric.
-pub fn build_fabric(n: usize) -> Vec<Endpoints> {
+pub(crate) fn build_fabric(n: usize) -> Vec<Endpoints> {
     let fabric = Fabric::new(n);
     (0..n)
         .map(|rank| Endpoints::on(fabric.clone(), rank))
@@ -480,10 +479,10 @@ mod tests {
     #[test]
     fn fabric_delivers_point_to_point() {
         let mut eps = build_fabric(2);
-        let mut b = eps.pop().unwrap();
+        let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
         a.send(1, msg(7, 42));
-        let got = b.recv(0, Tag(7)).expect("message delivered");
+        let got = b.recv(0, Tag(7), None).expect("message delivered");
         assert_eq!(got.tag, Tag(7));
         assert_eq!(got.arrival, SimTime(1.0));
         assert_eq!(got.payload.into_u64(), vec![42]);
@@ -492,37 +491,46 @@ mod tests {
     #[test]
     fn recv_buffers_mismatched_tags() {
         let mut eps = build_fabric(2);
-        let mut b = eps.pop().unwrap();
+        let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
         a.send(1, msg(1, 10));
         a.send(1, msg(2, 20));
         // Ask for tag 2 first: tag 1 must stay queued, not get lost.
-        let second = b.recv(0, Tag(2)).unwrap();
+        let second = b.recv(0, Tag(2), None).unwrap();
         assert_eq!(second.payload.into_u64(), vec![20]);
-        let first = b.recv(0, Tag(1)).unwrap();
+        let first = b.recv(0, Tag(1), None).unwrap();
         assert_eq!(first.payload.into_u64(), vec![10]);
     }
 
     #[test]
     fn recv_from_dead_sender_errors() {
         let mut eps = build_fabric(2);
-        let mut b = eps.pop().unwrap();
+        let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
         drop(a);
-        assert_eq!(b.recv(0, Tag(0)), Err(RecvError::Disconnected { from: 0 }));
+        assert_eq!(
+            b.recv(0, Tag(0), None),
+            Err(RecvError::Disconnected { from: 0 })
+        );
     }
 
     #[test]
     fn messages_sent_before_exit_survive_the_exit() {
         let mut eps = build_fabric(2);
-        let mut b = eps.pop().unwrap();
+        let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
         a.send(1, msg(4, 77));
         drop(a);
         // The queued message is still deliverable; only *after* draining it
         // does the disconnect surface.
-        assert_eq!(b.recv(0, Tag(4)).unwrap().payload.into_u64(), vec![77]);
-        assert_eq!(b.recv(0, Tag(4)), Err(RecvError::Disconnected { from: 0 }));
+        assert_eq!(
+            b.recv(0, Tag(4), None).unwrap().payload.into_u64(),
+            vec![77]
+        );
+        assert_eq!(
+            b.recv(0, Tag(4), None),
+            Err(RecvError::Disconnected { from: 0 })
+        );
     }
 
     #[test]
@@ -541,54 +549,67 @@ mod tests {
         Exit,
     }
 
+    /// Run `body(rank, hook, endpoints)` as `n` rank coroutines over
+    /// `fabric` on a fresh pool of `workers`, and wait for them. Returns
+    /// whether the pool's deadlock detector failed the run. A rank body
+    /// must not panic: record what it saw and assert outside.
+    fn run_pooled<F>(fabric: &Arc<Fabric>, workers: usize, body: F) -> bool
+    where
+        F: Fn(usize, CoroHook, Endpoints) + Send + Sync + 'static,
+    {
+        use crate::pool::{RankBody, WorkerPool};
+        let n = fabric.mailboxes.len();
+        let pool = WorkerPool::new(workers);
+        let run = pool.new_run(n);
+        let body = Arc::new(body);
+        let bodies: Vec<RankBody> = (0..n)
+            .map(|rank| {
+                let fabric = fabric.clone();
+                let body = body.clone();
+                Box::new(move |y: &crate::coro::Yielder, token| {
+                    body(rank, CoroHook::new(y, token), Endpoints::on(fabric, rank))
+                }) as RankBody
+            })
+            .collect();
+        let tids = pool.submit(&run, bodies);
+        fabric.set_wake(pool.shared_arc());
+        pool.launch(&tids);
+        run.wait();
+        run.failed()
+    }
+
     /// Rank 0 of a 1024-rank fabric blocks on the last rank `s`, every
     /// rank in between exits, then `s` releases it. Counts, not clocks:
     /// the receiver must not be resumed at all until `s` acts, and exactly
     /// once when it does. Returns what the receive returned.
     fn pooled_receiver_parked_on_last_rank(release: Release) -> Result<Msg, RecvError> {
-        use crate::pool::{RankBody, WorkerPool};
         let n = 1024;
         let s = n - 1;
         let fabric = Fabric::new(n);
-        // One worker runs equal-clock ranks of one run in rank order, so
-        // rank 0 is parked before rank 1 exits and `s` goes last.
-        let pool = WorkerPool::new(1);
-        let run = pool.new_run(n);
         let got = Arc::new(Mutex::new(None));
         // What `s` saw before acting (asserted outside the coroutine, where
         // a failure unwinds normally).
         let seen = Arc::new(Mutex::new(None));
-        let bodies: Vec<RankBody> = (0..n)
-            .map(|rank| {
-                let fabric = fabric.clone();
-                let got = got.clone();
-                let seen = seen.clone();
-                Box::new(move |y: &crate::coro::Yielder, token| {
-                    let hook = CoroHook::new(y, token);
-                    let ep = Endpoints::on(fabric.clone(), rank);
-                    if rank == 0 {
-                        *got.lock().unwrap() = Some(ep.recv_as(s, Tag(7), Some(&hook)));
-                    } else if rank == s {
-                        let others_exited =
-                            (1..s).all(|r| fabric.exited[r].load(Ordering::Acquire));
-                        let parked_on = fabric.mailboxes[0].state.lock().unwrap().waiting;
-                        let resumes = fabric.resumes.load(Ordering::Relaxed);
-                        *seen.lock().unwrap() = Some((others_exited, parked_on, resumes));
-                        if release == Release::Send {
-                            ep.send(0, msg(7, 99));
-                        }
+        // One worker runs equal-clock ranks of one run in rank order, so
+        // rank 0 is parked before rank 1 exits and `s` goes last.
+        let failed = run_pooled(&fabric, 1, {
+            let (fabric, got, seen) = (fabric.clone(), got.clone(), seen.clone());
+            move |rank, hook, ep| {
+                if rank == 0 {
+                    *got.lock().unwrap() = Some(ep.recv(s, Tag(7), Some(&hook)));
+                } else if rank == s {
+                    let others_exited = (1..s).all(|r| fabric.exited[r].load(Ordering::Acquire));
+                    let parked_on = fabric.mailboxes[0].state.lock().unwrap().waiting;
+                    let resumes = fabric.resumes.load(Ordering::Relaxed);
+                    *seen.lock().unwrap() = Some((others_exited, parked_on, resumes));
+                    if release == Release::Send {
+                        ep.send(0, msg(7, 99));
                     }
-                    // Dropping `ep` is the rank's exit.
-                }) as RankBody
-            })
-            .collect();
-        let tids = pool.submit(&run, bodies);
-        fabric.set_wake(PoolWake {
-            shared: pool.shared_arc(),
+                }
+                // Dropping `ep` is the rank's exit.
+            }
         });
-        pool.launch(&tids);
-        run.wait();
-        assert!(!run.failed(), "no rank was left parked");
+        assert!(!failed, "no rank was left parked");
         let (others_exited, parked_on, resumes) = seen.lock().unwrap().expect("rank s ran");
         assert!(others_exited, "ranks 1..s exited before s ran");
         assert_eq!(parked_on.map(|w| w.src), Some(s), "rank 0 parked on s");
@@ -640,10 +661,90 @@ mod tests {
         assert_eq!(fabric.resumes.load(Ordering::Relaxed), 1);
     }
 
+    /// Every source sends interleaved tags into rank 0's mailbox, then a
+    /// last `DONE` message, so the whole stream is queued before rank 0
+    /// reads it back by `(source, tag)` in an order unlike arrival order.
+    /// Returns rank 0's reads as `(source, tag, sequence number)`.
+    fn interleaved_reads(engine: crate::machine::Engine) -> Vec<(usize, u32, u64)> {
+        use crate::machine::{Machine, MachineConfig};
+        const DONE: Tag = Tag(9);
+        let (p, per_tag) = (5, 4);
+        let machine = Machine::new(MachineConfig::free(p).with_engine(engine));
+        let (_, mut reads) = machine.run_with(|ctx| {
+            if ctx.rank() != 0 {
+                for seq in 0..3 * per_tag {
+                    let tag = Tag(seq as u32 % 3);
+                    ctx.send(0, tag, Payload::U64(vec![seq]));
+                }
+                ctx.send(0, DONE, Payload::U64(vec![]));
+                return Vec::new();
+            }
+            for src in 1..p {
+                ctx.recv(src, DONE).unwrap();
+            }
+            let mut reads = Vec::new();
+            for tag in [2, 0, 1] {
+                for src in (1..p).rev() {
+                    for _ in 0..per_tag {
+                        let seq = ctx.recv(src, Tag(tag)).unwrap().into_u64()[0];
+                        reads.push((src, tag, seq));
+                    }
+                }
+            }
+            reads
+        });
+        reads.swap_remove(0)
+    }
+
+    #[test]
+    fn each_source_arrives_in_send_order_on_every_engine() {
+        use crate::machine::Engine;
+        let threads = interleaved_reads(Engine::Threads);
+        // Sequence numbers `tag, tag + 3, ...` per source, in send order.
+        let expect: Vec<_> = [2u32, 0, 1]
+            .into_iter()
+            .flat_map(|tag| {
+                (1..5)
+                    .rev()
+                    .flat_map(move |src| (0..4).map(move |k| (src, tag, (tag + 3 * k) as u64)))
+            })
+            .collect();
+        assert_eq!(threads, expect);
+        for engine in [Engine::Pool(1), Engine::Pool(2)] {
+            assert_eq!(interleaved_reads(engine), expect, "{engine:?}");
+        }
+    }
+
+    #[test]
+    fn alltoallv_receives_skip_at_most_p_entries_per_rank() {
+        use crate::costmodel::CostModel;
+        use crate::proc::{Blocker, ProcCtx};
+        let p = 256;
+        let fabric = Fabric::new(p);
+        let delivered = Arc::new(Mutex::new(vec![false; p]));
+        let failed = run_pooled(&fabric, 1, {
+            let delivered = delivered.clone();
+            move |rank, hook, ep| {
+                let cost = CostModel::free(p);
+                let ctx = ProcCtx::new(rank, p, cost, ep, None, None, 0, Blocker::Coro(hook));
+                let sends = (0..p).map(|_| vec![rank as u64]).collect();
+                let got = ctx.alltoallv::<u64>(sends);
+                delivered.lock().unwrap()[rank] =
+                    got.iter().enumerate().all(|(j, v)| v == &[j as u64]);
+            }
+        });
+        assert!(!failed);
+        assert!(delivered.lock().unwrap().iter().all(|&ok| ok));
+        for (rank, mb) in fabric.mailboxes.iter().enumerate() {
+            let skipped = mb.state.lock().unwrap().skipped;
+            assert!(skipped <= p, "rank {rank} stepped over {skipped} entries");
+        }
+    }
+
     #[test]
     fn large_fabrics_are_cheap_to_build() {
-        // The eager predecessor allocated n² channel pairs here; the lazy
-        // fabric is O(n) until messages actually flow.
+        // An eager fabric would allocate n² channel pairs here; mailboxes
+        // allocate only when messages flow into them.
         let eps = build_fabric(1024);
         assert_eq!(eps.len(), 1024);
     }

@@ -7,7 +7,7 @@ use std::time::Instant;
 use ooc_trace::{RankTrace, Trace, TraceConfig, Tracer};
 use serde::{Deserialize, Serialize};
 
-use crate::comm::{build_fabric, Endpoints, Fabric, PoolWake};
+use crate::comm::{build_fabric, Endpoints, Fabric};
 use crate::costmodel::CostModel;
 use crate::fault::{FaultConfig, FaultDomain, FaultInjector};
 use crate::pool::{CoroHook, RankBody, RunCore, TaskToken, WorkerPool};
@@ -321,9 +321,7 @@ impl Machine {
         // 'static bodies, so no erased borrow is ever dangling when used.
         let bodies: Vec<RankBody> = unsafe { std::mem::transmute(bodies) };
         let tids = pool.submit(&run, bodies);
-        fabric.set_wake(PoolWake {
-            shared: pool.shared_arc(),
-        });
+        fabric.set_wake(pool.shared_arc());
         pool.launch(&tids);
         StagedRun {
             run,

@@ -68,6 +68,10 @@ struct Sched {
     live: usize,
     /// Submitted but not yet launched tasks (excluded from deadlock checks).
     staged: usize,
+    /// Workers blocked in `work.wait`. A push notifies only when this is
+    /// non-zero; reading it under the lock the push holds means a worker
+    /// either saw the push before waiting or is counted here.
+    sleeping: usize,
     shutdown: bool,
 }
 
@@ -102,8 +106,10 @@ impl PoolShared {
         match slot.state {
             TaskState::Parked => {
                 s.push_runnable(tid);
-                drop(s);
-                self.work.notify_one();
+                if s.sleeping > 0 {
+                    drop(s);
+                    self.work.notify_one();
+                }
             }
             TaskState::Running => slot.wake_pending = true,
             TaskState::Queued | TaskState::Staged => {}
@@ -302,6 +308,7 @@ impl WorkerPool {
                 running: 0,
                 live: 0,
                 staged: 0,
+                sleeping: 0,
                 shutdown: false,
             }),
             work: Condvar::new(),
@@ -541,7 +548,9 @@ fn worker_loop(shared: &PoolShared) {
                         // Another worker may be asleep from when the heap
                         // was empty; this worker might dispatch a different
                         // task next, so surface the new entry.
-                        shared.work.notify_one();
+                        if s.sleeping > 0 {
+                            shared.work.notify_one();
+                        }
                     } else {
                         slot.state = TaskState::Parked;
                     }
@@ -552,7 +561,9 @@ fn worker_loop(shared: &PoolShared) {
         } else if s.shutdown && s.live == 0 && s.staged == 0 {
             return;
         } else {
+            s.sleeping += 1;
             s = shared.work.wait(s).unwrap();
+            s.sleeping -= 1;
         }
     }
 }
@@ -808,6 +819,43 @@ mod tests {
         run.wait();
         assert_eq!(ran.load(Ordering::SeqCst), 0);
         assert_eq!(run.killed_ranks(), vec![0]);
+    }
+
+    #[test]
+    fn ping_pong_loses_no_wake_up_while_a_third_rank_stays_parked() {
+        use crate::comm::{Payload, Tag};
+        use crate::machine::{Machine, MachineConfig};
+        // Ranks 0 and 1 keep waking each other while rank 2 sits parked on
+        // rank 1, so the idle count is read on every wake and every
+        // requeue. A wake dropped because of it strands a rank, and the
+        // deadlock detector then fails the run.
+        let rounds = 10_000u64;
+        let pool = WorkerPool::new(2);
+        let machine = Machine::new(MachineConfig::free(3));
+        let handle = machine.start_on(&pool, move |ctx| {
+            let mut last = 0;
+            for i in 0..rounds {
+                match ctx.rank() {
+                    0 => {
+                        ctx.send(1, Tag(1), Payload::U64(vec![i]));
+                        last = ctx.recv(1, Tag(2)).unwrap().into_u64()[0];
+                    }
+                    1 => {
+                        let ping = ctx.recv(0, Tag(1)).unwrap().into_u64()[0];
+                        ctx.send(0, Tag(2), Payload::U64(vec![ping + 1]));
+                    }
+                    _ => break,
+                }
+            }
+            match ctx.rank() {
+                1 => ctx.send(2, Tag(3), Payload::U64(vec![rounds])),
+                2 => last = ctx.recv(1, Tag(3)).unwrap().into_u64()[0],
+                _ => {}
+            }
+            last
+        });
+        let (_, values) = handle.wait_outcome().expect("no rank deadlocked");
+        assert_eq!(values, vec![rounds, 0, rounds]);
     }
 
     #[test]

@@ -474,7 +474,7 @@ impl ProcCtx {
     pub fn recv(&self, src: Rank, tag: Tag) -> Result<Payload, RecvError> {
         assert!(src < self.nprocs, "recv from rank {src} of {}", self.nprocs);
         let hook = self.sync_blocker_vtime();
-        let msg = self.endpoints.borrow().recv_as(src, tag, hook)?;
+        let msg = self.endpoints.borrow().recv(src, tag, hook)?;
         let before = self.clock.now();
         let after = self.clock.sync_to(msg.arrival);
         let wait = (after.seconds() - before.seconds()).max(0.0);
