@@ -203,8 +203,9 @@ pub fn schedule_nodes(
 /// The per-rank SpMV node program under `method`, priced from `stats`
 /// (synthetic at compile time, measured at run time). Mirrors the executor
 /// step for step: stream the local rowptr slice and broadcast it, inspect
-/// the indirection array, gather `x`, stream the local values, accumulate,
-/// reduce the partial products to the row owners, write `y`.
+/// the indirection array (unless the plan reuses an earlier statement's
+/// schedule), gather `x`, stream the local values, accumulate, reduce the
+/// partial products to the row owners, write `y`.
 pub fn spmv_nest_with(
     plan: &SpmvPlan,
     method: IoMethod,
@@ -223,7 +224,9 @@ pub fn spmv_nest_with(
             bytes: rp_loc * 4 * p.saturating_sub(1),
         },
     ];
-    v.extend(inspector_nodes(&plan.colidx.name, stats));
+    if plan.reuses.is_none() {
+        v.extend(inspector_nodes(&plan.colidx.name, stats));
+    }
     v.extend(gather_nodes(&plan.x.name, stats, method));
     v.push(NestNode::read(
         &plan.vals.name,
@@ -333,6 +336,7 @@ mod tests {
             nnz,
             nprocs: p,
             method: IoMethod::TwoPhase,
+            reuses: None,
         };
         let t = totals(&spmv_nest(&plan));
         // Every stream appears: rowptr, colidx (inspector), x (gather),

@@ -289,10 +289,14 @@ impl CompiledProgram {
                     );
                 }
                 ExecPlan::Spmv(s) => {
+                    let schedule = match s.reuses {
+                        Some(r) => format!("schedule of statement {} reused, no inspection", r + 1),
+                        None => "inspector-executor".to_string(),
+                    };
                     let _ = writeln!(
                         out,
                         "statement {}: spmv {} = A * {} (n={}, {} nonzeros, \
-                         inspector-executor, {} gather I/O)",
+                         {schedule}, {} gather I/O)",
                         i + 1,
                         s.y.name,
                         s.x.name,
@@ -398,6 +402,27 @@ fn check_machine(m: &CostModel, load: Option<&dmsim::BackgroundLoad>) -> Result<
         return Err(CompileError::Plan(msg));
     }
     Ok(())
+}
+
+/// The statement whose inspected schedule `plan` can gather through: the
+/// inspector hoisted out of an unrolled loop of SpMVs. The schedule depends
+/// on `x`'s distribution and `colidx`'s values only, so the nearest earlier
+/// SpMV qualifies when it has the same `x` and `colidx` descriptors and
+/// neither it nor any statement since assigns `colidx`; writes to `x`,
+/// `vals` or `rowptr` do not matter. Only the nearest SpMV counts because
+/// the executor keeps one schedule per rank. The answer is the statement
+/// that inspected, so a chain of reuses names its head.
+fn reusable_schedule(plans: &[ExecPlan], plan: &SpmvPlan) -> Option<usize> {
+    for (i, earlier) in plans.iter().enumerate().rev() {
+        if earlier.target().id == plan.colidx.id {
+            return None;
+        }
+        if let ExecPlan::Spmv(s) = earlier {
+            let same = s.x == plan.x && s.colidx == plan.colidx;
+            return same.then(|| s.reuses.unwrap_or(i));
+        }
+    }
+    None
 }
 
 /// Compile HPF source text.
@@ -731,7 +756,9 @@ pub fn compile_hir(
                     nnz: *nnz,
                     nprocs: p,
                     method: pario::IoMethod::Direct,
+                    reuses: None,
                 };
+                plan.reuses = reusable_schedule(&plans, &plan);
                 // The index set is unknown at compile time: price the gather
                 // over the fully-scattered member of the irregular cost-term
                 // family. The executor re-selects at run time from the
@@ -967,6 +994,97 @@ mod tests {
         };
         assert_eq!(s.method, pario::IoMethod::Sieved);
         assert!(compiled.io_choices[0][0].forced);
+    }
+
+    /// `hpf::SPMV_SOURCE` with its row nest written out twice and `between`
+    /// in between, or (`between = None`) wrapped in `do it = 1, 4`.
+    fn spmv_twice(between: Option<&str>) -> String {
+        let (head, rest) = hpf::SPMV_SOURCE.split_once("      do i = 1, n").unwrap();
+        let nest = format!(
+            "      do i = 1, n{}",
+            rest.strip_suffix("      end\n").unwrap()
+        );
+        match between {
+            Some(b) => format!("{head}{nest}{b}{nest}      end\n"),
+            None => format!("{head}      do it = 1, 4\n{nest}      end do\n      end\n"),
+        }
+    }
+
+    fn reuses(compiled: &CompiledProgram) -> Vec<Option<usize>> {
+        let spmv = |p: &ExecPlan| match p {
+            ExecPlan::Spmv(s) => Some(s.reuses),
+            _ => None,
+        };
+        compiled.plans.iter().filter_map(spmv).collect()
+    }
+
+    #[test]
+    fn a_loop_of_spmvs_inspects_once_and_prices_one_inspection() {
+        let compiled = compile_source(&spmv_twice(None), &CompilerOptions::default()).unwrap();
+        assert_eq!(reuses(&compiled), [None, Some(0), Some(0), Some(0)]);
+        // A reusing statement is the inspecting one minus the inspector:
+        // no `colidx` read and one all-to-all fewer.
+        let inspector = crate::irreg::inspector_nodes(
+            "colidx",
+            &crate::irreg::scattered_stats(64, 512, 4, 4, 1),
+        );
+        let model = &compiled.model;
+        let first = compiled.estimates[0].time();
+        let inspect = CostEstimate::from_nest(&inspector, model, 4).time();
+        for i in 1..4 {
+            assert!(!crate::ir::totals(&compiled.nests[i])
+                .per_array
+                .contains_key("colidx"));
+            let t = compiled.estimates[i].time();
+            assert!((first - inspect - t).abs() <= 1e-12 * first, "{i}: {t}");
+        }
+        let report = compiled.report();
+        assert!(
+            report.contains(
+                "statement 1: spmv y = A * x (n=64, 512 nonzeros, inspector-executor, \
+                 two-phase gather I/O)\n"
+            ),
+            "{report}"
+        );
+        for i in 2..=4 {
+            let line = format!(
+                "statement {i}: spmv y = A * x (n=64, 512 nonzeros, schedule of \
+                 statement 1 reused, no inspection, two-phase gather I/O)\n"
+            );
+            assert!(report.contains(&line), "{report}");
+        }
+    }
+
+    #[test]
+    fn only_a_write_to_colidx_between_spmvs_forces_a_new_inspection() {
+        let forall = |lhs: &str, n: &str| {
+            format!(
+                "      forall (k = 1:{n})\n        {lhs}(k) = 63.0 - {lhs}(k)\n      end forall\n"
+            )
+        };
+        for (array, n, expect) in [
+            ("colidx", "nnz", None),
+            ("x", "n", Some(0)),
+            ("vals", "nnz", Some(0)),
+            ("rowptr", "n", Some(0)),
+        ] {
+            let src = spmv_twice(Some(&forall(array, n)));
+            let compiled = compile_source(&src, &CompilerOptions::default()).unwrap();
+            assert!(matches!(compiled.plans[1], ExecPlan::Elementwise(_)));
+            assert_eq!(reuses(&compiled), [None, expect], "{array}");
+        }
+        // A gather of a different vector needs its own schedule.
+        let other = spmv_twice(Some(""))
+            .replacen("real y(n), x(n)", "real y(n), x(n), z(n)", 1)
+            .replacen(
+                "!hpf$ distribute x(block) on pr\n",
+                "!hpf$ distribute x(block) on pr\n!hpf$ distribute z(block) on pr\n",
+                1,
+            );
+        let at = other.rfind("x(colidx(k))").unwrap();
+        let other = format!("{}z{}", &other[..at], &other[at + 1..]);
+        let compiled = compile_source(&other, &CompilerOptions::default()).unwrap();
+        assert_eq!(reuses(&compiled), [None, None]);
     }
 
     #[test]

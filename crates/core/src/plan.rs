@@ -667,6 +667,12 @@ pub struct SpmvPlan {
     /// ([`crate::irreg::scattered_stats`]). The runtime re-selects from the
     /// inspected schedule's real, allreduced statistics unless overridden.
     pub method: pario::IoMethod,
+    /// The earlier statement (0-based) whose inspected schedule this one
+    /// gathers through instead of inspecting again: the hoisted inspector.
+    /// The compiler sets it only when the two statements gather the same
+    /// `x` through the same `colidx` and no statement between them assigns
+    /// `colidx` ([`crate::pipeline::compile_hir`]).
+    pub reuses: Option<usize>,
 }
 
 /// One compiled statement.
@@ -684,6 +690,16 @@ pub enum ExecPlan {
 }
 
 impl ExecPlan {
+    /// The array the statement assigns.
+    pub(crate) fn target(&self) -> &ArrayDesc {
+        match self {
+            ExecPlan::Gaxpy(g) => &g.c,
+            ExecPlan::Elementwise(e) => &e.lhs,
+            ExecPlan::Transpose(t) => &t.dst,
+            ExecPlan::Spmv(s) => &s.y,
+        }
+    }
+
     /// Every array descriptor the plan touches (for allocation).
     pub fn arrays(&self) -> Vec<&ArrayDesc> {
         match self {

@@ -493,7 +493,10 @@ pub(crate) fn phase_label(i: usize, plan: &ExecPlan) -> String {
         ExecPlan::Gaxpy(g) => format!("s{i}:gaxpy({})", g.c.name),
         ExecPlan::Elementwise(e) => format!("s{i}:forall({})", e.lhs.name),
         ExecPlan::Transpose(t) => format!("s{i}:transpose({})", t.dst.name),
-        ExecPlan::Spmv(s) => format!("s{i}:spmv({})", s.y.name),
+        ExecPlan::Spmv(s) => match s.reuses {
+            Some(r) => format!("s{i}:spmv({}) reusing s{r}", s.y.name),
+            None => format!("s{i}:spmv({})", s.y.name),
+        },
     }
 }
 
@@ -546,6 +549,9 @@ fn execute_rank(
     }
 
     let mut peak = 0usize;
+    // The last inspected SpMV schedule, kept for statements the compiler
+    // proved may reuse it.
+    let mut schedule = None;
     for (i, plan) in compiled.plans.iter().enumerate() {
         // One phase span per compiled statement, labeled by what it does;
         // every charge inside (including the cache flush below, which is
@@ -570,7 +576,13 @@ fn execute_rank(
                 // allreduced statistics.
                 let forced = compiled.io_choices[i].iter().any(|c| c.forced);
                 let model = (!forced).then_some(&compiled.model);
-                crate::spmv::execute(ctx, &mut env, s, model)?
+                // `is_valid_for` compares descriptors, not index values, so
+                // only the compiler's proof that no statement since wrote
+                // `colidx` keeps the slot.
+                if s.reuses.is_none() {
+                    schedule = None;
+                }
+                crate::spmv::execute_cached(ctx, &mut env, s, &mut schedule, model)?
             }
         };
         peak = peak.max(used);

@@ -116,10 +116,13 @@ fn select_method(
 ///
 /// When `cache` already holds a schedule valid for this plan's data and
 /// indirection descriptors, the inspector is skipped entirely — the
-/// amortization the subsystem exists for. `model` enables runtime method
-/// re-selection from the inspected statistics; `None` keeps `plan.method`
-/// (the compile-time choice; [`crate::run`] passes `None` when that choice
-/// was forced).
+/// amortization the subsystem exists for. Validity compares descriptors,
+/// not the indirection values, so the caller must empty the slot when
+/// `colidx` may have been rewritten since it was filled; [`crate::run`]
+/// keeps it only for statements whose [`SpmvPlan::reuses`] is set. `model`
+/// enables runtime method re-selection from the inspected statistics;
+/// `None` keeps `plan.method` (the compile-time choice; [`crate::run`]
+/// passes `None` when that choice was forced).
 pub fn execute_cached(
     ctx: &ProcCtx,
     env: &mut OocEnv,
@@ -211,17 +214,6 @@ pub fn execute_cached(
     Ok(rowptr.len() + partial.len() + vals.len() + xg.len() + y.len())
 }
 
-/// Execute without a persistent schedule cache (one-shot inspection).
-pub fn execute(
-    ctx: &ProcCtx,
-    env: &mut OocEnv,
-    plan: &SpmvPlan,
-    model: Option<&CostModel>,
-) -> Result<usize, OocError> {
-    let mut cache = None;
-    execute_cached(ctx, env, plan, &mut cache, model)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,6 +284,7 @@ mod tests {
             nnz,
             nprocs: p,
             method,
+            reuses: None,
         }
     }
 
@@ -327,7 +320,7 @@ mod tests {
             let mut env = OocEnv::in_memory(ctx.rank());
             load_csr(&mut env, &plan, &Csr { n, nnz });
             let m = reselect.then_some(&model);
-            execute(ctx, &mut env, &plan, m).unwrap();
+            execute_cached(ctx, &mut env, &plan, &mut None, m).unwrap();
             let y = env.read_local_all(&plan.y).unwrap();
             out_c.lock().unwrap()[ctx.rank()] = y;
         });
@@ -476,7 +469,7 @@ mod tests {
             load_csr(&mut env, &plan, &Csr { n, nnz });
             env.load_global(&plan.rowptr, &move |g: &[usize]| rowptr(g[0]))
                 .unwrap();
-            match execute(ctx, &mut env, &plan, None) {
+            match execute_cached(ctx, &mut env, &plan, &mut None, None) {
                 Ok(_) => "ok".to_string(),
                 Err(e) => {
                     assert!(matches!(e, OocError::Data { .. }), "{e:?}");
