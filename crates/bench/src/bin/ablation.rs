@@ -120,32 +120,34 @@ fn main() {
     }
 
     // ---- 4. Prefetch (software pipelining) -------------------------------
+    // Prefetch is compiled: the estimate prices each overlapped fetch, and
+    // the peak counts the second A buffer the overlap needs.
     println!("\nablation 4: prefetch — overlap slab fetches with compute\n");
     {
-        let compiled = compile_hir(
-            gaxpy_hir(n, p),
-            &CompilerOptions {
+        let mut t = TextTable::new(&[
+            "prefetch",
+            "time (s)",
+            "estimate (s)",
+            "est_gap",
+            "requests/proc",
+            "peak elems/proc",
+        ]);
+        for prefetch in [false, true] {
+            let options = CompilerOptions {
                 sizing: SlabSizing::Ratio(0.25),
                 force_strategy: Some(SlabStrategy::ColumnSlab),
-                ..CompilerOptions::default()
-            },
-        )
-        .expect("compiles");
-        let mut t = TextTable::new(&["prefetch", "time (s)", "requests/proc"]);
-        for prefetch in [false, true] {
-            let mut cfg = noderun::RunConfig {
                 prefetch,
-                ..noderun::RunConfig::default()
+                ..CompilerOptions::default()
             };
-            cfg.init
-                .insert("a".into(), noderun::init_fn(ooc_bench::harness::init_a));
-            cfg.init
-                .insert("b".into(), noderun::init_fn(ooc_bench::harness::init_b));
-            let outcome = noderun::run(&compiled, &cfg).expect("runs");
+            let (outcome, estimate) = run_gaxpy(n, p, &options);
+            let measured = outcome.report.elapsed();
             t.row(vec![
                 prefetch.to_string(),
-                secs(outcome.report.elapsed()),
+                secs(measured),
+                secs(estimate),
+                format!("{:.4}", (measured - estimate).abs() / measured),
                 outcome.report.io_requests_per_proc().to_string(),
+                outcome.peak_elems.to_string(),
             ]);
         }
         print!("{}", t.render());
@@ -154,37 +156,24 @@ fn main() {
     // ---- 5. Data sieving on the unreorganized baseline -------------------
     println!("\nablation 5: PASSION-style data sieving vs storage reorganization\n");
     {
-        let mut t = TextTable::new(&["configuration", "time (s)", "requests/proc"]);
-        for (reorg, sieve, label) in [
-            (false, false, "no reorg, direct"),
-            (false, true, "no reorg, cost-based sieve"),
-            (true, false, "reorganized storage"),
+        let mut t = TextTable::new(&["configuration", "time (s)", "estimate (s)", "requests/proc"]);
+        for (reorganize_storage, io_method, label) in [
+            (false, None, "no reorg, direct"),
+            (false, Some(pario::IoMethod::Sieved), "no reorg, sieved"),
+            (true, None, "reorganized storage"),
         ] {
-            let compiled = compile_hir(
-                gaxpy_hir(n, p),
-                &CompilerOptions {
-                    sizing: SlabSizing::Ratio(0.25),
-                    force_strategy: Some(SlabStrategy::RowSlab),
-                    reorganize_storage: reorg,
-                    ..CompilerOptions::default()
-                },
-            )
-            .expect("compiles");
-            let mut cfg = noderun::RunConfig::default();
-            if sieve {
-                cfg.sieve = Some(pario::SievePolicy::CostBased {
-                    startup: compiled.model.io_startup,
-                    bandwidth: compiled.model.io_bandwidth_per_proc(),
-                });
-            }
-            cfg.init
-                .insert("a".into(), noderun::init_fn(ooc_bench::harness::init_a));
-            cfg.init
-                .insert("b".into(), noderun::init_fn(ooc_bench::harness::init_b));
-            let outcome = noderun::run(&compiled, &cfg).expect("runs");
+            let options = CompilerOptions {
+                sizing: SlabSizing::Ratio(0.25),
+                force_strategy: Some(SlabStrategy::RowSlab),
+                reorganize_storage,
+                io_method,
+                ..CompilerOptions::default()
+            };
+            let (outcome, estimate) = run_gaxpy(n, p, &options);
             t.row(vec![
                 label.to_string(),
                 secs(outcome.report.elapsed()),
+                secs(estimate),
                 outcome.report.io_requests_per_proc().to_string(),
             ]);
         }
@@ -261,4 +250,17 @@ fn main() {
         ]);
     }
     print!("{}", t.render());
+}
+
+/// Compile the `n`-order GAXPY on `p` ranks under `options`, run it on the
+/// harness's inputs, and return the outcome with the compiled estimate.
+fn run_gaxpy(n: usize, p: usize, options: &CompilerOptions) -> (noderun::RunOutcome, f64) {
+    let compiled = compile_hir(gaxpy_hir(n, p), options).expect("compiles");
+    let mut cfg = noderun::RunConfig::default();
+    cfg.init
+        .insert("a".into(), noderun::init_fn(ooc_bench::harness::init_a));
+    cfg.init
+        .insert("b".into(), noderun::init_fn(ooc_bench::harness::init_b));
+    let outcome = noderun::run(&compiled, &cfg).expect("runs");
+    (outcome, compiled.estimates[0].time())
 }

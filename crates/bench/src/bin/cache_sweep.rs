@@ -97,10 +97,7 @@ fn main() {
                 },
             )
             .expect("gaxpy compiles");
-            let mut cfg = RunConfig {
-                cache_budget: budget,
-                ..RunConfig::default()
-            };
+            let mut cfg = RunConfig::default();
             cfg.init
                 .insert("a".into(), init_fn(ooc_bench::harness::init_a));
             cfg.init
@@ -151,14 +148,6 @@ fn main() {
       end
 "
         );
-        let compiled = compile_source(
-            &src,
-            &CompilerOptions {
-                elw_slab_elems: 4 * n * 3,
-                ..CompilerOptions::default()
-            },
-        )
-        .expect("jacobi compiles");
         let mut t = TextTable::new(&[
             "budget",
             "req/proc",
@@ -169,10 +158,16 @@ fn main() {
         ]);
         let mut last_requests = u64::MAX;
         for budget in [None, Some(la_bytes / 2), Some(la_bytes), Some(4 * la_bytes)] {
-            let mut cfg = RunConfig {
-                cache_budget: budget,
-                ..RunConfig::default()
-            };
+            let compiled = compile_source(
+                &src,
+                &CompilerOptions {
+                    elw_slab_elems: 4 * n * 3,
+                    cache_budget: budget,
+                    ..CompilerOptions::default()
+                },
+            )
+            .expect("jacobi compiles");
+            let mut cfg = RunConfig::default();
             cfg.init.insert(
                 "u".into(),
                 init_fn(|g| ((g[0] * 13 + g[1] * 7) % 17) as f32 * 0.0625),

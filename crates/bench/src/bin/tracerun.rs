@@ -6,8 +6,13 @@
 //! ```text
 //! cargo run --release -p ooc-bench --bin tracerun -- \
 //!     [gaxpy|transpose|jacobi] [--out trace.json] [--cache BYTES] \
-//!     [--prefetch] [--chaos SEED] [--check]
+//!     [--prefetch] [--column] [--chaos SEED] [--check]
 //! ```
+//!
+//! `--cache` and `--prefetch` are compiled into the program, so the
+//! divergence report prices them. `--column` forces GAXPY's column-slab
+//! version, the one whose fetches of A prefetch overlaps (the compiler
+//! picks row slabs, which have nothing to overlap).
 //!
 //! `--check` validates the emitted JSON against the checked-in schema
 //! (`crates/bench/schemas/trace_schema.json`) — finite timestamps, monotone
@@ -90,6 +95,7 @@ struct Cli {
     out: std::path::PathBuf,
     cache: Option<usize>,
     prefetch: bool,
+    column: bool,
     chaos: Option<u64>,
     check: bool,
 }
@@ -100,6 +106,7 @@ fn parse_cli() -> Cli {
         out: "trace.json".into(),
         cache: None,
         prefetch: false,
+        column: false,
         chaos: None,
         check: false,
     };
@@ -111,6 +118,7 @@ fn parse_cli() -> Cli {
                 cli.cache = Some(args.next().expect("--cache BYTES").parse().expect("bytes"))
             }
             "--prefetch" => cli.prefetch = true,
+            "--column" => cli.column = true,
             "--chaos" => {
                 cli.chaos = Some(args.next().expect("--chaos SEED").parse().expect("seed"))
             }
@@ -130,11 +138,11 @@ fn main() {
     let options = CompilerOptions {
         trace: TraceConfig::on(),
         cache_budget: cli.cache,
+        prefetch: cli.prefetch,
+        force_strategy: cli.column.then_some(ooc_core::SlabStrategy::ColumnSlab),
         ..CompilerOptions::default()
     };
     let (compiled, mut cfg) = kernel(&cli.kernel, &options);
-    cfg.cache_budget = cli.cache;
-    cfg.prefetch = cli.prefetch;
     cfg.fault = cli.chaos.map(FaultConfig::chaos);
 
     let mut outcome = run(&compiled, &cfg).expect("traced run succeeds");

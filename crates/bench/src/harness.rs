@@ -85,8 +85,8 @@ pub struct MatmulSetup {
     /// Verify the product against the serial reference (slow; use for
     /// small `n`).
     pub verify: bool,
-    /// Byte budget of the runtime slab cache (`None` = uncached). Threaded
-    /// into both the compiler (reuse-aware estimates) and the runtime.
+    /// Byte budget of the slab cache (`None` = uncached), compiled into the
+    /// program: its estimates are reuse-aware and its run is cached.
     pub cache_budget: Option<usize>,
 }
 
@@ -144,10 +144,7 @@ pub fn run_matmul_on(
         ..CompilerOptions::default()
     };
     let compiled = compile_hir(hir, &options).expect("gaxpy compiles");
-    let mut cfg = RunConfig {
-        cache_budget: setup.cache_budget,
-        ..RunConfig::default()
-    };
+    let mut cfg = RunConfig::default();
     cfg.init.insert("a".into(), init_fn(init_a));
     cfg.init.insert("b".into(), init_fn(init_b));
     if setup.verify {
@@ -226,7 +223,8 @@ pub fn run_incore_matmul(n: usize, p: usize) -> ExperimentRow {
         }
         // Final write: whole local C, one request.
         let sec = Section::new(vec![DimRange::new(0, n), DimRange::new(0, lc)]);
-        env.write_section(&c, &sec, &c_out, ctx).unwrap();
+        env.write_section(&c, &sec, &c_out, ctx, pario::SievePolicy::Direct)
+            .unwrap();
     });
 
     ExperimentRow {

@@ -60,6 +60,16 @@ pub enum NestNode {
         /// Guarded body.
         body: Vec<NestNode>,
     },
+    /// Prefetched reads: the reads of `body` are issued while `flops` of
+    /// the preceding computation (counted where it is written) are still
+    /// pending, so they take the longer of the two
+    /// ([`dmsim::CostModel::overlapped_read_time`]) instead of their sum.
+    Overlap {
+        /// Flops of pending computation the reads overlap.
+        flops: u64,
+        /// The overlapped reads.
+        body: Vec<NestNode>,
+    },
 }
 
 impl NestNode {
@@ -118,6 +128,20 @@ impl ArrayIoTotals {
     }
 }
 
+/// One [`NestNode::Overlap`] as the estimator prices it: `requests`
+/// requests moving `elems` elements overlapping `flops`, `times` times.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct OverlapTotals {
+    /// Read requests of one execution.
+    pub requests: u64,
+    /// Elements read by one execution.
+    pub elems: u64,
+    /// Pending flops one execution overlaps.
+    pub flops: u64,
+    /// Executions.
+    pub times: u64,
+}
+
 /// Totals from walking a nest (per processor).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct NestTotals {
@@ -129,6 +153,9 @@ pub struct NestTotals {
     pub comm_bytes: u64,
     /// Flops per processor.
     pub flops: u64,
+    /// Every overlap of reads with pending computation, in nest order
+    /// (its reads and flops are also in the totals above).
+    pub overlaps: Vec<OverlapTotals>,
 }
 
 impl NestTotals {
@@ -155,6 +182,16 @@ fn walk(nodes: &[NestNode], mult: u64, t: &mut NestTotals) {
         match n {
             NestNode::Loop { trips, body, .. } => walk(body, mult * trips, t),
             NestNode::IfOwner { body, .. } => walk(body, mult, t),
+            NestNode::Overlap { flops, body } => {
+                let once = totals(body);
+                t.overlaps.push(OverlapTotals {
+                    requests: once.per_array.values().map(|a| a.read_requests).sum(),
+                    elems: once.per_array.values().map(|a| a.read_elems).sum(),
+                    flops: *flops,
+                    times: mult,
+                });
+                walk(body, mult, t);
+            }
             NestNode::Io {
                 array,
                 read,
@@ -203,6 +240,13 @@ fn render_into(nodes: &[NestNode], depth: usize, out: &mut String) {
                 out.push_str(&format!("{pad}if ({label}) then\n"));
                 render_into(body, depth + 1, out);
                 out.push_str(&format!("{pad}end if\n"));
+            }
+            NestNode::Overlap { flops, body } => {
+                out.push_str(&format!(
+                    "{pad}prefetch   ! overlaps {flops} pending flops\n"
+                ));
+                render_into(body, depth + 1, out);
+                out.push_str(&format!("{pad}end prefetch\n"));
             }
             NestNode::Io {
                 array,
@@ -293,6 +337,36 @@ mod tests {
             inner.chars().take_while(|c| *c == ' ').count()
                 > outer.chars().take_while(|c| *c == ' ').count()
         );
+    }
+
+    #[test]
+    fn an_overlap_counts_its_reads_once_and_records_them() {
+        let nest = vec![NestNode::loop_(
+            "s = 2, 3",
+            2,
+            vec![
+                NestNode::Overlap {
+                    flops: 10,
+                    body: vec![NestNode::read("a", 1, 50), NestNode::read("b", 2, 5)],
+                },
+                NestNode::Compute {
+                    label: "k".into(),
+                    flops: 10,
+                },
+            ],
+        )];
+        let t = totals(&nest);
+        assert_eq!(t.per_array["a"].read_requests, 2);
+        assert_eq!(t.per_array["b"].read_elems, 10);
+        assert_eq!(t.flops, 20);
+        let once = OverlapTotals {
+            requests: 3,
+            elems: 55,
+            flops: 10,
+            times: 2,
+        };
+        assert_eq!(t.overlaps, vec![once]);
+        assert!(render(&nest).contains("prefetch   ! overlaps 10 pending flops"));
     }
 
     #[test]

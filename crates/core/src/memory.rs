@@ -40,9 +40,25 @@ fn a_elems_per_index(strategy: SlabStrategy, n: usize, p: usize) -> usize {
     }
 }
 
-/// Memory-to-thickness clamp shared by the split policies.
-fn clamp_split(strategy: SlabStrategy, n: usize, p: usize, ma: usize, mb: usize) -> (usize, usize) {
-    let epi_a = a_elems_per_index(strategy, n, p);
+/// A slab buffers a GAXPY plan holds: two when prefetched fetches of A
+/// overlap the multiply of the slab before them (the column version; see
+/// [`GaxpyPlan::prefetches_a`]), one otherwise. The one rule behind the
+/// plan's memory accounting, the executor's peak and the budget split's
+/// reservation of the second buffer.
+pub fn a_slab_buffers(strategy: SlabStrategy, prefetch: bool) -> usize {
+    1 + usize::from(prefetch && strategy == SlabStrategy::ColumnSlab)
+}
+
+/// Memory-to-thickness clamp shared by the split policies: A's share `ma`
+/// holds `a_buffers` slabs of A.
+fn clamp_split(
+    strategy: SlabStrategy,
+    n: usize,
+    p: usize,
+    (ma, mb): (usize, usize),
+    a_buffers: usize,
+) -> (usize, usize) {
+    let epi_a = a_elems_per_index(strategy, n, p) * a_buffers;
     let epi_b = n.div_ceil(p); // a column of B's OCLA
     let a_extent = a_slab_extent(strategy, n, p);
     ((ma / epi_a).clamp(1, a_extent), (mb / epi_b).clamp(1, n))
@@ -68,7 +84,26 @@ pub fn split_gaxpy_budget_with_cache(
     model: &CostModel,
     cache_budget: Option<usize>,
 ) -> (usize, usize) {
-    let clamp = |ma: usize, mb: usize| clamp_split(strategy, n, p, ma, mb);
+    split_gaxpy_budget_prefetched(strategy, n, p, elems, policy, model, cache_budget, false)
+}
+
+/// [`split_gaxpy_budget_with_cache`] for a plan that prefetches when
+/// `prefetch`: A's share of `elems` then holds [`a_slab_buffers`] slabs of
+/// A, so the second buffer is reserved inside the budget. Compile-time
+/// sizing and the degraded-disk re-plan both split through here.
+#[allow(clippy::too_many_arguments)]
+pub fn split_gaxpy_budget_prefetched(
+    strategy: SlabStrategy,
+    n: usize,
+    p: usize,
+    elems: usize,
+    policy: MemoryPolicy,
+    model: &CostModel,
+    cache_budget: Option<usize>,
+    prefetch: bool,
+) -> (usize, usize) {
+    let a_buffers = a_slab_buffers(strategy, prefetch);
+    let clamp = |ma: usize, mb: usize| clamp_split(strategy, n, p, (ma, mb), a_buffers);
     match policy {
         MemoryPolicy::EqualSplit => clamp(elems / 2, elems / 2),
         MemoryPolicy::AccessWeighted => {
@@ -388,7 +423,7 @@ mod tests {
                 let mut best: Option<(f64, (usize, usize))> = None;
                 for pct in (5..=95).step_by(5) {
                     let ma = elems * pct / 100;
-                    let (sa, sb) = clamp_split(strategy, 64, 4, ma, elems - ma);
+                    let (sa, sb) = clamp_split(strategy, 64, 4, (ma, elems - ma), 1);
                     let t = time_estimate(strategy, 64, 4, sa, sb, &m);
                     if best.is_none_or(|(b, _)| t < b) {
                         best = Some((t, (sa, sb)));

@@ -15,8 +15,8 @@
 //! * [`RemapGeometry`] tallies the [`RemapSchedule`] the remap executor
 //!   runs, for redistributions and transposes alike.
 
-use ooc_array::{ArrayDesc, DimRange, RemapSchedule, Section};
-use pario::{Access, IoMethod, Tally};
+use ooc_array::{ArrayDesc, DimRange, RemapSchedule, Section, Shape};
+use pario::{Access, IoMethod, SievePolicy, Tally};
 
 use crate::ir::NestNode;
 use crate::plan::{ElwPlan, ExecPlan, GaxpyPlan, RemapSpec, SlabStrategy, TransposePlan};
@@ -30,12 +30,47 @@ pub fn ceil_log2(p: usize) -> u64 {
     }
 }
 
-/// Requests needed to move the slab `[lo, hi)` along `dim` of `desc`'s
-/// local array on `rank`, under the array's file layout.
-pub fn slab_requests(desc: &ArrayDesc, rank: usize, dim: usize, lo: usize, hi: usize) -> u64 {
-    let local = desc.local_shape(rank);
-    let sec = Section::full(&local).with_range(dim, DimRange::new(lo, hi));
-    desc.layout.count_section_runs(&local, &sec)
+/// The nodes of one section access of `desc`'s local array, of shape
+/// `local`, under `policy`, tallied by the disk's own rule ([`Tally`]): one
+/// read node, or for a write, the read of a sieved read-modify-write (when
+/// there is one) and the write node.
+fn section_io(
+    desc: &ArrayDesc,
+    local: &Shape,
+    sec: &Section,
+    read: bool,
+    policy: SievePolicy,
+) -> Vec<NestNode> {
+    let access = desc.section_access(local, sec);
+    let mut t = Tally::default();
+    if read {
+        t.read(access, policy);
+    } else {
+        t.write(access, policy);
+    }
+    let es = desc.elem.size() as u64;
+    let reads = NestNode::read(&desc.name, t.read_requests, t.read_bytes / es);
+    if read {
+        return vec![reads];
+    }
+    let write = NestNode::write(&desc.name, t.write_requests, t.write_bytes / es);
+    if t.read_requests > 0 {
+        vec![reads, write]
+    } else {
+        vec![write]
+    }
+}
+
+/// [`section_io`] of the slab `[lo, hi)` along `dim` of `desc`'s local
+/// array, of shape `local`.
+fn slab_io(
+    (desc, local): (&ArrayDesc, &Shape),
+    (dim, lo, hi): (usize, usize, usize),
+    read: bool,
+    policy: SievePolicy,
+) -> Vec<NestNode> {
+    let sec = Section::full(local).with_range(dim, DimRange::new(lo, hi));
+    section_io(desc, local, &sec, read, policy)
 }
 
 /// Build the nest for any plan, priced for rank 0 alone. For elementwise
@@ -72,42 +107,55 @@ pub fn gaxpy_nest_for(plan: &GaxpyPlan, rank: usize) -> Vec<NestNode> {
 
 fn gaxpy_column_nest(plan: &GaxpyPlan, rank: usize) -> Vec<NestNode> {
     let n = plan.n;
-    let lc = plan.a.local_shape(rank).extent(1);
-    let lc_c = plan.c.local_shape(rank).extent(1);
-    let lr_b = plan.b.local_shape(rank).extent(0);
+    let shapes = [&plan.a, &plan.b, &plan.c].map(|d| d.local_shape(rank));
+    let [a, b, c] = [
+        (&plan.a, &shapes[0]),
+        (&plan.b, &shapes[1]),
+        (&plan.c, &shapes[2]),
+    ];
+    let (lc, lc_c) = (a.1.extent(1), c.1.extent(1));
     let logp = ceil_log2(plan.nprocs);
+    let policy = plan.method.sieve_policy();
+    let cols = |array, lo, hi, read| slab_io(array, (1, lo, hi), read, policy);
+    let multiply = |w: usize, label: &str| NestNode::Compute {
+        label: label.into(),
+        flops: (2 * n * w) as u64,
+    };
 
     // Streaming all slabs of A once (per column of B): full slabs + ragged.
+    // Prefetched, every read but a column's first overlaps the multiply of
+    // the full slab before it.
     let fa = lc / plan.slab_a;
     let ra = lc % plan.slab_a;
+    let full = multiply(plan.slab_a, "temp(:) = temp(:) + a(:,i)*b(i,m)");
+    let after_full = |read: Vec<NestNode>| {
+        if !plan.prefetches_a() {
+            return read;
+        }
+        let flops = (2 * n * plan.slab_a) as u64;
+        vec![NestNode::Overlap { flops, body: read }]
+    };
+    let full_read = cols(a, 0, plan.slab_a, true);
     let mut a_stream = Vec::new();
     if fa > 0 {
-        a_stream.push(NestNode::loop_(
-            "s = 1, ka  (slabs of a)",
-            fa as u64,
-            vec![
-                NestNode::read(
-                    &plan.a.name,
-                    slab_requests(&plan.a, rank, 1, 0, plan.slab_a),
-                    (n * plan.slab_a) as u64,
-                ),
-                NestNode::Compute {
-                    label: "temp(:) = temp(:) + a(:,i)*b(i,m)".into(),
-                    flops: (2 * n * plan.slab_a) as u64,
-                },
-            ],
-        ));
+        let slab = [full_read.clone(), vec![full.clone()]].concat();
+        if plan.prefetches_a() {
+            a_stream.extend(slab);
+            if fa > 1 {
+                a_stream.push(NestNode::loop_(
+                    "s = 2, ka  (slabs of a, prefetched)",
+                    (fa - 1) as u64,
+                    [after_full(full_read), vec![full]].concat(),
+                ));
+            }
+        } else {
+            a_stream.push(NestNode::loop_("s = 1, ka  (slabs of a)", fa as u64, slab));
+        }
     }
     if ra > 0 {
-        a_stream.push(NestNode::read(
-            &plan.a.name,
-            slab_requests(&plan.a, rank, 1, fa * plan.slab_a, lc),
-            (n * ra) as u64,
-        ));
-        a_stream.push(NestNode::Compute {
-            label: "temp(:) = temp(:) + a(:,i)*b(i,m)  (ragged)".into(),
-            flops: (2 * n * ra) as u64,
-        });
+        let read = cols(a, fa * plan.slab_a, lc, true);
+        a_stream.extend(if fa > 0 { after_full(read) } else { read });
+        a_stream.push(multiply(ra, "temp(:) = temp(:) + a(:,i)*b(i,m)  (ragged)"));
     }
 
     let per_column = {
@@ -121,14 +169,13 @@ fn gaxpy_column_nest(plan: &GaxpyPlan, rank: usize) -> Vec<NestNode> {
     };
 
     let col_body = |w: usize| -> Vec<NestNode> {
-        vec![
-            NestNode::read(
-                &plan.b.name,
-                slab_requests(&plan.b, rank, 1, 0, w),
-                (lr_b * w) as u64,
-            ),
-            NestNode::loop_("m = 1, cols in icla of b", w as u64, per_column.clone()),
-        ]
+        let mut v = cols(b, 0, w, true);
+        v.push(NestNode::loop_(
+            "m = 1, cols in icla of b",
+            w as u64,
+            per_column.clone(),
+        ));
+        v
     };
 
     let fb = n / plan.slab_b;
@@ -153,19 +200,11 @@ fn gaxpy_column_nest(plan: &GaxpyPlan, rank: usize) -> Vec<NestNode> {
         writes.push(NestNode::loop_(
             "c buffers",
             fc as u64,
-            vec![NestNode::write(
-                &plan.c.name,
-                slab_requests(&plan.c, rank, 1, 0, plan.slab_a),
-                (n * plan.slab_a) as u64,
-            )],
+            cols(c, 0, plan.slab_a, false),
         ));
     }
     if rc > 0 {
-        writes.push(NestNode::write(
-            &plan.c.name,
-            slab_requests(&plan.c, rank, 1, fc * plan.slab_a, lc_c),
-            (n * rc) as u64,
-        ));
+        writes.extend(cols(c, fc * plan.slab_a, lc_c, false));
     }
     nest.push(NestNode::IfOwner {
         label: "mynode owns these columns of c".into(),
@@ -176,11 +215,18 @@ fn gaxpy_column_nest(plan: &GaxpyPlan, rank: usize) -> Vec<NestNode> {
 
 fn gaxpy_row_nest(plan: &GaxpyPlan, rank: usize) -> Vec<NestNode> {
     let n = plan.n;
-    let lc = plan.a.local_shape(rank).extent(1);
-    let lr_b = plan.b.local_shape(rank).extent(0);
+    let shapes = [&plan.a, &plan.b, &plan.c].map(|d| d.local_shape(rank));
+    let [a, b, c] = [
+        (&plan.a, &shapes[0]),
+        (&plan.b, &shapes[1]),
+        (&plan.c, &shapes[2]),
+    ];
+    let lc = a.1.extent(1);
     let logp = ceil_log2(plan.nprocs);
     let fb = n / plan.slab_b;
     let rb = n % plan.slab_b;
+    let policy = plan.method.sieve_policy();
+    let slab = |array, dim, lo, hi, read| slab_io(array, (dim, lo, hi), read, policy);
     // Loop-invariant I/O motion: when B's ICLA holds the whole OCLA, its
     // read is invariant in the A-slab loop and hoisted out (this is what
     // makes "give B enough memory" pay off in Table 2).
@@ -199,11 +245,7 @@ fn gaxpy_row_nest(plan: &GaxpyPlan, rank: usize) -> Vec<NestNode> {
                 bytes: 4 * h as u64 * logp,
             },
         ];
-        let mut v = vec![NestNode::read(
-            &plan.a.name,
-            slab_requests(&plan.a, rank, 0, h_lo, h_hi),
-            (h * lc) as u64,
-        )];
+        let mut v = slab(a, 0, h_lo, h_hi, true);
         if b_resident {
             v.push(NestNode::loop_(
                 "m = 1, n  (b resident)",
@@ -212,29 +254,20 @@ fn gaxpy_row_nest(plan: &GaxpyPlan, rank: usize) -> Vec<NestNode> {
             ));
         } else {
             if fb > 0 {
+                let mut b_slab = slab(b, 1, 0, plan.slab_b, true);
+                b_slab.push(NestNode::loop_(
+                    "m = 1, cols in icla of b",
+                    plan.slab_b as u64,
+                    per_column.clone(),
+                ));
                 v.push(NestNode::loop_(
                     "nn = 1, kb  (slabs of b)",
                     fb as u64,
-                    vec![
-                        NestNode::read(
-                            &plan.b.name,
-                            slab_requests(&plan.b, rank, 1, 0, plan.slab_b),
-                            (lr_b * plan.slab_b) as u64,
-                        ),
-                        NestNode::loop_(
-                            "m = 1, cols in icla of b",
-                            plan.slab_b as u64,
-                            per_column.clone(),
-                        ),
-                    ],
+                    b_slab,
                 ));
             }
             if rb > 0 {
-                v.push(NestNode::read(
-                    &plan.b.name,
-                    slab_requests(&plan.b, rank, 1, fb * plan.slab_b, n),
-                    (lr_b * rb) as u64,
-                ));
+                v.extend(slab(b, 1, fb * plan.slab_b, n, true));
                 v.push(NestNode::loop_(
                     "m = 1, cols in icla of b  (ragged)",
                     rb as u64,
@@ -244,11 +277,7 @@ fn gaxpy_row_nest(plan: &GaxpyPlan, rank: usize) -> Vec<NestNode> {
         }
         v.push(NestNode::IfOwner {
             label: "mynode owns these columns of c".into(),
-            body: vec![NestNode::write(
-                &plan.c.name,
-                slab_requests(&plan.c, rank, 0, h_lo, h_hi),
-                (h * plan.c.local_shape(rank).extent(1)) as u64,
-            )],
+            body: slab(c, 0, h_lo, h_hi, false),
         });
         v
     };
@@ -258,11 +287,7 @@ fn gaxpy_row_nest(plan: &GaxpyPlan, rank: usize) -> Vec<NestNode> {
     let mut nest = Vec::new();
     if b_resident {
         // Hoisted: B streamed into memory exactly once.
-        nest.push(NestNode::read(
-            &plan.b.name,
-            slab_requests(&plan.b, rank, 1, 0, n),
-            (lr_b * n) as u64,
-        ));
+        nest.extend(slab(b, 1, 0, n, true));
     }
     if fa > 0 {
         nest.push(NestNode::loop_(
@@ -284,8 +309,10 @@ fn gaxpy_row_nest(plan: &GaxpyPlan, rank: usize) -> Vec<NestNode> {
 /// one loop, so a stage clamped at a local edge is a group of its own.
 pub fn elw_nest(plan: &ElwPlan, rank: usize) -> Vec<NestNode> {
     // Every array of the statement shares the lhs's distribution.
-    let local_shape = plan.lhs.local_shape(rank);
+    let local = plan.lhs.local_shape(rank);
     let schedule = plan.schedule(rank);
+    let policy = plan.method.sieve_policy();
+    let io = |desc, sec, read| section_io(desc, &local, sec, read, policy);
 
     // Pre-statement remaps: an exact replay of the redistribution's request
     // arithmetic under the chosen access method (same section machinery,
@@ -299,12 +326,7 @@ pub fn elw_nest(plan: &ElwPlan, rank: usize) -> Vec<NestNode> {
     // the sender.
     let dim = plan.ghosts.first().map_or(0, |g| g.dim);
     for strip in schedule.strips.iter().filter(|s| s.send) {
-        let rd = &plan.rhs_arrays[strip.array];
-        nest.push(NestNode::read(
-            &rd.name,
-            rd.layout.count_section_runs(&local_shape, &strip.section),
-            strip.section.len() as u64,
-        ));
+        nest.extend(io(&plan.rhs_arrays[strip.array], &strip.section, true));
         nest.push(NestNode::Comm {
             label: format!("ghost send dim {dim}"),
             messages: 1,
@@ -312,25 +334,26 @@ pub fn elw_nest(plan: &ElwPlan, rank: usize) -> Vec<NestNode> {
         });
     }
 
+    // Prefetched, a stage's reads overlap the previous stage's evaluation.
+    let mut previous = None;
     let mut bodies = schedule.stages.iter().map(|stage| {
-        let reads = plan.rhs_arrays.iter().map(|rd| {
-            let requests = rd.layout.count_section_runs(&local_shape, &stage.input);
-            NestNode::read(&rd.name, requests, stage.input.len() as u64)
+        let reads: Vec<NestNode> = (plan.rhs_arrays.iter())
+            .flat_map(|rd| io(rd, &stage.input, true))
+            .collect();
+        let flops = stage.out.len() as u64 * plan.flops_per_point;
+        let mut body = match previous.replace(flops).filter(|_| plan.prefetch) {
+            Some(pending) => vec![NestNode::Overlap {
+                flops: pending,
+                body: reads,
+            }],
+            None => reads,
+        };
+        body.push(NestNode::Compute {
+            label: "evaluate rhs over slab".into(),
+            flops,
         });
-        let out = &stage.out;
-        reads
-            .chain([
-                NestNode::Compute {
-                    label: "evaluate rhs over slab".into(),
-                    flops: out.len() as u64 * plan.flops_per_point,
-                },
-                NestNode::write(
-                    &plan.lhs.name,
-                    plan.lhs.layout.count_section_runs(&local_shape, out),
-                    out.len() as u64,
-                ),
-            ])
-            .collect::<Vec<_>>()
+        body.extend(io(&plan.lhs, &stage.out, false));
+        body
     });
     nest.extend(bodies.next().into_iter().flatten());
     let mut interior: Vec<Vec<NestNode>> = bodies.collect();
@@ -479,7 +502,7 @@ mod tests {
     use crate::hir::ElwExpr;
     use crate::ir::{render, totals};
     use crate::plan::GhostSpec;
-    use ooc_array::{ArrayId, Distribution, FileLayout, Shape};
+    use ooc_array::{ArrayId, Distribution, FileLayout};
     use pario::ElemKind;
 
     fn gaxpy_plan(strategy: SlabStrategy, n: usize, p: usize, sa: usize, sb: usize) -> GaxpyPlan {
@@ -594,6 +617,8 @@ mod tests {
                 lo_width: w,
                 hi_width: w,
             }],
+            method: IoMethod::Direct,
+            prefetch: false,
         }
     }
 

@@ -69,21 +69,36 @@ pub struct CompilerOptions {
     pub reorganize_storage: bool,
     /// In-core element budget for elementwise and transpose statements.
     pub elw_slab_elems: usize,
-    /// Byte budget of the runtime slab cache, when the target runs with one
-    /// (`None` = uncached, the default). GAXPY estimates become reuse-aware:
-    /// instead of walking the symbolic nest, the estimator replays the access
-    /// sequence through a predictor-mode cache so estimate == measurement
-    /// still holds under caching.
+    /// Byte budget of the slab cache the program runs with (`None` =
+    /// uncached, the default). Recorded in
+    /// [`CompiledProgram::cache_budget`], from which the executor enables
+    /// the cache. GAXPY estimates become reuse-aware: instead of walking the
+    /// symbolic nest, the estimator replays the access sequence through a
+    /// predictor-mode cache so estimate == measurement still holds under
+    /// caching.
     pub cache_budget: Option<usize>,
     /// Simulated-clock tracing configuration for the compiled program's
     /// runs. Off by default; carried into `CompiledProgram` so the executor
     /// builds its machine with tracing already configured.
     pub trace: ooc_trace::TraceConfig,
-    /// Force one I/O access method for every remap-style access (pre-
-    /// statement redistributions, transposes and SpMV gathers, which then
-    /// skip run-time re-selection) instead of per-access cost-based
-    /// selection (`None`, the default).
+    /// Force one I/O access method for every access of every statement
+    /// instead of the default (`None`): remap-style accesses (pre-statement
+    /// redistributions, transposes and SpMV gathers, which then skip
+    /// run-time re-selection) are otherwise selected by cost, and GAXPY
+    /// slabs and elementwise ghost strips and stages run `Direct`. Every
+    /// estimate prices the method it runs. Slab and stage accesses have no
+    /// exchange to make collective, so a forced two-phase method services
+    /// them directly.
     pub io_method: Option<pario::IoMethod>,
+    /// Overlap slab fetches with the previous slab's computation (software
+    /// pipelining, as in PASSION): GAXPY's column version overlaps each
+    /// fetch of A with the multiply before it, an elementwise statement each
+    /// stage's reads with the previous stage's evaluation. The overlapped
+    /// operand holds a second slab buffer, which GAXPY's budget split
+    /// reserves and every plan's memory accounting counts, and each
+    /// overlapped read is priced as the longer of its I/O and the
+    /// computation it hides. Off by default.
+    pub prefetch: bool,
     /// Background disk-farm load the compiled program will run against
     /// (concurrent workload jobs sharing the physical disks). `Some` prices
     /// every estimate — and therefore every strategy and access-method
@@ -110,6 +125,7 @@ impl Default for CompilerOptions {
             cache_budget: None,
             trace: ooc_trace::TraceConfig::default(),
             io_method: None,
+            prefetch: false,
             background: None,
             engine: dmsim::Engine::default(),
         }
@@ -174,6 +190,10 @@ pub struct CompiledProgram {
     /// Execution engine requested at compile time (threaded from
     /// [`CompilerOptions::engine`] to the executor's machine).
     pub engine: dmsim::Engine,
+    /// Byte budget of the slab cache the estimates assume (threaded from
+    /// [`CompilerOptions::cache_budget`]); the executor runs with exactly
+    /// this cache.
+    pub cache_budget: Option<usize>,
 }
 
 impl CompiledProgram {
@@ -495,6 +515,8 @@ pub fn compile_hir(
                         locked[ic.0 as usize].clone(),
                     ),
                     force: options.force_strategy,
+                    method: options.io_method.unwrap_or_default(),
+                    prefetch: options.prefetch,
                 };
                 let choice = choose_gaxpy(&sel, &model);
                 for (id, layout) in [
@@ -689,6 +711,8 @@ pub fn compile_hir(
                     slab_thickness: plan_sized.thickness(),
                     ghosts,
                     flops_per_point: e.rhs.flops_per_point(),
+                    method: options.io_method.unwrap_or_default(),
+                    prefetch: options.prefetch,
                 };
                 let nest = nest_of(&ExecPlan::Elementwise(plan.clone()));
                 let est = CostEstimate::from_nest(&nest, &model, 4);
@@ -793,6 +817,7 @@ pub fn compile_hir(
         model,
         trace: options.trace,
         engine: options.engine,
+        cache_budget: options.cache_budget,
     })
 }
 

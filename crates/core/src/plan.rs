@@ -63,6 +63,15 @@ pub struct GaxpyPlan {
     pub slab_a: usize,
     /// Columns of B's OCLA per slab.
     pub slab_b: usize,
+    /// Access method of every slab read and every write of C: `Direct`
+    /// unless [`crate::CompilerOptions::io_method`] forces one. The
+    /// executor passes its [`pario::IoMethod::sieve_policy`] to each access
+    /// and the estimator tallies each access under the same policy.
+    pub method: pario::IoMethod,
+    /// Overlap each fetch of A with the multiply of the slab before it
+    /// ([`crate::CompilerOptions::prefetch`]); see
+    /// [`GaxpyPlan::prefetches_a`].
+    pub prefetch: bool,
 }
 
 impl GaxpyPlan {
@@ -86,7 +95,18 @@ impl GaxpyPlan {
             nprocs: p,
             slab_a,
             slab_b,
+            method: pario::IoMethod::Direct,
+            prefetch: false,
         }
+    }
+
+    /// True when A's slab fetches overlap the multiply of the slab before
+    /// them, so A's slab is held twice. Only the column version overlaps:
+    /// there, a column's A slabs stream back to back. In the row version
+    /// every column's partial product is reduced before the next read, so
+    /// nothing is left to overlap and prefetch changes nothing.
+    pub fn prefetches_a(&self) -> bool {
+        crate::memory::a_slab_buffers(self.strategy, self.prefetch) > 1
     }
 
     /// Local columns per processor (`n / p`, block distribution).
@@ -116,10 +136,10 @@ impl GaxpyPlan {
         self.local_cols() * self.slab_b
     }
 
-    /// Peak in-core elements the plan needs (A slab + B slab + temporary +
-    /// C buffer) — what the memory allocator budgets. The column version
-    /// buffers as many columns of C as an A slab holds; the row version
-    /// one row slab of C.
+    /// Peak in-core elements the plan needs (the A slab, held twice when
+    /// prefetched, the B slab, the temporary and the C buffer) — what the
+    /// memory allocator budgets. The column version buffers as many columns
+    /// of C as an A slab holds; the row version one row slab of C.
     pub fn memory_elems(&self) -> usize {
         let temp = match self.strategy {
             SlabStrategy::ColumnSlab => self.n,
@@ -129,7 +149,8 @@ impl GaxpyPlan {
             SlabStrategy::ColumnSlab => self.n * self.slab_a,
             SlabStrategy::RowSlab => self.slab_a * self.local_cols(),
         };
-        self.slab_a_elems() + self.slab_b_elems() + temp + cbuf
+        let a_buffers = crate::memory::a_slab_buffers(self.strategy, self.prefetch);
+        a_buffers * self.slab_a_elems() + self.slab_b_elems() + temp + cbuf
     }
 
     /// Walk `rank`'s node program — Figure 9 for column slabs, Figure 12
@@ -375,7 +396,7 @@ pub struct RemapSpec {
     /// The temporary, distributed like the statement's lhs.
     pub tmp: ArrayDesc,
     /// Access method servicing the redistribution (cost-selected by the
-    /// compiler, overridable at run time).
+    /// compiler unless [`crate::CompilerOptions::io_method`] forces one).
     pub method: pario::IoMethod,
 }
 
@@ -402,6 +423,14 @@ pub struct ElwPlan {
     pub ghosts: Vec<GhostSpec>,
     /// Flops evaluated per point.
     pub flops_per_point: u64,
+    /// Access method of every ghost-strip read, stage read and stage
+    /// write: `Direct` unless [`crate::CompilerOptions::io_method`] forces
+    /// one (the pre-statement remaps choose their own).
+    pub method: pario::IoMethod,
+    /// Overlap each stage's reads with the previous stage's computation,
+    /// holding a second input buffer per rhs array
+    /// ([`crate::CompilerOptions::prefetch`]).
+    pub prefetch: bool,
 }
 
 /// One ghost-strip message of an elementwise statement's exchange.
@@ -556,7 +585,8 @@ pub struct TransposePlan {
     /// layout dimension, so reads are contiguous).
     pub slab_thickness: usize,
     /// Access method servicing the remap's file traffic (cost-selected by
-    /// the compiler, overridable at run time).
+    /// the compiler unless [`crate::CompilerOptions::io_method`] forces
+    /// one).
     pub method: pario::IoMethod,
 }
 
@@ -749,6 +779,23 @@ mod tests {
         let g = plan(SlabStrategy::ColumnSlab, 64, 4, 4, 8);
         // A slab 64*4 + B slab 16*8 + temp 64 + C buffer of slab_a columns.
         assert_eq!(g.memory_elems(), 64 * 4 + 16 * 8 + 64 + 64 * 4);
+    }
+
+    #[test]
+    fn a_prefetched_column_version_holds_a_second_a_slab() {
+        for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
+            let g = plan(strategy, 64, 4, 4, 8);
+            let prefetched = GaxpyPlan {
+                prefetch: true,
+                ..g.clone()
+            };
+            let second = match strategy {
+                SlabStrategy::ColumnSlab => g.slab_a_elems(),
+                SlabStrategy::RowSlab => 0,
+            };
+            assert_eq!(prefetched.memory_elems(), g.memory_elems() + second);
+            assert_eq!(prefetched.prefetches_a(), second > 0);
+        }
     }
 
     #[test]

@@ -39,24 +39,20 @@ pub fn desired_layouts(strategy: SlabStrategy) -> (FileLayout, FileLayout, FileL
     }
 }
 
-/// Build a fully-sized GAXPY plan for one strategy.
+/// Build the fully-sized GAXPY plan of `sel` for one strategy.
 ///
 /// `layouts` are the actual file layouts to use (callers pass the desired
 /// ones, or the already-locked ones when another statement fixed an array's
 /// storage, or column-major when reorganization is disabled — the ablation).
-#[allow(clippy::too_many_arguments)]
 pub fn build_gaxpy_plan(
-    ids: (ArrayId, ArrayId, ArrayId),
-    arrays: (&HirArray, &HirArray, &HirArray),
-    n: usize,
-    p: usize,
+    sel: &GaxpySelection<'_>,
     strategy: SlabStrategy,
-    sizing: SlabSizing,
     layouts: (FileLayout, FileLayout, FileLayout),
     model: &CostModel,
 ) -> GaxpyPlan {
-    let slabs = size_gaxpy(strategy, n, p, sizing, model);
-    let (a, b, c) = arrays;
+    let (n, p) = (sel.n, sel.p);
+    let slabs = size_gaxpy(strategy, n, p, sel.sizing, model, sel.prefetch);
+    let ((a, b, c), ids) = (sel.arrays, sel.ids);
     let desc = |id: ArrayId, arr: &HirArray, layout: FileLayout| {
         ArrayDesc::new(id, arr.name.clone(), ElemKind::F32, arr.dist.clone()).with_layout(layout)
     };
@@ -64,6 +60,8 @@ pub fn build_gaxpy_plan(
         a: desc(ids.0, a, layouts.0),
         b: desc(ids.1, b, layouts.1),
         c: desc(ids.2, c, layouts.2),
+        method: sel.method,
+        prefetch: sel.prefetch,
         ..GaxpyPlan::new(strategy, n, p, slabs.a, slabs.b)
     }
 }
@@ -97,6 +95,12 @@ pub struct GaxpySelection<'a> {
     /// Force a strategy instead of selecting by cost (used by the
     /// experiment harness to produce both columns of Table 1).
     pub force: Option<SlabStrategy>,
+    /// Access method of every slab access (see [`GaxpyPlan::method`]).
+    pub method: pario::IoMethod,
+    /// Overlap A's fetches with the multiply (see
+    /// [`GaxpyPlan::prefetch`]); every candidate is sized and priced with
+    /// it.
+    pub prefetch: bool,
 }
 
 /// Run the Figure 14 selection: build candidates, estimate, choose.
@@ -118,9 +122,7 @@ pub fn choose_gaxpy(sel: &GaxpySelection<'_>, model: &CostModel) -> GaxpyChoice 
             sel.locked.1.clone().unwrap_or(desired.1),
             sel.locked.2.clone().unwrap_or(desired.2),
         );
-        let plan = build_gaxpy_plan(
-            sel.ids, sel.arrays, sel.n, sel.p, strategy, sel.sizing, layouts, model,
-        );
+        let plan = build_gaxpy_plan(sel, strategy, layouts, model);
         let est = CostEstimate::from_nest(&gaxpy_nest(&plan), model, 4);
         scored.push((strategy, plan, est));
     }
@@ -230,6 +232,8 @@ mod tests {
             reorganize: true,
             locked: (None, None, None),
             force: None,
+            method: pario::IoMethod::Direct,
+            prefetch: false,
         }
     }
 

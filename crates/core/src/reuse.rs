@@ -15,7 +15,7 @@
 use ooc_array::{Section, Shape};
 use pario::{coalesce_runs, ByteRun, DiskStats, ElemKind, IoError, NoCharge, SlabCache};
 
-use crate::ir::{ArrayIoTotals, NestTotals};
+use crate::ir::{ArrayIoTotals, NestTotals, OverlapTotals};
 use crate::nodegen::gaxpy_nest_for;
 use crate::plan::{GaxpyOperand, GaxpyPlan, GaxpyVisitor};
 
@@ -37,6 +37,10 @@ struct Predictor<'p> {
     cache: SlabCache,
     stats: DiskStats,
     runs: Vec<ByteRun>,
+    /// Flops of the multiply a prefetched read of A would overlap, and the
+    /// overlaps so far: each A read's misses with the multiply before it.
+    pending: u64,
+    overlaps: Vec<OverlapTotals>,
 }
 
 impl Predictor<'_> {
@@ -63,7 +67,27 @@ impl GaxpyVisitor for Predictor<'_> {
             GaxpyOperand::A => FILE_A,
             GaxpyOperand::B => FILE_B,
         };
-        self.access(file, sec, true)
+        let before = self.cache.file_counts(file);
+        self.access(file, sec, true)?;
+        if operand == GaxpyOperand::A && self.plan.prefetches_a() {
+            let after = self.cache.file_counts(file);
+            if self.pending > 0 {
+                self.overlaps.push(OverlapTotals {
+                    requests: after.read_requests - before.read_requests,
+                    elems: (after.read_bytes - before.read_bytes) / self.plan.a.elem.size() as u64,
+                    flops: self.pending,
+                    times: 1,
+                });
+            }
+            self.pending = (2 * self.plan.n * sec.range(1).len()) as u64;
+        }
+        Ok(())
+    }
+
+    fn end_column(&mut self, _j: usize) -> Result<(), IoError> {
+        // The reduction needs the multiply done: nothing stays pending.
+        self.pending = 0;
+        Ok(())
     }
 
     fn write_c(&mut self, sec: &Section) -> Result<(), IoError> {
@@ -97,6 +121,8 @@ pub fn gaxpy_cached_totals(plan: &GaxpyPlan, rank: usize, budget: usize) -> Nest
         cache: SlabCache::predictor(budget),
         stats: DiskStats::default(),
         runs: Vec::new(),
+        pending: 0,
+        overlaps: Vec::new(),
     };
     plan.walk(rank, None, &mut p)
         .and_then(|()| p.cache.flush(None, None, &NoCharge, &mut p.stats))
@@ -106,6 +132,7 @@ pub fn gaxpy_cached_totals(plan: &GaxpyPlan, rank: usize, budget: usize) -> Nest
         comm_messages: base.comm_messages,
         comm_bytes: base.comm_bytes,
         flops: base.flops,
+        overlaps: p.overlaps,
         ..NestTotals::default()
     };
     for (file, desc) in [(FILE_A, &plan.a), (FILE_B, &plan.b), (FILE_C, &plan.c)] {

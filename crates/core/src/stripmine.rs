@@ -62,13 +62,16 @@ pub fn a_slab_extent(strategy: SlabStrategy, n: usize, p: usize) -> usize {
     }
 }
 
-/// Resolve a sizing policy into thicknesses.
+/// Resolve a sizing policy into thicknesses. A budget split for a
+/// `prefetch`ed plan reserves the second A buffer
+/// ([`crate::memory::a_slab_buffers`]) inside the budget.
 pub fn size_gaxpy(
     strategy: SlabStrategy,
     n: usize,
     p: usize,
     sizing: SlabSizing,
     model: &dmsim::CostModel,
+    prefetch: bool,
 ) -> GaxpySlabs {
     let a_extent = a_slab_extent(strategy, n, p);
     let (a, b) = match sizing {
@@ -79,9 +82,9 @@ pub fn size_gaxpy(
             let b = ((n as f64 * r).round() as usize).clamp(1, n);
             (a, b)
         }
-        SlabSizing::Budget { elems, policy } => {
-            crate::memory::split_gaxpy_budget_with_cache(strategy, n, p, elems, policy, model, None)
-        }
+        SlabSizing::Budget { elems, policy } => crate::memory::split_gaxpy_budget_prefetched(
+            strategy, n, p, elems, policy, model, None, prefetch,
+        ),
     };
     GaxpySlabs { a, b }
 }
@@ -99,6 +102,7 @@ mod tests {
             4,
             SlabSizing::Ratio(0.25),
             &dmsim::CostModel::delta(4),
+            false,
         );
         assert_eq!(s.a, 64); // 256/4 columns
         assert_eq!(s.b, 256); // 1024/4 columns of B
@@ -108,6 +112,7 @@ mod tests {
             4,
             SlabSizing::Ratio(1.0),
             &dmsim::CostModel::delta(4),
+            false,
         );
         assert_eq!(s1.a, 256); // whole OCLA in one slab
     }
@@ -120,6 +125,7 @@ mod tests {
             4,
             SlabSizing::Ratio(0.125),
             &dmsim::CostModel::delta(4),
+            false,
         );
         assert_eq!(s.a, 128); // 1024/8 rows
     }
@@ -132,6 +138,7 @@ mod tests {
             4,
             SlabSizing::Explicit { a: 9999, b: 0 },
             &dmsim::CostModel::delta(4),
+            false,
         );
         assert_eq!(s.a, 16); // OCLA has 16 columns
         assert_eq!(s.b, 1);
@@ -147,6 +154,7 @@ mod tests {
             4,
             SlabSizing::Explicit { a: 32, b: 8 },
             &dmsim::CostModel::delta(4),
+            false,
         );
         assert_eq!(s.a, 32); // row version: one row slab of C per A slab
         let s2 = size_gaxpy(
@@ -155,6 +163,7 @@ mod tests {
             4,
             SlabSizing::Explicit { a: 32, b: 8 },
             &dmsim::CostModel::delta(4),
+            false,
         );
         assert_eq!(s2.a, 16); // clamped to lc
     }
@@ -168,6 +177,7 @@ mod tests {
             4,
             SlabSizing::Ratio(0.0),
             &dmsim::CostModel::delta(4),
+            false,
         );
     }
 }

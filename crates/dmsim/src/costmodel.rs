@@ -131,6 +131,17 @@ impl CostModel {
         requests as f64 * self.io_startup + bytes as f64 / self.io_bandwidth_per_proc()
     }
 
+    /// Seconds a prefetched read of `requests` requests moving `bytes`
+    /// bytes takes when it overlaps `flops` of pending computation: the
+    /// longer of the two (software pipelining of slab fetches). The one
+    /// price of an overlap, charged by
+    /// [`crate::ProcCtx::charge_prefetched_read`] and estimated by the
+    /// compiler.
+    #[inline]
+    pub fn overlapped_read_time(&self, requests: u64, bytes: u64, flops: u64) -> f64 {
+        self.io_time(requests, bytes).max(self.compute_time(flops))
+    }
+
     /// Seconds for one processor to *write* `bytes` in `requests` requests.
     /// Writes go through the I/O nodes' buffers (write-behind), so the
     /// writer pays the hand-off, not the physical disk.

@@ -369,16 +369,18 @@ impl ProcCtx {
     }
 
     /// Charge a disk read that was *prefetched*: it overlapped `flops` of
-    /// computation, so the clock advances by `max(read time, compute time)`
-    /// while the counters record both components in full (software
-    /// pipelining of slab fetches, as in the PASSION runtime).
+    /// computation, so the clock advances by
+    /// [`CostModel::overlapped_read_time`] while the counters record both
+    /// components in full (software pipelining of slab fetches, as in the
+    /// PASSION runtime).
     pub fn charge_prefetched_read(&self, requests: u64, bytes: u64, flops: u64) {
         let io_t = self.cost.io_time(requests, bytes);
         let comp_t = self.cost.compute_time(flops);
         let t0 = self.clock.now();
         self.stats.record_io_read(requests, bytes, io_t);
         self.stats.record_flops(flops, comp_t);
-        self.clock.advance(io_t.max(comp_t));
+        self.clock
+            .advance(self.cost.overlapped_read_time(requests, bytes, flops));
         if self.tracer.is_some() {
             // The read overlaps the compute, so its span lives on the
             // prefetch track: both tracks individually stay non-overlapping

@@ -7,11 +7,12 @@
 //! the measured per-phase counters of a captured [`Trace`] and reports the
 //! gap per (phase, array, metric), largest relative divergence first.
 //!
-//! On configurations the estimators model exactly — uncached runs, or
-//! GAXPY under a slab cache — every row is zero-gap, which is the baseline
-//! the test suite pins. Anything nonzero is a model/runtime discrepancy
-//! worth investigating: checkpoint traffic, sieving overreads, or an
-//! estimator that has not learned a runtime reorganization yet.
+//! On configurations the estimators model exactly — uncached runs under
+//! any compiled access method, sieved spans and read-modify-writes
+//! included, prefetched or not, or GAXPY under a slab cache — every row is
+//! zero-gap, which is the baseline the test suite pins. Anything nonzero is
+//! a model/runtime discrepancy worth investigating: checkpoint traffic, or
+//! an estimator that has not learned a runtime reorganization yet.
 
 use std::collections::BTreeMap;
 

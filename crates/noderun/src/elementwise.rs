@@ -33,21 +33,22 @@ use pario::IoCharge;
 const GHOST_TAG: Tag = Tag(0x6057);
 
 /// Execute the plan on this processor: run its schedule
-/// ([`ElwPlan::schedule`]), charging every disk access through `charge`.
-/// Returns peak in-core elements.
+/// ([`ElwPlan::schedule`]), every strip and stage access under the plan's
+/// method ([`ElwPlan::method`]), charging every disk access through
+/// `charge`. Returns peak in-core elements.
 ///
-/// With `prefetch`, each stage's slab reads overlap the previous stage's
-/// deferred computation (stencil stages have no intervening collective, so
-/// the overlap is effective — unlike the GAXPY row version). Prefetched
+/// When the plan prefetches ([`ElwPlan::prefetch`]), each stage's slab
+/// reads overlap the previous stage's deferred computation (stencil stages
+/// have no intervening collective, so the overlap is effective — unlike the
+/// GAXPY row version) into a second input buffer per rhs array. Prefetched
 /// reads charge through the context's overlapped path, not `charge`.
 pub fn execute(
     ctx: &ProcCtx,
     env: &mut OocEnv,
     plan: &ElwPlan,
-    prefetch: bool,
     charge: &dyn IoCharge,
 ) -> Result<usize, OocError> {
-    let rank = ctx.rank();
+    let (rank, prefetch, policy) = (ctx.rank(), plan.prefetch, plan.method.sieve_policy());
     let mut peak = 0usize;
 
     // Mixed-distribution right-hand sides were remapped by the compiler:
@@ -66,7 +67,9 @@ pub fn execute(
     let mut placed: Vec<Vec<(&Section, Vec<f32>)>> = vec![Vec::new(); narr];
     for strip in &schedule.strips {
         if strip.send {
-            let data = env.read_section(&plan.rhs_arrays[strip.array], &strip.section, charge)?;
+            let mut data = Vec::new();
+            let rd = &plan.rhs_arrays[strip.array];
+            env.read_section_into(rd, &strip.section, &mut data, charge, policy)?;
             ctx.send(strip.peer, GHOST_TAG, Payload::F32(data));
         } else {
             let data = ctx.try_recv_f32(strip.peer, GHOST_TAG)?;
@@ -94,10 +97,10 @@ pub fn execute(
 
         // The stage's disk input. With prefetch, the whole stage's reads
         // overlap the previous stage's deferred compute.
-        let pend = pario::PendingIo::new();
+        let pend = pario::PendingIo::over(charge);
         let reads: &dyn IoCharge = if prefetch { &pend } else { charge };
         for (rd, buf) in plan.rhs_arrays.iter().zip(&mut disk) {
-            env.read_section_into(rd, &stage.input, buf, reads)?;
+            env.read_section_into(rd, &stage.input, buf, reads, policy)?;
         }
         if prefetch {
             let (reqs, bytes) = pend.reads();
@@ -134,9 +137,12 @@ pub fn execute(
         } else {
             ctx.charge_flops(flops);
         }
-        peak = peak.max(ghost_peak + out.len() + narr * stage.input.len());
+        // Prefetched, the next stage's input is read into a second buffer
+        // while this one is evaluated.
+        let inputs = (1 + usize::from(prefetch)) * narr * stage.input.len();
+        peak = peak.max(ghost_peak + out.len() + inputs);
 
-        env.write_section(&plan.lhs, &stage.out, &out, charge)?;
+        env.write_section(&plan.lhs, &stage.out, &out, charge, policy)?;
     }
     if pending_flops > 0 {
         ctx.charge_flops(pending_flops);
@@ -418,6 +424,8 @@ mod tests {
             slab_thickness: thickness,
             ghosts,
             flops_per_point: expr.flops_per_point(),
+            method: pario::IoMethod::Direct,
+            prefetch: false,
         }
     }
 
@@ -436,7 +444,7 @@ mod tests {
             // v starts as a copy of u so the untouched boundary matches the
             // reference.
             env.load_global(&plan.lhs, &init_u).unwrap();
-            execute(ctx, &mut env, &plan, false, ctx).unwrap();
+            execute(ctx, &mut env, &plan, ctx).unwrap();
             env.read_local_all(&plan.lhs).unwrap()
         });
         let locals: Vec<&[f32]> = results.iter().map(|v| v.as_slice()).collect();
@@ -469,7 +477,7 @@ mod tests {
             env.alloc(&plan.rhs_arrays[0]).unwrap();
             env.alloc(&plan.lhs).unwrap();
             env.load_global(&plan.rhs_arrays[0], &init_u).unwrap();
-            execute(ctx, &mut env, &plan, false, ctx).unwrap();
+            execute(ctx, &mut env, &plan, ctx).unwrap();
         });
         // Rank 1 (middle) exchanges with both neighbors: 2 sends.
         assert_eq!(report.per_proc()[1].stats.msgs_sent, 2);
@@ -498,6 +506,8 @@ mod tests {
             slab_thickness: 2,
             ghosts: vec![],
             flops_per_point: expr.flops_per_point(),
+            method: pario::IoMethod::Direct,
+            prefetch: false,
         };
         let machine = Machine::new(MachineConfig::delta(2));
         let (report, results) = machine.run_with(|ctx| {
@@ -505,7 +515,7 @@ mod tests {
             env.alloc(&u).unwrap();
             env.alloc(&v).unwrap();
             env.load_global(&u, &init_u).unwrap();
-            execute(ctx, &mut env, &plan, false, ctx).unwrap();
+            execute(ctx, &mut env, &plan, ctx).unwrap();
             env.read_local_all(&v).unwrap()
         });
         assert_eq!(report.totals().msgs_sent, 0);
@@ -546,15 +556,18 @@ mod tests {
 
     #[test]
     fn elementwise_prefetch_shrinks_time_not_counts() {
-        let plan = jacobi_plan(24, 2, 3, true);
         let run_with = |prefetch: bool| {
+            let plan = ElwPlan {
+                prefetch,
+                ..jacobi_plan(24, 2, 3, true)
+            };
             let machine = Machine::new(MachineConfig::delta(2));
             machine.run(|ctx| {
                 let mut env = OocEnv::in_memory(ctx.rank());
                 env.alloc(&plan.rhs_arrays[0]).unwrap();
                 env.alloc(&plan.lhs).unwrap();
                 env.load_global(&plan.rhs_arrays[0], &init_u).unwrap();
-                execute(ctx, &mut env, &plan, prefetch, ctx).unwrap();
+                execute(ctx, &mut env, &plan, ctx).unwrap();
             })
         };
         let base = run_with(false);
@@ -624,7 +637,7 @@ mod tests {
                 let mut env = OocEnv::in_memory(ctx.rank());
                 env.alloc(&plan.rhs_arrays[0]).unwrap();
                 env.alloc(&plan.lhs).unwrap();
-                execute(ctx, &mut env, &plan, false, ctx).unwrap();
+                execute(ctx, &mut env, &plan, ctx).unwrap();
             });
             for (rank, proc) in report.per_proc().iter().enumerate() {
                 let t = ooc_core::ir::totals(&ooc_core::nodegen::elw_nest(&plan, rank));

@@ -32,13 +32,6 @@ pub enum Backend {
 pub struct RunConfig {
     /// Storage backend for local array files.
     pub backend: Backend,
-    /// Data-sieving policy for strided reads (PASSION-style runtime
-    /// optimization; `Direct` keeps measured I/O equal to the compiler's
-    /// estimate).
-    pub sieve: Option<pario::SievePolicy>,
-    /// Overlap slab fetches with the previous slab's computation (software
-    /// pipelining). Leaves the I/O metrics untouched; only time shrinks.
-    pub prefetch: bool,
     /// Initial values per array (missing arrays start zeroed). Loading is
     /// not charged — the paper amortizes initial distribution.
     pub init: HashMap<String, InitFn>,
@@ -50,11 +43,13 @@ pub struct RunConfig {
     pub export: Vec<(String, std::path::PathBuf)>,
     /// Arrays to gather into global buffers after the run (verification).
     pub collect: Vec<String>,
-    /// Byte budget of a slab reuse cache in front of each logical disk
-    /// (`None` = uncached, the default). The cache is enabled after the
-    /// uncharged setup (allocation, init, import) so it starts cold, and
-    /// flushed — charged — after every plan, so dirty slabs always reach
-    /// disk inside the timed region.
+    /// Slab cache check. `None` (the default) follows the compiled
+    /// program's [`CompiledProgram::cache_budget`]; `Some(b)` must equal it
+    /// or the run is a [`RunError::Config`]. The cache the run uses is
+    /// always the compiled one, the budget every estimate assumes: it is
+    /// enabled after the uncharged setup (allocation, init, import) so it
+    /// starts cold, and flushed — charged — after every plan, so dirty
+    /// slabs always reach disk inside the timed region.
     pub cache_budget: Option<usize>,
     /// Deterministic fault injection (`None` = off, bit-identical to a
     /// build without the fault subsystem). The same config seeds both the
@@ -161,12 +156,22 @@ pub(crate) struct RankResult {
 
 /// Build the machine for one run of `compiled` under `cfg` — the compiled
 /// program's cost model on its processor count, with `cfg`'s trace and
-/// engine overrides and job tag — and validate `cfg`'s array names.
+/// engine overrides and job tag — and validate `cfg`'s array names and
+/// cache budget.
 fn machine_config(compiled: &CompiledProgram, cfg: &RunConfig) -> Result<MachineConfig, RunError> {
     let mut machine_cfg = MachineConfig::new(compiled.nprocs(), compiled.model.clone())
         .with_trace(cfg.trace.unwrap_or(compiled.trace))
         .with_engine(cfg.engine.unwrap_or(compiled.engine));
     machine_cfg.job = cfg.job;
+    if let Some(b) = cfg
+        .cache_budget
+        .filter(|&b| Some(b) != compiled.cache_budget)
+    {
+        return Err(RunError::Config(format!(
+            "cache budget {b} differs from the compiled budget {:?}",
+            compiled.cache_budget
+        )));
+    }
     for name in &cfg.collect {
         if compiled.hir.array(name).is_none() {
             return Err(RunError::Config(format!(
@@ -511,9 +516,6 @@ fn execute_rank(
         Backend::Memory => OocEnv::in_memory(rank),
         Backend::Disk => OocEnv::on_disk(rank)?,
     };
-    if let Some(policy) = cfg.sieve {
-        env.set_sieve_policy(policy);
-    }
     for desc in &compiled.descs {
         env.alloc(desc)?;
         if let Some(init) = cfg.init.get(&desc.name) {
@@ -538,7 +540,7 @@ fn execute_rank(
 
     // Setup (allocation, init, import) is uncharged and must stay uncached
     // so the cache starts cold and only captures the plans' reuse.
-    if let Some(budget) = cfg.cache_budget {
+    if let Some(budget) = compiled.cache_budget {
         env.enable_cache(budget);
     }
     // Faults arm only after setup: the measured region is where the paper's
@@ -562,13 +564,11 @@ fn execute_rank(
                 let opts = crate::gaxpy::RecoveryOpts {
                     checkpoint_dir: cfg.checkpoint_dir.as_deref(),
                     model: Some(&compiled.model),
-                    cache_budget: cfg.cache_budget,
+                    cache_budget: compiled.cache_budget,
                 };
-                crate::gaxpy::execute_recoverable(ctx, &mut env, g, cfg.prefetch, ctx, &opts)?
+                crate::gaxpy::execute_recoverable(ctx, &mut env, g, ctx, &opts)?
             }
-            ExecPlan::Elementwise(e) => {
-                crate::elementwise::execute(ctx, &mut env, e, cfg.prefetch, ctx)?
-            }
+            ExecPlan::Elementwise(e) => crate::elementwise::execute(ctx, &mut env, e, ctx)?,
             ExecPlan::Transpose(t) => crate::transpose::execute(ctx, &mut env, t)?,
             ExecPlan::Spmv(s) => {
                 // A compile-time-forced method pins the gather; otherwise
@@ -624,6 +624,49 @@ fn execute_rank(
 mod tests {
     use super::*;
     use ooc_core::{compile_source, CompilerOptions};
+
+    #[test]
+    fn a_compiled_cache_budget_runs_cached_and_matches_its_estimate() {
+        // Row slabs of A, each re-reading B: a cache that holds B hits.
+        let budget = 1 << 16;
+        let options = CompilerOptions {
+            sizing: ooc_core::stripmine::SlabSizing::Ratio(0.25),
+            cache_budget: Some(budget),
+            ..CompilerOptions::default()
+        };
+        let compiled = compile_source(hpf::GAXPY_SOURCE, &options).unwrap();
+        assert_eq!(compiled.cache_budget, Some(budget));
+        let mut cfg = RunConfig::default();
+        cfg.init
+            .insert("a".into(), crate::init_fn(|g| (g[0] + g[1]) as f32));
+        cfg.init
+            .insert("b".into(), crate::init_fn(|g| g[0] as f32 - 1.0));
+        for cache_budget in [None, Some(budget)] {
+            let cfg = RunConfig {
+                cache_budget,
+                ..cfg.clone()
+            };
+            let rank0 = run(&compiled, &cfg).unwrap().report.per_proc()[0].stats;
+            let est = &compiled.estimates[0];
+            assert!(rank0.cache_hits > 0, "{cache_budget:?}: the run is cached");
+            assert_eq!(
+                rank0.io_read_requests + rank0.io_write_requests,
+                est.io_requests()
+            );
+            assert_eq!(rank0.io_bytes(), est.io_bytes());
+        }
+    }
+
+    #[test]
+    fn a_cache_budget_other_than_the_compiled_one_is_a_config_error() {
+        let compiled = compile_source(hpf::GAXPY_SOURCE, &CompilerOptions::default()).unwrap();
+        let cfg = RunConfig {
+            cache_budget: Some(1 << 12),
+            ..RunConfig::default()
+        };
+        let err = run(&compiled, &cfg).unwrap_err();
+        assert!(matches!(err, RunError::Config(_)), "{err}");
+    }
 
     #[test]
     fn unknown_collect_array_is_a_config_error() {

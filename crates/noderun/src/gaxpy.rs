@@ -15,7 +15,7 @@ use std::sync::OnceLock;
 use dmsim::{ProcCtx, ReduceOp};
 use ooc_array::{OocEnv, OocError, Section};
 use ooc_core::plan::{GaxpyOperand, GaxpyPlan, GaxpyVisitor, SlabStrategy};
-use pario::{IoError, PendingIo};
+use pario::{PendingIo, SievePolicy};
 
 /// Fault-recovery options for a GAXPY statement. All fields default to off,
 /// in which case execution is bit-identical to the pre-fault-subsystem
@@ -42,11 +42,12 @@ pub struct RecoveryOpts<'a> {
 ///
 /// Non-prefetched I/O is charged through `charge`, the seam
 /// [`crate::trace::TracingCharge`] uses to record the operation sequence.
-/// With `prefetch` the runtime overlaps each slab fetch with the
-/// still-pending computation of the previous slab (software pipelining):
-/// the I/O *counts* are identical, only the modeled time shrinks.
-/// Prefetched fetches charge through the context's overlapped path, not
-/// `charge`; trace with `prefetch = false`.
+/// Every access runs under the plan's method
+/// ([`GaxpyPlan::method`]). When the plan prefetches A
+/// ([`GaxpyPlan::prefetches_a`]) each fetch of A overlaps the still-pending
+/// multiply of the slab before it (software pipelining): the I/O *counts*
+/// are identical, only the modeled time shrinks. Prefetched fetches charge
+/// through the context's overlapped path, not `charge`.
 ///
 /// The plan's own slab walk ([`GaxpyPlan::walk`]) decides every section
 /// read and written; this executor is the visitor that reads, multiplies,
@@ -55,7 +56,6 @@ pub fn execute_recoverable(
     ctx: &ProcCtx,
     env: &mut OocEnv,
     plan: &GaxpyPlan,
-    prefetch: bool,
     charge: &dyn pario::IoCharge,
     opts: &RecoveryOpts<'_>,
 ) -> Result<usize, OocError> {
@@ -64,7 +64,7 @@ pub fn execute_recoverable(
         Some(dir) => Some(agree_restart(ctx, env, plan, dir)?),
         None => None,
     };
-    let mut exec = Executor::new(ctx, env, plan, prefetch, charge, *opts);
+    let mut exec = Executor::new(ctx, env, plan, charge, *opts);
     plan.walk(ctx.rank(), restart, &mut exec)?;
     if let Some(dir) = opts.checkpoint_dir {
         ooc_array::remove_checkpoint(dir, &ckpt_tag(plan), ctx.rank())?;
@@ -110,7 +110,7 @@ fn replan_degraded(
         return None;
     }
     let degraded = model.degrade_io(env.degrade_factor());
-    Some(ooc_core::memory::split_gaxpy_budget_with_cache(
+    Some(ooc_core::memory::split_gaxpy_budget_prefetched(
         plan.strategy,
         plan.n,
         plan.nprocs,
@@ -118,30 +118,8 @@ fn replan_degraded(
         ooc_core::memory::MemoryPolicy::Search,
         &degraded,
         opts.cache_budget,
+        plan.prefetch,
     ))
-}
-
-/// Slab fetch into a reused buffer. With `prefetch` the read accumulates
-/// and is then charged overlapped with the flops deferred since the
-/// previous fetch; otherwise it is charged to `charge` directly.
-fn read_slab(
-    env: &mut OocEnv,
-    desc: &ooc_array::ArrayDesc,
-    sec: &Section,
-    out: &mut Vec<f32>,
-    ctx: &ProcCtx,
-    prefetch: Option<&mut u64>,
-    charge: &dyn pario::IoCharge,
-) -> Result<(), IoError> {
-    let Some(pending_flops) = prefetch else {
-        return env.read_section_into(desc, sec, out, charge);
-    };
-    let pend = PendingIo::new();
-    env.read_section_into(desc, sec, out, &pend)?;
-    let (r, b) = pend.reads();
-    ctx.charge_prefetched_read(r, b, *pending_flops);
-    *pending_flops = 0;
-    Ok(())
 }
 
 /// `temp += a · b`: the GAXPY inner multiply over an `h × b.len()`
@@ -259,11 +237,14 @@ struct Executor<'a> {
     ctx: &'a ProcCtx,
     env: &'a mut OocEnv,
     plan: &'a GaxpyPlan,
-    prefetch: bool,
     charge: &'a dyn pario::IoCharge,
     opts: RecoveryOpts<'a>,
-    /// Flops deferred to overlap the next prefetched fetch.
+    /// The plan's prefetch of A ([`GaxpyPlan::prefetches_a`]) and the flops
+    /// deferred to overlap the next prefetched fetch.
+    prefetch: bool,
     pending_flops: u64,
+    /// The sieve policy of the plan's access method.
+    policy: SievePolicy,
     /// Local rows of B (== local columns of A).
     lr_b: usize,
     /// The current slab of A; the current slab of B (or all of a resident
@@ -292,7 +273,6 @@ impl<'a> Executor<'a> {
         ctx: &'a ProcCtx,
         env: &'a mut OocEnv,
         plan: &'a GaxpyPlan,
-        prefetch: bool,
         charge: &'a dyn pario::IoCharge,
         opts: RecoveryOpts<'a>,
     ) -> Self {
@@ -304,10 +284,11 @@ impl<'a> Executor<'a> {
             ctx,
             env,
             plan,
-            prefetch,
             charge,
             opts,
+            prefetch: plan.prefetches_a(),
             pending_flops: 0,
+            policy: plan.method.sieve_policy(),
             lr_b: plan.b.local_shape(ctx.rank()).extent(0),
             a_icla: Vec::new(),
             b_icla: Vec::new(),
@@ -323,14 +304,17 @@ impl<'a> Executor<'a> {
     }
 
     /// Charge `flops` of kernel work — or defer it to overlap the next
-    /// prefetched fetch — and note the in-core elements held.
+    /// prefetched fetch — and note the in-core elements held: a prefetched
+    /// A slab is held twice, the one multiplied and the one being fetched.
     fn compute(&mut self, flops: u64) {
         if self.prefetch {
             self.pending_flops += flops;
         } else {
             self.ctx.charge_flops(flops);
         }
-        let held = self.a_icla.len() + self.b_icla.len() + self.temp.len() + self.cbuf_elems;
+        let a_buffers = ooc_core::memory::a_slab_buffers(self.plan.strategy, self.plan.prefetch);
+        let held =
+            a_buffers * self.a_icla.len() + self.b_icla.len() + self.temp.len() + self.cbuf_elems;
         self.peak = self.peak.max(held);
     }
 }
@@ -347,18 +331,26 @@ impl GaxpyVisitor for Executor<'_> {
     }
 
     fn read(&mut self, operand: GaxpyOperand, sec: &Section) -> Result<(), OocError> {
-        let column_version = self.plan.strategy == SlabStrategy::ColumnSlab;
-        // Only the column version overlaps its B fetches.
+        let plan = self.plan;
+        let column_version = plan.strategy == SlabStrategy::ColumnSlab;
+        // Only A's fetches have a multiply to overlap.
         let (desc, icla, overlap) = match operand {
-            GaxpyOperand::A => (&self.plan.a, &mut self.a_icla, self.prefetch),
-            GaxpyOperand::B => (
-                &self.plan.b,
-                &mut self.b_icla,
-                self.prefetch && column_version,
-            ),
+            GaxpyOperand::A => (&plan.a, &mut self.a_icla, self.prefetch),
+            GaxpyOperand::B => (&plan.b, &mut self.b_icla, false),
         };
-        let pending = overlap.then_some(&mut self.pending_flops);
-        read_slab(self.env, desc, sec, icla, self.ctx, pending, self.charge)?;
+        if overlap {
+            // The read accumulates, then is charged overlapped with the
+            // flops deferred since the previous fetch.
+            let pend = PendingIo::over(self.charge);
+            self.env
+                .read_section_into(desc, sec, icla, &pend, self.policy)?;
+            let (r, b) = pend.reads();
+            self.ctx.charge_prefetched_read(r, b, self.pending_flops);
+            self.pending_flops = 0;
+        } else {
+            self.env
+                .read_section_into(desc, sec, icla, self.charge, self.policy)?;
+        }
         match operand {
             GaxpyOperand::B => self.b_lo = sec.range(1).lo,
             GaxpyOperand::A if column_version => {
@@ -415,7 +407,7 @@ impl GaxpyVisitor for Executor<'_> {
     fn write_c(&mut self, sec: &Section) -> Result<(), OocError> {
         debug_assert_eq!(self.cbuf.len(), sec.len());
         self.env
-            .write_section(&self.plan.c, sec, &self.cbuf, self.charge)?;
+            .write_section(&self.plan.c, sec, &self.cbuf, self.charge, self.policy)?;
         self.cbuf.clear();
         Ok(())
     }
@@ -469,7 +461,7 @@ mod tests {
             env.alloc(&plan.c).unwrap();
             env.load_global(&plan.a, &fa).unwrap();
             env.load_global(&plan.b, &fb).unwrap();
-            execute_recoverable(ctx, &mut env, plan, false, ctx, &RecoveryOpts::default()).unwrap();
+            execute_recoverable(ctx, &mut env, plan, ctx, &RecoveryOpts::default()).unwrap();
             env.read_local_all(&plan.c).unwrap()
         });
         let locals: Vec<&[f32]> = results.iter().map(|v| v.as_slice()).collect();
@@ -659,7 +651,7 @@ mod tests {
             // Cache goes live after the uncharged setup, cold — exactly
             // what the reuse predictor models.
             env.enable_cache(budget);
-            execute_recoverable(ctx, &mut env, plan, false, ctx, &RecoveryOpts::default()).unwrap();
+            execute_recoverable(ctx, &mut env, plan, ctx, &RecoveryOpts::default()).unwrap();
             env.flush_cache(ctx).unwrap();
             env.read_local_all(&plan.c).unwrap()
         });
@@ -766,8 +758,11 @@ mod tests {
 
     #[test]
     fn prefetch_shrinks_time_but_not_counts() {
-        let plan = make_plan(SlabStrategy::ColumnSlab, 32, 4, 2, 8);
         let run_with = |prefetch: bool| {
+            let plan = GaxpyPlan {
+                prefetch,
+                ..make_plan(SlabStrategy::ColumnSlab, 32, 4, 2, 8)
+            };
             let machine = Machine::new(MachineConfig::delta(4));
             machine.run(|ctx| {
                 let mut env = OocEnv::in_memory(ctx.rank());
@@ -776,15 +771,7 @@ mod tests {
                 env.alloc(&plan.c).unwrap();
                 env.load_global(&plan.a, &fa).unwrap();
                 env.load_global(&plan.b, &fb).unwrap();
-                execute_recoverable(
-                    ctx,
-                    &mut env,
-                    &plan,
-                    prefetch,
-                    ctx,
-                    &RecoveryOpts::default(),
-                )
-                .unwrap();
+                execute_recoverable(ctx, &mut env, &plan, ctx, &RecoveryOpts::default()).unwrap();
             })
         };
         let base = run_with(false);
@@ -806,7 +793,10 @@ mod tests {
         let n = 16;
         let expect = ref_gaxpy(n, &fa, &fb);
         for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
-            let plan = make_plan(strategy, n, 4, 3, 5);
+            let plan = GaxpyPlan {
+                prefetch: true,
+                ..make_plan(strategy, n, 4, 3, 5)
+            };
             let machine = Machine::new(MachineConfig::free(4));
             let (_, results) = machine.run_with(|ctx| {
                 let mut env = OocEnv::in_memory(ctx.rank());
@@ -815,8 +805,7 @@ mod tests {
                 env.alloc(&plan.c).unwrap();
                 env.load_global(&plan.a, &fa).unwrap();
                 env.load_global(&plan.b, &fb).unwrap();
-                execute_recoverable(ctx, &mut env, &plan, true, ctx, &RecoveryOpts::default())
-                    .unwrap();
+                execute_recoverable(ctx, &mut env, &plan, ctx, &RecoveryOpts::default()).unwrap();
                 env.read_local_all(&plan.c).unwrap()
             });
             let locals: Vec<&[f32]> = results.iter().map(|v| v.as_slice()).collect();
@@ -827,22 +816,27 @@ mod tests {
 
     #[test]
     fn peak_memory_within_plan_budget() {
-        for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
-            let plan = make_plan(strategy, 16, 4, 2, 4);
+        let plans = [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab]
+            .into_iter()
+            .flat_map(|s| [false, true].map(|prefetch| (s, prefetch)));
+        for (strategy, prefetch) in plans {
+            let plan = GaxpyPlan {
+                prefetch,
+                ..make_plan(strategy, 16, 4, 2, 4)
+            };
             let machine = Machine::new(MachineConfig::free(4));
             let (_, peaks) = machine.run_with(|ctx| {
                 let mut env = OocEnv::in_memory(ctx.rank());
                 env.alloc(&plan.a).unwrap();
                 env.alloc(&plan.b).unwrap();
                 env.alloc(&plan.c).unwrap();
-                execute_recoverable(ctx, &mut env, &plan, false, ctx, &RecoveryOpts::default())
-                    .unwrap()
+                execute_recoverable(ctx, &mut env, &plan, ctx, &RecoveryOpts::default()).unwrap()
             });
             let budget = plan.memory_elems();
             for peak in peaks {
                 assert!(
                     peak <= budget,
-                    "{strategy:?}: peak {peak} exceeds budget {budget}"
+                    "{strategy:?} prefetch={prefetch}: peak {peak} exceeds budget {budget}"
                 );
             }
         }

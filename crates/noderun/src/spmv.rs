@@ -25,7 +25,7 @@ use ooc_array::{
     Section,
 };
 use ooc_core::plan::SpmvPlan;
-use pario::IoMethod;
+use pario::{IoMethod, SievePolicy::Direct};
 
 /// Allgather this rank's block of a 1-D block-distributed vector; returns
 /// the full global vector (blocks of ascending ranks are ascending global
@@ -208,7 +208,7 @@ pub fn execute_cached(
 
     // ---- Write the local result slice. -----------------------------------
     if !y_shape.is_empty() {
-        env.write_section(&plan.y, &Section::full(&y_shape), &y, ctx)?;
+        env.write_section(&plan.y, &Section::full(&y_shape), &y, ctx, Direct)?;
     }
 
     Ok(rowptr.len() + partial.len() + vals.len() + xg.len() + y.len())

@@ -124,7 +124,7 @@ fn walk(nodes: &[NestNode], elem_size: usize, limit: usize, out: &mut Vec<IoOp>)
                     }
                 }
             }
-            NestNode::IfOwner { body, .. } => {
+            NestNode::IfOwner { body, .. } | NestNode::Overlap { body, .. } => {
                 if !walk(body, elem_size, limit, out) {
                     return false;
                 }

@@ -18,7 +18,7 @@ use ooc_array::{
 };
 use ooc_core::hir::ElwExpr;
 use ooc_core::plan::{ElwPlan, GaxpyPlan, GhostSpec, SlabStrategy};
-use pario::{ElemKind, NoCharge};
+use pario::{ElemKind, IoMethod, NoCharge, SievePolicy::Direct};
 
 thread_local! {
     // Per thread, so the test harness's parallel tests do not count each
@@ -155,15 +155,8 @@ fn column_gaxpy_allocs(n: usize, p: usize, slab_a: usize) -> Vec<usize> {
             env.load_global(desc, &f).unwrap();
         }
         let (peak, allocs) = allocs_during(|| {
-            noderun::gaxpy::execute_recoverable(
-                ctx,
-                &mut env,
-                &plan,
-                false,
-                ctx,
-                &Default::default(),
-            )
-            .unwrap()
+            noderun::gaxpy::execute_recoverable(ctx, &mut env, &plan, ctx, &Default::default())
+                .unwrap()
         });
         assert!(peak > 0);
         allocs
@@ -220,6 +213,8 @@ fn stencil_allocs(rows: usize, cols: usize, slab_dim: usize) -> (Vec<usize>, usi
             lo_width: 1,
             hi_width: 1,
         }],
+        method: IoMethod::Direct,
+        prefetch: false,
     };
     let f = |g: &[usize]| (g[0] + 2 * g[1]) as f32;
     let (_, allocs) = Machine::new(MachineConfig::free(2)).run_with(|ctx| {
@@ -228,9 +223,8 @@ fn stencil_allocs(rows: usize, cols: usize, slab_dim: usize) -> (Vec<usize>, usi
             env.alloc(desc).unwrap();
             env.load_global(desc, &f).unwrap();
         }
-        let (peak, allocs) = allocs_during(|| {
-            noderun::elementwise::execute(ctx, &mut env, &plan, false, ctx).unwrap()
-        });
+        let (peak, allocs) =
+            allocs_during(|| noderun::elementwise::execute(ctx, &mut env, &plan, ctx).unwrap());
         assert!(peak > 0);
         allocs
     });
@@ -325,15 +319,18 @@ fn section_io_allocs(layout: &FileLayout, section: &Section) -> (usize, usize) {
     let data: Vec<f32> = (0..section.len()).map(|i| i as f32).collect();
     let mut out = Vec::new();
     // One pass of each first, so every reused scratch buffer has its size.
-    env.read_section_into(&desc, section, &mut out, &NoCharge)
+    env.read_section_into(&desc, section, &mut out, &NoCharge, Direct)
         .unwrap();
-    env.write_section(&desc, section, &data, &NoCharge).unwrap();
+    env.write_section(&desc, section, &data, &NoCharge, Direct)
+        .unwrap();
     let ((), reads) = allocs_during(|| {
-        env.read_section_into(&desc, section, &mut out, &NoCharge)
+        env.read_section_into(&desc, section, &mut out, &NoCharge, Direct)
             .unwrap()
     });
-    let ((), writes) =
-        allocs_during(|| env.write_section(&desc, section, &data, &NoCharge).unwrap());
+    let ((), writes) = allocs_during(|| {
+        env.write_section(&desc, section, &data, &NoCharge, Direct)
+            .unwrap()
+    });
     assert_eq!(out, data, "the write must land where the read finds it");
     (reads, writes)
 }
@@ -422,10 +419,10 @@ fn contiguous_reads_from_a_disk_backed_file_allocate_nothing() {
         env.load_global(&desc, &|g| (64 * g[0] + g[1]) as f32)
             .unwrap();
         // One read first, so every reused buffer has its size.
-        env.read_section_into(&desc, &whole_columns, &mut out, &NoCharge)
+        env.read_section_into(&desc, &whole_columns, &mut out, &NoCharge, Direct)
             .unwrap();
         let ((), allocs) = allocs_during(|| {
-            env.read_section_into(&desc, &whole_columns, &mut out, &NoCharge)
+            env.read_section_into(&desc, &whole_columns, &mut out, &NoCharge, Direct)
                 .unwrap()
         });
         assert_eq!(allocs, 0, "a warmed-up contiguous read allocated");

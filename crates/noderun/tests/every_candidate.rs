@@ -10,11 +10,15 @@
 //! estimate of compiling with that candidate forced. Transposes and
 //! redistributions are also held to the tally of their remap schedule on
 //! every rank, ranks that own nothing included. A stencil whose shift is
-//! wider than its slab is held to its estimate stage by stage.
+//! wider than its slab is held to its estimate stage by stage. GAXPY slabs
+//! and elementwise strips and stages run the forced method too, with and
+//! without prefetch, and are held to their estimates the same way.
 
 use dmsim::{Machine, MachineConfig, StatsSnapshot};
 use noderun::spmv::execute_cached;
-use noderun::{assemble_global, init_fn, ref_transpose, run, InitFn, RunConfig};
+use noderun::{
+    assemble_global, init_fn, max_abs_diff, ref_gaxpy, ref_transpose, run, InitFn, RunConfig,
+};
 use ooc_array::{
     gather_with, inspect, redistribute_with, ArrayDesc, ArrayId, DimDist, DistKind, Distribution,
     FileLayout, OocEnv, ProcGrid, Shape,
@@ -22,7 +26,7 @@ use ooc_array::{
 use ooc_core::ir::{totals, ArrayIoTotals, NestNode, NestTotals};
 use ooc_core::irreg::schedule_nodes;
 use ooc_core::nodegen::{remap_nodes, RemapGeometry};
-use ooc_core::plan::{RemapSpec, SpmvPlan, TransposePlan};
+use ooc_core::plan::{RemapSpec, SlabStrategy, SpmvPlan, TransposePlan};
 use ooc_core::{compile_source, CompiledProgram, CompilerOptions, CostEstimate, ExecPlan};
 use pario::{ElemKind, IoMethod};
 
@@ -77,6 +81,24 @@ fn sum(t: &NestTotals, f: fn(&ArrayIoTotals) -> u64) -> u64 {
 
 /// Rank 0's measured counters and finish time against an estimate.
 fn assert_exact(tag: &str, est: &CostEstimate, s: &StatsSnapshot, finish: f64) {
+    assert_counters(tag, est, s);
+    let secs = est.time();
+    assert!(
+        (secs - finish).abs() <= 1e-9 * finish,
+        "{tag}: estimated {secs} s, rank 0 finished at {finish} s"
+    );
+}
+
+/// Rank 0's six measured counters against an estimate.
+fn assert_counters(tag: &str, est: &CostEstimate, s: &StatsSnapshot) {
+    assert_io(tag, est, s);
+    let t = &est.totals;
+    assert_eq!(s.msgs_sent, t.comm_messages, "{tag}: messages");
+    assert_eq!(s.bytes_sent, t.comm_bytes, "{tag}: message bytes");
+}
+
+/// Rank 0's four measured disk counters against an estimate.
+fn assert_io(tag: &str, est: &CostEstimate, s: &StatsSnapshot) {
     let t = &est.totals;
     for (counter, measured, estimated) in [
         (
@@ -95,16 +117,187 @@ fn assert_exact(tag: &str, est: &CostEstimate, s: &StatsSnapshot, finish: f64) {
             s.io_bytes_written,
             4 * sum(t, |a| a.write_elems),
         ),
-        ("messages", s.msgs_sent, t.comm_messages),
-        ("message bytes", s.bytes_sent, t.comm_bytes),
     ] {
         assert_eq!(measured, estimated, "{tag}: {counter}");
     }
-    let secs = est.time();
-    assert!(
-        (secs - finish).abs() <= 1e-9 * finish,
-        "{tag}: estimated {secs} s, rank 0 finished at {finish} s"
-    );
+}
+
+/// Rank 0's finish time and its distance from the estimate, in seconds.
+fn time_gap(est: &CostEstimate, finish: f64) -> (f64, f64) {
+    ((est.time() - finish).abs(), finish)
+}
+
+/// Holds the finish-time gaps of one statement's {Direct, Sieved} ×
+/// prefetch {off, on} runs, in that order: where the unprefetched direct
+/// run's estimate is exact to 1e-9, every run's is; elsewhere no prefetched
+/// run is further off, in seconds, than the same method unprefetched.
+fn assert_gaps(tag: &str, gaps: &[(f64, f64); 4]) {
+    let exact = |(gap, finish): (f64, f64)| gap <= 1e-9 * finish;
+    if exact(gaps[0]) {
+        assert!(gaps.iter().all(|&g| exact(g)), "{tag}: gaps {gaps:?}");
+    } else {
+        let no_worse = |pre: (f64, f64), base: (f64, f64)| pre.0 <= base.0 + 1e-12 * base.1;
+        let ok = no_worse(gaps[1], gaps[0]) && no_worse(gaps[3], gaps[2]);
+        assert!(ok, "{tag}: gaps {gaps:?}");
+    }
+}
+
+/// Each forced slab method, with and without prefetch, in [`assert_gaps`]'s
+/// order.
+const SLAB_RUNS: [(IoMethod, bool); 4] = [
+    (IoMethod::Direct, false),
+    (IoMethod::Direct, true),
+    (IoMethod::Sieved, false),
+    (IoMethod::Sieved, true),
+];
+
+/// `hpf::GAXPY_SOURCE` at order `n` on `p` ranks.
+fn gaxpy_source(n: usize, p: usize) -> String {
+    let params = format!("parameter (n={n}, nprocs={p})");
+    hpf::GAXPY_SOURCE.replace("parameter (n=64, nprocs=4)", &params)
+}
+
+#[test]
+fn every_forced_gaxpy_matches_its_estimate_with_and_without_prefetch() {
+    // Column and row slabs; 30 over 4 ranks is ragged; without storage
+    // reorganization the row version's slabs of A and C are strided, so a
+    // sieved run reads spans and writes C by read-modify-write.
+    for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
+        for (n, p) in [(32, 4), (30, 4)] {
+            for reorganize_storage in [true, false] {
+                let tag = format!("gaxpy {strategy:?} n={n} p={p} reorganize={reorganize_storage}");
+                let mut gaps = [(0.0, 0.0); 4];
+                for (k, (method, prefetch)) in SLAB_RUNS.into_iter().enumerate() {
+                    let options = CompilerOptions {
+                        force_strategy: Some(strategy),
+                        sizing: ooc_core::stripmine::SlabSizing::Ratio(0.25),
+                        reorganize_storage,
+                        io_method: Some(method),
+                        prefetch,
+                        ..CompilerOptions::default()
+                    };
+                    let compiled = compile_source(&gaxpy_source(n, p), &options).unwrap();
+                    let ExecPlan::Gaxpy(plan) = &compiled.plans[0] else {
+                        panic!("expected a gaxpy plan");
+                    };
+                    let mut cfg = RunConfig::default();
+                    cfg.init.insert("a".into(), init_fn(fa));
+                    cfg.init.insert("b".into(), init_fn(fb));
+                    cfg.collect.push("c".into());
+                    let outcome = run(&compiled, &cfg).unwrap();
+                    let tag = format!("{tag} {method:?} prefetch={prefetch}");
+                    let c = &outcome.collected["c"].1;
+                    assert!(max_abs_diff(c, &ref_gaxpy(n, &fa, &fb)) < 1e-3, "{tag}");
+                    let rank0 = &outcome.report.per_proc()[0];
+                    // The nest prices each column's reduction as its
+                    // critical path, ⌈log₂ p⌉ messages, not rank 0's own
+                    // sends, so only the disk counters are rank 0's.
+                    let est = &compiled.estimates[0];
+                    assert_io(&tag, est, &rank0.stats);
+                    assert!(
+                        outcome.peak_elems <= plan.memory_elems(),
+                        "{tag}: peak {} > {}",
+                        outcome.peak_elems,
+                        plan.memory_elems()
+                    );
+                    gaps[k] = time_gap(est, rank0.finish_time);
+                }
+                assert_gaps(&tag, &gaps);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_cached_prefetched_gaxpy_matches_its_estimate() {
+    // One rank, so no reduction waits. Under a slab cache the overlapped
+    // reads are the misses the compiler's predictor replays: a budget
+    // smaller than an A slab misses every read, a larger one hits A.
+    for budget in [256, 4096] {
+        for prefetch in [false, true] {
+            let options = CompilerOptions {
+                force_strategy: Some(SlabStrategy::ColumnSlab),
+                sizing: ooc_core::stripmine::SlabSizing::Ratio(0.25),
+                cache_budget: Some(budget),
+                prefetch,
+                ..CompilerOptions::default()
+            };
+            let compiled = compile_source(&gaxpy_source(32, 1), &options).unwrap();
+            let mut cfg = RunConfig::default();
+            cfg.init.insert("a".into(), init_fn(fa));
+            cfg.init.insert("b".into(), init_fn(fb));
+            let outcome = run(&compiled, &cfg).unwrap();
+            let rank0 = &outcome.report.per_proc()[0];
+            let tag = format!("cached gaxpy budget={budget} prefetch={prefetch}");
+            assert_exact(
+                &tag,
+                &compiled.estimates[0],
+                &rank0.stats,
+                rank0.finish_time,
+            );
+        }
+    }
+}
+
+/// A Jacobi sweep over `n × n` on `p` ranks with `u` and `v` aligned
+/// `align` with a block template: `(:, *)` for row blocks, whose ghost
+/// strips are strided rows, or `(*, :)` for column blocks.
+fn jacobi_source(n: usize, p: usize, align: &str) -> String {
+    format!(
+        "
+      parameter (n={n})
+      real u(n, n), v(n, n)
+!hpf$ processors pr({p})
+!hpf$ template t(n)
+!hpf$ distribute t(block) on pr
+!hpf$ align {align} with t :: u, v
+      forall (i = 2:n-1, j = 2:n-1)
+        v(i, j) = 0.25 * (u(i-1, j) + u(i+1, j) + u(i, j-1) + u(i, j+1))
+      end forall
+      end
+"
+    )
+}
+
+#[test]
+fn every_forced_shifted_forall_matches_its_estimate_with_and_without_prefetch() {
+    // Interior rows leave every stage's output strided, so sieved stages
+    // write by read-modify-write; row blocks also exchange strided strips.
+    for align in ["(:, *)", "(*, :)"] {
+        for (n, p) in [(32, 4), (30, 4)] {
+            let tag = format!("jacobi {align} n={n} p={p}");
+            let mut gaps = [(0.0, 0.0); 4];
+            for (k, (method, prefetch)) in SLAB_RUNS.into_iter().enumerate() {
+                let options = CompilerOptions {
+                    elw_slab_elems: 4 * n,
+                    io_method: Some(method),
+                    prefetch,
+                    ..CompilerOptions::default()
+                };
+                let compiled = compile_source(&jacobi_source(n, p, align), &options).unwrap();
+                let ExecPlan::Elementwise(plan) = &compiled.plans[0] else {
+                    panic!("expected an elementwise plan");
+                };
+                assert!(plan.schedule(0).stages.len() > 2, "{tag}: several stages");
+                let mut cfg = RunConfig::default();
+                cfg.init.insert("u".into(), init_fn(fa));
+                cfg.init.insert("v".into(), init_fn(fa));
+                cfg.collect.push("v".into());
+                let outcome = run(&compiled, &cfg).unwrap();
+                let tag = format!("{tag} {method:?} prefetch={prefetch}");
+                let v = &outcome.collected["v"].1;
+                assert!(
+                    max_abs_diff(v, &noderun::ref_jacobi(n, &fa)) < 1e-5,
+                    "{tag}"
+                );
+                let rank0 = &outcome.report.per_proc()[0];
+                let est = &compiled.estimates[0];
+                assert_counters(&tag, est, &rank0.stats);
+                gaps[k] = time_gap(est, rank0.finish_time);
+            }
+            assert_gaps(&tag, &gaps);
+        }
+    }
 }
 
 /// Compile `source` with `method` forced, run it, and hold rank 0 to the

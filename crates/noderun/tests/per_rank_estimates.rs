@@ -89,7 +89,6 @@ fn every_rank_matches_its_own_nest_even_when_p_does_not_divide_n() {
                         ctx,
                         &mut env,
                         &plan,
-                        false,
                         ctx,
                         &Default::default(),
                     )

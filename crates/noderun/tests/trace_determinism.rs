@@ -126,15 +126,19 @@ fn chaos_trace_is_byte_identical_across_runs() {
 
 #[test]
 fn per_rank_timelines_are_well_nested() {
-    let options = traced_options();
-    for (name, compiled, mut cfg) in [
-        ("gaxpy", gaxpy(&options).0, gaxpy(&options).1),
-        ("transpose", transpose(&options).0, transpose(&options).1),
-        ("jacobi", jacobi(&options).0, jacobi(&options).1),
-    ] {
+    type Kernel = fn(&CompilerOptions) -> (CompiledProgram, RunConfig);
+    let kernels: [(&str, Kernel); 3] = [
+        ("gaxpy", gaxpy),
+        ("transpose", transpose),
+        ("jacobi", jacobi),
+    ];
+    for (name, kernel) in kernels {
         for (prefetch, cache) in [(false, None), (true, None), (false, Some(1 << 16))] {
-            cfg.prefetch = prefetch;
-            cfg.cache_budget = cache;
+            let (compiled, cfg) = kernel(&CompilerOptions {
+                prefetch,
+                cache_budget: cache,
+                ..traced_options()
+            });
             let trace = run_trace(&compiled, &cfg);
             assert_eq!(trace.ranks.len(), P);
             for rt in &trace.ranks {
@@ -204,20 +208,20 @@ fn assert_close(label: &str, rank: usize, spans: f64, stats: f64) {
 
 #[test]
 fn span_durations_reconcile_with_machine_stats() {
-    let options = traced_options();
-    for (name, (compiled, base_cfg)) in [
-        ("gaxpy", gaxpy(&options)),
-        ("transpose", transpose(&options)),
-    ] {
+    type Kernel = fn(&CompilerOptions) -> (CompiledProgram, RunConfig);
+    let kernels: [(&str, Kernel); 2] = [("gaxpy", gaxpy), ("transpose", transpose)];
+    for (name, kernel) in kernels {
         for (prefetch, cache, fault) in [
             (false, None, None),
             (true, None, None),
             (false, Some(1 << 16), None),
             (false, None, Some(FaultConfig::chaos(11))),
         ] {
-            let mut cfg = base_cfg.clone();
-            cfg.prefetch = prefetch;
-            cfg.cache_budget = cache;
+            let (compiled, mut cfg) = kernel(&CompilerOptions {
+                prefetch,
+                cache_budget: cache,
+                ..traced_options()
+            });
             cfg.fault = fault.clone();
             let mut outcome = run(&compiled, &cfg).unwrap();
             let trace = outcome.report.take_trace().unwrap();
@@ -268,6 +272,25 @@ fn divergence_report_is_zero_gap_where_estimates_are_exact() {
         );
     }
 
+    // Prefetched (GAXPY's column version overlaps its fetches of A): the
+    // deferred reads carry their array's hint, so the report stays exact.
+    let prefetched = CompilerOptions {
+        prefetch: true,
+        force_strategy: Some(ooc_core::SlabStrategy::ColumnSlab),
+        ..traced_options()
+    };
+    for (name, (compiled, cfg)) in [
+        ("gaxpy", gaxpy(&prefetched)),
+        ("jacobi", jacobi(&prefetched)),
+    ] {
+        let report = divergence_report(&compiled, &run_trace(&compiled, &cfg));
+        assert!(
+            report.is_zero_gap(),
+            "{name} prefetched:\n{}",
+            report.render()
+        );
+    }
+
     // Transpose, default compile: the access-method selector picks the
     // two-phase path (one coalesced write beats the fragmented per-piece
     // writes), whose request arithmetic is exact — a zero-gap report.
@@ -304,16 +327,15 @@ fn divergence_report_is_zero_gap_where_estimates_are_exact() {
         );
     }
 
-    // GAXPY under a slab cache: the reuse-aware estimator replays the cache,
-    // so estimate == measured still holds when compile-time and run-time
-    // budgets agree.
+    // GAXPY under a slab cache: the reuse-aware estimator replays the cache
+    // the run uses (the compiled budget), so estimate == measured still
+    // holds.
     let budget = 1 << 16;
     let cached_options = CompilerOptions {
         cache_budget: Some(budget),
         ..traced_options()
     };
-    let (compiled, mut cfg) = gaxpy(&cached_options);
-    cfg.cache_budget = Some(budget);
+    let (compiled, cfg) = gaxpy(&cached_options);
     let trace = run_trace(&compiled, &cfg);
     let report = divergence_report(&compiled, &trace);
     assert!(

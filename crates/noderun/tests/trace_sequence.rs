@@ -42,15 +42,8 @@ fn executor_io_sequence_matches_the_node_program() {
             env.alloc(&plan.b).unwrap();
             env.alloc(&plan.c).unwrap();
             let tracer = TracingCharge::new(ctx);
-            noderun::gaxpy::execute_recoverable(
-                ctx,
-                &mut env,
-                &plan,
-                false,
-                &tracer,
-                &Default::default(),
-            )
-            .unwrap();
+            noderun::gaxpy::execute_recoverable(ctx, &mut env, &plan, &tracer, &Default::default())
+                .unwrap();
             tracer.into_events()
         });
 
@@ -94,6 +87,8 @@ fn elw_plan(n: usize, p: usize, expr: ElwExpr, cols: (usize, usize), thickness: 
             lo_width: w,
             hi_width: w,
         }],
+        method: pario::IoMethod::Direct,
+        prefetch: false,
     }
 }
 
@@ -119,7 +114,7 @@ fn elementwise_io_sequence_matches_each_ranks_node_program() {
             env.alloc(&plan.rhs_arrays[0]).unwrap();
             env.alloc(&plan.lhs).unwrap();
             let tracer = TracingCharge::new(ctx);
-            noderun::elementwise::execute(ctx, &mut env, &plan, false, &tracer).unwrap();
+            noderun::elementwise::execute(ctx, &mut env, &plan, &tracer).unwrap();
             tracer.into_events()
         });
         for (rank, trace) in traces.iter().enumerate() {

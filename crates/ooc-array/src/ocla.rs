@@ -108,7 +108,6 @@ pub struct OocEnv {
     rank: usize,
     disk: LogicalDisk,
     files: HashMap<ArrayId, LocalFile>,
-    sieve: SievePolicy,
     /// Byte-run scratch of the section paths, reused across accesses.
     runs: Vec<ByteRun>,
     /// Layout-order staging of a section access under a non-column-major
@@ -131,7 +130,6 @@ impl OocEnv {
             rank,
             disk: LogicalDisk::in_memory(),
             files: HashMap::new(),
-            sieve: SievePolicy::Direct,
             runs: Vec::new(),
             staged: Vec::new(),
         }
@@ -143,22 +141,9 @@ impl OocEnv {
             rank,
             disk: LogicalDisk::on_disk(&format!("rank{rank}"))?,
             files: HashMap::new(),
-            sieve: SievePolicy::Direct,
             runs: Vec::new(),
             staged: Vec::new(),
         })
-    }
-
-    /// Service strided section reads by data sieving according to `policy`
-    /// (PASSION-style: one spanning request, unwanted bytes discarded).
-    pub fn set_sieve_policy(&mut self, policy: SievePolicy) {
-        self.sieve = policy;
-    }
-
-    /// The sieve policy currently in force (so callers can save/restore it
-    /// around a method-forced access).
-    pub fn sieve_policy(&self) -> SievePolicy {
-        self.sieve
     }
 
     /// Put a slab reuse cache of `budget` bytes in front of this
@@ -290,7 +275,8 @@ impl OocEnv {
     }
 
     /// Read a section of the OCLA (local index space) into a fresh ICLA
-    /// buffer in section column-major order. I/O is charged to `charge`.
+    /// buffer in section column-major order, one request per contiguous
+    /// run. I/O is charged to `charge`.
     pub fn read_section(
         &mut self,
         desc: &ArrayDesc,
@@ -298,28 +284,30 @@ impl OocEnv {
         charge: &dyn IoCharge,
     ) -> Result<Vec<f32>, IoError> {
         let mut out = Vec::new();
-        self.read_section_into(desc, section, &mut out, charge)?;
+        self.read_section_into(desc, section, &mut out, charge, SievePolicy::Direct)?;
         Ok(out)
     }
 
-    /// [`OocEnv::read_section`] into a caller-owned ICLA buffer, replacing
-    /// its contents. Under a column-major layout the elements are decoded
-    /// straight from storage into `out`; under any other layout they are
-    /// staged in reused scratch and reordered into `out`, so a slab buffer
-    /// reused across reads is never reallocated.
+    /// Read a section into a caller-owned ICLA buffer, replacing its
+    /// contents, under `policy` (an access method's
+    /// [`pario::IoMethod::sieve_policy`]). Under a column-major layout the
+    /// elements are decoded straight from storage into `out`; under any
+    /// other layout they are staged in reused scratch and reordered into
+    /// `out`, so a slab buffer reused across reads is never reallocated.
     pub fn read_section_into(
         &mut self,
         desc: &ArrayDesc,
         section: &Section,
         out: &mut Vec<f32>,
         charge: &dyn IoCharge,
+        policy: SievePolicy,
     ) -> Result<(), IoError> {
         let runs = self.take_section_runs(desc, section);
         let read = if layout_is_cm(&desc.layout) {
-            self.read_runs(desc, &runs, out, charge, self.sieve)
+            self.read_runs(desc, &runs, out, charge, policy)
         } else {
             let mut staged = std::mem::take(&mut self.staged);
-            let read = self.read_runs(desc, &runs, &mut staged, charge, self.sieve);
+            let read = self.read_runs(desc, &runs, &mut staged, charge, policy);
             if read.is_ok() {
                 out.resize(staged.len(), 0.0);
                 layout_to_cm(&desc.layout, section, &staged, out);
@@ -332,13 +320,15 @@ impl OocEnv {
     }
 
     /// Write an ICLA buffer (section column-major order) into a section of
-    /// the OCLA. I/O is charged to `charge`.
+    /// the OCLA under `policy` (a sieved write is a read-modify-write of
+    /// the span). I/O is charged to `charge`.
     pub fn write_section(
         &mut self,
         desc: &ArrayDesc,
         section: &Section,
         data: &[f32],
         charge: &dyn IoCharge,
+        policy: SievePolicy,
     ) -> Result<(), IoError> {
         assert_eq!(data.len(), section.len(), "ICLA buffer/section mismatch");
         let runs = self.take_section_runs(desc, section);
@@ -353,7 +343,7 @@ impl OocEnv {
         };
         let written = self
             .disk
-            .write(file, runs.iter().copied(), data, charge, self.sieve);
+            .write(file, runs.iter().copied(), data, charge, policy);
         self.staged = staged;
         self.runs = runs;
         written.map(|_| ())
@@ -688,7 +678,8 @@ mod tests {
             env.alloc(&desc).unwrap();
             let s = Section::new(vec![DimRange::new(2, 5), DimRange::new(1, 4)]);
             let data: Vec<f32> = (0..s.len()).map(|i| i as f32 * 1.5).collect();
-            env.write_section(&desc, &s, &data, &NoCharge).unwrap();
+            env.write_section(&desc, &s, &data, &NoCharge, SievePolicy::Direct)
+                .unwrap();
             let back = env.read_section_uncharged(&desc, &s).unwrap();
             assert_eq!(back, data);
         }
@@ -732,8 +723,10 @@ mod tests {
         sieved
             .load_global(&desc, &|g| (g[0] * 100 + g[1]) as f32)
             .unwrap();
-        sieved.set_sieve_policy(pario::SievePolicy::Always);
-        let got = sieved.read_section_uncharged(&desc, &row_slab).unwrap();
+        let mut got = Vec::new();
+        sieved
+            .read_section_into(&desc, &row_slab, &mut got, &NoCharge, SievePolicy::Always)
+            .unwrap();
         let sieved_stats = sieved.disk().stats();
 
         assert_eq!(got, want, "sieving must not change the data");
@@ -763,7 +756,8 @@ mod tests {
         // (`load_global` already issued one uncached setup write.)
         let writes_before = env.disk().stats().write_requests;
         let data: Vec<f32> = (0..s.len()).map(|i| i as f32).collect();
-        env.write_section(&desc, &s, &data, &NoCharge).unwrap();
+        env.write_section(&desc, &s, &data, &NoCharge, SievePolicy::Direct)
+            .unwrap();
         assert_eq!(env.disk().stats().write_requests, writes_before);
         let back = env.read_section_uncharged(&desc, &s).unwrap();
         assert_eq!(back, data);

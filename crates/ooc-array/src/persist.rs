@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 
 use crate::ocla::{ArrayDesc, OocEnv};
 use crate::section::Section;
-use pario::{bytes_to_f32, f32_to_bytes, IoError};
+use pario::{bytes_to_f32, f32_to_bytes, IoError, NoCharge, SievePolicy::Direct};
 
 const MAGIC: &str = "oochpf-laf 1";
 
@@ -92,7 +92,7 @@ pub fn import_array(env: &mut OocEnv, desc: &ArrayDesc, dir: &Path) -> Result<()
             ),
         )));
     }
-    env.write_section(desc, &Section::full(&local_shape), &data, &pario::NoCharge)
+    env.write_section(desc, &Section::full(&local_shape), &data, &NoCharge, Direct)
 }
 
 const CKPT_MAGIC: &str = "oochpf-ckpt 1";
@@ -196,7 +196,7 @@ pub fn restore_checkpoint(
     if data.len() != elems {
         return Ok(None);
     }
-    env.write_section(desc, section, &data, &pario::NoCharge)?;
+    env.write_section(desc, section, &data, &NoCharge, Direct)?;
     Ok(Some(progress))
 }
 
@@ -299,7 +299,7 @@ mod tests {
 
         // Clobber the array, then restore: payload and progress come back.
         let zeros = vec![0.0f32; local.len()];
-        env.write_section(&d, &sec, &zeros, &pario::NoCharge)
+        env.write_section(&d, &sec, &zeros, &NoCharge, Direct)
             .unwrap();
         let progress = restore_checkpoint(&mut env, &d, &sec, &dir, "gaxpy-y").unwrap();
         assert_eq!(progress, Some(3));

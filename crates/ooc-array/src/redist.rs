@@ -18,7 +18,7 @@
 
 use dmsim::{Payload, ProcCtx, Tag};
 use ooc_trace::Category;
-use pario::{IoCharge, IoError, IoMethod};
+use pario::{IoCharge, IoError, IoMethod, SievePolicy};
 
 use crate::error::OocError;
 
@@ -63,7 +63,7 @@ pub fn relayout_in_place(
         slab_bufs.push(env.read_section(desc, &slab, charge)?);
     }
     for (slab, buf) in plan.iter().zip(slab_bufs) {
-        env.write_section(&new_desc, &slab, &buf, charge)?;
+        env.write_section(&new_desc, &slab, &buf, charge, SievePolicy::Direct)?;
     }
     Ok(new_desc)
 }
@@ -217,10 +217,9 @@ impl RemapSchedule {
 /// * `Direct` — each read is one section access; each piece is sent (or
 ///   written, if it stays local) and each received piece is written on
 ///   arrival, one request per contiguous file run.
-/// * `Sieved` — the same, with the sieve forced on
-///   ([`pario::SievePolicy::Always`]): every multi-run access becomes one
-///   spanning request, and a sieved write a read-modify-write. The
-///   environment's policy is restored afterwards.
+/// * `Sieved` — the same under [`SievePolicy::Always`]: every multi-run
+///   access becomes one spanning request, and a sieved write a
+///   read-modify-write.
 /// * `TwoPhase` — collective two-phase I/O (del Rosario–Bordawekar–
 ///   Choudhary): each stage reads its file-conforming union in one request,
 ///   carves the pieces in memory and exchanges them in one all-to-all; the
@@ -237,27 +236,11 @@ pub fn remap(
 ) -> Result<usize, OocError> {
     let _m = ctx.trace_io_method(method.label());
     let _span = (!schedule.transpose).then(|| ctx.trace_span(Category::Redist, "redistribute"));
-    let saved = env.sieve_policy();
-    if method == IoMethod::Sieved {
-        env.set_sieve_policy(method.sieve_policy());
-    }
-    let r = exchange(ctx, env, src, dst, schedule, method, charge);
-    env.set_sieve_policy(saved);
-    r
-}
-
-/// The stages of [`remap`]: Direct and Sieved in one branch, two-phase in
-/// the other.
-fn exchange(
-    ctx: &ProcCtx,
-    env: &mut OocEnv,
-    src: &ArrayDesc,
-    dst: &ArrayDesc,
-    schedule: &RemapSchedule,
-    method: IoMethod,
-    charge: &dyn IoCharge,
-) -> Result<usize, OocError> {
-    let (me, two_phase) = (ctx.rank(), method == IoMethod::TwoPhase);
+    let (me, two_phase, policy) = (
+        ctx.rank(),
+        method == IoMethod::TwoPhase,
+        method.sieve_policy(),
+    );
     let dst_shape = dst.local_shape(me);
     let strides = dst_shape.strides();
     let mut assembled = vec![0.0f32; if two_phase { dst_shape.len() } else { 0 }];
@@ -292,7 +275,8 @@ fn exchange(
         } else {
             let mut sends = stage.sends.iter();
             for (read, count) in &stage.reads {
-                let data = env.read_section(src, read, charge)?;
+                let mut data = Vec::new();
+                env.read_section_into(src, read, &mut data, charge, policy)?;
                 peak = peak.max(data.len());
                 for (j, piece) in sends.by_ref().take(*count) {
                     let payload = carve(&data, read, piece, schedule.transpose);
@@ -300,7 +284,7 @@ fn exchange(
                         let local = stage.recv[me]
                             .as_ref()
                             .expect("the local piece is received");
-                        env.write_section(dst, local, &payload, charge)?;
+                        env.write_section(dst, local, &payload, charge, policy)?;
                     } else {
                         ctx.send(*j, REMAP_TAG, Payload::F32(payload));
                     }
@@ -313,12 +297,12 @@ fn exchange(
                 let payload = ctx.try_recv_f32(q, REMAP_TAG)?;
                 assert_eq!(payload.len(), sec.len(), "remap payload size");
                 peak = peak.max(payload.len());
-                env.write_section(dst, sec, &payload, charge)?;
+                env.write_section(dst, sec, &payload, charge, policy)?;
             }
         }
     }
     if two_phase && !dst_shape.is_empty() {
-        env.write_section(dst, &Section::full(&dst_shape), &assembled, charge)?;
+        env.write_section(dst, &Section::full(&dst_shape), &assembled, charge, policy)?;
     }
     Ok(peak)
 }

@@ -54,20 +54,6 @@ fn whole(shape: &Shape, layout: FileLayout) -> ArrayDesc {
     ArrayDesc::new(ArrayId(0), "a", ElemKind::F32, dist).with_layout(layout)
 }
 
-fn policy(kind: u8, knob: f64) -> SievePolicy {
-    match kind % 4 {
-        0 => SievePolicy::Direct,
-        1 => SievePolicy::Always,
-        2 => SievePolicy::WasteBound {
-            max_waste: 1.0 + 3.0 * knob,
-        },
-        _ => SievePolicy::CostBased {
-            startup: 1e-3,
-            bandwidth: 1e2 + 1e6 * knob,
-        },
-    }
-}
-
 fn counts(after: DiskStats, before: DiskStats) -> Tally {
     let d = after.delta(&before);
     Tally {
@@ -86,8 +72,7 @@ proptest! {
         extents in proptest::collection::vec(1usize..7, 1..4),
         layout in 0usize..6,
         dims in proptest::collection::vec((0u8..4, 0usize..7, 1usize..4, 0usize..7), 3..4),
-        policy_kind in 0u8..4,
-        knob in 0u32..1000,
+        sieve in proptest::bool::ANY,
     ) {
         let shape = Shape::new(extents.clone());
         let n = shape.ndims();
@@ -97,7 +82,7 @@ proptest! {
         let section = Section::new(
             (0..n).map(|d| range(extents[d], dims[d])).collect::<Vec<_>>(),
         );
-        let policy = policy(policy_kind, f64::from(knob) / 1000.0);
+        let policy = if sieve { SievePolicy::Always } else { SievePolicy::Direct };
         let access = desc.section_access(&shape, &section);
         let mut runs = Vec::new();
         desc.section_byte_runs(&shape, &section, &mut runs);

@@ -156,10 +156,11 @@ impl JobProfile {
 ///
 /// The run is an ordinary [`noderun::run`] — same results, same simulated
 /// times — except tracing is forced to [`TraceConfig::detailed`] so the
-/// disk spans carry file offsets for the elevator policy. `cfg`'s other
-/// fields (backend, prefetch, cache budget, faults, job tag…) apply as
-/// given, so the profile reflects exactly the configuration the job would
-/// run with.
+/// disk spans carry file offsets for the elevator policy. The compiled
+/// program's own choices (access methods, prefetch, cache budget) run as
+/// compiled and `cfg`'s fields (backend, faults, job tag…) apply as given,
+/// so the profile reflects exactly the configuration the job would run
+/// with.
 pub fn profile(compiled: &CompiledProgram, cfg: &RunConfig) -> Result<JobProfile, RunError> {
     Ok(JobProfile::from_run(run(compiled, &capture_cfg(cfg))?))
 }

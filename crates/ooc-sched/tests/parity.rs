@@ -88,13 +88,16 @@ fn single_job_workload_under_default_policy_is_bitwise_legacy() {
 
 #[test]
 fn static_share_stays_exact_even_with_prefetch_overlap() {
-    // Prefetch makes overlap-track disk spans; a queueing policy would
-    // serialize any overlap, but the static divide must stay exact.
-    let compiled = compiled_gaxpy();
-    let cfg = RunConfig {
+    // Prefetch makes overlap-track disk spans (the column version overlaps
+    // its fetches of A); a queueing policy would serialize any overlap, but
+    // the static divide must stay exact.
+    let options = CompilerOptions {
+        force_strategy: Some(ooc_core::SlabStrategy::ColumnSlab),
         prefetch: true,
-        ..RunConfig::default()
+        ..CompilerOptions::default()
     };
+    let compiled = compile_source(hpf::GAXPY_SOURCE, &options).unwrap();
+    let cfg = RunConfig::default();
     let baseline = run(&compiled, &cfg).unwrap();
     let p = profile(&compiled, &cfg).unwrap();
     let rep = run_workload(&[JobSpec::new("pf", p)], &WorkloadConfig::default()).unwrap();

@@ -143,39 +143,54 @@ impl IoCharge for NoCharge {
     fn io_write(&self, _requests: u64, _bytes: u64) {}
 }
 
-/// An [`IoCharge`] that accumulates instead of charging, so callers can
-/// apply the cost later with different timing semantics (e.g. overlapped
-/// with computation by [`dmsim::ProcCtx::charge_prefetched_read`]).
-#[derive(Debug, Default)]
-pub struct PendingIo {
+/// An [`IoCharge`] that accumulates reads instead of charging them, so
+/// callers can apply their cost later with different timing semantics (e.g.
+/// overlapped with computation by
+/// [`dmsim::ProcCtx::charge_prefetched_read`]). Every other charge a read
+/// can cause — cache hits, the write-backs of the slabs it evicts, fault
+/// recovery — passes through to `rest` as it happens, and so do the array
+/// and offset hints, which the deferred read's charge then carries.
+pub struct PendingIo<'a> {
     reads: std::cell::Cell<(u64, u64)>,
-    writes: std::cell::Cell<(u64, u64)>,
+    rest: &'a dyn IoCharge,
 }
 
-impl PendingIo {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
+impl<'a> PendingIo<'a> {
+    /// Empty accumulator in front of `rest`.
+    pub fn over(rest: &'a dyn IoCharge) -> Self {
+        PendingIo {
+            reads: std::cell::Cell::new((0, 0)),
+            rest,
+        }
     }
 
     /// Accumulated `(requests, bytes)` read so far.
     pub fn reads(&self) -> (u64, u64) {
         self.reads.get()
     }
-
-    /// Accumulated `(requests, bytes)` written so far.
-    pub fn writes(&self) -> (u64, u64) {
-        self.writes.get()
-    }
 }
 
-impl IoCharge for PendingIo {
+impl IoCharge for PendingIo<'_> {
     fn io_read(&self, requests: u64, bytes: u64) {
         let (r, b) = self.reads.get();
         self.reads.set((r + requests, b + bytes));
     }
     fn io_write(&self, requests: u64, bytes: u64) {
-        let (r, b) = self.writes.get();
-        self.writes.set((r + requests, b + bytes));
+        self.rest.io_write(requests, bytes);
+    }
+    fn io_cache_hit(&self, runs: u64, bytes: u64) {
+        self.rest.io_cache_hit(runs, bytes);
+    }
+    fn io_write_back(&self, requests: u64, bytes: u64) {
+        self.rest.io_write_back(requests, bytes);
+    }
+    fn io_faults(&self, charges: &dmsim::FaultCharges) {
+        self.rest.io_faults(charges);
+    }
+    fn io_array(&self, name: &str, file: u64) {
+        self.rest.io_array(name, file);
+    }
+    fn io_offset(&self, offset: u64) {
+        self.rest.io_offset(offset);
     }
 }

@@ -4,8 +4,9 @@
 //! requests, exact bytes) or by *sieving*: one request covering the whole
 //! span, discarding the unwanted bytes in memory. Sieving trades bytes for
 //! requests; whether it wins depends on the machine's request startup vs
-//! bandwidth. [`SievePolicy::sieves`] makes the choice per access, for the
-//! disk and for the count-only [`crate::Tally`] alike.
+//! bandwidth. The compiler weighs that trade when it picks an access's
+//! [`crate::IoMethod`]; [`SievePolicy::sieves`] applies the method's policy
+//! per access, for the disk and for the count-only [`crate::Tally`] alike.
 
 use serde::{Deserialize, Serialize};
 
@@ -14,27 +15,13 @@ use crate::request::{total_bytes, ByteRun};
 use crate::tally::Access;
 
 /// When to replace a strided access by one spanning request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum SievePolicy {
     /// Never sieve: one request per contiguous run.
     #[default]
     Direct,
     /// Always sieve multi-run accesses.
     Always,
-    /// Sieve when the spanning read moves at most `max_waste` times the
-    /// useful bytes (e.g. `2.0` allows reading twice the data to save the
-    /// seeks).
-    WasteBound {
-        /// Maximum allowed span/useful byte ratio.
-        max_waste: f64,
-    },
-    /// Sieve when it is cheaper under explicit machine rates.
-    CostBased {
-        /// Seconds per request.
-        startup: f64,
-        /// Bytes per second.
-        bandwidth: f64,
-    },
 }
 
 impl SievePolicy {
@@ -43,18 +30,7 @@ impl SievePolicy {
     /// [`crate::LogicalDisk::read`], [`crate::LogicalDisk::write`] and
     /// [`crate::Tally`]. A single run is never sieved.
     pub fn sieves(self, access: Access) -> bool {
-        if access.runs <= 1 {
-            return false;
-        }
-        let (runs, useful, span) = (access.runs as f64, access.bytes as f64, access.span as f64);
-        match self {
-            SievePolicy::Direct => false,
-            SievePolicy::Always => true,
-            SievePolicy::WasteBound { max_waste } => span <= useful * max_waste,
-            SievePolicy::CostBased { startup, bandwidth } => {
-                startup + span / bandwidth < runs * startup + useful / bandwidth
-            }
-        }
+        self == SievePolicy::Always && access.runs > 1
     }
 }
 
@@ -125,30 +101,6 @@ mod tests {
             sieve_span(&runs, SievePolicy::Always),
             Some(ByteRun::new(0, 310))
         );
-    }
-
-    #[test]
-    fn waste_bound_respects_the_ratio() {
-        let runs = strided(4, 10, 90); // span 310, useful 40: waste 7.75x
-        assert!(sieve_span(&runs, SievePolicy::WasteBound { max_waste: 8.0 }).is_some());
-        assert!(sieve_span(&runs, SievePolicy::WasteBound { max_waste: 7.0 }).is_none());
-    }
-
-    #[test]
-    fn cost_based_matches_arithmetic() {
-        let runs = strided(10, 100, 100); // 10 reqs/1000B vs 1 req/1900B
-                                          // Expensive seeks: sieve wins.
-        let cheap_bw = SievePolicy::CostBased {
-            startup: 1e-2,
-            bandwidth: 1e6,
-        };
-        assert!(sieve_span(&runs, cheap_bw).is_some());
-        // Nearly free seeks: direct wins.
-        let costly_bytes = SievePolicy::CostBased {
-            startup: 1e-9,
-            bandwidth: 1e6,
-        };
-        assert!(sieve_span(&runs, costly_bytes).is_none());
     }
 
     /// Little-endian bytes of `vals`.

@@ -64,14 +64,8 @@ proptest! {
         laf.write_f32(&mut disk, &all(&laf), &data, &NoCharge).unwrap();
 
         let direct = laf.read_f32(&mut disk, &runs, &NoCharge).unwrap();
-        for policy in [
-            SievePolicy::Always,
-            SievePolicy::WasteBound { max_waste: 2.0 },
-            SievePolicy::CostBased { startup: 1e-2, bandwidth: 1e6 },
-        ] {
-            let sieved = read_with(&mut disk, &laf, &runs, policy);
-            prop_assert_eq!(&sieved, &direct, "{:?}", policy);
-        }
+        let sieved = read_with(&mut disk, &laf, &runs, SievePolicy::Always);
+        prop_assert_eq!(&sieved, &direct);
     }
 
     #[test]

@@ -51,6 +51,7 @@ row example staged_pipeline  ""
 row bin     io_methods       "256 16"
 row bin     io_methods       "64 4"
 row bin     tracerun         "gaxpy --out gaxpy_trace.json --check"
+row bin     tracerun         "gaxpy --column --prefetch --out gaxpy_prefetch_trace.json --check"
 row bin     tracerun         "transpose --out transpose_trace.json --check"
 row bin     workload         ""
 row bin     scale            "--smoke"

@@ -187,7 +187,11 @@ fn assert_forall_as_written(c: &ForallCase, e: &ElwExpr) {
         panic!("expected an elementwise statement");
     };
     stmt.rhs = e.clone();
-    let mut compiled = compile_hir(hir, &CompilerOptions::default()).unwrap();
+    let options = CompilerOptions {
+        prefetch: c.prefetch,
+        ..CompilerOptions::default()
+    };
+    let mut compiled = compile_hir(hir, &options).unwrap();
     let ExecPlan::Elementwise(plan) = &mut compiled.plans[0] else {
         panic!("expected an elementwise plan");
     };
@@ -205,7 +209,6 @@ fn assert_forall_as_written(c: &ForallCase, e: &ElwExpr) {
         )
     };
     let mut cfg = RunConfig {
-        prefetch: c.prefetch,
         engine: Some(if c.pool {
             dmsim::Engine::Pool(2)
         } else {
@@ -365,7 +368,7 @@ proptest! {
         ),
     ) {
         use ooc_array::{ArrayDesc, ArrayId, DimRange, Distribution, OocEnv, Section, Shape};
-        use pario::{ElemKind, NoCharge};
+        use pario::{ElemKind, NoCharge, SievePolicy::Direct};
 
         let desc = ArrayDesc::new(
             ArrayId(0),
@@ -398,8 +401,8 @@ proptest! {
                 let data: Vec<f32> = (0..sec.len())
                     .map(|k| ((seed + i) * 11 + k) as f32 * 0.5 - 7.0)
                     .collect();
-                cached.write_section(&desc, &sec, &data, &NoCharge).unwrap();
-                plain.write_section(&desc, &sec, &data, &NoCharge).unwrap();
+                cached.write_section(&desc, &sec, &data, &NoCharge, Direct).unwrap();
+                plain.write_section(&desc, &sec, &data, &NoCharge, Direct).unwrap();
             }
         }
 

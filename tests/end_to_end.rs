@@ -2,7 +2,7 @@
 //! verified results, across all three plan kinds and both storage backends.
 
 use noderun::{init_fn, max_abs_diff, ref_gaxpy, ref_jacobi, ref_transpose, run, RunConfig};
-use ooc_core::{compile_source, CompilerOptions, ExecPlan, SlabStrategy};
+use ooc_core::{compile_source, CompilerOptions, ExecPlan, MemoryPolicy, SlabStrategy};
 
 fn gaxpy_source(n: usize, p: usize) -> String {
     format!(
@@ -186,40 +186,36 @@ fn multi_statement_program_runs_in_order() {
 #[test]
 fn prefetch_and_sieving_preserve_results() {
     let n = 24;
-    let compiled = compile_source(&gaxpy_source(n, 4), &CompilerOptions::default()).unwrap();
     let expect = ref_gaxpy(n, &fa, &fb);
-    let mut base_time = None;
-    for (prefetch, sieve) in [
-        (false, None),
-        (true, None),
-        (false, Some(pario::SievePolicy::Always)),
-        (
-            true,
-            Some(pario::SievePolicy::WasteBound { max_waste: 4.0 }),
-        ),
-    ] {
-        let mut cfg = RunConfig {
-            prefetch,
-            sieve,
-            ..RunConfig::default()
-        };
-        cfg.init.insert("a".into(), init_fn(fa));
-        cfg.init.insert("b".into(), init_fn(fb));
-        cfg.collect.push("c".into());
-        let outcome = run(&compiled, &cfg).unwrap();
-        let (_, c) = &outcome.collected["c"];
-        assert!(
-            max_abs_diff(c, &expect) < 1e-3,
-            "prefetch={prefetch} sieve={sieve:?}"
-        );
-        match base_time {
-            None => base_time = Some(outcome.report.elapsed()),
-            Some(base) => {
-                if prefetch && sieve.is_none() {
-                    assert!(
-                        outcome.report.elapsed() <= base,
-                        "prefetch slower than base"
-                    );
+    for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
+        let mut base_time = None;
+        for (prefetch, io_method) in [
+            (false, None),
+            (true, None),
+            (false, Some(pario::IoMethod::Sieved)),
+            (true, Some(pario::IoMethod::Sieved)),
+        ] {
+            let opts = CompilerOptions {
+                force_strategy: Some(strategy),
+                prefetch,
+                io_method,
+                ..CompilerOptions::default()
+            };
+            let compiled = compile_source(&gaxpy_source(n, 4), &opts).unwrap();
+            let mut cfg = RunConfig::default();
+            cfg.init.insert("a".into(), init_fn(fa));
+            cfg.init.insert("b".into(), init_fn(fb));
+            cfg.collect.push("c".into());
+            let outcome = run(&compiled, &cfg).unwrap();
+            let (_, c) = &outcome.collected["c"];
+            let tag = format!("{strategy:?} prefetch={prefetch} method={io_method:?}");
+            assert!(max_abs_diff(c, &expect) < 1e-3, "{tag}");
+            match base_time {
+                None => base_time = Some(outcome.report.elapsed()),
+                Some(base) => {
+                    if prefetch && io_method.is_none() {
+                        assert!(outcome.report.elapsed() <= base, "{tag}: slower than base");
+                    }
                 }
             }
         }
@@ -228,32 +224,26 @@ fn prefetch_and_sieving_preserve_results() {
 
 #[test]
 fn sieving_rescues_the_unreorganized_row_version() {
-    // Ablation: row slabs without storage reorganization are strided; a
-    // cost-based sieve turns each strided slab into one spanning request.
+    // Ablation: row slabs without storage reorganization are strided; the
+    // sieved method turns each strided slab into one spanning request.
     let n = 32;
-    let opts = CompilerOptions {
-        force_strategy: Some(SlabStrategy::RowSlab),
-        reorganize_storage: false,
-        sizing: ooc_core::stripmine::SlabSizing::Ratio(0.25),
-        ..CompilerOptions::default()
-    };
-    let compiled = compile_source(&gaxpy_source(n, 4), &opts).unwrap();
-    let run_with = |sieve: Option<pario::SievePolicy>| {
-        let mut cfg = RunConfig {
-            sieve,
-            ..RunConfig::default()
+    let run_with = |io_method: Option<pario::IoMethod>| {
+        let opts = CompilerOptions {
+            force_strategy: Some(SlabStrategy::RowSlab),
+            reorganize_storage: false,
+            sizing: ooc_core::stripmine::SlabSizing::Ratio(0.25),
+            io_method,
+            ..CompilerOptions::default()
         };
+        let compiled = compile_source(&gaxpy_source(n, 4), &opts).unwrap();
+        let mut cfg = RunConfig::default();
         cfg.init.insert("a".into(), init_fn(fa));
         cfg.init.insert("b".into(), init_fn(fb));
         cfg.collect.push("c".into());
-        run(&compiled, &cfg).unwrap()
+        (run(&compiled, &cfg).unwrap(), compiled.estimates[0].clone())
     };
-    let direct = run_with(None);
-    let model = &compiled.model;
-    let sieved = run_with(Some(pario::SievePolicy::CostBased {
-        startup: model.io_startup,
-        bandwidth: model.io_bandwidth_per_proc(),
-    }));
+    let (direct, direct_est) = run_with(None);
+    let (sieved, sieved_est) = run_with(Some(pario::IoMethod::Sieved));
     assert!(
         sieved.report.io_requests_per_proc() < direct.report.io_requests_per_proc() / 2,
         "sieve {} !<< direct {}",
@@ -261,6 +251,8 @@ fn sieving_rescues_the_unreorganized_row_version() {
         direct.report.io_requests_per_proc()
     );
     assert!(sieved.report.elapsed() < direct.report.elapsed());
+    // The compiler priced the sieve: its estimate ranks the two the same way.
+    assert!(sieved_est.time() < direct_est.time());
     // And the answers agree.
     assert_eq!(direct.collected["c"].1, sieved.collected["c"].1);
 }
@@ -274,6 +266,43 @@ fn compilation_report_documents_the_choice() {
     assert!(report.contains("requests"), "{report}");
     let text = compiled.node_program_text(0);
     assert!(text.contains("global_sum"), "{text}");
+}
+
+#[test]
+fn a_prefetched_budget_run_holds_its_second_buffer_inside_the_budget() {
+    // Column slabs overlap every fetch of A with the multiply before it, so
+    // A's slab is held twice. The budget split reserves the second buffer:
+    // the slabs fit in the budget, and the run's peak, which counts both
+    // buffers, fits the plan's memory.
+    use ooc_core::stripmine::SlabSizing;
+    let n = 64;
+    for elems in [4096, 8192, 16384] {
+        for policy in [
+            MemoryPolicy::EqualSplit,
+            MemoryPolicy::AccessWeighted,
+            MemoryPolicy::Search,
+        ] {
+            let opts = CompilerOptions {
+                force_strategy: Some(SlabStrategy::ColumnSlab),
+                sizing: SlabSizing::Budget { elems, policy },
+                prefetch: true,
+                ..CompilerOptions::default()
+            };
+            let compiled = compile_source(&gaxpy_source(n, 4), &opts).unwrap();
+            let ExecPlan::Gaxpy(g) = &compiled.plans[0] else {
+                panic!("expected a gaxpy plan");
+            };
+            let tag = format!("{policy:?} budget {elems}");
+            let slabs = 2 * g.slab_a_elems() + g.slab_b_elems();
+            assert!(slabs <= elems, "{tag}: slabs {slabs}");
+            let mut cfg = RunConfig::default();
+            cfg.init.insert("a".into(), init_fn(fa));
+            cfg.init.insert("b".into(), init_fn(fb));
+            let peak = run(&compiled, &cfg).unwrap().peak_elems;
+            assert!(peak >= 2 * g.slab_a_elems(), "{tag}: peak {peak}");
+            assert!(peak <= g.memory_elems(), "{tag}: peak {peak}");
+        }
+    }
 }
 
 #[test]
