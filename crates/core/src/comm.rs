@@ -56,9 +56,10 @@ pub fn analyze_elw(stmt: &ElwStmt, prog: &HirProgram) -> Result<CommRequirement,
     let lhs = prog
         .array(&stmt.lhs)
         .ok_or_else(|| format!("undeclared array `{}`", stmt.lhs))?;
-    for (name, _) in stmt.rhs.rhs_refs() {
+    let refs = stmt.rhs.rhs_refs();
+    for &(name, _) in &refs {
         let arr = prog
-            .array(&name)
+            .array(name)
             .ok_or_else(|| format!("undeclared array `{name}`"))?;
         if arr.dist != lhs.dist {
             return Err(format!(
@@ -84,7 +85,7 @@ pub fn analyze_elw(stmt: &ElwStmt, prog: &HirProgram) -> Result<CommRequirement,
         };
         let mut lo = 0usize;
         let mut hi = 0usize;
-        for (_, offs) in stmt.rhs.rhs_refs() {
+        for (_, offs) in &refs {
             let o = offs[d];
             if o < 0 {
                 lo = lo.max(o.unsigned_abs());

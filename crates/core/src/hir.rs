@@ -168,12 +168,12 @@ impl ElwExpr {
     }
 
     /// All arrays referenced, with their shift offsets, in first-appearance
-    /// order (each array/offsets pair once).
-    pub fn rhs_refs(&self) -> Vec<(String, Vec<isize>)> {
-        let mut out: Vec<(String, Vec<isize>)> = Vec::new();
+    /// order (each array/offsets pair once), borrowed from the expression.
+    pub fn rhs_refs(&self) -> Vec<(&str, &[isize])> {
+        let mut out: Vec<(&str, &[isize])> = Vec::new();
         self.visit_refs(&mut |array, offsets| {
-            if !out.iter().any(|(a, o)| a == array && o == offsets) {
-                out.push((array.to_string(), offsets.to_vec()));
+            if !out.iter().any(|&(a, o)| a == array && o == offsets) {
+                out.push((array, offsets));
             }
         });
         out
@@ -183,11 +183,14 @@ impl ElwExpr {
     /// point's inputs reach, and so the ghost-zone width the translation
     /// needs.
     pub fn max_shift(&self, ndims: usize) -> Vec<usize> {
-        let mut m = vec![0usize; ndims];
+        (0..ndims).map(|d| self.shift_along(d)).collect()
+    }
+
+    /// Entry `d` of [`ElwExpr::max_shift`].
+    fn shift_along(&self, d: usize) -> usize {
+        let mut m = 0;
         self.visit_refs(&mut |_, offsets| {
-            for (m, o) in m.iter_mut().zip(offsets) {
-                *m = (*m).max(o.unsigned_abs());
-            }
+            m = offsets.get(d).map_or(m, |o| m.max(o.unsigned_abs()));
         });
         m
     }
@@ -197,16 +200,15 @@ impl ElwExpr {
     /// `[0, extent)` of `bounds`. Under a rank's local shape this is the
     /// section a stage computing `out` reads from disk.
     pub fn widen(&self, out: &Section, bounds: &Shape) -> Section {
-        let ranges: Vec<DimRange> = (out.ranges().iter().zip(self.max_shift(out.ndims())))
-            .enumerate()
-            .map(|(d, (r, s))| {
+        (out.ranges().iter().enumerate())
+            .map(|(d, r)| {
+                let s = self.shift_along(d);
                 DimRange::new(r.lo.saturating_sub(s), (r.hi + s).min(bounds.extent(d)))
             })
-            .collect();
-        Section::new(ranges)
+            .collect()
     }
 
-    fn visit_refs(&self, f: &mut dyn FnMut(&str, &[isize])) {
+    fn visit_refs<'a>(&'a self, f: &mut dyn FnMut(&'a str, &'a [isize])) {
         match self {
             ElwExpr::Const(_) => {}
             ElwExpr::Ref { array, offsets } => f(array, offsets),
@@ -259,7 +261,7 @@ mod tests {
         let s = jacobi_stmt();
         let refs = s.rhs.rhs_refs();
         assert_eq!(refs.len(), 4);
-        assert_eq!(refs[0], ("b".to_string(), vec![-1, 0]));
+        assert_eq!(refs[0], ("b", &[-1, 0][..]));
     }
 
     #[test]

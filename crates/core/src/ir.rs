@@ -198,7 +198,11 @@ fn walk(nodes: &[NestNode], mult: u64, t: &mut NestTotals) {
                 requests,
                 elems,
             } => {
-                let e = t.per_array.entry(array.clone()).or_default();
+                // The name is copied once per array, not once per node.
+                if !t.per_array.contains_key(array) {
+                    t.per_array.insert(array.clone(), ArrayIoTotals::default());
+                }
+                let e = t.per_array.get_mut(array).expect("inserted above");
                 if *read {
                     e.read_requests += requests * mult;
                     e.read_elems += elems * mult;

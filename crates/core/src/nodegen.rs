@@ -12,10 +12,11 @@
 //!   to the same operation sequence.
 //! * [`elw_nest`] prices every stage of [`ElwPlan::schedule`], the
 //!   schedule the elementwise executor runs.
-//! * [`RemapGeometry`] tallies the [`RemapSchedule`] the remap executor
-//!   runs, for redistributions and transposes alike.
+//! * [`RemapGeometry`] tallies the pieces of the
+//!   [`ooc_array::RemapSchedule`] the remap executor runs, for
+//!   redistributions and transposes alike.
 
-use ooc_array::{ArrayDesc, DimRange, RemapSchedule, Section, Shape};
+use ooc_array::{ArrayDesc, DimRange, RedistPieces, Section, Shape};
 use pario::{Access, IoMethod, SievePolicy, Tally};
 
 use crate::ir::NestNode;
@@ -308,18 +309,25 @@ fn gaxpy_row_nest(plan: &GaxpyPlan, rank: usize) -> Vec<NestNode> {
 /// alone; in between, each run of consecutive stages with equal bodies is
 /// one loop, so a stage clamped at a local edge is a group of its own.
 pub fn elw_nest(plan: &ElwPlan, rank: usize) -> Vec<NestNode> {
+    // Pre-statement remaps: an exact replay of the redistribution's request
+    // arithmetic under the chosen access method (same section machinery,
+    // same coalescing, same sieve planner as the executor).
+    let remaps = (plan.pre_remaps.iter())
+        .flat_map(|r| remap_nodes(r, rank))
+        .collect();
+    elw_nest_after(plan, rank, remaps)
+}
+
+/// [`elw_nest`] after `remaps`, the nodes of the plan's pre-statement
+/// remaps on `rank` under their methods: the compiler tallies each remap
+/// once, to choose its method, and builds the nest from that same tally.
+pub fn elw_nest_after(plan: &ElwPlan, rank: usize, remaps: Vec<NestNode>) -> Vec<NestNode> {
     // Every array of the statement shares the lhs's distribution.
     let local = plan.lhs.local_shape(rank);
     let schedule = plan.schedule(rank);
     let policy = plan.method.sieve_policy();
     let io = |desc, sec, read| section_io(desc, &local, sec, read, policy);
-
-    // Pre-statement remaps: an exact replay of the redistribution's request
-    // arithmetic under the chosen access method (same section machinery,
-    // same coalescing, same sieve planner as the executor).
-    let mut nest: Vec<NestNode> = (plan.pre_remaps.iter())
-        .flat_map(|r| remap_nodes(r, rank))
-        .collect();
+    let mut nest = remaps;
 
     // Ghost exchange: one strip read and one message per strip this rank
     // sends. A received strip reads nothing, and its message is counted at
@@ -376,11 +384,11 @@ pub fn remap_nodes(r: &RemapSpec, rank: usize) -> Vec<NestNode> {
 }
 
 /// One remap-style access on one rank — a redistribution or a transpose —
-/// as the tally of its [`RemapSchedule`]: the disk accesses and messages
-/// the executor issues from that same schedule. [`RemapGeometry::nodes`]
-/// tallies them through the disk's decision rule ([`Tally`]) under any
-/// access method, so one schedule prices every candidate of
-/// [`crate::reorg::choose_io_method`] exactly.
+/// as the tally of its [`ooc_array::RemapSchedule`]'s pieces: the disk
+/// accesses and messages the executor issues from that same schedule.
+/// [`RemapGeometry::nodes`] tallies them through the disk's decision rule
+/// ([`Tally`]) under any access method, so one schedule prices every
+/// candidate of [`crate::reorg::choose_io_method`] exactly.
 #[derive(Debug, Clone)]
 pub struct RemapGeometry {
     src: String,
@@ -403,64 +411,84 @@ pub struct RemapGeometry {
 }
 
 impl RemapGeometry {
-    /// The redistribution of `r.src` into `r.tmp` on `rank`.
-    pub fn redistribution(r: &RemapSpec, rank: usize) -> RemapGeometry {
-        let schedule = RemapSchedule::redistribution(&r.src, &r.tmp, rank);
-        let label = format!("remap `{}` to the lhs distribution", r.src.name);
-        RemapGeometry::of(&r.src, &r.tmp, rank, &schedule, label)
-    }
-
-    /// The transpose `plan` on `rank`.
-    pub fn transpose(plan: &TransposePlan, rank: usize) -> RemapGeometry {
-        let schedule = plan.schedule(rank);
-        RemapGeometry::of(
-            &plan.src,
-            &plan.dst,
-            rank,
-            &schedule,
-            "transpose exchange".into(),
-        )
-    }
-
-    /// The tally of `rank`'s `schedule` remapping `src` into `dst`.
-    pub fn of(
-        src: &ArrayDesc,
-        dst: &ArrayDesc,
-        rank: usize,
-        schedule: &RemapSchedule,
-        label: String,
-    ) -> RemapGeometry {
+    /// The empty tally of remapping `src` into `dst` on `rank`.
+    fn new(src: &ArrayDesc, dst: &ArrayDesc, rank: usize, label: String) -> RemapGeometry {
         let elem_size = src.elem.size() as u64;
-        let (src_local, dst_local) = (src.local_shape(rank), dst.local_shape(rank));
-        let stages = &schedule.stages;
-        let mut sends = (0, 0);
-        for (j, piece) in stages.iter().flat_map(|s| &s.sends) {
-            if *j != rank {
-                sends.0 += 1;
-                sends.1 += piece.len() as u64 * elem_size;
-            }
-        }
-        let src_access = |sec: &Section| src.section_access(&src_local, sec);
         RemapGeometry {
             src: src.name.clone(),
             dst: dst.name.clone(),
             label,
             elem_size,
-            reads: (stages.iter().flat_map(|s| &s.reads))
-                .map(|(sec, _)| src_access(sec))
-                .collect(),
-            writes: (stages.iter().flat_map(|s| s.recv.iter().flatten()))
-                .map(|sec| dst.section_access(&dst_local, sec))
-                .collect(),
-            unions: stages
-                .iter()
-                .filter_map(|s| s.union.as_ref())
-                .map(src_access)
-                .collect(),
-            sends,
-            collective_messages: (src.dist.nprocs().saturating_sub(1) * stages.len()) as u64,
-            dst_bytes: dst_local.len() as u64 * elem_size,
+            reads: Vec::new(),
+            writes: Vec::new(),
+            unions: Vec::new(),
+            sends: (0, 0),
+            collective_messages: 0,
+            dst_bytes: dst.local_shape(rank).len() as u64 * elem_size,
         }
+    }
+
+    /// Count `piece`, sent by `rank` to rank `to`: a message of its
+    /// elements, unless it stays local.
+    fn send(&mut self, rank: usize, to: usize, piece: &[DimRange]) {
+        if to != rank {
+            let elems: usize = piece.iter().map(DimRange::len).product();
+            self.sends.0 += 1;
+            self.sends.1 += elems as u64 * self.elem_size;
+        }
+    }
+
+    /// The redistribution of `r.src` into `r.tmp` on `rank`: the one stage
+    /// of [`ooc_array::RemapSchedule::redistribution`], tallied piece by
+    /// piece from [`RedistPieces::visit`]. Every piece sent is a read,
+    /// every piece received a write, and the pieces tile the local source,
+    /// which two-phase reads whole.
+    pub fn redistribution(r: &RemapSpec, rank: usize) -> RemapGeometry {
+        let label = format!("remap `{}` to the lhs distribution", r.src.name);
+        let mut g = RemapGeometry::new(&r.src, &r.tmp, rank, label);
+        let (src_local, dst_local) = (r.src.local_shape(rank), r.tmp.local_shape(rank));
+        RedistPieces::visit(&r.src, &r.tmp, rank, |j, send, recv| {
+            if let Some(piece) = send {
+                g.reads.push(r.src.section_access(&src_local, piece));
+                g.send(rank, j, piece);
+            }
+            if let Some(piece) = recv {
+                g.writes.push(r.tmp.section_access(&dst_local, piece));
+            }
+        });
+        if !g.reads.is_empty() {
+            // The whole local array is one run under any layout.
+            let bytes = src_local.len() as u64 * g.elem_size;
+            g.unions.push(Access::contiguous(bytes));
+        }
+        g.collective_messages = r.src.dist.nprocs().saturating_sub(1) as u64;
+        g
+    }
+
+    /// The transpose `plan` on `rank`: every stage of
+    /// [`TransposePlan::for_each_stage`], whose slab read is also its
+    /// two-phase union.
+    pub fn transpose(plan: &TransposePlan, rank: usize) -> RemapGeometry {
+        let label = "transpose exchange".to_string();
+        let mut g = RemapGeometry::new(&plan.src, &plan.dst, rank, label);
+        let (src_local, dst_local) = (plan.src.local_shape(rank), plan.dst.local_shape(rank));
+        let mut stages = 0u64;
+        plan.for_each_stage(rank, |stage| {
+            stages += 1;
+            if let Some(slab) = &stage.slab {
+                let access = plan.src.section_access(&src_local, slab);
+                g.reads.push(access);
+                g.unions.push(access);
+            }
+            for (j, piece) in stage.sends {
+                g.send(rank, *j, piece);
+            }
+            for piece in stage.recv.iter().flatten() {
+                g.writes.push(plan.dst.section_access(&dst_local, piece));
+            }
+        });
+        g.collective_messages = plan.src.dist.nprocs().saturating_sub(1) as u64 * stages;
+        g
     }
 
     /// The access's flat node program under `method`: one read node per

@@ -4,6 +4,7 @@
 //! communication analysis, reorganization, stripmining, node generation]
 //! → CompiledProgram` — Figure 7 of the paper, as one function call.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -20,7 +21,7 @@ use crate::cost::CostEstimate;
 use crate::hir::{HirProgram, HirStmt};
 use crate::ir::{render, NestNode};
 use crate::lower::lower;
-use crate::nodegen::{nest_of, RemapGeometry};
+use crate::nodegen::{elw_nest_after, RemapGeometry};
 use crate::plan::{ElwPlan, ExecPlan, SlabStrategy, SpmvPlan, TransposePlan};
 use crate::reorg::{choose_gaxpy, GaxpyChoice, GaxpySelection};
 use crate::stripmine::SlabSizing;
@@ -451,7 +452,7 @@ pub fn compile_source(
     options: &CompilerOptions,
 ) -> Result<CompiledProgram, CompileError> {
     let prog = hpf::parse_program(source)?;
-    let info = hpf::analyze(&prog)?;
+    let info = hpf::analyze_owned(prog)?;
     let hir = lower(&info).map_err(CompileError::Lower)?;
     compile_hir(hir, options)
 }
@@ -561,7 +562,7 @@ pub fn compile_hir(
     for (si, stmt) in hir.stmts.iter().enumerate() {
         match stmt {
             HirStmt::Gaxpy { .. } => {
-                let choice = gaxpy_choices[si].clone().expect("pass 1 recorded");
+                let choice = gaxpy_choices[si].take().expect("pass 1 recorded");
                 // Descriptors in the plan must match the frozen table.
                 let mut plan = choice.plan;
                 plan.a = descs[plan.a.id.0 as usize].clone();
@@ -592,7 +593,8 @@ pub fn compile_hir(
                 // reference would read slabs already overwritten by earlier
                 // stages of the stripmined loop. (Unshifted self-reference
                 // is safe: each stage reads its inputs before writing.)
-                for (name, offs) in e.rhs.rhs_refs() {
+                let refs = e.rhs.rhs_refs();
+                for &(name, offs) in &refs {
                     if name == e.lhs && offs.iter().any(|&o| o != 0) {
                         return Err(CompileError::Plan(format!(
                             "elementwise: `{name}` is assigned and referenced \
@@ -604,7 +606,7 @@ pub fn compile_hir(
                     // Every shifted reference must stay inside the global
                     // array over the whole iteration region.
                     let arr = hir
-                        .array(&name)
+                        .array(name)
                         .ok_or_else(|| CompileError::Plan(format!("undeclared array `{name}`")))?;
                     for (d, &off) in offs.iter().enumerate().take(e.region.ndims()) {
                         let r = e.region.range(d);
@@ -629,8 +631,8 @@ pub fn compile_hir(
                 // HPF compiler schedules for misaligned operands).
                 let mut rhs_descs: Vec<ArrayDesc> = Vec::new();
                 let mut pre_remaps = Vec::new();
-                for (name, _) in e.rhs.rhs_refs() {
-                    let id = id_of(&name)?;
+                for &(name, _) in &refs {
+                    let id = id_of(name)?;
                     let d = descs[id.0 as usize].clone();
                     if rhs_descs.iter().any(|x| x.name == d.name) {
                         continue;
@@ -662,8 +664,10 @@ pub fn compile_hir(
                 }
                 // Per-remap access-method selection: tally the remap's
                 // schedule once, price every method exactly from it, keep
-                // the cheapest.
-                let mut stmt_choices = Vec::new();
+                // the cheapest, and build the statement's nest from that
+                // same tally.
+                let mut stmt_choices = Vec::with_capacity(pre_remaps.len());
+                let mut remap_nodes = Vec::new();
                 for r in &mut pre_remaps {
                     let geometry = RemapGeometry::redistribution(r, 0);
                     let choice = crate::reorg::choose_io_method(
@@ -673,17 +677,20 @@ pub fn compile_hir(
                         |m| geometry.nodes(m),
                     );
                     r.method = choice.chosen;
+                    remap_nodes.extend(geometry.nodes(r.method));
                     stmt_choices.push(choice);
                 }
                 // Ghost analysis runs against the post-remap distributions.
-                let hir_view = {
+                let hir_view = if pre_remaps.is_empty() {
+                    Cow::Borrowed(&hir)
+                } else {
                     let mut v = hir.clone();
                     for r in &pre_remaps {
                         if let Some(a) = v.arrays.iter_mut().find(|a| a.name == r.src.name) {
                             a.dist = lhs_desc.dist.clone();
                         }
                     }
-                    v
+                    Cow::Owned(v)
                 };
                 let ghosts = match analyze_elw(e, &hir_view).map_err(CompileError::Plan)? {
                     CommRequirement::Ghost(g) => g,
@@ -714,7 +721,7 @@ pub fn compile_hir(
                     method: options.io_method.unwrap_or_default(),
                     prefetch: options.prefetch,
                 };
-                let nest = nest_of(&ExecPlan::Elementwise(plan.clone()));
+                let nest = elw_nest_after(&plan, 0, remap_nodes);
                 let est = CostEstimate::from_nest(&nest, &model, 4);
                 plans.push(ExecPlan::Elementwise(plan));
                 nests.push(nest);
@@ -795,7 +802,7 @@ pub fn compile_hir(
                     |m| crate::irreg::spmv_nest_with(&plan, m, &stats, 0),
                 );
                 plan.method = choice.chosen;
-                let nest = nest_of(&ExecPlan::Spmv(Box::new(plan.clone())));
+                let nest = crate::irreg::spmv_nest(&plan);
                 let est = CostEstimate::from_nest(&nest, &model, 4);
                 plans.push(ExecPlan::Spmv(Box::new(plan)));
                 nests.push(nest);

@@ -10,8 +10,8 @@
 use serde::{Deserialize, Serialize};
 
 use ooc_array::{
-    global_section_of_local, local_section_of_global, ArrayDesc, ArrayId, DimDist, DimRange,
-    Distribution, RemapSchedule, RemapStage, Section, Shape, SlabPlan,
+    local_section_of_global, ArrayDesc, ArrayId, DimDist, DimRange, Distribution, RemapSchedule,
+    RemapStage, Section, Shape,
 };
 use pario::ElemKind;
 
@@ -263,12 +263,16 @@ impl GaxpyPlan {
         let lc = self.a.local_shape(rank).extent(1);
         let lr_b = self.b.local_shape(rank).extent(0);
         let lc_c = self.c.local_shape(rank).extent(1);
-        let b_cols = |lo, hi| Section::new(vec![DimRange::new(0, lr_b), DimRange::new(lo, hi)]);
+        // One section per operand, re-ranged for every access: B streams
+        // once per row slab of A, so its reads must not allocate.
+        let mut b_sec = Section::new(vec![DimRange::new(0, lr_b), DimRange::new(0, n)]);
+        let mut a_sec = Section::new(vec![DimRange::new(0, 0), DimRange::new(0, lc)]);
+        let mut c_sec = Section::new(vec![DimRange::new(0, 0), DimRange::new(0, lc_c)]);
         // Loop-invariant I/O motion: a B ICLA covering the whole OCLA is
         // read once, before the A-slab loop, and stays resident.
         let b_resident = self.slab_b >= n;
         if b_resident {
-            v.read(GaxpyOperand::B, &b_cols(0, n))?;
+            v.read(GaxpyOperand::B, &b_sec)?;
         }
         // The row-slab height is part of the reduce sequence (one reduce
         // per row slab and column), so every rank's watermark lies on a
@@ -277,21 +281,20 @@ impl GaxpyPlan {
         let (mut slab_b, mut replanned) = (self.slab_b, false);
         for (idx, (r_lo, r_hi)) in (0..).zip(slabs(checkpoint.unwrap_or(0), n, self.slab_a)) {
             v.begin_slab(idx);
-            let a_sec = Section::new(vec![DimRange::new(r_lo, r_hi), DimRange::new(0, lc)]);
+            a_sec = a_sec.with_range(0, DimRange::new(r_lo, r_hi));
             v.read(GaxpyOperand::A, &a_sec)?;
             for (b_lo, b_hi) in slabs(0, n, slab_b) {
                 if !b_resident {
-                    v.read(GaxpyOperand::B, &b_cols(b_lo, b_hi))?;
+                    b_sec = b_sec.with_range(1, DimRange::new(b_lo, b_hi));
+                    v.read(GaxpyOperand::B, &b_sec)?;
                 }
                 for j in b_lo..b_hi {
                     v.begin_column(j);
                     v.end_column(j)?;
                 }
             }
-            v.write_c(&Section::new(vec![
-                DimRange::new(r_lo, r_hi),
-                DimRange::new(0, lc_c),
-            ]))?;
+            c_sec = c_sec.with_range(0, DimRange::new(r_lo, r_hi));
+            v.write_c(&c_sec)?;
             if checkpoint.is_some() {
                 v.checkpoint(r_hi, None)?;
             }
@@ -590,78 +593,112 @@ pub struct TransposePlan {
     pub method: pario::IoMethod,
 }
 
+/// One stage of a transpose on one rank, each section as its two ranges:
+/// what [`TransposePlan::schedule`] collects into a [`RemapStage`], and
+/// what the compiler tallies without building a `Section` per piece.
+#[derive(Debug, Clone, Copy)]
+pub struct TransposeStage<'a> {
+    /// The rank's slab the stage reads, if it has one: the stage's one
+    /// read, and its two-phase union.
+    pub slab: Option<[DimRange; 2]>,
+    /// Every piece of the slab sent: destination rank and the piece's
+    /// source ranges.
+    pub sends: &'a [(usize, [DimRange; 2])],
+    /// Per source rank: the destination ranges its piece fills.
+    pub recv: &'a [Option<[DimRange; 2]>],
+}
+
 /// The stage and piece geometry of a transpose: the remap schedule the
 /// executor runs and the compiler prices.
 impl TransposePlan {
-    /// Every rank's source slab plan (slabs along the source's slowest
-    /// layout dimension, so each slab read is one contiguous request), and
-    /// the stage count: the largest slab count, which every rank runs so
-    /// the exchange stays symmetric.
-    pub fn slab_plans(&self) -> (Vec<SlabPlan>, usize) {
-        let (dim, thickness) = (self.src.layout.slowest_dim(), self.slab_thickness.max(1));
-        let plans: Vec<SlabPlan> = (0..self.src.dist.nprocs())
-            .map(|r| SlabPlan::new(self.src.local_shape(r), dim, thickness))
-            .collect();
-        let stages = plans.iter().map(SlabPlan::num_slabs).max().unwrap_or(0);
-        (plans, stages)
-    }
-
-    /// `rank`'s side of the transpose. Stage `s` reads the rank's `s`-th
+    /// `rank`'s side of the transpose, stage by stage, handed to `f`.
+    /// Every rank's source is cut into slabs along the source's slowest
+    /// layout dimension, so each slab read is one contiguous request, and
+    /// every rank runs as many stages as the rank with the most slabs, so
+    /// the exchange stays symmetric. Stage `s` reads the rank's `s`-th
     /// slab, if it has one, and sends each destination rank its piece: the
     /// part of the slab's transpose that rank owns. A piece's source
     /// section read in row-major order is the destination piece in
-    /// column-major order. Every rank runs every stage, so the exchange
-    /// stays symmetric even when slab counts differ; the empty slabs of a
-    /// rank that owns nothing have no pieces.
-    pub fn schedule(&self, rank: usize) -> RemapSchedule {
-        let (slabs, stages) = self.slab_plans();
-        let owned = |desc: &ArrayDesc| -> Vec<Section> {
-            (0..slabs.len())
-                .map(|r| global_section_of_local(&desc.dist, r).expect("regular distribution"))
-                .collect()
+    /// column-major order. The empty slabs of a rank that owns nothing have
+    /// no pieces.
+    pub fn for_each_stage(&self, rank: usize, mut f: impl FnMut(TransposeStage<'_>)) {
+        let p = self.src.dist.nprocs();
+        let (dim, thickness) = (self.src.layout.slowest_dim(), self.slab_thickness.max(1));
+        // Block and collapsed dimensions own one contiguous global range,
+        // so a local index is the global one less the owner's lower corner.
+        let owned = |desc: &ArrayDesc, r: usize| {
+            [0, 1].map(|d| {
+                let coord = desc.dist.dim_coord(d, r);
+                desc.dist
+                    .owned_range(d, coord)
+                    .expect("regular distribution")
+            })
         };
-        let (src_owned, dst_owned) = (owned(&self.src), owned(&self.dst));
-        let slab_of = |q: usize, s: usize| (s < slabs[q].num_slabs()).then(|| slabs[q].slab(s));
+        let slab_of = |q: usize, s: usize| {
+            let mut slab = owned(&self.src, q).map(|r| DimRange::full(r.len()));
+            let (lo, extent) = (s * thickness, slab[dim].hi);
+            (lo < extent).then(|| {
+                slab[dim] = DimRange::new(lo, (lo + thickness).min(extent));
+                slab
+            })
+        };
+        let stages = (0..p)
+            .map(|q| owned(&self.src, q)[dim].len().div_ceil(thickness))
+            .max()
+            .unwrap_or(0);
         // The piece of rank `q`'s slab that rank `j` receives, as global
         // destination ranges: the slab's transpose intersected with what
-        // `j` owns. Block and collapsed dimensions own one contiguous
-        // global range, so a local index is the global one less the
-        // owner's lower corner.
-        let piece = |q: usize, slab: &Section, j: usize| {
-            let (o, d) = (src_owned[q].ranges(), dst_owned[j].ranges());
-            let global =
-                |k: usize| DimRange::new(o[k].lo + slab.range(k).lo, o[k].lo + slab.range(k).hi);
+        // `j` owns.
+        let piece = |q: usize, slab: &[DimRange; 2], j: usize| {
+            let (o, d) = (owned(&self.src, q), owned(&self.dst, j));
+            let global = |k: usize| DimRange::new(o[k].lo + slab[k].lo, o[k].lo + slab[k].hi);
             Some([global(1).intersect(&d[0])?, global(0).intersect(&d[1])?])
         };
-        let local = |global: [DimRange; 2], owned: &Section| {
-            let o = owned.ranges();
-            let shift = |k: usize| DimRange::new(global[k].lo - o[k].lo, global[k].hi - o[k].lo);
-            Section::new(vec![shift(0), shift(1)])
+        let local = |global: [DimRange; 2], o: [DimRange; 2]| {
+            [0, 1].map(|k| DimRange::new(global[k].lo - o[k].lo, global[k].hi - o[k].lo))
         };
-        let stages = (0..stages)
-            .map(|s| {
-                let mine = slab_of(rank, s);
-                let sends: Vec<_> = mine.as_ref().map_or(Vec::new(), |slab| {
-                    (0..slabs.len())
-                        .filter_map(|j| {
-                            let [d0, d1] = piece(rank, slab, j)?;
-                            Some((j, local([d1, d0], &src_owned[rank])))
-                        })
-                        .collect()
-                });
-                RemapStage {
-                    reads: mine
-                        .iter()
-                        .map(|slab| (slab.clone(), sends.len()))
-                        .collect(),
-                    union: mine,
-                    sends,
-                    recv: (0..slabs.len())
-                        .map(|q| Some(local(piece(q, &slab_of(q, s)?, rank)?, &dst_owned[rank])))
-                        .collect(),
-                }
-            })
-            .collect();
+        let (src_mine, dst_mine) = (owned(&self.src, rank), owned(&self.dst, rank));
+        let (mut sends, mut recv) = (Vec::with_capacity(p), Vec::with_capacity(p));
+        for s in 0..stages {
+            let slab = slab_of(rank, s);
+            sends.clear();
+            if let Some(slab) = &slab {
+                sends.extend((0..p).filter_map(|j| {
+                    let [d0, d1] = piece(rank, slab, j)?;
+                    Some((j, local([d1, d0], src_mine)))
+                }));
+            }
+            recv.clear();
+            recv.extend((0..p).map(|q| Some(local(piece(q, &slab_of(q, s)?, rank)?, dst_mine))));
+            f(TransposeStage {
+                slab,
+                sends: &sends,
+                recv: &recv,
+            });
+        }
+    }
+
+    /// `rank`'s side of the transpose as the schedule the executor runs:
+    /// [`TransposePlan::for_each_stage`], each range pair a [`Section`].
+    pub fn schedule(&self, rank: usize) -> RemapSchedule {
+        let mut stages = Vec::new();
+        self.for_each_stage(rank, |stage| {
+            let slab = stage.slab.map(Section::new);
+            stages.push(RemapStage {
+                reads: (slab.iter())
+                    .map(|slab| (slab.clone(), stage.sends.len()))
+                    .collect(),
+                union: slab,
+                sends: (stage.sends.iter())
+                    .map(|&(j, piece)| (j, Section::new(piece)))
+                    .collect(),
+                recv: stage
+                    .recv
+                    .iter()
+                    .map(|piece| piece.map(Section::new))
+                    .collect(),
+            });
+        });
         RemapSchedule {
             transpose: true,
             stages,

@@ -13,7 +13,7 @@
 //! invariant, extended to caching.
 
 use ooc_array::{Section, Shape};
-use pario::{coalesce_runs, ByteRun, DiskStats, ElemKind, IoError, NoCharge, SlabCache};
+use pario::{coalesce_runs_into, ByteRun, DiskStats, ElemKind, IoError, NoCharge, SlabCache};
 
 use crate::ir::{ArrayIoTotals, NestTotals, OverlapTotals};
 use crate::nodegen::gaxpy_nest_for;
@@ -37,6 +37,8 @@ struct Predictor<'p> {
     cache: SlabCache,
     stats: DiskStats,
     runs: Vec<ByteRun>,
+    /// `runs` coalesced, reused across accesses like `runs`.
+    coalesced: Vec<ByteRun>,
     /// Flops of the multiply a prefetched read of A would overlap, and the
     /// overlaps so far: each A read's misses with the multiply before it.
     pending: u64,
@@ -47,8 +49,9 @@ impl Predictor<'_> {
     fn access(&mut self, file: u64, sec: &Section, is_read: bool) -> Result<(), IoError> {
         let desc = [&self.plan.a, &self.plan.b, &self.plan.c][file as usize];
         desc.section_byte_runs(&self.shapes[file as usize], sec, &mut self.runs);
-        for run in coalesce_runs(&self.runs) {
-            let (cache, stats) = (&mut self.cache, &mut self.stats);
+        coalesce_runs_into(self.runs.iter().copied(), &mut self.coalesced);
+        let (cache, stats) = (&mut self.cache, &mut self.stats);
+        for &run in &self.coalesced {
             if is_read {
                 cache.read(file, run, None, None, None, &NoCharge, stats)?;
             } else {
@@ -121,6 +124,7 @@ pub fn gaxpy_cached_totals(plan: &GaxpyPlan, rank: usize, budget: usize) -> Nest
         cache: SlabCache::predictor(budget),
         stats: DiskStats::default(),
         runs: Vec::new(),
+        coalesced: Vec::new(),
         pending: 0,
         overlaps: Vec::new(),
     };

@@ -3,15 +3,21 @@
 //! Fortran-style input: one statement per line, `!` starts a comment unless
 //! the line is an `!hpf$` directive, case-insensitive identifiers (the lexer
 //! lower-cases them). Each source line becomes a token line tagged with its
-//! 1-based line number.
+//! 1-based line number. Tokens borrow the source: an identifier is a copy
+//! only when it has an uppercase letter to fold, and every line's tokens
+//! share one buffer.
+
+use std::borrow::Cow;
+use std::ops::Range;
 
 use crate::error::{FrontError, FrontResult};
 
 /// Token kinds.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
-    /// Identifier or keyword (lower-cased).
-    Ident(String),
+pub enum Tok<'a> {
+    /// Identifier or keyword (lower-cased), borrowed from the source when
+    /// it is lower-case there already.
+    Ident(Cow<'a, str>),
     /// Integer literal.
     Int(i64),
     /// Real literal (contains `.` or exponent).
@@ -38,7 +44,7 @@ pub enum Tok {
     ColonColon,
 }
 
-impl std::fmt::Display for Tok {
+impl std::fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "{s}"),
@@ -65,13 +71,40 @@ pub struct TokLine {
     pub line: usize,
     /// True when the line began with `!hpf$`.
     pub directive: bool,
-    /// The tokens.
-    pub toks: Vec<Tok>,
+    /// The line's tokens, as a range of [`Tokens::toks`].
+    pub toks: Range<usize>,
+}
+
+/// A tokenized source text: every token in one buffer, and the non-empty
+/// lines as ranges of it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Tokens<'a> {
+    /// Every token, in source order.
+    pub toks: Vec<Tok<'a>>,
+    /// The non-empty token lines, in source order.
+    pub lines: Vec<TokLine>,
+}
+
+impl<'a> Tokens<'a> {
+    /// The tokens of `line`.
+    pub fn of(&self, line: &TokLine) -> &[Tok<'a>] {
+        &self.toks[line.toks.clone()]
+    }
 }
 
 /// Tokenize a whole source text into non-empty token lines.
-pub fn tokenize(source: &str) -> FrontResult<Vec<TokLine>> {
-    let mut lines = Vec::new();
+pub fn tokenize(source: &str) -> FrontResult<Tokens<'_>> {
+    // Sized up front for a program of ordinary length: a token seldom
+    // takes fewer than two source bytes, and a token line is a source
+    // line. The caps keep a huge or blank input from reserving memory it
+    // does not use; a longer program grows the buffers as usual.
+    const RESERVED_TOKS: usize = 4096;
+    const RESERVED_LINES: usize = 512;
+    let newlines = source.bytes().filter(|&b| b == b'\n').count();
+    let mut out = Tokens {
+        toks: Vec::with_capacity((source.len() / 2).min(RESERVED_TOKS)),
+        lines: Vec::with_capacity((newlines + 1).min(RESERVED_LINES)),
+    };
     for (i, raw) in source.lines().enumerate() {
         let lineno = i + 1;
         let trimmed = raw.trim();
@@ -90,29 +123,26 @@ pub fn tokenize(source: &str) -> FrontResult<Vec<TokLine>> {
         if code.trim().is_empty() {
             continue;
         }
-        let toks = tokenize_line(code, lineno)?;
-        if !toks.is_empty() {
-            lines.push(TokLine {
+        let start = out.toks.len();
+        tokenize_line(code, lineno, &mut out.toks)?;
+        if out.toks.len() > start {
+            out.lines.push(TokLine {
                 line: lineno,
                 directive,
-                toks,
+                toks: start..out.toks.len(),
             });
         }
     }
-    Ok(lines)
+    Ok(out)
 }
 
 fn strip_directive_prefix(line: &str) -> Option<&str> {
-    let lower = line.to_ascii_lowercase();
-    if lower.starts_with("!hpf$") {
-        Some(&line[5..])
-    } else {
-        None
-    }
+    let prefix = line.get(..5)?;
+    prefix.eq_ignore_ascii_case("!hpf$").then(|| &line[5..])
 }
 
-fn tokenize_line(code: &str, line: usize) -> FrontResult<Vec<Tok>> {
-    let mut toks = Vec::new();
+/// Append the tokens of one line's code to `toks`.
+fn tokenize_line<'a>(code: &'a str, line: usize, toks: &mut Vec<Tok<'a>>) -> FrontResult<()> {
     let bytes = code.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
@@ -204,7 +234,14 @@ fn tokenize_line(code: &str, line: usize) -> FrontResult<Vec<Tok>> {
                         break;
                     }
                 }
-                toks.push(Tok::Ident(code[start..i].to_ascii_lowercase()));
+                let word = &code[start..i];
+                toks.push(Tok::Ident(
+                    if word.bytes().any(|b| b.is_ascii_uppercase()) {
+                        Cow::Owned(word.to_ascii_lowercase())
+                    } else {
+                        Cow::Borrowed(word)
+                    },
+                ));
             }
             other => {
                 return Err(FrontError::new(
@@ -214,7 +251,7 @@ fn tokenize_line(code: &str, line: usize) -> FrontResult<Vec<Tok>> {
             }
         }
     }
-    Ok(toks)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -224,10 +261,10 @@ mod tests {
     #[test]
     fn basic_statement() {
         let lines = tokenize("      do j = 1, n\n").unwrap();
-        assert_eq!(lines.len(), 1);
-        assert!(!lines[0].directive);
+        assert_eq!(lines.lines.len(), 1);
+        assert!(!lines.lines[0].directive);
         assert_eq!(
-            lines[0].toks,
+            lines.toks,
             vec![
                 Tok::Ident("do".into()),
                 Tok::Ident("j".into()),
@@ -242,22 +279,22 @@ mod tests {
     #[test]
     fn directive_lines_are_flagged() {
         let lines = tokenize("!hpf$ distribute d(block) on pr").unwrap();
-        assert!(lines[0].directive);
-        assert_eq!(lines[0].toks[0], Tok::Ident("distribute".into()));
+        assert!(lines.lines[0].directive);
+        assert_eq!(lines.toks[0], Tok::Ident("distribute".into()));
     }
 
     #[test]
     fn comments_are_stripped() {
         let lines = tokenize("      x = 1 ! set x\n! whole-line comment\n").unwrap();
-        assert_eq!(lines.len(), 1);
-        assert_eq!(lines[0].toks.len(), 3);
+        assert_eq!(lines.lines.len(), 1);
+        assert_eq!(lines.of(&lines.lines[0]).len(), 3);
     }
 
     #[test]
     fn numbers_and_reals() {
         let lines = tokenize("x = 0.25 * 4 + 1e2").unwrap();
         assert_eq!(
-            lines[0].toks,
+            lines.toks,
             vec![
                 Tok::Ident("x".into()),
                 Tok::Eq,
@@ -273,14 +310,26 @@ mod tests {
     #[test]
     fn double_colon_vs_single() {
         let lines = tokenize("align (:, *) with d :: a, b").unwrap();
-        assert!(lines[0].toks.contains(&Tok::ColonColon));
-        assert!(lines[0].toks.contains(&Tok::Colon));
+        assert!(lines.toks.contains(&Tok::ColonColon));
+        assert!(lines.toks.contains(&Tok::Colon));
     }
 
     #[test]
     fn case_is_folded() {
         let lines = tokenize("FORALL (K = 1:N)").unwrap();
-        assert_eq!(lines[0].toks[0], Tok::Ident("forall".into()));
+        assert_eq!(lines.toks[0], Tok::Ident("forall".into()));
+        assert!(matches!(lines.toks[0], Tok::Ident(Cow::Owned(_))));
+        let lower = tokenize("forall (k = 1:n)").unwrap();
+        assert!(matches!(lower.toks[0], Tok::Ident(Cow::Borrowed("forall"))));
+    }
+
+    #[test]
+    fn directive_prefix_is_case_insensitive() {
+        let lines =
+            tokenize("!HPF$ Distribute d(BLOCK) on pr\n!Hpf$ template t(n)\n!hpf x").unwrap();
+        assert_eq!(lines.lines.len(), 2);
+        assert!(lines.lines.iter().all(|l| l.directive));
+        assert_eq!(lines.toks[0], Tok::Ident("distribute".into()));
     }
 
     #[test]
@@ -293,7 +342,7 @@ mod tests {
     #[test]
     fn triplet_tokens() {
         let lines = tokenize("a(1:n:2, j)").unwrap();
-        let colons = lines[0].toks.iter().filter(|t| **t == Tok::Colon).count();
+        let colons = lines.toks.iter().filter(|t| **t == Tok::Colon).count();
         assert_eq!(colons, 2);
     }
 }

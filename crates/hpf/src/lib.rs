@@ -30,7 +30,7 @@ pub use ast::{AlignDim, BinOp, Directive, DistSpec, Expr, Program, Stmt, Subscri
 pub use error::{FrontError, FrontResult};
 pub use parser::parse_program;
 pub use pretty::pretty_print;
-pub use sema::{analyze, ArrayInfo, ProgramInfo};
+pub use sema::{analyze, analyze_owned, ArrayInfo, ProgramInfo};
 
 /// The paper's Figure 3: GAXPY matrix multiplication in HPF. Parsing and
 /// compiling this program end-to-end is the reference use of this crate.

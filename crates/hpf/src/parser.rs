@@ -2,7 +2,7 @@
 
 use crate::ast::*;
 use crate::error::{FrontError, FrontResult};
-use crate::lexer::{tokenize, Tok, TokLine};
+use crate::lexer::{tokenize, Tok};
 
 /// Intrinsic function names recognized as calls rather than array
 /// references.
@@ -10,7 +10,8 @@ pub const INTRINSICS: &[&str] = &["sum", "abs", "min", "max", "mod", "sqrt"];
 
 /// Parse a full program.
 pub fn parse_program(source: &str) -> FrontResult<Program> {
-    let lines = tokenize(source)?;
+    let tokens = tokenize(source)?;
+    let lines = &tokens.lines;
     let mut prog = Program::default();
     // Stack of open blocks: (opener, partial statement list).
     enum Block {
@@ -26,14 +27,14 @@ pub fn parse_program(source: &str) -> FrontResult<Program> {
             None => prog.stmts.push(s),
         };
 
-    for line in &lines {
+    for line in lines {
         if done {
             return Err(FrontError::new(
                 line.line,
                 "statement after final `end`".to_string(),
             ));
         }
-        let mut cur = Cursor::new(line);
+        let mut cur = Cursor::new(line.line, tokens.of(line));
         if line.directive {
             prog.directives.push(parse_directive(&mut cur)?);
             cur.expect_end()?;
@@ -44,7 +45,7 @@ pub fn parse_program(source: &str) -> FrontResult<Program> {
                 cur.bump();
                 cur.expect(Tok::LParen)?;
                 loop {
-                    let name = cur.expect_ident()?;
+                    let name = cur.expect_ident()?.to_string();
                     cur.expect(Tok::Eq)?;
                     let value = parse_expr(&mut cur)?;
                     prog.decls.push(Decl::Parameter { name, value });
@@ -58,7 +59,7 @@ pub fn parse_program(source: &str) -> FrontResult<Program> {
             Some("real") => {
                 cur.bump();
                 loop {
-                    let name = cur.expect_ident()?;
+                    let name = cur.expect_ident()?.to_string();
                     cur.expect(Tok::LParen)?;
                     let mut dims = Vec::new();
                     loop {
@@ -77,7 +78,7 @@ pub fn parse_program(source: &str) -> FrontResult<Program> {
             }
             Some("do") => {
                 cur.bump();
-                let var = cur.expect_ident()?;
+                let var = cur.expect_ident()?.to_string();
                 cur.expect(Tok::Eq)?;
                 let lo = parse_expr(&mut cur)?;
                 cur.expect(Tok::Comma)?;
@@ -90,7 +91,7 @@ pub fn parse_program(source: &str) -> FrontResult<Program> {
                 cur.expect(Tok::LParen)?;
                 let mut indices = Vec::new();
                 loop {
-                    let var = cur.expect_ident()?;
+                    let var = cur.expect_ident()?.to_string();
                     cur.expect(Tok::Eq)?;
                     let lo = parse_expr(&mut cur)?;
                     cur.expect(Tok::Colon)?;
@@ -219,10 +220,9 @@ pub fn parse_program(source: &str) -> FrontResult<Program> {
 }
 
 fn parse_directive(cur: &mut Cursor<'_>) -> FrontResult<Directive> {
-    let kw = cur.expect_ident()?;
-    match kw.as_str() {
+    match cur.expect_ident()? {
         "processors" => {
-            let name = cur.expect_ident()?;
+            let name = cur.expect_ident()?.to_string();
             cur.expect(Tok::LParen)?;
             let mut extents = Vec::new();
             loop {
@@ -235,7 +235,7 @@ fn parse_directive(cur: &mut Cursor<'_>) -> FrontResult<Directive> {
             Ok(Directive::Processors { name, extents })
         }
         "template" => {
-            let name = cur.expect_ident()?;
+            let name = cur.expect_ident()?.to_string();
             cur.expect(Tok::LParen)?;
             let mut extents = Vec::new();
             loop {
@@ -248,7 +248,7 @@ fn parse_directive(cur: &mut Cursor<'_>) -> FrontResult<Directive> {
             Ok(Directive::Template { name, extents })
         }
         "distribute" => {
-            let target = cur.expect_ident()?;
+            let target = cur.expect_ident()?.to_string();
             cur.expect(Tok::LParen)?;
             let mut specs = Vec::new();
             loop {
@@ -262,7 +262,7 @@ fn parse_directive(cur: &mut Cursor<'_>) -> FrontResult<Directive> {
             if on != "on" {
                 return Err(cur.err(format!("expected `on`, found `{on}`")));
             }
-            let procs = cur.expect_ident()?;
+            let procs = cur.expect_ident()?.to_string();
             Ok(Directive::Distribute {
                 target,
                 specs,
@@ -289,11 +289,11 @@ fn parse_directive(cur: &mut Cursor<'_>) -> FrontResult<Directive> {
             if with != "with" {
                 return Err(cur.err(format!("expected `with`, found `{with}`")));
             }
-            let template = cur.expect_ident()?;
+            let template = cur.expect_ident()?.to_string();
             cur.expect(Tok::ColonColon)?;
             let mut arrays = Vec::new();
             loop {
-                arrays.push(cur.expect_ident()?);
+                arrays.push(cur.expect_ident()?.to_string());
                 if !cur.eat(Tok::Comma) {
                     break;
                 }
@@ -312,8 +312,7 @@ fn parse_dist_spec(cur: &mut Cursor<'_>) -> FrontResult<DistSpec> {
     if cur.eat(Tok::Star) {
         return Ok(DistSpec::Star);
     }
-    let kw = cur.expect_ident()?;
-    match kw.as_str() {
+    match cur.expect_ident()? {
         "block" => Ok(DistSpec::Block),
         "cyclic" => {
             if cur.eat(Tok::LParen) {
@@ -381,9 +380,9 @@ fn parse_primary(cur: &mut Cursor<'_>) -> FrontResult<Expr> {
             Ok(e)
         }
         Some(Tok::Ident(name)) => {
-            let name = name.clone();
+            let name: &str = name;
             if cur.eat(Tok::LParen) {
-                if INTRINSICS.contains(&name.as_str()) {
+                if INTRINSICS.contains(&name) {
                     let mut args = Vec::new();
                     loop {
                         args.push(parse_expr(cur)?);
@@ -392,7 +391,10 @@ fn parse_primary(cur: &mut Cursor<'_>) -> FrontResult<Expr> {
                         }
                     }
                     cur.expect(Tok::RParen)?;
-                    Ok(Expr::Call { name, args })
+                    Ok(Expr::Call {
+                        name: name.to_string(),
+                        args,
+                    })
                 } else {
                     let mut subs = Vec::new();
                     loop {
@@ -402,10 +404,13 @@ fn parse_primary(cur: &mut Cursor<'_>) -> FrontResult<Expr> {
                         }
                     }
                     cur.expect(Tok::RParen)?;
-                    Ok(Expr::ArrayRef { name, subs })
+                    Ok(Expr::ArrayRef {
+                        name: name.to_string(),
+                        subs,
+                    })
                 }
             } else {
-                Ok(Expr::Var(name))
+                Ok(Expr::Var(name.to_string()))
             }
         }
         other => Err(cur.err(format!(
@@ -449,22 +454,24 @@ fn parse_subscript(cur: &mut Cursor<'_>) -> FrontResult<Subscript> {
 
 /// Token cursor over one line.
 struct Cursor<'a> {
-    line: &'a TokLine,
+    /// 1-based source line number.
+    line: usize,
+    toks: &'a [Tok<'a>],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(line: &'a TokLine) -> Self {
-        Cursor { line, pos: 0 }
+    fn new(line: usize, toks: &'a [Tok<'a>]) -> Self {
+        Cursor { line, toks, pos: 0 }
     }
 
-    fn peek(&self) -> Option<&'a Tok> {
-        self.line.toks.get(self.pos)
+    fn peek(&self) -> Option<&'a Tok<'a>> {
+        self.toks.get(self.pos)
     }
 
     fn peek_ident(&self) -> Option<&'a str> {
         match self.peek() {
-            Some(Tok::Ident(s)) => Some(s.as_str()),
+            Some(Tok::Ident(s)) => Some(s),
             _ => None,
         }
     }
@@ -473,8 +480,8 @@ impl<'a> Cursor<'a> {
         self.peek() == Some(&t)
     }
 
-    fn bump(&mut self) -> Option<&'a Tok> {
-        let t = self.line.toks.get(self.pos);
+    fn bump(&mut self) -> Option<&'a Tok<'a>> {
+        let t = self.toks.get(self.pos);
         if t.is_some() {
             self.pos += 1;
         }
@@ -503,9 +510,11 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn expect_ident(&mut self) -> FrontResult<String> {
+    /// The next token as an identifier, borrowed: a caller copies only
+    /// the names the AST keeps.
+    fn expect_ident(&mut self) -> FrontResult<&'a str> {
         match self.bump() {
-            Some(Tok::Ident(s)) => Ok(s.clone()),
+            Some(Tok::Ident(s)) => Ok(s),
             other => Err(self.err(format!(
                 "expected identifier, found {}",
                 other
@@ -523,7 +532,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn err(&self, message: String) -> FrontError {
-        FrontError::new(self.line.line, message)
+        FrontError::new(self.line, message)
     }
 }
 

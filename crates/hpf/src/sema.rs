@@ -84,15 +84,50 @@ pub fn eval_const(e: &Expr, params: &HashMap<String, i64>) -> FrontResult<i64> {
     }
 }
 
-struct TemplateInfo {
+struct TemplateInfo<'p> {
     extents: Vec<usize>,
-    specs: Option<(Vec<DistSpec>, String)>, // distribution specs + grid name
+    specs: Option<(&'p [DistSpec], &'p str)>, // distribution specs + grid name
 }
 
 /// Analyze a parsed program.
 pub fn analyze(prog: &Program) -> FrontResult<ProgramInfo> {
+    let (params, arrays, nprocs) = resolve(prog)?;
+    checked(params, arrays, nprocs, prog.stmts.clone())
+}
+
+/// [`analyze`], consuming the program: its statements move into the
+/// result instead of being copied.
+pub fn analyze_owned(prog: Program) -> FrontResult<ProgramInfo> {
+    let (params, arrays, nprocs) = resolve(&prog)?;
+    checked(params, arrays, nprocs, prog.stmts)
+}
+
+/// The analysis of `stmts` over the resolved declarations, once every
+/// indirect subscript checks out.
+fn checked(
+    params: HashMap<String, i64>,
+    arrays: Vec<ArrayInfo>,
+    nprocs: usize,
+    stmts: Vec<Stmt>,
+) -> FrontResult<ProgramInfo> {
+    let info = ProgramInfo {
+        params,
+        arrays,
+        nprocs,
+        stmts,
+    };
+    for stmt in &info.stmts {
+        check_indirect_stmt(stmt, 0, &info)?;
+    }
+    Ok(info)
+}
+
+/// Parameters, arrays with their distributions, and the processor count
+/// of `prog`'s declarations and directives.
+fn resolve(prog: &Program) -> FrontResult<(HashMap<String, i64>, Vec<ArrayInfo>, usize)> {
     let mut params: HashMap<String, i64> = HashMap::new();
-    let mut declared: Vec<(String, Vec<usize>)> = Vec::new();
+    // Names borrow the AST: only the analysis's output owns copies.
+    let mut declared: Vec<(&str, Vec<usize>)> = Vec::new();
 
     for decl in &prog.decls {
         match decl {
@@ -117,18 +152,18 @@ pub fn analyze(prog: &Program) -> FrontResult<ProgramInfo> {
                 if declared.iter().any(|(n, _)| n == name) {
                     return Err(FrontError::new(0, format!("array `{name}` redeclared")));
                 }
-                declared.push((name.clone(), extents));
+                declared.push((name, extents));
             }
         }
     }
 
     // Directives.
-    let mut grids: HashMap<String, Vec<usize>> = HashMap::new();
-    let mut templates: HashMap<String, TemplateInfo> = HashMap::new();
+    let mut grids: HashMap<&str, Vec<usize>> = HashMap::new();
+    let mut templates: HashMap<&str, TemplateInfo> = HashMap::new();
     // name -> (specs, grid) from direct `distribute a(...) on p`.
-    let mut direct_dist: HashMap<String, (Vec<DistSpec>, String)> = HashMap::new();
+    let mut direct_dist: HashMap<&str, (&[DistSpec], &str)> = HashMap::new();
     // array -> (pattern, template) from align.
-    let mut aligns: HashMap<String, (Vec<AlignDim>, String)> = HashMap::new();
+    let mut aligns: HashMap<&str, (&[AlignDim], &str)> = HashMap::new();
 
     for dir in &prog.directives {
         match dir {
@@ -146,7 +181,7 @@ pub fn analyze(prog: &Program) -> FrontResult<ProgramInfo> {
                         Ok(v as usize)
                     })
                     .collect::<FrontResult<_>>()?;
-                grids.insert(name.clone(), exts);
+                grids.insert(name, exts);
             }
             Directive::Template { name, extents } => {
                 let exts: Vec<usize> = extents
@@ -154,7 +189,7 @@ pub fn analyze(prog: &Program) -> FrontResult<ProgramInfo> {
                     .map(|e| eval_const(e, &params).map(|v| v as usize))
                     .collect::<FrontResult<_>>()?;
                 templates.insert(
-                    name.clone(),
+                    name,
                     TemplateInfo {
                         extents: exts,
                         specs: None,
@@ -166,16 +201,16 @@ pub fn analyze(prog: &Program) -> FrontResult<ProgramInfo> {
                 specs,
                 procs,
             } => {
-                if let Some(t) = templates.get_mut(target) {
+                if let Some(t) = templates.get_mut(target.as_str()) {
                     if specs.len() != t.extents.len() {
                         return Err(FrontError::new(
                             0,
                             format!("distribute rank mismatch for template `{target}`"),
                         ));
                     }
-                    t.specs = Some((specs.clone(), procs.clone()));
+                    t.specs = Some((specs, procs));
                 } else if declared.iter().any(|(n, _)| n == target) {
-                    direct_dist.insert(target.clone(), (specs.clone(), procs.clone()));
+                    direct_dist.insert(target, (specs, procs));
                 } else {
                     return Err(FrontError::new(
                         0,
@@ -188,14 +223,14 @@ pub fn analyze(prog: &Program) -> FrontResult<ProgramInfo> {
                 template,
                 arrays,
             } => {
-                if !templates.contains_key(template) {
+                if !templates.contains_key(template.as_str()) {
                     return Err(FrontError::new(
                         0,
                         format!("align references unknown template `{template}`"),
                     ));
                 }
                 for a in arrays {
-                    aligns.insert(a.clone(), (pattern.clone(), template.clone()));
+                    aligns.insert(a, (pattern, template));
                 }
             }
         }
@@ -217,8 +252,8 @@ pub fn analyze(prog: &Program) -> FrontResult<ProgramInfo> {
 
     // Resolve each declared array.
     let mut arrays = Vec::with_capacity(declared.len());
-    for (name, extents) in &declared {
-        let shape = Shape::new(extents.clone());
+    for (name, extents) in declared {
+        let shape = Shape::new(extents);
         let dist = if let Some((specs, procs)) = direct_dist.get(name) {
             check_grid(procs, &grids)?;
             dist_from_specs(&shape, specs, &grid, name)?
@@ -281,22 +316,13 @@ pub fn analyze(prog: &Program) -> FrontResult<ProgramInfo> {
             ));
         };
         arrays.push(ArrayInfo {
-            name: name.clone(),
+            name: name.to_string(),
             shape,
             dist,
         });
     }
 
-    let info = ProgramInfo {
-        params,
-        arrays,
-        nprocs,
-        stmts: prog.stmts.clone(),
-    };
-    for stmt in &info.stmts {
-        check_indirect_stmt(stmt, 0, &info)?;
-    }
-    Ok(info)
+    Ok((params, arrays, nprocs))
 }
 
 /// Walk one statement checking every indirect subscript (`a(idx(i))`).
@@ -425,7 +451,7 @@ fn check_indirection_array(
     }
 }
 
-fn check_grid(procs: &str, grids: &HashMap<String, Vec<usize>>) -> FrontResult<()> {
+fn check_grid(procs: &str, grids: &HashMap<&str, Vec<usize>>) -> FrontResult<()> {
     if grids.contains_key(procs) {
         Ok(())
     } else {

@@ -222,7 +222,7 @@ mod tests {
                 dims[0] = DimDist::Distributed { kind: DistKind::Block, axis: 0 };
                 grid.push(p[0]);
             }
-            let dist = Distribution::new(Shape::new(n[..ndims].to_vec()), dims, ProcGrid::new(grid));
+            let dist = Distribution::new(Shape::new(&n[..ndims]), dims, ProcGrid::new(grid));
             assert_assembles_like_the_reference(&ArrayDesc::new(ArrayId(0), "x", ElemKind::F32, dist));
         }
     }

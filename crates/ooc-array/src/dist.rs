@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::dims::Dims;
 use crate::section::DimRange;
 use crate::shape::Shape;
 
@@ -41,23 +42,25 @@ pub enum DimDist {
 /// fastest), matching the array linearization convention.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ProcGrid {
-    extents: Vec<usize>,
+    extents: Dims<usize, 3>,
 }
 
 impl ProcGrid {
     /// Grid from axis extents. Every axis must be non-empty.
-    pub fn new(extents: impl Into<Vec<usize>>) -> Self {
-        let extents = extents.into();
+    pub fn new(extents: impl AsRef<[usize]>) -> Self {
+        let extents = extents.as_ref();
         assert!(
             !extents.is_empty() && extents.iter().all(|&e| e > 0),
             "processor grid axes must be non-empty"
         );
-        ProcGrid { extents }
+        ProcGrid {
+            extents: Dims::from_slice(extents),
+        }
     }
 
     /// 1-D grid of `p` processors (the paper's `processors Pr(nprocs)`).
     pub fn line(p: usize) -> Self {
-        ProcGrid::new(vec![p])
+        ProcGrid::new([p])
     }
 
     /// Number of grid axes.
@@ -73,6 +76,13 @@ impl ProcGrid {
     /// Total processors.
     pub fn nprocs(&self) -> usize {
         self.extents.iter().product()
+    }
+
+    /// Grid coordinate of `rank` along axis `a`: entry `a` of
+    /// [`ProcGrid::coords`], without collecting the others.
+    pub fn coord(&self, rank: usize, a: usize) -> usize {
+        assert!(rank < self.nprocs(), "rank out of grid");
+        rank / self.stride(a) % self.extents[a]
     }
 
     /// Grid coordinates of `rank`.
@@ -111,7 +121,7 @@ impl ProcGrid {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Distribution {
     global: Shape,
-    dims: Vec<DimDist>,
+    dims: Dims<DimDist, 2>,
     grid: ProcGrid,
 }
 
@@ -119,24 +129,30 @@ impl Distribution {
     /// Build and validate a distribution. Each grid axis must be used by at
     /// most one array dimension; axes used by none would replicate data,
     /// which the out-of-core model does not support.
-    pub fn new(global: Shape, dims: Vec<DimDist>, grid: ProcGrid) -> Self {
+    pub fn new(global: Shape, dims: impl AsRef<[DimDist]>, grid: ProcGrid) -> Self {
+        let dims = dims.as_ref();
         assert_eq!(global.ndims(), dims.len(), "one DimDist per dimension");
-        let mut used = vec![false; grid.naxes()];
-        for d in &dims {
+        let on_axis =
+            |d: &DimDist, a: usize| matches!(d, DimDist::Distributed { axis, .. } if *axis == a);
+        for (i, d) in dims.iter().enumerate() {
             if let DimDist::Distributed { axis, kind } = d {
                 assert!(*axis < grid.naxes(), "grid axis {axis} out of range");
-                assert!(!used[*axis], "grid axis {axis} used by two dimensions");
-                used[*axis] = true;
+                let used = dims[..i].iter().any(|e| on_axis(e, *axis));
+                assert!(!used, "grid axis {axis} used by two dimensions");
                 if let DistKind::BlockCyclic(b) = kind {
                     assert!(*b > 0, "block-cyclic block size must be positive");
                 }
             }
         }
         assert!(
-            used.iter().all(|&u| u),
+            (0..grid.naxes()).all(|a| dims.iter().any(|d| on_axis(d, a))),
             "every grid axis must map exactly one array dimension"
         );
-        Distribution { global, dims, grid }
+        Distribution {
+            global,
+            dims: Dims::from_slice(dims),
+            grid,
+        }
     }
 
     /// Column-block distribution of a matrix over a 1-D grid: `(*, block)`.
@@ -144,7 +160,7 @@ impl Distribution {
         assert_eq!(global.ndims(), 2);
         Distribution::new(
             global,
-            vec![
+            [
                 DimDist::Collapsed,
                 DimDist::Distributed {
                     kind: DistKind::Block,
@@ -160,7 +176,7 @@ impl Distribution {
         assert_eq!(global.ndims(), 2);
         Distribution::new(
             global,
-            vec![
+            [
                 DimDist::Distributed {
                     kind: DistKind::Block,
                     axis: 0,
@@ -267,24 +283,51 @@ impl Distribution {
         }
     }
 
+    /// Grid coordinate of `rank` along the axis dimension `d` is
+    /// distributed over; 0 for a collapsed dimension, whose indices do not
+    /// depend on it. Panics when `rank` is outside the grid.
+    pub fn dim_coord(&self, d: usize, rank: usize) -> usize {
+        match self.dims[d] {
+            DimDist::Collapsed => {
+                assert!(rank < self.grid.nprocs(), "rank out of grid");
+                0
+            }
+            DimDist::Distributed { axis, .. } => self.grid.coord(rank, axis),
+        }
+    }
+
     /// Local → global index tables of `rank`'s local part, one per
     /// dimension: `tables[d][l]` is the global index of local index `l`
-    /// along `d`. Per-element loops look indices up here instead of
-    /// calling [`Distribution::global_index`] (and [`ProcGrid::coords`])
-    /// per element.
+    /// along `d`, [`Distribution::global_index`] of it. Per-element loops
+    /// look indices up here instead of translating per element, and the
+    /// tables are built per block run, not per element: a block or
+    /// collapsed dimension is one run at the owner's lower corner, a cyclic
+    /// one steps by `p`, and a block-cyclic one is a run of `b` per cycle.
     pub fn global_index_tables(&self, rank: usize) -> Vec<Vec<usize>> {
-        let coords = self.grid.coords(rank);
-        self.dims
-            .iter()
-            .enumerate()
-            .map(|(d, dd)| {
-                let coord = match dd {
-                    DimDist::Collapsed => 0,
-                    DimDist::Distributed { axis, .. } => coords[*axis],
+        (0..self.dims.len())
+            .map(|d| {
+                let coord = self.dim_coord(d, rank);
+                let len = self.local_extent(d, coord);
+                // (first global index, run length, stride between runs).
+                let (base, run, cycle) = match self.dims[d] {
+                    DimDist::Collapsed => (0, len, 0),
+                    DimDist::Distributed { kind, axis } => {
+                        let p = self.grid.extent(axis);
+                        match kind {
+                            DistKind::Block => (coord * self.block_of(d).expect("block"), len, 0),
+                            DistKind::Cyclic => (coord, 1, p),
+                            DistKind::BlockCyclic(b) => (coord * b, b, b * p),
+                        }
+                    }
                 };
-                (0..self.local_extent(d, coord))
-                    .map(|l| self.global_index(d, coord, l))
-                    .collect()
+                let mut table = Vec::with_capacity(len);
+                let mut start = base;
+                while table.len() < len {
+                    let take = run.min(len - table.len());
+                    table.extend(start..start + take);
+                    start += cycle;
+                }
+                table
             })
             .collect()
     }
@@ -322,17 +365,9 @@ impl Distribution {
 
     /// Shape of the out-of-core local array on `rank`.
     pub fn local_shape(&self, rank: usize) -> Shape {
-        let coords = self.grid.coords(rank);
-        let exts: Vec<usize> = self
-            .dims
-            .iter()
-            .enumerate()
-            .map(|(d, dd)| match dd {
-                DimDist::Collapsed => self.global.extent(d),
-                DimDist::Distributed { axis, .. } => self.local_extent(d, coords[*axis]),
-            })
-            .collect();
-        Shape::new(exts)
+        (0..self.dims.len())
+            .map(|d| self.local_extent(d, self.dim_coord(d, rank)))
+            .collect()
     }
 
     /// The global indices owned along dimension `d` by grid coordinate
@@ -453,6 +488,77 @@ mod tests {
             let mut s = locals.clone();
             s.sort_unstable();
             assert_eq!(s, (0..s.len()).collect::<Vec<_>>(), "coord {c}");
+        }
+    }
+
+    #[test]
+    fn global_index_tables_equal_per_element_global_index() {
+        let on = |kind, axis| DimDist::Distributed { kind, axis };
+        let dists = [
+            // Blocks of 2 over 4 ranks: rank 3 owns nothing of 5.
+            Distribution::new(
+                Shape::matrix(5, 3),
+                vec![on(DistKind::Block, 0), DimDist::Collapsed],
+                ProcGrid::line(4),
+            ),
+            Distribution::new(
+                Shape::matrix(3, 11),
+                vec![DimDist::Collapsed, on(DistKind::Cyclic, 0)],
+                ProcGrid::line(4),
+            ),
+            // Cyclic over more ranks than indices: ranks 3 and 4 own nothing.
+            Distribution::new(
+                Shape::new(vec![3]),
+                vec![on(DistKind::Cyclic, 0)],
+                ProcGrid::line(5),
+            ),
+            // Block-cyclic with a ragged last block, on a 2-D grid.
+            Distribution::new(
+                Shape::matrix(23, 10),
+                vec![on(DistKind::BlockCyclic(3), 1), on(DistKind::Block, 0)],
+                ProcGrid::new(vec![3, 2]),
+            ),
+            // One block of 4 over 4 ranks: grid columns 1–3 own nothing.
+            Distribution::new(
+                Shape::matrix(4, 9),
+                vec![on(DistKind::BlockCyclic(4), 0), on(DistKind::Cyclic, 1)],
+                ProcGrid::new(vec![4, 2]),
+            ),
+        ];
+        let mut empty = 0;
+        for dist in &dists {
+            for rank in 0..dist.nprocs() {
+                let coords = dist.grid().coords(rank);
+                let tables = dist.global_index_tables(rank);
+                assert_eq!(tables.len(), dist.dims().len());
+                for (d, table) in tables.iter().enumerate() {
+                    let coord = match dist.dims()[d] {
+                        DimDist::Collapsed => 0,
+                        DimDist::Distributed { axis, .. } => coords[axis],
+                    };
+                    let each: Vec<usize> = (0..dist.local_extent(d, coord))
+                        .map(|l| dist.global_index(d, coord, l))
+                        .collect();
+                    assert_eq!(table, &each, "{dist:?} rank {rank} dim {d}");
+                }
+                empty += usize::from(dist.local_shape(rank).is_empty());
+            }
+        }
+        assert_eq!(empty, 1 + 2 + 6, "ranks that own nothing are covered");
+    }
+
+    #[test]
+    #[should_panic(expected = "rank out of grid")]
+    fn local_shape_of_a_rank_outside_the_grid_panics() {
+        Distribution::column_block(Shape::matrix(4, 4), 2).local_shape(2);
+    }
+
+    #[test]
+    fn grid_coord_is_one_entry_of_coords() {
+        let g = ProcGrid::new(vec![2, 3, 2]);
+        for r in 0..g.nprocs() {
+            let all: Vec<usize> = (0..g.naxes()).map(|a| g.coord(r, a)).collect();
+            assert_eq!(all, g.coords(r));
         }
     }
 

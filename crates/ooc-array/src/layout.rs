@@ -13,35 +13,38 @@ use serde::{Deserialize, Serialize};
 
 use pario::{Access, ElemRun};
 
-use crate::section::Section;
+use crate::dims::Dims;
+use crate::section::{DimRange, Section};
 use crate::shape::Shape;
 
 /// A dimension permutation, fastest-varying dimension first.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct FileLayout {
-    order: Vec<usize>,
+    order: Dims<usize, 3>,
 }
 
 impl FileLayout {
     /// Layout from an explicit order (must be a permutation of `0..n`).
-    pub fn new(order: impl Into<Vec<usize>>) -> Self {
-        let order = order.into();
-        let mut seen = vec![false; order.len()];
-        for &d in &order {
-            assert!(d < order.len() && !seen[d], "order must be a permutation");
-            seen[d] = true;
+    pub fn new(order: impl AsRef<[usize]>) -> Self {
+        FileLayout::of(Dims::from_slice(order.as_ref()))
+    }
+
+    fn of(order: Dims<usize, 3>) -> Self {
+        for (i, &d) in order.iter().enumerate() {
+            let seen = order[..i].contains(&d);
+            assert!(d < order.len() && !seen, "order must be a permutation");
         }
         FileLayout { order }
     }
 
     /// Fortran column-major: dimension 0 fastest.
     pub fn column_major(ndims: usize) -> Self {
-        FileLayout::new((0..ndims).collect::<Vec<_>>())
+        FileLayout::of((0..ndims).collect())
     }
 
     /// Row-major: last dimension fastest.
     pub fn row_major(ndims: usize) -> Self {
-        FileLayout::new((0..ndims).rev().collect::<Vec<_>>())
+        FileLayout::of((0..ndims).rev().collect())
     }
 
     /// The layout that makes slabs along `slab_dim` contiguous: `slab_dim`
@@ -53,9 +56,8 @@ impl FileLayout {
     /// is one contiguous extent.
     pub fn for_slab_dim(ndims: usize, slab_dim: usize) -> Self {
         assert!(slab_dim < ndims);
-        let mut order: Vec<usize> = (0..ndims).filter(|&d| d != slab_dim).collect();
-        order.push(slab_dim);
-        FileLayout::new(order)
+        let order = (0..ndims).filter(|&d| d != slab_dim).chain([slab_dim]);
+        FileLayout::of(order.collect())
     }
 
     /// Number of dimensions.
@@ -124,8 +126,8 @@ impl FileLayout {
             return;
         }
 
-        let (outer_start, chunk) = self.chunk(shape, section);
-        let (base, _) = self.first_last(shape, section);
+        let (outer_start, chunk) = self.chunk(shape, section.ranges());
+        let (base, _) = self.first_last(shape, section.ranges());
         if outer_start == self.order.len() {
             runs.push(run(base as u64, chunk as u64));
             return;
@@ -166,10 +168,10 @@ impl FileLayout {
     /// covered unit-stride dimension. Returns the position in the layout
     /// order of the first dimension outside the chunk, and the chunk's
     /// element count.
-    fn chunk(&self, shape: &Shape, section: &Section) -> (usize, usize) {
+    fn chunk(&self, shape: &Shape, ranges: &[DimRange]) -> (usize, usize) {
         let mut chunk = 1usize;
         for (pos, &d) in self.order.iter().enumerate() {
-            let r = section.range(d);
+            let r = ranges[d];
             if r.covers(shape.extent(d)) {
                 chunk *= shape.extent(d);
             } else if r.step == 1 {
@@ -183,10 +185,10 @@ impl FileLayout {
 
     /// Element offsets of the first and the last element of a non-empty
     /// `section` under this layout.
-    fn first_last(&self, shape: &Shape, section: &Section) -> (usize, usize) {
+    fn first_last(&self, shape: &Shape, ranges: &[DimRange]) -> (usize, usize) {
         let (mut first, mut last, mut stride) = (0usize, 0usize, 1usize);
         for &d in &self.order {
-            let r = section.range(d);
+            let r = ranges[d];
             first += r.lo * stride;
             last += (r.lo + (r.len() - 1) * r.step) * stride;
             stride *= shape.extent(d);
@@ -201,15 +203,16 @@ impl FileLayout {
         if section.is_empty() {
             return 0;
         }
-        let (outer_start, _) = self.chunk(shape, section);
+        let (outer_start, _) = self.chunk(shape, section.ranges());
         self.order[outer_start..]
             .iter()
             .map(|&d| section.range(d).len() as u64)
             .product()
     }
 
-    /// The [`Access`] the disk sees for `section` of a local array of
-    /// `shape`, elements of `elem_size` bytes, in O(ndims): what coalescing
+    /// The [`Access`] the disk sees for the section `ranges` (one
+    /// [`DimRange`] per dimension) of a local array of `shape`, elements of
+    /// `elem_size` bytes, in O(ndims): what coalescing
     /// [`FileLayout::section_runs`] and spanning them would give, without
     /// materializing a run.
     ///
@@ -221,21 +224,21 @@ impl FileLayout {
     pub(crate) fn section_access(
         &self,
         shape: &Shape,
-        section: &Section,
+        ranges: &[DimRange],
         elem_size: u64,
     ) -> Access {
-        if section.is_empty() {
+        if ranges.iter().any(DimRange::is_empty) {
             return Access::default();
         }
-        let (outer_start, _) = self.chunk(shape, section);
+        let (outer_start, _) = self.chunk(shape, ranges);
         let outer = &self.order[outer_start..];
         let spans_ends = |d: usize| {
-            let r = section.range(d);
+            let r = ranges[d];
             r.lo == 0 && r.lo + (r.len() - 1) * r.step + 1 == shape.extent(d)
         };
         let chunk_fills_stride = self.order[..outer_start]
             .iter()
-            .all(|&d| section.range(d).covers(shape.extent(d)));
+            .all(|&d| ranges[d].covers(shape.extent(d)));
         let wrapping = if chunk_fills_stride {
             outer.iter().take_while(|&&d| spans_ends(d)).count()
         } else {
@@ -243,16 +246,17 @@ impl FileLayout {
         };
         let (mut runs, mut joins) = (1u64, 0u64);
         for (k, &d) in outer.iter().enumerate().rev() {
-            let r = section.range(d);
+            let r = ranges[d];
             if (1..=wrapping).contains(&k) && r.step == 1 {
                 joins += (r.len() as u64 - 1) * runs;
             }
             runs *= r.len() as u64;
         }
-        let (first, last) = self.first_last(shape, section);
+        let (first, last) = self.first_last(shape, ranges);
+        let len: usize = ranges.iter().map(DimRange::len).product();
         Access {
             runs: runs - joins,
-            bytes: section.len() as u64 * elem_size,
+            bytes: len as u64 * elem_size,
             span: (last - first + 1) as u64 * elem_size,
         }
     }

@@ -16,6 +16,7 @@
 //! 0 varies fastest). The paper's `a(n,n)` is `shape [n, n]` with dimension 0
 //! the row index; "column-block" distribution distributes dimension 1.
 
+mod dims;
 pub mod dist;
 pub mod error;
 pub mod irreg;

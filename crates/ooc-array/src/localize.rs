@@ -30,29 +30,34 @@ pub fn local_section_of_global(
     global: &Section,
 ) -> Option<Section> {
     assert_eq!(global.ndims(), dist.global().ndims(), "rank mismatch");
-    let coords = dist.grid().coords(rank);
-    let mut local = Vec::with_capacity(global.ndims());
-    for d in 0..global.ndims() {
-        let owned = match dist.dims()[d] {
-            DimDist::Collapsed => DimRange::new(0, dist.global().extent(d)),
-            DimDist::Distributed { axis, .. } => dist.owned_range(d, coords[axis])?,
-        };
-        let isect = owned.intersect(&global.range(d))?;
-        local.push(global_range_to_local(dist, d, &coords, isect)?);
-    }
-    Some(Section::new(local))
+    (0..global.ndims())
+        .map(|d| local_range_of_global(dist, d, dist.dim_coord(d, rank), global.range(d)))
+        .collect()
+}
+
+/// The part of the global range `global` along dimension `d` that grid
+/// coordinate `coord` owns, in local indices: one dimension of
+/// [`local_section_of_global`]. `None` when it owns none of it or the part
+/// is not a regular range.
+pub(crate) fn local_range_of_global(
+    dist: &Distribution,
+    d: usize,
+    coord: usize,
+    global: DimRange,
+) -> Option<DimRange> {
+    let isect = dist.owned_range(d, coord)?.intersect(&global)?;
+    global_range_to_local(dist, d, coord, isect)
 }
 
 fn global_range_to_local(
     dist: &Distribution,
     d: usize,
-    coords: &[usize],
+    coord: usize,
     r: DimRange,
 ) -> Option<DimRange> {
     match dist.dims()[d] {
         DimDist::Collapsed => Some(r),
         DimDist::Distributed { kind, axis } => {
-            let coord = coords[axis];
             let p = dist.grid().extent(axis);
             match kind {
                 DistKind::Block => {
@@ -79,16 +84,9 @@ fn global_range_to_local(
 /// The global section corresponding to the whole OCLA of `rank`, when it is
 /// regular (block/cyclic/collapsed dimensions).
 pub fn global_section_of_local(dist: &Distribution, rank: usize) -> Option<Section> {
-    let coords = dist.grid().coords(rank);
-    let mut ranges = Vec::with_capacity(dist.global().ndims());
-    for d in 0..dist.global().ndims() {
-        let r = match dist.dims()[d] {
-            DimDist::Collapsed => DimRange::new(0, dist.global().extent(d)),
-            DimDist::Distributed { axis, .. } => dist.owned_range(d, coords[axis])?,
-        };
-        ranges.push(r);
-    }
-    Some(Section::new(ranges))
+    (0..dist.global().ndims())
+        .map(|d| dist.owned_range(d, dist.dim_coord(d, rank)))
+        .collect()
 }
 
 /// Map a full global multi-index to `(rank, local index)`.
@@ -104,14 +102,10 @@ pub fn global_to_local(dist: &Distribution, index: &[usize]) -> (usize, Vec<usiz
 
 /// Map a local multi-index on `rank` back to the global index.
 pub fn local_to_global(dist: &Distribution, rank: usize, local: &[usize]) -> Vec<usize> {
-    let coords = dist.grid().coords(rank);
     local
         .iter()
         .enumerate()
-        .map(|(d, &l)| match dist.dims()[d] {
-            DimDist::Collapsed => l,
-            DimDist::Distributed { axis, .. } => dist.global_index(d, coords[axis], l),
-        })
+        .map(|(d, &l)| dist.global_index(d, dist.dim_coord(d, rank), l))
         .collect()
 }
 

@@ -25,7 +25,7 @@ use pario::{
 use crate::dist::Distribution;
 use crate::layout::FileLayout;
 
-use crate::section::Section;
+use crate::section::{DimRange, Section};
 use crate::shape::Shape;
 
 /// Identifier of an out-of-core array within one program.
@@ -95,10 +95,15 @@ impl ArrayDesc {
     /// The [`Access`] the disk sees when asked for
     /// [`ArrayDesc::section_byte_runs`], computed in O(ndims) without
     /// materializing a run: what the compiler tallies for each section an
-    /// executor reads or writes.
-    pub fn section_access(&self, shape: &Shape, section: &Section) -> Access {
+    /// executor reads or writes. `section` is a [`Section`] or its ranges,
+    /// so a tally of pieces built on the stack needs no `Section` each.
+    pub fn section_access<S: AsRef<[DimRange]> + ?Sized>(
+        &self,
+        shape: &Shape,
+        section: &S,
+    ) -> Access {
         self.layout
-            .section_access(shape, section, self.elem.size() as u64)
+            .section_access(shape, section.as_ref(), self.elem.size() as u64)
     }
 }
 

@@ -23,7 +23,7 @@ use pario::{IoCharge, IoError, IoMethod, SievePolicy};
 use crate::error::OocError;
 
 use crate::layout::FileLayout;
-use crate::localize::{global_section_of_local, local_section_of_global};
+use crate::localize::local_range_of_global;
 use crate::ocla::{ArrayDesc, OocEnv};
 use crate::section::{DimRange, Section};
 use crate::slab::SlabPlan;
@@ -135,22 +135,56 @@ pub struct RedistPieces {
 impl RedistPieces {
     /// The pieces `rank` exchanges when `src` is redistributed into `dst`.
     pub fn of(src: &ArrayDesc, dst: &ArrayDesc, rank: usize) -> RedistPieces {
-        check_conformance(src, dst);
-        let owned = |desc: &ArrayDesc, r: usize| {
-            global_section_of_local(&desc.dist, r).expect("regular distribution required")
-        };
-        let (my_src, my_dst) = (owned(src, rank), owned(dst, rank));
-        let local = |desc: &ArrayDesc, isect: Option<Section>| {
-            isect.map(|g| local_section_of_global(&desc.dist, rank, &g).expect("owns intersection"))
-        };
         let p = src.dist.nprocs();
-        RedistPieces {
-            send: (0..p)
-                .map(|j| local(src, my_src.intersect(&owned(dst, j))))
-                .collect(),
-            recv: (0..p)
-                .map(|j| local(dst, my_dst.intersect(&owned(src, j))))
-                .collect(),
+        let mut pieces = RedistPieces {
+            send: Vec::with_capacity(p),
+            recv: Vec::with_capacity(p),
+        };
+        RedistPieces::visit(src, dst, rank, |_, send, recv| {
+            pieces.send.push(send.map(Section::new));
+            pieces.recv.push(recv.map(Section::new));
+        });
+        pieces
+    }
+
+    /// [`RedistPieces::of`] peer by peer in rank order, without a
+    /// [`Section`] per piece: `f(j, send, recv)` gets the local ranges of
+    /// the piece sent to rank `j` and of the piece received from it. The
+    /// compiler tallies a redistribution through this.
+    pub fn visit(
+        src: &ArrayDesc,
+        dst: &ArrayDesc,
+        rank: usize,
+        mut f: impl FnMut(usize, Option<&[DimRange]>, Option<&[DimRange]>),
+    ) {
+        check_conformance(src, dst);
+        let owned = |desc: &ArrayDesc, r: usize, d: usize| {
+            let coord = desc.dist.dim_coord(d, r);
+            (desc.dist.owned_range(d, coord)).expect("regular distribution required")
+        };
+        let ndims = src.dist.global().ndims();
+        // Into `out`, the local ranges of what `rank` owns of `desc`
+        // intersected with what rank `j` owns of `other`; false when they
+        // share nothing.
+        let piece = |out: &mut Vec<DimRange>, desc: &ArrayDesc, other: &ArrayDesc, j: usize| {
+            out.clear();
+            for d in 0..ndims {
+                match owned(desc, rank, d).intersect(&owned(other, j, d)) {
+                    Some(g) => out.push(g),
+                    None => return false,
+                }
+            }
+            for (d, g) in out.iter_mut().enumerate() {
+                let coord = desc.dist.dim_coord(d, rank);
+                *g = local_range_of_global(&desc.dist, d, coord, *g).expect("owns intersection");
+            }
+            true
+        };
+        let (mut send, mut recv) = (Vec::with_capacity(ndims), Vec::with_capacity(ndims));
+        for j in 0..src.dist.nprocs() {
+            let sends = piece(&mut send, src, dst, j);
+            let receives = piece(&mut recv, dst, src, j);
+            f(j, sends.then_some(&send[..]), receives.then_some(&recv[..]));
         }
     }
 }

@@ -6,6 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::dims::Dims;
 use crate::shape::Shape;
 
 /// A strided range over one dimension: indices `lo, lo+step, … < hi`.
@@ -116,26 +117,22 @@ impl DimRange {
 /// An n-dimensional regular section: one [`DimRange`] per dimension.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Section {
-    ranges: Vec<DimRange>,
+    ranges: Dims<DimRange, 3>,
 }
 
 impl Section {
     /// Section from per-dimension ranges.
-    pub fn new(ranges: impl Into<Vec<DimRange>>) -> Self {
+    pub fn new(ranges: impl AsRef<[DimRange]>) -> Self {
         Section {
-            ranges: ranges.into(),
+            ranges: Dims::from_slice(ranges.as_ref()),
         }
     }
 
     /// The whole of `shape`.
     pub fn full(shape: &Shape) -> Self {
-        Section::new(
-            shape
-                .extents()
-                .iter()
-                .map(|&e| DimRange::full(e))
-                .collect::<Vec<_>>(),
-        )
+        Section {
+            ranges: shape.extents().iter().map(|&e| DimRange::full(e)).collect(),
+        }
     }
 
     /// Number of dimensions.
@@ -171,17 +168,16 @@ impl Section {
 
     /// The extents of the section viewed as a dense array of its own.
     pub fn shape(&self) -> Shape {
-        Shape::new(self.ranges.iter().map(|r| r.len()).collect::<Vec<_>>())
+        self.ranges.iter().map(|r| r.len()).collect()
     }
 
     /// Element-wise intersection; `None` if empty or not representable.
     pub fn intersect(&self, other: &Section) -> Option<Section> {
         assert_eq!(self.ndims(), other.ndims(), "rank mismatch");
-        let mut ranges = Vec::with_capacity(self.ndims());
-        for (a, b) in self.ranges.iter().zip(other.ranges.iter()) {
-            ranges.push(a.intersect(b)?);
-        }
-        Some(Section::new(ranges))
+        let ranges = (self.ranges.iter().zip(other.ranges.iter()))
+            .map(|(a, b)| a.intersect(b))
+            .collect::<Option<Dims<DimRange, 3>>>()?;
+        Some(Section { ranges })
     }
 
     /// Membership test for a multi-index.
@@ -191,8 +187,8 @@ impl Section {
 
     /// Linear offsets `Σ idx[d]·strides[d]` of the selected multi-indices,
     /// in the column-major order of [`Section::indices`] — the per-element
-    /// walk that scatters a section buffer into a larger one. Allocates once
-    /// per walk, never per element.
+    /// walk that scatters a section buffer into a larger one. Allocates
+    /// nothing for up to four dimensions, and never per element.
     pub fn offsets<'a>(&'a self, strides: &'a [usize]) -> SectionOffsets<'a> {
         assert_eq!(strides.len(), self.ndims(), "one stride per dimension");
         SectionOffsets {
@@ -217,13 +213,27 @@ impl Section {
     }
 }
 
+impl FromIterator<DimRange> for Section {
+    fn from_iter<I: IntoIterator<Item = DimRange>>(ranges: I) -> Self {
+        Section {
+            ranges: ranges.into_iter().collect(),
+        }
+    }
+}
+
+impl AsRef<[DimRange]> for Section {
+    fn as_ref(&self) -> &[DimRange] {
+        &self.ranges
+    }
+}
+
 /// Iterator of [`Section::offsets`]: an odometer over the section that
 /// carries the linear offset along with the multi-index.
 #[derive(Debug)]
 pub struct SectionOffsets<'a> {
     ranges: &'a [DimRange],
     strides: &'a [usize],
-    idx: Vec<usize>,
+    idx: Dims<usize, 3>,
     off: usize,
     left: usize,
 }

@@ -2,23 +2,27 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::dims::Dims;
+
 /// The extents of an n-dimensional array.
 ///
 /// Linearization is Fortran column-major: dimension 0 varies fastest.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Shape {
-    dims: Vec<usize>,
+    dims: Dims<usize, 3>,
 }
 
 impl Shape {
     /// Shape from extents. Zero-extent dimensions are allowed (empty array).
-    pub fn new(dims: impl Into<Vec<usize>>) -> Self {
-        Shape { dims: dims.into() }
+    pub fn new(dims: impl AsRef<[usize]>) -> Self {
+        Shape {
+            dims: Dims::from_slice(dims.as_ref()),
+        }
     }
 
     /// 2-D convenience: `rows` × `cols` (dimension 0 = rows).
     pub fn matrix(rows: usize, cols: usize) -> Self {
-        Shape::new(vec![rows, cols])
+        Shape::new([rows, cols])
     }
 
     /// Number of dimensions.
@@ -89,12 +93,20 @@ impl Shape {
     /// Iterate all multi-indices in column-major order.
     pub fn indices(&self) -> IndexIter {
         IndexIter {
-            shape: self.dims.clone(),
+            shape: self.dims.to_vec(),
             next: if self.is_empty() {
                 None
             } else {
                 Some(vec![0; self.dims.len()])
             },
+        }
+    }
+}
+
+impl FromIterator<usize> for Shape {
+    fn from_iter<I: IntoIterator<Item = usize>>(extents: I) -> Self {
+        Shape {
+            dims: extents.into_iter().collect(),
         }
     }
 }

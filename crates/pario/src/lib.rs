@@ -35,7 +35,7 @@ pub use disk::{FileId, LogicalDisk};
 pub use error::{FaultOp, IoError};
 pub use laf::{bytes_to_f32, f32_to_bytes, ElemKind, ElemRun, LocalArrayFile};
 pub use method::{plan_union, IoMethod, UnionPlan};
-pub use request::{coalesce_runs, total_bytes, ByteRun};
+pub use request::{coalesce_runs, coalesce_runs_into, total_bytes, ByteRun};
 pub use sieve::SievePolicy;
 pub use stats::DiskStats;
 pub use tally::{Access, Tally};

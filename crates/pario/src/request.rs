@@ -59,7 +59,7 @@ pub fn coalesce_runs(runs: &[ByteRun]) -> Vec<ByteRun> {
 
 /// [`coalesce_runs`] into a caller-owned buffer (its contents are
 /// replaced), so a hot read path reuses one allocation.
-pub(crate) fn coalesce_runs_into(runs: impl IntoIterator<Item = ByteRun>, out: &mut Vec<ByteRun>) {
+pub fn coalesce_runs_into(runs: impl IntoIterator<Item = ByteRun>, out: &mut Vec<ByteRun>) {
     out.clear();
     out.extend(
         runs.into_iter()
