@@ -1,51 +1,26 @@
 //! In-core phase, step 2: communication detection.
 //!
-//! Array assignment statements are analyzed for the communication they
-//! induce (Figure 7, "Determine Communication"):
-//!
-//! * the GAXPY reduction needs a **global sum** per result column;
-//! * shifted references in an elementwise forall need **ghost exchanges**
-//!   when the shift runs along a distributed dimension;
-//! * a transpose between distributed arrays is a full **remap**.
+//! Elementwise statements are analyzed for the communication they induce
+//! (Figure 7, "Determine Communication"): shifted references in a forall
+//! need **ghost exchanges** when the shift runs along a distributed
+//! dimension. The other statement kinds carry their communication in their
+//! plans: the GAXPY reduction's global sum per result column, a
+//! transpose's remap and SpMV's inspected gather.
 
 use serde::{Deserialize, Serialize};
 
 use ooc_array::DimDist;
 
-use crate::hir::{ElwStmt, HirProgram, HirStmt};
+use crate::hir::{ElwStmt, HirProgram};
 use crate::plan::GhostSpec;
 
-/// The communication a statement requires.
+/// The communication an elementwise statement requires.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CommRequirement {
     /// No interprocessor communication.
     None,
-    /// A global sum of vectors of the given element count per result
-    /// column (GAXPY).
-    GlobalSum {
-        /// Elements reduced per operation.
-        length: usize,
-    },
     /// Boundary strips exchanged with grid neighbors before computation.
     Ghost(Vec<GhostSpec>),
-    /// Full data remapping (every processor may send to every other).
-    Remap,
-    /// A runtime-determined gather/scatter exchange: the pattern depends on
-    /// an indirection array, so the inspector discovers the actual peers
-    /// and volumes; statically every processor may send to every other,
-    /// plus a reduction of partial results to the owners.
-    Irregular,
-}
-
-/// Analyze one statement. Errors describe distribution mismatches the
-/// supported translations cannot handle.
-pub fn analyze_stmt(stmt: &HirStmt, prog: &HirProgram) -> Result<CommRequirement, String> {
-    match stmt {
-        HirStmt::Gaxpy { n, .. } => Ok(CommRequirement::GlobalSum { length: *n }),
-        HirStmt::Transpose { .. } => Ok(CommRequirement::Remap),
-        HirStmt::Elementwise(e) => analyze_elw(e, prog),
-        HirStmt::Spmv { .. } => Ok(CommRequirement::Irregular),
-    }
 }
 
 /// Ghost analysis for an elementwise statement: every referenced array must
@@ -248,31 +223,5 @@ mod tests {
         let s = stencil(vec![vec![0, 0]]);
         let err = analyze_elw(&s, &prog).unwrap_err();
         assert!(err.contains("distributed differently"));
-    }
-
-    #[test]
-    fn gaxpy_needs_global_sum() {
-        let prog = prog_two_arrays(4, true);
-        let g = HirStmt::Gaxpy {
-            a: "a".into(),
-            b: "b".into(),
-            c: "c".into(),
-            temp: "t".into(),
-            n: 64,
-        };
-        assert_eq!(
-            analyze_stmt(&g, &prog).unwrap(),
-            CommRequirement::GlobalSum { length: 64 }
-        );
-    }
-
-    #[test]
-    fn transpose_is_a_remap() {
-        let prog = prog_two_arrays(4, true);
-        let t = HirStmt::Transpose {
-            src: "u".into(),
-            dst: "v".into(),
-        };
-        assert_eq!(analyze_stmt(&t, &prog).unwrap(), CommRequirement::Remap);
     }
 }

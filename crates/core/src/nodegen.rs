@@ -1,6 +1,6 @@
 //! Node-program generation: executable plans → symbolic loop nests.
 //!
-//! For each [`ExecPlan`] this module builds the per-processor
+//! For each [`ExecPlan`](crate::ExecPlan) this module builds the per-processor
 //! node+MP+I/O program as a [`NestNode`] tree, which the cost estimator
 //! walks. Predicted and measured I/O agree request-for-request (ragged
 //! final slabs included) because each nest is built from what the
@@ -20,7 +20,7 @@ use ooc_array::{ArrayDesc, DimRange, RedistPieces, Section, Shape};
 use pario::{Access, IoMethod, SievePolicy, Tally};
 
 use crate::ir::NestNode;
-use crate::plan::{ElwPlan, ExecPlan, GaxpyPlan, RemapSpec, SlabStrategy, TransposePlan};
+use crate::plan::{ElwPlan, GaxpyPlan, RemapSpec, SlabStrategy, TransposePlan};
 
 /// ceil(log2(p)): stages of a binomial-tree collective.
 pub fn ceil_log2(p: usize) -> u64 {
@@ -74,22 +74,8 @@ fn slab_io(
     section_io(desc, local, &sec, read, policy)
 }
 
-/// Build the nest for any plan, priced for rank 0 alone. For elementwise
-/// plans that is rank 0's own schedule, exact for rank 0; but rank 0 is not
-/// the critical rank: an interior rank reads a ghost strip on each side,
-/// and the last rank also waits on its neighbour, so both finish later
-/// than the estimate.
-pub fn nest_of(plan: &ExecPlan) -> Vec<NestNode> {
-    match plan {
-        ExecPlan::Gaxpy(g) => gaxpy_nest(g),
-        ExecPlan::Elementwise(e) => elw_nest(e, 0),
-        ExecPlan::Transpose(t) => RemapGeometry::transpose(t, 0).nodes(t.method),
-        ExecPlan::Spmv(s) => crate::irreg::spmv_nest(s),
-    }
-}
-
 /// The GAXPY node program (Figure 9 for column slabs, Figure 12 for row
-/// slabs) for rank 0, the rank [`nest_of`] prices. Under ceil-block
+/// slabs) for rank 0, the rank the compiler prices. Under ceil-block
 /// distribution no rank owns more columns than rank 0.
 pub fn gaxpy_nest(plan: &GaxpyPlan) -> Vec<NestNode> {
     gaxpy_nest_for(plan, 0)

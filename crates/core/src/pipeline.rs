@@ -695,11 +695,6 @@ pub fn compile_hir(
                 let ghosts = match analyze_elw(e, &hir_view).map_err(CompileError::Plan)? {
                     CommRequirement::Ghost(g) => g,
                     CommRequirement::None => Vec::new(),
-                    other => {
-                        return Err(CompileError::Plan(format!(
-                            "elementwise statement needs unsupported communication {other:?}"
-                        )))
-                    }
                 };
                 // Budget per array, then pick the cheapest slab dimension.
                 let narr = 1 + rhs_descs.len();

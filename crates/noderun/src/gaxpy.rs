@@ -220,6 +220,14 @@ fn accumulate_body(temp: &mut [f32], a: &[f32], b: &[f32]) {
     }
 }
 
+/// Charge the reads `pend` accumulated as one prefetched fetch, overlapped
+/// with the flops deferred since the previous one.
+fn charge_overlapped(ctx: &ProcCtx, pend: &PendingIo<'_>, pending_flops: &mut u64) {
+    let (requests, bytes) = pend.reads();
+    ctx.charge_prefetched_read(requests, bytes, *pending_flops);
+    *pending_flops = 0;
+}
+
 /// Flush deferred flops (before a reduction that needs the results).
 fn flush_pending(ctx: &ProcCtx, pending: &mut u64) {
     if *pending > 0 {
@@ -247,9 +255,11 @@ struct Executor<'a> {
     policy: SievePolicy,
     /// Local rows of B (== local columns of A).
     lr_b: usize,
-    /// The current slab of A; the current slab of B (or all of a resident
+    /// The current slab of A when it is copied, and its element count
+    /// whether copied or lent; the current slab of B (or all of a resident
     /// B), whose first column is global column `b_lo`.
     a_icla: Vec<f32>,
+    a_elems: usize,
     b_icla: Vec<f32>,
     b_lo: usize,
     /// The global column of C being computed, and its accumulator of
@@ -291,6 +301,7 @@ impl<'a> Executor<'a> {
             policy: plan.method.sieve_policy(),
             lr_b: plan.b.local_shape(ctx.rank()).extent(0),
             a_icla: Vec::new(),
+            a_elems: 0,
             b_icla: Vec::new(),
             b_lo: 0,
             j: 0,
@@ -306,6 +317,8 @@ impl<'a> Executor<'a> {
     /// Charge `flops` of kernel work — or defer it to overlap the next
     /// prefetched fetch — and note the in-core elements held: a prefetched
     /// A slab is held twice, the one multiplied and the one being fetched.
+    /// A lent slab counts as held like a copied one: the plan's memory is
+    /// the simulated node's, whatever the host does.
     fn compute(&mut self, flops: u64) {
         if self.prefetch {
             self.pending_flops += flops;
@@ -313,8 +326,7 @@ impl<'a> Executor<'a> {
             self.ctx.charge_flops(flops);
         }
         let a_buffers = ooc_core::memory::a_slab_buffers(self.plan.strategy, self.plan.prefetch);
-        let held =
-            a_buffers * self.a_icla.len() + self.b_icla.len() + self.temp.len() + self.cbuf_elems;
+        let held = a_buffers * self.a_elems + self.b_icla.len() + self.temp.len() + self.cbuf_elems;
         self.peak = self.peak.max(held);
     }
 }
@@ -332,40 +344,43 @@ impl GaxpyVisitor for Executor<'_> {
 
     fn read(&mut self, operand: GaxpyOperand, sec: &Section) -> Result<(), OocError> {
         let plan = self.plan;
-        let column_version = plan.strategy == SlabStrategy::ColumnSlab;
-        // Only A's fetches have a multiply to overlap.
-        let (desc, icla, overlap) = match operand {
-            GaxpyOperand::A => (&plan.a, &mut self.a_icla, self.prefetch),
-            GaxpyOperand::B => (&plan.b, &mut self.b_icla, false),
-        };
-        if overlap {
-            // The read accumulates, then is charged overlapped with the
-            // flops deferred since the previous fetch.
-            let pend = PendingIo::over(self.charge);
-            self.env
-                .read_section_into(desc, sec, icla, &pend, self.policy)?;
-            let (r, b) = pend.reads();
-            self.ctx.charge_prefetched_read(r, b, self.pending_flops);
-            self.pending_flops = 0;
-        } else {
-            self.env
-                .read_section_into(desc, sec, icla, self.charge, self.policy)?;
-        }
+        // Only A's fetches have a multiply to overlap: a prefetched read
+        // accumulates, then is charged overlapped with the flops deferred
+        // since the previous fetch.
+        let overlap = operand == GaxpyOperand::A && self.prefetch;
+        let pend = PendingIo::over(self.charge);
+        let charge: &dyn pario::IoCharge = if overlap { &pend } else { self.charge };
+        let (env, policy) = (&mut *self.env, self.policy);
         match operand {
-            GaxpyOperand::B => self.b_lo = sec.range(1).lo,
-            GaxpyOperand::A if column_version => {
+            GaxpyOperand::B => {
+                env.read_section_into(&plan.b, sec, &mut self.b_icla, charge, policy)?;
+                self.b_lo = sec.range(1).lo;
+            }
+            GaxpyOperand::A if plan.strategy == SlabStrategy::ColumnSlab => {
+                // The slab is multiplied where it lies when the disk can
+                // lend it, and only from a copy in `a_icla` otherwise.
+                let a = env.read_section_ref(&plan.a, sec, &mut self.a_icla, charge, policy)?;
+                if overlap {
+                    charge_overlapped(self.ctx, &pend, &mut self.pending_flops);
+                }
                 // A's local columns pair with B's local rows of the same
                 // indices (both are block slices of 1..n).
                 let cols = sec.range(1);
                 let m = self.j - self.b_lo;
                 let b_col = &self.b_icla[m * self.lr_b..];
-                accumulate_columns(&mut self.temp, &self.a_icla, &b_col[cols.lo..cols.hi]);
-                self.compute((2 * self.plan.n * cols.len()) as u64);
+                accumulate_columns(&mut self.temp, a, &b_col[cols.lo..cols.hi]);
+                self.a_elems = a.len();
+                self.compute((2 * plan.n * cols.len()) as u64);
             }
             GaxpyOperand::A => {
+                env.read_section_into(&plan.a, sec, &mut self.a_icla, charge, policy)?;
+                if overlap {
+                    charge_overlapped(self.ctx, &pend, &mut self.pending_flops);
+                }
+                self.a_elems = self.a_icla.len();
                 // One row slab of C's owned columns accumulates here.
                 self.rows = sec.range(0).len();
-                let c_cols = self.plan.c.local_shape(self.ctx.rank()).extent(1);
+                let c_cols = plan.c.local_shape(self.ctx.rank()).extent(1);
                 self.cbuf_elems = self.rows * c_cols;
                 self.cbuf.clear();
                 self.cbuf.resize(self.cbuf_elems, 0.0);

@@ -22,6 +22,7 @@ use pario::{
     NoCharge, SievePolicy,
 };
 
+use crate::dims::Dims;
 use crate::dist::Distribution;
 use crate::layout::FileLayout;
 
@@ -324,6 +325,33 @@ impl OocEnv {
         read
     }
 
+    /// A section as [`OocEnv::read_section_into`] reads it, lent straight
+    /// out of storage where the disk can lend it
+    /// ([`pario::LogicalDisk::read_ref`]): a column-major layout whose
+    /// section is one run, on an uncached in-memory disk. Otherwise the
+    /// section is read into `scratch`, which is returned. Either way the
+    /// values, counters and charges are those of `read_section_into`.
+    pub fn read_section_ref<'a>(
+        &'a mut self,
+        desc: &ArrayDesc,
+        section: &Section,
+        scratch: &'a mut Vec<f32>,
+        charge: &dyn IoCharge,
+        policy: SievePolicy,
+    ) -> Result<&'a [f32], IoError> {
+        if !layout_is_cm(&desc.layout) {
+            self.read_section_into(desc, section, scratch, charge, policy)?;
+            return Ok(scratch);
+        }
+        let runs = self.take_section_runs(desc, section);
+        let file = self.tagged_file(desc, charge);
+        let read = self
+            .disk
+            .read_ref(file, runs.iter().copied(), scratch, charge, policy);
+        self.runs = runs;
+        read
+    }
+
     /// Write an ICLA buffer (section column-major order) into a section of
     /// the OCLA under `policy` (a sieved write is a read-modify-write of
     /// the span). I/O is charged to `charge`.
@@ -440,86 +468,78 @@ fn fill_in_layout_order(
     }
 }
 
+/// Visit `section`'s elements in `layout` order, one run along the
+/// layout's fastest dimension at a time: `visit(k, cm, stride, len)` gets
+/// the run's first position `k` in layout order, the section column-major
+/// position of its first element, the column-major stride between its
+/// elements and its length. The slower dimensions advance as an odometer
+/// once per run, so the per-element work is one strided copy.
+fn for_each_layout_run(
+    layout: &FileLayout,
+    section: &Section,
+    mut visit: impl FnMut(usize, usize, usize, usize),
+) {
+    let ranges = section.ranges();
+    let Some((&fast, slower)) = layout.order().split_first() else {
+        // A zero-dimensional section is one element.
+        visit(0, 0, 1, 1);
+        return;
+    };
+    if section.is_empty() {
+        return;
+    }
+    let cm_stride: Dims<usize, 3> = ranges
+        .iter()
+        .scan(1, |stride, r| {
+            let this = *stride;
+            *stride *= r.len();
+            Some(this)
+        })
+        .collect();
+    let mut odo: Dims<usize, 3> = ranges.iter().map(|_| 0).collect();
+    let (len, stride) = (ranges[fast].len(), cm_stride[fast]);
+    let mut cm = 0;
+    for k in (0..section.len()).step_by(len) {
+        visit(k, cm, stride, len);
+        for &d in slower {
+            odo[d] += 1;
+            cm += cm_stride[d];
+            if odo[d] < ranges[d].len() {
+                break;
+            }
+            cm -= odo[d] * cm_stride[d];
+            odo[d] = 0;
+        }
+    }
+}
+
 /// Reorder `raw`, delivered in `layout` order of `section`, into section
 /// column-major order in `out` (same length).
 pub(crate) fn layout_to_cm(layout: &FileLayout, section: &Section, raw: &[f32], out: &mut [f32]) {
-    for (k, cm) in LayoutCmMap::new(layout, section).enumerate() {
-        out[cm] = raw[k];
-    }
+    for_each_layout_run(layout, section, |k, cm, stride, len| {
+        for (o, &v) in out[cm..].iter_mut().step_by(stride).zip(&raw[k..k + len]) {
+            *o = v;
+        }
+    });
 }
 
 /// Reorder a section-column-major buffer into `layout` order in `out`
 /// (same length), for writing.
 fn cm_to_layout(layout: &FileLayout, section: &Section, data: &[f32], out: &mut [f32]) {
-    for (k, cm) in LayoutCmMap::new(layout, section).enumerate() {
-        out[k] = data[cm];
-    }
+    for_each_layout_run(layout, section, |k, cm, stride, len| {
+        for (o, &v) in out[k..k + len]
+            .iter_mut()
+            .zip(data[cm..].iter().step_by(stride))
+        {
+            *o = v;
+        }
+    });
 }
 
 /// True when `layout` stores sections in column-major order, so section
 /// buffers need no reorder.
 pub(crate) fn layout_is_cm(layout: &FileLayout) -> bool {
     layout.order().iter().enumerate().all(|(i, &d)| i == d)
-}
-
-/// Iterator yielding, for each position `k` in layout order, the position of
-/// the same element in section column-major order. Allocation-free
-/// odometer.
-struct LayoutCmMap {
-    counts: Vec<usize>,     // per layout position
-    cm_strides: Vec<usize>, // per layout position (stride in CM of that dim)
-    odo: Vec<usize>,
-    cm_pos: usize,
-    remaining: usize,
-    first: bool,
-}
-
-impl LayoutCmMap {
-    fn new(layout: &FileLayout, section: &Section) -> Self {
-        let sec_shape = section.shape();
-        let sec_strides = sec_shape.strides();
-        let counts: Vec<usize> = layout
-            .order()
-            .iter()
-            .map(|&d| section.range(d).len())
-            .collect();
-        let cm_strides: Vec<usize> = layout.order().iter().map(|&d| sec_strides[d]).collect();
-        let remaining = counts.iter().product();
-        LayoutCmMap {
-            odo: vec![0; counts.len()],
-            counts,
-            cm_strides,
-            cm_pos: 0,
-            remaining,
-            first: true,
-        }
-    }
-}
-
-impl Iterator for LayoutCmMap {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        if self.remaining == 0 {
-            return None;
-        }
-        if self.first {
-            self.first = false;
-            self.remaining -= 1;
-            return Some(self.cm_pos);
-        }
-        for pos in 0..self.counts.len() {
-            self.odo[pos] += 1;
-            self.cm_pos += self.cm_strides[pos];
-            if self.odo[pos] < self.counts[pos] {
-                self.remaining -= 1;
-                return Some(self.cm_pos);
-            }
-            self.cm_pos -= self.counts[pos] * self.cm_strides[pos];
-            self.odo[pos] = 0;
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -769,6 +789,79 @@ mod tests {
         env.flush_cache(&NoCharge).unwrap();
         assert_eq!(env.disk().stats().write_requests, writes_before + 1);
         assert_eq!(env.disk().stats().write_back_requests, 1);
+    }
+
+    /// Every permutation of `0..n`.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        let mut all = Vec::new();
+        for rest in permutations(n - 1) {
+            for at in 0..=rest.len() {
+                let mut p = rest.clone();
+                p.insert(at, n - 1);
+                all.push(p);
+            }
+        }
+        all
+    }
+
+    /// The per-element definition of [`layout_to_cm`]: the `k`-th element
+    /// of `section` in `layout` order sits, in section column-major order,
+    /// at its relative index weighted by the column-major strides.
+    fn reorder_by_element(layout: &FileLayout, section: &Section, raw: &[f32]) -> Vec<f32> {
+        let mut out = vec![f32::NAN; raw.len()];
+        for (k, idx) in layout.section_indices_in_layout_order(section).enumerate() {
+            let (mut cm, mut stride) = (0, 1);
+            for (d, r) in section.ranges().iter().enumerate() {
+                cm += (idx[d] - r.lo) / r.step * stride;
+                stride *= r.len();
+            }
+            out[cm] = raw[k];
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn run_wise_reorder_matches_the_per_element_definition(
+            dims in proptest::collection::vec((0usize..4, 0usize..5, 1usize..4), 1..4),
+        ) {
+            // Each dimension is `lo, lo + step, …` with `len` entries: empty,
+            // a single index, unit-stride or strided.
+            let section = Section::new(
+                dims.iter()
+                    .map(|&(lo, len, step)| DimRange::strided(lo, lo + len * step, step))
+                    .collect::<Vec<_>>(),
+            );
+            let raw: Vec<f32> = (0..section.len()).map(|i| i as f32 + 0.5).collect();
+            for order in permutations(dims.len()) {
+                let layout = FileLayout::new(order);
+                let want = reorder_by_element(&layout, &section, &raw);
+                let mut cm = vec![f32::NAN; raw.len()];
+                layout_to_cm(&layout, &section, &raw, &mut cm);
+                proptest::prop_assert_eq!(&cm, &want, "layout_to_cm under {:?}", layout.order());
+                let mut back = vec![f32::NAN; raw.len()];
+                cm_to_layout(&layout, &section, &cm, &mut back);
+                proptest::prop_assert_eq!(&back, &raw, "round trip under {:?}", layout.order());
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_dimensional_section_reorders_its_one_element() {
+        let (layout, section) = (
+            FileLayout::new(Vec::<usize>::new()),
+            Section::new(Vec::new()),
+        );
+        let mut out = [0.0f32];
+        layout_to_cm(&layout, &section, &[7.5], &mut out);
+        assert_eq!(out, [7.5]);
+        cm_to_layout(&layout, &section, &[2.5], &mut out);
+        assert_eq!(out, [2.5]);
     }
 
     #[test]

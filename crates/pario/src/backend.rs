@@ -28,10 +28,10 @@ pub trait StorageBackend: Send {
     /// Read `out.len()` little-endian `f32`s starting at byte `offset`.
     ///
     /// The default stages the bytes in a fresh buffer and decodes them.
-    /// [`MemBackend`] overrides it to decode straight out of storage, so
-    /// each element crosses memory once; [`DiskBackend`] stages through a
-    /// buffer it reuses, so a read allocates nothing once it has seen one
-    /// as large.
+    /// [`MemBackend`] overrides it to copy straight out of its element
+    /// storage, so each element crosses memory once; [`DiskBackend`] stages
+    /// through a buffer it reuses, so a read allocates nothing once it has
+    /// seen one as large.
     fn read_f32_at(&mut self, id: u64, offset: u64, out: &mut [f32]) -> Result<()> {
         let mut bytes = vec![0u8; out.len() * 4];
         self.read_at(id, offset, &mut bytes)?;
@@ -42,6 +42,11 @@ pub trait StorageBackend: Send {
     fn write_at(&mut self, id: u64, offset: u64, data: &[u8]) -> Result<()>;
     /// Remove file `id`, releasing its storage.
     fn remove(&mut self, id: u64) -> Result<()>;
+    /// This backend as a [`MemBackend`], whose runs can be lent rather than
+    /// copied ([`MemBackend::lend_f32`]); `None` for every other backend.
+    fn as_mem(&self) -> Option<&MemBackend> {
+        None
+    }
 }
 
 fn check_bounds(id: u64, offset: u64, len: usize, file_len: u64) -> Result<()> {
@@ -77,16 +82,65 @@ pub(crate) fn encode_f32(data: &[f32], out: &mut [u8]) {
     }
 }
 
-/// In-memory backend: each file is a `Vec<u8>`.
+/// In-memory backend. Each file keeps its bytes as the `f32`s they encode
+/// (little-endian, the last one zero-padded), so its storage is 4-byte
+/// aligned: any element-aligned run of a file can be lent out as a slice
+/// ([`MemBackend::lend_f32`]) instead of copied, on any host.
 #[derive(Debug, Default)]
 pub struct MemBackend {
-    files: HashMap<u64, Vec<u8>>,
+    files: HashMap<u64, MemFile>,
+}
+
+/// One in-memory file: `len` bytes held in `ceil(len / 4)` elements.
+#[derive(Debug)]
+struct MemFile {
+    elems: Vec<f32>,
+    len: u64,
+}
+
+impl MemFile {
+    fn byte(&self, at: usize) -> u8 {
+        self.elems[at / 4].to_le_bytes()[at % 4]
+    }
+
+    fn set_byte(&mut self, at: usize, value: u8) {
+        let elem = &mut self.elems[at / 4];
+        let mut bytes = elem.to_le_bytes();
+        bytes[at % 4] = value;
+        *elem = f32::from_le_bytes(bytes);
+    }
+}
+
+/// The element range of the byte range `[offset, offset + len)` when both
+/// ends fall on element boundaries.
+fn elem_range(offset: u64, len: usize) -> Option<std::ops::Range<usize>> {
+    let start = offset as usize;
+    (start.is_multiple_of(4) && len.is_multiple_of(4)).then(|| start / 4..(start + len) / 4)
 }
 
 impl MemBackend {
     /// Empty store.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    fn file(&self, id: u64) -> Result<&MemFile> {
+        self.files.get(&id).ok_or(IoError::NoSuchFile { file: id })
+    }
+
+    /// The `n` `f32`s at byte `offset` of file `id`, lent straight out of
+    /// storage: the same values, errors and bounds checks as
+    /// [`StorageBackend::read_f32_at`], without the copy. `offset` must be
+    /// a multiple of 4.
+    pub fn lend_f32(&self, id: u64, offset: u64, n: usize) -> Result<&[f32]> {
+        assert!(
+            offset.is_multiple_of(4),
+            "only element-aligned runs can be lent"
+        );
+        let file = self.file(id)?;
+        check_bounds(id, offset, n.saturating_mul(4), file.len)?;
+        let start = offset as usize / 4;
+        Ok(&file.elems[start..start + n])
     }
 }
 
@@ -99,41 +153,44 @@ impl StorageBackend for MemBackend {
         // A length the allocator cannot satisfy is a typed error, not a
         // process abort.
         let too_large = || IoError::TooLarge { len, elem: 1 };
-        let bytes = usize::try_from(len).map_err(|_| too_large())?;
+        let elems = usize::try_from(len.div_ceil(4)).map_err(|_| too_large())?;
         let mut file = Vec::new();
-        file.try_reserve_exact(bytes).map_err(|_| too_large())?;
-        file.resize(bytes, 0);
-        self.files.insert(id, file);
+        file.try_reserve_exact(elems).map_err(|_| too_large())?;
+        file.resize(elems, 0.0);
+        self.files.insert(id, MemFile { elems: file, len });
         Ok(())
     }
 
     fn len(&self, id: u64) -> Result<u64> {
-        self.files
-            .get(&id)
-            .map(|f| f.len() as u64)
-            .ok_or(IoError::NoSuchFile { file: id })
+        self.file(id).map(|f| f.len)
     }
 
     fn read_at(&mut self, id: u64, offset: u64, buf: &mut [u8]) -> Result<()> {
-        let file = self
-            .files
-            .get(&id)
-            .ok_or(IoError::NoSuchFile { file: id })?;
-        check_bounds(id, offset, buf.len(), file.len() as u64)?;
-        let start = offset as usize;
-        buf.copy_from_slice(&file[start..start + buf.len()]);
+        let file = self.file(id)?;
+        check_bounds(id, offset, buf.len(), file.len)?;
+        match elem_range(offset, buf.len()) {
+            Some(range) => encode_f32(&file.elems[range], buf),
+            None => {
+                for (at, b) in (offset as usize..).zip(buf.iter_mut()) {
+                    *b = file.byte(at);
+                }
+            }
+        }
         Ok(())
     }
 
     fn read_f32_at(&mut self, id: u64, offset: u64, out: &mut [f32]) -> Result<()> {
-        let file = self
-            .files
-            .get(&id)
-            .ok_or(IoError::NoSuchFile { file: id })?;
+        let file = self.file(id)?;
         let len = out.len().saturating_mul(4);
-        check_bounds(id, offset, len, file.len() as u64)?;
-        let start = offset as usize;
-        decode_f32(&file[start..start + len], out);
+        check_bounds(id, offset, len, file.len)?;
+        match elem_range(offset, len) {
+            Some(range) => out.copy_from_slice(&file.elems[range]),
+            None => {
+                for (at, v) in (offset as usize..).step_by(4).zip(out.iter_mut()) {
+                    *v = f32::from_le_bytes(std::array::from_fn(|k| file.byte(at + k)));
+                }
+            }
+        }
         Ok(())
     }
 
@@ -142,9 +199,15 @@ impl StorageBackend for MemBackend {
             .files
             .get_mut(&id)
             .ok_or(IoError::NoSuchFile { file: id })?;
-        check_bounds(id, offset, data.len(), file.len() as u64)?;
-        let start = offset as usize;
-        file[start..start + data.len()].copy_from_slice(data);
+        check_bounds(id, offset, data.len(), file.len)?;
+        match elem_range(offset, data.len()) {
+            Some(range) => decode_f32(data, &mut file.elems[range]),
+            None => {
+                for (at, &b) in (offset as usize..).zip(data) {
+                    file.set_byte(at, b);
+                }
+            }
+        }
         Ok(())
     }
 
@@ -153,6 +216,10 @@ impl StorageBackend for MemBackend {
             .remove(&id)
             .map(|_| ())
             .ok_or(IoError::NoSuchFile { file: id })
+    }
+
+    fn as_mem(&self) -> Option<&MemBackend> {
+        Some(self)
     }
 }
 
@@ -359,6 +426,55 @@ mod tests {
                 Err(IoError::NoSuchFile { file: 4 })
             ));
         }
+    }
+
+    #[test]
+    fn mem_lends_runs_of_the_files_own_storage() {
+        let mut mem = MemBackend::new();
+        mem.create(5, 30).unwrap();
+        let data: Vec<f32> = (0..7).map(|i| i as f32 - 2.5).collect();
+        let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
+        mem.write_at(5, 0, &bytes[..28]).unwrap();
+        let lent = mem.lend_f32(5, 8, 4).unwrap();
+        assert_eq!(lent, &data[2..6]);
+        let storage = mem.files[&5].elems.as_ptr_range();
+        assert!(storage.contains(&lent.as_ptr()), "a lent run is a copy");
+        assert_eq!(lent.as_ptr(), mem.files[&5].elems[2..].as_ptr());
+        // The same errors as the copying read, past the end (30 bytes hold
+        // 7 whole elements) and on a missing file.
+        let mut out = [0.0f32; 2];
+        for (id, offset) in [(5, 24), (6, 0)] {
+            let copied = mem.read_f32_at(id, offset, &mut out).unwrap_err();
+            let lent = mem.lend_f32(id, offset, 2).unwrap_err();
+            assert_eq!(format!("{lent:?}"), format!("{copied:?}"));
+        }
+    }
+
+    #[test]
+    fn mem_byte_access_at_any_alignment_round_trips() {
+        // Bytes at odd offsets and lengths straddle element boundaries and
+        // the zero-padded tail of a length that is not a whole element.
+        let mut mem = MemBackend::new();
+        mem.create(1, 11).unwrap();
+        mem.write_at(1, 1, &[1, 2, 3, 4, 5, 6, 7]).unwrap();
+        mem.write_at(1, 10, &[9]).unwrap();
+        let mut all = [0u8; 11];
+        mem.read_at(1, 0, &mut all).unwrap();
+        assert_eq!(all, [0, 1, 2, 3, 4, 5, 6, 7, 0, 0, 9]);
+        let mut mid = [0u8; 5];
+        mem.read_at(1, 3, &mut mid).unwrap();
+        assert_eq!(mid, [3, 4, 5, 6, 7]);
+        let mut one = [0.0f32];
+        mem.read_f32_at(1, 1, &mut one).unwrap();
+        assert_eq!(one[0].to_bits(), u32::from_le_bytes([1, 2, 3, 4]));
+        assert!(matches!(
+            mem.read_f32_at(1, 8, &mut one),
+            Err(IoError::OutOfBounds {
+                needed: 12,
+                len: 11,
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -94,6 +94,45 @@ pub(crate) fn backend_read(
     backend.read_at(file, offset, buf)
 }
 
+/// Drain recovery charges accumulated by the fault layer into `charge`.
+fn settle_faults(faults: Option<&FaultInjector>, charge: &dyn IoCharge) {
+    if let Some(fi) = faults {
+        let c = fi.take_charges();
+        if !c.is_zero() {
+            charge.io_faults(&c);
+        }
+    }
+}
+
+/// The direct branch of a read of `coalesced` runs: each run passes the
+/// fault gate and is then handed to `fetch`, which moves (or lends) its
+/// values; the read is then counted, charged and settled. The copying and
+/// the lending read both run through here, so their fault draws, stats and
+/// charges cannot drift apart. Returns the requests issued.
+fn read_direct(
+    stats: &mut DiskStats,
+    faults: Option<&FaultInjector>,
+    file: FileId,
+    coalesced: &[ByteRun],
+    charge: &dyn IoCharge,
+    mut fetch: impl FnMut(&ByteRun) -> Result<()>,
+) -> Result<u64> {
+    for run in coalesced {
+        read_gate(faults, file.0, run.offset, run.len)?;
+        fetch(run)?;
+    }
+    let requests = coalesced.len() as u64;
+    let bytes = total_bytes(coalesced);
+    stats.add_read(requests, bytes);
+    if let Some(first) = coalesced.first() {
+        charge.io_offset(first.offset);
+    }
+    charge.io_read(requests, bytes);
+    settle_faults(faults, charge);
+    charge.io_wait();
+    Ok(requests)
+}
+
 /// One backend write, routed through the fault layer when present.
 ///
 /// A torn write deposits a prefix of the payload before failing; the retry
@@ -221,16 +260,6 @@ impl LogicalDisk {
         self.faults.as_ref().is_some_and(|f| f.dead())
     }
 
-    /// Drain recovery charges accumulated by the fault layer into `charge`.
-    fn settle_faults(&self, charge: &dyn IoCharge) {
-        if let Some(fi) = &self.faults {
-            let c = fi.take_charges();
-            if !c.is_zero() {
-                charge.io_faults(&c);
-            }
-        }
-    }
-
     /// Put a slab cache with the given byte budget in front of the backend.
     /// Subsequent run reads/writes go through the cache: covered reads cost
     /// nothing, writes are buffered until eviction or
@@ -266,7 +295,7 @@ impl LogicalDisk {
         if let Some(c) = cache.as_mut() {
             c.flush(Some(&mut **backend), faults.as_ref(), charge, stats)?;
         }
-        self.settle_faults(charge);
+        settle_faults(self.faults.as_ref(), charge);
         if let Some(c) = self.cache.as_ref() {
             charge.io_cache_level(c.used(), c.dirty_bytes());
         }
@@ -395,26 +424,68 @@ impl LogicalDisk {
             charge.io_offset(span.offset);
             charge.io_read(1, span.len);
             charge.io_sieve(span.len, bytes);
-            self.settle_faults(charge);
+            settle_faults(self.faults.as_ref(), charge);
             charge.io_wait();
             return Ok(1);
         }
         let mut cursor = 0usize;
-        for run in coalesced {
+        read_direct(stats, faults.as_ref(), file, coalesced, charge, |run| {
             let n = (run.len / 4) as usize;
-            read_gate(faults.as_ref(), file.0, run.offset, run.len)?;
             backend.read_f32_at(file.0, run.offset, &mut out[cursor..cursor + n])?;
             cursor += n;
-        }
-        let requests = coalesced.len() as u64;
-        stats.add_read(requests, bytes);
-        if let Some(first) = coalesced.first() {
-            charge.io_offset(first.offset);
-        }
-        charge.io_read(requests, bytes);
-        self.settle_faults(charge);
-        charge.io_wait();
-        Ok(requests)
+            Ok(())
+        })
+    }
+
+    /// [`LogicalDisk::read`], lending the values instead of copying them
+    /// where it can: a read that coalesces to one element-aligned run of an
+    /// uncached in-memory disk returns a slice of the file's own storage
+    /// ([`crate::MemBackend::lend_f32`]), and `scratch` is left untouched.
+    /// Every other read — cached, sieved, several runs, an unaligned run or
+    /// another backend — fills `scratch` through [`LogicalDisk::read`] and
+    /// returns it.
+    ///
+    /// Either way the read is indistinguishable from [`LogicalDisk::read`]:
+    /// a lent read runs the copying read's direct branch (one fault gate,
+    /// then the same `DiskStats` update and `IoCharge` calls in the same
+    /// order), moving no data. A single run is never sieved, so `policy`
+    /// only matters for the copy.
+    pub fn read_ref<'a>(
+        &'a mut self,
+        file: FileId,
+        runs: impl IntoIterator<Item = ByteRun>,
+        scratch: &'a mut Vec<f32>,
+        charge: &dyn IoCharge,
+        policy: SievePolicy,
+    ) -> Result<&'a [f32]> {
+        let mut coalesced = std::mem::take(&mut self.runs);
+        coalesce_runs_into(runs, &mut coalesced);
+        let lendable = match coalesced[..] {
+            [run] if run.offset.is_multiple_of(4) && self.cache.is_none() => {
+                self.backend.as_mem().map(|_| run)
+            }
+            _ => None,
+        };
+        let Some(run) = lendable else {
+            let read = self.read_coalesced(file, &coalesced, scratch, charge, policy);
+            self.runs = coalesced;
+            return read.map(|_| &scratch[..]);
+        };
+        self.runs = coalesced;
+        whole_elements(&[run])?;
+        let LogicalDisk {
+            backend,
+            stats,
+            faults,
+            ..
+        } = self;
+        let mem = backend.as_mem().expect("checked lendable above");
+        let mut lent: &[f32] = &[];
+        read_direct(stats, faults.as_ref(), file, &[run], charge, |run| {
+            lent = mem.lend_f32(file.0, run.offset, (run.len / 4) as usize)?;
+            Ok(())
+        })?;
+        Ok(lent)
     }
 
     /// Write `data` to the byte `runs` of `file`: the payload is consumed in
@@ -530,7 +601,7 @@ impl LogicalDisk {
             charge.io_offset(span.offset);
             charge.io_write(1, span.len);
             charge.io_sieve(span.len, payload.len() as u64);
-            self.settle_faults(charge);
+            settle_faults(self.faults.as_ref(), charge);
             charge.io_wait();
             return Ok(2);
         }
@@ -546,14 +617,14 @@ impl LogicalDisk {
             charge.io_offset(first.offset);
         }
         charge.io_write(requests, bytes);
-        self.settle_faults(charge);
+        settle_faults(self.faults.as_ref(), charge);
         charge.io_wait();
         Ok(requests)
     }
 
     /// Close a cached access: drain fault charges, then report occupancy.
     fn settle_cache(&self, charge: &dyn IoCharge) {
-        self.settle_faults(charge);
+        settle_faults(self.faults.as_ref(), charge);
         if let Some(c) = self.cache.as_ref() {
             charge.io_cache_level(c.used(), c.dirty_bytes());
         }
@@ -712,6 +783,107 @@ mod tests {
             "{err:?}"
         );
         assert_eq!(d.stats(), DiskStats::default());
+    }
+
+    /// A disk of one 64-element file holding `i as f32 * 0.5` at element
+    /// `i`, built by `make`.
+    fn filled(make: fn() -> LogicalDisk) -> (LogicalDisk, FileId) {
+        let mut d = make();
+        let f = d.create_file(256).unwrap();
+        let data: Vec<f32> = (0..64).map(|i| i as f32 * 0.5).collect();
+        write_extent(&mut d, f, 0, &data, &NoCharge).unwrap();
+        (d, f)
+    }
+
+    #[test]
+    fn a_direct_single_run_read_is_lent_from_the_files_storage() {
+        let (mut d, f) = filled(LogicalDisk::in_memory);
+        let storage = d.backend.as_mem().unwrap().lend_f32(f.0, 0, 64).unwrap();
+        let storage = storage.as_ptr_range();
+        let mut scratch = Vec::new();
+        for policy in [SievePolicy::Direct, SievePolicy::Always] {
+            // Two adjacent runs coalesce into one, which lends.
+            let runs = [ByteRun::new(40, 8), ByteRun::new(48, 16)];
+            let lent = d
+                .read_ref(f, runs, &mut scratch, &NoCharge, policy)
+                .unwrap();
+            assert_eq!(lent, [5.0, 5.5, 6.0, 6.5, 7.0, 7.5]);
+            assert!(storage.contains(&lent.as_ptr()), "{policy:?}: copied");
+        }
+        assert!(scratch.is_empty(), "a lent read leaves the scratch alone");
+        assert_eq!(d.stats().read_requests, 2);
+        assert_eq!(d.stats().bytes_read, 48);
+    }
+
+    #[test]
+    fn every_other_read_falls_back_to_the_copy_with_the_same_result() {
+        let on_disk = || LogicalDisk::on_disk("lend").unwrap();
+        let cached = || {
+            let mut d = LogicalDisk::in_memory();
+            d.enable_cache(64);
+            d
+        };
+        let strided = [ByteRun::new(0, 8), ByteRun::new(32, 8)];
+        type Case<'a> = (&'a str, fn() -> LogicalDisk, &'a [ByteRun], SievePolicy);
+        let cases: [Case; 6] = [
+            (
+                "cached",
+                cached,
+                &[ByteRun::new(8, 16)],
+                SievePolicy::Direct,
+            ),
+            (
+                "sieved",
+                LogicalDisk::in_memory,
+                &strided,
+                SievePolicy::Always,
+            ),
+            (
+                "multi-run",
+                LogicalDisk::in_memory,
+                &strided,
+                SievePolicy::Direct,
+            ),
+            (
+                "file backend",
+                on_disk,
+                &[ByteRun::new(8, 16)],
+                SievePolicy::Direct,
+            ),
+            (
+                "unaligned",
+                LogicalDisk::in_memory,
+                &[ByteRun::new(2, 8)],
+                SievePolicy::Direct,
+            ),
+            (
+                "out of bounds",
+                LogicalDisk::in_memory,
+                &[ByteRun::new(248, 16)],
+                SievePolicy::Direct,
+            ),
+        ];
+        for (name, make, runs, policy) in cases {
+            let (mut copying, f) = filled(make);
+            let (mut lending, _) = filled(make);
+            let (sink, lent_sink) = (FaultSink::default(), FaultSink::default());
+            let mut out = Vec::new();
+            let copied = copying.read(f, runs.iter().copied(), &mut out, &sink, policy);
+            let mut scratch = Vec::new();
+            let lent = lending
+                .read_ref(f, runs.iter().copied(), &mut scratch, &lent_sink, policy)
+                .map(|v| (v.to_vec(), v.as_ptr()));
+            match (copied, lent) {
+                (Ok(_), Ok((values, at))) => {
+                    assert_eq!(values, out, "{name}");
+                    assert_eq!(at, scratch.as_ptr(), "{name}: not read into the scratch");
+                }
+                (Err(c), Err(l)) => assert_eq!(format!("{l:?}"), format!("{c:?}"), "{name}"),
+                (c, l) => panic!("{name}: copied {c:?}, lent {l:?}"),
+            }
+            assert_eq!(lending.stats(), copying.stats(), "{name}");
+            assert_eq!(lent_sink.logical.get(), sink.logical.get(), "{name}");
+        }
     }
 
     #[test]

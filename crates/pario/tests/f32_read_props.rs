@@ -11,11 +11,17 @@
 //! write, so a change to any value, charge, fault draw or error fails here —
 //! for instance drawing a direct write's fault gate per coalesced run
 //! instead of per original run, or dropping an `io_offset`.
+//!
+//! Every case also runs with its reads through the lending entry,
+//! `LogicalDisk::read_ref`, and must digest the same: a lent read cannot be
+//! told apart from a copied one. The lending runs also check that exactly
+//! the reads that should lend do, and that every other read falls back to
+//! the copy.
 
 use std::cell::RefCell;
 
 use dmsim::FaultConfig;
-use pario::{ByteRun, FileId, IoCharge, LogicalDisk, NoCharge, SievePolicy};
+use pario::{coalesce_runs, ByteRun, FileId, IoCharge, LogicalDisk, NoCharge, SievePolicy};
 
 fn disk_read(
     disk: &mut LogicalDisk,
@@ -37,6 +43,53 @@ fn disk_write(
     policy: SievePolicy,
 ) -> Result<u64, pario::IoError> {
     disk.write(file, runs.iter().copied(), data, charge, policy)
+}
+
+/// Which read entry a case drives, and what the lending one may lend.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    /// `LogicalDisk::read`.
+    Copy,
+    /// `LogicalDisk::read_ref`, on a disk that lends when `lends` is true
+    /// (uncached and in memory).
+    Lend { lends: bool },
+}
+
+/// One read of the corpus through `entry`, its values left in `out`.
+/// Returns the requests the read issued, as `LogicalDisk::read` does.
+fn entry_read(
+    entry: Entry,
+    disk: &mut LogicalDisk,
+    file: FileId,
+    runs: &[ByteRun],
+    out: &mut Vec<f32>,
+    charge: &dyn IoCharge,
+    policy: SievePolicy,
+) -> Result<u64, pario::IoError> {
+    let Entry::Lend { lends } = entry else {
+        return disk_read(disk, file, runs, out, charge, policy);
+    };
+    let before = disk.stats().read_requests;
+    let mut scratch = std::mem::take(out);
+    let read = disk
+        .read_ref(file, runs.iter().copied(), &mut scratch, charge, policy)
+        .map(|vals| (vals.to_vec(), vals.as_ptr() as usize));
+    let (vals, at) = match read {
+        Ok(read) => read,
+        Err(e) => {
+            *out = scratch;
+            return Err(e);
+        }
+    };
+    if !vals.is_empty() {
+        // Only a read of one coalesced run lends; it leaves the scratch
+        // untouched, and every other read fills the scratch.
+        let one_run = coalesce_runs(runs).len() == 1;
+        let copied = scratch.as_ptr_range().contains(&(at as *const f32));
+        assert_eq!(copied, !(lends && one_run), "read {runs:?} lent wrongly");
+    }
+    *out = vals;
+    Ok(disk.stats().read_requests - before)
 }
 
 /// Elements in the corpus file.
@@ -228,8 +281,9 @@ fn note_outcome(
     ));
 }
 
-/// Drive one case and digest everything it observed.
-fn run_case(access: Access, faults: Faults, on_disk: bool, seed: u64) -> u64 {
+/// Drive one case, its reads through `lend`'s entry, and digest everything
+/// it observed.
+fn run_case(access: Access, faults: Faults, on_disk: bool, lend: bool, seed: u64) -> u64 {
     let mut disk = if on_disk {
         LogicalDisk::on_disk("io-corpus").unwrap()
     } else {
@@ -256,6 +310,13 @@ fn run_case(access: Access, faults: Faults, on_disk: bool, seed: u64) -> u64 {
         }
     };
     disk.enable_faults(&faults.config(seed), 0);
+    let entry = if lend {
+        Entry::Lend {
+            lends: !on_disk && !disk.cache_enabled(),
+        }
+    } else {
+        Entry::Copy
+    };
 
     let log = Log::default();
     // One output buffer reused across every read, as the executor does.
@@ -273,7 +334,7 @@ fn run_case(access: Access, faults: Faults, on_disk: bool, seed: u64) -> u64 {
                     runs.push(ByteRun::new((FILE_ELEMS - 1) * 4, 8));
                 }
                 log.note(format_args!("read {runs:?}"));
-                let outcome = disk_read(&mut disk, file, &runs, &mut out, &log, policy);
+                let outcome = entry_read(entry, &mut disk, file, &runs, &mut out, &log, policy);
                 let ok = outcome.is_ok();
                 note_outcome(&log, &disk, outcome, ok.then_some(&out[..]));
             }
@@ -291,16 +352,17 @@ fn run_case(access: Access, faults: Faults, on_disk: bool, seed: u64) -> u64 {
     let outcome = disk.flush_cache(&log).map(|()| 0);
     note_outcome(&log, &disk, outcome, None);
     log.note(format_args!("final read"));
-    let outcome = disk_read(&mut disk, file, &whole, &mut out, &log, policy);
+    let outcome = entry_read(entry, &mut disk, file, &whole, &mut out, &log, policy);
     let ok = outcome.is_ok();
     note_outcome(&log, &disk, outcome, ok.then_some(&out[..]));
     log.note(format_args!("missing file"));
-    let outcome = disk_read(&mut disk, FileId(99), &whole, &mut out, &log, policy);
+    let outcome = entry_read(entry, &mut disk, FileId(99), &whole, &mut out, &log, policy);
     note_outcome(&log, &disk, outcome, None);
     ooc_trace::digest::fnv1a(log.0.into_inner().as_bytes())
 }
 
-/// Every case's name and digest, memory and file backends asserted equal.
+/// Every case's name and digest, memory and file backends and the copying
+/// and lending entries asserted equal.
 fn corpus_digests() -> Vec<(String, u64)> {
     let mut digests = Vec::new();
     for (f, &faults) in FAULTS.iter().enumerate() {
@@ -308,9 +370,16 @@ fn corpus_digests() -> Vec<(String, u64)> {
             let seed = 0x5eed_0000 + f as u64 * SLOTS + slot;
             let (Access::Policy(label, _) | Access::Cache(label, _)) = access;
             let name = format!("{}/{label}", faults.label());
-            let mem = run_case(access, faults, false, seed);
-            let file = run_case(access, faults, true, seed);
+            let mem = run_case(access, faults, false, false, seed);
+            let file = run_case(access, faults, true, false, seed);
             assert_eq!(mem, file, "{name}: the file backend diverged from memory");
+            for on_disk in [false, true] {
+                let lent = run_case(access, faults, on_disk, true, seed);
+                assert_eq!(
+                    lent, mem,
+                    "{name}: the lending read diverged (on disk: {on_disk})"
+                );
+            }
             digests.push((name, mem));
         }
     }
