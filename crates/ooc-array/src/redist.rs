@@ -302,9 +302,7 @@ pub fn remap(
                 }
                 let sec = sec.as_ref().expect("non-empty payload implies a piece");
                 assert_eq!(piece.len(), sec.len(), "remap payload size");
-                for (v, off) in piece.iter().zip(sec.offsets(&strides)) {
-                    assembled[off] = *v;
-                }
+                scatter(&mut assembled, &strides, sec, piece);
             }
         } else {
             let mut sends = stage.sends.iter();
@@ -343,7 +341,7 @@ pub fn remap(
 
 /// The elements of `piece` out of `data`, which holds the dense section
 /// `read` ⊇ `piece` in column-major order: in column-major order, or in
-/// row-major order when `transpose`.
+/// row-major order when `transpose`. Moved a dimension-0 run at a time.
 fn carve(data: &[f32], read: &Section, piece: &Section, transpose: bool) -> Vec<f32> {
     if piece == read && !transpose {
         return data.to_vec();
@@ -357,7 +355,33 @@ fn carve(data: &[f32], read: &Section, piece: &Section, transpose: bool) -> Vec<
         strides.reverse();
     }
     let rel = Section::new(rel);
-    rel.offsets(&strides).map(|off| data[off]).collect()
+    let mut out = Vec::with_capacity(rel.len());
+    rel.for_each_run(&strides, |start, len, step| {
+        if step == 1 {
+            out.extend_from_slice(&data[start..start + len]);
+        } else {
+            out.extend(data[start..].iter().step_by(step).take(len));
+        }
+    });
+    out
+}
+
+/// Write `piece`, the elements of `sec` in column-major order, into
+/// `assembled` at `sec`'s offsets under `strides`, a dimension-0 run at a
+/// time.
+fn scatter(assembled: &mut [f32], strides: &[usize], sec: &Section, piece: &[f32]) {
+    let mut src = piece;
+    sec.for_each_run(strides, |start, len, step| {
+        let (run, rest) = src.split_at(len);
+        src = rest;
+        if step == 1 {
+            assembled[start..start + len].copy_from_slice(run);
+        } else {
+            for (dst, &v) in assembled[start..].iter_mut().step_by(step).zip(run) {
+                *dst = v;
+            }
+        }
+    });
 }
 
 #[cfg(test)]
@@ -372,6 +396,102 @@ mod tests {
 
     fn value(g: &[usize]) -> f32 {
         (1000 * g[0] + g[1]) as f32
+    }
+
+    /// `carve` and the two-phase assembly by their definition: one
+    /// [`Section::offsets`] step per element.
+    fn carve_by_element(
+        data: &[f32],
+        read: &Section,
+        piece: &Section,
+        transpose: bool,
+    ) -> Vec<f32> {
+        let mut rel: Vec<DimRange> = (piece.ranges().iter().zip(read.ranges()))
+            .map(|(p, r)| DimRange::strided(p.lo - r.lo, p.hi - r.lo, p.step))
+            .collect();
+        let mut strides = read.shape().strides();
+        if transpose {
+            rel.reverse();
+            strides.reverse();
+        }
+        let rel = Section::new(rel);
+        rel.offsets(&strides).map(|off| data[off]).collect()
+    }
+
+    fn scatter_by_element(assembled: &mut [f32], strides: &[usize], sec: &Section, piece: &[f32]) {
+        for (v, off) in piece.iter().zip(sec.offsets(strides)) {
+            assembled[off] = *v;
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::bool::ANY as BOOL;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// Per dimension: where the dense read starts, its extent, and the
+        /// piece inside it as `lo` and `hi` offsets (reduced into the read,
+        /// `hi <= lo` leaves it empty) and a step.
+        type Dim = ((usize, usize), (usize, usize), usize);
+
+        fn dims() -> impl Strategy<Value = Vec<Dim>> {
+            vec(
+                ((0usize..4, 1usize..7), (0usize..7, 0usize..8), 1usize..4),
+                3..4,
+            )
+        }
+
+        /// The read and the piece of the first `ndims` dimensions of `dims`.
+        fn sections(dims: &[Dim], ndims: usize) -> (Section, Section) {
+            let (read, piece) = dims[..ndims]
+                .iter()
+                .map(|&((at, extent), (lo, hi), step)| {
+                    let lo = at + lo % extent;
+                    let hi = at + hi.min(extent);
+                    (
+                        DimRange::new(at, at + extent),
+                        DimRange::strided(lo, hi.max(lo), step),
+                    )
+                })
+                .unzip::<_, _, Vec<_>, Vec<_>>();
+            (Section::new(read), Section::new(piece))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn carve_and_scatter_match_the_per_element_walk(
+                dims in dims(),
+                ndims in 1usize..4,
+                transpose in BOOL,
+                whole in BOOL,
+            ) {
+                // 1- to 3-D, strided and unit-step, empty pieces, the whole
+                // read, transposed and not.
+                let (read, piece) = sections(&dims, ndims);
+                let piece = if whole { read.clone() } else { piece };
+                let data: Vec<f32> = (0..read.len()).map(|i| i as f32 + 0.5).collect();
+                let carved = carve(&data, &read, &piece, transpose);
+                prop_assert_eq!(&carved, &carve_by_element(&data, &read, &piece, transpose));
+                prop_assert_eq!(carved.len(), piece.len());
+
+                // The piece scattered back into a copy of the read, at its
+                // place relative to the read.
+                let rel = Section::new(
+                    (piece.ranges().iter().zip(read.ranges()))
+                        .map(|(p, r)| DimRange::strided(p.lo - r.lo, p.hi - r.lo, p.step))
+                        .collect::<Vec<_>>(),
+                );
+                let strides = read.shape().strides();
+                let payload: Vec<f32> = (0..rel.len()).map(|i| -(i as f32) - 1.0).collect();
+                let (mut runs, mut elems) = (vec![0.0; read.len()], vec![0.0; read.len()]);
+                scatter(&mut runs, &strides, &rel, &payload);
+                scatter_by_element(&mut elems, &strides, &rel, &payload);
+                prop_assert_eq!(runs, elems);
+            }
+        }
     }
 
     #[test]

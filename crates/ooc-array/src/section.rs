@@ -200,6 +200,32 @@ impl Section {
         }
     }
 
+    /// The offsets of [`Section::offsets`] a dimension-0 run at a time:
+    /// `f(start, len, step)` gets each run's first offset, its element count
+    /// and the distance between its elements (`range(0).step *
+    /// strides[0]`), in the same order. A copy moves a unit-step run with
+    /// one `copy_from_slice` instead of one odometer step per element.
+    pub(crate) fn for_each_run(&self, strides: &[usize], mut f: impl FnMut(usize, usize, usize)) {
+        assert_eq!(strides.len(), self.ndims(), "one stride per dimension");
+        let Some((run, outer)) = self.ranges.split_first() else {
+            return f(0, 1, 1); // a 0-D section is one element at offset 0
+        };
+        if self.is_empty() {
+            return;
+        }
+        let starts = SectionOffsets {
+            ranges: outer,
+            strides: &strides[1..],
+            idx: outer.iter().map(|r| r.lo).collect(),
+            off: self.ranges.iter().zip(strides).map(|(r, s)| r.lo * s).sum(),
+            left: outer.iter().map(|r| r.len()).product(),
+        };
+        let (len, step) = (run.len(), run.step * strides[0]);
+        for start in starts {
+            f(start, len, step);
+        }
+    }
+
     /// Iterate the selected multi-indices in column-major order (dimension 0
     /// fastest).
     pub fn indices(&self) -> impl Iterator<Item = Vec<usize>> + '_ {
@@ -380,7 +406,12 @@ mod tests {
                 .collect();
             let walk = s.offsets(strides);
             prop_assert_eq!(walk.len(), s.len());
-            prop_assert_eq!(walk.collect::<Vec<_>>(), expect);
+            prop_assert_eq!(walk.collect::<Vec<_>>(), expect.clone());
+            let mut runs = Vec::new();
+            s.for_each_run(strides, |start, len, step| {
+                runs.extend((0..len).map(|k| start + k * step));
+            });
+            prop_assert_eq!(runs, expect);
         }
     }
 }

@@ -76,6 +76,7 @@
 //! ```
 
 pub mod capture;
+mod digits;
 pub mod domain;
 pub mod farm;
 pub mod live;

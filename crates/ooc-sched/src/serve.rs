@@ -72,6 +72,7 @@ use ooc_trace::json::{self, Json};
 use ooc_trace::perfetto::escape_json;
 
 use crate::capture::{IoReq, JobProfile};
+use crate::digits::{push_f9, push_f9_field, push_hex16, push_uint_field};
 use crate::domain::{run_workload_guarded_observed, DomainConfig, GuardedReport, JobOutcome};
 use crate::obs::{
     render_event_into, render_order, render_sample_into, ObsEvent, Sample, WorkloadObserver,
@@ -693,16 +694,43 @@ fn stream_subscriber(inner: &Inner, mut conn: Conn) {
     if ended {
         let st = inner.state.lock().unwrap();
         let end = match &st.result {
-            Some(r) => format!(
-                "{{\"end\":true,\"events\":{},\"samples\":{},\"stream_fnv\":\"{:016x}\"}}",
-                r.events, r.samples, r.stream_fnv
-            ),
+            Some(r) => {
+                let mut end = String::with_capacity(96);
+                push_uint_field(&mut end, "{\"end\":true,\"events\":", r.events as u64);
+                push_uint_field(&mut end, ",\"samples\":", r.samples as u64);
+                push_fnv_field(&mut end, r.stream_fnv);
+                end
+            }
             None => "{\"end\":true}".to_string(),
         };
         drop(st);
         let _ = write_frame(&mut conn, &end);
     }
     conn.shutdown();
+}
+
+/// True when [`escape_json`] would change `s`: it holds a control
+/// character, a quote or a backslash.
+fn needs_escape(s: &str) -> bool {
+    s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\')
+}
+
+/// Append `s` as [`escape_json`] renders it: a plain copy unless it holds
+/// something JSON must escape.
+fn push_json_str(out: &mut String, s: &str) {
+    if needs_escape(s) {
+        out.push_str(&escape_json(s));
+    } else {
+        out.push_str(s);
+    }
+}
+
+/// Append `,"stream_fnv":"<16 hex digits>"}`, the tail every frame that
+/// carries the stream digest ends with.
+fn push_fnv_field(out: &mut String, stream_fnv: u64) {
+    out.push_str(",\"stream_fnv\":\"");
+    push_hex16(out, stream_fnv);
+    out.push_str("\"}");
 }
 
 /// Append `line` (which ends in `\n`) as one `{"line":…}` frame, without
@@ -713,7 +741,7 @@ fn push_line_frame(out: &mut Vec<u8>, line: &str) {
     const TAIL: &[u8] = b"\"}";
     let line = line.strip_suffix('\n').unwrap_or(line);
     let escaped;
-    let body = if line.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+    let body = if needs_escape(line) {
         escaped = escape_json(line);
         escaped.as_str()
     } else {
@@ -906,17 +934,21 @@ fn op_submit(inner: &Inner, req: &Json) -> Result<String, ProtoError> {
     st.names.insert(spec.name.clone());
     st.tenants.insert(tenant);
     st.specs.push(spec);
-    Ok(format!("{{\"ok\":true,\"jobs\":{}}}", st.specs.len()))
+    let mut ack = String::with_capacity(32);
+    push_uint_field(&mut ack, "{\"ok\":true,\"jobs\":", st.specs.len() as u64);
+    ack.push('}');
+    Ok(ack)
 }
 
 fn op_status(inner: &Inner) -> String {
     let st = inner.state.lock().unwrap();
-    format!(
-        "{{\"ok\":true,\"phase\":\"{}\",\"jobs\":{},\"tenants\":{}}}",
-        st.phase.label(),
-        st.specs.len(),
-        st.tenants.len()
-    )
+    let mut out = String::with_capacity(80);
+    out.push_str("{\"ok\":true,\"phase\":\"");
+    out.push_str(st.phase.label());
+    push_uint_field(&mut out, "\",\"jobs\":", st.specs.len() as u64);
+    push_uint_field(&mut out, ",\"tenants\":", st.tenants.len() as u64);
+    out.push('}');
+    out
 }
 
 /// The observatory observer that feeds the subscriber fan-out. Each line
@@ -1010,47 +1042,77 @@ fn op_drain(inner: &Inner) -> Result<String, ProtoError> {
     Ok(summary)
 }
 
-fn opt_num(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), |v| format!("{v:.9}"))
+/// Append `v` as `{:.9}` renders it, or `null`.
+fn push_opt_f9(out: &mut String, v: Option<f64>) {
+    match v {
+        Some(v) => push_f9(out, v),
+        None => out.push_str("null"),
+    }
 }
 
 fn drain_summary(report: &GuardedReport, card: &SloScorecard, stream_fnv: u64) -> String {
     let outcomes =
         |f: fn(&JobOutcome) -> bool| report.jobs.iter().filter(|j| f(&j.outcome)).count();
-    format!(
-        "{{\"ok\":true,\"jobs\":{},\"completed\":{},\"recovered\":{},\"killed\":{},\
-         \"quarantined\":{},\"makespan\":{:.9},\"deadline_hit_rate\":{:.9},\
-         \"stream_fnv\":\"{stream_fnv:016x}\"}}",
-        report.jobs.len(),
-        report.completed(),
-        outcomes(|o| matches!(o, JobOutcome::Recovered { .. })),
-        outcomes(|o| matches!(o, JobOutcome::Killed { .. })),
-        outcomes(|o| matches!(o, JobOutcome::Quarantined { .. })),
-        report.makespan(),
+    let counts = [
+        ("{\"ok\":true,\"jobs\":", report.jobs.len()),
+        (",\"completed\":", report.completed()),
+        (
+            ",\"recovered\":",
+            outcomes(|o| matches!(o, JobOutcome::Recovered { .. })),
+        ),
+        (
+            ",\"killed\":",
+            outcomes(|o| matches!(o, JobOutcome::Killed { .. })),
+        ),
+        (
+            ",\"quarantined\":",
+            outcomes(|o| matches!(o, JobOutcome::Quarantined { .. })),
+        ),
+    ];
+    let mut out = String::with_capacity(192);
+    for (key, n) in counts {
+        push_uint_field(&mut out, key, n as u64);
+    }
+    push_f9_field(&mut out, ",\"makespan\":", report.makespan());
+    push_f9_field(
+        &mut out,
+        ",\"deadline_hit_rate\":",
         card.deadline_hit_rate(),
-    )
+    );
+    push_fnv_field(&mut out, stream_fnv);
+    out
 }
 
 fn scorecard_json(card: &SloScorecard, stream_fnv: u64) -> String {
-    format!(
-        "{{\"policy\":\"{}\",\"jobs\":{},\"completed\":{},\"recovered\":{},\"killed\":{},\
-         \"quarantined\":{},\"deadline_hits\":{},\"deadline_hit_rate\":{:.9},\
-         \"p50_turnaround\":{},\"p95_turnaround\":{},\"p99_turnaround\":{},\
-         \"mean_slowdown\":{:.9},\"makespan\":{:.9},\"stream_fnv\":\"{stream_fnv:016x}\"}}",
-        card.policy,
-        card.jobs,
-        card.completed,
-        card.recovered,
-        card.killed,
-        card.quarantined,
-        card.deadline_hits,
+    let mut out = String::with_capacity(320);
+    out.push_str("{\"policy\":\"");
+    out.push_str(card.policy);
+    let counts = [
+        ("\",\"jobs\":", card.jobs),
+        (",\"completed\":", card.completed),
+        (",\"recovered\":", card.recovered),
+        (",\"killed\":", card.killed),
+        (",\"quarantined\":", card.quarantined),
+        (",\"deadline_hits\":", card.deadline_hits),
+    ];
+    for (key, n) in counts {
+        push_uint_field(&mut out, key, n as u64);
+    }
+    push_f9_field(
+        &mut out,
+        ",\"deadline_hit_rate\":",
         card.deadline_hit_rate(),
-        opt_num(card.p50_turnaround),
-        opt_num(card.p95_turnaround),
-        opt_num(card.p99_turnaround),
-        card.mean_slowdown,
-        card.makespan,
-    )
+    );
+    out.push_str(",\"p50_turnaround\":");
+    push_opt_f9(&mut out, card.p50_turnaround);
+    out.push_str(",\"p95_turnaround\":");
+    push_opt_f9(&mut out, card.p95_turnaround);
+    out.push_str(",\"p99_turnaround\":");
+    push_opt_f9(&mut out, card.p99_turnaround);
+    push_f9_field(&mut out, ",\"mean_slowdown\":", card.mean_slowdown);
+    push_f9_field(&mut out, ",\"makespan\":", card.makespan);
+    push_fnv_field(&mut out, stream_fnv);
+    out
 }
 
 fn op_scorecard(inner: &Inner) -> Result<String, ProtoError> {
@@ -1164,39 +1226,54 @@ impl Client {
 /// Encode a [`JobSpec`]-shaped submission request. The inverse of the
 /// daemon's `parse_spec`; `oocload` and the tests build their traffic
 /// with it.
+///
+/// The frame is appended into one `String` sized up front, each number
+/// through the crate's digit writer: the text `format!` would give, with
+/// no `core::fmt` call and no `String` per number.
 pub fn submit_json(tenant: &str, spec: &JobSpec) -> String {
-    let mut out = format!(
-        "{{\"op\":\"submit\",\"job\":{{\"tenant\":\"{}\",\"name\":\"{}\",\
-         \"submit\":{:.9},\"weight\":{:.9},\"qos_slack\":{:.9},\"profile\":{{\"rank_finish\":[",
-        escape_json(tenant),
-        escape_json(&spec.name),
-        spec.submit,
-        spec.weight,
-        spec.qos_slack,
+    /// Bytes of the fixed keys and brackets, and a generous size per
+    /// rank-finish number and per request (two times, three integers and
+    /// a bool): a frame rarely outgrows the estimate.
+    const HEAD: usize = 128;
+    const PER_FINISH: usize = 16;
+    const PER_REQUEST: usize = 64;
+    let profile = &spec.profile;
+    let requests: usize = profile.streams.iter().map(Vec::len).sum();
+    let mut out = String::with_capacity(
+        HEAD + tenant.len()
+            + spec.name.len()
+            + PER_FINISH * profile.rank_finish.len()
+            + 2 * profile.streams.len()
+            + PER_REQUEST * requests,
     );
-    for (i, f) in spec.profile.rank_finish.iter().enumerate() {
+    out.push_str("{\"op\":\"submit\",\"job\":{\"tenant\":\"");
+    push_json_str(&mut out, tenant);
+    out.push_str("\",\"name\":\"");
+    push_json_str(&mut out, &spec.name);
+    push_f9_field(&mut out, "\",\"submit\":", spec.submit);
+    push_f9_field(&mut out, ",\"weight\":", spec.weight);
+    push_f9_field(&mut out, ",\"qos_slack\":", spec.qos_slack);
+    out.push_str(",\"profile\":{\"rank_finish\":[");
+    for (i, &f) in profile.rank_finish.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("{f:.9}"));
+        push_f9(&mut out, f);
     }
     out.push_str("],\"streams\":[");
-    for (i, stream) in spec.profile.streams.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
+    for (i, stream) in profile.streams.iter().enumerate() {
+        out.push_str(if i > 0 { ",[" } else { "[" });
         for (j, r) in stream.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
+            out.push_str(if j > 0 { ",[" } else { "[" });
+            push_f9(&mut out, r.t0);
+            push_f9_field(&mut out, ",", r.t1);
+            push_uint_field(&mut out, ",", r.requests);
+            push_uint_field(&mut out, ",", r.bytes);
+            match r.offset {
+                Some(o) => push_uint_field(&mut out, ",", o),
+                None => out.push_str(",null"),
             }
-            let offset = r
-                .offset
-                .map_or_else(|| "null".to_string(), |o| o.to_string());
-            out.push_str(&format!(
-                "[{:.9},{:.9},{},{},{},{}]",
-                r.t0, r.t1, r.requests, r.bytes, offset, r.write
-            ));
+            out.push_str(if r.write { ",true]" } else { ",false]" });
         }
         out.push(']');
     }
@@ -1286,6 +1363,259 @@ mod tests {
         assert_eq!(decoded.submit.to_bits(), spec.submit.to_bits());
         assert_eq!(decoded.weight.to_bits(), spec.weight.to_bits());
         assert_eq!(decoded.profile, spec.profile);
+    }
+
+    /// `submit_json` as it was written on `core::fmt`: the reference the
+    /// digit-writer encoder is held to, byte for byte.
+    fn fmt_submit_json(tenant: &str, spec: &JobSpec) -> String {
+        let mut out = format!(
+            "{{\"op\":\"submit\",\"job\":{{\"tenant\":\"{}\",\"name\":\"{}\",\
+             \"submit\":{:.9},\"weight\":{:.9},\"qos_slack\":{:.9},\"profile\":{{\"rank_finish\":[",
+            escape_json(tenant),
+            escape_json(&spec.name),
+            spec.submit,
+            spec.weight,
+            spec.qos_slack,
+        );
+        for (i, f) in spec.profile.rank_finish.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!("{f:.9}"));
+        }
+        out.push_str("],\"streams\":[");
+        for (i, stream) in spec.profile.streams.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            for (j, r) in stream.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                let offset = r
+                    .offset
+                    .map_or_else(|| "null".to_string(), |o| o.to_string());
+                out.push_str(&format!(
+                    "[{:.9},{:.9},{},{},{},{}]",
+                    r.t0, r.t1, r.requests, r.bytes, offset, r.write
+                ));
+            }
+            out.push(']');
+        }
+        out.push_str("]}}}");
+        out
+    }
+
+    fn fmt_opt_num(v: Option<f64>) -> String {
+        v.map_or_else(|| "null".to_string(), |v| format!("{v:.9}"))
+    }
+
+    /// `drain_summary` as it was written on `core::fmt`.
+    fn fmt_drain_summary(report: &GuardedReport, card: &SloScorecard, stream_fnv: u64) -> String {
+        let outcomes =
+            |f: fn(&JobOutcome) -> bool| report.jobs.iter().filter(|j| f(&j.outcome)).count();
+        format!(
+            "{{\"ok\":true,\"jobs\":{},\"completed\":{},\"recovered\":{},\"killed\":{},\
+             \"quarantined\":{},\"makespan\":{:.9},\"deadline_hit_rate\":{:.9},\
+             \"stream_fnv\":\"{stream_fnv:016x}\"}}",
+            report.jobs.len(),
+            report.completed(),
+            outcomes(|o| matches!(o, JobOutcome::Recovered { .. })),
+            outcomes(|o| matches!(o, JobOutcome::Killed { .. })),
+            outcomes(|o| matches!(o, JobOutcome::Quarantined { .. })),
+            report.makespan(),
+            card.deadline_hit_rate(),
+        )
+    }
+
+    /// `scorecard_json` as it was written on `core::fmt`.
+    fn fmt_scorecard_json(card: &SloScorecard, stream_fnv: u64) -> String {
+        format!(
+            "{{\"policy\":\"{}\",\"jobs\":{},\"completed\":{},\"recovered\":{},\"killed\":{},\
+             \"quarantined\":{},\"deadline_hits\":{},\"deadline_hit_rate\":{:.9},\
+             \"p50_turnaround\":{},\"p95_turnaround\":{},\"p99_turnaround\":{},\
+             \"mean_slowdown\":{:.9},\"makespan\":{:.9},\"stream_fnv\":\"{stream_fnv:016x}\"}}",
+            card.policy,
+            card.jobs,
+            card.completed,
+            card.recovered,
+            card.killed,
+            card.quarantined,
+            card.deadline_hits,
+            card.deadline_hit_rate(),
+            fmt_opt_num(card.p50_turnaround),
+            fmt_opt_num(card.p95_turnaround),
+            fmt_opt_num(card.p99_turnaround),
+            card.mean_slowdown,
+            card.makespan,
+        )
+    }
+
+    /// A job whose every rank issues `reqs` reads of 4 KiB, 0.5 apart.
+    fn session_spec(i: usize, ranks: usize, reqs: usize) -> JobSpec {
+        let stream: Vec<IoReq> = (0..reqs)
+            .map(|k| IoReq {
+                t0: k as f64 * 0.5,
+                t1: k as f64 * 0.5 + 0.25,
+                requests: 1,
+                bytes: 4096,
+                offset: Some(4096 * k as u64),
+                write: k % 3 == 0,
+            })
+            .collect();
+        let profile = JobProfile {
+            rank_finish: vec![reqs as f64 * 0.5; ranks],
+            streams: vec![stream; ranks],
+            ..JobProfile::default()
+        };
+        JobSpec::new(format!("s{i}"), profile).with_submit(i as f64 * 0.75)
+    }
+
+    #[test]
+    fn drain_frames_match_the_fmt_encoders_on_drained_sessions() {
+        let specs: Vec<JobSpec> = (0..6).map(|i| session_spec(i, 1 + i % 3, 3 + i)).collect();
+        let sessions = [
+            DomainConfig::default(),
+            DomainConfig {
+                policy: crate::Policy::Deadline,
+                deadline_factor: 1.2,
+                max_concurrent: 2,
+                ..DomainConfig::default()
+            },
+            DomainConfig {
+                hang_chance: 0.5,
+                watchdog_quantum: 2.0,
+                max_retries: 1,
+                seed: 7,
+                ..DomainConfig::default()
+            },
+        ];
+        let odd = [-0.0, f64::from_bits(1), 1e9, 1e9 + 0.5, 1e300, f64::NAN];
+        for (n, cfg) in sessions.iter().enumerate() {
+            let report = crate::run_workload_guarded(&specs, cfg).unwrap();
+            let card = SloScorecard::from_guarded(&report);
+            let fnv = 0x835c_c3e0_b3cb_735d ^ n as u64;
+            assert_eq!(
+                drain_summary(&report, &card, fnv),
+                fmt_drain_summary(&report, &card, fnv)
+            );
+            assert_eq!(scorecard_json(&card, fnv), fmt_scorecard_json(&card, fnv));
+            // The same card with no quantiles and with edge values in
+            // every float field.
+            for (k, &x) in odd.iter().enumerate() {
+                let edge = SloScorecard {
+                    p50_turnaround: None,
+                    p95_turnaround: (k % 2 == 0).then_some(x),
+                    p99_turnaround: Some(-x),
+                    mean_slowdown: x,
+                    makespan: -x,
+                    ..card.clone()
+                };
+                assert_eq!(scorecard_json(&edge, !fnv), fmt_scorecard_json(&edge, !fnv));
+            }
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::bool::ANY as BOOL;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        fn u64s() -> std::ops::Range<u64> {
+            0..u64::MAX
+        }
+
+        fn signed(x: f64, neg: bool) -> f64 {
+            if neg {
+                -x
+            } else {
+                x
+            }
+        }
+
+        /// Numbers both encoders must agree on: ±0, subnormals, values from
+        /// the `1e9` boundary (where the digit writer hands over to
+        /// `core::fmt`) up to `1e300`, ordinary magnitudes, and any bit
+        /// pattern at all (NaNs and infinities included).
+        fn num() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                BOOL.prop_map(|neg| signed(0.0, neg)),
+                (1u64..1 << 52, BOOL).prop_map(|(m, neg)| signed(f64::from_bits(m), neg)),
+                (9i32..301, 0u64..1 << 53, BOOL).prop_map(|(e, m, neg)| {
+                    let x = (1.0 + m as f64 / (1u64 << 53) as f64 * 9.0) * 10f64.powi(e);
+                    signed(x.min(1e300), neg)
+                }),
+                (0u64..2, BOOL).prop_map(|(k, neg)| signed([1e9, 1e300][k as usize], neg)),
+                (-12i32..9, 0u64..1 << 53, BOOL).prop_map(|(e, m, neg)| {
+                    signed(
+                        (1.0 + m as f64 / (1u64 << 53) as f64 * 9.0) * 10f64.powi(e),
+                        neg,
+                    )
+                }),
+                u64s().prop_map(f64::from_bits),
+            ]
+        }
+
+        /// Names with characters JSON must escape mixed into plain ones.
+        fn name() -> impl Strategy<Value = String> {
+            let ch = prop_oneof![
+                "[a-z]",
+                "[a-z]",
+                "[0-9-]",
+                "[\"\\\\]",
+                "[\n\t\u{1}\u{1f}]",
+                "[é☃]",
+            ];
+            vec(ch, 0..10).prop_map(|parts| parts.concat())
+        }
+
+        fn req() -> impl Strategy<Value = IoReq> {
+            ((num(), num()), (u64s(), u64s()), (BOOL, u64s()), BOOL).prop_map(
+                |((t0, t1), (requests, bytes), (placed, at), write)| IoReq {
+                    t0,
+                    t1,
+                    requests,
+                    bytes,
+                    offset: placed.then_some(at),
+                    write,
+                },
+            )
+        }
+
+        fn spec() -> impl Strategy<Value = JobSpec> {
+            (
+                name(),
+                (vec(num(), 0..4), vec(vec(req(), 0..5), 0..4)),
+                (num(), num()),
+                num(),
+            )
+                .prop_map(
+                    |(name, (rank_finish, streams), (submit, weight), qos_slack)| {
+                        let profile = JobProfile {
+                            rank_finish,
+                            streams,
+                            ..JobProfile::default()
+                        };
+                        JobSpec {
+                            submit,
+                            weight,
+                            qos_slack,
+                            ..JobSpec::new(name, profile)
+                        }
+                    },
+                )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            #[test]
+            fn submit_json_matches_the_fmt_encoder(tenant in name(), spec in spec()) {
+                prop_assert_eq!(submit_json(&tenant, &spec), fmt_submit_json(&tenant, &spec));
+            }
+        }
     }
 
     #[test]

@@ -40,6 +40,18 @@ pub trait StorageBackend: Send {
     }
     /// Write `data` starting at `offset`.
     fn write_at(&mut self, id: u64, offset: u64, data: &[u8]) -> Result<()>;
+    /// Write `data` as little-endian `f32`s starting at byte `offset`: the
+    /// write twin of [`StorageBackend::read_f32_at`].
+    ///
+    /// The default encodes the values into a fresh buffer and writes the
+    /// bytes. [`MemBackend`] overrides it to copy straight into its element
+    /// storage, so each element crosses memory once; [`DiskBackend`]
+    /// encodes through the buffer its reads stage in.
+    fn write_f32_at(&mut self, id: u64, offset: u64, data: &[f32]) -> Result<()> {
+        let mut bytes = vec![0u8; data.len() * 4];
+        encode_f32(data, &mut bytes);
+        self.write_at(id, offset, &bytes)
+    }
     /// Remove file `id`, releasing its storage.
     fn remove(&mut self, id: u64) -> Result<()>;
     /// This backend as a [`MemBackend`], whose runs can be lent rather than
@@ -211,6 +223,25 @@ impl StorageBackend for MemBackend {
         Ok(())
     }
 
+    fn write_f32_at(&mut self, id: u64, offset: u64, data: &[f32]) -> Result<()> {
+        let file = self
+            .files
+            .get_mut(&id)
+            .ok_or(IoError::NoSuchFile { file: id })?;
+        let len = data.len().saturating_mul(4);
+        check_bounds(id, offset, len, file.len)?;
+        match elem_range(offset, len) {
+            Some(range) => file.elems[range].copy_from_slice(data),
+            None => {
+                let bytes = data.iter().flat_map(|v| v.to_le_bytes());
+                for (at, b) in (offset as usize..).zip(bytes) {
+                    file.set_byte(at, b);
+                }
+            }
+        }
+        Ok(())
+    }
+
     fn remove(&mut self, id: u64) -> Result<()> {
         self.files
             .remove(&id)
@@ -232,8 +263,8 @@ static SCRATCH_COUNTER: AtomicU64 = AtomicU64::new(0);
 pub struct DiskBackend {
     dir: PathBuf,
     files: HashMap<u64, (fs::File, u64)>,
-    /// Bytes of the last `f32` read, reused so a read allocates only when
-    /// it is larger than every read before it.
+    /// Bytes of the last `f32` read or write, reused so one allocates only
+    /// when it is larger than every one before it.
     staged: Vec<u8>,
 }
 
@@ -321,6 +352,18 @@ impl StorageBackend for DiskBackend {
         check_bounds(id, offset, data.len(), *len)?;
         file.write_all_at(data, offset)?;
         Ok(())
+    }
+
+    fn write_f32_at(&mut self, id: u64, offset: u64, data: &[f32]) -> Result<()> {
+        let len = data.len().saturating_mul(4);
+        // Bounds first, so a bad request never sizes the staging buffer.
+        check_bounds(id, offset, len, self.len(id)?)?;
+        let mut bytes = std::mem::take(&mut self.staged);
+        bytes.resize(len, 0);
+        encode_f32(data, &mut bytes);
+        let written = self.write_at(id, offset, &bytes);
+        self.staged = bytes;
+        written
     }
 
     fn remove(&mut self, id: u64) -> Result<()> {
@@ -423,6 +466,52 @@ mod tests {
             ));
             assert!(matches!(
                 backend.read_f32_at(4, 0, &mut out),
+                Err(IoError::NoSuchFile { file: 4 })
+            ));
+        }
+    }
+
+    #[test]
+    fn f32_writes_encode_little_endian_on_every_backend() {
+        /// A backend that keeps only the trait's default `write_f32_at`.
+        struct Bytes(MemBackend);
+        impl StorageBackend for Bytes {
+            fn create(&mut self, id: u64, len: u64) -> Result<()> {
+                self.0.create(id, len)
+            }
+            fn len(&self, id: u64) -> Result<u64> {
+                self.0.len(id)
+            }
+            fn read_at(&mut self, id: u64, offset: u64, buf: &mut [u8]) -> Result<()> {
+                self.0.read_at(id, offset, buf)
+            }
+            fn write_at(&mut self, id: u64, offset: u64, data: &[u8]) -> Result<()> {
+                self.0.write_at(id, offset, data)
+            }
+            fn remove(&mut self, id: u64) -> Result<()> {
+                self.0.remove(id)
+            }
+        }
+        let vals = [1.5f32, -0.0, f32::from_bits(0x7fa0_1234)];
+        let bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let mut mem = MemBackend::new();
+        let mut disk = DiskBackend::new("f32w").unwrap();
+        let mut default = Bytes(MemBackend::new());
+        for backend in [&mut mem as &mut dyn StorageBackend, &mut disk, &mut default] {
+            // Aligned and unaligned runs, the last into a zero-padded tail.
+            backend.create(3, 15).unwrap();
+            for offset in [0, 2, 3] {
+                backend.write_f32_at(3, offset, &vals).unwrap();
+                let mut got = vec![0u8; 12];
+                backend.read_at(3, offset, &mut got).unwrap();
+                assert_eq!(got, bytes, "offset {offset}");
+            }
+            assert!(matches!(
+                backend.write_f32_at(3, 8, &vals),
+                Err(IoError::OutOfBounds { needed: 20, .. })
+            ));
+            assert!(matches!(
+                backend.write_f32_at(4, 0, &vals),
                 Err(IoError::NoSuchFile { file: 4 })
             ));
         }

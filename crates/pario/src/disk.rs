@@ -133,20 +133,26 @@ fn read_direct(
     Ok(requests)
 }
 
-/// One backend write, routed through the fault layer when present.
+/// The fault layer's verdict on one backend write of `len` bytes at
+/// `offset`: `Ok` means the write goes ahead.
 ///
-/// A torn write deposits a prefix of the payload before failing; the retry
-/// re-writes the full extent, so the positional write stays idempotent and
-/// the final contents are always the intended bytes.
-pub(crate) fn backend_write(
-    backend: &mut dyn StorageBackend,
+/// The write twin of [`read_gate`]: transient and torn attempts re-issue
+/// the write after an exponential backoff, bounded by the retry policy, so
+/// only hard faults surface. A torn attempt first deposits the first
+/// `len / 2` bytes of the payload through `torn`; the retry re-writes the
+/// full extent, so the positional write stays idempotent and the final
+/// contents are always the intended bytes. Every write request — direct
+/// run, sieve span or cache write-back, byte or `f32` payload — passes
+/// this one gate.
+fn write_gate(
     faults: Option<&FaultInjector>,
     file: u64,
     offset: u64,
-    data: &[u8],
+    len: u64,
+    mut torn: impl FnMut(usize) -> Result<()>,
 ) -> Result<()> {
     let Some(fi) = faults else {
-        return backend.write_at(file, offset, data);
+        return Ok(());
     };
     if fi.dead() {
         return Err(IoError::DiskDown { file });
@@ -164,27 +170,59 @@ pub(crate) fn backend_write(
     loop {
         let fate = fi.write_attempt();
         match fate {
-            IoFate::Ok => break,
+            IoFate::Ok => return Ok(()),
             IoFate::Delayed(secs) => {
                 fi.note_fault();
                 fi.note_wait(secs);
-                break;
+                return Ok(());
             }
             IoFate::Transient | IoFate::Torn => {
                 if attempt >= max {
-                    break;
+                    return Ok(()); // bounded: the last attempt always succeeds
                 }
-                if fate == IoFate::Torn && !data.is_empty() {
+                if fate == IoFate::Torn && len > 0 {
                     // Half the payload reaches the platter before the fault.
-                    backend.write_at(file, offset, &data[..data.len() / 2])?;
+                    torn(len as usize / 2)?;
                 }
                 fi.note_fault();
-                fi.note_write_retry(data.len() as u64, fi.retry().backoff(attempt));
+                fi.note_write_retry(len, fi.retry().backoff(attempt));
                 attempt += 1;
             }
         }
     }
+}
+
+/// One backend write, routed through the fault layer when present.
+pub(crate) fn backend_write(
+    backend: &mut dyn StorageBackend,
+    faults: Option<&FaultInjector>,
+    file: u64,
+    offset: u64,
+    data: &[u8],
+) -> Result<()> {
+    write_gate(faults, file, offset, data.len() as u64, |prefix| {
+        backend.write_at(file, offset, &data[..prefix])
+    })?;
     backend.write_at(file, offset, data)
+}
+
+/// [`backend_write`] of `data` as little-endian `f32`s, handed to the
+/// backend as values ([`StorageBackend::write_f32_at`]). A torn attempt
+/// deposits the same byte prefix the byte write would.
+fn backend_write_f32(
+    backend: &mut dyn StorageBackend,
+    faults: Option<&FaultInjector>,
+    file: u64,
+    offset: u64,
+    data: &[f32],
+) -> Result<()> {
+    write_gate(faults, file, offset, 4 * data.len() as u64, |prefix| {
+        let head = &data[..prefix.div_ceil(4)];
+        let mut bytes = vec![0u8; 4 * head.len()];
+        encode_f32(head, &mut bytes);
+        backend.write_at(file, offset, &bytes[..prefix])
+    })?;
+    backend.write_f32_at(file, offset, data)
 }
 
 impl std::fmt::Debug for LogicalDisk {
@@ -502,7 +540,11 @@ impl LogicalDisk {
     ///   and one write request instead of one write per run.
     /// * **direct** — one charged request per coalesced run, while each
     ///   *original* non-empty run passes its own fault gate, in offset
-    ///   order.
+    ///   order, and is written straight from its slice of `data`.
+    ///
+    /// The cached and sieved branches consume the payload encoded in offset
+    /// order; the direct branch encodes nothing, so on an in-memory disk
+    /// each value crosses memory once.
     pub fn write(
         &mut self,
         file: FileId,
@@ -513,7 +555,6 @@ impl LogicalDisk {
     ) -> Result<u64> {
         let mut placed = std::mem::take(&mut self.placed);
         let mut coalesced = std::mem::take(&mut self.runs);
-        let mut payload = self.pool.take();
         let written = place_runs(runs, &mut placed).and_then(|elems| {
             assert_eq!(
                 elems,
@@ -527,22 +568,22 @@ impl LogicalDisk {
                 4 * elems as u64,
                 "overlapping write runs are not allowed"
             );
-            sort_write_data(&placed, data, &mut payload);
-            self.write_sorted(file, &placed, &coalesced, &payload, charge, policy)
+            self.write_placed(file, &placed, &coalesced, data, charge, policy)
         });
-        self.pool.put(payload);
         self.runs = coalesced;
         self.placed = placed;
         written
     }
 
-    /// [`LogicalDisk::write`] of a payload already in offset order.
-    fn write_sorted(
+    /// [`LogicalDisk::write`] of validated `placed` runs. The cached and
+    /// sieved branches first encode `data` in offset order into a pooled
+    /// buffer.
+    fn write_placed(
         &mut self,
         file: FileId,
         placed: &[(ByteRun, usize)],
         coalesced: &[ByteRun],
-        payload: &[u8],
+        data: &[f32],
         charge: &dyn IoCharge,
         policy: SievePolicy,
     ) -> Result<u64> {
@@ -555,6 +596,8 @@ impl LogicalDisk {
             ..
         } = self;
         if let Some(cache) = cache.as_mut() {
+            let mut payload = pool.take();
+            sort_write_data(placed, data, &mut payload);
             let before = stats.write_requests;
             let mut cursor = 0usize;
             for run in coalesced {
@@ -571,11 +614,14 @@ impl LogicalDisk {
                 )?;
                 cursor += run.len as usize;
             }
+            pool.put(payload);
             let requests = stats.write_requests - before;
             self.settle_cache(charge);
             return Ok(requests);
         }
         if let Some(span) = sieve_span(coalesced, policy) {
+            let mut payload = pool.take();
+            sort_write_data(placed, data, &mut payload);
             let mut staged = pool.take();
             staged.resize(span.len as usize, 0);
             backend_read(
@@ -585,7 +631,8 @@ impl LogicalDisk {
                 span.offset,
                 &mut staged,
             )?;
-            sieve_scatter(&span, coalesced, &mut staged, payload);
+            sieve_scatter(&span, coalesced, &mut staged, &payload);
+            pool.put(payload);
             backend_write(
                 &mut **backend,
                 faults.as_ref(),
@@ -600,18 +647,16 @@ impl LogicalDisk {
             charge.io_read(1, span.len);
             charge.io_offset(span.offset);
             charge.io_write(1, span.len);
-            charge.io_sieve(span.len, payload.len() as u64);
+            charge.io_sieve(span.len, 4 * data.len() as u64);
             settle_faults(self.faults.as_ref(), charge);
             charge.io_wait();
             return Ok(2);
         }
-        let mut cursor = 0usize;
-        for (run, _) in placed {
-            let src = &payload[cursor..cursor + run.len as usize];
-            backend_write(&mut **backend, faults.as_ref(), file.0, run.offset, src)?;
-            cursor += run.len as usize;
+        for &(run, at) in placed {
+            let src = &data[at..at + (run.len / 4) as usize];
+            backend_write_f32(&mut **backend, faults.as_ref(), file.0, run.offset, src)?;
         }
-        let (requests, bytes) = (coalesced.len() as u64, payload.len() as u64);
+        let (requests, bytes) = (coalesced.len() as u64, 4 * data.len() as u64);
         stats.add_write(requests, bytes);
         if let Some(first) = coalesced.first() {
             charge.io_offset(first.offset);
@@ -665,7 +710,7 @@ fn place_runs(
 }
 
 /// Encode the payload of `placed` runs into `out` in offset order — what
-/// every write branch consumes.
+/// the cached and sieved write branches consume.
 fn sort_write_data(placed: &[(ByteRun, usize)], data: &[f32], out: &mut Vec<u8>) {
     out.resize(4 * data.len(), 0);
     let mut cursor = 0usize;
