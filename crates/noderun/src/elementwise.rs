@@ -157,46 +157,22 @@ fn copy_overlap(src: &[f32], src_sec: &Section, dst: &mut [f32], dst_sec: &Secti
     let Some(common) = src_sec.intersect(dst_sec) else {
         return;
     };
-    let (src_strides, dst_strides) = (src_sec.shape().strides(), dst_sec.shape().strides());
-    let len = common.range(0).len();
-    for_each_run(&common, |at| {
-        let (s, d) = (
-            offset_in(src_sec, &src_strides, at),
-            offset_in(dst_sec, &dst_strides, at),
-        );
+    let (src_at, dst_at) = (cm_offset(src_sec), cm_offset(dst_sec));
+    let cm: Vec<usize> = (0..common.ndims()).collect();
+    common.for_each_run(&cm, |at, len| {
+        let (s, d) = (src_at(at), dst_at(at));
         dst[d..d + len].copy_from_slice(&src[s..s + len]);
     });
 }
 
-/// Call `f` with the first index of every dimension-0 run of the unit-step
-/// section `sec`, in column-major order.
-fn for_each_run(sec: &Section, mut f: impl FnMut(&[usize])) {
-    if sec.is_empty() {
-        return;
-    }
-    let mut at: Vec<usize> = sec.ranges().iter().map(|r| r.lo).collect();
-    loop {
-        f(&at);
-        let mut d = 1;
-        loop {
-            let Some(r) = sec.ranges().get(d) else {
-                return;
-            };
-            at[d] += 1;
-            if at[d] < r.hi {
-                break;
-            }
-            at[d] = r.lo;
-            d += 1;
-        }
-    }
-}
-
-/// Column-major offset of index `at` inside `sec`.
-fn offset_in(sec: &Section, strides: &[usize], at: &[usize]) -> usize {
-    (at.iter().zip(sec.ranges()).zip(strides))
-        .map(|((&i, r), s)| (i - r.lo) * s)
-        .sum()
+/// The offset of a multi-index in a column-major buffer over the unit-step
+/// section `sec`.
+fn cm_offset(sec: &Section) -> impl Fn(&[usize]) -> usize {
+    let strides = sec.shape().strides();
+    let origin: usize = (sec.ranges().iter().zip(&strides))
+        .map(|(r, s)| r.lo * s)
+        .sum();
+    move |at| at.iter().zip(&strides).map(|(i, s)| i * s).sum::<usize>() - origin
 }
 
 /// A leaf of the expression: a constant, or rhs array `ai` shifted by
@@ -310,6 +286,7 @@ impl Program {
         scratch: &mut Vec<f32>,
     ) {
         let strides = buf_sec.shape().strides();
+        let buf_at = cm_offset(buf_sec);
         for op in &mut self.ops {
             if let Op::Load(Leaf::Ref { offsets, delta, .. })
             | Op::Apply(_, Leaf::Ref { offsets, delta, .. }) = op
@@ -322,10 +299,10 @@ impl Program {
         let len = out_sec.range(0).len();
         scratch.resize(self.depth * len, 0.0);
         let mut runs = out.chunks_exact_mut(len);
-        for_each_run(out_sec, |at| {
-            let base = offset_in(buf_sec, &strides, at);
+        let cm: Vec<usize> = (0..out_sec.ndims()).collect();
+        out_sec.for_each_run(&cm, |at, _| {
             let run = runs.next().expect("one output run per section run");
-            self.eval(base, bufs, scratch, len);
+            self.eval(buf_at(at), bufs, scratch, len);
             run.copy_from_slice(&scratch[..len]);
         });
     }

@@ -189,16 +189,9 @@ fn machine_config(compiled: &CompiledProgram, cfg: &RunConfig) -> Result<Machine
     Ok(machine_cfg)
 }
 
-/// What one attempt's per-rank results amount to.
-enum Sift {
-    /// Every rank succeeded.
-    Done(Vec<RankResult>),
-    /// At least one rank failed recoverably and the recovery budget is not
-    /// exhausted: re-run with hard faults quiesced.
-    Retry,
-}
-
-/// Separate an attempt's results into success / retry / hard failure.
+/// Separate an attempt's results into success (`Some`), a recoverable
+/// failure to retry (`None`: at least one rank failed recoverably and the
+/// recovery budget is not exhausted) or a hard failure.
 ///
 /// A hard failure reports the lowest rank's non-recoverable error when
 /// there is one: a rank that fails on its own (malformed input, a dead
@@ -207,7 +200,7 @@ enum Sift {
 fn sift_attempt(
     results: Vec<Result<RankResult, OocError>>,
     recoveries: usize,
-) -> Result<Sift, RunError> {
+) -> Result<Option<Vec<RankResult>>, RunError> {
     let mut ok = Vec::with_capacity(results.len());
     let mut first_err: Option<OocError> = None;
     let mut first_hard: Option<OocError> = None;
@@ -224,17 +217,46 @@ fn sift_attempt(
     }
     match (first_hard, first_err) {
         (Some(e), _) => Err(e.into()),
-        (None, None) => Ok(Sift::Done(ok)),
+        (None, None) => Ok(Some(ok)),
         (None, Some(e)) if recoveries >= MAX_RECOVERIES => Err(e.into()),
-        (None, Some(_)) => Ok(Sift::Retry),
+        (None, Some(_)) => Ok(None),
     }
 }
 
-/// Quiesce hard faults for a recovery re-run.
-fn quiesce(fault: &mut Option<FaultConfig>) {
-    if let Some(fc) = fault.as_mut() {
-        fc.hard_read = 0.0;
-        fc.hard_write = 0.0;
+/// One attempt's report and per-rank results.
+type Attempt = (RunReport, Vec<Result<RankResult, OocError>>);
+
+/// The fault-recovery loop of [`run`] and [`StartedRun::wait`]: a
+/// permanent fault (or the resulting loss of a peer mid-collective)
+/// triggers a bounded re-run with hard faults quiesced; checkpointed
+/// executors resume from their last slab watermark. `attempt` launches and
+/// awaits one attempt under the fault config it is given, `recoveries`
+/// re-runs having been made already. Everything is deterministic — the
+/// re-run is as much a pure function of the seed as the first attempt.
+fn recover(
+    mut fault: Option<FaultConfig>,
+    mut recoveries: usize,
+    mut attempt: impl FnMut(&Option<FaultConfig>) -> Result<Attempt, RunError>,
+) -> Result<(RunReport, Vec<RankResult>), RunError> {
+    loop {
+        let (report, results) = attempt(&fault)?;
+        if let Some(ok) = sift_attempt(results, recoveries)? {
+            return Ok((report, ok));
+        }
+        recoveries += 1;
+        if let Some(fc) = fault.as_mut() {
+            fc.hard_read = 0.0;
+            fc.hard_write = 0.0;
+        }
+    }
+}
+
+/// The machine for one attempt: `machine_cfg` with `fault` injected.
+fn machine(machine_cfg: &MachineConfig, fault: &Option<FaultConfig>) -> Machine {
+    let machine = Machine::new(machine_cfg.clone());
+    match fault {
+        Some(fc) => machine.with_fault_injection(fc.clone()),
+        None => machine,
     }
 }
 
@@ -283,33 +305,14 @@ fn assemble_outcome(
 /// Execute every plan of `compiled` in order on the simulated machine.
 pub fn run(compiled: &CompiledProgram, cfg: &RunConfig) -> Result<RunOutcome, RunError> {
     let machine_cfg = machine_config(compiled, cfg)?;
-
-    // Fault-recovery loop: a permanent fault (or the resulting loss of a
-    // peer mid-collective) triggers a bounded re-run with hard faults
-    // quiesced; checkpointed executors resume from their last slab
-    // watermark. Everything is deterministic — the re-run is as much a
-    // pure function of the seed as the first attempt.
-    let mut fault = cfg.fault.clone();
-    let mut recoveries = 0usize;
-    let (report, rank_results) = loop {
-        let mut machine = Machine::new(machine_cfg.clone());
-        if let Some(fc) = &fault {
-            machine = machine.with_fault_injection(fc.clone());
-        }
-        let rank_fault = fault.clone();
-        let body = |ctx: &ProcCtx| execute_rank(ctx, compiled, cfg, rank_fault.as_ref());
-        let (report, results) = match &cfg.pool {
+    let (report, rank_results) = recover(cfg.fault.clone(), 0, |fault| {
+        let machine = machine(&machine_cfg, fault);
+        let body = |ctx: &ProcCtx| execute_rank(ctx, compiled, cfg, fault.as_ref());
+        Ok(match &cfg.pool {
             Some(pool) => machine.run_on(pool, body),
             None => machine.run_with(body),
-        };
-        match sift_attempt(results, recoveries)? {
-            Sift::Done(ok) => break (report, ok),
-            Sift::Retry => {
-                recoveries += 1;
-                quiesce(&mut fault);
-            }
-        }
-    };
+        })
+    })?;
     Ok(assemble_outcome(compiled, cfg, report, rank_results))
 }
 
@@ -336,10 +339,7 @@ fn launch_attempt(
     fault: &Option<FaultConfig>,
     pool: &WorkerPool,
 ) -> dmsim::RunHandle<Result<RankResult, OocError>> {
-    let mut machine = Machine::new(machine_cfg.clone());
-    if let Some(fc) = fault {
-        machine = machine.with_fault_injection(fc.clone());
-    }
+    let machine = machine(machine_cfg, fault);
     let compiled = Arc::clone(compiled);
     let cfg = Arc::clone(cfg);
     let fault = fault.clone();
@@ -392,21 +392,19 @@ impl StartedRun {
             cfg,
             pool,
             machine_cfg,
-            mut fault,
-            mut recoveries,
-            mut handle,
+            fault,
+            recoveries,
+            handle,
         } = self;
-        loop {
-            let (report, results) = handle.wait_outcome().map_err(RunError::Hung)?;
-            match sift_attempt(results, recoveries)? {
-                Sift::Done(ok) => return Ok(assemble_outcome(&compiled, &cfg, report, ok)),
-                Sift::Retry => {
-                    recoveries += 1;
-                    quiesce(&mut fault);
-                    handle = launch_attempt(&compiled, &cfg, &machine_cfg, &fault, &pool);
-                }
-            }
-        }
+        // The first attempt is already running; each re-run is launched.
+        let mut running = Some(handle);
+        let (report, ok) = recover(fault, recoveries, |fault| {
+            let handle = running
+                .take()
+                .unwrap_or_else(|| launch_attempt(&compiled, &cfg, &machine_cfg, fault, &pool));
+            handle.wait_outcome().map_err(RunError::Hung)
+        })?;
+        Ok(assemble_outcome(&compiled, &cfg, report, ok))
     }
 
     /// Tear the run down: unfinished ranks are reaped without touching

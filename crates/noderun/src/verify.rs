@@ -1,46 +1,36 @@
 //! Verification helpers: global assembly and serial references.
 
-use ooc_array::{ArrayDesc, Shape};
+use ooc_array::{ArrayDesc, DimRange, Section, Shape};
 
 /// Assemble a global column-major array from per-rank local buffers (local
 /// column-major order, as returned by `OocEnv::read_local_all`).
 ///
 /// Index translation is hoisted to once per rank and dimension: each
 /// dimension gets a table of global-offset contributions, and the local
-/// buffer is walked column by column (dimension 0 runs) with an odometer
-/// over the outer dimensions.
+/// buffer is walked one dimension-0 run (a local column) at a time.
 pub fn assemble_global(desc: &ArrayDesc, per_rank: &[&[f32]]) -> (Shape, Vec<f32>) {
     let shape = desc.global_shape().clone();
     let gstrides = shape.strides();
+    let cm: Vec<usize> = (0..shape.ndims()).collect();
     let mut out = vec![0.0f32; shape.len()];
     for (rank, local) in per_rank.iter().enumerate() {
         let mut contrib = desc.dist.global_index_tables(rank);
-        let exts: Vec<usize> = contrib.iter().map(Vec::len).collect();
-        assert_eq!(
-            local.len(),
-            exts.iter().product::<usize>(),
-            "rank {rank} buffer size"
-        );
-        if local.is_empty() {
-            continue;
-        }
+        let section: Section = contrib.iter().map(|t| DimRange::full(t.len())).collect();
+        assert_eq!(local.len(), section.len(), "rank {rank} buffer size");
         for (table, s) in contrib.iter_mut().zip(&gstrides) {
             table.iter_mut().for_each(|g| *g *= s);
         }
-        let mut idx = vec![0usize; exts.len()];
-        for run in local.chunks_exact(exts[0]) {
-            let base: usize = (1..exts.len()).map(|d| contrib[d][idx[d]]).sum();
+        let mut local = *local;
+        section.for_each_run(&cm, |at, len| {
+            let (run, rest) = local.split_at(len);
+            local = rest;
+            let base: usize = (contrib.iter().zip(at).skip(1))
+                .map(|(table, &i)| table[i])
+                .sum();
             for (v, &c) in run.iter().zip(&contrib[0]) {
                 out[base + c] = *v;
             }
-            for d in 1..exts.len() {
-                idx[d] += 1;
-                if idx[d] < exts[d] {
-                    break;
-                }
-                idx[d] = 0;
-            }
-        }
+        });
     }
     (shape, out)
 }

@@ -349,11 +349,13 @@ fn section_writes_allocate_no_more_than_reads_and_neither_per_run() {
                 layout.order(),
                 section.len()
             );
-            assert!(
-                writes <= reads,
-                "{case}: {writes} allocations per write, {reads} per read"
+            // The run split, the reorder and the disk all work in reused
+            // scratch: a warmed access allocates nothing, however many runs.
+            assert_eq!(
+                (reads, writes),
+                (0, 0),
+                "{case}: allocations per (read, write)"
             );
-            assert!(reads <= 8, "{case}: {reads} allocations per read");
         }
     }
 }

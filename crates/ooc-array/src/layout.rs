@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use pario::{Access, ElemRun};
 
 use crate::dims::Dims;
-use crate::section::{DimRange, Section};
+use crate::section::{offset, DimRange, Section};
 use crate::shape::Shape;
 
 /// A dimension permutation, fastest-varying dimension first.
@@ -78,8 +78,13 @@ impl FileLayout {
     /// Strides (in elements) of each dimension under this layout for a local
     /// array of `shape`.
     pub fn strides(&self, shape: &Shape) -> Vec<usize> {
+        self.dim_strides(shape).to_vec()
+    }
+
+    /// [`FileLayout::strides`], held inline.
+    fn dim_strides(&self, shape: &Shape) -> Dims<usize, 3> {
         assert_eq!(shape.ndims(), self.ndims());
-        let mut strides = vec![0usize; self.ndims()];
+        let mut strides: Dims<usize, 3> = self.order.iter().map(|_| 0).collect();
         let mut acc = 1usize;
         for &d in &self.order {
             strides[d] = acc;
@@ -91,8 +96,7 @@ impl FileLayout {
     /// Linear element offset of `index` in a file holding `shape` under this
     /// layout.
     pub fn linear(&self, shape: &Shape, index: &[usize]) -> usize {
-        let strides = self.strides(shape);
-        index.iter().zip(&strides).map(|(&i, &s)| i * s).sum()
+        offset(index, &self.dim_strides(shape))
     }
 
     /// Decompose `section` of a local array of `shape` into contiguous
@@ -111,8 +115,7 @@ impl FileLayout {
 
     /// [`FileLayout::section_runs`] into a caller-owned buffer, replacing
     /// its contents, with each `(offset, len)` element run built by `run`.
-    /// A section that is one contiguous run (a slab along the slowest
-    /// dimension) allocates nothing.
+    /// Nothing is allocated beyond the growth of `runs`.
     pub(crate) fn section_runs_into<R>(
         &self,
         shape: &Shape,
@@ -125,42 +128,20 @@ impl FileLayout {
         if section.is_empty() {
             return;
         }
-
+        // Every element of a walk over the dimensions outside the chunk
+        // (fastest first => ascending offsets) starts one chunk-long run;
+        // the chunk's own dimensions stay at their range starts.
         let (outer_start, chunk) = self.chunk(shape, section.ranges());
-        let (base, _) = self.first_last(shape, section.ranges());
-        if outer_start == self.order.len() {
-            runs.push(run(base as u64, chunk as u64));
-            return;
-        }
-
-        // Enumerate the Cartesian product of the section's ranges over the
-        // outer dimensions (fastest outer dimension first => ascending
-        // offsets), with inner dimensions pinned at their range starts.
-        let strides = self.strides(shape);
-        let outer_dims = &self.order[outer_start..];
-        let counts: Vec<usize> = outer_dims.iter().map(|&d| section.range(d).len()).collect();
-        runs.reserve(counts.iter().product());
-        let mut odo = vec![0usize; outer_dims.len()];
-        loop {
-            let mut off = base;
-            for (k, &d) in outer_dims.iter().enumerate() {
-                off += odo[k] * section.range(d).step * strides[d];
-            }
-            runs.push(run(off as u64, chunk as u64));
-            // Advance odometer.
-            let mut k = 0;
-            loop {
-                if k == outer_dims.len() {
-                    return;
-                }
-                odo[k] += 1;
-                if odo[k] < counts[k] {
-                    break;
-                }
-                odo[k] = 0;
-                k += 1;
-            }
-        }
+        let outer = &self.order[outer_start..];
+        let strides = self.dim_strides(shape);
+        let step = outer
+            .first()
+            .map_or(0, |&d| section.range(d).step * strides[d]);
+        runs.reserve(outer.iter().map(|&d| section.range(d).len()).product());
+        section.for_each_run(outer, |at, len| {
+            let start = offset(at, &strides);
+            runs.extend((0..len).map(|k| run((start + k * step) as u64, chunk as u64)));
+        });
     }
 
     /// The contiguous chunk every run of `section` shares: the fastest

@@ -26,7 +26,7 @@ use crate::dims::Dims;
 use crate::dist::Distribution;
 use crate::layout::FileLayout;
 
-use crate::section::{DimRange, Section};
+use crate::section::{offset, DimRange, Section};
 use crate::shape::Shape;
 
 /// Identifier of an out-of-core array within one program.
@@ -396,10 +396,24 @@ impl OocEnv {
     ) -> Result<(), IoError> {
         let local_shape = desc.local_shape(self.rank);
         // Per-dimension local -> global maps keep the fill loop
-        // allocation-free (this runs once per element of every array).
+        // allocation-free (this runs once per element of every array):
+        // within a run only the fastest dimension's global index changes.
         let maps = desc.dist.global_index_tables(self.rank);
+        let order = desc.layout.order();
+        let mut g: Dims<usize, 3> = maps.iter().map(|_| 0).collect();
         let mut buf = Vec::with_capacity(local_shape.len());
-        fill_in_layout_order(&local_shape, &maps, desc.layout.order(), f, &mut buf);
+        Section::full(&local_shape).for_each_run(order, |at, _| {
+            for ((g, map), &l) in g.iter_mut().zip(&maps).zip(at) {
+                *g = map[l];
+            }
+            match order.first() {
+                Some(&fast) => maps[fast].iter().for_each(|&l| {
+                    g[fast] = l;
+                    buf.push(f(&g));
+                }),
+                None => buf.push(f(&g)),
+            }
+        });
         let laf = self.laf(desc.id);
         laf.write_f32(
             &mut self.disk,
@@ -426,113 +440,36 @@ impl OocEnv {
     }
 }
 
-/// Push `f(global index)` for every element of a local array of `shape`
-/// onto `out`, in the layout whose dimensions run fastest to slowest as
-/// `order`; `maps[d][l]` is the global index of local index `l` along `d`.
-///
-/// One run along the fastest dimension at a time: within a run only that
-/// dimension's global index changes, so each element costs one table
-/// lookup and one call of `f`, and the other dimensions' indices are
-/// updated once per run, as an odometer over `order`'s slower dimensions.
-fn fill_in_layout_order(
-    shape: &Shape,
-    maps: &[Vec<usize>],
-    order: &[usize],
-    f: &dyn Fn(&[usize]) -> f32,
-    out: &mut Vec<f32>,
-) {
-    let Some((&fast, slower)) = order.split_first() else {
-        // A zero-dimensional array holds one element.
-        out.push(f(&[]));
-        return;
-    };
-    if shape.is_empty() {
-        return;
-    }
-    let mut idx = vec![0usize; order.len()];
-    let mut g: Vec<usize> = maps.iter().map(|m| m[0]).collect();
-    for _ in 0..shape.len() / shape.extent(fast) {
-        for &l in &maps[fast] {
-            g[fast] = l;
-            out.push(f(&g));
-        }
-        for &d in slower {
-            idx[d] += 1;
-            if idx[d] < shape.extent(d) {
-                g[d] = maps[d][idx[d]];
-                break;
-            }
-            idx[d] = 0;
-            g[d] = maps[d][0];
-        }
-    }
-}
-
-/// Visit `section`'s elements in `layout` order, one run along the
-/// layout's fastest dimension at a time: `visit(k, cm, stride, len)` gets
-/// the run's first position `k` in layout order, the section column-major
-/// position of its first element, the column-major stride between its
-/// elements and its length. The slower dimensions advance as an odometer
-/// once per run, so the per-element work is one strided copy.
-fn for_each_layout_run(
-    layout: &FileLayout,
-    section: &Section,
-    mut visit: impl FnMut(usize, usize, usize, usize),
-) {
-    let ranges = section.ranges();
-    let Some((&fast, slower)) = layout.order().split_first() else {
-        // A zero-dimensional section is one element.
-        visit(0, 0, 1, 1);
-        return;
-    };
-    if section.is_empty() {
-        return;
-    }
-    let cm_stride: Dims<usize, 3> = ranges
-        .iter()
-        .scan(1, |stride, r| {
-            let this = *stride;
-            *stride *= r.len();
-            Some(this)
-        })
-        .collect();
-    let mut odo: Dims<usize, 3> = ranges.iter().map(|_| 0).collect();
-    let (len, stride) = (ranges[fast].len(), cm_stride[fast]);
-    let mut cm = 0;
-    for k in (0..section.len()).step_by(len) {
-        visit(k, cm, stride, len);
-        for &d in slower {
-            odo[d] += 1;
-            cm += cm_stride[d];
-            if odo[d] < ranges[d].len() {
-                break;
-            }
-            cm -= odo[d] * cm_stride[d];
-            odo[d] = 0;
-        }
-    }
-}
-
 /// Reorder `raw`, delivered in `layout` order of `section`, into section
-/// column-major order in `out` (same length).
+/// column-major order in `out` (same length), one run along the layout's
+/// fastest dimension at a time.
 pub(crate) fn layout_to_cm(layout: &FileLayout, section: &Section, raw: &[f32], out: &mut [f32]) {
-    for_each_layout_run(layout, section, |k, cm, stride, len| {
-        for (o, &v) in out[cm..].iter_mut().step_by(stride).zip(&raw[k..k + len]) {
+    let dense = section.shape();
+    let cm = dense.dim_strides();
+    let stride = layout.order().first().map_or(1, |&d| cm[d]);
+    let mut k = 0;
+    Section::full(&dense).for_each_run(layout.order(), |at, len| {
+        let dst = out[offset(at, &cm)..].iter_mut().step_by(stride);
+        for (o, &v) in dst.zip(&raw[k..k + len]) {
             *o = v;
         }
+        k += len;
     });
 }
 
 /// Reorder a section-column-major buffer into `layout` order in `out`
-/// (same length), for writing.
+/// (same length), for writing: the inverse of [`layout_to_cm`].
 fn cm_to_layout(layout: &FileLayout, section: &Section, data: &[f32], out: &mut [f32]) {
-    for_each_layout_run(layout, section, |k, cm, stride, len| {
-        for (o, &v) in out[k..k + len]
-            .iter_mut()
-            .zip(data[cm..].iter().step_by(stride))
-        {
+    let dense = section.shape();
+    let cm = dense.dim_strides();
+    let stride = layout.order().first().map_or(1, |&d| cm[d]);
+    let mut k = 0;
+    Section::full(&dense).for_each_run(layout.order(), |at, len| {
+        let src = data[offset(at, &cm)..].iter().step_by(stride);
+        for (o, &v) in out[k..k + len].iter_mut().zip(src) {
             *o = v;
         }
+        k += len;
     });
 }
 

@@ -20,12 +20,13 @@ use dmsim::{Payload, ProcCtx, Tag};
 use ooc_trace::Category;
 use pario::{IoCharge, IoError, IoMethod, SievePolicy};
 
+use crate::dims::Dims;
 use crate::error::OocError;
 
 use crate::layout::FileLayout;
 use crate::localize::local_range_of_global;
 use crate::ocla::{ArrayDesc, OocEnv};
-use crate::section::{DimRange, Section};
+use crate::section::{offset, DimRange, Section};
 use crate::slab::SlabPlan;
 
 /// Tag of remap messages (redistribution and transpose pieces).
@@ -341,22 +342,26 @@ pub fn remap(
 
 /// The elements of `piece` out of `data`, which holds the dense section
 /// `read` ⊇ `piece` in column-major order: in column-major order, or in
-/// row-major order when `transpose`. Moved a dimension-0 run at a time.
+/// row-major order when `transpose`. Moved a run at a time.
 fn carve(data: &[f32], read: &Section, piece: &Section, transpose: bool) -> Vec<f32> {
     if piece == read && !transpose {
         return data.to_vec();
     }
-    let mut rel: Vec<DimRange> = (piece.ranges().iter().zip(read.ranges()))
-        .map(|(p, r)| DimRange::strided(p.lo - r.lo, p.hi - r.lo, p.step))
-        .collect();
-    let mut strides = read.shape().strides();
-    if transpose {
-        rel.reverse();
-        strides.reverse();
-    }
-    let rel = Section::new(rel);
-    let mut out = Vec::with_capacity(rel.len());
-    rel.for_each_run(&strides, |start, len, step| {
+    let strides = read.shape().dim_strides();
+    let base: usize = (read.ranges().iter().zip(&strides))
+        .map(|(r, s)| r.lo * s)
+        .sum();
+    let order: Dims<usize, 3> = if transpose {
+        (0..piece.ndims()).rev().collect()
+    } else {
+        (0..piece.ndims()).collect()
+    };
+    let step = order
+        .first()
+        .map_or(1, |&d| piece.range(d).step * strides[d]);
+    let mut out = Vec::with_capacity(piece.len());
+    piece.for_each_run(&order, |at, len| {
+        let start = offset(at, &strides) - base;
         if step == 1 {
             out.extend_from_slice(&data[start..start + len]);
         } else {
@@ -370,10 +375,13 @@ fn carve(data: &[f32], read: &Section, piece: &Section, transpose: bool) -> Vec<
 /// `assembled` at `sec`'s offsets under `strides`, a dimension-0 run at a
 /// time.
 fn scatter(assembled: &mut [f32], strides: &[usize], sec: &Section, piece: &[f32]) {
+    let order: Dims<usize, 3> = (0..sec.ndims()).collect();
+    let step = order.first().map_or(1, |&d| sec.range(d).step * strides[d]);
     let mut src = piece;
-    sec.for_each_run(strides, |start, len, step| {
+    sec.for_each_run(&order, |at, len| {
         let (run, rest) = src.split_at(len);
         src = rest;
+        let start = offset(at, strides);
         if step == 1 {
             assembled[start..start + len].copy_from_slice(run);
         } else {

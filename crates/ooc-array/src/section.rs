@@ -200,29 +200,35 @@ impl Section {
         }
     }
 
-    /// The offsets of [`Section::offsets`] a dimension-0 run at a time:
-    /// `f(start, len, step)` gets each run's first offset, its element count
-    /// and the distance between its elements (`range(0).step *
-    /// strides[0]`), in the same order. A copy moves a unit-step run with
-    /// one `copy_from_slice` instead of one odometer step per element.
-    pub(crate) fn for_each_run(&self, strides: &[usize], mut f: impl FnMut(usize, usize, usize)) {
-        assert_eq!(strides.len(), self.ndims(), "one stride per dimension");
-        let Some((run, outer)) = self.ranges.split_first() else {
-            return f(0, 1, 1); // a 0-D section is one element at offset 0
-        };
+    /// Walk the section one run at a time: the one odometer over a
+    /// section's dimensions. `order` lists distinct dimensions, fastest
+    /// first; `f` gets each run's first multi-index and its length, a run
+    /// being the range along `order[0]`, and the dimensions in `order[1..]`
+    /// advance as an odometer between runs. Dimensions `order` leaves out
+    /// stay at their range start, so an empty order (and a 0-D section) is
+    /// one run of length 1; an empty section has no run. The caller turns
+    /// the index into offsets under whatever strides it needs. Allocates
+    /// nothing for up to three dimensions.
+    pub fn for_each_run(&self, order: &[usize], mut f: impl FnMut(&[usize], usize)) {
         if self.is_empty() {
             return;
         }
-        let starts = SectionOffsets {
-            ranges: outer,
-            strides: &strides[1..],
-            idx: outer.iter().map(|r| r.lo).collect(),
-            off: self.ranges.iter().zip(strides).map(|(r, s)| r.lo * s).sum(),
-            left: outer.iter().map(|r| r.len()).product(),
+        let mut at: Dims<usize, 3> = self.ranges.iter().map(|r| r.lo).collect();
+        let Some((&run, outer)) = order.split_first() else {
+            return f(&at, 1);
         };
-        let (len, step) = (run.len(), run.step * strides[0]);
-        for start in starts {
-            f(start, len, step);
+        let len = self.ranges[run].len();
+        'runs: loop {
+            f(&at, len);
+            for &d in outer {
+                let r = self.ranges[d];
+                at[d] += r.step;
+                if at[d] < r.hi {
+                    continue 'runs;
+                }
+                at[d] = r.lo;
+            }
+            return;
         }
     }
 
@@ -251,6 +257,11 @@ impl AsRef<[DimRange]> for Section {
     fn as_ref(&self) -> &[DimRange] {
         &self.ranges
     }
+}
+
+/// Linear offset `Σ index[d]·strides[d]` of a multi-index.
+pub(crate) fn offset(index: &[usize], strides: &[usize]) -> usize {
+    index.iter().zip(strides).map(|(i, s)| i * s).sum()
 }
 
 /// Iterator of [`Section::offsets`]: an odometer over the section that
@@ -406,12 +417,79 @@ mod tests {
                 .collect();
             let walk = s.offsets(strides);
             prop_assert_eq!(walk.len(), s.len());
-            prop_assert_eq!(walk.collect::<Vec<_>>(), expect.clone());
-            let mut runs = Vec::new();
-            s.for_each_run(strides, |start, len, step| {
-                runs.extend((0..len).map(|k| start + k * step));
-            });
-            prop_assert_eq!(runs, expect);
+            prop_assert_eq!(walk.collect::<Vec<_>>(), expect);
+        }
+
+        #[test]
+        fn run_walk_matches_the_reordered_indices(s in sections()) {
+            for order in orders(s.ndims()) {
+                // Dimensions left out of the order are pinned at their
+                // range start; the rest vary `order[0]` fastest.
+                let pinned: Section = (0..s.ndims())
+                    .map(|d| if order.contains(&d) {
+                        s.range(d)
+                    } else {
+                        DimRange::single(s.range(d).lo)
+                    })
+                    .collect();
+                let mut want: Vec<Vec<usize>> = if s.is_empty() {
+                    Vec::new()
+                } else {
+                    pinned.indices().collect()
+                };
+                want.sort_by_key(|i| order.iter().rev().map(|&d| i[d]).collect::<Vec<_>>());
+                let mut got = Vec::new();
+                s.for_each_run(&order, |at, len| {
+                    for k in 0..len {
+                        let mut i = at.to_vec();
+                        if let Some(&d) = order.first() {
+                            i[d] += k * s.range(d).step;
+                        }
+                        got.push(i);
+                    }
+                });
+                prop_assert_eq!(&got, &want, "order {:?}", order);
+            }
+        }
+    }
+
+    /// A 0-D to 3-D section over extents ≤ 6, with strided, single-index
+    /// and empty (`hi <= lo`) ranges.
+    fn sections() -> impl Strategy<Value = Section> {
+        proptest::collection::vec((0usize..6, 0usize..7, 1usize..4), 0..4).prop_map(|dims| {
+            dims.into_iter()
+                .map(|(lo, hi, step)| DimRange::strided(lo, hi, step))
+                .collect()
+        })
+    }
+
+    /// Every ordered selection of distinct dimensions out of `0..n`: every
+    /// permutation, and every proper subset in every order.
+    fn orders(n: usize) -> Vec<Vec<usize>> {
+        let mut all = vec![Vec::new()];
+        let mut k = 0;
+        while k < all.len() {
+            let picked = all[k].clone();
+            all.extend((0..n).filter(|d| !picked.contains(d)).map(|d| {
+                let mut next = picked.clone();
+                next.push(d);
+                next
+            }));
+            k += 1;
+        }
+        all
+    }
+
+    #[test]
+    fn a_zero_dimensional_section_is_one_run_and_an_empty_one_none() {
+        let mut runs = Vec::new();
+        Section::new(Vec::<DimRange>::new()).for_each_run(&[], |at, len| {
+            runs.push((at.to_vec(), len));
+        });
+        assert_eq!(runs, vec![(vec![], 1)]);
+        let empty = Section::new(vec![DimRange::new(0, 4), DimRange::new(3, 3)]);
+        for order in orders(2) {
+            empty.for_each_run(&order, |at, len| panic!("run {at:?}+{len} of {order:?}"));
         }
     }
 }

@@ -52,11 +52,20 @@ impl Shape {
 
     /// Column-major strides: `stride[0] = 1`, `stride[d] = Π extents[..d]`.
     pub fn strides(&self) -> Vec<usize> {
-        let mut s = vec![1; self.dims.len()];
-        for d in 1..self.dims.len() {
-            s[d] = s[d - 1] * self.dims[d - 1];
-        }
-        s
+        self.dim_strides().to_vec()
+    }
+
+    /// [`Shape::strides`], held inline.
+    pub(crate) fn dim_strides(&self) -> Dims<usize, 3> {
+        let mut stride = 1;
+        self.dims
+            .iter()
+            .map(|&e| {
+                let this = stride;
+                stride *= e;
+                this
+            })
+            .collect()
     }
 
     /// Linear offset of a multi-index (column-major).
