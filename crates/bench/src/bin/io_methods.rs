@@ -19,12 +19,13 @@
 //! (default n = 256, p = 16).
 
 use dmsim::{CostModel, Machine, MachineConfig, TraceConfig};
-use ooc_array::{redistribute_with, ArrayDesc, ArrayId, Distribution, FileLayout, OocEnv, Shape};
+use ooc_array::{
+    redistribute_with, ArrayDesc, ArrayId, Distribution, FileLayout, OocEnv, Redistribution, Shape,
+};
 use ooc_bench::table::secs;
 use ooc_bench::TextTable;
 use ooc_core::ir::{totals, ArrayIoTotals};
 use ooc_core::nodegen::RemapGeometry;
-use ooc_core::plan::RemapSpec;
 use ooc_core::reorg::choose_io_method;
 use pario::{ElemKind, IoMethod};
 
@@ -60,12 +61,7 @@ fn main() {
 
     println!("io methods: column-distributed read of a row-major {n}x{n} file, {p} procs\n");
 
-    let spec = RemapSpec {
-        src: src.clone(),
-        tmp: dst.clone(),
-        method: IoMethod::Direct,
-    };
-    let geometry = RemapGeometry::redistribution(&spec, 0);
+    let geometry = RemapGeometry::new(&Redistribution::new(&src, &dst), 0);
 
     // ---- Measured comparison table --------------------------------------
     let mut t = TextTable::new(&[

@@ -28,7 +28,7 @@ use ooc_array::{ArrayDesc, ArrayId, DimDist, DistKind, Distribution, OocEnv, Pro
 use ooc_bench::TextTable;
 use ooc_core::ir::totals;
 use ooc_core::irreg::schedule_nodes;
-use ooc_core::{compile_source, CompilerOptions};
+use ooc_core::{compile_source, CompiledProgram, CompilerOptions};
 use ooc_trace::digest::Fnv1a;
 use pario::{ElemKind, IoMethod};
 
@@ -230,11 +230,11 @@ fn run_spmv_e2e() -> SpmvRow {
     cfg.collect.push("y".into());
 
     let threaded = noderun::run(&compiled, &cfg).unwrap();
-    let pooled_cfg = noderun::RunConfig {
-        engine: Some(Engine::Pool(POOL)),
-        ..cfg.clone()
+    let pooled = CompiledProgram {
+        engine: Engine::Pool(POOL),
+        ..compiled.clone()
     };
-    let pooled = noderun::run(&compiled, &pooled_cfg).unwrap();
+    let pooled = noderun::run(&pooled, &cfg).unwrap();
     assert_eq!(
         threaded.collected, pooled.collected,
         "spmv collected arrays diverged between engines at p={P}"

@@ -253,6 +253,48 @@ mod tests {
     const P: usize = 16;
 
     #[test]
+    fn closed_forms_count_the_reads_of_the_nest() {
+        // `request_estimate` and `byte_estimate` are a hand copy of GAXPY's
+        // read counts: held to rank 0's nest, the compiled price, for both
+        // strategies, ragged last slabs and more ranks than columns. Every
+        // slab size up to 12, a sample of them above.
+        let sizes = |max: usize| {
+            let mut v: Vec<usize> = [1, 2, 3, 5, max / 3, max / 2 + 1, max - 1, max]
+                .into_iter()
+                .chain(1..=max.min(12))
+                .filter(|s| (1..=max).contains(s))
+                .collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        let mut cases = 0;
+        for n in (1usize..=16).chain([31, 64, 100, 129]) {
+            for p in [1, 2, 3, 4, 7, 16] {
+                for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
+                    let a_extent = match strategy {
+                        SlabStrategy::ColumnSlab => n.div_ceil(p),
+                        SlabStrategy::RowSlab => n,
+                    };
+                    for sa in sizes(a_extent) {
+                        for sb in sizes(n) {
+                            let plan = GaxpyPlan::new(strategy, n, p, sa, sb);
+                            let t = crate::ir::totals(&crate::nodegen::gaxpy_nest(&plan));
+                            let (requests, elems) = (t.per_array.values())
+                                .fold((0, 0), |(r, e), a| (r + a.read_requests, e + a.read_elems));
+                            let at = format!("{strategy:?} n={n} p={p} sa={sa} sb={sb}");
+                            assert_eq!(request_estimate(strategy, n, p, sa, sb), requests, "{at}");
+                            assert_eq!(byte_estimate(strategy, n, p, sa, sb), 4 * elems, "{at}");
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 20_000, "{cases} cases");
+    }
+
+    #[test]
     fn equal_split_halves_memory() {
         let elems = 2 * 256 * 128; // Table 2's 512-column budget (x128 elems)
         let (sa, sb) = split_gaxpy_budget_with_cache(

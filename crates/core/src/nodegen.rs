@@ -12,15 +12,16 @@
 //!   to the same operation sequence.
 //! * [`elw_nest`] prices every stage of [`ElwPlan::schedule`], the
 //!   schedule the elementwise executor runs.
-//! * [`RemapGeometry`] tallies the pieces of the
-//!   [`ooc_array::RemapSchedule`] the remap executor runs, for
-//!   redistributions and transposes alike.
+//! * [`RemapGeometry`] tallies the stages of the [`RemapStages`] producer
+//!   the remap executor runs, for redistributions and transposes alike.
 
-use ooc_array::{ArrayDesc, DimRange, RedistPieces, Section, Shape};
+use std::convert::Infallible;
+
+use ooc_array::{ArrayDesc, DimRange, Redistribution, RemapStages, Section, Shape};
 use pario::{Access, IoMethod, SievePolicy, Tally};
 
 use crate::ir::NestNode;
-use crate::plan::{ElwPlan, GaxpyPlan, RemapSpec, SlabStrategy, TransposePlan};
+use crate::plan::{ElwPlan, GaxpyPlan, RemapSpec, SlabStrategy};
 
 /// ceil(log2(p)): stages of a binomial-tree collective.
 pub fn ceil_log2(p: usize) -> u64 {
@@ -366,15 +367,16 @@ pub fn elw_nest_after(plan: &ElwPlan, rank: usize, remaps: Vec<NestNode>) -> Vec
 /// The nodes of one pre-statement remap under its access method, exact for
 /// `rank`.
 pub fn remap_nodes(r: &RemapSpec, rank: usize) -> Vec<NestNode> {
-    RemapGeometry::redistribution(r, rank).nodes(r.method)
+    RemapGeometry::new(&Redistribution::new(&r.src, &r.tmp), rank).nodes(r.method)
 }
 
 /// One remap-style access on one rank — a redistribution or a transpose —
-/// as the tally of its [`ooc_array::RemapSchedule`]'s pieces: the disk
-/// accesses and messages the executor issues from that same schedule.
-/// [`RemapGeometry::nodes`] tallies them through the disk's decision rule
-/// ([`Tally`]) under any access method, so one schedule prices every
-/// candidate of [`crate::reorg::choose_io_method`] exactly.
+/// as the tally of its [`RemapStages`] stream: the disk accesses and
+/// messages the executor ([`ooc_array::remap`]) issues from that same
+/// stream. [`RemapGeometry::nodes`] tallies them through the disk's
+/// decision rule ([`Tally`]) under any access method, so one walk of the
+/// stages prices every candidate of [`crate::reorg::choose_io_method`]
+/// exactly.
 #[derive(Debug, Clone)]
 pub struct RemapGeometry {
     src: String,
@@ -397,83 +399,49 @@ pub struct RemapGeometry {
 }
 
 impl RemapGeometry {
-    /// The empty tally of remapping `src` into `dst` on `rank`.
-    fn new(src: &ArrayDesc, dst: &ArrayDesc, rank: usize, label: String) -> RemapGeometry {
+    /// The tally of every stage of `remap` on `rank`. Every section read
+    /// is a read, every piece sent to another rank a message, every piece
+    /// received a write, and each stage one all-to-all exchange.
+    pub fn new(remap: &impl RemapStages, rank: usize) -> RemapGeometry {
+        let (src, dst) = (remap.src(), remap.dst());
         let elem_size = src.elem.size() as u64;
-        RemapGeometry {
+        let (src_local, dst_local) = (src.local_shape(rank), dst.local_shape(rank));
+        let mut g = RemapGeometry {
             src: src.name.clone(),
             dst: dst.name.clone(),
-            label,
+            label: if remap.transposes() {
+                "transpose exchange".into()
+            } else {
+                format!("remap `{}` to the lhs distribution", src.name)
+            },
             elem_size,
             reads: Vec::new(),
             writes: Vec::new(),
             unions: Vec::new(),
             sends: (0, 0),
             collective_messages: 0,
-            dst_bytes: dst.local_shape(rank).len() as u64 * elem_size,
-        }
-    }
-
-    /// Count `piece`, sent by `rank` to rank `to`: a message of its
-    /// elements, unless it stays local.
-    fn send(&mut self, rank: usize, to: usize, piece: &[DimRange]) {
-        if to != rank {
-            let elems: usize = piece.iter().map(DimRange::len).product();
-            self.sends.0 += 1;
-            self.sends.1 += elems as u64 * self.elem_size;
-        }
-    }
-
-    /// The redistribution of `r.src` into `r.tmp` on `rank`: the one stage
-    /// of [`ooc_array::RemapSchedule::redistribution`], tallied piece by
-    /// piece from [`RedistPieces::visit`]. Every piece sent is a read,
-    /// every piece received a write, and the pieces tile the local source,
-    /// which two-phase reads whole.
-    pub fn redistribution(r: &RemapSpec, rank: usize) -> RemapGeometry {
-        let label = format!("remap `{}` to the lhs distribution", r.src.name);
-        let mut g = RemapGeometry::new(&r.src, &r.tmp, rank, label);
-        let (src_local, dst_local) = (r.src.local_shape(rank), r.tmp.local_shape(rank));
-        RedistPieces::visit(&r.src, &r.tmp, rank, |j, send, recv| {
-            if let Some(piece) = send {
-                g.reads.push(r.src.section_access(&src_local, piece));
-                g.send(rank, j, piece);
-            }
-            if let Some(piece) = recv {
-                g.writes.push(r.tmp.section_access(&dst_local, piece));
-            }
-        });
-        if !g.reads.is_empty() {
-            // The whole local array is one run under any layout.
-            let bytes = src_local.len() as u64 * g.elem_size;
-            g.unions.push(Access::contiguous(bytes));
-        }
-        g.collective_messages = r.src.dist.nprocs().saturating_sub(1) as u64;
-        g
-    }
-
-    /// The transpose `plan` on `rank`: every stage of
-    /// [`TransposePlan::for_each_stage`], whose slab read is also its
-    /// two-phase union.
-    pub fn transpose(plan: &TransposePlan, rank: usize) -> RemapGeometry {
-        let label = "transpose exchange".to_string();
-        let mut g = RemapGeometry::new(&plan.src, &plan.dst, rank, label);
-        let (src_local, dst_local) = (plan.src.local_shape(rank), plan.dst.local_shape(rank));
+            dst_bytes: dst_local.len() as u64 * elem_size,
+        };
         let mut stages = 0u64;
-        plan.for_each_stage(rank, |stage| {
+        let tallied = remap.for_each_stage(rank, |stage| {
             stages += 1;
-            if let Some(slab) = &stage.slab {
-                let access = plan.src.section_access(&src_local, slab);
-                g.reads.push(access);
-                g.unions.push(access);
+            if let Some(union) = stage.union {
+                g.unions.push(src.section_access(&src_local, union));
             }
-            for (j, piece) in stage.sends {
-                g.send(rank, *j, piece);
+            for (read, _) in stage.reads {
+                g.reads.push(src.section_access(&src_local, read));
+            }
+            for (_, piece) in stage.sends.iter().filter(|(j, _)| *j != rank) {
+                g.sends.0 += 1;
+                g.sends.1 += piece.len() as u64 * elem_size;
             }
             for piece in stage.recv.iter().flatten() {
-                g.writes.push(plan.dst.section_access(&dst_local, piece));
+                g.writes.push(dst.section_access(&dst_local, piece));
             }
+            Ok::<_, Infallible>(())
         });
-        g.collective_messages = plan.src.dist.nprocs().saturating_sub(1) as u64 * stages;
+        let Ok(()) = tallied;
+        g.collective_messages = src.dist.nprocs().saturating_sub(1) as u64 * stages;
         g
     }
 

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use dmsim::CostModel;
 use hpf::FrontError;
-use ooc_array::{ArrayDesc, ArrayId, FileLayout, SlabPlan};
+use ooc_array::{ArrayDesc, ArrayId, FileLayout, Redistribution, SlabPlan};
 use pario::ElemKind;
 
 use crate::access::best_elw_slab_dim;
@@ -669,7 +669,7 @@ pub fn compile_hir(
                 let mut stmt_choices = Vec::with_capacity(pre_remaps.len());
                 let mut remap_nodes = Vec::new();
                 for r in &mut pre_remaps {
-                    let geometry = RemapGeometry::redistribution(r, 0);
+                    let geometry = RemapGeometry::new(&Redistribution::new(&r.src, &r.tmp), 0);
                     let choice = crate::reorg::choose_io_method(
                         format!("remap {}", r.src.name),
                         &model,
@@ -747,7 +747,7 @@ pub fn compile_hir(
                     slab_thickness: sp.thickness(),
                     method: pario::IoMethod::Direct,
                 };
-                let geometry = RemapGeometry::transpose(&plan, 0);
+                let geometry = RemapGeometry::new(&plan, 0);
                 let choice = crate::reorg::choose_io_method(
                     format!("transpose {}", plan.dst.name),
                     &model,

@@ -10,8 +10,8 @@
 use serde::{Deserialize, Serialize};
 
 use ooc_array::{
-    local_section_of_global, ArrayDesc, ArrayId, DimDist, DimRange, Distribution, RemapSchedule,
-    RemapStage, Section, Shape,
+    local_section_of_global, ArrayDesc, ArrayId, DimDist, DimRange, Distribution, RemapStage,
+    RemapStages, Section, Shape,
 };
 use pario::ElemKind;
 
@@ -593,71 +593,79 @@ pub struct TransposePlan {
     pub method: pario::IoMethod,
 }
 
-/// One stage of a transpose on one rank, each section as its two ranges:
-/// what [`TransposePlan::schedule`] collects into a [`RemapStage`], and
-/// what the compiler tallies without building a `Section` per piece.
-#[derive(Debug, Clone, Copy)]
-pub struct TransposeStage<'a> {
-    /// The rank's slab the stage reads, if it has one: the stage's one
-    /// read, and its two-phase union.
-    pub slab: Option<[DimRange; 2]>,
-    /// Every piece of the slab sent: destination rank and the piece's
-    /// source ranges.
-    pub sends: &'a [(usize, [DimRange; 2])],
-    /// Per source rank: the destination ranges its piece fills.
-    pub recv: &'a [Option<[DimRange; 2]>],
-}
-
-/// The stage and piece geometry of a transpose: the remap schedule the
+/// The stage and piece geometry of a transpose: the stage stream the remap
 /// executor runs and the compiler prices.
-impl TransposePlan {
-    /// `rank`'s side of the transpose, stage by stage, handed to `f`.
+impl RemapStages for TransposePlan {
+    fn src(&self) -> &ArrayDesc {
+        &self.src
+    }
+
+    fn dst(&self) -> &ArrayDesc {
+        &self.dst
+    }
+
+    fn transposes(&self) -> bool {
+        true
+    }
+
     /// Every rank's source is cut into slabs along the source's slowest
     /// layout dimension, so each slab read is one contiguous request, and
     /// every rank runs as many stages as the rank with the most slabs, so
     /// the exchange stays symmetric. Stage `s` reads the rank's `s`-th
-    /// slab, if it has one, and sends each destination rank its piece: the
-    /// part of the slab's transpose that rank owns. A piece's source
-    /// section read in row-major order is the destination piece in
-    /// column-major order. The empty slabs of a rank that owns nothing have
-    /// no pieces.
-    pub fn for_each_stage(&self, rank: usize, mut f: impl FnMut(TransposeStage<'_>)) {
+    /// slab, if it has one, as its one read and its two-phase union, and
+    /// sends each destination rank its piece: the part of the slab's
+    /// transpose that rank owns. A piece's source section read in row-major
+    /// order is the destination piece in column-major order. The empty
+    /// slabs of a rank that owns nothing have no pieces.
+    fn for_each_stage<E>(
+        &self,
+        rank: usize,
+        mut f: impl FnMut(RemapStage<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
         let p = self.src.dist.nprocs();
         let (dim, thickness) = (self.src.layout.slowest_dim(), self.slab_thickness.max(1));
         // Block and collapsed dimensions own one contiguous global range,
         // so a local index is the global one less the owner's lower corner.
-        let owned = |desc: &ArrayDesc, r: usize| {
-            [0, 1].map(|d| {
-                let coord = desc.dist.dim_coord(d, r);
-                desc.dist
-                    .owned_range(d, coord)
-                    .expect("regular distribution")
-            })
+        // Every rank's ranges, once: each stage pairs this rank with all.
+        let owned = |desc: &ArrayDesc| -> Vec<[DimRange; 2]> {
+            (0..p)
+                .map(|r| {
+                    [0, 1].map(|d| {
+                        let coord = desc.dist.dim_coord(d, r);
+                        desc.dist
+                            .owned_range(d, coord)
+                            .expect("regular distribution")
+                    })
+                })
+                .collect()
         };
+        let (src_owned, dst_owned) = (owned(&self.src), owned(&self.dst));
         let slab_of = |q: usize, s: usize| {
-            let mut slab = owned(&self.src, q).map(|r| DimRange::full(r.len()));
+            let mut slab = src_owned[q].map(|r| DimRange::full(r.len()));
             let (lo, extent) = (s * thickness, slab[dim].hi);
             (lo < extent).then(|| {
                 slab[dim] = DimRange::new(lo, (lo + thickness).min(extent));
                 slab
             })
         };
-        let stages = (0..p)
-            .map(|q| owned(&self.src, q)[dim].len().div_ceil(thickness))
+        let stages = (src_owned.iter())
+            .map(|o| o[dim].len().div_ceil(thickness))
             .max()
             .unwrap_or(0);
         // The piece of rank `q`'s slab that rank `j` receives, as global
         // destination ranges: the slab's transpose intersected with what
         // `j` owns.
         let piece = |q: usize, slab: &[DimRange; 2], j: usize| {
-            let (o, d) = (owned(&self.src, q), owned(&self.dst, j));
+            let (o, d) = (src_owned[q], dst_owned[j]);
             let global = |k: usize| DimRange::new(o[k].lo + slab[k].lo, o[k].lo + slab[k].hi);
             Some([global(1).intersect(&d[0])?, global(0).intersect(&d[1])?])
         };
         let local = |global: [DimRange; 2], o: [DimRange; 2]| {
-            [0, 1].map(|k| DimRange::new(global[k].lo - o[k].lo, global[k].hi - o[k].lo))
+            Section::new(
+                [0, 1].map(|k| DimRange::new(global[k].lo - o[k].lo, global[k].hi - o[k].lo)),
+            )
         };
-        let (src_mine, dst_mine) = (owned(&self.src, rank), owned(&self.dst, rank));
+        let (src_mine, dst_mine) = (src_owned[rank], dst_owned[rank]);
         let (mut sends, mut recv) = (Vec::with_capacity(p), Vec::with_capacity(p));
         for s in 0..stages {
             let slab = slab_of(rank, s);
@@ -670,39 +678,15 @@ impl TransposePlan {
             }
             recv.clear();
             recv.extend((0..p).map(|q| Some(local(piece(q, &slab_of(q, s)?, rank)?, dst_mine))));
-            f(TransposeStage {
-                slab,
+            let read = slab.map(|slab| (Section::new(slab), sends.len()));
+            f(RemapStage {
+                union: read.as_ref().map(|(slab, _)| slab),
+                reads: read.as_slice(),
                 sends: &sends,
                 recv: &recv,
-            });
+            })?;
         }
-    }
-
-    /// `rank`'s side of the transpose as the schedule the executor runs:
-    /// [`TransposePlan::for_each_stage`], each range pair a [`Section`].
-    pub fn schedule(&self, rank: usize) -> RemapSchedule {
-        let mut stages = Vec::new();
-        self.for_each_stage(rank, |stage| {
-            let slab = stage.slab.map(Section::new);
-            stages.push(RemapStage {
-                reads: (slab.iter())
-                    .map(|slab| (slab.clone(), stage.sends.len()))
-                    .collect(),
-                union: slab,
-                sends: (stage.sends.iter())
-                    .map(|&(j, piece)| (j, Section::new(piece)))
-                    .collect(),
-                recv: stage
-                    .recv
-                    .iter()
-                    .map(|piece| piece.map(Section::new))
-                    .collect(),
-            });
-        });
-        RemapSchedule {
-            transpose: true,
-            stages,
-        }
+        Ok(())
     }
 }
 

@@ -161,7 +161,7 @@ pub struct IoMethodChoice {
 /// nest for each [`pario::IoMethod`] via `nest_for`, price it under
 /// `model`, and pick the cheapest — or `force`, when set. All estimates are
 /// kept for the report; a remap-style access builds its candidates from the
-/// tally of the remap schedule its executor runs
+/// tally of the remap stages its executor runs
 /// ([`crate::nodegen::RemapGeometry::nodes`]), so each is the price the
 /// executor would charge if that method were forced.
 pub fn choose_io_method<F>(

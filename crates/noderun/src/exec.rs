@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use dmsim::{Engine, FaultConfig, Machine, MachineConfig, ProcCtx, RunReport, WorkerPool};
+use dmsim::{FaultConfig, Machine, MachineConfig, ProcCtx, RunReport, WorkerPool};
 use ooc_array::{OocEnv, OocError, Section, Shape};
 use ooc_core::{CompiledProgram, ExecPlan};
 
@@ -72,14 +72,11 @@ pub struct RunConfig {
     /// fault/RNG streams per (job, rank) and labels its requests for the
     /// `ooc-sched` disk-farm scheduler.
     pub job: u32,
-    /// Execution engine override. `None` follows the compiled program's
-    /// [`ooc_core::CompilerOptions::engine`]; `Some` replaces it. Reports
-    /// are bit-identical across engines.
-    pub engine: Option<Engine>,
     /// Host the ranks on this existing worker pool instead of building a
-    /// transient one per run. Implies the pooled engine regardless of
-    /// `engine`; required for running many programs concurrently on one
-    /// fixed set of OS threads (see [`start`]).
+    /// transient one per run. Implies the pooled engine regardless of the
+    /// compiled program's [`CompiledProgram::engine`]; required for running
+    /// many programs concurrently on one fixed set of OS threads (see
+    /// [`start`]).
     pub pool: Option<WorkerPool>,
 }
 
@@ -155,13 +152,13 @@ pub(crate) struct RankResult {
 }
 
 /// Build the machine for one run of `compiled` under `cfg` — the compiled
-/// program's cost model on its processor count, with `cfg`'s trace and
-/// engine overrides and job tag — and validate `cfg`'s array names and
+/// program's cost model on its processor count and engine, with `cfg`'s
+/// trace override and job tag — and validate `cfg`'s array names and
 /// cache budget.
 fn machine_config(compiled: &CompiledProgram, cfg: &RunConfig) -> Result<MachineConfig, RunError> {
     let mut machine_cfg = MachineConfig::new(compiled.nprocs(), compiled.model.clone())
         .with_trace(cfg.trace.unwrap_or(compiled.trace))
-        .with_engine(cfg.engine.unwrap_or(compiled.engine));
+        .with_engine(compiled.engine);
     machine_cfg.job = cfg.job;
     if let Some(b) = cfg
         .cache_budget

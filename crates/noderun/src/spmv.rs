@@ -513,16 +513,14 @@ mod tests {
         // entry 300 lives on rank 2 alone. That rank fails in the inspector
         // before its want-list exchange; its peers lose it there and fail
         // with communication errors, which must not mask the real cause.
-        let compiled =
+        let mut compiled =
             ooc_core::compile_source(hpf::SPMV_SOURCE, &ooc_core::CompilerOptions::default())
                 .unwrap();
         for bad in [64.0f32, -1.0, 2.5, f32::NAN] {
             for engine in [dmsim::Engine::Threads, dmsim::Engine::Pool(2)] {
                 let m = || Csr { n: 64, nnz: 512 };
-                let mut cfg = crate::RunConfig {
-                    engine: Some(engine),
-                    ..crate::RunConfig::default()
-                };
+                compiled.engine = engine;
+                let mut cfg = crate::RunConfig::default();
                 let init = [
                     ("rowptr", crate::init_fn(move |g| m().rowptr(g[0]))),
                     ("vals", crate::init_fn(move |g| m().val(g[0]))),

@@ -4,9 +4,9 @@
 //! layout dimension (contiguous reads). Each slab is split by the
 //! destination owners of its transposed coordinates, and stage `s` moves
 //! every rank's `s`-th slab, so receives match sends without a scheduler.
-//! The stages are [`TransposePlan::schedule`], run by the same remap
-//! executor as a redistribution ([`ooc_array::remap`]) and tallied by the
-//! compiler from the same schedule.
+//! The plan is the stages' producer ([`ooc_array::RemapStages`]), run by
+//! the same remap executor as a redistribution ([`ooc_array::remap`]) and
+//! tallied by the compiler from the same stream.
 
 use dmsim::ProcCtx;
 use ooc_array::{OocEnv, OocError};
@@ -15,8 +15,7 @@ use ooc_core::plan::TransposePlan;
 /// Execute the plan on this processor under [`TransposePlan::method`].
 /// Returns peak in-core elements.
 pub fn execute(ctx: &ProcCtx, env: &mut OocEnv, plan: &TransposePlan) -> Result<usize, OocError> {
-    let schedule = plan.schedule(ctx.rank());
-    ooc_array::remap(ctx, env, &plan.src, &plan.dst, &schedule, plan.method, ctx)
+    ooc_array::remap(ctx, env, plan, plan.method, ctx)
 }
 
 #[cfg(test)]

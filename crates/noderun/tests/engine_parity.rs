@@ -30,6 +30,15 @@ fn gaxpy() -> (CompiledProgram, RunConfig) {
     (compiled, cfg)
 }
 
+/// `compiled` set to run its ranks on a transient pool of `workers`
+/// threads instead of one OS thread each.
+fn on_pool(compiled: &CompiledProgram, workers: usize) -> CompiledProgram {
+    CompiledProgram {
+        engine: Engine::Pool(workers),
+        ..compiled.clone()
+    }
+}
+
 // CSR fixture matching SPMV_SOURCE (n=64, nnz=512): rowptr holds 0-based
 // half-open nonzero offsets, colidx 0-based scattered column indices.
 const SN: usize = 64;
@@ -82,11 +91,7 @@ fn assert_same_outcome(a: &mut RunOutcome, b: &mut RunOutcome, what: &str) {
 fn pooled_run_is_bit_identical_to_threaded_run() {
     let (compiled, cfg) = gaxpy();
     let mut threaded = run(&compiled, &cfg).unwrap();
-    let pooled_cfg = RunConfig {
-        engine: Some(Engine::Pool(2)),
-        ..cfg.clone()
-    };
-    let mut pooled = run(&compiled, &pooled_cfg).unwrap();
+    let mut pooled = run(&on_pool(&compiled, 2), &cfg).unwrap();
     assert_same_outcome(&mut pooled, &mut threaded, "plain gaxpy");
 }
 
@@ -95,11 +100,7 @@ fn pooled_run_with_faults_is_bit_identical_to_threaded_run() {
     let (compiled, mut cfg) = gaxpy();
     cfg.fault = Some(FaultConfig::chaos(7));
     let mut threaded = run(&compiled, &cfg).unwrap();
-    let pooled_cfg = RunConfig {
-        engine: Some(Engine::Pool(3)),
-        ..cfg.clone()
-    };
-    let mut pooled = run(&compiled, &pooled_cfg).unwrap();
+    let mut pooled = run(&on_pool(&compiled, 3), &cfg).unwrap();
     assert_same_outcome(&mut pooled, &mut threaded, "gaxpy under chaos faults");
 }
 
@@ -110,11 +111,7 @@ fn spmv_pooled_run_is_bit_identical_to_threaded_run() {
     // engine-parity contract like every affine plan.
     let (compiled, cfg) = spmv();
     let mut threaded = run(&compiled, &cfg).unwrap();
-    let pooled_cfg = RunConfig {
-        engine: Some(Engine::Pool(3)),
-        ..cfg.clone()
-    };
-    let mut pooled = run(&compiled, &pooled_cfg).unwrap();
+    let mut pooled = run(&on_pool(&compiled, 3), &cfg).unwrap();
     assert_same_outcome(&mut pooled, &mut threaded, "spmv");
     let (_, y) = &threaded.collected["y"];
     assert!(y.iter().any(|v| *v != 0.0), "product is non-trivial");
@@ -125,11 +122,7 @@ fn spmv_pooled_run_under_chaos_is_bit_identical_to_threaded_run() {
     let (compiled, mut cfg) = spmv();
     cfg.fault = Some(FaultConfig::chaos(11));
     let mut threaded = run(&compiled, &cfg).unwrap();
-    let pooled_cfg = RunConfig {
-        engine: Some(Engine::Pool(2)),
-        ..cfg.clone()
-    };
-    let mut pooled = run(&compiled, &pooled_cfg).unwrap();
+    let mut pooled = run(&on_pool(&compiled, 2), &cfg).unwrap();
     assert_same_outcome(&mut pooled, &mut threaded, "spmv under chaos faults");
 }
 

@@ -8,7 +8,7 @@
 //! messages equal the compiler's estimate and its simulated seconds agree
 //! to 1e-9; and every candidate an unforced compile reports equals the
 //! estimate of compiling with that candidate forced. Transposes and
-//! redistributions are also held to the tally of their remap schedule on
+//! redistributions are also held to the tally of their remap stages on
 //! every rank, ranks that own nothing included. A stencil whose shift is
 //! wider than its slab is held to its estimate stage by stage. GAXPY slabs
 //! and elementwise strips and stages run the forced method too, with and
@@ -373,7 +373,7 @@ fn every_forced_transpose_matches_its_estimate() {
 }
 
 /// Run `plan` on every rank: each rank's measured requests, bytes and
-/// messages equal the tally of its remap schedule, and the assembled
+/// messages equal the tally of its remap stages, and the assembled
 /// destination is the transpose of `fa`.
 fn every_rank_transposes_as_scheduled(tag: &str, plan: &TransposePlan) {
     let p = plan.src.dist.nprocs();
@@ -384,7 +384,7 @@ fn every_rank_transposes_as_scheduled(tag: &str, plan: &TransposePlan) {
         env.load_global(&plan.src, &fa).unwrap();
         let before = ctx.stats();
         noderun::transpose::execute(ctx, &mut env, plan).unwrap();
-        let tally = RemapGeometry::transpose(plan, ctx.rank()).nodes(plan.method);
+        let tally = RemapGeometry::new(plan, ctx.rank()).nodes(plan.method);
         assert_eq!(
             delta(&ctx.stats(), &before),
             estimated(&tally),

@@ -139,7 +139,7 @@ fn hand_driven(
 
 #[test]
 fn a_loop_of_spmvs_inspects_once_per_rank_and_matches_one_hand_driven_cache() {
-    let compiled = compile_source(&spmv_twice(None), &CompilerOptions::default()).unwrap();
+    let mut compiled = compile_source(&spmv_twice(None), &CompilerOptions::default()).unwrap();
     assert_eq!(compiled.plans.len(), ITERS);
     let reference = reference_y(col);
 
@@ -174,7 +174,7 @@ fn a_loop_of_spmvs_inspects_once_per_rank_and_matches_one_hand_driven_cache() {
         for fault in [None, Some(FaultConfig::chaos(2026))] {
             let tag = format!("{engine:?} chaos={}", fault.is_some());
             let mut cfg = config();
-            cfg.engine = Some(engine);
+            compiled.engine = engine;
             cfg.fault = fault.clone();
             let mut out = run(&compiled, &cfg).unwrap();
             let (hand, hand_y) = hand_driven(&compiled, engine, fault.as_ref());

@@ -43,8 +43,8 @@ pub use persist::{
     restore_checkpoint,
 };
 pub use redist::{
-    redistribute, redistribute_with, relayout_in_place, remap, RedistPieces, RemapSchedule,
-    RemapStage,
+    redistribute, redistribute_with, relayout_in_place, remap, Redistribution, RemapStage,
+    RemapStages,
 };
 pub use section::{DimRange, Section};
 pub use shape::Shape;

@@ -31,25 +31,18 @@ pub fn local_section_of_global(
 ) -> Option<Section> {
     assert_eq!(global.ndims(), dist.global().ndims(), "rank mismatch");
     (0..global.ndims())
-        .map(|d| local_range_of_global(dist, d, dist.dim_coord(d, rank), global.range(d)))
+        .map(|d| {
+            let coord = dist.dim_coord(d, rank);
+            let isect = dist.owned_range(d, coord)?.intersect(&global.range(d))?;
+            global_range_to_local(dist, d, coord, isect)
+        })
         .collect()
 }
 
-/// The part of the global range `global` along dimension `d` that grid
-/// coordinate `coord` owns, in local indices: one dimension of
-/// [`local_section_of_global`]. `None` when it owns none of it or the part
-/// is not a regular range.
-pub(crate) fn local_range_of_global(
-    dist: &Distribution,
-    d: usize,
-    coord: usize,
-    global: DimRange,
-) -> Option<DimRange> {
-    let isect = dist.owned_range(d, coord)?.intersect(&global)?;
-    global_range_to_local(dist, d, coord, isect)
-}
-
-fn global_range_to_local(
+/// `r`, global indices along dimension `d` that grid coordinate `coord`
+/// owns all of, in its local indices; `None` when they are not a regular
+/// local range.
+pub(crate) fn global_range_to_local(
     dist: &Distribution,
     d: usize,
     coord: usize,

@@ -11,10 +11,11 @@
 //! Redistribution and the out-of-core transpose are one operation: each
 //! rank reads its source in pieces, sends every piece to the rank owning its
 //! destination, and writes what it receives, piece by piece or assembled in
-//! one write. A [`RemapSchedule`] lists one rank's side of it, built by
-//! [`RemapSchedule::redistribution`] or by the transpose plan; [`remap`]
-//! runs it under every access method, and the compiler prices the same
-//! schedule.
+//! one write. Each kind of remap is one [`RemapStages`] producer that hands
+//! a rank its stages one by one, borrowed, with no schedule built: a
+//! [`Redistribution`] here, and the transpose plan in the compiler.
+//! [`remap`] runs a producer under every access method, and the compiler
+//! tallies the same producer to price it.
 
 use dmsim::{Payload, ProcCtx, Tag};
 use ooc_trace::Category;
@@ -24,9 +25,9 @@ use crate::dims::Dims;
 use crate::error::OocError;
 
 use crate::layout::FileLayout;
-use crate::localize::local_range_of_global;
+use crate::localize::global_range_to_local;
 use crate::ocla::{ArrayDesc, OocEnv};
-use crate::section::{offset, DimRange, Section};
+use crate::section::{offset, Section};
 use crate::slab::SlabPlan;
 
 /// Tag of remap messages (redistribution and transpose pieces).
@@ -89,11 +90,10 @@ pub fn redistribute(
     redistribute_with(ctx, env, src, dst, IoMethod::Direct, charge)
 }
 
-/// [`redistribute`] with an explicit I/O access method: [`remap`] over
-/// [`RemapSchedule::redistribution`]. All three methods produce
+/// [`redistribute`] with an explicit I/O access method: [`remap`] over the
+/// [`Redistribution`] of `src` into `dst`. All three methods produce
 /// byte-identical array contents; they differ only in the request/message
-/// schedule over the same [`RedistPieces`], which is what the compiler
-/// prices.
+/// schedule over the same stage, which is what the compiler prices.
 pub fn redistribute_with(
     ctx: &ProcCtx,
     env: &mut OocEnv,
@@ -102,152 +102,144 @@ pub fn redistribute_with(
     method: IoMethod,
     charge: &dyn IoCharge,
 ) -> Result<(), OocError> {
-    let schedule = RemapSchedule::redistribution(src, dst, ctx.rank());
-    remap(ctx, env, src, dst, &schedule, method, charge).map(|_| ())
+    remap(ctx, env, &Redistribution::new(src, dst), method, charge).map(|_| ())
 }
 
-fn check_conformance(src: &ArrayDesc, dst: &ArrayDesc) {
-    assert_eq!(
-        src.dist.global(),
-        dst.dist.global(),
-        "redistribute: global shapes differ"
-    );
-    assert_eq!(
-        src.dist.nprocs(),
-        dst.dist.nprocs(),
-        "redistribute: processor counts differ"
-    );
+/// One stage of a remap on one rank, in this rank's local index spaces,
+/// borrowed from its [`RemapStages`] producer: the rank reads source
+/// sections, sends every piece of them to the rank owning its destination,
+/// and receives at most one piece from each peer.
+#[derive(Debug, Clone, Copy)]
+pub struct RemapStage<'a> {
+    /// The source section the stage's reads tile, which two-phase reads in
+    /// one request; `None` when the rank reads nothing.
+    pub union: Option<&'a Section>,
+    /// Each source section read, with how many of the next `sends` are
+    /// pieces of it.
+    pub reads: &'a [(Section, usize)],
+    /// Every piece sent, grouped by read: destination rank and the piece's
+    /// source section.
+    pub sends: &'a [(usize, Section)],
+    /// Per source rank: the destination section its piece fills.
+    pub recv: &'a [Option<Section>],
 }
 
-/// One rank's pieces of a redistribution: per peer, what it exchanges with
-/// that peer — the intersection of the two ranks' owned global sections —
-/// in this rank's local index space, `None` where they share nothing.
-/// [`RemapSchedule::redistribution`] is built from them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RedistPieces {
-    /// Per destination rank: the section of this rank's source it sends
-    /// (`send[rank]` stays local).
-    pub send: Vec<Option<Section>>,
-    /// Per source rank: the section of this rank's destination it fills
-    /// (`recv[rank]` is the local piece).
-    pub recv: Vec<Option<Section>>,
-}
-
-impl RedistPieces {
-    /// The pieces `rank` exchanges when `src` is redistributed into `dst`.
-    pub fn of(src: &ArrayDesc, dst: &ArrayDesc, rank: usize) -> RedistPieces {
-        let p = src.dist.nprocs();
-        let mut pieces = RedistPieces {
-            send: Vec::with_capacity(p),
-            recv: Vec::with_capacity(p),
-        };
-        RedistPieces::visit(src, dst, rank, |_, send, recv| {
-            pieces.send.push(send.map(Section::new));
-            pieces.recv.push(recv.map(Section::new));
-        });
-        pieces
-    }
-
-    /// [`RedistPieces::of`] peer by peer in rank order, without a
-    /// [`Section`] per piece: `f(j, send, recv)` gets the local ranges of
-    /// the piece sent to rank `j` and of the piece received from it. The
-    /// compiler tallies a redistribution through this.
-    pub fn visit(
-        src: &ArrayDesc,
-        dst: &ArrayDesc,
-        rank: usize,
-        mut f: impl FnMut(usize, Option<&[DimRange]>, Option<&[DimRange]>),
-    ) {
-        check_conformance(src, dst);
-        let owned = |desc: &ArrayDesc, r: usize, d: usize| {
-            let coord = desc.dist.dim_coord(d, r);
-            (desc.dist.owned_range(d, coord)).expect("regular distribution required")
-        };
-        let ndims = src.dist.global().ndims();
-        // Into `out`, the local ranges of what `rank` owns of `desc`
-        // intersected with what rank `j` owns of `other`; false when they
-        // share nothing.
-        let piece = |out: &mut Vec<DimRange>, desc: &ArrayDesc, other: &ArrayDesc, j: usize| {
-            out.clear();
-            for d in 0..ndims {
-                match owned(desc, rank, d).intersect(&owned(other, j, d)) {
-                    Some(g) => out.push(g),
-                    None => return false,
-                }
-            }
-            for (d, g) in out.iter_mut().enumerate() {
-                let coord = desc.dist.dim_coord(d, rank);
-                *g = local_range_of_global(&desc.dist, d, coord, *g).expect("owns intersection");
-            }
-            true
-        };
-        let (mut send, mut recv) = (Vec::with_capacity(ndims), Vec::with_capacity(ndims));
-        for j in 0..src.dist.nprocs() {
-            let sends = piece(&mut send, src, dst, j);
-            let receives = piece(&mut recv, dst, src, j);
-            f(j, sends.then_some(&send[..]), receives.then_some(&recv[..]));
-        }
-    }
-}
-
-/// One rank's side of a remap — a redistribution or a transpose — as
-/// stages of one exchange: in each, the rank reads source sections, sends
-/// every piece of them to the rank owning its destination, and receives at
-/// most one piece from each peer. [`remap`] runs it under every access
-/// method and the compiler tallies it, so both see the same requests and
+/// One remap — a redistribution or a transpose — as the stages each rank
+/// runs. [`remap`] runs the stream under every access method and the
+/// compiler tallies the same stream, so both see the same requests and
 /// messages.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RemapSchedule {
+pub trait RemapStages {
+    /// The array read.
+    fn src(&self) -> &ArrayDesc;
+
+    /// The array written.
+    fn dst(&self) -> &ArrayDesc;
+
     /// Payloads are transposed: a piece's source section, read in row-major
     /// order, is its destination piece in column-major order. A transpose
     /// also traces each stage as a slab span.
-    pub transpose: bool,
-    /// The stages in order; every rank runs as many.
-    pub stages: Vec<RemapStage>,
+    fn transposes(&self) -> bool;
+
+    /// `rank`'s stages in order, each handed to `f`; the walk stops at the
+    /// first error `f` returns. Every rank runs as many stages.
+    fn for_each_stage<E>(
+        &self,
+        rank: usize,
+        f: impl FnMut(RemapStage<'_>) -> Result<(), E>,
+    ) -> Result<(), E>;
 }
 
-/// One stage of a [`RemapSchedule`], in this rank's local index spaces.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RemapStage {
-    /// The source section the stage's reads tile, which two-phase reads in
-    /// one request; `None` when the rank reads nothing.
-    pub union: Option<Section>,
-    /// Each source section read, with how many of the next `sends` are
-    /// pieces of it.
-    pub reads: Vec<(Section, usize)>,
-    /// Every piece sent, grouped by read: destination rank and the piece's
-    /// source section.
-    pub sends: Vec<(usize, Section)>,
-    /// Per source rank: the destination section its piece fills.
-    pub recv: Vec<Option<Section>>,
+/// The redistribution of one array into another of the same global shape
+/// over the same processors: one stage in which each rank sends every peer
+/// the intersection of its owned source section and the peer's owned
+/// destination section, one read per piece. The destination distribution
+/// partitions the global array, so the pieces tile the local source, which
+/// two-phase reads whole.
+#[derive(Debug, Clone, Copy)]
+pub struct Redistribution<'a> {
+    src: &'a ArrayDesc,
+    dst: &'a ArrayDesc,
 }
 
-impl RemapSchedule {
-    /// The redistribution of `src` into `dst` on `rank`: one stage, one read
-    /// per outgoing piece of [`RedistPieces`]. The destination distribution
-    /// partitions the global array, so the pieces tile the local source,
-    /// which two-phase reads whole.
-    pub fn redistribution(src: &ArrayDesc, dst: &ArrayDesc, rank: usize) -> RemapSchedule {
-        let pieces = RedistPieces::of(src, dst, rank);
-        let sends: Vec<_> = (pieces.send.into_iter().enumerate())
-            .filter_map(|(j, piece)| Some((j, piece?)))
-            .collect();
-        let whole = Section::full(&src.local_shape(rank));
-        let stage = RemapStage {
-            union: (!sends.is_empty()).then_some(whole),
-            reads: sends.iter().map(|(_, piece)| (piece.clone(), 1)).collect(),
-            sends,
-            recv: pieces.recv,
-        };
-        RemapSchedule {
-            transpose: false,
-            stages: vec![stage],
-        }
+impl<'a> Redistribution<'a> {
+    /// The redistribution of `src` into `dst`. Panics when their global
+    /// shapes or processor counts differ.
+    pub fn new(src: &'a ArrayDesc, dst: &'a ArrayDesc) -> Self {
+        assert_eq!(
+            src.dist.global(),
+            dst.dist.global(),
+            "redistribute: global shapes differ"
+        );
+        assert_eq!(
+            src.dist.nprocs(),
+            dst.dist.nprocs(),
+            "redistribute: processor counts differ"
+        );
+        Redistribution { src, dst }
     }
 }
 
-/// Run `schedule`, this rank's side of a remap of `src` into `dst`, under
-/// `method`. Collective. Returns the peak in-core elements.
+impl RemapStages for Redistribution<'_> {
+    fn src(&self) -> &ArrayDesc {
+        self.src
+    }
+
+    fn dst(&self) -> &ArrayDesc {
+        self.dst
+    }
+
+    fn transposes(&self) -> bool {
+        false
+    }
+
+    fn for_each_stage<E>(
+        &self,
+        rank: usize,
+        mut f: impl FnMut(RemapStage<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let p = self.src.dist.nprocs();
+        let (mut reads, mut sends, mut recv) = (
+            Vec::with_capacity(p),
+            Vec::with_capacity(p),
+            Vec::with_capacity(p),
+        );
+        for j in 0..p {
+            if let Some(piece) = overlap(self.src, self.dst, rank, j) {
+                reads.push((piece.clone(), 1));
+                sends.push((j, piece));
+            }
+            recv.push(overlap(self.dst, self.src, rank, j));
+        }
+        let union = (!sends.is_empty()).then(|| Section::full(&self.src.local_shape(rank)));
+        f(RemapStage {
+            union: union.as_ref(),
+            reads: &reads,
+            sends: &sends,
+            recv: &recv,
+        })
+    }
+}
+
+/// What `rank` owns of `desc` intersected with what rank `j` owns of
+/// `other`, in `rank`'s local index space of `desc`; `None` when they share
+/// nothing.
+fn overlap(desc: &ArrayDesc, other: &ArrayDesc, rank: usize, j: usize) -> Option<Section> {
+    let owned = |desc: &ArrayDesc, r: usize, d: usize| {
+        let coord = desc.dist.dim_coord(d, r);
+        let range = desc.dist.owned_range(d, coord);
+        (coord, range.expect("regular distribution required"))
+    };
+    (0..desc.dist.global().ndims())
+        .map(|d| {
+            let ((coord, mine), (_, theirs)) = (owned(desc, rank, d), owned(other, j, d));
+            let global = mine.intersect(&theirs)?;
+            Some(global_range_to_local(&desc.dist, d, coord, global).expect("owns the overlap"))
+        })
+        .collect()
+}
+
+/// Run `stages`, this rank's side of a remap, under `method`. Collective.
+/// Returns the peak in-core elements.
 ///
 /// * `Direct` — each read is one section access; each piece is sent (or
 ///   written, if it stays local) and each received piece is written on
@@ -263,14 +255,13 @@ impl RemapSchedule {
 pub fn remap(
     ctx: &ProcCtx,
     env: &mut OocEnv,
-    src: &ArrayDesc,
-    dst: &ArrayDesc,
-    schedule: &RemapSchedule,
+    stages: &impl RemapStages,
     method: IoMethod,
     charge: &dyn IoCharge,
 ) -> Result<usize, OocError> {
+    let (src, dst, transpose) = (stages.src(), stages.dst(), stages.transposes());
     let _m = ctx.trace_io_method(method.label());
-    let _span = (!schedule.transpose).then(|| ctx.trace_span(Category::Redist, "redistribute"));
+    let _span = (!transpose).then(|| ctx.trace_span(Category::Redist, "redistribute"));
     let (me, two_phase, policy) = (
         ctx.rank(),
         method == IoMethod::TwoPhase,
@@ -280,24 +271,24 @@ pub fn remap(
     let strides = dst_shape.strides();
     let mut assembled = vec![0.0f32; if two_phase { dst_shape.len() } else { 0 }];
     let mut peak = assembled.len();
-    for (s, stage) in schedule.stages.iter().enumerate() {
-        let _stage = schedule
-            .transpose
-            .then(|| ctx.trace_slab_span("stage", s as u64));
+    let mut s = 0;
+    stages.for_each_stage(me, |stage| {
+        let _stage = transpose.then(|| ctx.trace_slab_span("stage", s));
+        s += 1;
         if two_phase {
             let mut payloads = vec![Vec::new(); ctx.nprocs()];
-            if let Some(union) = &stage.union {
+            if let Some(union) = stage.union {
                 let data = env.read_section(src, union, charge)?;
                 peak = peak.max(assembled.len() + data.len());
-                for (j, piece) in &stage.sends {
-                    payloads[*j] = carve(&data, union, piece, schedule.transpose);
+                for (j, piece) in stage.sends {
+                    payloads[*j] = carve(&data, union, piece, transpose);
                 }
             }
             let received = {
                 let _x = ctx.trace_span(Category::Exchange, "exchange");
                 ctx.try_alltoallv::<f32>(payloads)?
             };
-            for (piece, sec) in received.iter().zip(&stage.recv) {
+            for (piece, sec) in received.iter().zip(stage.recv) {
                 if piece.is_empty() {
                     continue;
                 }
@@ -307,12 +298,12 @@ pub fn remap(
             }
         } else {
             let mut sends = stage.sends.iter();
-            for (read, count) in &stage.reads {
+            for (read, count) in stage.reads {
                 let mut data = Vec::new();
                 env.read_section_into(src, read, &mut data, charge, policy)?;
                 peak = peak.max(data.len());
                 for (j, piece) in sends.by_ref().take(*count) {
-                    let payload = carve(&data, read, piece, schedule.transpose);
+                    let payload = carve(&data, read, piece, transpose);
                     if *j == me {
                         let local = stage.recv[me]
                             .as_ref()
@@ -333,7 +324,8 @@ pub fn remap(
                 env.write_section(dst, sec, &payload, charge, policy)?;
             }
         }
-    }
+        Ok::<_, OocError>(())
+    })?;
     if two_phase && !dst_shape.is_empty() {
         env.write_section(dst, &Section::full(&dst_shape), &assembled, charge, policy)?;
     }
@@ -397,7 +389,7 @@ mod tests {
     use super::*;
     use crate::dist::Distribution;
     use crate::ocla::ArrayId;
-    use crate::section::Section;
+    use crate::section::{DimRange, Section};
     use crate::shape::Shape;
     use dmsim::{Machine, MachineConfig};
     use pario::{ElemKind, NoCharge};

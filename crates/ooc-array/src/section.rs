@@ -71,46 +71,31 @@ impl DimRange {
         (self.lo..self.hi).step_by(self.step)
     }
 
-    /// Intersection with another range. Exact for stride-1 ranges (the only
-    /// strided intersections the runtime performs are with stride-1 slabs);
-    /// general stride pairs fall back to `None` when either stride > 1 and
-    /// they differ.
+    /// Intersection with another range, exact for any pair of strides: the
+    /// common indices recur every lcm of the two steps. `None` when they
+    /// share no index.
     pub fn intersect(&self, other: &DimRange) -> Option<DimRange> {
+        let (lo, hi) = (self.lo.max(other.lo), self.hi.min(other.hi));
+        // Two dense ranges, the common case, need no lattice walk.
         if self.step == 1 && other.step == 1 {
-            let lo = self.lo.max(other.lo);
-            let hi = self.hi.min(other.hi);
-            return if lo < hi {
-                Some(DimRange::new(lo, hi))
-            } else {
-                None
-            };
+            return (lo < hi).then(|| DimRange::new(lo, hi));
         }
-        if self.step == other.step && (self.lo % self.step) == (other.lo % other.step) {
-            let lo = self.lo.max(other.lo);
-            let hi = self.hi.min(other.hi);
-            return if lo < hi {
-                Some(DimRange::strided(lo, hi, self.step))
-            } else {
-                None
-            };
+        // Walk the coarser lattice from the higher lower bound: the first
+        // common index is among its next `fine.step / gcd` indices.
+        let (coarse, fine) = if self.step >= other.step {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        let start = coarse.lo + (lo - coarse.lo).div_ceil(coarse.step) * coarse.step;
+        let (mut a, mut b) = (coarse.step, fine.step);
+        while b != 0 {
+            (a, b) = (b, a % b);
         }
-        // One strided, one dense: restrict the strided one.
-        if self.step == 1 {
-            return other.intersect(self);
-        }
-        if other.step == 1 {
-            let lo_raw = self.lo.max(other.lo);
-            // Round lo_raw up to the stride lattice of self.
-            let k = (lo_raw.saturating_sub(self.lo)).div_ceil(self.step);
-            let lo = self.lo + k * self.step;
-            let hi = self.hi.min(other.hi);
-            return if lo < hi {
-                Some(DimRange::strided(lo, hi, self.step))
-            } else {
-                None
-            };
-        }
-        None
+        let first = (0..fine.step / a)
+            .map(|k| start + k * coarse.step)
+            .find(|i| (i - fine.lo).is_multiple_of(fine.step))?;
+        (first < hi).then(|| DimRange::strided(first, hi, coarse.step / a * fine.step))
     }
 }
 
@@ -335,6 +320,18 @@ mod tests {
     }
 
     #[test]
+    fn intersection_of_different_strides_keeps_their_common_lattice() {
+        // 1, 3, 5, … ∩ 3, 6, 9, … = 3, 9, 15.
+        let (odd, threes) = (DimRange::strided(1, 20, 2), DimRange::strided(3, 20, 3));
+        assert_eq!(odd.intersect(&threes), Some(DimRange::strided(3, 20, 6)));
+        assert_eq!(threes.intersect(&odd), Some(DimRange::strided(3, 20, 6)));
+        // 0, 4, 8, … and 2, 6, 10, … never meet.
+        let (fours, twos) = (DimRange::strided(0, 20, 4), DimRange::strided(2, 20, 4));
+        assert_eq!(fours.intersect(&twos), None);
+        assert_eq!(fours.intersect(&DimRange::strided(1, 20, 2)), None);
+    }
+
+    #[test]
     fn section_basics() {
         let s = Section::new(vec![DimRange::new(1, 3), DimRange::new(0, 4)]);
         assert_eq!(s.len(), 8);
@@ -370,10 +367,10 @@ mod tests {
         #[test]
         fn intersection_matches_pointwise(
             alo in 0usize..15, alen in 0usize..15, astep in 1usize..4,
-            blo in 0usize..15, blen in 0usize..15,
+            blo in 0usize..15, blen in 0usize..15, bstep in 1usize..5,
         ) {
             let a = DimRange::strided(alo, alo + alen, astep);
-            let b = DimRange::new(blo, blo + blen);
+            let b = DimRange::strided(blo, blo + blen, bstep);
             let got: Vec<usize> = match a.intersect(&b) {
                 Some(r) => r.iter().collect(),
                 None => vec![],

@@ -208,14 +208,12 @@ fn assert_forall_as_written(c: &ForallCase, e: &ElwExpr) {
             g,
         )
     };
-    let mut cfg = RunConfig {
-        engine: Some(if c.pool {
-            dmsim::Engine::Pool(2)
-        } else {
-            dmsim::Engine::Threads
-        }),
-        ..RunConfig::default()
+    compiled.engine = if c.pool {
+        dmsim::Engine::Pool(2)
+    } else {
+        dmsim::Engine::Threads
     };
+    let mut cfg = RunConfig::default();
     for name in ["u", "w", "v"] {
         cfg.init
             .insert(name.into(), init_fn(move |g| value(name, g)));
