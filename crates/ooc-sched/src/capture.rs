@@ -75,10 +75,13 @@ impl JobProfile {
 
     /// Structural soundness of a profile that arrived from outside the
     /// capture pipeline (a replay file, a daemon submission): every rank
-    /// has a finite non-negative finish time and a matching stream, and
-    /// every request span is finite, non-negative and well-ordered. A NaN
-    /// smuggled into a request poisons the farm's time comparisons, so
-    /// this is the admission gate that keeps a long-lived server alive.
+    /// has a finite non-negative finish time and a matching stream, every
+    /// request span is finite, non-negative and well-ordered, and no rank
+    /// finishes before its last request ends. A NaN smuggled into a
+    /// request poisons the farm's time comparisons, so this is the
+    /// admission gate that keeps a long-lived server alive; a rank that
+    /// finishes early could complete its job before requests still
+    /// queued, which the workload runtime's admission rules out.
     pub fn validate(&self) -> Result<(), String> {
         if self.streams.len() != self.rank_finish.len() {
             return Err(format!(
@@ -100,6 +103,13 @@ impl JobProfile {
                         r.t0, r.t1
                     ));
                 }
+            }
+            let end = stream.iter().map(|r| r.t1).fold(0.0, f64::max);
+            if self.rank_finish[rank] < end {
+                return Err(format!(
+                    "rank {rank}: finishes at {} before its last request ends at {end}",
+                    self.rank_finish[rank]
+                ));
             }
         }
         Ok(())

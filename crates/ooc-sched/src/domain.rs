@@ -305,9 +305,10 @@ fn touched() {
 }
 
 /// A time (or deadline) and a job index, ordered by `f64::total_cmp` and
-/// then the index: the key of the executive's waiting and ready queues.
+/// then the index: the key of the executive's waiting and ready queues,
+/// and of the plain runtime's unused completions.
 #[derive(Clone, Copy)]
-struct Key(f64, usize);
+pub(crate) struct Key(pub(crate) f64, pub(crate) usize);
 
 impl Ord for Key {
     fn cmp(&self, other: &Key) -> Ordering {

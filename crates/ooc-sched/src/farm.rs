@@ -14,6 +14,7 @@
 //! which float non-associativity would perturb). Single-job replays under
 //! FIFO therefore reproduce the pre-farm simulated times byte-for-byte.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 use crate::capture::{IoReq, JobProfile};
@@ -216,9 +217,10 @@ impl StreamState<'_> {
         }
     }
 
-    /// Arrival time of the head request (caller ensures one exists); an
-    /// injected hang arrives never.
-    fn arrival(&self) -> f64 {
+    /// Solo arrival of the head request (caller ensures one exists),
+    /// shifted by the admission base and the accumulated lag: when static
+    /// share serves it. An injected hang arrives never.
+    fn solo_arrival(&self) -> f64 {
         if self.hung() {
             return f64::INFINITY;
         }
@@ -227,32 +229,30 @@ impl StreamState<'_> {
         if self.lag != 0.0 {
             a += self.lag;
         }
-        a.max(self.floor)
+        a
+    }
+
+    /// Closed-loop arrival of the head request: its solo arrival, no
+    /// earlier than the previous request's finish.
+    fn arrival(&self) -> f64 {
+        self.solo_arrival().max(self.floor)
+    }
+
+    /// The job's completion as far as this stream goes: its rank's solo
+    /// finish, shifted by the base, the resume anchor and the final lag.
+    fn completion(&self, profile: &JobProfile) -> f64 {
+        let mut f = shift(self.base, self.rel(profile.rank_finish[self.rank]));
+        if self.lag != 0.0 {
+            f += self.lag;
+        }
+        f
     }
 }
 
-/// Selection key: lexicographic (k0, k1, arrival, job), all finite.
-struct Key {
-    k0: u8,
-    k1: f64,
-    arrival: f64,
-    job: u32,
-}
-
-impl Key {
-    fn beats(&self, other: &Key) -> bool {
-        if self.k0 != other.k0 {
-            return self.k0 < other.k0;
-        }
-        if self.k1 != other.k1 {
-            return self.k1 < other.k1;
-        }
-        if self.arrival != other.arrival {
-            return self.arrival < other.arrival;
-        }
-        self.job < other.job
-    }
-}
+/// Selection key `(k0, k1, arrival, job)`, all finite: the armed stream
+/// with the lexicographically smallest key is served next (the first in
+/// queue order on a full tie).
+type Key = (u8, f64, f64, u32);
 
 fn key_of(policy: Policy, s: &StreamState, head: Option<u64>) -> Key {
     let arrival = s.arrival();
@@ -270,12 +270,7 @@ fn key_of(policy: Policy, s: &StreamState, head: Option<u64>) -> Key {
         Policy::Deadline => (0, arrival + s.qos_slack),
         Policy::FairShare => (0, s.attained / s.weight.max(f64::MIN_POSITIVE)),
     };
-    Key {
-        k0,
-        k1,
-        arrival,
-        job: s.job,
-    }
+    (k0, k1, arrival, s.job)
 }
 
 /// Replay all jobs against the shared farm under `cfg`, start to finish.
@@ -301,14 +296,33 @@ struct DiskState {
     busy: f64,
     max_depth: usize,
     served: Vec<Served>,
+    /// Admission slot of each served request, parallel to `served`.
+    served_slot: Vec<usize>,
     tracer: Option<Tracer>,
 }
 
-/// Per-admission bookkeeping beyond the public stats.
+/// Per-admission bookkeeping: what the farm knows about a job without
+/// visiting its streams.
 struct JobSlot<'a> {
+    job: u32,
     profile: &'a JobProfile,
     /// Admission base, for the sampler's in-flight accounting.
     base: f64,
+    /// Streams admitted for the job (its ranks the farm has disks for).
+    streams: usize,
+    /// Streams still queued: a stream retires into its slot when it drains.
+    pending: usize,
+    /// Request cursors summed over the job's streams.
+    progress: u64,
+    /// Latest completion among the retired streams.
+    completion: f64,
+}
+
+impl JobSlot<'_> {
+    fn retire(&mut self, s: &StreamState) {
+        self.pending -= 1;
+        self.completion = self.completion.max(s.completion(self.profile));
+    }
 }
 
 /// A resumable disk-farm replay.
@@ -321,15 +335,17 @@ struct JobSlot<'a> {
 /// kill a hung one, preempt at a checkpoint watermark and resume later,
 /// or fail a disk permanently and migrate its queued streams to the
 /// survivors. Everything is a pure function of the admitted profiles and
-/// the call sequence; with a single `run_to_end` it is bitwise-identical
-/// to [`simulate`].
+/// the call sequence, and the report does not depend on how the
+/// timeline is chunked into `run_until` calls: with the same admissions
+/// it is bitwise-identical to a single `run_to_end`, and so to
+/// [`simulate`].
 pub struct FarmSim<'a> {
     cfg: FarmConfig,
     ndisks: usize,
     disks: Vec<DiskState>,
-    /// Per-disk queued streams, in admission (then migration) order.
+    /// Per-disk streams with requests left, in admission (then
+    /// migration) order. Drained streams retire into their slot.
     queues: Vec<Vec<StreamState<'a>>>,
-    stats: Vec<JobQueueStats>,
     slots: Vec<JobSlot<'a>>,
     /// Slots admitted and not yet removed (completed, preempted,
     /// quarantined), in admission order: the sampler's views visit these
@@ -351,6 +367,7 @@ impl<'a> FarmSim<'a> {
                 busy: 0.0,
                 max_depth: 0,
                 served: Vec::new(),
+                served_slot: Vec::new(),
                 tracer: cfg.trace.then(|| Tracer::new(d, TraceConfig::detailed())),
             })
             .collect();
@@ -359,7 +376,6 @@ impl<'a> FarmSim<'a> {
             ndisks,
             disks,
             queues: (0..ndisks).map(|_| Vec::new()).collect(),
-            stats: Vec::new(),
             slots: Vec::new(),
             live: BTreeSet::new(),
             obs: Vec::new(),
@@ -391,17 +407,19 @@ impl<'a> FarmSim<'a> {
     }
 
     fn admit_streams(&mut self, j: &FarmJob<'a>, start: Option<&[usize]>) -> usize {
-        let slot = self.stats.len();
-        self.stats.push(JobQueueStats {
-            job: j.job,
-            ..JobQueueStats::default()
-        });
+        let slot = self.slots.len();
+        let streams = j.profile.nprocs().min(self.ndisks);
         self.slots.push(JobSlot {
+            job: j.job,
             profile: j.profile,
             base: j.base,
+            streams,
+            pending: streams,
+            progress: 0,
+            completion: 0.0,
         });
         self.live.insert(slot);
-        for rank in 0..j.profile.nprocs().min(self.ndisks) {
+        for rank in 0..streams {
             let reqs: &'a [IoReq] = &j.profile.streams[rank];
             let w = start
                 .map(|s| s.get(rank).copied().unwrap_or(0))
@@ -417,8 +435,7 @@ impl<'a> FarmSim<'a> {
             } else {
                 reqs[w - 1].t1
             };
-            let disk = self.route(rank);
-            self.queues[disk].push(StreamState {
+            let s = StreamState {
                 slot,
                 job: j.job,
                 weight: j.weight,
@@ -432,7 +449,14 @@ impl<'a> FarmSim<'a> {
                 floor: f64::NEG_INFINITY,
                 attained: 0.0,
                 hung_at: None,
-            });
+            };
+            self.slots[slot].progress += w as u64;
+            if s.exhausted() {
+                self.slots[slot].retire(&s);
+            } else {
+                let disk = self.route(rank);
+                self.queues[disk].push(s);
+            }
         }
         slot
     }
@@ -462,18 +486,10 @@ impl<'a> FarmSim<'a> {
         }
     }
 
-    /// Total requests served for `slot` so far (the watchdog's virtual
-    /// progress measure).
+    /// Requests of `slot` done so far, those before its resume watermark
+    /// included (the watchdog's virtual progress measure).
     pub fn progress(&self, slot: usize) -> u64 {
-        let mut n = 0u64;
-        for q in &self.queues {
-            for s in q {
-                if s.slot == slot {
-                    n += s.cursor as u64;
-                }
-            }
-        }
-        n
+        self.slots[slot].progress
     }
 
     /// Cumulative busy time of `disk` (sum of charged service so far).
@@ -486,7 +502,7 @@ impl<'a> FarmSim<'a> {
     pub fn queue_depth_at(&self, disk: usize, t: f64) -> usize {
         self.queues[disk]
             .iter()
-            .filter(|s| !s.exhausted() && s.arrival() <= t)
+            .filter(|s| s.arrival() <= t)
             .count()
     }
 
@@ -504,14 +520,9 @@ impl<'a> FarmSim<'a> {
     pub fn progress_report(&self, t: f64) -> Vec<(u32, u64, u64)> {
         self.live
             .iter()
-            .filter(|&&slot| self.slots[slot].base <= t)
-            .map(|&slot| {
-                (
-                    self.stats[slot].job,
-                    self.progress(slot),
-                    self.slots[slot].profile.total_requests() as u64,
-                )
-            })
+            .map(|&slot| &self.slots[slot])
+            .filter(|js| js.base <= t)
+            .map(|js| (js.job, js.progress, js.profile.total_requests() as u64))
             .collect()
     }
 
@@ -532,7 +543,7 @@ impl<'a> FarmSim<'a> {
         let mut any_live = false;
         for q in &self.queues {
             for s in q {
-                if s.slot == slot && !s.exhausted() {
+                if s.slot == slot {
                     if !s.hung() {
                         return false;
                     }
@@ -546,44 +557,32 @@ impl<'a> FarmSim<'a> {
     /// Whether every stream of `slot` has drained (the job's I/O is done;
     /// only rigid compute tails remain).
     pub fn job_done(&self, slot: usize) -> bool {
-        if !self.live.contains(&slot) {
-            return false;
-        }
-        let mut any = false;
-        for q in &self.queues {
-            for s in q {
-                if s.slot == slot {
-                    any = true;
-                    if !s.exhausted() {
-                        return false;
-                    }
-                }
-            }
-        }
-        any
+        let js = &self.slots[slot];
+        self.live.contains(&slot) && js.streams > 0 && js.pending == 0
     }
 
     /// Completion time of a drained job: the latest rank finish, shifted
     /// by the admission base, resume anchor, and that stream's final lag.
     /// `None` until [`FarmSim::job_done`].
     pub fn completion(&self, slot: usize) -> Option<f64> {
-        if !self.job_done(slot) {
-            return None;
-        }
-        let profile = self.slots[slot].profile;
-        let mut c = 0.0f64;
-        for q in &self.queues {
-            for s in q {
-                if s.slot == slot {
-                    let mut f = shift(s.base, s.rel(profile.rank_finish[s.rank]));
-                    if s.lag != 0.0 {
-                        f += s.lag;
-                    }
-                    c = c.max(f);
-                }
-            }
-        }
-        Some(c)
+        self.job_done(slot).then(|| self.slots[slot].completion)
+    }
+
+    /// When the next request would start on any living disk: the next
+    /// event of the replay. Infinite when nothing can arrive any more.
+    /// A job not yet drained completes no earlier than this.
+    pub(crate) fn next_start(&self) -> f64 {
+        let next = |d: usize| match self.cfg.policy {
+            Policy::StaticShare => self.queues[d]
+                .iter()
+                .map(StreamState::solo_arrival)
+                .fold(f64::INFINITY, f64::min),
+            _ => next_on(&self.queues[d], self.disks[d].now),
+        };
+        (0..self.ndisks)
+            .filter(|&d| self.disks[d].alive)
+            .map(next)
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// Remove `slot` from the farm (completed, preempted, or quarantined):
@@ -591,8 +590,10 @@ impl<'a> FarmSim<'a> {
     /// at removal — the executive rolls them back to a checkpoint
     /// watermark for [`FarmSim::admit_resumed`].
     pub fn remove_job(&mut self, slot: usize) -> Vec<usize> {
-        let nprocs = self.slots[slot].profile.nprocs();
-        let mut cursors = vec![0usize; nprocs];
+        let js = &self.slots[slot];
+        // Streams no longer queued drained to their end.
+        let mut cursors: Vec<usize> = js.profile.streams.iter().map(Vec::len).collect();
+        cursors[js.streams..].fill(0);
         for q in &mut self.queues {
             q.retain(|s| {
                 if s.slot == slot {
@@ -625,17 +626,7 @@ impl<'a> FarmSim<'a> {
             "cannot kill the last surviving disk"
         );
         self.disks[disk].alive = false;
-        let mut moving = Vec::new();
-        let q = &mut self.queues[disk];
-        let mut i = 0;
-        while i < q.len() {
-            if !q[i].exhausted() {
-                moving.push(q.remove(i));
-            } else {
-                // Drained streams stay: their lag still feeds completion.
-                i += 1;
-            }
-        }
+        let moving = std::mem::take(&mut self.queues[disk]);
         let alive: Vec<usize> = (0..self.ndisks).filter(|&d| self.disks[d].alive).collect();
         let migrated = moving.len();
         for (k, s) in moving.into_iter().enumerate() {
@@ -662,87 +653,48 @@ impl<'a> FarmSim<'a> {
         self.run_until(f64::INFINITY);
     }
 
+    /// Serve `disk`'s requests in start order until the next one would
+    /// start at or past `horizon`. Each choice depends on the queue state
+    /// alone, so the served order is the same however the timeline is
+    /// chunked.
     fn run_disk(&mut self, disk: usize, horizon: f64) {
+        if self.cfg.policy == Policy::StaticShare {
+            self.run_static(disk, horizon);
+        } else {
+            self.run_queued(disk, horizon);
+        }
+    }
+
+    fn run_queued(&mut self, disk: usize, horizon: f64) {
         let d = &mut self.disks[disk];
         let streams = &mut self.queues[disk];
-        let stats = &mut self.stats;
-        let observe = self.cfg.observe;
-        let obs = &mut self.obs;
-
-        if self.cfg.policy == Policy::StaticShare {
-            // Legacy static divide: no queue. The captured service times
-            // were already priced under the cost model's static bandwidth
-            // share, so every request is served exactly at its arrival —
-            // services of different streams overlap freely, so their spans
-            // go on the nesting-exempt queue track.
-            for s in streams.iter_mut() {
-                while !s.exhausted() && !s.hung() {
-                    let r = s.reqs[s.cursor];
-                    let arrival = shift(s.base, s.rel(r.t0));
-                    if arrival >= horizon {
-                        break;
-                    }
-                    let finish = shift(s.base, s.rel(r.t1));
-                    let seq = s.cursor;
-                    record(
-                        disk,
-                        d,
-                        s,
-                        seq,
-                        &r,
-                        arrival,
-                        arrival,
-                        finish,
-                        r.service(),
-                        1,
-                        Track::Queue,
-                        stats,
-                        observe.then_some(&mut *obs),
-                    );
-                }
-            }
-            return;
-        }
-
+        let slots = &mut self.slots;
+        let mut obs = self.cfg.observe.then_some(&mut self.obs);
         loop {
-            // Earliest arrival among non-exhausted streams.
-            let mut min_arrival = f64::INFINITY;
-            for s in streams.iter() {
-                if !s.exhausted() {
-                    min_arrival = min_arrival.min(s.arrival());
-                }
-            }
-            if !min_arrival.is_finite() {
+            let start = next_on(streams, d.now);
+            // Commit the clock only when the service will actually start
+            // inside the horizon, so later admissions can still use the
+            // idle gap.
+            if !start.is_finite() || start >= horizon {
                 break;
             }
-            // Work conservation: never idle past the earliest armed
-            // request — but commit the clock only when the service will
-            // actually start inside the horizon, so later admissions can
-            // still use the idle gap.
-            let start_at = if d.now < min_arrival {
-                min_arrival
-            } else {
-                d.now
-            };
-            if start_at >= horizon {
-                break;
-            }
-            d.now = start_at;
+            d.now = start;
             // Armed set and policy selection.
             let mut pick: Option<usize> = None;
             let mut best: Option<Key> = None;
             let mut depth = 0usize;
             for (i, s) in streams.iter().enumerate() {
-                if !s.exhausted() && s.arrival() <= d.now {
+                visit();
+                if s.arrival() <= start {
                     depth += 1;
                     let k = key_of(self.cfg.policy, s, d.head);
-                    if best.as_ref().is_none_or(|b| k.beats(b)) {
+                    if best.is_none_or(|b| k < b) {
                         best = Some(k);
                         pick = Some(i);
                     }
                 }
             }
-            // An armed stream must exist at `now` for well-formed
+            // An armed stream must exist at `start` for well-formed
             // profiles; a NaN-poisoned arrival could fail every `<=`
             // comparison above, so degrade to an idle disk instead of
             // panicking (profiles are validated at admission, this is
@@ -750,7 +702,6 @@ impl<'a> FarmSim<'a> {
             let Some(i) = pick else { break };
             let s = &mut streams[i];
             let r = s.reqs[s.cursor];
-            let seq = s.cursor;
             let arrival = s.arrival();
             let mut service = r.service();
             if self.cfg.seek_penalty > 0.0 {
@@ -760,7 +711,6 @@ impl<'a> FarmSim<'a> {
                     }
                 }
             }
-            let start = d.now;
             // Bitwise-exact fast path: an undisturbed request keeps its
             // solo finish time instead of re-deriving it as
             // start + (t1 - t0).
@@ -778,40 +728,100 @@ impl<'a> FarmSim<'a> {
                 disk,
                 d,
                 s,
-                seq,
-                &r,
                 arrival,
                 start,
                 finish,
                 service,
                 depth,
                 Track::Main,
-                stats,
-                observe.then_some(&mut *obs),
+                obs.as_deref_mut(),
             );
+            slots[s.slot].progress += 1;
             if let Some(o) = r.offset {
                 d.head = Some(o + r.bytes);
             }
             d.now = finish;
+            if s.exhausted() {
+                let s = streams.remove(i);
+                slots[s.slot].retire(&s);
+            }
         }
+    }
+
+    /// Static share is the legacy divide: no queue. The captured service
+    /// times were already priced under the cost model's static bandwidth
+    /// share, so every request is served exactly at its solo arrival —
+    /// services of different streams overlap freely, so their spans go on
+    /// the nesting-exempt queue track. A stream never lags, so its solo
+    /// arrivals are its start times; the requests due before the horizon
+    /// go out in start order.
+    fn run_static(&mut self, disk: usize, horizon: f64) {
+        let d = &mut self.disks[disk];
+        let streams = &mut self.queues[disk];
+        let slots = &mut self.slots;
+        let mut obs = self.cfg.observe.then_some(&mut self.obs);
+        let mut due: Vec<(f64, usize)> = Vec::new();
+        for (i, s) in streams.iter().enumerate() {
+            visit();
+            let armed = s.reqs[s.cursor..]
+                .iter()
+                .take_while(|r| s.hung_at.is_none_or(|h| r.t0 < h));
+            let starts = armed.map(|r| (shift(s.base, s.rel(r.t0)), i));
+            due.extend(starts.take_while(|&(start, _)| start < horizon));
+        }
+        // Stable, and no start is NaN: ties keep queue order, then each
+        // stream's sequence.
+        due.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
+        for (start, i) in due {
+            let s = &mut streams[i];
+            let r = s.reqs[s.cursor];
+            let finish = shift(s.base, s.rel(r.t1));
+            record(
+                disk,
+                d,
+                s,
+                start,
+                start,
+                finish,
+                r.service(),
+                1,
+                Track::Queue,
+                obs.as_deref_mut(),
+            );
+            slots[s.slot].progress += 1;
+            if s.exhausted() {
+                slots[s.slot].retire(s);
+            }
+        }
+        streams.retain(|s| !s.exhausted());
     }
 
     /// Tear the farm down into its report: per-disk served logs
     /// concatenated in disk order, completion times filled in for every
     /// drained job (jobs removed or still pending keep completion 0.0 —
-    /// the executive reports their fate separately).
-    pub fn finish(mut self) -> FarmReport {
-        for slot in 0..self.stats.len() {
-            if let Some(c) = self.completion(slot) {
-                self.stats[slot].completion = c;
-            }
-        }
+    /// the executive reports their fate separately). Per-job totals are
+    /// summed over the served logs in that same order, so they do not
+    /// depend on how the timeline was chunked.
+    pub fn finish(self) -> FarmReport {
+        let mut jobs: Vec<JobQueueStats> = (0..self.slots.len())
+            .map(|slot| JobQueueStats {
+                job: self.slots[slot].job,
+                completion: self.completion(slot).unwrap_or(0.0),
+                ..JobQueueStats::default()
+            })
+            .collect();
         let mut served = Vec::new();
         let mut disk_busy = Vec::with_capacity(self.ndisks);
         let mut max_queue_depth = Vec::with_capacity(self.ndisks);
         let mut rank_traces = Vec::new();
-        let tracing = self.cfg.trace;
         for d in self.disks {
+            for (sv, &slot) in d.served.iter().zip(&d.served_slot) {
+                let js = &mut jobs[slot];
+                js.requests += 1;
+                js.total_wait += sv.wait();
+                js.max_wait = js.max_wait.max(sv.wait());
+                js.total_service += sv.service;
+            }
             served.extend(d.served);
             disk_busy.push(d.busy);
             max_queue_depth.push(d.max_depth);
@@ -820,36 +830,52 @@ impl<'a> FarmSim<'a> {
             }
         }
         FarmReport {
-            jobs: self.stats,
+            jobs,
             served,
             disk_busy,
             max_queue_depth,
-            trace: tracing.then_some(Trace { ranks: rank_traces }),
+            trace: self.cfg.trace.then_some(Trace { ranks: rank_traces }),
         }
     }
 }
 
-/// Book-keep one served request: advance the stream, update its lag and
-/// attained service, log it, accumulate job metrics, and emit trace and
-/// observatory events. `service_track` carries the service span: the main
-/// track for queueing policies (one request in service at a time), the
-/// nesting-exempt queue track for static share (services overlap).
+/// When a queueing disk next starts a request: never idle past the
+/// earliest armed request (work conservation), nor start one before its
+/// own clock.
+fn next_on(streams: &[StreamState], now: f64) -> f64 {
+    let mut min_arrival = f64::INFINITY;
+    for s in streams {
+        visit();
+        min_arrival = min_arrival.min(s.arrival());
+    }
+    if now < min_arrival {
+        min_arrival
+    } else {
+        now
+    }
+}
+
+/// Book-keep the service of `s`'s head request: advance the stream,
+/// update its lag and attained service, log it, and emit trace and
+/// observatory events.
+/// `service_track` carries the service span: the main track for queueing
+/// policies (one request in service at a time), the nesting-exempt queue
+/// track for static share (services overlap).
 #[allow(clippy::too_many_arguments)]
 fn record(
     disk: usize,
     d: &mut DiskState,
     s: &mut StreamState,
-    seq: usize,
-    r: &IoReq,
     arrival: f64,
     start: f64,
     finish: f64,
     service: f64,
     depth: usize,
     service_track: Track,
-    stats: &mut [JobQueueStats],
     obs: Option<&mut Vec<ObsEvent>>,
 ) {
+    let seq = s.cursor;
+    let r = &s.reqs[seq];
     let solo_finish = shift(s.base, s.rel(r.t1));
     s.lag = if finish == solo_finish {
         0.0
@@ -870,14 +896,10 @@ fn record(
         service,
         offset: r.offset,
     });
+    d.served_slot.push(s.slot);
     d.busy += service;
     d.max_depth = d.max_depth.max(depth);
-    let js = &mut stats[s.slot];
-    js.requests += 1;
     let wait = start - arrival;
-    js.total_wait += wait;
-    js.max_wait = js.max_wait.max(wait);
-    js.total_service += service;
 
     if let Some(out) = obs {
         out.push(ObsEvent {
@@ -936,6 +958,24 @@ fn record(
     }
 }
 
+/// Count one stream visit of the farm's scans: the unit of its host cost
+/// (a no-op outside tests).
+fn visit() {
+    #[cfg(test)]
+    VISITS.with(|n| n.set(n.get() + 1));
+}
+
+#[cfg(test)]
+thread_local! {
+    static VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Streams visited by the farm's scans on this thread so far.
+#[cfg(test)]
+pub(crate) fn visits() -> u64 {
+    VISITS.with(|n| n.get())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -959,6 +999,26 @@ mod tests {
             rank_finish: vec![t],
             streams: vec![reqs],
             ..JobProfile::default()
+        }
+    }
+
+    /// Static share serves each advance's due requests in one sorted
+    /// pass: it visits every queued stream once per advance, not once per
+    /// served request, however many streams are queued.
+    #[test]
+    fn static_share_visits_each_queued_stream_once_per_advance() {
+        let p = uniform_profile(20, 0.0, 0.005);
+        for n in [1_000usize, 8_000] {
+            let jobs: Vec<FarmJob> = (0..n)
+                .map(|i| FarmJob {
+                    base: 0.001 * i as f64,
+                    ..FarmJob::new(i as u32 + 1, &p)
+                })
+                .collect();
+            let before = visits();
+            let rep = simulate(&jobs, &FarmConfig::default());
+            assert_eq!(rep.served.len(), 20 * n);
+            assert_eq!(visits() - before, n as u64, "{n} streams queued");
         }
     }
 
@@ -1189,51 +1249,72 @@ mod tests {
         }
     }
 
+    /// A job whose rank `r` replays `uniform_profile(n, gap, service)` of
+    /// `ranks[r]`, its offsets moved to start at `offset`.
+    fn ranked_profile(ranks: &[(usize, f64, f64)], offset: u64) -> JobProfile {
+        let mut p = JobProfile::default();
+        for &(n, gap, service) in ranks {
+            let mut one = uniform_profile(n, gap, service);
+            for r in &mut one.streams[0] {
+                r.offset = r.offset.map(|o| o + offset);
+            }
+            p.rank_finish.push(one.rank_finish[0]);
+            p.streams.push(one.streams.remove(0));
+        }
+        p
+    }
+
+    /// The report does not depend on how the timeline is chunked: per-job
+    /// float totals are summed once, in disk then service order, and every
+    /// policy (static share included) serves each disk in start order.
     #[test]
     fn horizon_chunked_replay_is_bitwise_identical_to_batch() {
-        let p = uniform_profile(8, 0.25, 1.0);
-        let q = uniform_profile(6, 0.0, 1.5);
+        let a = ranked_profile(&[(8, 0.25, 1.0), (6, 0.1, 0.37), (5, 0.0, 0.61)], 0);
+        let b = ranked_profile(&[(6, 0.0, 1.5), (7, 0.13, 0.29), (4, 0.3, 0.83)], 900);
+        let c = ranked_profile(&[(5, 0.07, 0.41), (3, 0.2, 1.1), (9, 0.05, 0.23)], 300);
+        let d = ranked_profile(&[(7, 0.11, 0.53), (6, 0.0, 0.47)], 150);
         let jobs = [
-            FarmJob::new(1, &p),
+            FarmJob::new(1, &a),
             FarmJob {
                 base: 0.7,
-                ..FarmJob::new(2, &q)
+                ..FarmJob::new(2, &b)
+            },
+            FarmJob {
+                base: 1.3,
+                weight: 2.0,
+                qos_slack: 3.0,
+                ..FarmJob::new(3, &c)
+            },
+            FarmJob {
+                base: 0.45,
+                weight: 0.5,
+                ..FarmJob::new(4, &d)
             },
         ];
-        for policy in [
-            Policy::Fifo,
-            Policy::Elevator,
-            Policy::Deadline,
-            Policy::FairShare,
-        ] {
+        for policy in Policy::ALL {
             let cfg = FarmConfig {
                 policy,
+                seek_penalty: 0.05,
+                trace: true,
                 ..FarmConfig::default()
             };
             let batch = simulate(&jobs, &cfg);
-            let mut sim = FarmSim::new(1, cfg);
+            let mut sim = FarmSim::new(3, cfg);
             for j in &jobs {
                 sim.admit(j);
             }
             // Advance in awkward fractional steps, then drain.
             let mut h = 0.3;
-            while h < 25.0 {
+            while h < 40.0 {
                 sim.run_until(h);
                 h += 0.7;
             }
             sim.run_to_end();
             let chunked = sim.finish();
-            assert_eq!(batch.served.len(), chunked.served.len());
-            for (a, b) in batch.served.iter().zip(&chunked.served) {
-                assert_eq!(a.job, b.job, "{policy:?}");
-                assert_eq!(a.seq, b.seq, "{policy:?}");
-                assert_eq!(a.start.to_bits(), b.start.to_bits(), "{policy:?}");
-                assert_eq!(a.finish.to_bits(), b.finish.to_bits(), "{policy:?}");
-            }
-            for (a, b) in batch.jobs.iter().zip(&chunked.jobs) {
-                assert_eq!(a.completion.to_bits(), b.completion.to_bits(), "{policy:?}");
-                assert_eq!(a.total_wait.to_bits(), b.total_wait.to_bits(), "{policy:?}");
-            }
+            assert_eq!(batch, chunked, "{policy:?}");
+            // `Debug` prints every float's shortest round trip: equal
+            // strings are equal bits.
+            assert_eq!(format!("{batch:?}"), format!("{chunked:?}"), "{policy:?}");
         }
     }
 

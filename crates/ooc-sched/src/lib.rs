@@ -40,8 +40,10 @@
 //!   artifacts.
 //!
 //! Four functions run something: [`simulate`] replays jobs on the farm
-//! as given; [`run_workload`] adds admission control;
-//! [`run_workload_guarded`] adds the fault-domain executive; and
+//! as given; [`run_workload`] adds admission control, admitting each
+//! held job at the completion that frees its slot in one pass over a
+//! [`FarmSim`]; [`run_workload_guarded`] adds the fault-domain
+//! executive, which admits at its epoch sweeps; and
 //! [`run_workload_guarded_observed`] is that with an observer attached
 //! (what `oocd` drains through).
 //!

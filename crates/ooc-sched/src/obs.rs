@@ -1202,4 +1202,60 @@ mod tests {
             assert!(w[0].t <= w[1].t, "{:?} then {:?}", w[0], w[1]);
         }
     }
+
+    /// Sampling off the epoch grid chunks the farm's advance at points the
+    /// unobserved run never stops at. With three-rank jobs (several disks,
+    /// several streams a disk) under every policy, the whole report must
+    /// still come out bit for bit the same.
+    #[test]
+    fn off_grid_sampling_leaves_the_whole_guarded_report_unchanged() {
+        for seed in 0..20u64 {
+            // A splitmix stream picks each job's shape from the seed.
+            let mut x = seed;
+            let mut draw = |n: u64| {
+                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) % n
+            };
+            let specs: Vec<JobSpec> = (0..6)
+                .map(|i| {
+                    let mut p = JobProfile::default();
+                    for _ in 0..3 {
+                        let n = 2 + draw(6) as usize;
+                        let service = 0.13 + 0.07 * draw(9) as f64;
+                        let one = profile(n, service, 0.03 * draw(5) as f64);
+                        p.rank_finish.push(one.rank_finish[0]);
+                        p.streams.extend(one.streams);
+                    }
+                    JobSpec::new(format!("s{seed}j{i}"), p)
+                        .with_submit(0.37 * draw(8) as f64)
+                        .with_weight(1.0 + draw(3) as f64)
+                })
+                .collect();
+            for policy in Policy::ALL {
+                let cfg = DomainConfig {
+                    policy,
+                    seek_penalty: 0.01,
+                    trace: true,
+                    max_concurrent: 4,
+                    epoch: 0.5,
+                    ..DomainConfig::default()
+                };
+                let plain = crate::run_workload_guarded(&specs, &cfg).unwrap();
+                let mut log = EventLog::default();
+                let observed =
+                    crate::run_workload_guarded_observed(&specs, &cfg, 0.3, &mut log).unwrap();
+                assert!(!log.samples.is_empty());
+                // `Debug` prints every float's shortest round trip: equal
+                // strings are equal bits.
+                assert_eq!(
+                    format!("{plain:?}"),
+                    format!("{observed:?}"),
+                    "seed {seed}, {policy:?}"
+                );
+            }
+        }
+    }
 }

@@ -150,6 +150,27 @@ fn structurally_unsound_profiles_are_refused_not_replayed() {
 }
 
 #[test]
+fn a_rank_finishing_before_its_last_request_ends_is_refused() {
+    let mut early = tiny_profile();
+    early.rank_finish[0] = 0.5;
+    let specs = [JobSpec::new("early", early)];
+    for err in [
+        run_workload(&specs, &WorkloadConfig::default()).unwrap_err(),
+        run_workload_guarded(&specs, &DomainConfig::default()).unwrap_err(),
+    ] {
+        assert!(
+            matches!(err, AdmissionError::MalformedProfile { ref job, ref reason }
+                if job == "early" && reason.contains("before its last request ends")),
+            "got {err:?}"
+        );
+    }
+    // Finishing exactly as the last request ends is sound.
+    let mut flush = tiny_profile();
+    flush.rank_finish[0] = 1.0;
+    assert!(run_workload(&[JobSpec::new("flush", flush)], &WorkloadConfig::default()).is_ok());
+}
+
+#[test]
 fn the_guarded_runtime_shares_the_same_corpus() {
     let cfg = DomainConfig::default();
     assert!(matches!(
