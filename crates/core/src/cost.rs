@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use dmsim::CostModel;
 
-use crate::ir::{totals, ArrayIoTotals, NestNode, NestTotals};
+use crate::ir::{totals, ArrayIoTotals, NestNode, NestSink, NestTotals, OverlapTotals};
 
 /// Per-array I/O estimate (re-export of the nest totals entry).
 pub type IoEstimate = ArrayIoTotals;
@@ -46,34 +46,25 @@ impl CostEstimate {
     /// estimation, where the totals come from a cache replay
     /// ([`crate::reuse::gaxpy_cached_totals`]) rather than a nest walk.
     pub fn from_totals(t: NestTotals, model: &CostModel, elem_size: usize) -> Self {
-        let (mut r_req, mut r_el, mut w_req, mut w_el) = (0u64, 0u64, 0u64, 0u64);
+        let mut counts = [0, 0, 0, 0, t.comm_messages, t.comm_bytes, t.flops];
         for a in t.per_array.values() {
-            r_req += a.read_requests;
-            r_el += a.read_elems;
-            w_req += a.write_requests;
-            w_el += a.write_elems;
+            let io = [
+                a.read_requests,
+                a.read_elems,
+                a.write_requests,
+                a.write_elems,
+            ];
+            counts.iter_mut().zip(io).for_each(|(c, v)| *c += v);
         }
-        let io_time = model.io_time(r_req, r_el * elem_size as u64)
-            + model.io_write_time(w_req, w_el * elem_size as u64);
-        let comm_time =
-            t.comm_messages as f64 * model.msg_latency + t.comm_bytes as f64 / model.msg_bandwidth;
-        let compute_time = model.compute_time(t.flops);
-        // Each overlap takes the longer of its read and its computation.
-        let hidden_time = (t.overlaps.iter())
-            .map(|o| {
-                let bytes = o.elems * elem_size as u64;
-                let apart = model.io_time(o.requests, bytes) + model.compute_time(o.flops);
-                let overlapped = model.overlapped_read_time(o.requests, bytes, o.flops);
-                o.times as f64 * (apart - overlapped)
-            })
-            .sum();
+        let es = elem_size as u64;
+        let [io_time, comm_time, compute_time] = seconds(model, es, counts);
         CostEstimate {
-            totals: t,
-            elem_size,
             io_time,
             comm_time,
             compute_time,
-            hidden_time,
+            hidden_time: t.overlaps.iter().map(|o| o.hidden_time(model, es)).sum(),
+            totals: t,
+            elem_size,
         }
     }
 
@@ -98,17 +89,113 @@ impl CostEstimate {
         self.totals
             .per_array
             .get(array)
-            .map(|a| a.read_requests)
-            .unwrap_or(0)
+            .map_or(0, |a| a.read_requests)
     }
 
     /// `T_data` in elements for one array (equations 4/6).
     pub fn data_of(&self, array: &str) -> u64 {
-        self.totals
-            .per_array
-            .get(array)
-            .map(|a| a.read_elems)
-            .unwrap_or(0)
+        self.totals.per_array.get(array).map_or(0, |a| a.read_elems)
+    }
+}
+
+/// Modeled `[I/O, communication, compute]` seconds of the counts `[read
+/// requests, read elements, write requests, write elements, messages,
+/// bytes, flops]`, elements of `elem_size` bytes. Reads and writes are
+/// priced separately (writes are buffered by the I/O nodes).
+fn seconds(model: &CostModel, elem_size: u64, counts: [u64; 7]) -> [f64; 3] {
+    let [r_req, r_el, w_req, w_el, messages, bytes, flops] = counts;
+    [
+        model.io_time(r_req, r_el * elem_size) + model.io_write_time(w_req, w_el * elem_size),
+        messages as f64 * model.msg_latency + bytes as f64 / model.msg_bandwidth,
+        model.compute_time(flops),
+    ]
+}
+
+/// A node program priced as a [`NestSink`] emits it: [`NestPrice::time`]
+/// is the [`CostEstimate::time`] of the nest the same calls build into a
+/// `Vec<NestNode>`, bit for bit, reached without building the nest or
+/// allocating. It is how the memory split search prices each candidate.
+/// An overlap holds reads only: no loop or overlap inside one.
+#[derive(Debug, Clone)]
+pub struct NestPrice<'m> {
+    model: &'m CostModel,
+    elem_size: u64,
+    /// Executions of the node being emitted: the product of the enclosing
+    /// trip counts.
+    mult: u64,
+    /// The counts [`seconds`] prices, each execution counted.
+    counts: [u64; 7],
+    /// The open overlap, its reads counted once per execution.
+    open: Option<OverlapTotals>,
+    hidden: f64,
+}
+
+impl<'m> NestPrice<'m> {
+    /// An empty program under `model`, elements of `elem_size` bytes.
+    pub fn new(model: &'m CostModel, elem_size: usize) -> Self {
+        NestPrice {
+            model,
+            elem_size: elem_size as u64,
+            mult: 1,
+            counts: [0; 7],
+            open: None,
+            hidden: 0.0,
+        }
+    }
+
+    /// Total modeled seconds of what was emitted, as [`CostEstimate::time`].
+    pub fn time(&self) -> f64 {
+        let [io, comm, compute] = seconds(self.model, self.elem_size, self.counts);
+        io + comm + compute - self.hidden
+    }
+
+    /// Count `values` into `counts[at..]`, once per execution.
+    fn add(&mut self, at: usize, values: &[u64]) {
+        for (c, v) in self.counts[at..].iter_mut().zip(values) {
+            *c += v * self.mult;
+        }
+    }
+}
+
+impl NestSink for NestPrice<'_> {
+    fn io(&mut self, _array: &str, read: bool, requests: u64, elems: u64) {
+        self.add(2 * usize::from(!read), &[requests, elems]);
+        if let Some(o) = self.open.as_mut().filter(|_| read) {
+            o.requests += requests;
+            o.elems += elems;
+        }
+    }
+
+    fn comm(&mut self, _label: &str, messages: u64, bytes: u64) {
+        self.add(4, &[messages, bytes]);
+    }
+
+    fn compute(&mut self, _label: &str, flops: u64) {
+        self.add(6, &[flops]);
+    }
+
+    fn loop_(&mut self, _label: &str, trips: u64, body: impl FnOnce(&mut Self)) {
+        assert!(self.open.is_none(), "a loop inside an overlap");
+        let outer = self.mult;
+        self.mult *= trips;
+        body(self);
+        self.mult = outer;
+    }
+
+    fn if_owner(&mut self, _label: &str, body: impl FnOnce(&mut Self)) {
+        body(self);
+    }
+
+    fn overlap(&mut self, flops: u64, body: impl FnOnce(&mut Self)) {
+        self.open = Some(OverlapTotals {
+            requests: 0,
+            elems: 0,
+            flops,
+            times: self.mult,
+        });
+        body(self);
+        let o = self.open.take().expect("overlaps do not nest");
+        self.hidden += o.hidden_time(self.model, self.elem_size);
     }
 }
 

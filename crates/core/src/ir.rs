@@ -103,6 +103,69 @@ impl NestNode {
     }
 }
 
+/// Where a node program is emitted, one node at a time. A [`Vec<NestNode>`]
+/// keeps the tree; [`crate::cost::NestPrice`] prices the same calls as they
+/// come, without building anything. A generator written against this trait
+/// builds its nest and prices it from one body.
+pub trait NestSink {
+    /// A disk transfer ([`NestNode::Io`]).
+    fn io(&mut self, array: &str, read: bool, requests: u64, elems: u64);
+    /// A communication step ([`NestNode::Comm`]).
+    fn comm(&mut self, label: &str, messages: u64, bytes: u64);
+    /// A compute kernel ([`NestNode::Compute`]).
+    fn compute(&mut self, label: &str, flops: u64);
+    /// A counted loop ([`NestNode::Loop`]) whose body `body` emits.
+    fn loop_(&mut self, label: &str, trips: u64, body: impl FnOnce(&mut Self));
+    /// An owner guard ([`NestNode::IfOwner`]) whose body `body` emits.
+    fn if_owner(&mut self, label: &str, body: impl FnOnce(&mut Self));
+    /// Prefetched reads ([`NestNode::Overlap`]) that `body` emits.
+    fn overlap(&mut self, flops: u64, body: impl FnOnce(&mut Self));
+}
+
+impl NestSink for Vec<NestNode> {
+    fn io(&mut self, array: &str, read: bool, requests: u64, elems: u64) {
+        self.push(match read {
+            true => NestNode::read(array, requests, elems),
+            false => NestNode::write(array, requests, elems),
+        });
+    }
+
+    fn comm(&mut self, label: &str, messages: u64, bytes: u64) {
+        let label = label.into();
+        self.push(NestNode::Comm {
+            label,
+            messages,
+            bytes,
+        });
+    }
+
+    fn compute(&mut self, label: &str, flops: u64) {
+        let label = label.into();
+        self.push(NestNode::Compute { label, flops });
+    }
+
+    fn loop_(&mut self, label: &str, trips: u64, body: impl FnOnce(&mut Self)) {
+        self.push(NestNode::loop_(label, trips, nested(body)));
+    }
+
+    fn if_owner(&mut self, label: &str, body: impl FnOnce(&mut Self)) {
+        let (label, body) = (label.into(), nested(body));
+        self.push(NestNode::IfOwner { label, body });
+    }
+
+    fn overlap(&mut self, flops: u64, body: impl FnOnce(&mut Self)) {
+        let body = nested(body);
+        self.push(NestNode::Overlap { flops, body });
+    }
+}
+
+/// The nodes `body` emits.
+fn nested(body: impl FnOnce(&mut Vec<NestNode>)) -> Vec<NestNode> {
+    let mut nodes = Vec::new();
+    body(&mut nodes);
+    nodes
+}
+
 /// Aggregate I/O totals for one array (per processor).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ArrayIoTotals {
@@ -140,6 +203,18 @@ pub struct OverlapTotals {
     pub flops: u64,
     /// Executions.
     pub times: u64,
+}
+
+impl OverlapTotals {
+    /// Modeled seconds the overlap hides under `model`: each execution
+    /// takes the longer of its read and its computation instead of their
+    /// sum.
+    pub fn hidden_time(&self, model: &dmsim::CostModel, elem_size: u64) -> f64 {
+        let bytes = self.elems * elem_size;
+        let apart = model.io_time(self.requests, bytes) + model.compute_time(self.flops);
+        let overlapped = model.overlapped_read_time(self.requests, bytes, self.flops);
+        self.times as f64 * (apart - overlapped)
+    }
 }
 
 /// Totals from walking a nest (per processor).

@@ -22,7 +22,7 @@
 use ooc_array::{IrregSchedule, IrregStats};
 use pario::{plan_union, Access, IoMethod, Tally};
 
-use crate::ir::NestNode;
+use crate::ir::{NestNode, NestSink};
 use crate::plan::SpmvPlan;
 
 /// Coalesced runs covering `u` elements that appear in clumps of average
@@ -99,14 +99,11 @@ pub fn scattered_stats(
 /// Price the inspector itself: the one charged indirection read plus the
 /// want-list all-to-all (8 bytes per remote want entry).
 pub fn inspector_nodes(index_name: &str, s: &IrregStats) -> Vec<NestNode> {
-    vec![
-        NestNode::read(index_name, s.index_requests, s.index_elems),
-        NestNode::Comm {
-            label: "exchange want-lists".into(),
-            messages: s.nprocs.saturating_sub(1),
-            bytes: s.remote_want_elems * 8,
-        },
-    ]
+    let mut v = Vec::new();
+    v.io(index_name, true, s.index_requests, s.index_elems);
+    let messages = s.nprocs.saturating_sub(1);
+    v.comm("exchange want-lists", messages, s.remote_want_elems * 8);
+    v
 }
 
 /// Price one executor invocation under `method`. The three methods trade
@@ -131,14 +128,11 @@ pub fn gather_nodes(data_name: &str, s: &IrregStats, method: IoMethod) -> Vec<Ne
         // The all-to-all posts to every peer.
         IoMethod::TwoPhase => s.nprocs.saturating_sub(1),
     };
-    vec![
-        NestNode::read(data_name, requests, elems),
-        NestNode::Comm {
-            label: format!("gather exchange ({})", method.label()),
-            messages,
-            bytes: s.remote_served_elems * es,
-        },
-    ]
+    let mut v = Vec::new();
+    v.io(data_name, true, requests, elems);
+    let label = format!("gather exchange ({})", method.label());
+    v.comm(&label, messages, s.remote_served_elems * es);
+    v
 }
 
 /// Exact per-rank nodes for a real inspected schedule (the irregular
@@ -165,12 +159,8 @@ pub fn schedule_nodes(
         // One read of the whole local indirection file.
         let nout = sched.nout as u64;
         let index = &sched.stamp.index.name;
-        v.push(NestNode::read(index, u64::from(nout > 0), nout));
-        v.push(NestNode::Comm {
-            label: "exchange want-lists".into(),
-            messages: all_to_all,
-            bytes: remote(&sched.want) * 8,
-        });
+        v.io(index, true, u64::from(nout > 0), nout);
+        v.comm("exchange want-lists", all_to_all, remote(&sched.want) * 8);
     }
     let mut t = Tally::default();
     let mut messages = all_to_all;
@@ -187,16 +177,9 @@ pub fn schedule_nodes(
         }
     }
     let (data, es) = (&sched.stamp.data, sched.stamp.data.elem.size() as u64);
-    v.push(NestNode::read(
-        &data.name,
-        t.read_requests,
-        t.read_bytes / es,
-    ));
-    v.push(NestNode::Comm {
-        label: format!("gather exchange ({})", method.label()),
-        messages,
-        bytes: remote(&sched.serve_elems) * es,
-    });
+    v.io(&data.name, true, t.read_requests, t.read_bytes / es);
+    let label = format!("gather exchange ({})", method.label());
+    v.comm(&label, messages, remote(&sched.serve_elems) * es);
     v
 }
 
@@ -216,33 +199,19 @@ pub fn spmv_nest_with(
     let nloc = plan.y.local_shape(rank).extent(0) as u64;
     let rp_loc = plan.rowptr.local_shape(rank).extent(0) as u64;
     let nnz_loc = plan.vals.local_shape(rank).extent(0) as u64;
-    let mut v = vec![
-        NestNode::read(&plan.rowptr.name, u64::from(rp_loc > 0), rp_loc),
-        NestNode::Comm {
-            label: "allgather rowptr".into(),
-            messages: p.saturating_sub(1),
-            bytes: rp_loc * 4 * p.saturating_sub(1),
-        },
-    ];
+    let peers = p.saturating_sub(1);
+    let mut v = Vec::new();
+    v.io(&plan.rowptr.name, true, u64::from(rp_loc > 0), rp_loc);
+    v.comm("allgather rowptr", peers, rp_loc * 4 * peers);
     if plan.reuses.is_none() {
         v.extend(inspector_nodes(&plan.colidx.name, stats));
     }
     v.extend(gather_nodes(&plan.x.name, stats, method));
-    v.push(NestNode::read(
-        &plan.vals.name,
-        u64::from(nnz_loc > 0),
-        nnz_loc,
-    ));
-    v.push(NestNode::Compute {
-        label: "y(row(k)) += vals(k) * x(colidx(k))".into(),
-        flops: 2 * nnz_loc + p.saturating_sub(1) * nloc,
-    });
-    v.push(NestNode::Comm {
-        label: "reduce partial y to row owners".into(),
-        messages: p.saturating_sub(1),
-        bytes: nloc * 4 * p.saturating_sub(1),
-    });
-    v.push(NestNode::write(&plan.y.name, u64::from(nloc > 0), nloc));
+    v.io(&plan.vals.name, true, u64::from(nnz_loc > 0), nnz_loc);
+    let flops = 2 * nnz_loc + peers * nloc;
+    v.compute("y(row(k)) += vals(k) * x(colidx(k))", flops);
+    v.comm("reduce partial y to row owners", peers, nloc * 4 * peers);
+    v.io(&plan.y.name, false, u64::from(nloc > 0), nloc);
     v
 }
 

@@ -11,13 +11,17 @@
 //!   requests are minimized at `m_X ∝ √K_X`, which allocates more memory
 //!   to the more frequently streamed array (the paper's heuristic made
 //!   precise);
-//! * [`MemoryPolicy::Search`] — exhaustive split search scored by the cost
-//!   estimator (the reference optimum).
+//! * [`MemoryPolicy::Search`] — every split of a 5% grid, and the equal and
+//!   weighted splits, priced by the estimate the compiler gives the plan
+//!   at that split (reads, writes, messages, compute and prefetch overlap,
+//!   or the reuse predictor's replay behind a cache); the cheapest wins, so
+//!   it is never priced above the two heuristics.
 
 use serde::{Deserialize, Serialize};
 
 use dmsim::CostModel;
 
+use crate::cost::{CostEstimate, NestPrice};
 use crate::plan::{GaxpyPlan, SlabStrategy};
 use crate::stripmine::a_slab_extent;
 
@@ -28,7 +32,8 @@ pub enum MemoryPolicy {
     EqualSplit,
     /// √-weighted by streaming frequency.
     AccessWeighted,
-    /// Grid search over split fractions, minimizing estimated requests.
+    /// The cheapest of a grid of split fractions and the two splits above,
+    /// by the compiler's estimate of the plan at each split.
     Search,
 }
 
@@ -66,15 +71,18 @@ fn clamp_split(
 
 /// Split `elems` of memory into `(slab_a, slab_b)` thicknesses.
 ///
-/// [`MemoryPolicy::Search`] scores a grid of split fractions. Without a
-/// slab cache (`cache_budget` `None`) the objective is the closed-form
-/// read time; when the target runs with a cache of `cache_budget` bytes,
-/// each candidate split is walked through the reuse predictor
-/// ([`crate::reuse::gaxpy_cached_totals`]) instead — cached executions
-/// reward splits the uncached formulas undervalue (e.g. an A slab that fits
-/// residently). The predictor walks the full access sequence per grid
-/// point, so a cached search is meant for compile-time sizing over moderate
-/// problem sizes, not inner loops. The other policies ignore the cache.
+/// [`MemoryPolicy::Search`] prices each candidate split by the estimate
+/// `compile_hir` gives the paper's plan ([`GaxpyPlan::new`]) at that split:
+/// without a slab cache (`cache_budget` `None`) the time of its node
+/// program ([`CostEstimate::from_nest`], priced allocation-free through
+/// [`NestPrice`]); when the target runs with a cache of `cache_budget`
+/// bytes, the time of the reuse predictor's totals
+/// ([`CostEstimate::from_totals`] over
+/// [`crate::reuse::gaxpy_cached_totals`]), which rewards splits the
+/// uncached price undervalues (e.g. an A slab that fits residently). The
+/// predictor walks the full access sequence per candidate, so a cached
+/// search is meant for compile-time sizing over moderate problem sizes,
+/// not inner loops. The other policies ignore the cache.
 pub fn split_gaxpy_budget_with_cache(
     strategy: SlabStrategy,
     n: usize,
@@ -89,8 +97,9 @@ pub fn split_gaxpy_budget_with_cache(
 
 /// [`split_gaxpy_budget_with_cache`] for a plan that prefetches when
 /// `prefetch`: A's share of `elems` then holds [`a_slab_buffers`] slabs of
-/// A, so the second buffer is reserved inside the budget. Compile-time
-/// sizing and the degraded-disk re-plan both split through here.
+/// A, so the second buffer is reserved inside the budget, and the search
+/// prices each split with prefetch's overlap. Compile-time sizing and the
+/// degraded-disk re-plan both split through here.
 #[allow(clippy::too_many_arguments)]
 pub fn split_gaxpy_budget_prefetched(
     strategy: SlabStrategy,
@@ -104,61 +113,58 @@ pub fn split_gaxpy_budget_prefetched(
 ) -> (usize, usize) {
     let a_buffers = a_slab_buffers(strategy, prefetch);
     let clamp = |ma: usize, mb: usize| clamp_split(strategy, n, p, (ma, mb), a_buffers);
+    let equal = || clamp(elems / 2, elems / 2);
+    let weighted = || {
+        let (ka, kb) = stream_weights(strategy, n, p, elems);
+        let wa = (ka as f64).sqrt();
+        let wb = (kb as f64).sqrt();
+        let fa = wa / (wa + wb);
+        let ma = (elems as f64 * fa) as usize;
+        clamp(ma, elems - ma)
+    };
     match policy {
-        MemoryPolicy::EqualSplit => clamp(elems / 2, elems / 2),
-        MemoryPolicy::AccessWeighted => {
-            let (ka, kb) = stream_weights(strategy, n, p, elems);
-            let wa = (ka as f64).sqrt();
-            let wb = (kb as f64).sqrt();
-            let fa = wa / (wa + wb);
-            let ma = (elems as f64 * fa) as usize;
-            clamp(ma, elems - ma)
-        }
+        MemoryPolicy::EqualSplit => equal(),
+        MemoryPolicy::AccessWeighted => weighted(),
         MemoryPolicy::Search => {
-            let objective = |sa, sb| match cache_budget {
-                None => time_estimate(strategy, n, p, sa, sb, model),
-                Some(budget) => cached_time_estimate(strategy, n, p, sa, sb, budget, model),
+            let mut plan = GaxpyPlan {
+                prefetch,
+                ..GaxpyPlan::new(strategy, n, p, 1, 1)
             };
-            let mut best: Option<(f64, (usize, usize))> = None;
-            for pct in (5..=95).step_by(5) {
-                let ma = elems * pct / 100;
-                let (sa, sb) = clamp(ma, elems - ma);
-                let time = objective(sa, sb);
-                if best.map(|(t, _)| time < t).unwrap_or(true) {
-                    best = Some((time, (sa, sb)));
-                }
-            }
-            best.expect("non-empty search").1
+            let grid = (5..=95).step_by(5).map(|pct| elems * pct / 100);
+            let candidates = [equal(), weighted()]
+                .into_iter()
+                .chain(grid.map(|ma| clamp(ma, elems - ma)));
+            // Neighbouring grid points often clamp to one split: price it
+            // once. The first of the cheapest wins.
+            let mut last = None;
+            let priced = candidates
+                .filter(|&split| last.replace(split) != Some(split))
+                .map(|split| {
+                    (plan.slab_a, plan.slab_b) = split;
+                    (split_price(&plan, model, cache_budget), split)
+                });
+            priced
+                .min_by(|a, b| a.0.total_cmp(&b.0))
+                .expect("candidates")
+                .1
         }
     }
 }
 
-/// Modeled I/O time of a cached execution of the paper's plan
-/// ([`GaxpyPlan::new`]) at this split — the cache-aware search objective.
-fn cached_time_estimate(
-    strategy: SlabStrategy,
-    n: usize,
-    p: usize,
-    sa: usize,
-    sb: usize,
-    budget: usize,
-    model: &CostModel,
-) -> f64 {
-    cached_io_time(&GaxpyPlan::new(strategy, n, p, sa, sb), budget, model)
-}
-
-/// Modeled I/O time of rank 0 executing `plan` behind a slab cache of
-/// `budget` bytes: reads and write-backs both priced; hits are free.
-fn cached_io_time(plan: &GaxpyPlan, budget: usize, model: &CostModel) -> f64 {
-    let t = crate::reuse::gaxpy_cached_totals(plan, 0, budget);
-    let (mut r_req, mut r_el, mut w_req, mut w_el) = (0u64, 0u64, 0u64, 0u64);
-    for a in t.per_array.values() {
-        r_req += a.read_requests;
-        r_el += a.read_elems;
-        w_req += a.write_requests;
-        w_el += a.write_elems;
+/// The estimated time `compile_hir` gives `plan` run with `cache_budget`:
+/// the search's price of one split.
+fn split_price(plan: &GaxpyPlan, model: &CostModel, cache_budget: Option<usize>) -> f64 {
+    match cache_budget {
+        None => {
+            let mut price = NestPrice::new(model, 4);
+            crate::nodegen::gaxpy_emit(plan, 0, &mut price);
+            price.time()
+        }
+        Some(budget) => {
+            let totals = crate::reuse::gaxpy_cached_totals(plan, 0, budget);
+            CostEstimate::from_totals(totals, model, 4).time()
+        }
     }
-    model.io_time(r_req, r_el * 4) + model.io_write_time(w_req, w_el * 4)
 }
 
 /// Streaming weights `K_X`: total elements of X moved from disk over the
@@ -186,113 +192,12 @@ fn stream_weights(strategy: SlabStrategy, n: usize, p: usize, elems: usize) -> (
     }
 }
 
-/// Read request count as a function of the split. Writes are left out,
-/// although they depend on the split too: the column version's owner writes
-/// C once per `slab_a` columns it produces, so a thinner A slab means more
-/// write requests.
-fn request_estimate(strategy: SlabStrategy, n: usize, p: usize, sa: usize, sb: usize) -> u64 {
-    let n64 = n as u64;
-    match strategy {
-        SlabStrategy::ColumnSlab => {
-            let lc = n.div_ceil(p);
-            let ka = (lc as u64).div_ceil(sa as u64);
-            let kb = n64.div_ceil(sb as u64);
-            // A streamed per column of B; B streamed once.
-            n64 * ka + kb
-        }
-        SlabStrategy::RowSlab => {
-            let ka = n64.div_ceil(sa as u64);
-            let kb = n64.div_ceil(sb as u64);
-            // A once; B once per A slab; B fully resident is read once.
-            if sb >= n {
-                ka + 1
-            } else {
-                ka + ka * kb
-            }
-        }
-    }
-}
-
-/// Read *bytes* as a function of the split.
-fn byte_estimate(strategy: SlabStrategy, n: usize, p: usize, sa: usize, sb: usize) -> u64 {
-    let lc = n.div_ceil(p) as u64;
-    let n64 = n as u64;
-    let ocla = n64 * lc * 4;
-    match strategy {
-        // A streamed N times, B once — independent of the split.
-        SlabStrategy::ColumnSlab => n64 * ocla + ocla,
-        SlabStrategy::RowSlab => {
-            let ka = n64.div_ceil(sa as u64);
-            let _ = sb;
-            let b_streams = if sb >= n { 1 } else { ka };
-            ocla + b_streams * ocla
-        }
-    }
-}
-
-/// Modeled read time of the split — the search policy's objective.
-fn time_estimate(
-    strategy: SlabStrategy,
-    n: usize,
-    p: usize,
-    sa: usize,
-    sb: usize,
-    model: &CostModel,
-) -> f64 {
-    model.io_time(
-        request_estimate(strategy, n, p, sa, sb),
-        byte_estimate(strategy, n, p, sa, sb),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const N: usize = 2048;
     const P: usize = 16;
-
-    #[test]
-    fn closed_forms_count_the_reads_of_the_nest() {
-        // `request_estimate` and `byte_estimate` are a hand copy of GAXPY's
-        // read counts: held to rank 0's nest, the compiled price, for both
-        // strategies, ragged last slabs and more ranks than columns. Every
-        // slab size up to 12, a sample of them above.
-        let sizes = |max: usize| {
-            let mut v: Vec<usize> = [1, 2, 3, 5, max / 3, max / 2 + 1, max - 1, max]
-                .into_iter()
-                .chain(1..=max.min(12))
-                .filter(|s| (1..=max).contains(s))
-                .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        let mut cases = 0;
-        for n in (1usize..=16).chain([31, 64, 100, 129]) {
-            for p in [1, 2, 3, 4, 7, 16] {
-                for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
-                    let a_extent = match strategy {
-                        SlabStrategy::ColumnSlab => n.div_ceil(p),
-                        SlabStrategy::RowSlab => n,
-                    };
-                    for sa in sizes(a_extent) {
-                        for sb in sizes(n) {
-                            let plan = GaxpyPlan::new(strategy, n, p, sa, sb);
-                            let t = crate::ir::totals(&crate::nodegen::gaxpy_nest(&plan));
-                            let (requests, elems) = (t.per_array.values())
-                                .fold((0, 0), |(r, e), a| (r + a.read_requests, e + a.read_elems));
-                            let at = format!("{strategy:?} n={n} p={p} sa={sa} sb={sb}");
-                            assert_eq!(request_estimate(strategy, n, p, sa, sb), requests, "{at}");
-                            assert_eq!(byte_estimate(strategy, n, p, sa, sb), 4 * elems, "{at}");
-                            cases += 1;
-                        }
-                    }
-                }
-            }
-        }
-        assert!(cases > 20_000, "{cases} cases");
-    }
 
     #[test]
     fn equal_split_halves_memory() {
@@ -335,37 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn search_beats_or_matches_equal_split() {
-        for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
-            let elems = 1 << 17;
-            let (ea, eb) = split_gaxpy_budget_with_cache(
-                strategy,
-                N,
-                P,
-                elems,
-                MemoryPolicy::EqualSplit,
-                &CostModel::delta(P),
-                None,
-            );
-            let (oa, ob) = split_gaxpy_budget_with_cache(
-                strategy,
-                N,
-                P,
-                elems,
-                MemoryPolicy::Search,
-                &CostModel::delta(P),
-                None,
-            );
-            let m = CostModel::delta(P);
-            assert!(
-                time_estimate(strategy, N, P, oa, ob, &m)
-                    <= time_estimate(strategy, N, P, ea, eb, &m) + 1e-9,
-                "{strategy:?}"
-            );
-        }
-    }
-
-    #[test]
     fn thicknesses_stay_in_bounds() {
         for policy in [
             MemoryPolicy::EqualSplit,
@@ -385,9 +259,28 @@ mod tests {
     }
 
     #[test]
+    fn search_beats_or_matches_equal_split() {
+        // At Table 2's size the split Search picks is priced no higher than
+        // the equal split, by the estimate the search itself minimizes.
+        for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
+            let elems = 1 << 17;
+            let m = CostModel::delta(P);
+            let price = |policy| {
+                let (sa, sb) =
+                    split_gaxpy_budget_with_cache(strategy, N, P, elems, policy, &m, None);
+                split_price(&GaxpyPlan::new(strategy, N, P, sa, sb), &m, None)
+            };
+            assert!(
+                price(MemoryPolicy::Search) <= price(MemoryPolicy::EqualSplit),
+                "{strategy:?}"
+            );
+        }
+    }
+
+    #[test]
     fn uncached_split_is_the_closed_form_choice() {
-        // Splits the closed-form policies chose before the cached and
-        // uncached searches shared one grid loop.
+        // The heuristics are closed forms of n, p and the budget: their
+        // splits are pinned, and a cache does not move them.
         let pinned = [
             (
                 MemoryPolicy::AccessWeighted,
@@ -429,113 +322,63 @@ mod tests {
                 3000,
                 (15, 100),
             ),
-            (
-                MemoryPolicy::Search,
-                SlabStrategy::ColumnSlab,
-                64,
-                4,
-                1 << 10,
-                (8, 32),
-            ),
-            (
-                MemoryPolicy::Search,
-                SlabStrategy::RowSlab,
-                2048,
-                16,
-                1 << 20,
-                (2048, 2048),
-            ),
         ];
         for (policy, strategy, n, p, elems, want) in pinned {
             let m = CostModel::delta(p);
-            let got = split_gaxpy_budget_with_cache(strategy, n, p, elems, policy, &m, None);
-            assert_eq!(
-                got, want,
-                "{policy:?} {strategy:?} n={n} p={p} elems={elems}"
-            );
+            for cache in [None, Some(1 << 14)] {
+                let got = split_gaxpy_budget_with_cache(strategy, n, p, elems, policy, &m, cache);
+                assert_eq!(
+                    got, want,
+                    "{policy:?} {strategy:?} n={n} p={p} elems={elems} cache={cache:?}"
+                );
+            }
         }
-        // Without a cache the search is the first grid point minimizing the
-        // closed-form read time, and the cache changes only the search.
+        // Without a cache the search is the first of the equal split, the
+        // weighted split and the grid points that minimizes the uncached
+        // price of the plan.
         let m = CostModel::delta(4);
         for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
             for elems in [16usize, 300, 1 << 10, 1 << 14] {
-                let split = |policy, cache| {
-                    split_gaxpy_budget_with_cache(strategy, 64, 4, elems, policy, &m, cache)
+                let split = |policy| {
+                    split_gaxpy_budget_with_cache(strategy, 64, 4, elems, policy, &m, None)
                 };
-                let mut best: Option<(f64, (usize, usize))> = None;
-                for pct in (5..=95).step_by(5) {
+                let grid = (5..=95).step_by(5).map(|pct| {
                     let ma = elems * pct / 100;
-                    let (sa, sb) = clamp_split(strategy, 64, 4, (ma, elems - ma), 1);
-                    let t = time_estimate(strategy, 64, 4, sa, sb, &m);
+                    clamp_split(strategy, 64, 4, (ma, elems - ma), 1)
+                });
+                let mut best: Option<(f64, (usize, usize))> = None;
+                for (sa, sb) in [
+                    split(MemoryPolicy::EqualSplit),
+                    split(MemoryPolicy::AccessWeighted),
+                ]
+                .into_iter()
+                .chain(grid)
+                {
+                    let t = split_price(&GaxpyPlan::new(strategy, 64, 4, sa, sb), &m, None);
                     if best.is_none_or(|(b, _)| t < b) {
                         best = Some((t, (sa, sb)));
                     }
                 }
-                assert_eq!(split(MemoryPolicy::Search, None), best.unwrap().1);
-                for policy in [MemoryPolicy::EqualSplit, MemoryPolicy::AccessWeighted] {
-                    assert_eq!(
-                        split(policy, None),
-                        split(policy, Some(1 << 14)),
-                        "{policy:?}"
-                    );
-                }
+                assert_eq!(
+                    split(MemoryPolicy::Search),
+                    best.unwrap().1,
+                    "{strategy:?} {elems}"
+                );
             }
         }
     }
 
-    #[test]
-    fn cache_aware_search_is_no_worse_under_the_cached_objective() {
-        // Small problem so the replay-based grid search stays fast.
-        let (n, p) = (32, 4);
-        let m = CostModel::delta(p);
-        let budget = 1 << 14;
-        for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
-            for elems in [256usize, 1 << 11] {
-                let (ua, ub) = split_gaxpy_budget_with_cache(
-                    strategy,
-                    n,
-                    p,
-                    elems,
-                    MemoryPolicy::Search,
-                    &m,
-                    None,
-                );
-                let (ca, cb) = split_gaxpy_budget_with_cache(
-                    strategy,
-                    n,
-                    p,
-                    elems,
-                    MemoryPolicy::Search,
-                    &m,
-                    Some(budget),
-                );
-                assert!(
-                    cached_time_estimate(strategy, n, p, ca, cb, budget, &m)
-                        <= cached_time_estimate(strategy, n, p, ua, ub, budget, &m) + 1e-9,
-                    "{strategy:?} elems={elems}: cache-aware split ({ca},{cb}) \
-                     worse than uncached-scored split ({ua},{ub})"
-                );
-                assert!(ca >= 1 && cb >= 1);
-            }
-        }
-    }
-
-    #[test]
-    fn the_searched_plan_is_the_compiled_plan_when_p_does_not_divide_n() {
-        // 13 columns over 4 ranks: rank 0 owns 4. The search scores each
-        // split on the plan `compile_hir` builds at that split, C buffer
-        // cadence included, so the objective prices what will run. (A
-        // cadence of ⌊13/4⌋ = 3 columns cost an extra write of C at 4/4
-        // wherever the cache is too small to merge the two.)
+    /// The paper's GAXPY, `n × n` on `p` processors, as `compile_hir`
+    /// takes it.
+    fn gaxpy_hir(n: usize, p: usize) -> crate::hir::HirProgram {
         use crate::hir::{HirArray, HirProgram, HirStmt};
         use ooc_array::{Distribution, Shape};
-        let (n, p) = (13, 4);
         let array = |name: &str, dist| HirArray {
             name: name.into(),
             shape: Shape::matrix(n, n),
             dist,
         };
-        let hir = HirProgram {
+        HirProgram {
             arrays: vec![
                 array("a", Distribution::column_block(Shape::matrix(n, n), p)),
                 array("b", Distribution::row_block(Shape::matrix(n, n), p)),
@@ -549,31 +392,164 @@ mod tests {
                 n,
             }],
             nprocs: p,
+        }
+    }
+
+    /// The compiled estimate of the GAXPY plan of `strategy` at the split
+    /// `(sa, sb)`, run with `cache` and `prefetch`.
+    fn compiled_time(
+        hir: &crate::hir::HirProgram,
+        strategy: SlabStrategy,
+        (sa, sb): (usize, usize),
+        cache: Option<usize>,
+        prefetch: bool,
+    ) -> f64 {
+        let options = crate::CompilerOptions {
+            sizing: crate::stripmine::SlabSizing::Explicit { a: sa, b: sb },
+            force_strategy: Some(strategy),
+            cache_budget: cache,
+            prefetch,
+            ..crate::CompilerOptions::default()
         };
+        let compiled = crate::compile_hir(hir.clone(), &options).expect("compiles");
+        compiled.estimates[0].time()
+    }
+
+    #[test]
+    fn search_is_the_argmin_of_the_compiled_estimate() {
+        // Whatever n, p, budget, cache and prefetch, the split Search picks
+        // compiles to an estimate no higher than the equal and the weighted
+        // split's: both are among its candidates, and each candidate is
+        // priced as the compiler prices the plan it compiles.
+        let mut cases = 0;
+        for (n, p) in [(13, 4), (48, 4), (64, 7), (100, 16)] {
+            let hir = gaxpy_hir(n, p);
+            let m = CostModel::delta(p);
+            // Budgets where the weighted split beats every grid point among
+            // them: (48, 4) at 225 and 675 elements, (13, 4) at 133.
+            for elems in [3, 9, 14].map(|k| k * n * n.div_ceil(p) / 8 + 3 * k) {
+                for cache in [None, Some(1 << 12), Some(64 << 10)] {
+                    for prefetch in [false, true] {
+                        for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
+                            let time = |policy| {
+                                let split = split_gaxpy_budget_prefetched(
+                                    strategy, n, p, elems, policy, &m, cache, prefetch,
+                                );
+                                compiled_time(&hir, strategy, split, cache, prefetch)
+                            };
+                            let search = time(MemoryPolicy::Search);
+                            for policy in [MemoryPolicy::EqualSplit, MemoryPolicy::AccessWeighted] {
+                                let other = time(policy);
+                                assert!(
+                                    search <= other,
+                                    "{strategy:?} n={n} p={p} elems={elems} cache={cache:?} \
+                                     prefetch={prefetch}: Search {search} > {policy:?} {other}"
+                                );
+                            }
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 144);
+    }
+
+    #[test]
+    fn the_priced_nest_is_the_built_nest_priced() {
+        // `NestPrice` over `gaxpy_emit` is `from_nest` over `gaxpy_nest`,
+        // bit for bit: both strategies, prefetch on and off, ragged last
+        // slabs, every access method and more ranks than columns.
+        for n in [1usize, 5, 13, 64] {
+            for p in [1, 3, 4, 16] {
+                let m = CostModel::delta(p);
+                for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
+                    let top = a_slab_extent(strategy, n, p);
+                    for (sa, sb) in [(1, 1), (top, n), (2, 3), (top / 2 + 1, n / 2 + 1)] {
+                        for prefetch in [false, true] {
+                            for method in pario::IoMethod::ALL {
+                                let (sa, sb) = (sa.clamp(1, top), sb.clamp(1, n));
+                                let plan = GaxpyPlan {
+                                    prefetch,
+                                    method,
+                                    ..GaxpyPlan::new(strategy, n, p, sa, sb)
+                                };
+                                let nest = crate::nodegen::gaxpy_nest(&plan);
+                                let want = CostEstimate::from_nest(&nest, &m, 4).time();
+                                let got = split_price(&plan, &m, None);
+                                assert_eq!(got.to_bits(), want.to_bits(), "{plan:?}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cache_aware_search_is_no_worse_under_the_cached_objective() {
+        // Small problem so the replay-based grid search stays fast.
+        let (n, p) = (32, 4);
+        let m = CostModel::delta(p);
+        let budget = 1 << 14;
         for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
-            for (sa, sb, budget) in [
-                (4, 4, 0),
-                (4, 4, 1 << 10),
-                (3, 5, 0),
-                (1, 13, 0),
-                (2, 1, 256),
-            ] {
-                let options = crate::CompilerOptions {
-                    sizing: crate::stripmine::SlabSizing::Explicit { a: sa, b: sb },
-                    force_strategy: Some(strategy),
-                    cache_budget: Some(budget),
-                    ..crate::CompilerOptions::default()
+            for elems in [256usize, 1 << 11] {
+                let plan_of = |cache| {
+                    let (sa, sb) = split_gaxpy_budget_with_cache(
+                        strategy,
+                        n,
+                        p,
+                        elems,
+                        MemoryPolicy::Search,
+                        &m,
+                        cache,
+                    );
+                    GaxpyPlan::new(strategy, n, p, sa, sb)
                 };
-                let compiled = crate::compile_hir(hir.clone(), &options).expect("compiles");
-                let crate::ExecPlan::Gaxpy(plan) = &compiled.plans[0] else {
-                    panic!("a GAXPY plan");
-                };
-                let m = &compiled.model;
-                assert_eq!(
-                    cached_time_estimate(strategy, n, p, sa, sb, budget, m),
-                    cached_io_time(plan, budget, m),
-                    "{strategy:?} split ({sa}, {sb})"
+                let (uncached, cached) = (plan_of(None), plan_of(Some(budget)));
+                assert!(
+                    split_price(&cached, &m, Some(budget))
+                        <= split_price(&uncached, &m, Some(budget)),
+                    "{strategy:?} elems={elems}: cache-aware split {:?} worse than \
+                     uncached-priced split {:?}",
+                    (cached.slab_a, cached.slab_b),
+                    (uncached.slab_a, uncached.slab_b),
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn the_searched_plan_is_the_compiled_plan_when_p_does_not_divide_n() {
+        // 13 columns over 4 ranks: rank 0 owns 4. The search prices each
+        // split on the plan `compile_hir` builds at that split, C buffer
+        // cadence included, so its price is the compiled estimate, cached
+        // or not, prefetched or not. (A cadence of ⌊13/4⌋ = 3 columns cost
+        // an extra write of C at 4/4 wherever the cache is too small to
+        // merge the two.)
+        let (n, p) = (13, 4);
+        let hir = gaxpy_hir(n, p);
+        let m = CostModel::delta(p);
+        for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
+            for (sa, sb, cache) in [
+                (4, 4, None),
+                (4, 4, Some(0)),
+                (4, 4, Some(1 << 10)),
+                (3, 5, Some(0)),
+                (1, 13, None),
+                (2, 1, Some(256)),
+            ] {
+                for prefetch in [false, true] {
+                    let plan = GaxpyPlan {
+                        prefetch,
+                        ..GaxpyPlan::new(strategy, n, p, sa, sb)
+                    };
+                    assert_eq!(
+                        split_price(&plan, &m, cache).to_bits(),
+                        compiled_time(&hir, strategy, (sa, sb), cache, prefetch).to_bits(),
+                        "{strategy:?} split ({sa}, {sb}) cache {cache:?} prefetch {prefetch}"
+                    );
+                }
             }
         }
     }

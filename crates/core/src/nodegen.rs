@@ -20,7 +20,7 @@ use std::convert::Infallible;
 use ooc_array::{ArrayDesc, DimRange, Redistribution, RemapStages, Section, Shape};
 use pario::{Access, IoMethod, SievePolicy, Tally};
 
-use crate::ir::NestNode;
+use crate::ir::{NestNode, NestSink};
 use crate::plan::{ElwPlan, GaxpyPlan, RemapSpec, SlabStrategy};
 
 /// ceil(log2(p)): stages of a binomial-tree collective.
@@ -32,17 +32,17 @@ pub fn ceil_log2(p: usize) -> u64 {
     }
 }
 
-/// The nodes of one section access of `desc`'s local array, of shape
-/// `local`, under `policy`, tallied by the disk's own rule ([`Tally`]): one
-/// read node, or for a write, the read of a sieved read-modify-write (when
-/// there is one) and the write node.
-fn section_io(
-    desc: &ArrayDesc,
-    local: &Shape,
+/// Emit one section access of `desc`'s local array, of shape `local`,
+/// under `policy`, tallied by the disk's own rule ([`Tally`]): one read
+/// node, or for a write, the read of a sieved read-modify-write (when there
+/// is one) and the write node.
+fn section_io<S: NestSink>(
+    sink: &mut S,
+    (desc, local): Operand,
     sec: &Section,
     read: bool,
     policy: SievePolicy,
-) -> Vec<NestNode> {
+) {
     let access = desc.section_access(local, sec);
     let mut t = Tally::default();
     if read {
@@ -51,28 +51,25 @@ fn section_io(
         t.write(access, policy);
     }
     let es = desc.elem.size() as u64;
-    let reads = NestNode::read(&desc.name, t.read_requests, t.read_bytes / es);
-    if read {
-        return vec![reads];
+    if read || t.read_requests > 0 {
+        sink.io(&desc.name, true, t.read_requests, t.read_bytes / es);
     }
-    let write = NestNode::write(&desc.name, t.write_requests, t.write_bytes / es);
-    if t.read_requests > 0 {
-        vec![reads, write]
-    } else {
-        vec![write]
+    if !read {
+        sink.io(&desc.name, false, t.write_requests, t.write_bytes / es);
     }
 }
 
 /// [`section_io`] of the slab `[lo, hi)` along `dim` of `desc`'s local
 /// array, of shape `local`.
-fn slab_io(
-    (desc, local): (&ArrayDesc, &Shape),
+fn slab_io<S: NestSink>(
+    sink: &mut S,
+    array: Operand,
     (dim, lo, hi): (usize, usize, usize),
     read: bool,
     policy: SievePolicy,
-) -> Vec<NestNode> {
-    let sec = Section::full(local).with_range(dim, DimRange::new(lo, hi));
-    section_io(desc, local, &sec, read, policy)
+) {
+    let sec = Section::full(array.1).with_range(dim, DimRange::new(lo, hi));
+    section_io(sink, array, &sec, read, policy);
 }
 
 /// The GAXPY node program (Figure 9 for column slabs, Figure 12 for row
@@ -87,207 +84,164 @@ pub fn gaxpy_nest(plan: &GaxpyPlan) -> Vec<NestNode> {
 /// and C-writes differ; this per-rank nest matches each rank's measured
 /// I/O exactly.
 pub fn gaxpy_nest_for(plan: &GaxpyPlan, rank: usize) -> Vec<NestNode> {
+    let mut nest = Vec::new();
+    gaxpy_emit(plan, rank, &mut nest);
+    nest
+}
+
+/// Emit [`gaxpy_nest_for`]`(plan, rank)` into `sink`: the one body behind
+/// the nest and its allocation-free price ([`crate::cost::NestPrice`]).
+pub fn gaxpy_emit<S: NestSink>(plan: &GaxpyPlan, rank: usize, sink: &mut S) {
+    let [a, b, c] = [&plan.a, &plan.b, &plan.c].map(|d| (d, d.local_shape(rank)));
+    let arrays = [(a.0, &a.1), (b.0, &b.1), (c.0, &c.1)];
     match plan.strategy {
-        SlabStrategy::ColumnSlab => gaxpy_column_nest(plan, rank),
-        SlabStrategy::RowSlab => gaxpy_row_nest(plan, rank),
+        SlabStrategy::ColumnSlab => gaxpy_column_nest(plan, arrays, sink),
+        SlabStrategy::RowSlab => gaxpy_row_nest(plan, arrays, sink),
     }
 }
 
-fn gaxpy_column_nest(plan: &GaxpyPlan, rank: usize) -> Vec<NestNode> {
+/// One operand of a GAXPY nest: its descriptor and the rank's local shape.
+type Operand<'a> = (&'a ArrayDesc, &'a Shape);
+
+fn gaxpy_column_nest<S: NestSink>(plan: &GaxpyPlan, [a, b, c]: [Operand; 3], sink: &mut S) {
     let n = plan.n;
-    let shapes = [&plan.a, &plan.b, &plan.c].map(|d| d.local_shape(rank));
-    let [a, b, c] = [
-        (&plan.a, &shapes[0]),
-        (&plan.b, &shapes[1]),
-        (&plan.c, &shapes[2]),
-    ];
     let (lc, lc_c) = (a.1.extent(1), c.1.extent(1));
     let logp = ceil_log2(plan.nprocs);
     let policy = plan.method.sieve_policy();
-    let cols = |array, lo, hi, read| slab_io(array, (1, lo, hi), read, policy);
-    let multiply = |w: usize, label: &str| NestNode::Compute {
-        label: label.into(),
-        flops: (2 * n * w) as u64,
-    };
+    let cols = |s: &mut S, array, lo, hi, read| slab_io(s, array, (1, lo, hi), read, policy);
+    const MULTIPLY: &str = "temp(:) = temp(:) + a(:,i)*b(i,m)";
+    let multiply = |s: &mut S, w: usize| s.compute(MULTIPLY, (2 * n * w) as u64);
 
     // Streaming all slabs of A once (per column of B): full slabs + ragged.
     // Prefetched, every read but a column's first overlaps the multiply of
     // the full slab before it.
     let fa = lc / plan.slab_a;
     let ra = lc % plan.slab_a;
-    let full = multiply(plan.slab_a, "temp(:) = temp(:) + a(:,i)*b(i,m)");
-    let after_full = |read: Vec<NestNode>| {
-        if !plan.prefetches_a() {
-            return read;
-        }
-        let flops = (2 * n * plan.slab_a) as u64;
-        vec![NestNode::Overlap { flops, body: read }]
-    };
-    let full_read = cols(a, 0, plan.slab_a, true);
-    let mut a_stream = Vec::new();
-    if fa > 0 {
-        let slab = [full_read.clone(), vec![full.clone()]].concat();
-        if plan.prefetches_a() {
-            a_stream.extend(slab);
+    let full_flops = (2 * n * plan.slab_a) as u64;
+    let full_read = |s: &mut S| cols(s, a, 0, plan.slab_a, true);
+    let a_stream = |s: &mut S| {
+        if fa > 0 && plan.prefetches_a() {
+            full_read(s);
+            multiply(s, plan.slab_a);
             if fa > 1 {
-                a_stream.push(NestNode::loop_(
-                    "s = 2, ka  (slabs of a, prefetched)",
-                    (fa - 1) as u64,
-                    [after_full(full_read), vec![full]].concat(),
-                ));
+                let label = "s = 2, ka  (slabs of a, prefetched)";
+                s.loop_(label, (fa - 1) as u64, |s| {
+                    s.overlap(full_flops, full_read);
+                    multiply(s, plan.slab_a);
+                });
             }
-        } else {
-            a_stream.push(NestNode::loop_("s = 1, ka  (slabs of a)", fa as u64, slab));
+        } else if fa > 0 {
+            s.loop_("s = 1, ka  (slabs of a)", fa as u64, |s| {
+                full_read(s);
+                multiply(s, plan.slab_a);
+            });
         }
-    }
-    if ra > 0 {
-        let read = cols(a, fa * plan.slab_a, lc, true);
-        a_stream.extend(if fa > 0 { after_full(read) } else { read });
-        a_stream.push(multiply(ra, "temp(:) = temp(:) + a(:,i)*b(i,m)  (ragged)"));
-    }
-
-    let per_column = {
-        let mut v = a_stream;
-        v.push(NestNode::Comm {
-            label: "global_sum(temp) -> column of c".into(),
-            messages: logp,
-            bytes: 4 * n as u64 * logp,
-        });
-        v
+        if ra > 0 {
+            let read = |s: &mut S| cols(s, a, fa * plan.slab_a, lc, true);
+            if fa > 0 && plan.prefetches_a() {
+                s.overlap(full_flops, read);
+            } else {
+                read(s);
+            }
+            s.compute(
+                "temp(:) = temp(:) + a(:,i)*b(i,m)  (ragged)",
+                (2 * n * ra) as u64,
+            );
+        }
     };
 
-    let col_body = |w: usize| -> Vec<NestNode> {
-        let mut v = cols(b, 0, w, true);
-        v.push(NestNode::loop_(
-            "m = 1, cols in icla of b",
-            w as u64,
-            per_column.clone(),
-        ));
-        v
+    let per_column = |s: &mut S| {
+        a_stream(s);
+        let label = "global_sum(temp) -> column of c";
+        s.comm(label, logp, 4 * n as u64 * logp);
+    };
+
+    let col_body = |s: &mut S, w: usize| {
+        cols(s, b, 0, w, true);
+        s.loop_("m = 1, cols in icla of b", w as u64, per_column);
     };
 
     let fb = n / plan.slab_b;
     let rb = n % plan.slab_b;
-    let mut nest = Vec::new();
     if fb > 0 {
-        nest.push(NestNode::loop_(
-            "l = 1, kb  (slabs of b)",
-            fb as u64,
-            col_body(plan.slab_b),
-        ));
+        sink.loop_("l = 1, kb  (slabs of b)", fb as u64, |s| {
+            col_body(s, plan.slab_b)
+        });
     }
     if rb > 0 {
-        nest.extend(col_body(rb));
+        col_body(sink, rb);
     }
 
     // Buffered writes of C's owned columns (ICLA of slab_a columns).
     let fc = lc_c / plan.slab_a;
     let rc = lc_c % plan.slab_a;
-    let mut writes = Vec::new();
-    if fc > 0 {
-        writes.push(NestNode::loop_(
-            "c buffers",
-            fc as u64,
-            cols(c, 0, plan.slab_a, false),
-        ));
-    }
-    if rc > 0 {
-        writes.extend(cols(c, fc * plan.slab_a, lc_c, false));
-    }
-    nest.push(NestNode::IfOwner {
-        label: "mynode owns these columns of c".into(),
-        body: writes,
+    sink.if_owner("mynode owns these columns of c", |s| {
+        if fc > 0 {
+            s.loop_("c buffers", fc as u64, |s| {
+                cols(s, c, 0, plan.slab_a, false)
+            });
+        }
+        if rc > 0 {
+            cols(s, c, fc * plan.slab_a, lc_c, false);
+        }
     });
-    nest
 }
 
-fn gaxpy_row_nest(plan: &GaxpyPlan, rank: usize) -> Vec<NestNode> {
+fn gaxpy_row_nest<S: NestSink>(plan: &GaxpyPlan, [a, b, c]: [Operand; 3], sink: &mut S) {
     let n = plan.n;
-    let shapes = [&plan.a, &plan.b, &plan.c].map(|d| d.local_shape(rank));
-    let [a, b, c] = [
-        (&plan.a, &shapes[0]),
-        (&plan.b, &shapes[1]),
-        (&plan.c, &shapes[2]),
-    ];
     let lc = a.1.extent(1);
     let logp = ceil_log2(plan.nprocs);
     let fb = n / plan.slab_b;
     let rb = n % plan.slab_b;
     let policy = plan.method.sieve_policy();
-    let slab = |array, dim, lo, hi, read| slab_io(array, (dim, lo, hi), read, policy);
+    let slab = |s: &mut S, array, dim, lo, hi, read| slab_io(s, array, (dim, lo, hi), read, policy);
     // Loop-invariant I/O motion: when B's ICLA holds the whole OCLA, its
     // read is invariant in the A-slab loop and hoisted out (this is what
     // makes "give B enough memory" pay off in Table 2).
     let b_resident = plan.slab_b >= n;
 
-    let row_body = |h_lo: usize, h_hi: usize| -> Vec<NestNode> {
+    let row_body = |s: &mut S, h_lo: usize, h_hi: usize| {
         let h = h_hi - h_lo;
-        let per_column = vec![
-            NestNode::Compute {
-                label: "temp(:) = temp(:) + a(j,i)*b(i,m)".into(),
-                flops: (2 * h * lc) as u64,
-            },
-            NestNode::Comm {
-                label: "global_sum(temp) -> subcolumn of c".into(),
-                messages: logp,
-                bytes: 4 * h as u64 * logp,
-            },
-        ];
-        let mut v = slab(a, 0, h_lo, h_hi, true);
+        let per_column = |s: &mut S| {
+            s.compute("temp(:) = temp(:) + a(j,i)*b(i,m)", (2 * h * lc) as u64);
+            let label = "global_sum(temp) -> subcolumn of c";
+            s.comm(label, logp, 4 * h as u64 * logp);
+        };
+        slab(s, a, 0, h_lo, h_hi, true);
         if b_resident {
-            v.push(NestNode::loop_(
-                "m = 1, n  (b resident)",
-                n as u64,
-                per_column.clone(),
-            ));
+            s.loop_("m = 1, n  (b resident)", n as u64, per_column);
         } else {
             if fb > 0 {
-                let mut b_slab = slab(b, 1, 0, plan.slab_b, true);
-                b_slab.push(NestNode::loop_(
-                    "m = 1, cols in icla of b",
-                    plan.slab_b as u64,
-                    per_column.clone(),
-                ));
-                v.push(NestNode::loop_(
-                    "nn = 1, kb  (slabs of b)",
-                    fb as u64,
-                    b_slab,
-                ));
+                s.loop_("nn = 1, kb  (slabs of b)", fb as u64, |s| {
+                    slab(s, b, 1, 0, plan.slab_b, true);
+                    s.loop_("m = 1, cols in icla of b", plan.slab_b as u64, per_column);
+                });
             }
             if rb > 0 {
-                v.extend(slab(b, 1, fb * plan.slab_b, n, true));
-                v.push(NestNode::loop_(
-                    "m = 1, cols in icla of b  (ragged)",
-                    rb as u64,
-                    per_column,
-                ));
+                slab(s, b, 1, fb * plan.slab_b, n, true);
+                let label = "m = 1, cols in icla of b  (ragged)";
+                s.loop_(label, rb as u64, per_column);
             }
         }
-        v.push(NestNode::IfOwner {
-            label: "mynode owns these columns of c".into(),
-            body: slab(c, 0, h_lo, h_hi, false),
+        s.if_owner("mynode owns these columns of c", |s| {
+            slab(s, c, 0, h_lo, h_hi, false)
         });
-        v
     };
 
     let fa = n / plan.slab_a;
     let ra = n % plan.slab_a;
-    let mut nest = Vec::new();
     if b_resident {
         // Hoisted: B streamed into memory exactly once.
-        nest.extend(slab(b, 1, 0, n, true));
+        slab(sink, b, 1, 0, n, true);
     }
     if fa > 0 {
-        nest.push(NestNode::loop_(
-            "l = 1, ka  (row slabs of a)",
-            fa as u64,
-            row_body(0, plan.slab_a),
-        ));
+        sink.loop_("l = 1, ka  (row slabs of a)", fa as u64, |s| {
+            row_body(s, 0, plan.slab_a)
+        });
     }
     if ra > 0 {
-        nest.extend(row_body(fa * plan.slab_a, n));
+        row_body(sink, fa * plan.slab_a, n);
     }
-    nest
 }
 
 /// Node program for an elementwise plan on `rank` (the estimator uses rank
@@ -313,7 +267,9 @@ pub fn elw_nest_after(plan: &ElwPlan, rank: usize, remaps: Vec<NestNode>) -> Vec
     let local = plan.lhs.local_shape(rank);
     let schedule = plan.schedule(rank);
     let policy = plan.method.sieve_policy();
-    let io = |desc, sec, read| section_io(desc, &local, sec, read, policy);
+    let io = |sink: &mut Vec<NestNode>, desc, sec, read| {
+        section_io(sink, (desc, &local), sec, read, policy)
+    };
     let mut nest = remaps;
 
     // Ghost exchange: one strip read and one message per strip this rank
@@ -321,33 +277,32 @@ pub fn elw_nest_after(plan: &ElwPlan, rank: usize, remaps: Vec<NestNode>) -> Vec
     // the sender.
     let dim = plan.ghosts.first().map_or(0, |g| g.dim);
     for strip in schedule.strips.iter().filter(|s| s.send) {
-        nest.extend(io(&plan.rhs_arrays[strip.array], &strip.section, true));
-        nest.push(NestNode::Comm {
-            label: format!("ghost send dim {dim}"),
-            messages: 1,
-            bytes: strip.section.len() as u64 * 4,
-        });
+        io(
+            &mut nest,
+            &plan.rhs_arrays[strip.array],
+            &strip.section,
+            true,
+        );
+        let label = format!("ghost send dim {dim}");
+        nest.comm(&label, 1, strip.section.len() as u64 * 4);
     }
 
     // Prefetched, a stage's reads overlap the previous stage's evaluation.
     let mut previous = None;
     let mut bodies = schedule.stages.iter().map(|stage| {
-        let reads: Vec<NestNode> = (plan.rhs_arrays.iter())
-            .flat_map(|rd| io(rd, &stage.input, true))
-            .collect();
-        let flops = stage.out.len() as u64 * plan.flops_per_point;
-        let mut body = match previous.replace(flops).filter(|_| plan.prefetch) {
-            Some(pending) => vec![NestNode::Overlap {
-                flops: pending,
-                body: reads,
-            }],
-            None => reads,
+        let reads = |body: &mut Vec<NestNode>| {
+            for rd in &plan.rhs_arrays {
+                io(body, rd, &stage.input, true);
+            }
         };
-        body.push(NestNode::Compute {
-            label: "evaluate rhs over slab".into(),
-            flops,
-        });
-        body.extend(io(&plan.lhs, &stage.out, false));
+        let flops = stage.out.len() as u64 * plan.flops_per_point;
+        let mut body = Vec::new();
+        match previous.replace(flops).filter(|_| plan.prefetch) {
+            Some(pending) => body.overlap(pending, reads),
+            None => reads(&mut body),
+        }
+        body.compute("evaluate rhs over slab", flops);
+        io(&mut body, &plan.lhs, &stage.out, false);
         body
     });
     nest.extend(bodies.next().into_iter().flatten());
@@ -458,22 +413,15 @@ impl RemapGeometry {
         let (mut src, mut dst) = (Tally::default(), Tally::default());
         reads.iter().for_each(|a| src.read(*a, policy));
         writes.iter().for_each(|a| dst.write(*a, policy));
-        let io = |read: bool, array: &str, (requests, bytes): (u64, u64)| NestNode::Io {
-            array: array.into(),
-            read,
-            requests,
-            elems: bytes / self.elem_size,
-        };
-        let mut v = vec![io(true, &self.src, (src.read_requests, src.read_bytes))];
+        let es = self.elem_size;
+        let mut v = Vec::new();
+        v.io(&self.src, true, src.read_requests, src.read_bytes / es);
         if dst.read_requests > 0 {
-            v.push(io(true, &self.dst, (dst.read_requests, dst.read_bytes)));
+            v.io(&self.dst, true, dst.read_requests, dst.read_bytes / es);
         }
-        v.push(NestNode::Comm {
-            label: format!("{} ({})", self.label, method.label()),
-            messages,
-            bytes: self.sends.1,
-        });
-        v.push(io(false, &self.dst, (dst.write_requests, dst.write_bytes)));
+        let label = format!("{} ({})", self.label, method.label());
+        v.comm(&label, messages, self.sends.1);
+        v.io(&self.dst, false, dst.write_requests, dst.write_bytes / es);
         v
     }
 }

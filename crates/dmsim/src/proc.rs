@@ -181,8 +181,16 @@ impl ProcCtx {
         args
     }
 
-    /// Record a completed charge span `[t0, now]` if tracing.
-    fn trace_charge(&self, cat: Category, name: &str, t0: SimTime, track: Track, args: Args) {
+    /// Record a completed charge span `[t0, now]` if tracing; `args` is
+    /// only built then.
+    fn trace_charge(
+        &self,
+        cat: Category,
+        name: &str,
+        t0: SimTime,
+        track: Track,
+        args: impl FnOnce() -> Args,
+    ) {
         if let Some(tr) = &self.tracer {
             tr.span(
                 cat,
@@ -190,7 +198,7 @@ impl ProcCtx {
                 t0.seconds(),
                 self.clock.now().seconds(),
                 track,
-                args,
+                args(),
             );
         }
     }
@@ -257,16 +265,10 @@ impl ProcCtx {
         let t0 = self.clock.now();
         self.clock.advance(dt);
         self.stats.record_flops(n, dt);
-        self.trace_charge(
-            Category::Compute,
-            "compute",
-            t0,
-            Track::Main,
-            Args {
-                value: Some(n as f64),
-                ..Args::default()
-            },
-        );
+        self.trace_charge(Category::Compute, "compute", t0, Track::Main, || Args {
+            value: Some(n as f64),
+            ..Args::default()
+        });
     }
 
     /// Charge a disk read of `requests` requests moving `bytes` bytes.
@@ -276,13 +278,9 @@ impl ProcCtx {
         let t0 = self.clock.now();
         self.clock.advance(dt);
         self.stats.record_io_read(requests, bytes, dt);
-        self.trace_charge(
-            Category::DiskRead,
-            "read",
-            t0,
-            Track::Main,
-            self.hinted_args(requests, bytes),
-        );
+        self.trace_charge(Category::DiskRead, "read", t0, Track::Main, || {
+            self.hinted_args(requests, bytes)
+        });
     }
 
     /// Charge a disk write of `requests` requests moving `bytes` bytes
@@ -292,13 +290,9 @@ impl ProcCtx {
         let t0 = self.clock.now();
         self.clock.advance(dt);
         self.stats.record_io_write(requests, bytes, dt);
-        self.trace_charge(
-            Category::DiskWrite,
-            "write",
-            t0,
-            Track::Main,
-            self.hinted_args(requests, bytes),
-        );
+        self.trace_charge(Category::DiskWrite, "write", t0, Track::Main, || {
+            self.hinted_args(requests, bytes)
+        });
     }
 
     /// Record `runs` read accesses of `bytes` served from the slab cache.
@@ -324,13 +318,9 @@ impl ProcCtx {
         let t0 = self.clock.now();
         self.clock.advance(dt);
         self.stats.record_io_write_back(requests, bytes, dt);
-        self.trace_charge(
-            Category::WriteBack,
-            "write_back",
-            t0,
-            Track::Main,
-            self.hinted_args(requests, bytes),
-        );
+        self.trace_charge(Category::WriteBack, "write_back", t0, Track::Main, || {
+            self.hinted_args(requests, bytes)
+        });
     }
 
     /// Charge an arbitrary fixed delay (used by redistribution setup and the
@@ -356,16 +346,12 @@ impl ProcCtx {
         self.clock.advance(dt);
         self.stats
             .record_io_faults(c.faults, c.read_retries + c.write_retries, dt);
-        self.trace_charge(
-            Category::Fault,
-            "io_recovery",
-            t0,
-            Track::Main,
+        self.trace_charge(Category::Fault, "io_recovery", t0, Track::Main, || {
             Args::io(
                 c.read_retries + c.write_retries,
                 c.read_retry_bytes + c.write_retry_bytes,
-            ),
-        );
+            )
+        });
     }
 
     /// Charge a disk read that was *prefetched*: it overlapped `flops` of
@@ -430,13 +416,9 @@ impl ProcCtx {
                 let t0 = self.clock.now();
                 self.clock.advance(lost);
                 self.stats.record_msg_retry(lost);
-                self.trace_charge(
-                    Category::Retry,
-                    "msg_retry",
-                    t0,
-                    Track::Main,
-                    Args::msg(dst, bytes),
-                );
+                self.trace_charge(Category::Retry, "msg_retry", t0, Track::Main, || {
+                    Args::msg(dst, bytes)
+                });
             }
             if plan.delay_secs > 0.0 {
                 extra_delay = plan.delay_secs;
@@ -449,13 +431,9 @@ impl ProcCtx {
         let arrival = self.clock.advance(dt);
         let arrival = SimTime(arrival.seconds() + extra_delay);
         self.stats.record_send(bytes, dt);
-        self.trace_charge(
-            Category::Send,
-            "send",
-            t0,
-            Track::Main,
-            Args::msg(dst, bytes),
-        );
+        self.trace_charge(Category::Send, "send", t0, Track::Main, || {
+            Args::msg(dst, bytes)
+        });
         // A `false` return means `dst` already aborted (permanent fault);
         // the charge above stands either way so the sender's clock and
         // counters never depend on peer liveness.
@@ -482,13 +460,9 @@ impl ProcCtx {
         let wait = (after.seconds() - before.seconds()).max(0.0);
         let bytes = msg.payload.size_bytes();
         self.stats.record_recv(bytes, wait);
-        self.trace_charge(
-            Category::Recv,
-            "recv",
-            before,
-            Track::Main,
-            Args::msg(src, bytes),
-        );
+        self.trace_charge(Category::Recv, "recv", before, Track::Main, || {
+            Args::msg(src, bytes)
+        });
         Ok(msg.payload)
     }
 

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use dmsim::{Machine, MachineConfig, ReduceOp};
+use dmsim::{Engine, Machine, MachineConfig, ReduceOp};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -118,5 +118,100 @@ proptest! {
         let a = run_once();
         let b = run_once();
         prop_assert_eq!(a, b);
+    }
+}
+
+/// Awkward `f32`s: NaNs with distinct payloads and signs, signed zeros,
+/// infinities, subnormals and values whose sums round.
+const AWKWARD: [u32; 12] = [
+    0x7fc0_0001, // quiet NaN, payload 1
+    0xffc1_2345, // negative quiet NaN, another payload
+    0x7f80_0005, // signalling NaN
+    0x0000_0000, // +0
+    0x8000_0000, // -0
+    0x7f80_0000, // +inf
+    0xff80_0000, // -inf
+    0x0000_0001, // smallest subnormal
+    0x8040_0000, // negative subnormal
+    0x3f80_0001, // 1 + ulp
+    0xcb80_0000, // -2^24
+    0x7f7f_ffff, // f32::MAX
+];
+
+/// Rank `r`'s contribution: `len` awkward values, a different walk per rank.
+fn awkward(r: usize, len: usize) -> Vec<f32> {
+    (0..len)
+        .map(|i| f32::from_bits(AWKWARD[(r * 5 + i * 7 + r * i) % AWKWARD.len()]))
+        .collect()
+}
+
+/// `a ∘ b` as the reduction defines it, `a` the accumulated side.
+fn apply(op: ReduceOp, a: f32, b: f32) -> f32 {
+    match op {
+        ReduceOp::Sum => a + b,
+        ReduceOp::Max => {
+            if b > a {
+                b
+            } else {
+                a
+            }
+        }
+        ReduceOp::Min => {
+            if b < a {
+                b
+            } else {
+                a
+            }
+        }
+    }
+}
+
+/// The binomial-tree reduction, rooted at virtual rank 0, folded
+/// sequentially: a rank's value combined with each child's subtree in
+/// increasing child order. `value(v)` is virtual rank `v`'s contribution.
+fn tree_fold(v: usize, p: usize, op: ReduceOp, value: &dyn Fn(usize) -> Vec<f32>) -> Vec<f32> {
+    let mut acc = value(v);
+    // A child sets one bit above `v`'s highest set bit.
+    let mut bit = match v {
+        0 => 1,
+        _ => 2 << (usize::BITS - 1 - v.leading_zeros()),
+    };
+    while v + bit < p {
+        let theirs = tree_fold(v + bit, p, op, value);
+        for (a, b) in acc.iter_mut().zip(theirs) {
+            *a = apply(op, *a, b);
+        }
+        bit <<= 1;
+    }
+    acc
+}
+
+#[test]
+fn reduce_and_allreduce_equal_the_tree_fold_bit_for_bit() {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let len = 23;
+    for engine in [Engine::Threads, Engine::Pool(1), Engine::Pool(2)] {
+        for p in [1usize, 2, 3, 5, 8, 13] {
+            for op in [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min] {
+                let machine = Machine::new(MachineConfig::free(p).with_engine(engine));
+                for root in 0..p {
+                    let want = tree_fold(0, p, op, &|v| awkward((v + root) % p, len));
+                    let (_, got) = machine.run_with(|ctx| {
+                        let mine = awkward(ctx.rank(), len);
+                        ctx.reduce(&mine, op, root).map(|v| bits(&v))
+                    });
+                    for (rank, got) in got.into_iter().enumerate() {
+                        let at = format!("{engine:?} p={p} {op:?} root={root} rank={rank}");
+                        assert_eq!(got, (rank == root).then(|| bits(&want)), "{at}");
+                    }
+                }
+                let want = bits(&tree_fold(0, p, op, &|v| awkward(v, len)));
+                let (_, got) =
+                    machine.run_with(|ctx| bits(&ctx.allreduce(&awkward(ctx.rank(), len), op)));
+                for (rank, got) in got.into_iter().enumerate() {
+                    assert_eq!(got, want, "{engine:?} p={p} {op:?} allreduce rank={rank}");
+                }
+            }
+        }
     }
 }

@@ -132,6 +132,12 @@ impl FileLayout {
         // (fastest first => ascending offsets) starts one chunk-long run;
         // the chunk's own dimensions stay at their range starts.
         let (outer_start, chunk) = self.chunk(shape, section.ranges());
+        if chunk == section.len() {
+            // One run (every column slab of a column-major file): it starts
+            // at the section's first element; no walk, no strides.
+            let first = self.first_last(shape, section.ranges()).0;
+            return runs.push(run(first as u64, chunk as u64));
+        }
         let outer = &self.order[outer_start..];
         let strides = self.dim_strides(shape);
         let step = outer

@@ -13,8 +13,6 @@
 //! order and section order happens during the copy, as a PASSION-style
 //! runtime does.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use pario::{
@@ -29,7 +27,8 @@ use crate::layout::FileLayout;
 use crate::section::{offset, DimRange, Section};
 use crate::shape::Shape;
 
-/// Identifier of an out-of-core array within one program.
+/// Identifier of an out-of-core array within one program. Programs number
+/// their arrays densely from 0: an [`OocEnv`] indexes its files by id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct ArrayId(pub u32);
 
@@ -113,7 +112,8 @@ impl ArrayDesc {
 pub struct OocEnv {
     rank: usize,
     disk: LogicalDisk,
-    files: HashMap<ArrayId, LocalFile>,
+    /// The LAF of each allocated array, indexed by [`ArrayId`].
+    files: Vec<Option<LocalFile>>,
     /// Byte-run scratch of the section paths, reused across accesses.
     runs: Vec<ByteRun>,
     /// Layout-order staging of a section access under a non-column-major
@@ -135,7 +135,7 @@ impl OocEnv {
         OocEnv {
             rank,
             disk: LogicalDisk::in_memory(),
-            files: HashMap::new(),
+            files: Vec::new(),
             runs: Vec::new(),
             staged: Vec::new(),
         }
@@ -146,7 +146,7 @@ impl OocEnv {
         Ok(OocEnv {
             rank,
             disk: LogicalDisk::on_disk(&format!("rank{rank}"))?,
-            files: HashMap::new(),
+            files: Vec::new(),
             runs: Vec::new(),
             staged: Vec::new(),
         })
@@ -218,19 +218,23 @@ impl OocEnv {
 
     /// Allocate the LAF for `desc` on this processor. Idempotent per id.
     pub fn alloc(&mut self, desc: &ArrayDesc) -> Result<(), IoError> {
-        if self.files.contains_key(&desc.id) {
+        let at = desc.id.0 as usize;
+        if self.files.get(at).is_some_and(Option::is_some) {
             return Ok(());
         }
         let shape = desc.local_shape(self.rank);
         let laf = LocalArrayFile::create(&mut self.disk, desc.elem, shape.len() as u64)?;
         let dist = desc.dist.clone();
-        self.files.insert(desc.id, LocalFile { laf, dist, shape });
+        self.files
+            .resize_with(self.files.len().max(at + 1), || None);
+        self.files[at] = Some(LocalFile { laf, dist, shape });
         Ok(())
     }
 
     fn file(&self, id: ArrayId) -> &LocalFile {
         self.files
-            .get(&id)
+            .get(id.0 as usize)
+            .and_then(Option::as_ref)
             .unwrap_or_else(|| panic!("array {id:?} not allocated on rank {}", self.rank))
     }
 
@@ -298,8 +302,10 @@ impl OocEnv {
     /// contents, under `policy` (an access method's
     /// [`pario::IoMethod::sieve_policy`]). Under a column-major layout the
     /// elements are decoded straight from storage into `out`; under any
-    /// other layout they are staged in reused scratch and reordered into
-    /// `out`, so a slab buffer reused across reads is never reallocated.
+    /// other layout they are reordered into `out` from where the disk lends
+    /// them ([`pario::LogicalDisk::read_ref`]) or from a copy staged in
+    /// reused scratch, so a slab buffer reused across reads is never
+    /// reallocated.
     pub fn read_section_into(
         &mut self,
         desc: &ArrayDesc,
@@ -313,11 +319,14 @@ impl OocEnv {
             self.read_runs(desc, &runs, out, charge, policy)
         } else {
             let mut staged = std::mem::take(&mut self.staged);
-            let read = self.read_runs(desc, &runs, &mut staged, charge, policy);
-            if read.is_ok() {
-                out.resize(staged.len(), 0.0);
-                layout_to_cm(&desc.layout, section, &staged, out);
-            }
+            let file = self.tagged_file(desc, charge);
+            let raw = self
+                .disk
+                .read_ref(file, runs.iter().copied(), &mut staged, charge, policy);
+            let read = raw.map(|raw| {
+                out.resize(raw.len(), 0.0);
+                reorder(&desc.layout, section, raw, out, true);
+            });
             self.staged = staged;
             read
         };
@@ -371,7 +380,7 @@ impl OocEnv {
             data
         } else {
             staged.resize(data.len(), 0.0);
-            cm_to_layout(&desc.layout, section, data, &mut staged);
+            reorder(&desc.layout, section, data, &mut staged, false);
             &staged
         };
         let written = self
@@ -407,10 +416,10 @@ impl OocEnv {
                 *g = map[l];
             }
             match order.first() {
-                Some(&fast) => maps[fast].iter().for_each(|&l| {
+                Some(&fast) => buf.extend(maps[fast].iter().map(|&l| {
                     g[fast] = l;
-                    buf.push(f(&g));
-                }),
+                    f(&g)
+                })),
                 None => buf.push(f(&g)),
             }
         });
@@ -440,37 +449,53 @@ impl OocEnv {
     }
 }
 
-/// Reorder `raw`, delivered in `layout` order of `section`, into section
-/// column-major order in `out` (same length), one run along the layout's
-/// fastest dimension at a time.
-pub(crate) fn layout_to_cm(layout: &FileLayout, section: &Section, raw: &[f32], out: &mut [f32]) {
+/// Reorder a buffer of `section` between `layout` order and section
+/// column-major order (same length): `src` in layout order into `dst` in
+/// column-major order when `to_cm` (reading), the inverse otherwise
+/// (writing). A row-major matrix section is transposed a tile at a time
+/// ([`transpose_tiled`]); any other layout one run along its fastest
+/// dimension at a time.
+fn reorder(layout: &FileLayout, section: &Section, src: &[f32], dst: &mut [f32], to_cm: bool) {
     let dense = section.shape();
+    if let [1, 0] = layout.order() {
+        let (rows, cols) = (dense.extent(0), dense.extent(1));
+        let (rows, cols) = if to_cm { (rows, cols) } else { (cols, rows) };
+        return transpose_tiled(src, dst, rows, cols);
+    }
     let cm = dense.dim_strides();
     let stride = layout.order().first().map_or(1, |&d| cm[d]);
     let mut k = 0;
     Section::full(&dense).for_each_run(layout.order(), |at, len| {
-        let dst = out[offset(at, &cm)..].iter_mut().step_by(stride);
-        for (o, &v) in dst.zip(&raw[k..k + len]) {
-            *o = v;
+        let at = offset(at, &cm);
+        for (l, c) in (k..k + len).zip((at..).step_by(stride)) {
+            if to_cm {
+                dst[c] = src[l];
+            } else {
+                dst[l] = src[c];
+            }
         }
         k += len;
     });
 }
 
-/// Reorder a section-column-major buffer into `layout` order in `out`
-/// (same length), for writing: the inverse of [`layout_to_cm`].
-fn cm_to_layout(layout: &FileLayout, section: &Section, data: &[f32], out: &mut [f32]) {
-    let dense = section.shape();
-    let cm = dense.dim_strides();
-    let stride = layout.order().first().map_or(1, |&d| cm[d]);
-    let mut k = 0;
-    Section::full(&dense).for_each_run(layout.order(), |at, len| {
-        let src = data[offset(at, &cm)..].iter().step_by(stride);
-        for (o, &v) in out[k..k + len].iter_mut().zip(src) {
-            *o = v;
+/// `dst[i + j * rows] = src[i * cols + j]`: the row-major `rows × cols`
+/// matrix `src` stored column-major in `dst`, one `TILE × TILE` block at a
+/// time, so each block's reads and writes stay in cache instead of one
+/// strided store per element.
+fn transpose_tiled(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
+    const TILE: usize = 32;
+    assert_eq!((src.len(), dst.len()), (rows * cols, rows * cols));
+    for i0 in (0..rows).step_by(TILE) {
+        let i1 = (i0 + TILE).min(rows);
+        for j0 in (0..cols).step_by(TILE) {
+            for j in j0..(j0 + TILE).min(cols) {
+                let column = &mut dst[j * rows + i0..j * rows + i1];
+                for (o, i) in column.iter_mut().zip(i0..) {
+                    *o = src[i * cols + j];
+                }
+            }
         }
-        k += len;
-    });
+    }
 }
 
 /// True when `layout` stores sections in column-major order, so section
@@ -744,9 +769,10 @@ mod tests {
         all
     }
 
-    /// The per-element definition of [`layout_to_cm`]: the `k`-th element
-    /// of `section` in `layout` order sits, in section column-major order,
-    /// at its relative index weighted by the column-major strides.
+    /// The per-element definition of [`reorder`] to column-major: the
+    /// `k`-th element of `section` in `layout` order sits, in section
+    /// column-major order, at its relative index weighted by the
+    /// column-major strides.
     fn reorder_by_element(layout: &FileLayout, section: &Section, raw: &[f32]) -> Vec<f32> {
         let mut out = vec![f32::NAN; raw.len()];
         for (k, idx) in layout.section_indices_in_layout_order(section).enumerate() {
@@ -779,12 +805,81 @@ mod tests {
                 let layout = FileLayout::new(order);
                 let want = reorder_by_element(&layout, &section, &raw);
                 let mut cm = vec![f32::NAN; raw.len()];
-                layout_to_cm(&layout, &section, &raw, &mut cm);
-                proptest::prop_assert_eq!(&cm, &want, "layout_to_cm under {:?}", layout.order());
+                reorder(&layout, &section, &raw, &mut cm, true);
+                proptest::prop_assert_eq!(&cm, &want, "reorder to cm under {:?}", layout.order());
                 let mut back = vec![f32::NAN; raw.len()];
-                cm_to_layout(&layout, &section, &cm, &mut back);
+                reorder(&layout, &section, &cm, &mut back, false);
                 proptest::prop_assert_eq!(&back, &raw, "round trip under {:?}", layout.order());
             }
+        }
+    }
+
+    #[test]
+    fn tiled_transposes_match_the_per_element_reference() {
+        // Row-major matrix sections take the tiled transpose: ragged tile
+        // edges, exact tiles, strided ranges, one row and one column, read
+        // and written through an environment. 3-D layouts keep the run
+        // walk and are held to the same reference.
+        let n = 100;
+        let (full, r) = (DimRange::full(n), DimRange::new);
+        let sections = [
+            Section::new(vec![full, full]),
+            Section::new(vec![r(3, 70), DimRange::strided(5, 95, 3)]),
+            Section::new(vec![r(7, 8), full]),
+            Section::new(vec![full, r(9, 10)]),
+            Section::new(vec![r(0, 33), r(10, 75)]),
+            Section::new(vec![r(4, 68), r(20, 84)]),
+            Section::new(vec![DimRange::strided(1, 99, 2), r(0, 41)]),
+        ];
+        let desc = desc_col_block(n, 1, FileLayout::row_major(2));
+        let value = |i: usize, j: usize| (i * 1000 + j) as f32;
+        for sec in &sections {
+            let at = format!("{:?}", sec.ranges());
+            let raw: Vec<f32> = (0..sec.len()).map(|k| k as f32 + 0.5).collect();
+            let want = reorder_by_element(&desc.layout, sec, &raw);
+            let mut cm = vec![f32::NAN; raw.len()];
+            reorder(&desc.layout, sec, &raw, &mut cm, true);
+            assert_eq!(cm, want, "to cm {at}");
+            let mut back = vec![f32::NAN; raw.len()];
+            reorder(&desc.layout, sec, &cm, &mut back, false);
+            assert_eq!(back, raw, "to layout {at}");
+
+            // Reading: section column-major values of the loaded array.
+            let mut env = OocEnv::in_memory(0);
+            env.alloc(&desc).unwrap();
+            env.load_global(&desc, &|g| value(g[0], g[1])).unwrap();
+            let (rows, cols) = (sec.range(0), sec.range(1));
+            let expect: Vec<f32> = (0..cols.len())
+                .flat_map(|b| (0..rows.len()).map(move |a| (a, b)))
+                .map(|(a, b)| value(rows.lo + a * rows.step, cols.lo + b * cols.step))
+                .collect();
+            assert_eq!(
+                env.read_section_uncharged(&desc, sec).unwrap(),
+                expect,
+                "{at}"
+            );
+            // Writing: the section's elements, and nothing else, change.
+            let data: Vec<f32> = (0..sec.len()).map(|k| -(k as f32) - 1.0).collect();
+            env.write_section(&desc, sec, &data, &NoCharge, SievePolicy::Direct)
+                .unwrap();
+            let all = env.read_local_all(&desc).unwrap();
+            let mut expect_all: Vec<f32> = (0..n * n).map(|k| value(k % n, k / n)).collect();
+            for (k, &v) in data.iter().enumerate() {
+                let (a, b) = (k % rows.len(), k / rows.len());
+                expect_all[rows.lo + a * rows.step + (cols.lo + b * cols.step) * n] = v;
+            }
+            assert_eq!(all, expect_all, "write {at}");
+        }
+        let cube = Section::new(vec![r(0, 35), DimRange::strided(1, 8, 3), r(2, 35)]);
+        let raw: Vec<f32> = (0..cube.len()).map(|k| k as f32).collect();
+        for order in permutations(3) {
+            let layout = FileLayout::new(order);
+            let mut cm = vec![f32::NAN; raw.len()];
+            reorder(&layout, &cube, &raw, &mut cm, true);
+            assert_eq!(cm, reorder_by_element(&layout, &cube, &raw), "{layout:?}");
+            let mut back = vec![f32::NAN; raw.len()];
+            reorder(&layout, &cube, &cm, &mut back, false);
+            assert_eq!(back, raw, "{layout:?}");
         }
     }
 
@@ -795,9 +890,9 @@ mod tests {
             Section::new(Vec::new()),
         );
         let mut out = [0.0f32];
-        layout_to_cm(&layout, &section, &[7.5], &mut out);
+        reorder(&layout, &section, &[7.5], &mut out, true);
         assert_eq!(out, [7.5]);
-        cm_to_layout(&layout, &section, &[2.5], &mut out);
+        reorder(&layout, &section, &[2.5], &mut out, false);
         assert_eq!(out, [2.5]);
     }
 

@@ -357,7 +357,7 @@ fn carve(data: &[f32], read: &Section, piece: &Section, transpose: bool) -> Vec<
         if step == 1 {
             out.extend_from_slice(&data[start..start + len]);
         } else {
-            out.extend(data[start..].iter().step_by(step).take(len));
+            out.extend((0..len).map(|k| data[start + k * step]));
         }
     });
     out

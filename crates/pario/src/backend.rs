@@ -97,10 +97,12 @@ pub(crate) fn encode_f32(data: &[f32], out: &mut [u8]) {
 /// In-memory backend. Each file keeps its bytes as the `f32`s they encode
 /// (little-endian, the last one zero-padded), so its storage is 4-byte
 /// aligned: any element-aligned run of a file can be lent out as a slice
-/// ([`MemBackend::lend_f32`]) instead of copied, on any host.
+/// ([`MemBackend::lend_f32`]) instead of copied, on any host. Files are
+/// held in a table indexed by id, as a [`crate::LogicalDisk`] numbers them
+/// from 0.
 #[derive(Debug, Default)]
 pub struct MemBackend {
-    files: HashMap<u64, MemFile>,
+    files: Vec<Option<MemFile>>,
 }
 
 /// One in-memory file: `len` bytes held in `ceil(len / 4)` elements.
@@ -137,7 +139,13 @@ impl MemBackend {
     }
 
     fn file(&self, id: u64) -> Result<&MemFile> {
-        self.files.get(&id).ok_or(IoError::NoSuchFile { file: id })
+        let file = self.files.get(id as usize).and_then(Option::as_ref);
+        file.ok_or(IoError::NoSuchFile { file: id })
+    }
+
+    fn file_mut(&mut self, id: u64) -> Result<&mut MemFile> {
+        let file = self.files.get_mut(id as usize).and_then(Option::as_mut);
+        file.ok_or(IoError::NoSuchFile { file: id })
     }
 
     /// The `n` `f32`s at byte `offset` of file `id`, lent straight out of
@@ -159,7 +167,7 @@ impl MemBackend {
 impl StorageBackend for MemBackend {
     fn create(&mut self, id: u64, len: u64) -> Result<()> {
         assert!(
-            !self.files.contains_key(&id),
+            self.file(id).is_err(),
             "file id {id} created twice on one disk"
         );
         // A length the allocator cannot satisfy is a typed error, not a
@@ -169,7 +177,10 @@ impl StorageBackend for MemBackend {
         let mut file = Vec::new();
         file.try_reserve_exact(elems).map_err(|_| too_large())?;
         file.resize(elems, 0.0);
-        self.files.insert(id, MemFile { elems: file, len });
+        let at = id as usize;
+        self.files
+            .resize_with(self.files.len().max(at + 1), || None);
+        self.files[at] = Some(MemFile { elems: file, len });
         Ok(())
     }
 
@@ -207,10 +218,7 @@ impl StorageBackend for MemBackend {
     }
 
     fn write_at(&mut self, id: u64, offset: u64, data: &[u8]) -> Result<()> {
-        let file = self
-            .files
-            .get_mut(&id)
-            .ok_or(IoError::NoSuchFile { file: id })?;
+        let file = self.file_mut(id)?;
         check_bounds(id, offset, data.len(), file.len)?;
         match elem_range(offset, data.len()) {
             Some(range) => decode_f32(data, &mut file.elems[range]),
@@ -224,10 +232,7 @@ impl StorageBackend for MemBackend {
     }
 
     fn write_f32_at(&mut self, id: u64, offset: u64, data: &[f32]) -> Result<()> {
-        let file = self
-            .files
-            .get_mut(&id)
-            .ok_or(IoError::NoSuchFile { file: id })?;
+        let file = self.file_mut(id)?;
         let len = data.len().saturating_mul(4);
         check_bounds(id, offset, len, file.len)?;
         match elem_range(offset, len) {
@@ -243,10 +248,9 @@ impl StorageBackend for MemBackend {
     }
 
     fn remove(&mut self, id: u64) -> Result<()> {
-        self.files
-            .remove(&id)
-            .map(|_| ())
-            .ok_or(IoError::NoSuchFile { file: id })
+        self.file(id)?;
+        self.files[id as usize] = None;
+        Ok(())
     }
 
     fn as_mem(&self) -> Option<&MemBackend> {
@@ -526,9 +530,12 @@ mod tests {
         mem.write_at(5, 0, &bytes[..28]).unwrap();
         let lent = mem.lend_f32(5, 8, 4).unwrap();
         assert_eq!(lent, &data[2..6]);
-        let storage = mem.files[&5].elems.as_ptr_range();
+        let storage = mem.files[5].as_ref().unwrap().elems.as_ptr_range();
         assert!(storage.contains(&lent.as_ptr()), "a lent run is a copy");
-        assert_eq!(lent.as_ptr(), mem.files[&5].elems[2..].as_ptr());
+        assert_eq!(
+            lent.as_ptr(),
+            mem.files[5].as_ref().unwrap().elems[2..].as_ptr()
+        );
         // The same errors as the copying read, past the end (30 bytes hold
         // 7 whole elements) and on a missing file.
         let mut out = [0.0f32; 2];
