@@ -24,9 +24,10 @@ use ooc_array::{
 };
 use ooc_bench::table::secs;
 use ooc_bench::TextTable;
+use ooc_core::cost::CostEstimate;
 use ooc_core::ir::{totals, ArrayIoTotals};
 use ooc_core::nodegen::RemapGeometry;
-use ooc_core::reorg::choose_io_method;
+use ooc_core::reorg::Decision;
 use pario::{ElemKind, IoMethod};
 
 fn main() {
@@ -134,12 +135,10 @@ fn main() {
     println!();
 
     // ---- Selector table --------------------------------------------------
-    let choice = choose_io_method(
-        format!("remap {}", src.name),
-        &CostModel::delta(p),
-        None,
-        |m| geometry.nodes(m),
-    );
+    let model = CostModel::delta(p);
+    let choice = Decision::new(format!("remap {}", src.name), IoMethod::ALL, None, |m| {
+        CostEstimate::from_nest(&geometry.nodes(m), &model, 4)
+    });
     let mut sel = TextTable::new(&["method", "est req", "est bytes", "est time (s)", "chosen"]);
     for (m, est) in &choice.estimates {
         sel.row(vec![

@@ -166,7 +166,7 @@ impl NestSink for NestPrice<'_> {
         }
     }
 
-    fn comm(&mut self, _label: &str, messages: u64, bytes: u64) {
+    fn comm(&mut self, _label: impl std::fmt::Display, messages: u64, bytes: u64) {
         self.add(4, &[messages, bytes]);
     }
 

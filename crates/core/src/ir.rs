@@ -9,6 +9,7 @@
 //! produces the pseudo-code of Figures 9 and 12.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
@@ -110,8 +111,9 @@ impl NestNode {
 pub trait NestSink {
     /// A disk transfer ([`NestNode::Io`]).
     fn io(&mut self, array: &str, read: bool, requests: u64, elems: u64);
-    /// A communication step ([`NestNode::Comm`]).
-    fn comm(&mut self, label: &str, messages: u64, bytes: u64);
+    /// A communication step ([`NestNode::Comm`]), its label formatted only
+    /// by a sink that keeps it.
+    fn comm(&mut self, label: impl fmt::Display, messages: u64, bytes: u64);
     /// A compute kernel ([`NestNode::Compute`]).
     fn compute(&mut self, label: &str, flops: u64);
     /// A counted loop ([`NestNode::Loop`]) whose body `body` emits.
@@ -130,8 +132,8 @@ impl NestSink for Vec<NestNode> {
         });
     }
 
-    fn comm(&mut self, label: &str, messages: u64, bytes: u64) {
-        let label = label.into();
+    fn comm(&mut self, label: impl fmt::Display, messages: u64, bytes: u64) {
+        let label = label.to_string();
         self.push(NestNode::Comm {
             label,
             messages,

@@ -16,8 +16,8 @@
 //!   every affine path.
 //!
 //! Both produce ordinary [`NestNode`] programs, so the existing
-//! [`crate::cost::CostEstimate`] machinery and the
-//! [`crate::reorg::choose_io_method`] selector apply unchanged.
+//! [`crate::cost::CostEstimate`] machinery and the compiler's one decision
+//! rule ([`crate::reorg::decide`]) apply unchanged.
 
 use ooc_array::{IrregSchedule, IrregStats};
 use pario::{plan_union, Access, IoMethod, Tally};
@@ -130,8 +130,8 @@ pub fn gather_nodes(data_name: &str, s: &IrregStats, method: IoMethod) -> Vec<Ne
     };
     let mut v = Vec::new();
     v.io(data_name, true, requests, elems);
-    let label = format!("gather exchange ({})", method.label());
-    v.comm(&label, messages, s.remote_served_elems * es);
+    let label = format_args!("gather exchange ({})", method.label());
+    v.comm(label, messages, s.remote_served_elems * es);
     v
 }
 
@@ -178,8 +178,8 @@ pub fn schedule_nodes(
     }
     let (data, es) = (&sched.stamp.data, sched.stamp.data.elem.size() as u64);
     v.io(&data.name, true, t.read_requests, t.read_bytes / es);
-    let label = format!("gather exchange ({})", method.label());
-    v.comm(&label, messages, remote(&sched.serve_elems) * es);
+    let label = format_args!("gather exchange ({})", method.label());
+    v.comm(label, messages, remote(&sched.serve_elems) * es);
     v
 }
 
@@ -269,8 +269,9 @@ mod tests {
         // latency.
         let s = scattered_stats(64, 512, 4, 4, 1);
         let model = CostModel::delta(4);
-        let choice =
-            crate::reorg::choose_io_method("gather x", &model, None, |m| gather_nodes("x", &s, m));
+        let choice = crate::reorg::Decision::new("gather x", IoMethod::ALL, None, |m| {
+            crate::cost::CostEstimate::from_nest(&gather_nodes("x", &s, m), &model, 4)
+        });
         assert_eq!(choice.chosen, IoMethod::TwoPhase, "{:?}", choice.estimates);
         assert!(!choice.forced);
     }

@@ -141,12 +141,9 @@ pub fn split_gaxpy_budget_prefetched(
                 .filter(|&split| last.replace(split) != Some(split))
                 .map(|split| {
                     (plan.slab_a, plan.slab_b) = split;
-                    (split_price(&plan, model, cache_budget), split)
+                    (split, split_price(&plan, model, cache_budget))
                 });
-            priced
-                .min_by(|a, b| a.0.total_cmp(&b.0))
-                .expect("candidates")
-                .1
+            crate::reorg::decide(priced, None).expect("candidates").0
         }
     }
 }

@@ -11,7 +11,8 @@
 //!   form; the executor walks [`GaxpyPlan::walk`], and tests hold the two
 //!   to the same operation sequence.
 //! * [`elw_nest`] prices every stage of [`ElwPlan::schedule`], the
-//!   schedule the elementwise executor runs.
+//!   schedule the elementwise executor runs; [`elw_emit`] is its body,
+//!   which also prices each candidate slab dimension without building it.
 //! * [`RemapGeometry`] tallies the stages of the [`RemapStages`] producer
 //!   the remap executor runs, for redistributions and transposes alike.
 
@@ -32,17 +33,9 @@ pub fn ceil_log2(p: usize) -> u64 {
     }
 }
 
-/// Emit one section access of `desc`'s local array, of shape `local`,
-/// under `policy`, tallied by the disk's own rule ([`Tally`]): one read
-/// node, or for a write, the read of a sieved read-modify-write (when there
-/// is one) and the write node.
-fn section_io<S: NestSink>(
-    sink: &mut S,
-    (desc, local): Operand,
-    sec: &Section,
-    read: bool,
-    policy: SievePolicy,
-) {
+/// The tally of one section access of `desc`'s local array, of shape
+/// `local`, under `policy`, by the disk's own rule ([`Tally`]).
+fn section_tally((desc, local): Operand, sec: &Section, read: bool, policy: SievePolicy) -> Tally {
     let access = desc.section_access(local, sec);
     let mut t = Tally::default();
     if read {
@@ -50,6 +43,13 @@ fn section_io<S: NestSink>(
     } else {
         t.write(access, policy);
     }
+    t
+}
+
+/// Emit the tally `t` of one access of `desc`: one read node, or for a
+/// write, the read of a sieved read-modify-write (when there is one) and
+/// the write node.
+fn emit_io<S: NestSink>(sink: &mut S, desc: &ArrayDesc, read: bool, t: Tally) {
     let es = desc.elem.size() as u64;
     if read || t.read_requests > 0 {
         sink.io(&desc.name, true, t.read_requests, t.read_bytes / es);
@@ -59,7 +59,7 @@ fn section_io<S: NestSink>(
     }
 }
 
-/// [`section_io`] of the slab `[lo, hi)` along `dim` of `desc`'s local
+/// Emit the access of the slab `[lo, hi)` along `dim` of `desc`'s local
 /// array, of shape `local`.
 fn slab_io<S: NestSink>(
     sink: &mut S,
@@ -69,7 +69,8 @@ fn slab_io<S: NestSink>(
     policy: SievePolicy,
 ) {
     let sec = Section::full(array.1).with_range(dim, DimRange::new(lo, hi));
-    section_io(sink, array, &sec, read, policy);
+    let t = section_tally(array, &sec, read, policy);
+    emit_io(sink, array.0, read, t);
 }
 
 /// The GAXPY node program (Figure 9 for column slabs, Figure 12 for row
@@ -245,78 +246,107 @@ fn gaxpy_row_nest<S: NestSink>(plan: &GaxpyPlan, [a, b, c]: [Operand; 3], sink: 
 }
 
 /// Node program for an elementwise plan on `rank` (the estimator uses rank
-/// 0): every stage of the rank's [`ElwPlan::schedule`], the one the
-/// executor runs, priced on its own. The first and last stages stand
-/// alone; in between, each run of consecutive stages with equal bodies is
-/// one loop, so a stage clamped at a local edge is a group of its own.
+/// 0): its pre-statement remaps, then [`elw_emit`].
 pub fn elw_nest(plan: &ElwPlan, rank: usize) -> Vec<NestNode> {
     // Pre-statement remaps: an exact replay of the redistribution's request
     // arithmetic under the chosen access method (same section machinery,
     // same coalescing, same sieve planner as the executor).
-    let remaps = (plan.pre_remaps.iter())
+    let mut nest: Vec<NestNode> = (plan.pre_remaps.iter())
         .flat_map(|r| remap_nodes(r, rank))
         .collect();
-    elw_nest_after(plan, rank, remaps)
+    elw_emit(plan, rank, &mut nest);
+    nest
 }
 
-/// [`elw_nest`] after `remaps`, the nodes of the plan's pre-statement
-/// remaps on `rank` under their methods: the compiler tallies each remap
-/// once, to choose its method, and builds the nest from that same tally.
-pub fn elw_nest_after(plan: &ElwPlan, rank: usize, remaps: Vec<NestNode>) -> Vec<NestNode> {
+/// Emit what [`elw_nest`]`(plan, rank)` holds after its pre-statement
+/// remaps into `sink`: the one body behind the nest and its price
+/// ([`crate::cost::NestPrice`]), which builds no node. Every stage of the
+/// rank's [`ElwPlan::schedule`], the one the executor runs, is priced on
+/// its own. The first and last stages stand alone; in between, each run
+/// of consecutive stages with equal bodies is one loop, so a stage clamped
+/// at a local edge is a group of its own.
+pub fn elw_emit<S: NestSink>(plan: &ElwPlan, rank: usize, sink: &mut S) {
     // Every array of the statement shares the lhs's distribution.
     let local = plan.lhs.local_shape(rank);
     let schedule = plan.schedule(rank);
     let policy = plan.method.sieve_policy();
-    let io = |sink: &mut Vec<NestNode>, desc, sec, read| {
-        section_io(sink, (desc, &local), sec, read, policy)
-    };
-    let mut nest = remaps;
+    let tally =
+        |desc: &ArrayDesc, sec: &Section, read| section_tally((desc, &local), sec, read, policy);
 
     // Ghost exchange: one strip read and one message per strip this rank
     // sends. A received strip reads nothing, and its message is counted at
     // the sender.
     let dim = plan.ghosts.first().map_or(0, |g| g.dim);
     for strip in schedule.strips.iter().filter(|s| s.send) {
-        io(
-            &mut nest,
-            &plan.rhs_arrays[strip.array],
-            &strip.section,
-            true,
-        );
-        let label = format!("ghost send dim {dim}");
-        nest.comm(&label, 1, strip.section.len() as u64 * 4);
+        let desc = &plan.rhs_arrays[strip.array];
+        emit_io(sink, desc, true, tally(desc, &strip.section, true));
+        let label = format_args!("ghost send dim {dim}");
+        sink.comm(label, 1, strip.section.len() as u64 * 4);
     }
 
-    // Prefetched, a stage's reads overlap the previous stage's evaluation.
+    // The open group's reads, then the stage's; a stage joins the group
+    // when its record and reads equal the group's.
+    let narr = plan.rhs_arrays.len();
+    let mut reads = vec![Tally::default(); 2 * narr];
+    let (mut group, mut trips) = (StageIo::default(), 0);
+    let last = schedule.stages.len().saturating_sub(1);
     let mut previous = None;
-    let mut bodies = schedule.stages.iter().map(|stage| {
-        let reads = |body: &mut Vec<NestNode>| {
-            for rd in &plan.rhs_arrays {
-                io(body, rd, &stage.input, true);
+    for (i, stage) in schedule.stages.iter().enumerate() {
+        let flops = stage.out.len() as u64 * plan.flops_per_point;
+        let next = StageIo {
+            // Prefetched, a stage's reads overlap the previous stage's
+            // evaluation.
+            pending: previous.replace(flops).filter(|_| plan.prefetch),
+            flops,
+            write: tally(&plan.lhs, &stage.out, false),
+        };
+        let (group_reads, next_reads) = reads.split_at_mut(narr);
+        for (t, rd) in next_reads.iter_mut().zip(&plan.rhs_arrays) {
+            *t = tally(rd, &stage.input, true);
+        }
+        if 0 < i && i < last && trips > 0 && (next, &*next_reads) == (group, &*group_reads) {
+            trips += 1;
+            continue;
+        }
+        if trips > 0 {
+            sink.loop_("interior slabs", trips, |s| {
+                group.emit(group_reads, plan, s)
+            });
+        }
+        if i == 0 || i == last {
+            next.emit(next_reads, plan, sink);
+        } else {
+            (group, trips) = (next, 1);
+            group_reads.copy_from_slice(next_reads);
+        }
+    }
+}
+
+/// What one stage of an elementwise nest emits besides its reads of the
+/// right-hand arrays, as tallies: whether those reads overlap the
+/// `pending` flops of the stage before (prefetched), the evaluation and
+/// the write. Stages with equal records and reads emit equal nodes.
+#[derive(Clone, Copy, Default, PartialEq)]
+struct StageIo {
+    pending: Option<u64>,
+    flops: u64,
+    write: Tally,
+}
+
+impl StageIo {
+    fn emit<S: NestSink>(&self, reads: &[Tally], plan: &ElwPlan, sink: &mut S) {
+        let read_all = |s: &mut S| {
+            for (rd, t) in plan.rhs_arrays.iter().zip(reads) {
+                emit_io(s, rd, true, *t);
             }
         };
-        let flops = stage.out.len() as u64 * plan.flops_per_point;
-        let mut body = Vec::new();
-        match previous.replace(flops).filter(|_| plan.prefetch) {
-            Some(pending) => body.overlap(pending, reads),
-            None => reads(&mut body),
+        match self.pending {
+            Some(flops) => sink.overlap(flops, read_all),
+            None => read_all(sink),
         }
-        body.compute("evaluate rhs over slab", flops);
-        io(&mut body, &plan.lhs, &stage.out, false);
-        body
-    });
-    nest.extend(bodies.next().into_iter().flatten());
-    let mut interior: Vec<Vec<NestNode>> = bodies.collect();
-    let last = interior.pop();
-    for group in interior.chunk_by(|a, b| a == b) {
-        nest.push(NestNode::loop_(
-            "interior slabs",
-            group.len() as u64,
-            group[0].clone(),
-        ));
+        sink.compute("evaluate rhs over slab", self.flops);
+        emit_io(sink, &plan.lhs, false, self.write);
     }
-    nest.extend(last.into_iter().flatten());
-    nest
 }
 
 /// The nodes of one pre-statement remap under its access method, exact for
@@ -330,8 +360,8 @@ pub fn remap_nodes(r: &RemapSpec, rank: usize) -> Vec<NestNode> {
 /// messages the executor ([`ooc_array::remap`]) issues from that same
 /// stream. [`RemapGeometry::nodes`] tallies them through the disk's
 /// decision rule ([`Tally`]) under any access method, so one walk of the
-/// stages prices every candidate of [`crate::reorg::choose_io_method`]
-/// exactly.
+/// stages prices every candidate access method of a
+/// [`crate::reorg::Decision`] exactly.
 #[derive(Debug, Clone)]
 pub struct RemapGeometry {
     src: String,
@@ -404,6 +434,13 @@ impl RemapGeometry {
     /// array (the destination's only when a sieved write reads it back),
     /// one exchange node, one write node.
     pub fn nodes(&self, method: IoMethod) -> Vec<NestNode> {
+        let mut nest = Vec::new();
+        self.emit(method, &mut nest);
+        nest
+    }
+
+    /// Emit [`RemapGeometry::nodes`]`(method)` into `sink`.
+    pub fn emit<S: NestSink>(&self, method: IoMethod, sink: &mut S) {
         let policy = method.sieve_policy();
         let assembled = [Access::contiguous(self.dst_bytes)];
         let (reads, writes, messages) = match method {
@@ -414,15 +451,13 @@ impl RemapGeometry {
         reads.iter().for_each(|a| src.read(*a, policy));
         writes.iter().for_each(|a| dst.write(*a, policy));
         let es = self.elem_size;
-        let mut v = Vec::new();
-        v.io(&self.src, true, src.read_requests, src.read_bytes / es);
+        sink.io(&self.src, true, src.read_requests, src.read_bytes / es);
         if dst.read_requests > 0 {
-            v.io(&self.dst, true, dst.read_requests, dst.read_bytes / es);
+            sink.io(&self.dst, true, dst.read_requests, dst.read_bytes / es);
         }
-        let label = format!("{} ({})", self.label, method.label());
-        v.comm(&label, messages, self.sends.1);
-        v.io(&self.dst, false, dst.write_requests, dst.write_bytes / es);
-        v
+        let label = format_args!("{} ({})", self.label, method.label());
+        sink.comm(label, messages, self.sends.1);
+        sink.io(&self.dst, false, dst.write_requests, dst.write_bytes / es);
     }
 }
 
@@ -636,6 +671,105 @@ call write_slab(v)   ! 1 req, 14 elems
         for (rank, trips) in [(0, vec![3, 1]), (1, vec![1, 4, 1]), (3, vec![1, 3])] {
             assert_eq!(loop_trips(&elw_nest(&wide, rank)), trips, "rank {rank}");
         }
+    }
+
+    #[test]
+    fn the_priced_elementwise_nest_is_the_built_nest_priced() {
+        // `NestPrice` over `elw_emit` is `from_nest` over `elw_nest`, bit
+        // for bit: 1- to 3-D, every slab dimension, ragged last slabs,
+        // ghosts on and off, prefetch on and off, every access method and
+        // every rank, the last owning less than the others.
+        use crate::cost::{CostEstimate, NestPrice};
+        use ooc_array::{DimDist, DistKind, ProcGrid};
+        let (p, model) = (3, dmsim::CostModel::delta(3));
+        let mut cases = 0;
+        for extents in [vec![13], vec![12, 10], vec![7, 6, 11]] {
+            let nd = extents.len();
+            // Block along the last dimension; the others collapsed.
+            let gd = nd - 1;
+            let dims: Vec<DimDist> = (0..nd)
+                .map(|d| match d == gd {
+                    true => DimDist::Distributed {
+                        kind: DistKind::Block,
+                        axis: 0,
+                    },
+                    false => DimDist::Collapsed,
+                })
+                .collect();
+            let dist = Distribution::new(Shape::new(&extents), dims, ProcGrid::line(p));
+            let desc = |id, name: &str, layout| {
+                ArrayDesc::new(ArrayId(id), name, ElemKind::F32, dist.clone()).with_layout(layout)
+            };
+            let shifted = |name: &str, by: isize| {
+                let mut offsets = vec![0; nd];
+                offsets[gd] = by;
+                ElwExpr::shifted(name, offsets)
+            };
+            for ghost in [false, true] {
+                // Ghosts: `u` reaches 1 below and 2 above along the
+                // distributed dimension. Without: two unshifted operands,
+                // one stored row-major.
+                let (expr, rhs_arrays, ghosts) = match ghost {
+                    true => (
+                        ElwExpr::add(shifted("u", -1), shifted("u", 2)),
+                        vec![desc(0, "u", FileLayout::column_major(nd))],
+                        vec![GhostSpec {
+                            dim: gd,
+                            lo_width: 1,
+                            hi_width: 2,
+                        }],
+                    ),
+                    false => (
+                        ElwExpr::mul(
+                            ElwExpr::Const(2.0),
+                            ElwExpr::add(shifted("u", 0), shifted("w", 0)),
+                        ),
+                        vec![
+                            desc(0, "u", FileLayout::row_major(nd)),
+                            desc(2, "w", FileLayout::column_major(nd)),
+                        ],
+                        vec![],
+                    ),
+                };
+                let mut region = Section::full(&Shape::new(&extents));
+                region = region.with_range(gd, DimRange::new(1, extents[gd] - 2));
+                for (slab_dim, &extent) in extents.iter().enumerate() {
+                    for thickness in [1, 2, 3, extent] {
+                        for prefetch in [false, true] {
+                            for method in IoMethod::ALL {
+                                let plan = ElwPlan {
+                                    pre_remaps: vec![],
+                                    lhs: desc(1, "v", FileLayout::column_major(nd)),
+                                    rhs_arrays: rhs_arrays.clone(),
+                                    flops_per_point: expr.flops_per_point(),
+                                    expr: expr.clone(),
+                                    region: region.clone(),
+                                    slab_dim,
+                                    slab_thickness: thickness,
+                                    ghosts: ghosts.clone(),
+                                    method,
+                                    prefetch,
+                                };
+                                for rank in 0..p {
+                                    let nest = elw_nest(&plan, rank);
+                                    let want = CostEstimate::from_nest(&nest, &model, 4).time();
+                                    let mut price = NestPrice::new(&model, 4);
+                                    elw_emit(&plan, rank, &mut price);
+                                    let got = price.time();
+                                    assert_eq!(
+                                        got.to_bits(),
+                                        want.to_bits(),
+                                        "rank {rank} {plan:?}"
+                                    );
+                                    cases += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 2 * 4 * 2 * 3 * 3 * (1 + 2 + 3));
     }
 
     #[test]

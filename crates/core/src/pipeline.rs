@@ -13,17 +13,16 @@ use serde::{Deserialize, Serialize};
 use dmsim::CostModel;
 use hpf::FrontError;
 use ooc_array::{ArrayDesc, ArrayId, FileLayout, Redistribution, SlabPlan};
-use pario::ElemKind;
+use pario::{ElemKind, IoMethod};
 
-use crate::access::best_elw_slab_dim;
 use crate::comm::{analyze_elw, CommRequirement};
-use crate::cost::CostEstimate;
+use crate::cost::{CostEstimate, NestPrice};
 use crate::hir::{HirProgram, HirStmt};
 use crate::ir::{render, NestNode};
 use crate::lower::lower;
-use crate::nodegen::{elw_nest_after, RemapGeometry};
+use crate::nodegen::{elw_emit, RemapGeometry};
 use crate::plan::{ElwPlan, ExecPlan, SlabStrategy, SpmvPlan, TransposePlan};
-use crate::reorg::{choose_gaxpy, GaxpyChoice, GaxpySelection};
+use crate::reorg::{choose_gaxpy, decide, Decision, GaxpyChoice, GaxpySelection};
 use crate::stripmine::SlabSizing;
 
 /// Cost-model profile the compiler optimizes for.
@@ -176,13 +175,12 @@ pub struct CompiledProgram {
     pub nests: Vec<Vec<NestNode>>,
     /// One cost estimate per statement.
     pub estimates: Vec<CostEstimate>,
-    /// For GAXPY statements, the per-strategy estimates that drove
-    /// selection.
-    pub alternatives: Vec<Option<Vec<(SlabStrategy, CostEstimate)>>>,
-    /// Per statement, the I/O access-method selections made for its
-    /// remap-style accesses (pre-statement redistributions, transposes);
+    /// For GAXPY statements, the strategy decision.
+    pub alternatives: Vec<Option<Decision<SlabStrategy>>>,
+    /// Per statement, the access-method decisions of its remap-style
+    /// accesses (pre-statement redistributions, transposes, gathers);
     /// empty for statements without any.
-    pub io_choices: Vec<Vec<crate::reorg::IoMethodChoice>>,
+    pub io_choices: Vec<Vec<Decision<pario::IoMethod>>>,
     /// The cost model used.
     pub model: CostModel,
     /// Tracing configuration requested at compile time (threaded from
@@ -252,7 +250,7 @@ impl CompiledProgram {
                         g.memory_elems()
                     );
                     if let Some(alts) = &self.alternatives[i] {
-                        for (s, e) in alts {
+                        for (s, e) in &alts.estimates {
                             let _ = writeln!(
                                 out,
                                 "  {:12}: {:>12} requests, {:>14} bytes, est {:>10.2} s",
@@ -263,7 +261,8 @@ impl CompiledProgram {
                             );
                         }
                         // The Figure 14 analysis behind the choice.
-                        let rows = crate::access::fig14_table(alts, &g.a.name, &g.b.name);
+                        let rows =
+                            crate::access::fig14_table(&alts.estimates, &g.a.name, &g.b.name);
                         let _ = writeln!(
                             out,
                             "  access analysis (T_fetch = requests, T_data = elements per processor):"
@@ -582,7 +581,7 @@ pub fn compile_hir(
                 plans.push(ExecPlan::Gaxpy(plan));
                 nests.push(nest);
                 estimates.push(est);
-                alternatives.push(Some(choice.estimates));
+                alternatives.push(Some(choice.decision));
                 io_choices.push(Vec::new());
             }
             HirStmt::Elementwise(e) => {
@@ -643,7 +642,7 @@ pub fn compile_hir(
                         require_regular_dist(&d, "elementwise remap")?;
                         if d.global_shape() != lhs_desc.global_shape() {
                             return Err(CompileError::Plan(format!(
-                                "elementwise: `{name}` and `{}` have different                                  shapes",
+                                "elementwise: `{name}` and `{}` have different shapes",
                                 e.lhs
                             )));
                         }
@@ -667,17 +666,15 @@ pub fn compile_hir(
                 // the cheapest, and build the statement's nest from that
                 // same tally.
                 let mut stmt_choices = Vec::with_capacity(pre_remaps.len());
-                let mut remap_nodes = Vec::new();
+                let mut geometries = Vec::with_capacity(pre_remaps.len());
                 for r in &mut pre_remaps {
                     let geometry = RemapGeometry::new(&Redistribution::new(&r.src, &r.tmp), 0);
-                    let choice = crate::reorg::choose_io_method(
-                        format!("remap {}", r.src.name),
-                        &model,
-                        options.io_method,
-                        |m| geometry.nodes(m),
-                    );
+                    let access = format!("remap {}", r.src.name);
+                    let choice = Decision::new(access, IoMethod::ALL, options.io_method, |m| {
+                        CostEstimate::from_nest(&geometry.nodes(m), &model, 4)
+                    });
                     r.method = choice.chosen;
-                    remap_nodes.extend(geometry.nodes(r.method));
+                    geometries.push((geometry, r.method));
                     stmt_choices.push(choice);
                 }
                 // Ghost analysis runs against the post-remap distributions.
@@ -696,28 +693,46 @@ pub fn compile_hir(
                     CommRequirement::Ghost(g) => g,
                     CommRequirement::None => Vec::new(),
                 };
-                // Budget per array, then pick the cheapest slab dimension.
-                let narr = 1 + rhs_descs.len();
-                let per_array = (options.elw_slab_elems / narr).max(1);
-                let local = lhs_desc.local_shape(0);
-                let probe = SlabPlan::from_memory(local.clone(), local.ndims() - 1, per_array);
-                let slab_dim = best_elw_slab_dim(e, &lhs_desc, &rhs_descs, 0, probe.thickness());
-                let plan_sized = SlabPlan::from_memory(local, slab_dim, per_array);
-                let plan = ElwPlan {
+                let top = lhs_desc.global_shape().ndims() - 1;
+                let mut plan = ElwPlan {
                     pre_remaps,
                     lhs: lhs_desc,
                     rhs_arrays: rhs_descs,
                     expr: e.rhs.clone(),
                     region: e.region.clone(),
-                    slab_dim,
-                    slab_thickness: plan_sized.thickness(),
+                    slab_dim: top,
+                    slab_thickness: 1,
                     ghosts,
                     flops_per_point: e.rhs.flops_per_point(),
                     method: options.io_method.unwrap_or_default(),
                     prefetch: options.prefetch,
                 };
-                let nest = elw_nest_after(&plan, 0, remap_nodes);
-                let est = CostEstimate::from_nest(&nest, &model, 4);
+                // The slab dimension (Figure 14): the first of the cheapest
+                // by the estimate of the nest each would store, highest
+                // dimension first, whose slabs are contiguous under the
+                // default column-major layout. The highest is built; the
+                // others are priced without building their nests.
+                plan.stripmine(top, options.elw_slab_elems);
+                let mut nest = Vec::new();
+                geometries.iter().for_each(|(g, m)| g.emit(*m, &mut nest));
+                let remaps = nest.len();
+                elw_emit(&plan, 0, &mut nest);
+                let mut est = CostEstimate::from_nest(&nest, &model, 4);
+                let lower = (0..top).rev().map(|d| {
+                    plan.stripmine(d, options.elw_slab_elems);
+                    let mut price = NestPrice::new(&model, 4);
+                    geometries.iter().for_each(|(g, m)| g.emit(*m, &mut price));
+                    elw_emit(&plan, 0, &mut price);
+                    (d, price.time())
+                });
+                let priced = std::iter::once((top, est.time())).chain(lower);
+                let (slab_dim, _) = decide(priced, None).expect("a dimension");
+                plan.stripmine(slab_dim, options.elw_slab_elems);
+                if slab_dim != top {
+                    nest.truncate(remaps);
+                    elw_emit(&plan, 0, &mut nest);
+                    est = CostEstimate::from_nest(&nest, &model, 4);
+                }
                 plans.push(ExecPlan::Elementwise(plan));
                 nests.push(nest);
                 estimates.push(est);
@@ -748,12 +763,10 @@ pub fn compile_hir(
                     method: pario::IoMethod::Direct,
                 };
                 let geometry = RemapGeometry::new(&plan, 0);
-                let choice = crate::reorg::choose_io_method(
-                    format!("transpose {}", plan.dst.name),
-                    &model,
-                    options.io_method,
-                    |m| geometry.nodes(m),
-                );
+                let access = format!("transpose {}", plan.dst.name);
+                let choice = Decision::new(access, IoMethod::ALL, options.io_method, |m| {
+                    CostEstimate::from_nest(&geometry.nodes(m), &model, 4)
+                });
                 plan.method = choice.chosen;
                 let nest = geometry.nodes(plan.method);
                 let est = CostEstimate::from_nest(&nest, &model, 4);
@@ -790,12 +803,11 @@ pub fn compile_hir(
                 // family. The executor re-selects at run time from the
                 // inspected schedule's measured statistics.
                 let stats = crate::irreg::scattered_stats(*n, *nnz, p, 4, 1);
-                let choice = crate::reorg::choose_io_method(
-                    format!("gather {x}({colidx}(k))"),
-                    &model,
-                    options.io_method,
-                    |m| crate::irreg::spmv_nest_with(&plan, m, &stats, 0),
-                );
+                let access = format!("gather {x}({colidx}(k))");
+                let choice = Decision::new(access, IoMethod::ALL, options.io_method, |m| {
+                    let nest = crate::irreg::spmv_nest_with(&plan, m, &stats, 0);
+                    CostEstimate::from_nest(&nest, &model, 4)
+                });
                 plan.method = choice.chosen;
                 let nest = crate::irreg::spmv_nest(&plan);
                 let est = CostEstimate::from_nest(&nest, &model, 4);
@@ -839,7 +851,7 @@ mod tests {
         assert!(report.contains("row slab"), "{report}");
         assert!(report.contains("reorganized"), "{report}");
         // Both alternatives were scored.
-        let alts = compiled.alternatives[0].as_ref().unwrap();
+        let alts = &compiled.alternatives[0].as_ref().unwrap().estimates;
         assert_eq!(alts.len(), 2);
         assert!(alts[0].1.io_requests() > alts[1].1.io_requests());
     }
@@ -1259,5 +1271,233 @@ mod tests {
 ";
         let err = compile_source(src, &CompilerOptions::default()).unwrap_err();
         assert!(matches!(err, CompileError::Lower(_)), "{err}");
+    }
+
+    #[test]
+    fn misaligned_operands_of_different_shapes_are_reported_in_one_line() {
+        let src = "
+      parameter (n=16)
+      real u(16, 24), v(16, 16)
+!hpf$ processors pr(4)
+!hpf$ distribute u(block, *) on pr
+!hpf$ distribute v(*, block) on pr
+      forall (i = 1:n, j = 1:n)
+        v(i, j) = u(i, j)
+      end forall
+      end
+";
+        let err = compile_source(src, &CompilerOptions::default()).unwrap_err();
+        let want = "planning: elementwise: `u` and `v` have different shapes";
+        assert_eq!(err.to_string(), want);
+    }
+
+    /// The elementwise plan of statement `i` of `compiled`.
+    fn elw_plan(compiled: &CompiledProgram, i: usize) -> &ElwPlan {
+        match &compiled.plans[i] {
+            ExecPlan::Elementwise(e) => e,
+            other => panic!("statement {i} is {other:?}"),
+        }
+    }
+
+    /// The estimate of `plan`'s nest stripmined along `dim` instead, sized
+    /// from `elems` as the compiler sizes it.
+    fn priced_along(plan: &ElwPlan, dim: usize, elems: usize, model: &CostModel) -> f64 {
+        let mut other = plan.clone();
+        other.stripmine(dim, elems);
+        CostEstimate::from_nest(&crate::nodegen::elw_nest(&other, 0), model, 4).time()
+    }
+
+    #[test]
+    fn elw_prefers_contiguous_dim_for_cm_layout() {
+        // Local 16x4, column-major: slabs along dim 1 are contiguous, along
+        // dim 0 strided, so dim 1 is both the cheaper and the chosen one.
+        let src = "
+      parameter (n=16)
+      real u(n, n), v(n, n)
+!hpf$ processors pr(4)
+!hpf$ distribute u(*, block) on pr
+!hpf$ distribute v(*, block) on pr
+      forall (i = 1:n, j = 1:n)
+        v(i, j) = u(i, j)
+      end forall
+      end
+";
+        let options = CompilerOptions {
+            elw_slab_elems: 64,
+            ..CompilerOptions::default()
+        };
+        let compiled = compile_source(src, &options).unwrap();
+        let plan = elw_plan(&compiled, 0);
+        assert_eq!(plan.slab_dim, 1);
+        let along = |d| priced_along(plan, d, 64, &compiled.model);
+        assert!(along(0) > along(1));
+    }
+
+    #[test]
+    fn elw_prefers_rows_for_rm_layout() {
+        // Row slabs of the GAXPY store `a` and `c` row-major, so a forall
+        // over them stripmines along rows.
+        let (head, _) = hpf::GAXPY_SOURCE.rsplit_once("      end").unwrap();
+        let src = format!(
+            "{head}      forall (i = 2:n-1, j = 1:n)\n        a(i, j) = c(i-1, j) + c(i+1, j)\n      end forall\n      end\n"
+        );
+        let options = CompilerOptions {
+            elw_slab_elems: 256,
+            ..CompilerOptions::default()
+        };
+        let compiled = compile_source(&src, &options).unwrap();
+        assert_eq!(compiled.descs[0].layout, FileLayout::row_major(2));
+        let plan = elw_plan(&compiled, 1);
+        assert_eq!(plan.slab_dim, 0);
+        let along = |d| priced_along(plan, d, 256, &compiled.model);
+        assert!(along(1) > along(0));
+    }
+
+    /// A splitmix64 stream, so the cases below are a function of the seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// A random elementwise statement `lhs = Σ refs`: 1- to 3-D, one
+    /// dimension block or cyclic and the others collapsed,
+    /// shifted references, an operand in another distribution now and
+    /// then (remapped first), and a quarter of the time a 2-D statement
+    /// after a GAXPY whose row slabs store its arrays row-major.
+    fn random_elw_program(rng: &mut Rng) -> HirProgram {
+        use crate::hir::{ElwExpr, ElwStmt, HirArray};
+        use ooc_array::{DimDist, DimRange, DistKind, Distribution, ProcGrid, Section, Shape};
+        let p = 1 + rng.below(4);
+        let array = |name: &str, dist: &Distribution| HirArray {
+            name: name.into(),
+            shape: dist.global().clone(),
+            dist: dist.clone(),
+        };
+        let mut arrays = Vec::new();
+        let mut stmts = Vec::new();
+        let (lhs, rhs, dist) = if rng.below(4) == 0 {
+            let n = 4 + rng.below(13);
+            let shape = Shape::matrix(n, n);
+            let (col, row) = (
+                Distribution::column_block(shape.clone(), p),
+                Distribution::row_block(shape, p),
+            );
+            arrays.extend([array("a", &col), array("b", &row), array("c", &col)]);
+            let (a, b, c, temp) = ("a".into(), "b".into(), "c".into(), "t".into());
+            stmts.push(HirStmt::Gaxpy { a, b, c, temp, n });
+            let rhs = if rng.below(3) == 0 {
+                vec!["c", "b"]
+            } else {
+                vec!["c"]
+            };
+            ("a", rhs, col)
+        } else {
+            let nd = 1 + rng.below(3);
+            let top = [40, 14, 8][nd - 1];
+            let extents: Vec<usize> = (0..nd).map(|_| 3 + rng.below(top - 2)).collect();
+            let distributed = rng.below(nd);
+            let kind = [DistKind::Block, DistKind::Cyclic][rng.below(2)];
+            let dims: Vec<DimDist> = (0..nd)
+                .map(|d| match d == distributed {
+                    true => DimDist::Distributed { kind, axis: 0 },
+                    false => DimDist::Collapsed,
+                })
+                .collect();
+            let dist = Distribution::new(Shape::new(&extents), dims, ProcGrid::line(p));
+            arrays.extend([array("v", &dist), array("u", &dist)]);
+            let mut rhs = vec!["u"];
+            if rng.below(3) == 0 {
+                // `w` block-distributed along any dimension.
+                let other = rng.below(nd);
+                let dims: Vec<DimDist> = (0..nd)
+                    .map(|d| match d == other {
+                        true => DimDist::Distributed {
+                            kind: DistKind::Block,
+                            axis: 0,
+                        },
+                        false => DimDist::Collapsed,
+                    })
+                    .collect();
+                let w = Distribution::new(Shape::new(&extents), dims, ProcGrid::line(p));
+                arrays.push(array("w", &w));
+                rhs.push("w");
+            }
+            ("v", rhs, dist)
+        };
+        // Shifts of up to 2 where the extent leaves room for them.
+        let shape = dist.global();
+        let room: Vec<bool> = shape.extents().iter().map(|&e| e >= 5).collect();
+        let region: Section = (0..shape.ndims())
+            .map(|d| match room[d] {
+                true => DimRange::new(2, shape.extent(d) - 2),
+                false => DimRange::new(0, shape.extent(d)),
+            })
+            .collect();
+        let mut expr = ElwExpr::Const(1.0);
+        for name in rhs {
+            for _ in 0..1 + rng.below(3) {
+                let offsets = (room.iter())
+                    .map(|&r| if r { rng.below(5) as isize - 2 } else { 0 })
+                    .collect();
+                expr = ElwExpr::add(expr, ElwExpr::shifted(name, offsets));
+            }
+        }
+        let stmt = ElwStmt {
+            lhs: lhs.into(),
+            region,
+            rhs: expr,
+        };
+        stmts.push(HirStmt::Elementwise(stmt));
+        HirProgram {
+            arrays,
+            stmts,
+            nprocs: p,
+        }
+    }
+
+    #[test]
+    fn the_slab_dimension_is_the_first_cheapest_by_its_nest_estimate() {
+        // Whatever the statement, its compiled estimate is its nest's and
+        // no other slab dimension's nest is cheaper; a higher dimension is
+        // dearer, so ties go to the highest.
+        let mut rng = Rng(2026);
+        let (mut compiled_cases, mut lower_dims) = (0, 0);
+        for case in 0..1000 {
+            let hir = random_elw_program(&mut rng);
+            let options = CompilerOptions {
+                elw_slab_elems: [1, 6, 40, 300, 1 << 20][rng.below(5)],
+                io_method: [None, Some(pario::IoMethod::Sieved)][rng.below(2)],
+                prefetch: rng.below(2) == 0,
+                ..CompilerOptions::default()
+            };
+            let Ok(compiled) = compile_hir(hir.clone(), &options) else {
+                continue;
+            };
+            compiled_cases += 1;
+            let i = compiled.plans.len() - 1;
+            let plan = elw_plan(&compiled, i);
+            assert_eq!(compiled.nests[i], crate::nodegen::elw_nest(plan, 0));
+            let stored = compiled.estimates[i].time();
+            let elems = options.elw_slab_elems;
+            for d in (0..plan.lhs.global_shape().ndims()).filter(|&d| d != plan.slab_dim) {
+                let other = priced_along(plan, d, elems, &compiled.model);
+                assert!(
+                    stored < other || (stored == other && d < plan.slab_dim),
+                    "case {case}: slab dim {} at {stored} s, dim {d} at {other} s\n{hir:?}",
+                    plan.slab_dim
+                );
+            }
+            let top = plan.lhs.global_shape().ndims() - 1;
+            lower_dims += usize::from(plan.slab_dim < top);
+        }
+        assert!(compiled_cases >= 500, "{compiled_cases} cases compiled");
+        assert!(lower_dims >= 50, "{lower_dims} cases chose below the top");
     }
 }

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use ooc_array::{
     local_section_of_global, ArrayDesc, ArrayId, DimDist, DimRange, Distribution, RemapStage,
-    RemapStages, Section, Shape,
+    RemapStages, Section, Shape, SlabPlan,
 };
 use pario::ElemKind;
 
@@ -481,6 +481,15 @@ pub struct ElwSchedule {
 
 /// The stage and ghost geometry of an elementwise statement.
 impl ElwPlan {
+    /// Stripmine along `dim` in the thickest slabs that keep each array's
+    /// slab within an equal share of `elems` (at least one index thick), as
+    /// rank 0's local shape sizes them.
+    pub fn stripmine(&mut self, dim: usize, elems: usize) {
+        let per_array = (elems / (1 + self.rhs_arrays.len())).max(1);
+        let sized = SlabPlan::from_memory(self.lhs.local_shape(0), dim, per_array);
+        (self.slab_dim, self.slab_thickness) = (dim, sized.thickness());
+    }
+
     /// `rank`'s schedule: the one place the local iteration space is cut
     /// into stages of `slab_thickness` along `slab_dim` and each stage's
     /// input is widened. A rank sends its strips whether or not it
@@ -493,7 +502,7 @@ impl ElwPlan {
             "ghost exchange runs along one dimension"
         );
         let local = self.lhs.local_shape(rank);
-        let (mut halo, mut pad) = (local.extents().to_vec(), vec![0; local.ndims()]);
+        let (mut halo, mut pad) = (local.clone(), vec![0; local.ndims()]);
         let mut strips = Vec::new();
         if let Some(g) = self.ghosts.first() {
             // Toward its lower neighbour (side 0) a rank sends its lowest
@@ -516,18 +525,22 @@ impl ElwPlan {
             });
             let width = |side: usize| recvs[side].map_or(0, |(_, w)| w);
             let ext = local.extent(g.dim);
-            (halo[g.dim], pad[g.dim]) = (width(0) + ext + width(1), width(0));
             // The halo space differs from the local one along `g.dim` only.
+            let wide = |d| (d == g.dim).then(|| width(0) + ext + width(1));
+            halo = (0..local.ndims())
+                .map(|d| wide(d).unwrap_or(local.extent(d)))
+                .collect();
+            pad[g.dim] = width(0);
             let at = |r: DimRange| Section::full(&local).with_range(g.dim, r);
-            let sent =
-                (0..2).filter_map(|side| Some((true, peer(side, side)?.0, at(strip(side, ext)))));
-            let received = (recvs.iter().zip([0, width(0) + ext])).filter_map(|(recv, lo)| {
-                recv.map(|(nb, w)| (false, nb, at(DimRange::new(lo, lo + w))))
+            let sent = [0, 1].map(|side| Some((true, peer(side, side)?.0, at(strip(side, ext)))));
+            let received = [0, 1].map(|side| {
+                let ((nb, w), lo) = (recvs[side]?, [0, width(0) + ext][side]);
+                Some((false, nb, at(DimRange::new(lo, lo + w))))
             });
-            let moves: Vec<_> = sent.chain(received).collect();
+            let moves = || sent.iter().chain(&received).flatten();
             strips = (0..self.rhs_arrays.len())
                 .flat_map(|array| {
-                    moves.iter().map(move |(send, peer, section)| GhostStrip {
+                    moves().map(move |(send, peer, section)| GhostStrip {
                         send: *send,
                         array,
                         peer: *peer,
@@ -549,7 +562,7 @@ impl ElwPlan {
                 .collect()
         });
         ElwSchedule {
-            halo: Shape::new(halo),
+            halo,
             pad,
             strips,
             stages,
@@ -563,16 +576,15 @@ impl ElwPlan {
             return [None, None];
         };
         let grid = self.lhs.dist.grid();
-        let mut coords = grid.coords(rank);
-        let c = coords[axis];
+        let (c, step) = (grid.coord(rank, axis), grid.stride(axis));
         [
             c.checked_sub(1),
             Some(c + 1).filter(|&u| u < grid.extent(axis)),
         ]
         .map(|nb| {
             let nb = nb?;
-            coords[axis] = nb;
-            Some((grid.rank(&coords), self.lhs.dist.local_extent(g.dim, nb)))
+            let extent = self.lhs.dist.local_extent(g.dim, nb);
+            Some((rank + nb * step - c * step, extent))
         })
     }
 }

@@ -6,6 +6,14 @@
 //! A streams once, Figure 12) — estimates each one's I/O cost from its
 //! symbolic node program, and selects the cheaper (the algorithm of
 //! Figure 14).
+//!
+//! Every choice the compiler makes is taken by one rule, [`decide`]: the
+//! first of the cheapest candidates by the price of its node program, a
+//! forced candidate winning whatever it costs. A [`Decision`] records one
+//! such choice with every candidate's estimate: the GAXPY strategy and
+//! each access method of a remap, transpose or gather. The elementwise
+//! slab dimension, the memory split of [`crate::MemoryPolicy::Search`] and
+//! SpMV's run-time method re-selection call [`decide`] on their prices.
 
 use serde::{Deserialize, Serialize};
 
@@ -15,7 +23,6 @@ use pario::ElemKind;
 
 use crate::cost::CostEstimate;
 use crate::hir::HirArray;
-use crate::ir::NestNode;
 use crate::nodegen::gaxpy_nest;
 use crate::plan::{GaxpyPlan, SlabStrategy};
 use crate::stripmine::{size_gaxpy, SlabSizing};
@@ -71,8 +78,8 @@ pub fn build_gaxpy_plan(
 pub struct GaxpyChoice {
     /// The selected plan.
     pub plan: GaxpyPlan,
-    /// Cost estimates of every candidate, in candidate order.
-    pub estimates: Vec<(SlabStrategy, CostEstimate)>,
+    /// The strategy decision behind it.
+    pub decision: Decision<SlabStrategy>,
 }
 
 /// Selection parameters.
@@ -106,8 +113,9 @@ pub struct GaxpySelection<'a> {
 /// Run the Figure 14 selection: build candidates, estimate, choose.
 pub fn choose_gaxpy(sel: &GaxpySelection<'_>, model: &CostModel) -> GaxpyChoice {
     let candidates = [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab];
-    let mut scored: Vec<(SlabStrategy, GaxpyPlan, CostEstimate)> = Vec::new();
-    for strategy in candidates {
+    let mut plans = Vec::with_capacity(candidates.len());
+    let access = format!("gaxpy {}", sel.arrays.2.name);
+    let decision = Decision::new(access, candidates, sel.force, |strategy| {
         let desired = if sel.reorganize {
             desired_layouts(strategy)
         } else {
@@ -124,71 +132,81 @@ pub fn choose_gaxpy(sel: &GaxpySelection<'_>, model: &CostModel) -> GaxpyChoice 
         );
         let plan = build_gaxpy_plan(sel, strategy, layouts, model);
         let est = CostEstimate::from_nest(&gaxpy_nest(&plan), model, 4);
-        scored.push((strategy, plan, est));
+        plans.push(plan);
+        est
+    });
+    let pick = (decision.estimates.iter())
+        .position(|(s, _)| *s == decision.chosen)
+        .expect("the winner is a candidate");
+    GaxpyChoice {
+        plan: plans.swap_remove(pick),
+        decision,
     }
-    let estimates: Vec<(SlabStrategy, CostEstimate)> =
-        scored.iter().map(|(s, _, e)| (*s, e.clone())).collect();
-    let cheapest = || {
-        (0..scored.len())
-            .min_by(|&a, &b| scored[a].2.time().total_cmp(&scored[b].2.time()))
-            .unwrap_or(0)
-    };
-    let pick = sel
-        .force
-        .and_then(|f| scored.iter().position(|(s, _, _)| *s == f))
-        .unwrap_or_else(cheapest);
-    let (_, plan, _) = scored.swap_remove(pick);
-    GaxpyChoice { plan, estimates }
 }
 
-/// Outcome of access-method selection for one remap-style access (a
-/// pre-statement redistribution or a transpose): every candidate method
-/// priced under the machine model, cheapest wins unless forced.
+/// One compile-time choice: what is decided, every candidate with the
+/// estimate of its node program, the winner, and whether an option forced
+/// it. The GAXPY strategy and every access method of a remap, transpose or
+/// gather are recorded as one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IoMethodChoice {
-    /// What the access is, e.g. `remap b` or `transpose d`.
+pub struct Decision<T> {
+    /// What is decided, e.g. `gaxpy c`, `remap b` or `transpose d`.
     pub access: String,
-    /// The selected method.
-    pub chosen: pario::IoMethod,
-    /// Cost estimates of every candidate, in [`pario::IoMethod::ALL`]
-    /// order.
-    pub estimates: Vec<(pario::IoMethod, CostEstimate)>,
-    /// True when [`crate::CompilerOptions::io_method`] forced the choice.
+    /// The winner.
+    pub chosen: T,
+    /// Every candidate's estimate, in candidate order.
+    pub estimates: Vec<(T, CostEstimate)>,
+    /// True when [`crate::CompilerOptions::force_strategy`] or
+    /// [`crate::CompilerOptions::io_method`] forced the choice.
     pub forced: bool,
 }
 
-/// Select the access method for one remap-style access: build the candidate
-/// nest for each [`pario::IoMethod`] via `nest_for`, price it under
-/// `model`, and pick the cheapest — or `force`, when set. All estimates are
-/// kept for the report; a remap-style access builds its candidates from the
-/// tally of the remap stages its executor runs
-/// ([`crate::nodegen::RemapGeometry::nodes`]), so each is the price the
-/// executor would charge if that method were forced.
-pub fn choose_io_method<F>(
-    access: impl Into<String>,
-    model: &CostModel,
-    force: Option<pario::IoMethod>,
-    nest_for: F,
-) -> IoMethodChoice
-where
-    F: Fn(pario::IoMethod) -> Vec<NestNode>,
-{
-    let estimates: Vec<(pario::IoMethod, CostEstimate)> = pario::IoMethod::ALL
-        .into_iter()
-        .map(|m| (m, CostEstimate::from_nest(&nest_for(m), model, 4)))
-        .collect();
-    let chosen = force.unwrap_or_else(|| {
-        estimates
-            .iter()
-            .min_by(|(_, a), (_, b)| a.time().total_cmp(&b.time()))
-            .map_or(pario::IoMethod::Direct, |(m, _)| *m)
-    });
-    IoMethodChoice {
-        access: access.into(),
-        chosen,
-        estimates,
-        forced: force.is_some(),
+impl<T: Copy + PartialEq> Decision<T> {
+    /// Price every candidate with `price` and [`decide`] among them,
+    /// `force` winning when it is one of them.
+    pub fn new(
+        access: impl Into<String>,
+        candidates: impl IntoIterator<Item = T>,
+        force: Option<T>,
+        mut price: impl FnMut(T) -> CostEstimate,
+    ) -> Self {
+        let estimates: Vec<(T, CostEstimate)> =
+            candidates.into_iter().map(|c| (c, price(c))).collect();
+        let priced = estimates.iter().map(|(c, e)| (*c, e.time()));
+        let (chosen, forced) = decide(priced, force).expect("at least one candidate");
+        Decision {
+            access: access.into(),
+            chosen,
+            estimates,
+            forced,
+        }
     }
+}
+
+/// The compiler's one decision rule: the first of the cheapest
+/// `candidates`, their prices ordered by [`f64::total_cmp`], unless `force`
+/// is one of them, which then wins whatever it costs. Returns the winner
+/// and whether it was forced, or `None` for no candidate. The GAXPY
+/// strategy, the elementwise slab dimension, every access method (at
+/// compile time and SpMV's at run time) and Search's memory split are all
+/// chosen by it.
+pub fn decide<T: PartialEq>(
+    candidates: impl IntoIterator<Item = (T, f64)>,
+    force: Option<T>,
+) -> Option<(T, bool)> {
+    let mut best: Option<(T, f64)> = None;
+    for (candidate, price) in candidates {
+        if force.as_ref() == Some(&candidate) {
+            return Some((candidate, true));
+        }
+        if best
+            .as_ref()
+            .is_none_or(|(_, b)| price.total_cmp(b).is_lt())
+        {
+            best = Some((candidate, price));
+        }
+    }
+    best.map(|(c, _)| (c, false))
 }
 
 #[cfg(test)]
@@ -244,8 +262,8 @@ mod tests {
         let choice = choose_gaxpy(&sel, &CostModel::delta(4));
         assert_eq!(choice.plan.strategy, SlabStrategy::RowSlab);
         // And the estimate gap is roughly an order of magnitude in data.
-        let col = &choice.estimates[0].1;
-        let row = &choice.estimates[1].1;
+        let col = &choice.decision.estimates[0].1;
+        let row = &choice.decision.estimates[1].1;
         assert!(col.io_bytes() > 10 * row.io_bytes());
     }
 
@@ -256,8 +274,9 @@ mod tests {
         sel.force = Some(SlabStrategy::ColumnSlab);
         let choice = choose_gaxpy(&sel, &CostModel::delta(4));
         assert_eq!(choice.plan.strategy, SlabStrategy::ColumnSlab);
+        assert!(choice.decision.forced);
         // Both estimates still reported for the comparison table.
-        assert_eq!(choice.estimates.len(), 2);
+        assert_eq!(choice.decision.estimates.len(), 2);
     }
 
     #[test]
@@ -279,13 +298,11 @@ mod tests {
         let without = choose_gaxpy(&sel, &CostModel::delta(4));
         // Without reorganization the row version's A reads are strided, so
         // whatever is selected costs more than the reorganized row version.
-        let best_with = with
-            .estimates
+        let best_with = (with.decision.estimates)
             .iter()
             .map(|(_, e)| e.time())
             .fold(f64::INFINITY, f64::min);
-        let best_without = without
-            .estimates
+        let best_without = (without.decision.estimates)
             .iter()
             .map(|(_, e)| e.time())
             .fold(f64::INFINITY, f64::min);
@@ -299,5 +316,34 @@ mod tests {
         sel.locked.0 = Some(FileLayout::column_major(2));
         let choice = choose_gaxpy(&sel, &CostModel::delta(4));
         assert_eq!(choice.plan.a.layout, FileLayout::column_major(2));
+    }
+
+    #[test]
+    fn a_dearer_forced_candidate_wins_and_is_marked_forced() {
+        let priced = [('a', 1.0), ('b', 3.0), ('c', 2.0)];
+        assert_eq!(decide(priced, Some('b')), Some(('b', true)));
+        // Forcing the cheapest still marks it forced; forcing a stranger
+        // falls back to the cheapest, unforced.
+        assert_eq!(decide(priced, Some('a')), Some(('a', true)));
+        assert_eq!(decide(priced, Some('z')), Some(('a', false)));
+        assert_eq!(decide(priced, None), Some(('a', false)));
+        assert_eq!(decide::<char>([], None), None);
+    }
+
+    #[test]
+    fn equal_prices_go_to_the_first_candidate() {
+        assert_eq!(
+            decide([(2, 5.0), (1, 5.0), (0, 5.0)], None),
+            Some((2, false))
+        );
+        assert_eq!(
+            decide([(0, 7.0), (1, 5.0), (2, 5.0)], None),
+            Some((1, false))
+        );
+        // `total_cmp` orders -0.0 below 0.0, and NaN above every price.
+        assert_eq!(
+            decide([(0, f64::NAN), (1, 0.0), (2, -0.0)], None),
+            Some((2, false))
+        );
     }
 }

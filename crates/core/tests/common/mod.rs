@@ -54,6 +54,42 @@ pub fn transpose(n: usize, p: usize) -> String {
     )
 }
 
+/// A 6-point stencil over an `n³` cube, `(block, *, *)` over `p`
+/// processors: the ghosts run along dimension 0, the slabs along 2.
+pub fn stencil_3d(n: usize, p: usize) -> String {
+    format!(
+        "
+      parameter (n={n})
+      real u(n, n, n), v(n, n, n)
+!hpf$ processors pr({p})
+!hpf$ template t(n)
+!hpf$ distribute t(block) on pr
+!hpf$ align (:, *, *) with t :: u, v
+      forall (i = 2:n-1, j = 2:n-1, k = 2:n-1)
+        v(i, j, k) = u(i-1, j, k) + u(i+1, j, k) + u(i, j-1, k) + u(i, j+1, k) + u(i, j, k-1) + u(i, j, k+1)
+      end forall
+      end
+"
+    )
+}
+
+/// `hpf::GAXPY_SOURCE` at order `n` on `p` processors, then a `forall`
+/// over its result `c` that overwrites `a`: where the GAXPY takes row
+/// slabs, both files are stored row-major and the `forall` stripmines
+/// along rows.
+pub fn gaxpy_then_forall(n: usize, p: usize) -> String {
+    let forall = "      forall (i = 2:n-1, j = 1:n)\n        \
+                  a(i, j) = c(i-1, j) + c(i+1, j)\n      end forall\n      end\n";
+    let source = (hpf::GAXPY_SOURCE.strip_suffix("      end\n"))
+        .expect("the GAXPY source ends its program")
+        .replacen(
+            "parameter (n=64, nprocs=4)",
+            &format!("parameter (n={n}, nprocs={p})"),
+            1,
+        );
+    source + forall
+}
+
 /// One program of each statement class, by name.
 pub fn programs() -> Vec<(&'static str, String)> {
     vec![
@@ -62,6 +98,8 @@ pub fn programs() -> Vec<(&'static str, String)> {
         ("misaligned x3 p16", stencil(256, 16, false)),
         ("transpose 1024 p16", transpose(1024, 16)),
         ("spmv", hpf::SPMV_SOURCE.to_string()),
+        ("stencil 3-D 160 p4", stencil_3d(160, 4)),
+        ("gaxpy then forall 1100 p2", gaxpy_then_forall(1100, 2)),
     ]
 }
 

@@ -24,6 +24,7 @@ use ooc_array::{
     gather_with, global_section_of_local, inspect, IrregSchedule, IrregStats, OocEnv, OocError,
     Section,
 };
+use ooc_core::cost::CostEstimate;
 use ooc_core::plan::SpmvPlan;
 use pario::{IoMethod, SievePolicy::Direct};
 
@@ -102,13 +103,11 @@ fn select_method(
     for v in &received {
         merged.merge(&IrregStats::from_vec(v));
     }
-    let choice = ooc_core::reorg::choose_io_method(
-        format!("gather {} (runtime)", sched.stamp.data.name),
-        model,
-        None,
-        |m| ooc_core::irreg::gather_nodes(&sched.stamp.data.name, &merged, m),
-    );
-    Ok(choice.chosen)
+    let priced = IoMethod::ALL.map(|m| {
+        let nest = ooc_core::irreg::gather_nodes(&sched.stamp.data.name, &merged, m);
+        (m, CostEstimate::from_nest(&nest, model, 4).time())
+    });
+    Ok(ooc_core::reorg::decide(priced, None).expect("a method").0)
 }
 
 /// Execute the plan on this processor, reusing (or filling) the caller's

@@ -112,7 +112,7 @@ impl ProcGrid {
     }
 
     /// Rank stride of axis `a`: how far one step along it moves the rank.
-    fn stride(&self, a: usize) -> usize {
+    pub fn stride(&self, a: usize) -> usize {
         self.extents[..a].iter().product()
     }
 }
